@@ -24,7 +24,6 @@ import configparser
 import csv
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -262,27 +261,61 @@ def cmd_force(rc, out, reproducible):
     res = forces.force_total(rc.cavity, rc.state, rc.beta_left,
                              rc.beta_right, rc.spec)
     attractive = res.total > 0.0
+    # the error does not resolve the sign; an exact zero with zero error
+    # (no material) has no sign to resolve
+    err = res.err_ic + res.err_bath
+    flags = "sign_unresolved" if err > 0.0 and err >= abs(res.total) else ""
     row = _input_echo(rc) + [res.ic, res.bath, res.total, res.err_ic,
-                             res.err_bath, attractive, ""]
+                             res.err_bath, attractive, flags]
     print("f_ic       = %.12e   (err %.2e)" % (res.ic, res.err_ic))
     print("f_b        = %.12e   (err %.2e)" % (res.bath, res.err_bath))
     print("f_total    = %.12e" % res.total)
-    print("attractive = %s" % _fmt(attractive))
+    line = "attractive = %s" % _fmt(attractive)
+    print(line + "   " + flags if flags else line)
     if out:
         _write_csv(out, _FORCE_COLUMNS, [row], reproducible)
     return EXIT_OK
 
 
-def _sweep_cell(cav, omega0, sigma, spec, f_th, f_vac, f_b):
+def _band_excesses(cav, omega0, sigmas, spec):
+    """Band excess ``(value, err)`` per sigma from one ladder call, or the
+    exception that stopped the cell.
+
+    A cell whose in-band weight cosh(2/sigma) overflows is screened out
+    before the ladder and fails alone; if the ladder itself raises, every
+    cell it was asked for carries that exception.
+    """
+    out = [None] * len(sigmas)
+    todo = []
+    for i, sigma in enumerate(sigmas):
+        try:
+            math.cosh(2.0 / sigma)
+        except OverflowError as exc:
+            out[i] = exc
+        else:
+            todo.append(i)
     try:
-        (exc, _err), = forces.band_excess_curve(cav, omega0, [sigma], spec)
-        f_band = f_vac + exc
-        return (sigma, f_th / f_band, (f_th + f_b) / (f_band + f_b), "")
-    except (NonConvergenceError, NaNIntegrandError, ArithmeticError) as e:
-        return (sigma, math.nan, math.nan, type(e).__name__)
+        curve = forces.band_excess_curve(cav, omega0,
+                                         [sigmas[i] for i in todo], spec)
+    except (NonConvergenceError, NaNIntegrandError, ArithmeticError) as exc:
+        curve = [exc] * len(todo)
+    for i, r in zip(todo, curve):
+        out[i] = r
+    return out
 
 
-def cmd_sweep_sigma(rc, out, reproducible, threads):
+def _sweep_ratios(f_th, f_vac, f_b, band):
+    """``[ratio_ic, ratio_total, flags]`` of one cell."""
+    if isinstance(band, Exception):
+        return [math.nan, math.nan, type(band).__name__]
+    f_band = f_vac + band[0]
+    try:
+        return [f_th / f_band, (f_th + f_b) / (f_band + f_b), ""]
+    except ZeroDivisionError as exc:
+        return [math.nan, math.nan, type(exc).__name__]
+
+
+def cmd_sweep_sigma(rc, out, reproducible):
     """Thermal-to-squeezed force ratios over the bandwidth grid."""
     if rc.state.variant != "thermal":
         raise ConfigError("sweep-sigma needs [state] variant = thermal "
@@ -292,15 +325,10 @@ def cmd_sweep_sigma(rc, out, reproducible, threads):
     f_vac, _ = forces.force_ic(cav, FieldState.vacuum(), spec)
     f_b, _ = forces.force_bath(cav, rc.beta_left, rc.beta_right, spec)
     for omega0 in rc.omega0_list:
-        cells = [(cav, omega0, s, spec, f_th, f_vac, f_b)
-                 for s in rc.sigma_grid]
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(lambda c: _sweep_cell(*c), cells))
-        else:
-            results = [_sweep_cell(*c) for c in cells]
-        rows = [[SCHEMA_VERSION, omega0, sigma, r_ic, r_tot, flags]
-                for sigma, r_ic, r_tot, flags in results]
+        bands = _band_excesses(cav, omega0, rc.sigma_grid, spec)
+        rows = [[SCHEMA_VERSION, omega0, sigma]
+                + _sweep_ratios(f_th, f_vac, f_b, band)
+                for sigma, band in zip(rc.sigma_grid, bands)]
         for row in rows:
             print("omega0=%-8s sigma=%-10s ratio_ic=%-22s ratio_total=%-22s"
                   " %s" % (_fmt(row[1]), _fmt(row[2]), _fmt(row[3]),
@@ -424,8 +452,6 @@ def _parse_args(argv):
     parser.add_argument("--out", help="CSV output path")
     parser.add_argument("--reproducible", action="store_true",
                         help="suppress the timestamp comment line")
-    parser.add_argument("--threads", type=int, default=1, metavar="N",
-                        help="worker threads for sweep cells")
     return parser.parse_args(argv)
 
 
@@ -441,8 +467,7 @@ def main(argv=None):
         if args.command == "force":
             return cmd_force(rc, args.out, args.reproducible)
         if args.command == "sweep-sigma":
-            return cmd_sweep_sigma(rc, args.out, args.reproducible,
-                                   max(1, args.threads))
+            return cmd_sweep_sigma(rc, args.out, args.reproducible)
         return cmd_limits(rc, args.out, args.reproducible)
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)

@@ -29,6 +29,7 @@ the assembled cavity coefficients) so they remain independent checks of
 one another.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -71,6 +72,9 @@ _PROBE_SAMPLES = 24
 # tail machinery must not chase structure below this floor, and the floor
 # belongs in the reported error.
 _NOISE_EPS = 2e-16
+# Vacuum integrals memoized per process.  A sweep or a nonequilibrium
+# study needs one entry; the bound keeps a long-running caller from growing.
+_VACUUM_CACHE_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -344,8 +348,36 @@ def _band_excess(bracket, state, spec, breakpoints):
     return fac * v, fac * e
 
 
+@functools.lru_cache(maxsize=_VACUUM_CACHE_SIZE)
+def _vacuum_ic(cfg, spec):
+    """Vacuum-weight state force of one cavity, memoized per process.
+
+    Every state's force is this integral plus a state excess, and it
+    depends only on the cavity and the spec (both frozen, so they key the
+    cache).  Absorbing pairs integrate on the real axis; lossless pairs are
+    rotated onto the imaginary axis.  A raised error is not memoized.
+    """
+    L, R = cfg.left, cfg.right
+    if not (_absorbing(L) or _absorbing(R)):
+        return _rotated_vacuum(cfg, spec, core.roundtrip_rot_cavity)
+    a, d = cfg.gap, cfg.width
+    tl, tr = L.as_tuple(), R.as_tuple()
+
+    def raw(k):
+        return k * core.ic_bracket(k, a, d, tl, tr)
+
+    def shifted(k, sL, sR, sG):
+        return k * core.ic_bracket(k, a, d, tl, tr, sL, sR, sG)
+
+    return _oscillatory_integral(raw, shifted, spec, a, d, _breakpoints(L, R))
+
+
 def force_ic(cfg, state, spec):
     """State-driven force on the cavity for a given initial field state.
+
+    The vacuum-weight integral, the expensive oscillatory part, is memoized
+    per process for each cavity and spec, so forces for several states of
+    one cavity compute it once; only the state excess is evaluated per call.
 
     Parameters
     ----------
@@ -379,35 +411,22 @@ def force_ic(cfg, state, spec):
         eff = FieldState.vacuum()
 
     lossless = not (_absorbing(L) or _absorbing(R))
+    vac, evac = _vacuum_ic(cfg, spec)
+    if lossless and eff.variant != "vacuum" and (_undamped_dispersive(L)
+                                                 or _undamped_dispersive(R)):
+        raise NonConvergenceError(
+            "undamped dispersive slabs have bound cavity modes on the "
+            "real axis; the non-vacuum excess integral is singular",
+            partial=scale * vac, error=None, panels=0)
+
+    def bracket(k):
+        return core.ic_bracket(k, a, d, tl, tr)
+
     bks = _breakpoints(L, R)
-
-    if lossless:
-        vac, evac = _rotated_vacuum(cfg, spec, core.roundtrip_rot_cavity)
-        if eff.variant != "vacuum" and (_undamped_dispersive(L)
-                                        or _undamped_dispersive(R)):
-            raise NonConvergenceError(
-                "undamped dispersive slabs have bound cavity modes on the "
-                "real axis; the non-vacuum excess integral is singular",
-                partial=scale * vac, error=None, panels=0)
-    else:
-        def raw(k):
-            return k * core.ic_bracket(k, a, d, tl, tr)
-
-        def shifted(k, sL, sR, sG):
-            return k * core.ic_bracket(k, a, d, tl, tr, sL, sR, sG)
-
-        vac, evac = _oscillatory_integral(raw, shifted, spec, a, d, bks)
-
     exc, eexc = 0.0, 0.0
     if eff.variant == "thermal":
-        def bracket(k):
-            return core.ic_bracket(k, a, d, tl, tr)
-
         exc, eexc = _thermal_excess(bracket, eff.beta, spec, bks)
     elif eff.variant == "squeezed_band":
-        def bracket(k):
-            return core.ic_bracket(k, a, d, tl, tr)
-
         exc, eexc = _band_excess(bracket, eff, spec, bks)
 
     return scale * (vac + exc), scale * (evac + eexc)

@@ -1,0 +1,12 @@
+"""Shared fixtures for the casimir1d tests."""
+
+import pytest
+
+from casimir1d import forces
+
+
+@pytest.fixture(autouse=True)
+def cold_vacuum_cache():
+    """Start every test with an empty vacuum-integral memo, so a timing
+    gate or a cache assertion never profits from an earlier test."""
+    forces._vacuum_ic.cache_clear()

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from casimir1d import forces
 from casimir1d.cli import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
@@ -13,6 +14,8 @@ from casimir1d.cli import (
     load_run_config,
     main,
 )
+from casimir1d.errors import NonConvergenceError
+from casimir1d.forces import ForceBreakdown
 
 STATIC_BODY = """
 [cavity]
@@ -224,14 +227,76 @@ def test_sweep_sigma_rows_and_cell_isolation(tmp_path):
         assert row["ratio_ic"] == row["ratio_total"]
 
 
-def test_sweep_sigma_thread_determinism(tmp_path):
+def test_sweep_sigma_reproducible_reruns(tmp_path):
     cfg = write(tmp_path, SWEEP_BODY)
     out1, out2 = tmp_path / "s1.csv", tmp_path / "s2.csv"
     assert main(["sweep-sigma", "--config", cfg, "--out", str(out1),
                  "--reproducible"]) == EXIT_OK
     assert main(["sweep-sigma", "--config", cfg, "--out", str(out2),
-                 "--reproducible", "--threads", "3"]) == EXIT_OK
+                 "--reproducible"]) == EXIT_OK
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_sweep_sigma_one_ladder_per_band_center(tmp_path, monkeypatch):
+    calls = []
+    ladder = forces.band_excess_curve
+
+    def counted(cav, omega0, sigmas, spec):
+        out = ladder(cav, omega0, sigmas, spec)
+        calls.append((cav, omega0, list(sigmas), spec, out))
+        return out
+
+    monkeypatch.setattr(forces, "band_excess_curve", counted)
+    body = MILD_BODY + ("\n[sweep]\nsigma_grid = 0.001 0.25 0.5 1.0 2.0\n"
+                        "omega0_list = 2.0 3.0\n")
+    assert main(["sweep-sigma", "--config", write(tmp_path, body),
+                 "--reproducible"]) == EXIT_OK
+    # the overflowing sigma = 0.001 is screened out before the ladder
+    assert [(c[1], c[2]) for c in calls] == [(2.0, [0.25, 0.5, 1.0, 2.0]),
+                                             (3.0, [0.25, 0.5, 1.0, 2.0])]
+    # the ladder sums strips where a single call integrates the whole
+    # window; the two may differ only within their estimates
+    for cav, omega0, sigmas, spec, out in calls:
+        for sigma, (v, e) in zip(sigmas, out):
+            (w, ew), = ladder(cav, omega0, [sigma], spec)
+            assert abs(v - w) <= e + ew
+
+
+def test_sweep_sigma_failed_ladder_flags_its_cells(tmp_path, monkeypatch):
+    def refused(cav, omega0, sigmas, spec):
+        raise NonConvergenceError("refused", panels=0)
+
+    monkeypatch.setattr(forces, "band_excess_curve", refused)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep-sigma", "--config", write(tmp_path, SWEEP_BODY),
+                 "--out", str(out), "--reproducible"]) == EXIT_OK
+    _, rows = read_rows(out)
+    assert [r["flags"] for r in rows] == ["OverflowError",
+                                          "NonConvergenceError",
+                                          "NonConvergenceError"]
+    assert all(math.isnan(float(r["ratio_ic"])) for r in rows)
+
+
+@pytest.mark.parametrize("total, err_ic, err_b, flag", [
+    (0.0296, 0.05, 0.02, "sign_unresolved"),
+    (-0.01, 0.004, 0.006, "sign_unresolved"),
+    (0.0290, 1e-3, 1.2e-3, ""),
+    (0.0, 0.0, 0.0, ""),
+])
+def test_force_flags_unresolved_sign(tmp_path, monkeypatch, capsys, total,
+                                     err_ic, err_b, flag):
+    def fake(cav, state, beta_left, beta_right, spec):
+        return ForceBreakdown(total, 0.0, total, err_ic, err_b)
+
+    monkeypatch.setattr(forces, "force_total", fake)
+    out = tmp_path / "force.csv"
+    assert main(["force", "--config", write(tmp_path, MILD_BODY),
+                 "--out", str(out), "--reproducible"]) == EXIT_OK
+    _, rows = read_rows(out)
+    assert rows[0]["flags"] == flag
+    line = [ln for ln in capsys.readouterr().out.splitlines()
+            if ln.startswith("attractive")][0]
+    assert line.endswith(flag or rows[0]["attractive"])
 
 
 def test_sweep_sigma_one_csv_per_band_center(tmp_path):

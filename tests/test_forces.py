@@ -5,6 +5,7 @@ from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
+from casimir1d import forces
 from casimir1d.errors import (
     DeltaStateWeightError,
     NonConvergenceError,
@@ -98,6 +99,56 @@ def test_squeezed_const_is_scaled_vacuum():
     f_sq, e_sq = force_ic(CFG, FieldState.squeezed_const(0.5), SPEC6)
     assert f_sq == pytest.approx(math.cosh(1.0) * f_vac, rel=1e-13)
     assert e_sq == pytest.approx(math.cosh(1.0) * e_vac, rel=1e-13)
+
+
+@pytest.mark.parametrize("cfg", [CFG, CavityConfig(1.0, 0.7, STATIC,
+                                                   STATIC2)],
+                         ids=["absorbing", "lossless"])
+def test_vacuum_integral_memo_is_bit_identical(cfg):
+    states = (FieldState.thermal(5.0), FieldState.vacuum(),
+              FieldState.squeezed_const(0.5))
+    cold = []
+    for state in states:
+        forces._vacuum_ic.cache_clear()
+        cold.append(force_ic(cfg, state, SPEC6))
+    forces._vacuum_ic.cache_clear()
+    for n, (state, want) in enumerate(zip(states, cold)):
+        assert force_ic(cfg, state, SPEC6) == want
+        info = forces._vacuum_ic.cache_info()
+        assert (info.misses, info.hits) == (1, n)
+
+
+def test_vacuum_memo_keys_on_cavity_and_spec():
+    vac = FieldState.vacuum()
+    force_ic(CFG, vac, SPEC6)
+    force_ic(CFG.mirrored(), vac, SPEC6)
+    force_ic(CFG, vac, replace(SPEC6, rel_tol=1e-7))
+    info = forces._vacuum_ic.cache_info()
+    assert (info.misses, info.hits) == (3, 0)
+
+
+def test_refusals_are_not_memoized():
+    # the undamped pair's vacuum part converges and is kept, but its
+    # thermal excess is refused on every call; the mixed pair's vacuum
+    # integral itself is refused and leaves nothing behind
+    undamped = CavityConfig(1.0, 0.7, UNDAMPED, UNDAMPED)
+    for _ in range(2):
+        with pytest.raises(NonConvergenceError):
+            force_ic(undamped, FieldState.thermal(10.0), SPEC6)
+        with pytest.raises(NonConvergenceError, match="persistent"):
+            force_ic(MIX_CFG, FieldState.vacuum(), SPEC6)
+    info = forces._vacuum_ic.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (3, 1, 1)
+
+
+def test_vacuum_memo_is_bounded():
+    maxsize = forces._vacuum_ic.cache_info().maxsize
+    assert maxsize is not None
+    cfg = CavityConfig(1.0, 0.7, STATIC, STATIC2)
+    for i in range(maxsize + 3):
+        force_ic(cfg, FieldState.vacuum(),
+                 replace(SPEC6, abs_tol=1e-10 * (1.0 + i)))
+    assert forces._vacuum_ic.cache_info().currsize == maxsize
 
 
 def test_static_dual_routes_agree():
