@@ -35,7 +35,7 @@ from .scattering import CavityConfig
 from .states import FieldState
 from .stress import pressure_difference
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 KELVIN_METER = 2.2899e-3
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -48,7 +48,8 @@ _FORCE_COLUMNS = (
     "right_model", "right_omega0", "right_omega_pl", "right_gamma0",
     "state", "state_beta", "state_sigma", "state_omega_center", "state_xi",
     "beta_left", "beta_right", "rel_tol", "abs_tol",
-    "f_ic", "f_b", "f_total", "err_ic", "err_b", "attractive", "flags",
+    "f_ic", "f_b", "f_total", "err_ic", "err_b", "err_total", "attractive",
+    "flags",
 )
 _SWEEP_COLUMNS = ("schema_version", "omega0", "sigma", "ratio_ic",
                   "ratio_total", "flags")
@@ -263,13 +264,13 @@ def cmd_force(rc, out, reproducible):
     attractive = res.total > 0.0
     # the error does not resolve the sign; an exact zero with zero error
     # (no material) has no sign to resolve
-    err = res.err_ic + res.err_bath
+    err = res.err_total
     flags = "sign_unresolved" if err > 0.0 and err >= abs(res.total) else ""
     row = _input_echo(rc) + [res.ic, res.bath, res.total, res.err_ic,
-                             res.err_bath, attractive, flags]
+                             res.err_bath, err, attractive, flags]
     print("f_ic       = %.12e   (err %.2e)" % (res.ic, res.err_ic))
     print("f_b        = %.12e   (err %.2e)" % (res.bath, res.err_bath))
-    print("f_total    = %.12e" % res.total)
+    print("f_total    = %.12e   (err %.2e)" % (res.total, err))
     line = "attractive = %s" % _fmt(attractive)
     print(line + "   " + flags if flags else line)
     if out:
@@ -401,8 +402,9 @@ def _verify_checks():
     checks.append(("ic_dual_route_dissipationless",
                    abs(f_cav - f_rot) / abs(f_rot), 1e-8))
 
-    # gap 0.5 keeps the state/bath cancellation amplification near 7e2, so
-    # the 1e-6 dual-pipeline agreement is honestly reachable at rel_tol 1e-8
+    # gap 0.5 keeps the state/bath cancellation amplification of the
+    # real-axis route near 7e2, so the 1e-6 agreements with it are honestly
+    # reachable at rel_tol 1e-8
     cfg = CavityConfig(0.5, 0.4, mild_l, mild_r)
     beta = 5.0
     f_ic, _ = forces.force_ic(cfg, FieldState.thermal(beta), spec)
@@ -410,6 +412,19 @@ def _verify_checks():
     canary, _ = forces.equilibrium_matsubara(cfg, beta, spec)
     checks.append(("equilibrium_dual_pipeline",
                    abs(f_ic + f_b - canary) / abs(canary), 1e-6))
+
+    # the two-integral real-axis route shares no rotation and no
+    # zero-temperature bath integral with force_ic and force_total
+    osc_vac, _ = forces._real_axis_ic(cfg, FieldState.vacuum(), spec)
+    f_vac, _ = forces.force_ic(cfg, FieldState.vacuum(), spec)
+    checks.append(("real_axis_dual_pipeline",
+                   abs(osc_vac - f_vac) / abs(f_vac), 1e-6))
+    osc_ic, _ = forces._real_axis_ic(cfg, FieldState.thermal(beta), spec)
+    osc_b, _ = forces._real_axis_bath(cfg, 3.0, 8.0, spec)
+    noneq = forces.force_total(cfg, FieldState.thermal(beta), 3.0, 8.0, spec)
+    checks.append(("nonequilibrium_dual_pipeline",
+                   abs(osc_ic + osc_b - noneq.total) / abs(noneq.total),
+                   1e-6))
 
     dev_ic, dev_b = pressure_difference(
         CavityConfig(1.0, 0.4, mild_l, mild_r), (3.7, 5.2),

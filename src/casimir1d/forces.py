@@ -8,29 +8,46 @@ outer and inner faces.  It separates exactly into two additive integrals:
 * a bath part (``force_bath``): the dissipative slabs radiate thermally at
   their own temperatures, independently of the field state.
 
-Both real-axis integrands oscillate under three linear phases (one per slab
-thickness and one for the gap round trip) on top of slowly decaying
-absorption envelopes.  Each semi-infinite integral is therefore evaluated in
-three stages: adaptive quadrature up to a switch point chosen by probing the
+Both integrands are linear in their occupation weights (the state weight
+and the two baths' coth(beta k / 2)), so each part is assembled from
+zero-temperature pieces plus thermal or squeezing excesses over the vacuum
+weight.  The excess weights decay exponentially or live on a band window,
+so the excesses are finite-interval integrals.  At zero temperature the
+state and bath integrands add up to one analytic round-trip integrand whose
+integral R, rotated onto the imaginary frequency axis, decays like
+exp(-2 kappa gap) (Antezza, Pitaevskii, Stringari and Svetovoy, PRA 77,
+022901 (2008)).  With Z the zero-temperature bath integral,
+
+    force_ic   = R - Z + state excess,
+    force_bath = Z + bath excess,
+
+so Z cancels from the total in value and only its rounding remains there.
+Z is the one real-axis oscillatory integral per cavity and spec; it is
+memoized per process.  Lossless pairs have no bath (Z = 0), so their state
+force is R alone.
+
+The real-axis oscillatory integrals (Z, the half-space limits, and the
+two-integral route kept as an independent check) oscillate under three
+linear phases (one per slab thickness and one for the gap round trip) on
+top of slowly decaying absorption envelopes.  Each is evaluated in three
+stages: adaptive quadrature up to a switch point chosen by probing the
 local oscillation amplitude against the error budget, quadrature of the
 phase-averaged integrand over geometric tail panels, and an inverse-cube
 remainder model for the truncated far tail.  The dropped oscillation bound
 and the remainder-model uncertainty are folded into the returned error
 estimate.
 
-Dissipationless (non-dispersive) slabs leave the real-axis tail undamped,
-so no classical improper integral exists.  Equilibrium-weight parts are then
-rotated onto the imaginary frequency axis, where the round-trip factor is
-real and decays exponentially; only the thermal or band excess over the
-vacuum weight stays on the real axis, where it is absolutely convergent.
-The two dissipationless entry points build the rotated round-trip factor
-through different arithmetic (direct slab product versus extraction from
-the assembled cavity coefficients) so they remain independent checks of
-one another.
+Undamped slabs leave the real-axis tail undamped, so no classical improper
+integral exists there; only the rotated R and the absolutely convergent
+excesses are used for them.  The dissipationless entry point builds the
+rotated round-trip factor through different arithmetic (direct slab product
+versus extraction from the assembled cavity coefficients) so it remains an
+independent check of ``force_ic``.
 """
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field, replace
 
 from .errors import (DeltaStateWeightError, NaNIntegrandError,
@@ -72,17 +89,26 @@ _PROBE_SAMPLES = 24
 # tail machinery must not chase structure below this floor, and the floor
 # belongs in the reported error.
 _NOISE_EPS = 2e-16
-# Vacuum integrals memoized per process.  A sweep or a nonequilibrium
-# study needs one entry; the bound keeps a long-running caller from growing.
+# Zero-temperature bath integrals memoized per process.  A sweep or a
+# nonequilibrium study needs one entry; the bound keeps a long-running
+# caller from growing.
 _VACUUM_CACHE_SIZE = 32
+# Relative rounding allowance for the zero-temperature bath integral Z that
+# cancels from the total: a few ulps of |Z|, since it enters and leaves
+# through a handful of additions of that magnitude.
+_CANCEL_ROUNDING = 4.0 * sys.float_info.epsilon
+_ZERO = (0.0, 0.0)
 
 
 @dataclass(frozen=True)
 class ForceBreakdown:
-    """State part, bath part, their exact sum, and the two error estimates.
+    """State part, bath part, their exact sum, and their error estimates.
 
-    ``total`` is always ``ic + bath`` by construction; ``meta`` echoes the
-    inputs that produced the numbers.
+    ``total`` is always ``ic + bath`` by construction.  ``err_ic`` and
+    ``err_bath`` are honest for each part on its own, so each carries the
+    error of the zero-temperature bath integral Z; Z cancels from the total,
+    so ``err_total`` carries only its rounding.  ``meta`` echoes the inputs
+    that produced the numbers.
     """
 
     ic: float
@@ -90,6 +116,7 @@ class ForceBreakdown:
     total: float
     err_ic: float
     err_bath: float
+    err_total: float
     meta: dict = field(default_factory=dict)
 
 
@@ -294,12 +321,13 @@ def _oscillatory_integral(raw, shifted, spec, gap, width=None,
 
 
 def _rotated_vacuum(cfg, spec, roundtrip):
-    """Vacuum-weight state force by rotation onto the imaginary axis.
+    """Zero-temperature total force by rotation onto the imaginary axis.
 
     Equals 4 * integral over kappa of kappa * w / (1 - w) with w the real
     rotated round-trip factor supplied by ``roundtrip``; the integrand
     decays like exp(-2 kappa gap), so the standard marching quadrature
-    terminates on its own.
+    terminates on its own.  For lossless pairs there is no bath and this is
+    the vacuum state force itself.
     """
     a, d = cfg.gap, cfg.width
     tl = cfg.left.as_tuple()
@@ -311,6 +339,19 @@ def _rotated_vacuum(cfg, spec, roundtrip):
 
     s = replace(spec, panel_width=min(spec.panel_width, 0.5 / a))
     return integrate_semiinfinite(g, s)
+
+
+def _real_axis(cfg, spec, f):
+    """Oscillatory integral of ``f(k, sL, sR, sG)`` over k in [0, inf).
+
+    ``f`` is a cavity integrand evaluated with additive offsets on the
+    left-slab, right-slab and gap phases.
+    """
+    def raw(k):
+        return f(k, 0.0, 0.0, 0.0)
+
+    return _oscillatory_integral(raw, f, spec, cfg.gap, cfg.width,
+                                 _breakpoints(cfg.left, cfg.right))
 
 
 def _thermal_excess(bracket, beta, spec, breakpoints):
@@ -338,7 +379,12 @@ def _band_excess(bracket, state, spec, breakpoints):
     lo, hi = band_edges(state)
     if hi <= lo:
         return 0.0, 0.0
-    fac = math.cosh(2.0 / state.sigma) - 1.0
+    try:
+        fac = math.cosh(2.0 / state.sigma) - 1.0
+    except OverflowError:
+        raise NonConvergenceError(
+            "band weight cosh(2/sigma) overflows at sigma = %r; widen the "
+            "band" % state.sigma, partial=None, error=math.inf, panels=0)
 
     def g(k):
         return k * bracket(k)
@@ -348,36 +394,116 @@ def _band_excess(bracket, state, spec, breakpoints):
     return fac * v, fac * e
 
 
-@functools.lru_cache(maxsize=_VACUUM_CACHE_SIZE)
-def _vacuum_ic(cfg, spec):
-    """Vacuum-weight state force of one cavity, memoized per process.
+def _state_excess(bracket, state, spec, breakpoints):
+    """Excess of the state's weight over the vacuum weight, (0, 0) for the
+    vacuum itself."""
+    if state.variant == "thermal":
+        return _thermal_excess(bracket, state.beta, spec, breakpoints)
+    if state.variant == "squeezed_band":
+        return _band_excess(bracket, state, spec, breakpoints)
+    return _ZERO
 
-    Every state's force is this integral plus a state excess, and it
-    depends only on the cavity and the spec (both frozen, so they key the
-    cache).  Absorbing pairs integrate on the real axis; lossless pairs are
-    rotated onto the imaginary axis.  A raised error is not memoized.
+
+def _effective_state(state):
+    """``(scale, state)``: constant squeezing is a pure rescaling of the
+    vacuum; the delta-band state has no pointwise weight and is refused."""
+    if state.variant == "squeezed_delta":
+        raise DeltaStateWeightError(
+            "the delta-band state has no pointwise spectral weight; "
+            "use force_delta_squeezed")
+    if state.variant == "squeezed_const":
+        return weight(state, 1.0), FieldState.vacuum()
+    return 1.0, state
+
+
+@functools.lru_cache(maxsize=_VACUUM_CACHE_SIZE)
+def _vacuum_bath(cfg, spec):
+    """Zero-temperature bath integral Z of an absorbing cavity, memoized
+    per process.
+
+    Z enters the state force with a minus sign and the bath force with a
+    plus sign at every temperature and state, and it depends only on the
+    cavity and the spec (both frozen, so they key the cache).  It is the
+    one real-axis oscillatory integral per cavity.  A raised error is not
+    memoized.
     """
+    a, d = cfg.gap, cfg.width
+    tl, tr = cfg.left.as_tuple(), cfg.right.as_tuple()
+    inf = math.inf
+
+    def f(k, sL, sR, sG):
+        return core.bath_integrand(k, a, d, tl, tr, inf, inf, sL, sR, sG)
+
+    return _real_axis(cfg, spec, f)
+
+
+def _ic_parts(cfg, state, spec):
+    """The state force as ``scale * (R - Z + X)``.
+
+    Returns ``(scale, R, Z, X)``: R the rotated zero-temperature total, Z
+    the zero-temperature bath integral (zero for lossless pairs) and X the
+    state excess over the vacuum weight, each a ``(value, err)`` pair.
+    """
+    scale, eff = _effective_state(state)
     L, R = cfg.left, cfg.right
-    if not (_absorbing(L) or _absorbing(R)):
-        return _rotated_vacuum(cfg, spec, core.roundtrip_rot_cavity)
+    if L.omega_pl == 0.0 and R.omega_pl == 0.0:
+        return scale, _ZERO, _ZERO, _ZERO
+    absorbing = _absorbing(L) or _absorbing(R)
+    rot = _rotated_vacuum(cfg, spec, core.roundtrip_rot_cavity)
+    if not absorbing and eff.variant != "vacuum" and (
+            _undamped_dispersive(L) or _undamped_dispersive(R)):
+        raise NonConvergenceError(
+            "undamped dispersive slabs have bound cavity modes on the "
+            "real axis; the non-vacuum excess integral is singular",
+            partial=scale * rot[0], error=None, panels=0)
+    zt = _vacuum_bath(cfg, spec) if absorbing else _ZERO
     a, d = cfg.gap, cfg.width
     tl, tr = L.as_tuple(), R.as_tuple()
 
-    def raw(k):
-        return k * core.ic_bracket(k, a, d, tl, tr)
+    def bracket(k):
+        return core.ic_bracket(k, a, d, tl, tr)
 
-    def shifted(k, sL, sR, sG):
-        return k * core.ic_bracket(k, a, d, tl, tr, sL, sR, sG)
+    exc = _state_excess(bracket, eff, spec, _breakpoints(L, R))
+    return scale, rot, zt, exc
 
-    return _oscillatory_integral(raw, shifted, spec, a, d, _breakpoints(L, R))
+
+def _bath_parts(cfg, beta_left, beta_right, spec):
+    """The bath force as ``Z + Y``.
+
+    Returns ``(Z, Y)``: the zero-temperature bath integral and the excess
+    of the bath integrand at (beta_left, beta_right) over its
+    zero-temperature value, both ``(value, err)`` pairs and both zero when
+    neither slab absorbs.
+    """
+    if not (beta_left > 0.0 and beta_right > 0.0):
+        raise ValueError("bath inverse temperatures must be positive")
+    L, R = cfg.left, cfg.right
+    if not (_absorbing(L) or _absorbing(R)):
+        return _ZERO, _ZERO
+    zt = _vacuum_bath(cfg, spec)
+    a, d = cfg.gap, cfg.width
+    tl, tr = L.as_tuple(), R.as_tuple()
+    inf = math.inf
+
+    # coth(beta k / 2) - 1 < 1e-52 past beta k = 120 on both baths
+    def g(k):
+        return (core.bath_integrand(k, a, d, tl, tr, beta_left, beta_right)
+                - core.bath_integrand(k, a, d, tl, tr, inf, inf))
+
+    _endpoint_check(g)
+    hi = 120.0 / min(beta_left, beta_right)
+    bks = tuple(b for b in _breakpoints(L, R) if b < hi)
+    return zt, integrate_interval(g, 0.0, hi, spec, breakpoints=bks)
 
 
 def force_ic(cfg, state, spec):
     """State-driven force on the cavity for a given initial field state.
 
-    The vacuum-weight integral, the expensive oscillatory part, is memoized
-    per process for each cavity and spec, so forces for several states of
-    one cavity compute it once; only the state excess is evaluated per call.
+    Computed as R - Z + X: the rotated zero-temperature total R minus the
+    zero-temperature bath integral Z, plus the state excess X over the
+    vacuum weight.  Z, the only oscillatory real-axis integral, is memoized
+    per process for each cavity and spec, so forces for several states and
+    bath temperatures of one cavity compute it once.
 
     Parameters
     ----------
@@ -393,47 +519,16 @@ def force_ic(cfg, state, spec):
         Force in inverse-square-gap units and its error estimate.  Positive
         values push the slabs apart.
     """
-    if state.variant == "squeezed_delta":
-        raise DeltaStateWeightError(
-            "the delta-band state has no pointwise spectral weight; "
-            "use force_delta_squeezed")
-    L, R = cfg.left, cfg.right
-    a, d = cfg.gap, cfg.width
-    if L.omega_pl == 0.0 and R.omega_pl == 0.0:
-        return 0.0, 0.0
-    tl, tr = L.as_tuple(), R.as_tuple()
-
-    scale = 1.0
-    eff = state
-    if state.variant == "squeezed_const":
-        # constant weight: a pure rescaling of the vacuum integral
-        scale = weight(state, 1.0)
-        eff = FieldState.vacuum()
-
-    lossless = not (_absorbing(L) or _absorbing(R))
-    vac, evac = _vacuum_ic(cfg, spec)
-    if lossless and eff.variant != "vacuum" and (_undamped_dispersive(L)
-                                                 or _undamped_dispersive(R)):
-        raise NonConvergenceError(
-            "undamped dispersive slabs have bound cavity modes on the "
-            "real axis; the non-vacuum excess integral is singular",
-            partial=scale * vac, error=None, panels=0)
-
-    def bracket(k):
-        return core.ic_bracket(k, a, d, tl, tr)
-
-    bks = _breakpoints(L, R)
-    exc, eexc = 0.0, 0.0
-    if eff.variant == "thermal":
-        exc, eexc = _thermal_excess(bracket, eff.beta, spec, bks)
-    elif eff.variant == "squeezed_band":
-        exc, eexc = _band_excess(bracket, eff, spec, bks)
-
-    return scale * (vac + exc), scale * (evac + eexc)
+    scale, (r, er), (z, ez), (x, ex) = _ic_parts(cfg, state, spec)
+    return scale * (r - z + x), scale * (er + ez + ex)
 
 
 def force_bath(cfg, beta_left, beta_right, spec):
     """Bath-driven force from the slabs' own thermal radiation.
+
+    Computed as Z + Y: the memoized zero-temperature bath integral plus the
+    excess of the bath integrand at the given temperatures over its
+    zero-temperature value, which decays exponentially.
 
     Parameters
     ----------
@@ -448,36 +543,28 @@ def force_bath(cfg, beta_left, beta_right, spec):
         Exactly (0.0, 0.0) when neither slab absorbs: without absorption the
         fluctuation weights vanish identically and no bath radiates.
     """
-    if not (beta_left > 0.0 and beta_right > 0.0):
-        raise ValueError("bath inverse temperatures must be positive")
-    L, R = cfg.left, cfg.right
-    if not (_absorbing(L) or _absorbing(R)):
-        return 0.0, 0.0
-    a, d = cfg.gap, cfg.width
-    tl, tr = L.as_tuple(), R.as_tuple()
-
-    def raw(k):
-        return core.bath_integrand(k, a, d, tl, tr, beta_left, beta_right)
-
-    def shifted(k, sL, sR, sG):
-        return core.bath_integrand(k, a, d, tl, tr, beta_left, beta_right,
-                                   sL, sR, sG)
-
-    return _oscillatory_integral(raw, shifted, spec, a, d,
-                                 _breakpoints(L, R))
+    (z, ez), (y, ey) = _bath_parts(cfg, beta_left, beta_right, spec)
+    return z + y, ez + ey
 
 
 def force_total(cfg, state, beta_left, beta_right, spec):
-    """Both force parts and their exact sum.
+    """Both force parts, their exact sum and its own error estimate.
 
     Returns
     -------
     ForceBreakdown
         ``total`` is ``ic + bath`` with no re-evaluation, so additivity is
-        exact by construction; ``meta`` echoes the inputs.
+        exact by construction.  Z cancels from the total unless constant
+        squeezing rescales the state part, so ``err_total`` counts Z's
+        error only for the uncancelled fraction, plus a few ulps of |Z| of
+        rounding.  ``meta`` echoes the inputs.
     """
-    f_ic, e_ic = force_ic(cfg, state, spec)
-    f_b, e_b = force_bath(cfg, beta_left, beta_right, spec)
+    scale, (r, er), (z, ez), (x, ex) = _ic_parts(cfg, state, spec)
+    (zb, ezb), (y, ey) = _bath_parts(cfg, beta_left, beta_right, spec)
+    f_ic = scale * (r - z + x)
+    f_b = zb + y
+    err_total = (scale * (er + ex) + ey + abs(1.0 - scale) * ezb
+                 + _CANCEL_ROUNDING * scale * abs(zb))
     meta = {
         "gap": cfg.gap,
         "width": cfg.width,
@@ -491,7 +578,47 @@ def force_total(cfg, state, beta_left, beta_right, spec):
         "beta_left": beta_left,
         "beta_right": beta_right,
     }
-    return ForceBreakdown(f_ic, f_b, f_ic + f_b, e_ic, e_b, meta)
+    return ForceBreakdown(f_ic, f_b, f_ic + f_b, scale * (er + ez + ex),
+                          ezb + ey, err_total, meta)
+
+
+def _real_axis_ic(cfg, state, spec):
+    """State force of an absorbing pair with its vacuum-weight part
+    integrated directly on the real axis.
+
+    Shares no rotation and no zero-temperature bath integral with
+    ``force_ic``.  With ``_real_axis_bath`` it is the two-integral route
+    whose parts nearly cancel in the total, so it is slow and loses
+    accuracy there; both are kept as independent checks of ``force_ic``
+    and ``force_total``.
+    """
+    scale, eff = _effective_state(state)
+    a, d = cfg.gap, cfg.width
+    tl, tr = cfg.left.as_tuple(), cfg.right.as_tuple()
+
+    def f(k, sL, sR, sG):
+        return k * core.ic_bracket(k, a, d, tl, tr, sL, sR, sG)
+
+    def bracket(k):
+        return core.ic_bracket(k, a, d, tl, tr)
+
+    v, ev = _real_axis(cfg, spec, f)
+    x, ex = _state_excess(bracket, eff, spec,
+                          _breakpoints(cfg.left, cfg.right))
+    return scale * (v + x), scale * (ev + ex)
+
+
+def _real_axis_bath(cfg, beta_left, beta_right, spec):
+    """Bath force integrated directly on the real axis at the given
+    temperatures (see ``_real_axis_ic``)."""
+    a, d = cfg.gap, cfg.width
+    tl, tr = cfg.left.as_tuple(), cfg.right.as_tuple()
+
+    def f(k, sL, sR, sG):
+        return core.bath_integrand(k, a, d, tl, tr, beta_left, beta_right,
+                                   sL, sR, sG)
+
+    return _real_axis(cfg, spec, f)
 
 
 def _ident_bracket(k, a, d, mat):
@@ -524,20 +651,11 @@ def force_dissipationless(cfg, state, spec):
     if not (L.static and R.static):
         raise ValueError(
             "dissipationless route requires static non-dispersive slabs")
-    if state.variant == "squeezed_delta":
-        raise DeltaStateWeightError(
-            "the delta-band state has no pointwise spectral weight; "
-            "use force_delta_squeezed")
+    scale, eff = _effective_state(state)
     a, d = cfg.gap, cfg.width
     if L.omega_pl == 0.0 and R.omega_pl == 0.0:
         return 0.0, 0.0
     tl, tr = L.as_tuple(), R.as_tuple()
-
-    scale = 1.0
-    eff = state
-    if state.variant == "squeezed_const":
-        scale = weight(state, 1.0)
-        eff = FieldState.vacuum()
 
     vac, evac = _rotated_vacuum(cfg, spec, core.roundtrip_rot_direct)
 
@@ -548,12 +666,7 @@ def force_dissipationless(cfg, state, spec):
         def bracket(k):
             return core.nodiss_bracket(k, a, d, tl, tr)
 
-    exc, eexc = 0.0, 0.0
-    if eff.variant == "thermal":
-        exc, eexc = _thermal_excess(bracket, eff.beta, spec, ())
-    elif eff.variant == "squeezed_band":
-        exc, eexc = _band_excess(bracket, eff, spec, ())
-
+    exc, eexc = _state_excess(bracket, eff, spec, ())
     return scale * (vac + exc), scale * (evac + eexc)
 
 

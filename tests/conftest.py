@@ -7,6 +7,6 @@ from casimir1d import forces
 
 @pytest.fixture(autouse=True)
 def cold_vacuum_cache():
-    """Start every test with an empty vacuum-integral memo, so a timing
-    gate or a cache assertion never profits from an earlier test."""
-    forces._vacuum_ic.cache_clear()
+    """Start every test with an empty zero-temperature bath memo, so a
+    timing gate or a cache assertion never profits from an earlier test."""
+    forces._vacuum_bath.cache_clear()

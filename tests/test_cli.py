@@ -156,10 +156,12 @@ def test_force_static_csv_and_determinism(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
     header, rows = read_rows(out1)
     row = rows[0]
-    assert row["schema_version"] == "1"
+    assert row["schema_version"] == "2"
     assert row["left_model"] == "static_nd"
     assert float(row["f_b"]) == 0.0
     assert float(row["f_total"]) == float(row["f_ic"])
+    # no bath, nothing cancels: the total's error is the state part's
+    assert float(row["err_total"]) == float(row["err_ic"]) > 0.0
     assert row["attractive"] == "true"
     assert row["flags"] == ""
 
@@ -177,12 +179,20 @@ def test_force_timestamp_unless_reproducible(tmp_path):
 
 
 def test_force_nonconvergence_exit_code(tmp_path, capsys):
-    # lossless paired with lossy: persistent oscillation, honest refusal
-    body = MILD_BODY.replace(
-        "[right]\nomega0 = 2.5\nomega_pl = 1.5\ngamma0 = 1.0",
-        "[right]\nmodel = static_nd\nomega0 = 10.0\nomega_pl = 10.0")
+    # a 40-panel budget cannot lay out the oscillatory bath integral
+    body = MILD_BODY + "max_panels = 40\n"
     assert main(["force", "--config", write(tmp_path, body)]) == EXIT_NUMERIC
-    assert "non-convergence" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "non-convergence" in err
+    assert "interval layout exceeds max_panels" in err
+
+
+def test_force_band_weight_overflow_exit_code(tmp_path, capsys):
+    body = MILD_BODY.replace(
+        "variant = thermal\nbeta = 5.0",
+        "variant = squeezed_band\nsigma = 0.001\nomega_center = 3.0")
+    assert main(["force", "--config", write(tmp_path, body)]) == EXIT_NUMERIC
+    assert "sigma = 0.001" in capsys.readouterr().err
 
 
 def test_sweep_requires_thermal_state_and_grid(tmp_path):
@@ -285,8 +295,11 @@ def test_sweep_sigma_failed_ladder_flags_its_cells(tmp_path, monkeypatch):
 ])
 def test_force_flags_unresolved_sign(tmp_path, monkeypatch, capsys, total,
                                      err_ic, err_b, flag):
+    # each part also carries the error of the zero-temperature bath
+    # integral, which cancels from the total and must not flag its sign
     def fake(cav, state, beta_left, beta_right, spec):
-        return ForceBreakdown(total, 0.0, total, err_ic, err_b)
+        return ForceBreakdown(total, 0.0, total, err_ic + 1e3, err_b + 1e3,
+                              err_ic + err_b)
 
     monkeypatch.setattr(forces, "force_total", fake)
     out = tmp_path / "force.csv"
@@ -338,4 +351,6 @@ def test_verify_passes(tmp_path, capsys):
     assert {r["status"] for r in rows} == {"PASS"}
     names = {r["check"] for r in rows}
     assert "equilibrium_dual_pipeline" in names
+    assert "real_axis_dual_pipeline" in names
+    assert "nonequilibrium_dual_pipeline" in names
     assert "bath_dissipationless_zero" in names

@@ -52,6 +52,8 @@ def test_breakdown_is_frozen_and_additive():
     assert isinstance(out, ForceBreakdown)
     assert out.total == out.ic + out.bath
     assert out.err_ic >= 0.0 and out.err_bath >= 0.0
+    # the zero-temperature bath integral cancels from the total
+    assert 0.0 < out.err_total < min(out.err_ic, out.err_bath)
     assert out.meta["gap"] == CFG.gap and out.meta["width"] == CFG.width
     with pytest.raises(FrozenInstanceError):
         out.total = 0.0
@@ -105,50 +107,54 @@ def test_squeezed_const_is_scaled_vacuum():
                                                    STATIC2)],
                          ids=["absorbing", "lossless"])
 def test_vacuum_integral_memo_is_bit_identical(cfg):
-    states = (FieldState.thermal(5.0), FieldState.vacuum(),
-              FieldState.squeezed_const(0.5))
+    # the zero-temperature bath integral Z is shared by every state force
+    # and every bath force of one cavity; lossless pairs have none
+    calls = [lambda s=s: force_ic(cfg, s, SPEC6)
+             for s in (FieldState.thermal(5.0), FieldState.vacuum(),
+                       FieldState.squeezed_const(0.5))]
+    calls += [lambda: force_bath(cfg, 3.0, 8.0, SPEC6)]
     cold = []
-    for state in states:
-        forces._vacuum_ic.cache_clear()
-        cold.append(force_ic(cfg, state, SPEC6))
-    forces._vacuum_ic.cache_clear()
-    for n, (state, want) in enumerate(zip(states, cold)):
-        assert force_ic(cfg, state, SPEC6) == want
-        info = forces._vacuum_ic.cache_info()
-        assert (info.misses, info.hits) == (1, n)
+    for call in calls:
+        forces._vacuum_bath.cache_clear()
+        cold.append(call())
+    forces._vacuum_bath.cache_clear()
+    absorbing = cfg is CFG
+    for n, (call, want) in enumerate(zip(calls, cold)):
+        assert call() == want
+        info = forces._vacuum_bath.cache_info()
+        assert (info.misses, info.hits) == ((1, n) if absorbing else (0, 0))
 
 
 def test_vacuum_memo_keys_on_cavity_and_spec():
     vac = FieldState.vacuum()
     force_ic(CFG, vac, SPEC6)
+    force_bath(CFG, 5.0, 5.0, SPEC6)
     force_ic(CFG.mirrored(), vac, SPEC6)
     force_ic(CFG, vac, replace(SPEC6, rel_tol=1e-7))
-    info = forces._vacuum_ic.cache_info()
-    assert (info.misses, info.hits) == (3, 0)
+    info = forces._vacuum_bath.cache_info()
+    assert (info.misses, info.hits) == (3, 1)
 
 
 def test_refusals_are_not_memoized():
-    # the undamped pair's vacuum part converges and is kept, but its
-    # thermal excess is refused on every call; the mixed pair's vacuum
-    # integral itself is refused and leaves nothing behind
-    undamped = CavityConfig(1.0, 0.7, UNDAMPED, UNDAMPED)
+    # a 40-panel budget cannot lay out the zero-temperature bath integral;
+    # the refusal is raised afresh on every call and leaves nothing behind
+    tiny = replace(SPEC6, max_panels=40)
     for _ in range(2):
-        with pytest.raises(NonConvergenceError):
-            force_ic(undamped, FieldState.thermal(10.0), SPEC6)
-        with pytest.raises(NonConvergenceError, match="persistent"):
-            force_ic(MIX_CFG, FieldState.vacuum(), SPEC6)
-    info = forces._vacuum_ic.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (3, 1, 1)
+        with pytest.raises(NonConvergenceError, match="max_panels"):
+            force_bath(CFG, 5.0, 5.0, tiny)
+        with pytest.raises(NonConvergenceError, match="max_panels"):
+            force_ic(CFG, FieldState.vacuum(), tiny)
+    info = forces._vacuum_bath.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (4, 0, 0)
 
 
 def test_vacuum_memo_is_bounded():
-    maxsize = forces._vacuum_ic.cache_info().maxsize
+    maxsize = forces._vacuum_bath.cache_info().maxsize
     assert maxsize is not None
-    cfg = CavityConfig(1.0, 0.7, STATIC, STATIC2)
+    fast = QuadratureSpec(rel_tol=1e-3, abs_tol=1e-8)
     for i in range(maxsize + 3):
-        force_ic(cfg, FieldState.vacuum(),
-                 replace(SPEC6, abs_tol=1e-10 * (1.0 + i)))
-    assert forces._vacuum_ic.cache_info().currsize == maxsize
+        force_bath(CFG, 5.0, 5.0, replace(fast, abs_tol=1e-8 * (1.0 + i)))
+    assert forces._vacuum_bath.cache_info().currsize == maxsize
 
 
 def test_static_dual_routes_agree():
@@ -182,16 +188,39 @@ def test_bath_requires_positive_temperatures():
         force_bath(CFG, 5.0, -1.0, SPEC6)
 
 
-def test_mixed_pair_refuses_honestly():
+def test_mixed_pair_matches_real_axis_route():
     # a lossless slab keeps reflecting at every frequency while the lossy
-    # one goes transparent: the oscillation amplitude decays only like 1/k,
-    # so tight budgets are refused rather than silently truncated
+    # one goes transparent; the real-axis route converges only at coarse
+    # tolerances, (value, err) pinned at rel_tol 1e-3 and 3e-3
+    f, err = force_ic(MIX_CFG, FieldState.vacuum(), SPEC6)
+    assert err < 1e-6
+    for ref, ref_err in ((0.25034912667086257, 8.04661558390935e-05),
+                         (0.2503951000721271, 5.791045356879211e-04)):
+        assert abs(f - ref) <= err + ref_err
+
+
+def test_persistent_reflection_is_detected():
+    # on the mixed pair's real-axis state integrand the oscillation
+    # amplitude decays only like 1/k: tight budgets are refused, not
+    # truncated
     with pytest.raises(NonConvergenceError, match="persistent reflection"):
-        force_ic(MIX_CFG, FieldState.vacuum(), SPEC6)
-    coarse = QuadratureSpec(rel_tol=3e-3, abs_tol=1e-8)
-    f, err = force_ic(MIX_CFG, FieldState.vacuum(), coarse)
-    assert abs(f - 0.2503951000721271) <= max(3.0 * err, 1e-5)
-    assert err < 1e-2
+        forces._real_axis_ic(MIX_CFG, FieldState.vacuum(), SPEC6)
+
+
+def test_band_weight_overflow_names_sigma():
+    with pytest.raises(NonConvergenceError, match="sigma = 0.001"):
+        force_ic(CFG, FieldState.squeezed_band(0.001, 3.0), SPEC6)
+
+
+def test_default_spec_reaches_the_mild_pair():
+    # the three temperatures of the nonequilibrium mild pair, at the
+    # default tolerances; the reference is the rotated zero-temperature
+    # total plus both thermal excesses at tight tolerance
+    cfg = CavityConfig(0.5, 0.4, MILD_L, MILD_R)
+    out = force_total(cfg, FieldState.thermal(5.0), 3.0, 8.0,
+                      QuadratureSpec())
+    assert abs(out.total - 0.005518199379214283) <= out.err_total + 1.4e-14
+    assert out.err_total < 1e-10
 
 
 def test_undamped_dispersive_routes():
