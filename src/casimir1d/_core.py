@@ -10,7 +10,7 @@ the gap is a, interfaces sit at +-a/2 and +-(a/2+d).
 """
 
 import cmath
-from math import cos, exp, expm1, pi, sin, sqrt
+from math import cos, exp, expm1, inf, pi, sin, sqrt
 
 from .errors import CavityResonanceError, SingularEvaluationError
 
@@ -18,10 +18,13 @@ DELTA_FLOOR = 1e-14
 
 
 def coth_half(beta, omega):
-    """coth(beta*omega/2) evaluated as 1 + 2/(e^{beta*omega} - 1)."""
+    """coth(beta*omega/2) evaluated as 1 + 2/(e^{beta*omega} - 1); inf at
+    beta*omega = 0, where the occupation diverges."""
     x = beta * omega
     if x > 700.0:
         return 1.0
+    if x == 0.0:
+        return inf
     return 1.0 + 2.0 / expm1(x)
 
 
@@ -338,6 +341,13 @@ def halfspace_combined_integrand(k, a, matL, matR, betaL, betaR, beta_phi,
     d2 = abs(delta) ** 2
     cphi = coth_half(beta_phi, k)
     out = 4.0 * k * cphi * (abs(w) ** 2 - w.real) / d2
+    return out + _halfspace_mismatch(k, pL, pR, d2, betaL, betaR, cphi)
+
+
+def _halfspace_mismatch(k, pL, pR, d2, betaL, betaR, cphi):
+    """Coth-difference terms of the half-space integrand: the baths' excess
+    over the field-state weight cphi."""
+    out = 0.0
     dL = coth_half(betaL, k) - cphi
     if dL != 0.0:
         out += k * dL * (1.0 - pL) * (1.0 - (1.0 + pR) / d2)
@@ -345,6 +355,17 @@ def halfspace_combined_integrand(k, a, matL, matR, betaL, betaR, beta_phi,
     if dR != 0.0:
         out -= k * dR * (1.0 - pR) * (1.0 + pL) / d2
     return out
+
+
+def halfspace_mismatch_integrand(k, a, matL, matR, betaL, betaR, beta_phi):
+    """Bath-mismatch group of halfspace_combined_integrand: its terms with
+    coth(beta k/2) - coth(beta_phi k/2), which decay exponentially."""
+    rnL = _surface_refl(k, matL)
+    rnR = _surface_refl(k, matR)
+    _, delta = cavity_delta(rnL, rnR, gap_phase(k, a))
+    return _halfspace_mismatch(k, abs(rnL) ** 2, abs(rnR) ** 2,
+                               abs(delta) ** 2, betaL, betaR,
+                               coth_half(beta_phi, k))
 
 
 def halfspace_bath_mean(k, a, matL, matR, betaL, betaR):

@@ -438,6 +438,14 @@ def _verify_checks():
     lif, _ = forces.lifshitz_matsubara(mild_l, mild_r, 1.0, 10.0, spec)
     checks.append(("lifshitz_dual_pipeline",
                    abs(hs_ic - lif) / abs(lif), 1e-6))
+
+    # the slab-phase mean against raw quadrature inside the dense band of
+    # the weakly damped pair, in units of the combined error estimate
+    weak = Material(10.0, 10.0, 1e-6)
+    dev, est = forces._dense_band_dual(
+        CavityConfig(1.0, 100.0, weak, weak), 9.4, 9.6,
+        QuadratureSpec(rel_tol=1e-6, abs_tol=1e-9))
+    checks.append(("dense_band_dual_pipeline", dev / est, 1.0))
     return checks
 
 

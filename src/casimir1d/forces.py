@@ -35,7 +35,25 @@ local oscillation amplitude against the error budget, quadrature of the
 phase-averaged integrand over geometric tail panels, and an inverse-cube
 remainder model for the truncated far tail.  The dropped oscillation bound
 and the remainder-model uncertainty are folded into the returned error
-estimate.
+estimate.  Two identical slabs share one slab phase, so their phase average
+runs over the diagonal of common slab offsets times the gap offsets.
+
+Below the switch point two layout features keep the adaptive passes off
+structure they would otherwise chase blindly:
+
+* dense bands: where the slabs of an identical pair are neither opaque nor
+  weakly reflecting and the slab round-trip phase 2 k Re(n) d runs far
+  faster than the gap phase (below a weakly damped resonance, sharp slab
+  resonances pile up), the passes integrate the mean over the common slab
+  phase, converged by doubling its offsets, while quadrature still resolves
+  the gap phase.  The band edges are breakpoints, and the dropped slab
+  oscillation (its envelope over the phase rate at both edges, plus its
+  variation across the band) joins the error estimate;
+* bound gap modes: inside each absorbing slab's stop band the cavity
+  denominator |1 - rL rR e^{2ika}| dips at the bound modes.  Modes far
+  narrower than a panel are located by a scan and golden-section search and
+  pinned as breakpoints at k_m and k_m +- 10^j times their width, so the
+  spikes are integrated no matter where refinement puts its nodes.
 
 Undamped slabs leave the real-axis tail undamped, so no classical improper
 integral exists there; only the rotated R and the absolutely convergent
@@ -76,6 +94,31 @@ __all__ = [
 # surviving fourth harmonic carries at least the fourth power of a slab
 # round-trip factor, far below the tail budget wherever the average is used.
 _SHIFTS = 4
+# Dense Fabry-Perot band of identical slabs: where the slab round-trip phase
+# runs at least _DENSE_RATE times faster than the gap phase and the slab's
+# internal round trip |rn^2 E| lies in [_SHARP_MIN, _SHARP_MAX], the passes
+# below the switch point integrate the mean over the common slab phase
+# instead of chasing each sharp slab resonance.  Below _SHARP_MIN the slab
+# comb is shallow (or the slab opaque) and cheap to resolve directly; the
+# upper limit keeps the geometric convergence of the mean fast.
+_DENSE_RATE = 100.0
+_SHARP_MIN = 0.25
+_SHARP_MAX = 0.9
+# The slab-phase mean starts from _MEAN_START equidistant offsets and
+# doubles them until two successive means agree.
+_MEAN_START = 8
+_MEAN_MAX = 4096
+# Samples across a dense band for the variation of the dropped oscillation.
+_BAND_SAMPLES = 16
+# Bisection steps placing a dense-band edge between two scan points.
+_EDGE_STEPS = 40
+# Bound gap modes narrower than this fraction of the panel width are pinned
+# as breakpoints, together with neighbours at 10^j mode widths.
+_MODE_NARROW = 1e-3
+_MODE_DECADES = 5
+# Least number of scan points bracketing the modes of one stop band.
+_MODE_SCAN = 64
+_GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
 # Growth factor for the switch-point march and geometric ratio of the
 # averaged-tail panels.
 _GROWTH = 1.6
@@ -165,27 +208,81 @@ def _endpoint_check(f, k_min=1e-8):
         raise NaNIntegrandError(k_min)
 
 
+def _diagonal(shifted, k, offsets, sG):
+    """Integrand values with one common offset on both slab phases."""
+    return [shifted(k, s, s, sG) for s in offsets]
+
+
 def _phase_average(shifted, k, naxes):
     """Discrete mean of the integrand over offsets of its oscillation phases.
 
     ``shifted(k, sL, sR, sG)`` evaluates the integrand with additive offsets
-    on the left-slab, right-slab and gap phases.  ``naxes`` is 3 for slab
-    integrands and 1 when only the gap phase exists (half-space limits).
+    on the left-slab, right-slab and gap phases.  ``naxes`` is 3 for two
+    different slabs, 2 for identical slabs (whose two slab phases are one
+    phase, so only the diagonal sL = sR is averaged) and 1 when only the gap
+    phase exists (half-space limits).
     """
     step = 2.0 * math.pi / _SHIFTS
+    offsets = [i * step for i in range(_SHIFTS)]
     if naxes == 1:
         tot = 0.0
-        for m in range(_SHIFTS):
-            tot += shifted(k, 0.0, 0.0, m * step)
+        for g in offsets:
+            tot += shifted(k, 0.0, 0.0, g)
         return tot / _SHIFTS
+    if naxes == 2:
+        tot = 0.0
+        for g in offsets:
+            tot += sum(_diagonal(shifted, k, offsets, g))
+        return tot / float(_SHIFTS ** 2)
     tot = 0.0
-    for i in range(_SHIFTS):
-        sL = i * step
-        for j in range(_SHIFTS):
-            sR = j * step
-            for m in range(_SHIFTS):
-                tot += shifted(k, sL, sR, m * step)
+    for sL in offsets:
+        for sR in offsets:
+            for g in offsets:
+                tot += shifted(k, sL, sR, g)
     return tot / float(_SHIFTS ** 3)
+
+
+def _slab_mean(shifted, k, tol):
+    """Mean of the integrand over the common slab phase at fixed gap phase.
+
+    Doubles the number of equidistant offsets from ``_MEAN_START`` until two
+    successive means agree within ``tol`` (the Fourier harmonics of the slab
+    phase decay geometrically, so the last mean is far closer than that).
+    Returns ``(mean, amp)``, with ``amp`` the largest deviation of a sample
+    from the mean: the envelope of the oscillation the mean drops.
+    """
+    n = _MEAN_START
+    vals = _diagonal(shifted, k, [2.0 * math.pi * i / n for i in range(n)],
+                     0.0)
+    mean = sum(vals) / n
+    while True:
+        if n >= _MEAN_MAX:
+            raise NonConvergenceError(
+                "slab-phase mean at k = %.6g not settled to %.3e with %d "
+                "offsets" % (k, tol, n), partial=None, error=None, panels=0)
+        vals += _diagonal(shifted, k,
+                          [math.pi * (2 * i + 1) / n for i in range(n)], 0.0)
+        n *= 2
+        prev, mean = mean, sum(vals) / n
+        if abs(mean - prev) <= tol:
+            break
+    return mean, max(abs(v - mean) for v in vals)
+
+
+def _band_bound(shifted, rate, lo, hi, tol):
+    """Bound on the slab oscillation dropped by integrating the mean over
+    [lo, hi].
+
+    Integrating the harmonics of the slab phase phi by parts leaves the
+    deviation envelope over phi' at both edges plus the variation of that
+    ratio across the band; both are sampled on ``_BAND_SAMPLES`` intervals.
+    """
+    ratios = []
+    for i in range(_BAND_SAMPLES + 1):
+        k = lo + (hi - lo) * i / _BAND_SAMPLES
+        ratios.append(_slab_mean(shifted, k, tol)[1] / abs(rate(k)))
+    variation = sum(abs(b - a) for a, b in zip(ratios[:-1], ratios[1:]))
+    return ratios[0] + ratios[-1] + variation
 
 
 def _probe_amplitude(raw, averaged, k, window):
@@ -200,7 +297,7 @@ def _probe_amplitude(raw, averaged, k, window):
 
 
 def _oscillatory_integral(raw, shifted, spec, gap, width=None,
-                          breakpoints=(), naxes=3):
+                          breakpoints=(), naxes=3, bands=(), rate=None):
     """Integrate a decaying oscillatory force integrand over [0, inf).
 
     Parameters
@@ -217,14 +314,21 @@ def _oscillatory_integral(raw, shifted, spec, gap, width=None,
     breakpoints : sequence
         Material response features, passed to the direct quadrature.
     naxes : int
-        Number of oscillation phases averaged over (3 or 1).
+        Oscillation phases averaged over in the tail (see
+        ``_phase_average``).
+    bands : sequence of (lo, hi)
+        Dense slab-resonance bands of identical slabs, below the switch
+        point; the passes integrate the slab-phase mean there.
+    rate : callable
+        ``rate(k)``, the slab round-trip phase rate, given with ``bands``.
 
     Returns
     -------
     value, err : float
         The integral and a conservative error estimate combining the
         quadrature errors, the probed bound on the oscillation dropped at
-        the switch point, and the tail remainder-model uncertainty.
+        the switch point and across the dense bands, and the tail
+        remainder-model uncertainty.
     """
     period = math.pi / gap
     inv_rate = 1.0 / gap
@@ -233,6 +337,22 @@ def _oscillatory_integral(raw, shifted, spec, gap, width=None,
 
     def averaged(k):
         return _phase_average(shifted, k, naxes)
+
+    band_len = sum(hi - lo for lo, hi in bands)
+    edges = tuple(e for band in bands for e in band)
+
+    def banded(tol):
+        """The pass integrand: the slab-phase mean inside the bands (whose
+        edges are breakpoints, so no panel straddles one), raw elsewhere."""
+        if not bands:
+            return raw
+
+        def f(k):
+            for lo, hi in bands:
+                if lo < k < hi:
+                    return _slab_mean(shifted, k, tol)[0]
+            return raw(k)
+        return f
 
     _endpoint_check(raw)
 
@@ -243,9 +363,13 @@ def _oscillatory_integral(raw, shifted, spec, gap, width=None,
     # Cheap magnitude estimate fixing the absolute error budget.
     coarse = replace(spec, rel_tol=1e-2, abs_tol=max(spec.abs_tol, 1e-8),
                      max_panels=max(2000, spec.max_panels // 10))
-    inner = tuple(b for b in breakpoints if b < k0)
+    inner = tuple(b for b in breakpoints if b < k0) + edges
+    # each pass holds the means' integrated error to a hundredth of its
+    # absolute tolerance
+    mean_tol = 0.01 * coarse.abs_tol / band_len if bands else 0.0
     try:
-        c0, _ = integrate_interval(raw, 0.0, k0, coarse, breakpoints=inner)
+        c0, _ = integrate_interval(banded(mean_tol), 0.0, k0, coarse,
+                                   breakpoints=inner)
     except NonConvergenceError as exc:
         c0 = exc.partial if exc.partial is not None else 0.0
     scale = max(abs(c0), abs(averaged(k0)) * k0, spec.abs_tol)
@@ -284,10 +408,14 @@ def _oscillatory_integral(raw, shifted, spec, gap, width=None,
     # Direct adaptive pass below the switch point.
     direct = replace(spec, abs_tol=max(spec.abs_tol, 0.25 * budget,
                                        0.5 * _NOISE_EPS * K * K))
-    val, err = integrate_interval(raw, 0.0, K, direct,
+    mean_tol = 0.01 * direct.abs_tol / band_len if bands else 0.0
+    val, err = integrate_interval(banded(mean_tol), 0.0, K, direct,
                                   breakpoints=tuple(b for b in breakpoints
-                                                    if b < K))
+                                                    if b < K) + edges)
     err += bound
+    for lo, hi in bands:
+        err += _band_bound(shifted, rate, lo, hi, mean_tol)
+    err += mean_tol * band_len
 
     # Phase-averaged tail over geometric panels; for an inverse-cube mean
     # envelope f(k) ~ C/k^3 the remainder past kk is exactly f(kk)*kk/2.
@@ -341,17 +469,156 @@ def _rotated_vacuum(cfg, spec, roundtrip):
     return integrate_semiinfinite(g, s)
 
 
+def _slab_rate(mat, d, k):
+    """Rate of the slab round-trip phase, d/dk of 2 k Re(n) d."""
+    def phase(x):
+        return 2.0 * x * core.refractive_at(-1j * x, *mat.as_tuple()).real * d
+
+    h = 1e-6 * max(k, 1.0)
+    return (phase(k + h) - phase(k - h)) / (2.0 * h)
+
+
+def _dense(cfg, k):
+    """True where the slab-phase mean replaces the raw integrand at k.
+
+    The slab phase must run far faster than the gap phase, and the slab's
+    internal round trip |rn^2 E| = |rn|^2 e^{-2 k Im(n) d} must make its
+    resonances sharp: neither opaque nor weakly reflecting.
+    """
+    mat, d = cfg.left, cfg.width
+    n = core.refractive_at(-1j * k, *mat.as_tuple())
+    x = 2.0 * k * n.imag * d
+    rn = (1.0 - n) / (1.0 + n)
+    sharp = abs(rn) ** 2 * math.exp(-x) if x < 700.0 else 0.0
+    return (_SHARP_MIN <= sharp <= _SHARP_MAX
+            and _slab_rate(mat, d, k) >= _DENSE_RATE * 2.0 * cfg.gap)
+
+
+def _dense_bands(cfg, k_end):
+    """Intervals of (0, k_end) where ``_dense`` holds, for identical
+    absorbing slabs (both slab phases are then one phase); empty otherwise.
+
+    A scan at a sixteenth of the gap period finds the bands and bisection
+    places their edges.
+    """
+    if cfg.left != cfg.right or not _absorbing(cfg.left):
+        return ()
+    m = int(math.ceil(16.0 * k_end * cfg.gap / math.pi))
+    ks = [k_end * (i + 0.5) / m for i in range(m)]
+    flags = [_dense(cfg, k) for k in ks]
+
+    def edge(lo, hi, inside_lo):
+        for _ in range(_EDGE_STEPS):
+            mid = 0.5 * (lo + hi)
+            if _dense(cfg, mid) == inside_lo:
+                lo = mid
+            else:
+                hi = mid
+        return lo if inside_lo else hi
+
+    bands = []
+    start = None
+    for i, flag in enumerate(flags):
+        if flag and start is None:
+            start = edge(ks[i - 1], ks[i], False) if i else ks[0]
+        elif not flag and start is not None:
+            bands.append((start, edge(ks[i - 1], ks[i], True)))
+            start = None
+    if start is not None:
+        bands.append((start, k_end))
+    return tuple(bands)
+
+
+def _gap_modes(cfg):
+    """Bound gap modes in the stop bands of the absorbing dispersive slabs.
+
+    In a stop band [omega0, sqrt(omega0^2 + omega_pl^2)] the slabs reflect
+    almost totally, and the cavity denominator |1 - rL rR e^{2ika}| dips
+    towards zero at each bound mode.  A scan of the slow phase brackets each
+    local minimum and golden-section search refines it.  Returns sorted
+    ``(k_m, w, lo, hi)``: the mode, its width w = |delta| / |delta'| and
+    the stop band [lo, hi] holding it.
+    """
+    a, d = cfg.gap, cfg.width
+    tl, tr = cfg.left.as_tuple(), cfg.right.as_tuple()
+
+    def delta(k):
+        s = -1j * k
+        rL = core.slab_parts(k, core.refractive_at(s, *tl), d)[3]
+        rR = core.slab_parts(k, core.refractive_at(s, *tr), d)[3]
+        return 1.0 - rL * rR * core.gap_phase(k, a)
+
+    modes = []
+    mats = (cfg.left,) if cfg.left == cfg.right else (cfg.left, cfg.right)
+    for mat in mats:
+        if not (_absorbing(mat) and mat.omega0 > 0.0):
+            continue
+        lo = mat.omega0
+        hi = math.sqrt(lo * lo + mat.omega_pl * mat.omega_pl)
+        m = max(_MODE_SCAN, int(math.ceil(16.0 * (hi - lo) * a / math.pi)))
+        ks = [lo + (hi - lo) * (i + 0.5) / m for i in range(m)]
+        ds = [abs(delta(k)) for k in ks]
+        for i in range(1, m - 1):
+            if not ds[i] < min(ds[i - 1], ds[i + 1]):
+                continue
+            x0, x1 = ks[i - 1], ks[i + 1]
+            u = x1 - _GOLDEN * (x1 - x0)
+            v = x0 + _GOLDEN * (x1 - x0)
+            du, dv = abs(delta(u)), abs(delta(v))
+            while x1 - x0 > 1e-12 * x1:
+                if du < dv:
+                    x1, v, dv = v, u, du
+                    u = x1 - _GOLDEN * (x1 - x0)
+                    du = abs(delta(u))
+                else:
+                    x0, u, du = u, v, dv
+                    v = x0 + _GOLDEN * (x1 - x0)
+                    dv = abs(delta(v))
+            km = 0.5 * (x0 + x1)
+            h = 1e-8 * km
+            slope = abs(delta(km + h) - delta(km - h)) / (2.0 * h)
+            modes.append((km, abs(delta(km)) / slope, lo, hi))
+    return sorted(modes)
+
+
+def _mode_points(cfg, panel_width):
+    """Breakpoints at the bound gap modes narrower than the panel width.
+
+    A mode of width w far below the panel width is a spike that adaptive
+    refinement would find only by chance; k_m and k_m +- 10^j w
+    (j = 0 .. 4), inside the stop band, make it a panel edge.
+    """
+    pts = []
+    for km, w, lo, hi in _gap_modes(cfg):
+        if w >= _MODE_NARROW * panel_width:
+            continue
+        pts.append(km)
+        for j in range(_MODE_DECADES):
+            for x in (km - 10.0 ** j * w, km + 10.0 ** j * w):
+                if lo < x < hi:
+                    pts.append(x)
+    return tuple(pts)
+
+
 def _real_axis(cfg, spec, f):
     """Oscillatory integral of ``f(k, sL, sR, sG)`` over k in [0, inf).
 
     ``f`` is a cavity integrand evaluated with additive offsets on the
-    left-slab, right-slab and gap phases.
+    left-slab, right-slab and gap phases.  The layout adds the narrow bound
+    gap modes as breakpoints and, for identical slabs, the dense
+    slab-resonance bands below the first switch point candidate.
     """
     def raw(k):
         return f(k, 0.0, 0.0, 0.0)
 
-    return _oscillatory_integral(raw, f, spec, cfg.gap, cfg.width,
-                                 _breakpoints(cfg.left, cfg.right))
+    bks = _breakpoints(cfg.left, cfg.right)
+    modes = _mode_points(cfg, spec.panel_width)
+    bands = _dense_bands(cfg, 1.3 * bks[-1]) if bks else ()
+    same = cfg.left == cfg.right
+    return _oscillatory_integral(
+        raw, f, spec, cfg.gap, cfg.width, tuple(sorted(bks + modes)),
+        naxes=2 if same else 3, bands=bands,
+        rate=functools.partial(_slab_rate, cfg.left, cfg.width))
 
 
 def _thermal_excess(bracket, beta, spec, breakpoints):
@@ -427,14 +694,37 @@ def _vacuum_bath(cfg, spec):
     one real-axis oscillatory integral per cavity.  A raised error is not
     memoized.
     """
+    return _real_axis(cfg, spec, _vacuum_bath_integrand(cfg))
+
+
+def _vacuum_bath_integrand(cfg):
+    """Zero-temperature bath integrand ``f(k, sL, sR, sG)`` of a cavity."""
     a, d = cfg.gap, cfg.width
     tl, tr = cfg.left.as_tuple(), cfg.right.as_tuple()
     inf = math.inf
 
     def f(k, sL, sR, sG):
         return core.bath_integrand(k, a, d, tl, tr, inf, inf, sL, sR, sG)
+    return f
 
-    return _real_axis(cfg, spec, f)
+
+def _dense_band_dual(cfg, lo, hi, spec):
+    """Zero-temperature bath integral over [lo, hi], inside a dense band of
+    identical slabs, by the slab-phase mean and by raw quadrature.
+
+    Returns ``(deviation, estimate)``: the two routes' difference and the
+    sum of their error estimates, the mean's including the dropped-
+    oscillation bound.  An independent check of the dense-band route.
+    """
+    f = _vacuum_bath_integrand(cfg)
+    tol = 0.01 * spec.abs_tol / (hi - lo)
+    v_mean, e_mean = integrate_interval(
+        lambda k: _slab_mean(f, k, tol)[0], lo, hi, spec)
+    rate = functools.partial(_slab_rate, cfg.left, cfg.width)
+    e_mean += _band_bound(f, rate, lo, hi, tol) + tol * (hi - lo)
+    v_raw, e_raw = integrate_interval(lambda k: f(k, 0.0, 0.0, 0.0), lo, hi,
+                                      spec)
+    return abs(v_mean - v_raw), e_mean + e_raw
 
 
 def _ic_parts(cfg, state, spec):
@@ -784,7 +1074,8 @@ def halfspace_forces(matL, matR, a, beta_left, beta_right, beta_phi, spec):
         the field-state group (the combined integrand with every
         temperature at ``beta_phi``, where the divergent free-field parts
         cancel inside the integrand) and ``f_b`` is the bath-mismatch
-        group (the coth-difference terms, exponentially convergent).  At
+        group (the coth-difference terms, which decay exponentially, so
+        they are integrated over a finite interval).  At
         equal temperatures ``f_b`` is exactly zero and ``f_ic`` alone is
         the equilibrium force.  The unsubtracted state integral is
         available as ``halfspace_ic_unregularized`` for callers who want
@@ -818,17 +1109,16 @@ def halfspace_forces(matL, matR, a, beta_left, beta_right, beta_phi, spec):
     if beta_left == beta_phi and beta_right == beta_phi:
         return f_ic, 0.0
 
-    def raw_tot(k):
-        return core.halfspace_combined_integrand(k, a, tl, tr, beta_left,
+    # coth differences are below 1e-52 past beta k = 120 for every beta
+    def g(k):
+        return core.halfspace_mismatch_integrand(k, a, tl, tr, beta_left,
                                                  beta_right, beta_phi)
 
-    def sh_tot(k, sL, sR, sG):
-        return core.halfspace_combined_integrand(k, a, tl, tr, beta_left,
-                                                 beta_right, beta_phi, sG)
-
-    total, _ = _oscillatory_integral(raw_tot, sh_tot, spec, a, width=None,
-                                     breakpoints=bks, naxes=1)
-    return f_ic, total - f_ic
+    _endpoint_check(g)
+    hi = 120.0 / min(beta_left, beta_right, beta_phi)
+    f_b, _ = integrate_interval(g, 0.0, hi, spec,
+                                breakpoints=tuple(b for b in bks if b < hi))
+    return f_ic, f_b
 
 
 def halfspace_ic_unregularized(matL, a, beta_phi, spec):

@@ -11,6 +11,7 @@ dedicated force path instead.
 import math
 from dataclasses import dataclass
 
+from ._core import coth_half
 from .errors import DeltaStateWeightError
 
 _VARIANTS = ("vacuum", "thermal", "squeezed_band", "squeezed_delta",
@@ -66,16 +67,6 @@ class FieldState:
     @classmethod
     def squeezed_const(cls, xi):
         return cls("squeezed_const", xi=float(xi))
-
-
-def coth_half(beta, k):
-    """coth(beta*k/2) via the occupation identity 1 + 2/(e^{beta k} - 1)."""
-    x = beta * k
-    if x > 700.0:
-        return 1.0
-    if x == 0.0:
-        return math.inf
-    return 1.0 + 2.0 / math.expm1(x)
 
 
 def weight(state, k):

@@ -326,6 +326,31 @@ def test_halfspace_out_of_equilibrium_split():
     assert abs(f_b2) < abs(f_b)
 
 
+def test_halfspace_mismatch_group_matches_two_integral_difference():
+    # the bath-mismatch group used to be the difference of two oscillatory
+    # integrals; now it is one finite interval
+    a, bl, br, bphi = 1.0, 60.0, 90.0, 76.3302
+    tl = tr = FIG.as_tuple()
+    bks = forces._breakpoints(FIG, FIG)
+    parts = []
+    for b1, b2 in ((bl, br), (bphi, bphi)):
+        def sh(k, sL, sR, sG, b1=b1, b2=b2):
+            return core.halfspace_combined_integrand(k, a, tl, tr, b1, b2,
+                                                     bphi, sG)
+        parts.append(forces._oscillatory_integral(
+            lambda k, sh=sh: sh(k, 0.0, 0.0, 0.0), sh, SPEC6, a,
+            breakpoints=bks, naxes=1))
+    (tot, e_tot), (ic, e_ic) = parts
+
+    def g(k):
+        return core.halfspace_mismatch_integrand(k, a, tl, tr, bl, br, bphi)
+    f_b, e_b = forces.integrate_interval(g, 0.0, 120.0 / bl, SPEC6,
+                                         breakpoints=bks)
+    assert abs(f_b - (tot - ic)) <= e_b + e_tot + e_ic
+    _, f_b_public = halfspace_forces(FIG, FIG, a, bl, br, bphi, SPEC6)
+    assert f_b_public == f_b
+
+
 def test_halfspace_requires_absorbing_media():
     with pytest.raises(NonConvergenceError):
         halfspace_forces(STATIC, STATIC, 1.0, 10.0, 10.0, 10.0, SPEC6)
@@ -366,3 +391,99 @@ def test_bracket_sign_scan_contract():
                 CavityConfig(1.0, 0.7, STATIC2, STATIC2)):
         assert bracket_sign_scan(cfg) in (-1, 0, 1)
         assert bracket_sign_scan(cfg) == 0
+
+
+WEAK = Material(10.0, 10.0, 1e-6)
+WEAK_CFG = CavityConfig(1.0, 100.0, WEAK, WEAK)
+WEAK_SPEC = QuadratureSpec(rel_tol=3e-4, abs_tol=1e-8)
+
+
+def test_dense_bands_only_for_sharp_identical_slabs():
+    # the fig slabs are opaque wherever their resonances would be sharp,
+    # and the mild pair's slabs differ
+    for cfg in (FIG_CFG, CavityConfig(0.5, 0.4, MILD_L, MILD_R), CFG):
+        bks = forces._breakpoints(cfg.left, cfg.right)
+        assert forces._dense_bands(cfg, 1.3 * bks[-1]) == ()
+    bands = forces._dense_bands(WEAK_CFG, 1.3 * 10.0 * math.sqrt(2.0))
+    # below the resonance and just above the stop band
+    assert len(bands) == 2
+    (lo1, hi1), (lo2, hi2) = bands
+    assert 9.0 < lo1 < hi1 < 10.0
+    assert 10.0 * math.sqrt(2.0) < lo2 < hi2 < 15.0
+    for lo, hi in bands:
+        mid = 0.5 * (lo + hi)
+        assert forces._dense(WEAK_CFG, mid)
+        assert not forces._dense(WEAK_CFG, lo - 1e-3)
+        assert not forces._dense(WEAK_CFG, hi + 1e-3)
+
+
+def test_slab_mean_settles_geometrically():
+    f = forces._vacuum_bath_integrand(WEAK_CFG)
+    for k in (9.4, 9.8, 9.95, 9.99, 14.15, 14.5):
+        means = []
+        for n in (8, 16, 32, 64, 128, 256, 512):
+            means.append(sum(f(k, s, s, 0.0) for s in
+                             (2.0 * math.pi * i / n for i in range(n))) / n)
+        ref = means[-1]
+        floor = 1e-12 * abs(ref)
+        # the mean for N against 2N: each doubling shrinks the change until
+        # it reaches rounding
+        diffs = [abs(b - a) for a, b in zip(means[:-1], means[1:])]
+        assert all(d2 < d1 or d2 < floor
+                   for d1, d2 in zip(diffs[:-1], diffs[1:]))
+        assert diffs[-1] < 1e-9 * abs(ref)
+        mean, amp = forces._slab_mean(f, k, floor)
+        assert mean == pytest.approx(ref, rel=1e-9)
+        assert amp > 0.0
+
+
+def test_diagonal_mean_for_identical_slabs():
+    # the two slab phases of identical slabs are one phase: the tail mean
+    # averages the diagonal with 16 calls, not the 64-point torus
+    calls = []
+
+    def f(k, sL, sR, sG):
+        calls.append((sL, sR))
+        return math.cos(sL - sR) + math.cos(sG)
+
+    assert forces._phase_average(f, 1.0, 2) == pytest.approx(1.0)
+    assert len(calls) == 16 and all(sl == sr for sl, sr in calls)
+    assert forces._phase_average(f, 1.0, 3) == pytest.approx(0.0, abs=1e-15)
+
+
+def test_bound_gap_modes_located():
+    modes = forces._gap_modes(WEAK_CFG)
+    assert [round(km, 6) for km, _, _, _ in modes] == [11.405318, 13.462393]
+    for km, w, lo, hi in modes:
+        assert 1e-7 < w < 3e-7
+        assert (lo, hi) == (10.0, pytest.approx(10.0 * math.sqrt(2.0)))
+    pts = forces._mode_points(WEAK_CFG, WEAK_SPEC.panel_width)
+    assert len(pts) == 2 * (1 + 2 * 5)
+    # wider modes than a thousandth of a panel keep today's layout
+    assert forces._mode_points(FIG_CFG, WEAK_SPEC.panel_width) == ()
+    assert forces._mode_points(CFG, WEAK_SPEC.panel_width) == ()
+
+
+def test_weak_pair_bath_integral_matches_direct_route():
+    # the direct adaptive route gave -98.46773 +- 0.0302 at this spec
+    z, ez = forces._vacuum_bath(WEAK_CFG, WEAK_SPEC)
+    assert abs(z - (-98.46773)) <= ez + 0.0302
+    assert ez < 0.0302
+
+
+def test_bound_mode_area_survives_smaller_damping():
+    # the bath feeds each bound mode through an absorption ~gamma against a
+    # denominator ~gamma^2: the mode area, and Z, do not depend on gamma
+    spec = QuadratureSpec(rel_tol=1e-3, abs_tol=1e-8)
+    weaker = Material(10.0, 10.0, 1e-8)
+    z6, _ = forces._vacuum_bath(WEAK_CFG, spec)
+    z8, _ = forces._vacuum_bath(CavityConfig(1.0, 100.0, weaker, weaker),
+                                spec)
+    assert z6 < -90.0
+    assert z8 == pytest.approx(z6, rel=1e-2)
+
+
+def test_dense_band_dual_route():
+    dev, est = forces._dense_band_dual(
+        WEAK_CFG, 9.4, 9.5, QuadratureSpec(rel_tol=1e-6, abs_tol=1e-9))
+    assert dev <= est

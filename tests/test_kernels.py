@@ -200,3 +200,11 @@ def test_coth_half():
     assert pure.coth_half(1000.0, 1.0) == 1.0
     # small argument ~ 2/(beta k)
     assert pure.coth_half(1.0, 1e-9) == pytest.approx(2e9, rel=1e-6)
+    # the occupation diverges at zero argument instead of dividing by zero
+    assert pure.coth_half(1.0, 0.0) == math.inf
+    assert pure.coth_half(0.0, 3.0) == math.inf
+
+
+def test_states_share_the_kernel_coth_half():
+    from casimir1d import states
+    assert states.coth_half is pure.coth_half
