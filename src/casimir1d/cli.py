@@ -446,6 +446,23 @@ def _verify_checks():
         CavityConfig(1.0, 100.0, weak, weak), 9.4, 9.6,
         QuadratureSpec(rel_tol=1e-6, abs_tol=1e-9))
     checks.append(("dense_band_dual_pipeline", dev / est, 1.0))
+
+    # the slab-phase mean plus its third-order bound against raw quadrature
+    # on half-slab-period panels, in the shallow band of the docs cavity,
+    # for the bath and the state integrands, from the band's opaque lower
+    # edge and inside it; the worst ratio to the combined estimate
+    fig = Material(10.0, 10.0, 0.1)
+    cfg_fig = CavityConfig(1.0, 100.0, fig, fig)
+    spec_fig = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-10)
+    start = forces._shallow_band(cfg_fig, 30.0)[0]
+    worst = 0.0
+    for f in (forces._vacuum_bath_integrand(cfg_fig),
+              forces._state_integrand(cfg_fig)):
+        for lo, hi in ((start, 30.0), (25.3, 27.9)):
+            dev, est = forces._shallow_band_dual(cfg_fig, f, lo, hi,
+                                                 spec_fig)
+            worst = max(worst, dev / est)
+    checks.append(("shallow_band_dual_pipeline", worst, 1.0))
     return checks
 
 

@@ -38,7 +38,7 @@ and the remainder-model uncertainty are folded into the returned error
 estimate.  Two identical slabs share one slab phase, so their phase average
 runs over the diagonal of common slab offsets times the gap offsets.
 
-Below the switch point two layout features keep the adaptive passes off
+Below the switch point three layout features keep the adaptive passes off
 structure they would otherwise chase blindly:
 
 * dense bands: where the slabs of an identical pair are neither opaque nor
@@ -49,6 +49,16 @@ structure they would otherwise chase blindly:
   the gap phase.  The band edges are breakpoints, and the dropped slab
   oscillation (its envelope over the phase rate at both edges, plus its
   variation across the band) joins the error estimate;
+* the shallow band: above the stop band, once an identical pair's slabs
+  are no longer opaque (e^{-2 k Im(n) d} >= 1e-6) while their slab phase
+  still runs fast and their comb is shallow (|rn^2 E| below the dense
+  band's), the direct pass integrates the slab-phase mean up to the switch
+  point, and so do the strips of ``band_excess_curve``.  The band starts on
+  the opaque side, where the dropped oscillation vanishes, and stays raw
+  when it is shorter than eight panels.  Its bound integrates each slab
+  harmonic h_j e^{i j phi} by parts three times: edge terms at orders 1/j,
+  1/j^2 and 1/j^3 plus the variation of the last, counted for both signs
+  of j, from the harmonics sampled on a grid that resolves the gap phase;
 * bound gap modes: inside each absorbing slab's stop band the cavity
   denominator |1 - rL rR e^{2ika}| dips at the bound modes.  Modes far
   narrower than a panel are located by a scan and golden-section search and
@@ -63,6 +73,7 @@ versus extraction from the assembled cavity coefficients) so it remains an
 independent check of ``force_ic``.
 """
 
+import cmath
 import functools
 import math
 import sys
@@ -108,8 +119,29 @@ _SHARP_MAX = 0.9
 # doubles them until two successive means agree.
 _MEAN_START = 8
 _MEAN_MAX = 4096
+# Rounding floor of the mean's convergence test, in units of the
+# evaluation noise _NOISE_EPS * k: two means of a shallow comb differ only by
+# rounding once their harmonics are gone (up to 2.1 units on the docs
+# cavity, where k times the state bracket cancels to 1e-4 of its terms), and
+# a tolerance below that would double the offsets until _MEAN_MAX.
+_MEAN_NOISE = 8.0
 # Samples across a dense band for the variation of the dropped oscillation.
 _BAND_SAMPLES = 16
+# Shallow band of identical slabs: above the stop band, where the slab phase
+# runs fast, the slab comb is shallow (|rn^2 E| < _SHARP_MIN) and the slab is
+# not opaque (e^{-2 k Im(n) d} >= _CLEAR_MIN), the passes integrate the
+# slab-phase mean instead of resolving every slab period.  A band shorter
+# than _SHALLOW_PANELS panel widths stays raw.
+_CLEAR_MIN = 1e-6
+_SHALLOW_PANELS = 8
+# The shallow-band bound takes the slab harmonics from _HARM_OFFSETS diagonal
+# samples at _HARM_GRID points per gap period pi/a.
+_HARM_OFFSETS = 32
+_HARM_GRID = 8
+_TWIDDLES = tuple(
+    tuple(cmath.exp(-2j * math.pi * j * i / _HARM_OFFSETS)
+          for i in range(_HARM_OFFSETS))
+    for j in range(_HARM_OFFSETS // 2))
 # Bisection steps placing a dense-band edge between two scan points.
 _EDGE_STEPS = 40
 # Bound gap modes narrower than this fraction of the panel width are pinned
@@ -246,8 +278,10 @@ def _slab_mean(shifted, k, tol):
     """Mean of the integrand over the common slab phase at fixed gap phase.
 
     Doubles the number of equidistant offsets from ``_MEAN_START`` until two
-    successive means agree within ``tol`` (the Fourier harmonics of the slab
-    phase decay geometrically, so the last mean is far closer than that).
+    successive means agree within ``tol``, or within the rounding floor
+    ``_MEAN_NOISE * _NOISE_EPS * k`` when that is larger (the Fourier
+    harmonics of the slab phase decay geometrically, so the last mean is far
+    closer than that; see ``_mean_allowance``).
     Returns ``(mean, amp)``, with ``amp`` the largest deviation of a sample
     from the mean: the envelope of the oscillation the mean drops.
     """
@@ -264,14 +298,21 @@ def _slab_mean(shifted, k, tol):
                           [math.pi * (2 * i + 1) / n for i in range(n)], 0.0)
         n *= 2
         prev, mean = mean, sum(vals) / n
-        if abs(mean - prev) <= tol:
+        if abs(mean - prev) <= max(tol, _MEAN_NOISE * _NOISE_EPS * k):
             break
     return mean, max(abs(v - mean) for v in vals)
 
 
-def _band_bound(shifted, rate, lo, hi, tol):
+def _mean_allowance(tol, lo, hi):
+    """Integrated error of slab-phase means over [lo, hi] settled to
+    ``tol``, or to the rounding floor where that is larger."""
+    return tol * (hi - lo) + 0.5 * _MEAN_NOISE * _NOISE_EPS * (hi * hi
+                                                                - lo * lo)
+
+
+def _band_bound(shifted, comb, lo, hi, tol):
     """Bound on the slab oscillation dropped by integrating the mean over
-    [lo, hi].
+    [lo, hi] in a dense band of the identical slabs of ``comb``.
 
     Integrating the harmonics of the slab phase phi by parts leaves the
     deviation envelope over phi' at both edges plus the variation of that
@@ -280,9 +321,78 @@ def _band_bound(shifted, rate, lo, hi, tol):
     ratios = []
     for i in range(_BAND_SAMPLES + 1):
         k = lo + (hi - lo) * i / _BAND_SAMPLES
-        ratios.append(_slab_mean(shifted, k, tol)[1] / abs(rate(k)))
+        ratios.append(_slab_mean(shifted, k, tol)[1]
+                      / abs(_slab_rate(comb.left, comb.width, k)))
     variation = sum(abs(b - a) for a, b in zip(ratios[:-1], ratios[1:]))
     return ratios[0] + ratios[-1] + variation
+
+
+def _harmonics(shifted, comb, k):
+    """Slab harmonics h_j(k), j = 1 .. _HARM_OFFSETS / 2 - 1, at k.
+
+    With phi the slab round-trip phase of the identical slabs of ``comb``,
+    the integrand is the sum over j of h_j(k) e^{i j phi(k)}, where h_j
+    varies only with the gap phase.  The DFT of the diagonal samples gives
+    h_j e^{i j phi}; the Nyquist harmonic, whose size is the comb depth to
+    the power _HARM_OFFSETS / 2, is left out.
+    """
+    n = _HARM_OFFSETS
+    vals = _diagonal(shifted, k, [2.0 * math.pi * i / n for i in range(n)],
+                     0.0)
+    phi = _slab_phase(comb.left, comb.width, k)
+    return [sum(v * w for v, w in zip(vals, _TWIDDLES[j])) / n
+            * cmath.exp(-1j * j * phi) for j in range(1, n // 2)]
+
+
+def _derivative(ys, h):
+    """Derivative of samples spaced h, by second-order differences."""
+    out = [(4.0 * ys[1] - 3.0 * ys[0] - ys[2]) / (2.0 * h)]
+    out += [(ys[i + 1] - ys[i - 1]) / (2.0 * h) for i in range(1, len(ys) - 1)]
+    out.append((3.0 * ys[-1] - 4.0 * ys[-2] + ys[-3]) / (2.0 * h))
+    return out
+
+
+def _shallow_bound(shifted, comb, lo, hi):
+    """Bound on the slab oscillation dropped by integrating the mean over
+    [lo, hi] in the shallow band.
+
+    Three integrations by parts of each harmonic integral of h_j e^{i j phi}
+    leave the edge terms of u = h_j / phi', u' / phi' and (u' / phi')' / phi'
+    over j, j^2 and j^3, plus the variation of the last over j^3 (Iserles
+    and Norsett, Proc. R. Soc. A 461, 1383 (2005)).  h_-j is the conjugate
+    of h_j, so each |j| counts twice.  The harmonics are sampled on
+    ``_HARM_GRID`` points per gap period, which resolves their gap-phase
+    variation.
+    """
+    m = max(2, int(math.ceil(_HARM_GRID * (hi - lo) * comb.gap / math.pi)))
+    step = (hi - lo) / m
+    ks = [lo + step * i for i in range(m)] + [hi]
+    rates = [_slab_rate(comb.left, comb.width, k) for k in ks]
+    harm = [_harmonics(shifted, comb, k) for k in ks]
+    total = 0.0
+    for j in range(1, _HARM_OFFSETS // 2):
+        u = [h[j - 1] / r for h, r in zip(harm, rates)]
+        v = [x / r for x, r in zip(_derivative(u, step), rates)]
+        w = [x / r for x, r in zip(_derivative(v, step), rates)]
+        var = sum(abs(y - x) for x, y in zip(w[:-1], w[1:]))
+        total += 2.0 * ((abs(u[0]) + abs(u[-1])) / j
+                        + (abs(v[0]) + abs(v[-1])) / j ** 2
+                        + (abs(w[0]) + abs(w[-1]) + var) / j ** 3)
+    return total
+
+
+def _banded(raw, shifted, bands, tol):
+    """The pass integrand: the slab-phase mean inside the bands (whose edges
+    are breakpoints, so no panel straddles one), raw elsewhere."""
+    if not bands:
+        return raw
+
+    def f(k):
+        for lo, hi in bands:
+            if lo < k < hi:
+                return _slab_mean(shifted, k, tol)[0]
+        return raw(k)
+    return f
 
 
 def _probe_amplitude(raw, averaged, k, window):
@@ -297,7 +407,7 @@ def _probe_amplitude(raw, averaged, k, window):
 
 
 def _oscillatory_integral(raw, shifted, spec, gap, width=None,
-                          breakpoints=(), naxes=3, bands=(), rate=None):
+                          breakpoints=(), naxes=3, bands=(), comb=None):
     """Integrate a decaying oscillatory force integrand over [0, inf).
 
     Parameters
@@ -319,16 +429,17 @@ def _oscillatory_integral(raw, shifted, spec, gap, width=None,
     bands : sequence of (lo, hi)
         Dense slab-resonance bands of identical slabs, below the switch
         point; the passes integrate the slab-phase mean there.
-    rate : callable
-        ``rate(k)``, the slab round-trip phase rate, given with ``bands``.
+    comb : CavityConfig
+        The cavity, given with ``bands`` or to let the direct pass use the
+        shallow band of identical absorbing slabs; None for half-spaces.
 
     Returns
     -------
     value, err : float
         The integral and a conservative error estimate combining the
         quadrature errors, the probed bound on the oscillation dropped at
-        the switch point and across the dense bands, and the tail
-        remainder-model uncertainty.
+        the switch point and across the dense and shallow bands, and the
+        tail remainder-model uncertainty.
     """
     period = math.pi / gap
     inv_rate = 1.0 / gap
@@ -340,19 +451,6 @@ def _oscillatory_integral(raw, shifted, spec, gap, width=None,
 
     band_len = sum(hi - lo for lo, hi in bands)
     edges = tuple(e for band in bands for e in band)
-
-    def banded(tol):
-        """The pass integrand: the slab-phase mean inside the bands (whose
-        edges are breakpoints, so no panel straddles one), raw elsewhere."""
-        if not bands:
-            return raw
-
-        def f(k):
-            for lo, hi in bands:
-                if lo < k < hi:
-                    return _slab_mean(shifted, k, tol)[0]
-            return raw(k)
-        return f
 
     _endpoint_check(raw)
 
@@ -368,8 +466,8 @@ def _oscillatory_integral(raw, shifted, spec, gap, width=None,
     # absolute tolerance
     mean_tol = 0.01 * coarse.abs_tol / band_len if bands else 0.0
     try:
-        c0, _ = integrate_interval(banded(mean_tol), 0.0, k0, coarse,
-                                   breakpoints=inner)
+        c0, _ = integrate_interval(_banded(raw, shifted, bands, mean_tol),
+                                   0.0, k0, coarse, breakpoints=inner)
     except NonConvergenceError as exc:
         c0 = exc.partial if exc.partial is not None else 0.0
     scale = max(abs(c0), abs(averaged(k0)) * k0, spec.abs_tol)
@@ -405,17 +503,28 @@ def _oscillatory_integral(raw, shifted, spec, gap, width=None,
             "oscillation bound still %.3e at k = %.3e (budget %.3e)"
             % (bound, K, budget), partial=None, error=bound, panels=0)
 
-    # Direct adaptive pass below the switch point.
+    # Direct adaptive pass below the switch point; the shallow band joins
+    # the dense bands there.
+    shallow = ()
+    if comb is not None:
+        shallow = _shallow_part(_shallow_band(comb, K), 0.0, K,
+                                spec.panel_width)
+    passes = tuple(bands) + shallow
+    band_len += sum(hi - lo for lo, hi in shallow)
     direct = replace(spec, abs_tol=max(spec.abs_tol, 0.25 * budget,
                                        0.5 * _NOISE_EPS * K * K))
-    mean_tol = 0.01 * direct.abs_tol / band_len if bands else 0.0
-    val, err = integrate_interval(banded(mean_tol), 0.0, K, direct,
-                                  breakpoints=tuple(b for b in breakpoints
-                                                    if b < K) + edges)
+    mean_tol = 0.01 * direct.abs_tol / band_len if passes else 0.0
+    val, err = integrate_interval(
+        _banded(raw, shifted, passes, mean_tol), 0.0, K, direct,
+        breakpoints=tuple(b for b in breakpoints if b < K) + edges
+        + tuple(e for band in shallow for e in band))
     err += bound
     for lo, hi in bands:
-        err += _band_bound(shifted, rate, lo, hi, mean_tol)
-    err += mean_tol * band_len
+        err += _band_bound(shifted, comb, lo, hi, mean_tol)
+    for lo, hi in shallow:
+        err += _shallow_bound(shifted, comb, lo, hi)
+    for lo, hi in passes:
+        err += _mean_allowance(mean_tol, lo, hi)
 
     # Phase-averaged tail over geometric panels; for an inverse-cube mean
     # envelope f(k) ~ C/k^3 the remainder past kk is exactly f(kk)*kk/2.
@@ -469,48 +578,72 @@ def _rotated_vacuum(cfg, spec, roundtrip):
     return integrate_semiinfinite(g, s)
 
 
+def _slab_phase(mat, d, k):
+    """Slab round-trip phase 2 k Re(n) d at real frequency k."""
+    return 2.0 * k * core.refractive_at(-1j * k, *mat.as_tuple()).real * d
+
+
 def _slab_rate(mat, d, k):
     """Rate of the slab round-trip phase, d/dk of 2 k Re(n) d."""
-    def phase(x):
-        return 2.0 * x * core.refractive_at(-1j * x, *mat.as_tuple()).real * d
-
     h = 1e-6 * max(k, 1.0)
-    return (phase(k + h) - phase(k - h)) / (2.0 * h)
+    return (_slab_phase(mat, d, k + h) - _slab_phase(mat, d, k - h)) / (
+        2.0 * h)
+
+
+def _comb(cfg, k):
+    """``(clear, depth)`` of the slab comb at k: the slab's internal
+    transmission e^{-2 k Im(n) d} and its internal round trip
+    |rn^2 E| = |rn|^2 e^{-2 k Im(n) d}."""
+    n = core.refractive_at(-1j * k, *cfg.left.as_tuple())
+    x = 2.0 * k * n.imag * cfg.width
+    rn = (1.0 - n) / (1.0 + n)
+    clear = math.exp(-x) if x < 700.0 else 0.0
+    return clear, abs(rn) ** 2 * clear
+
+
+def _fast(cfg, k):
+    """True where the slab phase runs ``_DENSE_RATE`` times faster than the
+    gap phase."""
+    return (_slab_rate(cfg.left, cfg.width, k)
+            >= _DENSE_RATE * 2.0 * cfg.gap)
 
 
 def _dense(cfg, k):
     """True where the slab-phase mean replaces the raw integrand at k.
 
     The slab phase must run far faster than the gap phase, and the slab's
-    internal round trip |rn^2 E| = |rn|^2 e^{-2 k Im(n) d} must make its
-    resonances sharp: neither opaque nor weakly reflecting.
+    internal round trip |rn^2 E| must make its resonances sharp: neither
+    opaque nor weakly reflecting.
     """
-    mat, d = cfg.left, cfg.width
-    n = core.refractive_at(-1j * k, *mat.as_tuple())
-    x = 2.0 * k * n.imag * d
-    rn = (1.0 - n) / (1.0 + n)
-    sharp = abs(rn) ** 2 * math.exp(-x) if x < 700.0 else 0.0
-    return (_SHARP_MIN <= sharp <= _SHARP_MAX
-            and _slab_rate(mat, d, k) >= _DENSE_RATE * 2.0 * cfg.gap)
+    depth = _comb(cfg, k)[1]
+    return _SHARP_MIN <= depth <= _SHARP_MAX and _fast(cfg, k)
 
 
-def _dense_bands(cfg, k_end):
-    """Intervals of (0, k_end) where ``_dense`` holds, for identical
-    absorbing slabs (both slab phases are then one phase); empty otherwise.
+def _shallow(cfg, k):
+    """True where the shallow band holds at k: the slab phase runs fast,
+    the comb is shallow and the slab is not opaque."""
+    clear, depth = _comb(cfg, k)
+    return depth < _SHARP_MIN and clear >= _CLEAR_MIN and _fast(cfg, k)
+
+
+def _bands(cfg, inside, k_lo, k_end):
+    """Intervals of (k_lo, k_end) where ``inside(cfg, k)`` holds, for
+    identical absorbing slabs (both slab phases are then one phase); empty
+    otherwise.
 
     A scan at a sixteenth of the gap period finds the bands and bisection
     places their edges.
     """
-    if cfg.left != cfg.right or not _absorbing(cfg.left):
+    if cfg.left != cfg.right or not _absorbing(cfg.left) or k_end <= k_lo:
         return ()
-    m = int(math.ceil(16.0 * k_end * cfg.gap / math.pi))
-    ks = [k_end * (i + 0.5) / m for i in range(m)]
-    flags = [_dense(cfg, k) for k in ks]
+    m = int(math.ceil(16.0 * (k_end - k_lo) * cfg.gap / math.pi))
+    ks = [k_lo + (k_end - k_lo) * (i + 0.5) / m for i in range(m)]
+    flags = [inside(cfg, k) for k in ks]
 
     def edge(lo, hi, inside_lo):
         for _ in range(_EDGE_STEPS):
             mid = 0.5 * (lo + hi)
-            if _dense(cfg, mid) == inside_lo:
+            if inside(cfg, mid) == inside_lo:
                 lo = mid
             else:
                 hi = mid
@@ -527,6 +660,34 @@ def _dense_bands(cfg, k_end):
     if start is not None:
         bands.append((start, k_end))
     return tuple(bands)
+
+
+def _dense_bands(cfg, k_end):
+    """Intervals of (0, k_end) where ``_dense`` holds (see ``_bands``)."""
+    return _bands(cfg, _dense, 0.0, k_end)
+
+
+def _shallow_band(cfg, k_end):
+    """The shallow band below ``k_end``, or None: the first interval above
+    the stop band [omega0, sqrt(omega0^2 + omega_pl^2)] where ``_shallow``
+    holds.  It starts on the opaque side, so the slab oscillation is
+    negligible at its lower edge."""
+    mat = cfg.left
+    top = math.sqrt(mat.omega0 ** 2 + mat.omega_pl ** 2)
+    bands = _bands(cfg, _shallow, top, k_end)
+    return bands[0] if bands else None
+
+
+def _shallow_part(band, lo, hi, panel_width):
+    """The part of ``band`` inside [lo, hi] as a one-element tuple, or ()
+    when there is none or it is shorter than ``_SHALLOW_PANELS`` panel
+    widths (a short band is cheap to resolve raw)."""
+    if band is None:
+        return ()
+    s_lo, s_hi = max(band[0], lo), min(band[1], hi)
+    if s_hi - s_lo < _SHALLOW_PANELS * panel_width:
+        return ()
+    return ((s_lo, s_hi),)
 
 
 def _gap_modes(cfg):
@@ -606,7 +767,8 @@ def _real_axis(cfg, spec, f):
     ``f`` is a cavity integrand evaluated with additive offsets on the
     left-slab, right-slab and gap phases.  The layout adds the narrow bound
     gap modes as breakpoints and, for identical slabs, the dense
-    slab-resonance bands below the first switch point candidate.
+    slab-resonance bands below the first switch point candidate and the
+    shallow band below the switch point.
     """
     def raw(k):
         return f(k, 0.0, 0.0, 0.0)
@@ -617,8 +779,7 @@ def _real_axis(cfg, spec, f):
     same = cfg.left == cfg.right
     return _oscillatory_integral(
         raw, f, spec, cfg.gap, cfg.width, tuple(sorted(bks + modes)),
-        naxes=2 if same else 3, bands=bands,
-        rate=functools.partial(_slab_rate, cfg.left, cfg.width))
+        naxes=2 if same else 3, bands=bands, comb=cfg)
 
 
 def _thermal_excess(bracket, beta, spec, breakpoints):
@@ -708,23 +869,58 @@ def _vacuum_bath_integrand(cfg):
     return f
 
 
+def _state_integrand(cfg):
+    """Vacuum-weight state integrand ``f(k, sL, sR, sG)``, k times the state
+    bracket, of a cavity."""
+    a, d = cfg.gap, cfg.width
+    tl, tr = cfg.left.as_tuple(), cfg.right.as_tuple()
+
+    def f(k, sL, sR, sG):
+        return k * core.ic_bracket(k, a, d, tl, tr, sL, sR, sG)
+    return f
+
+
+def _mean_vs_raw(f, lo, hi, spec, dropped, raw_spec):
+    """Integral of ``f(k, sL, sR, sG)`` over [lo, hi] by the slab-phase mean
+    and by raw quadrature at ``raw_spec``.
+
+    Returns ``(deviation, estimate)``: the two routes' difference and the
+    sum of their error estimates, the mean's including ``dropped(tol)``,
+    the bound on the oscillation it drops.
+    """
+    tol = 0.01 * spec.abs_tol / (hi - lo)
+    v_mean, e_mean = integrate_interval(
+        lambda k: _slab_mean(f, k, tol)[0], lo, hi, spec)
+    e_mean += dropped(tol) + _mean_allowance(tol, lo, hi)
+    v_raw, e_raw = integrate_interval(lambda k: f(k, 0.0, 0.0, 0.0), lo, hi,
+                                      raw_spec)
+    return abs(v_mean - v_raw), e_mean + e_raw
+
+
 def _dense_band_dual(cfg, lo, hi, spec):
     """Zero-temperature bath integral over [lo, hi], inside a dense band of
     identical slabs, by the slab-phase mean and by raw quadrature.
 
-    Returns ``(deviation, estimate)``: the two routes' difference and the
-    sum of their error estimates, the mean's including the dropped-
-    oscillation bound.  An independent check of the dense-band route.
+    Returns ``(deviation, estimate)`` (see ``_mean_vs_raw``).  An
+    independent check of the dense-band route.
     """
     f = _vacuum_bath_integrand(cfg)
-    tol = 0.01 * spec.abs_tol / (hi - lo)
-    v_mean, e_mean = integrate_interval(
-        lambda k: _slab_mean(f, k, tol)[0], lo, hi, spec)
-    rate = functools.partial(_slab_rate, cfg.left, cfg.width)
-    e_mean += _band_bound(f, rate, lo, hi, tol) + tol * (hi - lo)
-    v_raw, e_raw = integrate_interval(lambda k: f(k, 0.0, 0.0, 0.0), lo, hi,
-                                      spec)
-    return abs(v_mean - v_raw), e_mean + e_raw
+    return _mean_vs_raw(f, lo, hi, spec,
+                        lambda tol: _band_bound(f, cfg, lo, hi, tol), spec)
+
+
+def _shallow_band_dual(cfg, f, lo, hi, spec):
+    """Integral of ``f(k, sL, sR, sG)`` over [lo, hi], inside the shallow
+    band of identical slabs, by the slab-phase mean with its bound and by
+    raw quadrature on panels of half a slab period.
+
+    Returns ``(deviation, estimate)`` (see ``_mean_vs_raw``).  An
+    independent check of the shallow-band route and of its bound.
+    """
+    fine = replace(spec, panel_width=math.pi / _slab_rate(cfg.left,
+                                                          cfg.width, lo))
+    return _mean_vs_raw(f, lo, hi, spec,
+                        lambda tol: _shallow_bound(f, cfg, lo, hi), fine)
 
 
 def _ic_parts(cfg, state, spec):
@@ -886,13 +1082,10 @@ def _real_axis_ic(cfg, state, spec):
     a, d = cfg.gap, cfg.width
     tl, tr = cfg.left.as_tuple(), cfg.right.as_tuple()
 
-    def f(k, sL, sR, sG):
-        return k * core.ic_bracket(k, a, d, tl, tr, sL, sR, sG)
-
     def bracket(k):
         return core.ic_bracket(k, a, d, tl, tr)
 
-    v, ev = _real_axis(cfg, spec, f)
+    v, ev = _real_axis(cfg, spec, _state_integrand(cfg))
     x, ex = _state_excess(bracket, eff, spec,
                           _breakpoints(cfg.left, cfg.right))
     return scale * (v + x), scale * (ev + ex)
@@ -1151,7 +1344,10 @@ def band_excess_curve(cfg, omega_center, sigmas, spec):
     (cosh(2/sigma) - 1) times the window integral of k * [state bracket]
     over |k - omega_center| <= sigma/2.  The window integrals are nested,
     so they are assembled incrementally from non-overlapping strips and a
-    full ladder costs a single pass over the widest window.
+    full ladder costs a single pass over the widest window.  Where a strip
+    crosses the shallow band of identical absorbing slabs, it integrates
+    the slab-phase mean there and adds the bound on the dropped slab
+    oscillation to its error.
 
     Returns
     -------
@@ -1163,6 +1359,12 @@ def band_excess_curve(cfg, omega_center, sigmas, spec):
     tr = cfg.right.as_tuple()
     bks = _breakpoints(cfg.left, cfg.right)
 
+    f = _state_integrand(cfg)
+    windows = [band_edges(FieldState.squeezed_band(sg, omega_center))
+               for sg in sigmas]
+    band = _shallow_band(cfg, max(hi for _, hi in windows)) if windows \
+        else None
+
     def g(k):
         return k * core.ic_bracket(k, a, d, tl, tr)
 
@@ -1170,7 +1372,16 @@ def band_excess_curve(cfg, omega_center, sigmas, spec):
         if hi <= lo:
             return 0.0, 0.0
         inner = tuple(b for b in bks if lo < b < hi)
-        return integrate_interval(g, lo, hi, spec, breakpoints=inner)
+        part = _shallow_part(band, lo, hi, spec.panel_width)
+        if not part:
+            return integrate_interval(g, lo, hi, spec, breakpoints=inner)
+        # the means' integrated error is held to a hundredth of abs_tol
+        (s_lo, s_hi), = part
+        tol = 0.01 * spec.abs_tol / (s_hi - s_lo)
+        v, e = integrate_interval(_banded(g, f, part, tol), lo, hi, spec,
+                                  breakpoints=inner + part[0])
+        return v, (e + _shallow_bound(f, cfg, s_lo, s_hi)
+                   + _mean_allowance(tol, s_lo, s_hi))
 
     order = sorted(range(len(sigmas)), key=lambda i: sigmas[i])
     out = [None] * len(sigmas)
@@ -1178,8 +1389,7 @@ def band_excess_curve(cfg, omega_center, sigmas, spec):
     prev_lo = prev_hi = omega_center
     for i in order:
         sg = sigmas[i]
-        state = FieldState.squeezed_band(sg, omega_center)
-        lo, hi = band_edges(state)
+        lo, hi = windows[i]
         v1, e1 = strip(lo, min(prev_lo, hi))
         v2, e2 = strip(max(prev_hi, lo), hi)
         acc += v1 + v2

@@ -10,8 +10,8 @@ honestly at the pinned parameters rather than being weakened:
   the ratio |f_b|/|f_ic| measures ~1, not <= 1e-4.
 * criterion 7 (settling clause of (iii)): the total-force ratio keeps
   changing by far more than 1% per bandwidth doubling throughout
-  sigma in [100, 700]/a; its settling scale at these parameters is near
-  2.4e3/a.
+  sigma in [100, 700]/a; the first doubling below 1% at these parameters
+  is 2500/a -> 5000/a (measured ladder in docs/reproduce_sweep.md).
 """
 
 import math
