@@ -4,13 +4,13 @@ suite's wall time.
 
 Usage (from the repository root):
 
-    python3 scripts/write_bench.py --parent DIR --out BENCH_6.json \\
-        [--seeds 1-10] [--workloads fig_300k,sweep_docs] [--seconds 10]
+    python3 scripts/write_bench.py --parent DIR --out BENCH_6.json
 
 DIR is a checkout of the parent commit (``git archive`` or ``git clone``).
-For each workload and seed, ``perfbench/run.py --workload W --seed N
---seconds S`` runs once in each checkout; odd seeds run the parent first and
-even seeds the change, so slow drift of the host does not favour one side.
+For each of the four workloads and seeds 1-10, ``perfbench/run.py
+--workload W --seed N --seconds 10`` runs once in each checkout; odd seeds
+run the parent first and even seeds the change, so slow drift of the host
+does not favour one side.
 One traced run (``--trace 1``) per workload and checkout at seed 0 gives the
 per-layer counts, and the tier-1 pytest command runs once per checkout.
 Every metric is recorded as median and quartiles per side, every run is
@@ -28,23 +28,17 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("fig_300k", "noneq_mild", "weak_damping", "sweep_docs")
+SEEDS = tuple(range(1, 11))
+SECONDS = 10
 TIER1 = [sys.executable, "-m", "pytest", "-q",
          "--continue-on-collection-errors", "-p", "no:cacheprovider"]
 SIDES = ("parent", "change")
 
 
-def _seeds(text):
-    """'1-10' or '1,4,7' -> list of ints."""
-    if "-" in text:
-        lo, hi = text.split("-")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(s) for s in text.split(",")]
-
-
-def _bench(tree, workload, seed, seconds, trace):
+def _bench(tree, workload, seed, trace):
     """The metrics JSON object ``perfbench/run.py`` prints last."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", repr(seconds),
+           "--seed", str(seed), "--seconds", str(SECONDS),
            "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
                           check=True)
@@ -71,15 +65,15 @@ def _summary(values):
     return out
 
 
-def measure(parent, workloads, seeds, seconds):
+def measure(parent):
     trees = {"parent": os.path.abspath(parent), "change": ROOT}
     entry = {"workloads": {}}
-    for w in workloads:
+    for w in WORKLOADS:
         runs = {side: [] for side in SIDES}
-        for seed in seeds:
+        for seed in SEEDS:
             order = SIDES if seed % 2 else SIDES[::-1]
             for side in order:
-                res = _bench(trees[side], w, seed, seconds, 0)
+                res = _bench(trees[side], w, seed, 0)
                 runs[side].append({"seed": seed, "correct": res["correct"],
                                    "attempted": res["attempted"],
                                    "failed": res["failed"],
@@ -94,11 +88,11 @@ def measure(parent, workloads, seeds, seconds):
         won = sum(c["metrics"]["wall_s"] < p["metrics"]["wall_s"]
                   for p, c in zip(runs["parent"], runs["change"]))
         traced = {side: {k: v["value"] for k, v in
-                         _bench(trees[side], w, 0, seconds, 1)["metrics"]
+                         _bench(trees[side], w, 0, 1)["metrics"]
                          .items()} for side in SIDES}
         entry["workloads"][w] = {"metrics": metrics,
                                  "wall_s_pairs_won": won,
-                                 "pairs": len(seeds),
+                                 "pairs": len(SEEDS),
                                  "traced_seed0": traced, "runs": runs}
     entry["tier1"] = {side: _tier1(trees[side]) for side in SIDES}
     return entry
@@ -109,23 +103,18 @@ def main(argv=None):
     parser.add_argument("--parent", required=True,
                         help="checkout of the parent commit")
     parser.add_argument("--out", required=True, help="BENCH_<n>.json path")
-    parser.add_argument("--seeds", default="1-10")
-    parser.add_argument("--workloads", default=",".join(WORKLOADS))
-    parser.add_argument("--seconds", type=float, default=10.0)
     args = parser.parse_args(argv)
-    seeds = _seeds(args.seeds)
-    workloads = args.workloads.split(",")
     entry = {
         "environment": {"python": platform.python_version(),
                         "machine": platform.machine(),
                         "nproc": os.cpu_count()},
         "command": "python3 perfbench/run.py --workload W --seed N "
-                   "--seconds %g" % args.seconds,
-        "seeds": seeds,
+                   "--seconds %d" % SECONDS,
+        "seeds": list(SEEDS),
         "units": "wall_s and setup_s in reference seconds "
                  "(perfbench/speed.py)",
     }
-    entry.update(measure(args.parent, workloads, seeds, args.seconds))
+    entry.update(measure(args.parent))
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(entry, fh, indent=1, sort_keys=True)
         fh.write("\n")

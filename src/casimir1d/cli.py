@@ -454,7 +454,7 @@ def _verify_checks():
     fig = Material(10.0, 10.0, 0.1)
     cfg_fig = CavityConfig(1.0, 100.0, fig, fig)
     spec_fig = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-10)
-    start = forces._shallow_band(cfg_fig, 30.0)[0]
+    start = forces._shallow_band(cfg_fig, 30.0, spec_fig.panel_width)[0]
     worst = 0.0
     for f in (forces._vacuum_bath_integrand(cfg_fig),
               forces._state_integrand(cfg_fig)):

@@ -53,12 +53,13 @@ structure they would otherwise chase blindly:
   are no longer opaque (e^{-2 k Im(n) d} >= 1e-6) while their slab phase
   still runs fast and their comb is shallow (|rn^2 E| below the dense
   band's), the direct pass integrates the slab-phase mean up to the switch
-  point, and so do the strips of ``band_excess_curve``.  The band starts on
-  the opaque side, where the dropped oscillation vanishes, and stays raw
-  when it is shorter than eight panels.  Its bound integrates each slab
-  harmonic h_j e^{i j phi} by parts three times: edge terms at orders 1/j,
-  1/j^2 and 1/j^3 plus the variation of the last, counted for both signs
-  of j, from the harmonics sampled on a grid that resolves the gap phase;
+  point, and so do the strips of ``band_excess_curve``.  The band is used
+  only when the slab is opaque just below its lower edge, where the
+  dropped oscillation vanishes, and when it spans eight panels.  Its bound
+  integrates each slab harmonic h_j e^{i j phi} by parts three times: edge
+  terms at orders 1/j, 1/j^2 and 1/j^3 plus the variation of the last,
+  counted for both signs of j, from the harmonics sampled once on a grid
+  across the band that resolves the gap phase;
 * bound gap modes: inside each absorbing slab's stop band the cavity
   denominator |1 - rL rR e^{2ika}| dips at the bound modes.  Modes far
   narrower than a panel are located by a scan and golden-section search and
@@ -119,19 +120,21 @@ _SHARP_MAX = 0.9
 # doubles them until two successive means agree.
 _MEAN_START = 8
 _MEAN_MAX = 4096
-# Rounding floor of the mean's convergence test, in units of the
-# evaluation noise _NOISE_EPS * k: two means of a shallow comb differ only by
-# rounding once their harmonics are gone (up to 2.1 units on the docs
-# cavity, where k times the state bracket cancels to 1e-4 of its terms), and
-# a tolerance below that would double the offsets until _MEAN_MAX.
+# Rounding floor of the shallow band's mean tolerance, in units of the
+# evaluation noise _NOISE_EPS * k at the band's top: two means of a shallow
+# comb differ only by rounding once their harmonics are gone (up to 2.1 units
+# on the docs cavity, where k times the state bracket cancels to 1e-4 of its
+# terms), and a tolerance below that would double the offsets until
+# _MEAN_MAX.
 _MEAN_NOISE = 8.0
 # Samples across a dense band for the variation of the dropped oscillation.
 _BAND_SAMPLES = 16
 # Shallow band of identical slabs: above the stop band, where the slab phase
 # runs fast, the slab comb is shallow (|rn^2 E| < _SHARP_MIN) and the slab is
 # not opaque (e^{-2 k Im(n) d} >= _CLEAR_MIN), the passes integrate the
-# slab-phase mean instead of resolving every slab period.  A band shorter
-# than _SHALLOW_PANELS panel widths stays raw.
+# slab-phase mean instead of resolving every slab period.  The band is used
+# only from the slab's opaque-to-clear crossing and when it spans
+# _SHALLOW_PANELS panel widths.
 _CLEAR_MIN = 1e-6
 _SHALLOW_PANELS = 8
 # The shallow-band bound takes the slab harmonics from _HARM_OFFSETS diagonal
@@ -278,10 +281,8 @@ def _slab_mean(shifted, k, tol):
     """Mean of the integrand over the common slab phase at fixed gap phase.
 
     Doubles the number of equidistant offsets from ``_MEAN_START`` until two
-    successive means agree within ``tol``, or within the rounding floor
-    ``_MEAN_NOISE * _NOISE_EPS * k`` when that is larger (the Fourier
-    harmonics of the slab phase decay geometrically, so the last mean is far
-    closer than that; see ``_mean_allowance``).
+    successive means agree within ``tol`` (the Fourier harmonics of the slab
+    phase decay geometrically, so the last mean is far closer than that).
     Returns ``(mean, amp)``, with ``amp`` the largest deviation of a sample
     from the mean: the envelope of the oscillation the mean drops.
     """
@@ -298,16 +299,9 @@ def _slab_mean(shifted, k, tol):
                           [math.pi * (2 * i + 1) / n for i in range(n)], 0.0)
         n *= 2
         prev, mean = mean, sum(vals) / n
-        if abs(mean - prev) <= max(tol, _MEAN_NOISE * _NOISE_EPS * k):
+        if abs(mean - prev) <= tol:
             break
     return mean, max(abs(v - mean) for v in vals)
-
-
-def _mean_allowance(tol, lo, hi):
-    """Integrated error of slab-phase means over [lo, hi] settled to
-    ``tol``, or to the rounding floor where that is larger."""
-    return tol * (hi - lo) + 0.5 * _MEAN_NOISE * _NOISE_EPS * (hi * hi
-                                                                - lo * lo)
 
 
 def _band_bound(shifted, comb, lo, hi, tol):
@@ -352,33 +346,54 @@ def _derivative(ys, h):
     return out
 
 
-def _shallow_bound(shifted, comb, lo, hi):
-    """Bound on the slab oscillation dropped by integrating the mean over
-    [lo, hi] in the shallow band.
+def _shallow_bounds(shifted, comb, lo, hi):
+    """Bounds on the slab oscillation dropped by integrating the mean over
+    parts of the shallow band [lo, hi]: returns ``bound(x0, x1)`` for
+    lo <= x0 < x1 <= hi.
 
     Three integrations by parts of each harmonic integral of h_j e^{i j phi}
     leave the edge terms of u = h_j / phi', u' / phi' and (u' / phi')' / phi'
     over j, j^2 and j^3, plus the variation of the last over j^3 (Iserles
     and Norsett, Proc. R. Soc. A 461, 1383 (2005)).  h_-j is the conjugate
-    of h_j, so each |j| counts twice.  The harmonics are sampled on
-    ``_HARM_GRID`` points per gap period, which resolves their gap-phase
-    variation.
+    of h_j, so each |j| counts twice.  The harmonics are sampled once on a
+    grid of ``_HARM_GRID`` points per gap period across the band, which
+    resolves their gap-phase variation; between grid points the edge terms
+    take the larger neighbour and the variation covers whole grid steps.
     """
     m = max(2, int(math.ceil(_HARM_GRID * (hi - lo) * comb.gap / math.pi)))
     step = (hi - lo) / m
     ks = [lo + step * i for i in range(m)] + [hi]
     rates = [_slab_rate(comb.left, comb.width, k) for k in ks]
     harm = [_harmonics(shifted, comb, k) for k in ks]
-    total = 0.0
+    edge = [0.0] * (m + 1)
+    jumps = [0.0] * m
     for j in range(1, _HARM_OFFSETS // 2):
         u = [h[j - 1] / r for h, r in zip(harm, rates)]
         v = [x / r for x, r in zip(_derivative(u, step), rates)]
         w = [x / r for x, r in zip(_derivative(v, step), rates)]
-        var = sum(abs(y - x) for x, y in zip(w[:-1], w[1:]))
-        total += 2.0 * ((abs(u[0]) + abs(u[-1])) / j
-                        + (abs(v[0]) + abs(v[-1])) / j ** 2
-                        + (abs(w[0]) + abs(w[-1]) + var) / j ** 3)
-    return total
+        for i in range(m + 1):
+            edge[i] += 2.0 * (abs(u[i]) / j + abs(v[i]) / j ** 2
+                              + abs(w[i]) / j ** 3)
+        for i in range(m):
+            jumps[i] += 2.0 * abs(w[i + 1] - w[i]) / j ** 3
+    variation = [0.0]
+    for x in jumps:
+        variation.append(variation[-1] + x)
+
+    def cell(x):
+        """Grid steps (i, i') around x: i == i' on a grid point."""
+        t = min(max((x - lo) / step, 0.0), float(m))
+        i = int(round(t))
+        if abs(t - i) <= 1e-9:
+            return i, i
+        return int(t), int(t) + 1
+
+    def bound(x0, x1):
+        a0, b0 = cell(x0)
+        a1, b1 = cell(x1)
+        return (max(edge[a0], edge[b0]) + max(edge[a1], edge[b1])
+                + variation[b1] - variation[a0])
+    return bound
 
 
 def _banded(raw, shifted, bands, tol):
@@ -505,26 +520,26 @@ def _oscillatory_integral(raw, shifted, spec, gap, width=None,
 
     # Direct adaptive pass below the switch point; the shallow band joins
     # the dense bands there.
-    shallow = ()
-    if comb is not None:
-        shallow = _shallow_part(_shallow_band(comb, K), 0.0, K,
-                                spec.panel_width)
-    passes = tuple(bands) + shallow
-    band_len += sum(hi - lo for lo, hi in shallow)
+    shallow = (_shallow_band(comb, K, spec.panel_width)
+               if comb is not None else None)
     direct = replace(spec, abs_tol=max(spec.abs_tol, 0.25 * budget,
                                        0.5 * _NOISE_EPS * K * K))
-    mean_tol = 0.01 * direct.abs_tol / band_len if passes else 0.0
+    mean_tol = 0.01 * direct.abs_tol / band_len if bands else 0.0
+    integrand = _banded(raw, shifted, bands, mean_tol)
+    if shallow:
+        shallow_tol = _shallow_tol(direct.abs_tol, *shallow)
+        integrand = _banded(integrand, shifted, (shallow,), shallow_tol)
+        edges += shallow
     val, err = integrate_interval(
-        _banded(raw, shifted, passes, mean_tol), 0.0, K, direct,
-        breakpoints=tuple(b for b in breakpoints if b < K) + edges
-        + tuple(e for band in shallow for e in band))
+        integrand, 0.0, K, direct,
+        breakpoints=tuple(b for b in breakpoints if b < K) + edges)
     err += bound
     for lo, hi in bands:
         err += _band_bound(shifted, comb, lo, hi, mean_tol)
-    for lo, hi in shallow:
-        err += _shallow_bound(shifted, comb, lo, hi)
-    for lo, hi in passes:
-        err += _mean_allowance(mean_tol, lo, hi)
+    err += mean_tol * band_len
+    if shallow:
+        err += (_shallow_bounds(shifted, comb, *shallow)(*shallow)
+                + shallow_tol * (shallow[1] - shallow[0]))
 
     # Phase-averaged tail over geometric panels; for an inverse-cube mean
     # envelope f(k) ~ C/k^3 the remainder past kk is exactly f(kk)*kk/2.
@@ -667,27 +682,33 @@ def _dense_bands(cfg, k_end):
     return _bands(cfg, _dense, 0.0, k_end)
 
 
-def _shallow_band(cfg, k_end):
-    """The shallow band below ``k_end``, or None: the first interval above
-    the stop band [omega0, sqrt(omega0^2 + omega_pl^2)] where ``_shallow``
-    holds.  It starts on the opaque side, so the slab oscillation is
-    negligible at its lower edge."""
+def _shallow_band(cfg, k_end, panel_width):
+    """The shallow band below ``k_end`` as ``(lo, hi)``, or None.
+
+    The candidate is the first interval above the stop band [omega0,
+    sqrt(omega0^2 + omega_pl^2)] where ``_shallow`` holds.  It is kept only
+    when the slab is opaque just below its lower edge, so the slab
+    oscillation is negligible there (a band that abuts a dense band, where
+    the comb is still deep, is not), and when it spans ``_SHALLOW_PANELS``
+    panel widths (a shorter band is cheap to resolve raw).
+    """
     mat = cfg.left
     top = math.sqrt(mat.omega0 ** 2 + mat.omega_pl ** 2)
     bands = _bands(cfg, _shallow, top, k_end)
-    return bands[0] if bands else None
+    if not bands:
+        return None
+    lo, hi = bands[0]
+    if (hi - lo < _SHALLOW_PANELS * panel_width
+            or _comb(cfg, lo * (1.0 - 1e-9))[0] >= _CLEAR_MIN):
+        return None
+    return lo, hi
 
 
-def _shallow_part(band, lo, hi, panel_width):
-    """The part of ``band`` inside [lo, hi] as a one-element tuple, or ()
-    when there is none or it is shorter than ``_SHALLOW_PANELS`` panel
-    widths (a short band is cheap to resolve raw)."""
-    if band is None:
-        return ()
-    s_lo, s_hi = max(band[0], lo), min(band[1], hi)
-    if s_hi - s_lo < _SHALLOW_PANELS * panel_width:
-        return ()
-    return ((s_lo, s_hi),)
+def _shallow_tol(abs_tol, lo, hi):
+    """Tolerance of the slab-phase means across the shallow band [lo, hi]:
+    their integrated error held to a hundredth of ``abs_tol``, or the
+    rounding floor at the band's top where that is larger."""
+    return max(0.01 * abs_tol / (hi - lo), _MEAN_NOISE * _NOISE_EPS * hi)
 
 
 def _gap_modes(cfg):
@@ -880,18 +901,17 @@ def _state_integrand(cfg):
     return f
 
 
-def _mean_vs_raw(f, lo, hi, spec, dropped, raw_spec):
+def _mean_vs_raw(f, lo, hi, spec, tol, dropped, raw_spec):
     """Integral of ``f(k, sL, sR, sG)`` over [lo, hi] by the slab-phase mean
-    and by raw quadrature at ``raw_spec``.
+    settled to ``tol`` and by raw quadrature at ``raw_spec``.
 
     Returns ``(deviation, estimate)``: the two routes' difference and the
-    sum of their error estimates, the mean's including ``dropped(tol)``,
-    the bound on the oscillation it drops.
+    sum of their error estimates, the mean's including ``dropped``, the
+    bound on the oscillation it drops.
     """
-    tol = 0.01 * spec.abs_tol / (hi - lo)
     v_mean, e_mean = integrate_interval(
         lambda k: _slab_mean(f, k, tol)[0], lo, hi, spec)
-    e_mean += dropped(tol) + _mean_allowance(tol, lo, hi)
+    e_mean += dropped + tol * (hi - lo)
     v_raw, e_raw = integrate_interval(lambda k: f(k, 0.0, 0.0, 0.0), lo, hi,
                                       raw_spec)
     return abs(v_mean - v_raw), e_mean + e_raw
@@ -905,8 +925,9 @@ def _dense_band_dual(cfg, lo, hi, spec):
     independent check of the dense-band route.
     """
     f = _vacuum_bath_integrand(cfg)
-    return _mean_vs_raw(f, lo, hi, spec,
-                        lambda tol: _band_bound(f, cfg, lo, hi, tol), spec)
+    tol = 0.01 * spec.abs_tol / (hi - lo)
+    return _mean_vs_raw(f, lo, hi, spec, tol,
+                        _band_bound(f, cfg, lo, hi, tol), spec)
 
 
 def _shallow_band_dual(cfg, f, lo, hi, spec):
@@ -919,8 +940,8 @@ def _shallow_band_dual(cfg, f, lo, hi, spec):
     """
     fine = replace(spec, panel_width=math.pi / _slab_rate(cfg.left,
                                                           cfg.width, lo))
-    return _mean_vs_raw(f, lo, hi, spec,
-                        lambda tol: _shallow_bound(f, cfg, lo, hi), fine)
+    return _mean_vs_raw(f, lo, hi, spec, _shallow_tol(spec.abs_tol, lo, hi),
+                        _shallow_bounds(f, cfg, lo, hi)(lo, hi), fine)
 
 
 def _ic_parts(cfg, state, spec):
@@ -1346,42 +1367,41 @@ def band_excess_curve(cfg, omega_center, sigmas, spec):
     so they are assembled incrementally from non-overlapping strips and a
     full ladder costs a single pass over the widest window.  Where a strip
     crosses the shallow band of identical absorbing slabs, it integrates
-    the slab-phase mean there and adds the bound on the dropped slab
-    oscillation to its error.
+    the slab-phase mean there, and each window adds to its error the bound
+    on the slab oscillation dropped across its part of the band.
 
     Returns
     -------
     list of (excess, err)
         One pair per input sigma, in input order.
     """
-    a, d = cfg.gap, cfg.width
-    tl = cfg.left.as_tuple()
-    tr = cfg.right.as_tuple()
     bks = _breakpoints(cfg.left, cfg.right)
 
     f = _state_integrand(cfg)
     windows = [band_edges(FieldState.squeezed_band(sg, omega_center))
                for sg in sigmas]
-    band = _shallow_band(cfg, max(hi for _, hi in windows)) if windows \
-        else None
+    # the band is chosen once, over the widest window; every strip that
+    # overlaps it integrates the mean there, and each window adds the bound
+    # for its own part of the band
+    band = (_shallow_band(cfg, max(hi for _, hi in windows), spec.panel_width)
+            if windows else None)
+    if band:
+        tol = _shallow_tol(spec.abs_tol, *band)
+        bound = _shallow_bounds(f, cfg, *band)
 
     def g(k):
-        return k * core.ic_bracket(k, a, d, tl, tr)
+        return f(k, 0.0, 0.0, 0.0)
 
     def strip(lo, hi):
         if hi <= lo:
             return 0.0, 0.0
         inner = tuple(b for b in bks if lo < b < hi)
-        part = _shallow_part(band, lo, hi, spec.panel_width)
-        if not part:
+        if not band or hi <= band[0] or band[1] <= lo:
             return integrate_interval(g, lo, hi, spec, breakpoints=inner)
-        # the means' integrated error is held to a hundredth of abs_tol
-        (s_lo, s_hi), = part
-        tol = 0.01 * spec.abs_tol / (s_hi - s_lo)
-        v, e = integrate_interval(_banded(g, f, part, tol), lo, hi, spec,
-                                  breakpoints=inner + part[0])
-        return v, (e + _shallow_bound(f, cfg, s_lo, s_hi)
-                   + _mean_allowance(tol, s_lo, s_hi))
+        part = (max(band[0], lo), min(band[1], hi))
+        v, e = integrate_interval(_banded(g, f, (part,), tol), lo, hi, spec,
+                                  breakpoints=inner + part)
+        return v, e + tol * (part[1] - part[0])
 
     order = sorted(range(len(sigmas)), key=lambda i: sigmas[i])
     out = [None] * len(sigmas)
@@ -1395,8 +1415,11 @@ def band_excess_curve(cfg, omega_center, sigmas, spec):
         acc += v1 + v2
         eacc += e1 + e2
         prev_lo, prev_hi = lo, hi
+        dropped = 0.0
+        if band and lo < band[1] and band[0] < hi:
+            dropped = bound(max(band[0], lo), min(band[1], hi))
         fac = math.cosh(2.0 / sg) - 1.0
-        out[i] = (fac * acc, fac * eacc)
+        out[i] = (fac * acc, fac * (eacc + dropped))
     return out
 
 

@@ -492,47 +492,39 @@ def test_dense_band_dual_route():
 def test_shallow_band_selected_from_observables():
     # fig: the band starts above the stop band where the slab stops being
     # opaque (e^{-2 k Im(n) d} = 1e-6), and runs to the requested end
-    lo, hi = forces._shallow_band(FIG_CFG, 106.5)
+    width = SPEC6.panel_width
+    lo, hi = forces._shallow_band(FIG_CFG, 106.5, width)
     assert 16.5 < lo < 16.7 and hi == 106.5
     assert forces._shallow(FIG_CFG, 0.5 * (lo + hi))
     assert not forces._shallow(FIG_CFG, lo - 1e-3)
-    assert forces._shallow_part((lo, hi), 0.0, 106.5, SPEC6.panel_width) \
-        == ((lo, hi),)
-    # weak pair: the band follows the dense band and ends at Z's switch
-    # point 1.3 x sqrt(200), less than eight panel widths later: it stays raw
-    k_switch = 1.3 * 10.0 * math.sqrt(2.0)
-    band = forces._shallow_band(WEAK_CFG, k_switch)
-    dense_hi = forces._dense_bands(WEAK_CFG, k_switch)[-1][1]
-    assert band[0] == pytest.approx(dense_hi, abs=1e-3)
-    assert band[1] == k_switch
-    assert forces._shallow_part(band, 0.0, k_switch,
-                                WEAK_SPEC.panel_width) == ()
+    assert forces._comb(FIG_CFG, lo - 1e-3)[0] < forces._CLEAR_MIN
+    # shorter than eight panel widths: raw
+    assert forces._shallow_band(FIG_CFG, lo + 7.0 * width, width) is None
+    # weak pair: the shallow stretch abuts the upper dense band, where the
+    # slab is clear and its comb deep, so it is never used, for Z's switch
+    # point 1.3 x sqrt(200) or for any later one
+    for k_end in (1.3 * 10.0 * math.sqrt(2.0), 30.0, 100.0):
+        assert forces._shallow_band(WEAK_CFG, k_end, 0.01) is None
     # mild pairs: different slabs, or identical slabs whose phase is slow
     for cfg in (CFG, CavityConfig(0.5, 0.4, MILD_L, MILD_R),
                 CavityConfig(1.0, 0.4, MILD_L, MILD_L)):
-        assert forces._shallow_band(cfg, 100.0) is None
-
-
-@pytest.mark.parametrize("lo, hi", [(None, 30.0), (25.3, 27.9)])
-def test_shallow_bound_covers_the_dropped_oscillation(lo, hi):
-    if lo is None:
-        lo = forces._shallow_band(FIG_CFG, hi)[0]
-    for f in (forces._vacuum_bath_integrand(FIG_CFG),
-              forces._state_integrand(FIG_CFG)):
-        dev, est = forces._shallow_band_dual(FIG_CFG, f, lo, hi, SPEC6)
-        assert dev <= est
+        assert forces._shallow_band(cfg, 100.0, width) is None
 
 
 def test_shallow_bound_counts_both_signs_of_each_harmonic():
     # h_-j is the conjugate of h_j: half the bound (one sign of j) does not
     # cover the state integrand's dropped oscillation from the band's start
+    # (that the full bound covers it is the verify check
+    # shallow_band_dual_pipeline)
     f = forces._state_integrand(FIG_CFG)
-    lo = forces._shallow_band(FIG_CFG, 30.0)[0]
+    lo = forces._shallow_band(FIG_CFG, 30.0, SPEC6.panel_width)[0]
     dev, _ = forces._shallow_band_dual(FIG_CFG, f, lo, 30.0, SPEC6)
-    assert dev > 0.5 * forces._shallow_bound(f, FIG_CFG, lo, 30.0)
+    assert dev > 0.5 * forces._shallow_bounds(f, FIG_CFG, lo, 30.0)(lo, 30.0)
 
 
-@pytest.mark.parametrize("sigmas", [(100.0,), (20.0, 50.0, 100.0)])
+@pytest.mark.parametrize("sigmas", [
+    (100.0,), (20.0, 50.0, 100.0),
+    tuple(10.0 * i for i in range(1, 11))])
 def test_band_excess_strips_are_honest_in_the_shallow_band(sigmas):
     # Reference: the window integral of k * bracket over [0, 55] by
     # integrate_interval on 0.01-wide panels (a third of a slab period) with
