@@ -33,7 +33,6 @@ from .forces import (
     halfspace_ic_unregularized,
     lifshitz_matsubara,
 )
-from .kernels import COMPILED
 from .material import (
     Material,
     damping_transform,
@@ -71,7 +70,6 @@ from .stress import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "COMPILED",
     "CavityConfig",
     "CavityResonanceError",
     "DeltaStateWeightError",

@@ -1,7 +1,7 @@
 """Scalar kernels: slab response, cavity scattering and force integrands.
 
-Single source for both the pure-Python import and the optional compiled
-extension (see setup.py); keep this module free of heavy dependencies.
+Plain Python on the standard library only; ``casimir1d.kernels`` binds
+this module as ``core`` for every caller.
 
 Conventions: natural units with the gap-crossing time as the base scale;
 the Laplace variable is s (s = -i*omega on the real frequency axis, s = kappa
@@ -10,7 +10,7 @@ the gap is a, interfaces sit at +-a/2 and +-(a/2+d).
 """
 
 import cmath
-from math import cos, exp, expm1, inf, pi, sin, sqrt
+from math import cos, exp, expm1, inf, sin, sqrt
 
 from .errors import CavityResonanceError, SingularEvaluationError
 
@@ -309,20 +309,6 @@ def _surface_refl(omega, mat):
     return (1.0 - n) / (1.0 + n)
 
 
-def halfspace_bath_integrand(omega, a, matL, matR, betaL, betaR, sG=0.0):
-    """Two-temperature bath integrand between half-spaces."""
-    rnL = _surface_refl(omega, matL)
-    rnR = _surface_refl(omega, matR)
-    pL = abs(rnL) ** 2
-    pR = abs(rnR) ** 2
-    gap = gap_phase(omega, a, sG)
-    _, delta = cavity_delta(rnL, rnR, gap)
-    d2 = abs(delta) ** 2
-    return omega * (coth_half(betaL, omega) * (1.0 - pL)
-                    * (1.0 - (1.0 + pR) / d2)
-                    - coth_half(betaR, omega) * (1.0 - pR) * (1.0 + pL) / d2)
-
-
 def halfspace_combined_integrand(k, a, matL, matR, betaL, betaR, beta_phi,
                                  sG=0.0):
     """Summed (state + bath) half-space integrand, stable at large k.
@@ -366,14 +352,3 @@ def halfspace_mismatch_integrand(k, a, matL, matR, betaL, betaR, beta_phi):
     return _halfspace_mismatch(k, abs(rnL) ** 2, abs(rnR) ** 2,
                                abs(delta) ** 2, betaL, betaR,
                                coth_half(beta_phi, k))
-
-
-def halfspace_bath_mean(k, a, matL, matR, betaL, betaR):
-    """Gap-phase average of halfspace_bath_integrand (exact closed form)."""
-    rnL = _surface_refl(k, matL)
-    rnR = _surface_refl(k, matR)
-    pL = abs(rnL) ** 2
-    pR = abs(rnR) ** 2
-    inv = 1.0 / (1.0 - pL * pR)
-    return k * (coth_half(betaL, k) * (1.0 - pL) * (1.0 - (1.0 + pR) * inv)
-                - coth_half(betaR, k) * (1.0 - pR) * (1.0 + pL) * inv)

@@ -456,7 +456,7 @@ def _verify_checks():
     spec_fig = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-10)
     start = forces._shallow_band(cfg_fig, 30.0, spec_fig.panel_width)[0]
     worst = 0.0
-    for f in (forces._vacuum_bath_integrand(cfg_fig),
+    for f in (forces._bath_integrand(cfg_fig, math.inf, math.inf),
               forces._state_integrand(cfg_fig)):
         for lo, hi in ((start, 30.0), (25.3, 27.9)):
             dev, est = forces._shallow_band_dual(cfg_fig, f, lo, hi,

@@ -421,32 +421,26 @@ def _probe_amplitude(raw, averaged, k, window):
     return amp
 
 
-def _oscillatory_integral(raw, shifted, spec, gap, width=None,
-                          breakpoints=(), naxes=3, bands=(), comb=None):
+def _oscillatory_integral(shifted, spec, gap, breakpoints, cfg=None):
     """Integrate a decaying oscillatory force integrand over [0, inf).
 
     Parameters
     ----------
-    raw : callable
-        ``raw(k)`` evaluates the integrand; must equal ``shifted(k, 0, 0, 0)``.
     shifted : callable
-        ``shifted(k, sL, sR, sG)`` evaluates it with phase offsets.
+        ``shifted(k, sL, sR, sG)`` evaluates the integrand with additive
+        offsets on the left-slab, right-slab and gap phases; the integrand
+        itself is ``shifted(k, 0, 0, 0)``.
     spec : QuadratureSpec
         Tolerances; ``rel_tol`` is interpreted against the integral scale.
-    gap, width : float
-        Geometry lengths fixing the slowest oscillation rates.  ``width``
-        is None for half-space integrands (gap phase only).
+    gap : float
+        Gap width, fixing the slowest oscillation rate.
     breakpoints : sequence
-        Material response features, passed to the direct quadrature.
-    naxes : int
-        Oscillation phases averaged over in the tail (see
-        ``_phase_average``).
-    bands : sequence of (lo, hi)
-        Dense slab-resonance bands of identical slabs, below the switch
-        point; the passes integrate the slab-phase mean there.
-    comb : CavityConfig
-        The cavity, given with ``bands`` or to let the direct pass use the
-        shallow band of identical absorbing slabs; None for half-spaces.
+        Sorted material response features, passed to the direct quadrature;
+        the last one fixes the first switch point candidate.
+    cfg : CavityConfig or None
+        The cavity; None for half-space integrands, whose only phase is the
+        gap phase.  It sets the slab rate, the phases the tail averages
+        and, for identical absorbing slabs, the dense and shallow bands.
 
     Returns
     -------
@@ -456,10 +450,17 @@ def _oscillatory_integral(raw, shifted, spec, gap, width=None,
         the switch point and across the dense and shallow bands, and the
         tail remainder-model uncertainty.
     """
+    def raw(k):
+        return shifted(k, 0.0, 0.0, 0.0)
+
     period = math.pi / gap
     inv_rate = 1.0 / gap
-    if width is not None and width > 0.0:
-        inv_rate += 1.0 / width
+    naxes, bands = 1, ()
+    if cfg is not None:
+        inv_rate += 1.0 / cfg.width
+        naxes = 2 if cfg.left == cfg.right else 3
+        if breakpoints:
+            bands = _dense_bands(cfg, 1.3 * breakpoints[-1])
 
     def averaged(k):
         return _phase_average(shifted, k, naxes)
@@ -520,8 +521,8 @@ def _oscillatory_integral(raw, shifted, spec, gap, width=None,
 
     # Direct adaptive pass below the switch point; the shallow band joins
     # the dense bands there.
-    shallow = (_shallow_band(comb, K, spec.panel_width)
-               if comb is not None else None)
+    shallow = (_shallow_band(cfg, K, spec.panel_width)
+               if cfg is not None else None)
     direct = replace(spec, abs_tol=max(spec.abs_tol, 0.25 * budget,
                                        0.5 * _NOISE_EPS * K * K))
     mean_tol = 0.01 * direct.abs_tol / band_len if bands else 0.0
@@ -535,10 +536,10 @@ def _oscillatory_integral(raw, shifted, spec, gap, width=None,
         breakpoints=tuple(b for b in breakpoints if b < K) + edges)
     err += bound
     for lo, hi in bands:
-        err += _band_bound(shifted, comb, lo, hi, mean_tol)
+        err += _band_bound(shifted, cfg, lo, hi, mean_tol)
     err += mean_tol * band_len
     if shallow:
-        err += (_shallow_bounds(shifted, comb, *shallow)(*shallow)
+        err += (_shallow_bounds(shifted, cfg, *shallow)(*shallow)
                 + shallow_tol * (shallow[1] - shallow[0]))
 
     # Phase-averaged tail over geometric panels; for an inverse-cube mean
@@ -783,24 +784,11 @@ def _mode_points(cfg, panel_width):
 
 
 def _real_axis(cfg, spec, f):
-    """Oscillatory integral of ``f(k, sL, sR, sG)`` over k in [0, inf).
-
-    ``f`` is a cavity integrand evaluated with additive offsets on the
-    left-slab, right-slab and gap phases.  The layout adds the narrow bound
-    gap modes as breakpoints and, for identical slabs, the dense
-    slab-resonance bands below the first switch point candidate and the
-    shallow band below the switch point.
-    """
-    def raw(k):
-        return f(k, 0.0, 0.0, 0.0)
-
-    bks = _breakpoints(cfg.left, cfg.right)
-    modes = _mode_points(cfg, spec.panel_width)
-    bands = _dense_bands(cfg, 1.3 * bks[-1]) if bks else ()
-    same = cfg.left == cfg.right
-    return _oscillatory_integral(
-        raw, f, spec, cfg.gap, cfg.width, tuple(sorted(bks + modes)),
-        naxes=2 if same else 3, bands=bands, comb=cfg)
+    """``_oscillatory_integral`` of the cavity integrand ``f(k, sL, sR, sG)``
+    with the narrow bound gap modes added to the breakpoints."""
+    bks = _breakpoints(cfg.left, cfg.right) + _mode_points(cfg,
+                                                           spec.panel_width)
+    return _oscillatory_integral(f, spec, cfg.gap, tuple(sorted(bks)), cfg)
 
 
 def _thermal_excess(bracket, beta, spec, breakpoints):
@@ -876,18 +864,29 @@ def _vacuum_bath(cfg, spec):
     one real-axis oscillatory integral per cavity.  A raised error is not
     memoized.
     """
-    return _real_axis(cfg, spec, _vacuum_bath_integrand(cfg))
+    return _real_axis(cfg, spec, _bath_integrand(cfg, math.inf, math.inf))
 
 
-def _vacuum_bath_integrand(cfg):
-    """Zero-temperature bath integrand ``f(k, sL, sR, sG)`` of a cavity."""
+def _bath_integrand(cfg, beta_left, beta_right):
+    """Bath integrand ``f(k, sL, sR, sG)`` of a cavity at the given inverse
+    bath temperatures (both infinite for zero temperature)."""
     a, d = cfg.gap, cfg.width
     tl, tr = cfg.left.as_tuple(), cfg.right.as_tuple()
-    inf = math.inf
 
     def f(k, sL, sR, sG):
-        return core.bath_integrand(k, a, d, tl, tr, inf, inf, sL, sR, sG)
+        return core.bath_integrand(k, a, d, tl, tr, beta_left, beta_right,
+                                   sL, sR, sG)
     return f
+
+
+def _bracket(cfg):
+    """State bracket ``bracket(k)`` of a cavity, without phase offsets."""
+    a, d = cfg.gap, cfg.width
+    tl, tr = cfg.left.as_tuple(), cfg.right.as_tuple()
+
+    def bracket(k):
+        return core.ic_bracket(k, a, d, tl, tr)
+    return bracket
 
 
 def _state_integrand(cfg):
@@ -924,7 +923,7 @@ def _dense_band_dual(cfg, lo, hi, spec):
     Returns ``(deviation, estimate)`` (see ``_mean_vs_raw``).  An
     independent check of the dense-band route.
     """
-    f = _vacuum_bath_integrand(cfg)
+    f = _bath_integrand(cfg, math.inf, math.inf)
     tol = 0.01 * spec.abs_tol / (hi - lo)
     return _mean_vs_raw(f, lo, hi, spec, tol,
                         _band_bound(f, cfg, lo, hi, tol), spec)
@@ -964,13 +963,7 @@ def _ic_parts(cfg, state, spec):
             "real axis; the non-vacuum excess integral is singular",
             partial=scale * rot[0], error=None, panels=0)
     zt = _vacuum_bath(cfg, spec) if absorbing else _ZERO
-    a, d = cfg.gap, cfg.width
-    tl, tr = L.as_tuple(), R.as_tuple()
-
-    def bracket(k):
-        return core.ic_bracket(k, a, d, tl, tr)
-
-    exc = _state_excess(bracket, eff, spec, _breakpoints(L, R))
+    exc = _state_excess(_bracket(cfg), eff, spec, _breakpoints(L, R))
     return scale, rot, zt, exc
 
 
@@ -988,14 +981,12 @@ def _bath_parts(cfg, beta_left, beta_right, spec):
     if not (_absorbing(L) or _absorbing(R)):
         return _ZERO, _ZERO
     zt = _vacuum_bath(cfg, spec)
-    a, d = cfg.gap, cfg.width
-    tl, tr = L.as_tuple(), R.as_tuple()
-    inf = math.inf
+    hot = _bath_integrand(cfg, beta_left, beta_right)
+    cold = _bath_integrand(cfg, math.inf, math.inf)
 
     # coth(beta k / 2) - 1 < 1e-52 past beta k = 120 on both baths
     def g(k):
-        return (core.bath_integrand(k, a, d, tl, tr, beta_left, beta_right)
-                - core.bath_integrand(k, a, d, tl, tr, inf, inf))
+        return hot(k, 0.0, 0.0, 0.0) - cold(k, 0.0, 0.0, 0.0)
 
     _endpoint_check(g)
     hi = 120.0 / min(beta_left, beta_right)
@@ -1100,14 +1091,8 @@ def _real_axis_ic(cfg, state, spec):
     and ``force_total``.
     """
     scale, eff = _effective_state(state)
-    a, d = cfg.gap, cfg.width
-    tl, tr = cfg.left.as_tuple(), cfg.right.as_tuple()
-
-    def bracket(k):
-        return core.ic_bracket(k, a, d, tl, tr)
-
     v, ev = _real_axis(cfg, spec, _state_integrand(cfg))
-    x, ex = _state_excess(bracket, eff, spec,
+    x, ex = _state_excess(_bracket(cfg), eff, spec,
                           _breakpoints(cfg.left, cfg.right))
     return scale * (v + x), scale * (ev + ex)
 
@@ -1115,14 +1100,7 @@ def _real_axis_ic(cfg, state, spec):
 def _real_axis_bath(cfg, beta_left, beta_right, spec):
     """Bath force integrated directly on the real axis at the given
     temperatures (see ``_real_axis_ic``)."""
-    a, d = cfg.gap, cfg.width
-    tl, tr = cfg.left.as_tuple(), cfg.right.as_tuple()
-
-    def f(k, sL, sR, sG):
-        return core.bath_integrand(k, a, d, tl, tr, beta_left, beta_right,
-                                   sL, sR, sG)
-
-    return _real_axis(cfg, spec, f)
+    return _real_axis(cfg, spec, _bath_integrand(cfg, beta_left, beta_right))
 
 
 def _ident_bracket(k, a, d, mat):
@@ -1188,10 +1166,7 @@ def force_delta_squeezed(cfg, omega_center, spec):
     """
     if not omega_center > 0.0:
         raise ValueError("omega_center must be positive")
-    tl = cfg.left.as_tuple()
-    tr = cfg.right.as_tuple()
-    return omega_center * core.ic_bracket(omega_center, cfg.gap, cfg.width,
-                                          tl, tr)
+    return omega_center * _bracket(cfg)(omega_center)
 
 
 def lifshitz_matsubara(matL, matR, a, beta, spec):
@@ -1310,16 +1285,11 @@ def halfspace_forces(matL, matR, a, beta_left, beta_right, beta_phi, spec):
     tr = matR.as_tuple()
     bks = _breakpoints(matL, matR)
 
-    def raw_ic(k):
-        return core.halfspace_combined_integrand(k, a, tl, tr, beta_phi,
-                                                 beta_phi, beta_phi)
-
-    def sh_ic(k, sL, sR, sG):
+    def f(k, sL, sR, sG):
         return core.halfspace_combined_integrand(k, a, tl, tr, beta_phi,
                                                  beta_phi, beta_phi, sG)
 
-    f_ic, _ = _oscillatory_integral(raw_ic, sh_ic, spec, a, width=None,
-                                    breakpoints=bks, naxes=1)
+    f_ic, _ = _oscillatory_integral(f, spec, a, bks)
     if beta_left == beta_phi and beta_right == beta_phi:
         return f_ic, 0.0
 
@@ -1431,13 +1401,10 @@ def bracket_sign_scan(cfg, k_max=60.0, samples=4096):
     monotonicity arguments only hold on single-signed configurations, so
     callers must consult this scan before invoking them.
     """
-    a, d = cfg.gap, cfg.width
-    tl = cfg.left.as_tuple()
-    tr = cfg.right.as_tuple()
+    bracket = _bracket(cfg)
     pos = neg = False
     for i in range(samples):
-        k = k_max * (i + 1) / samples
-        v = core.ic_bracket(k, a, d, tl, tr)
+        v = bracket(k_max * (i + 1) / samples)
         if v > 1e-13:
             pos = True
         elif v < -1e-13:

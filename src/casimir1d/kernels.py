@@ -1,14 +1,7 @@
-"""Kernel dispatch: prefer the compiled extension, fall back to pure Python.
+"""The scalar kernel module ``core`` (``casimir1d._core``): the one binding
+through which the force, material, scattering and stress routines look up
+every kernel, so wrapping one of its attributes reaches every caller."""
 
-``core`` is the module actually in use; ``COMPILED`` records which one won.
-Both expose the identical API (they are built from the same source file).
-"""
+from . import _core as core
 
-try:
-    from . import _core_c as core
-    COMPILED = True
-except ImportError:  # pragma: no cover - depends on the build environment
-    from . import _core as core
-    COMPILED = False
-
-__all__ = ["core", "COMPILED"]
+__all__ = ["core"]

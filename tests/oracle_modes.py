@@ -5,9 +5,15 @@ with numpy, completely independently of the package's closed-form coefficient
 assembly.  Only suitable for mild opacity (|s n d| small enough that the
 matching matrix stays well conditioned); the opaque regime is cross-checked
 against closed-form half-space limits instead.
+
+Also holds ``halfspace_bath_integrand``, the ungrouped half-space bath
+integrand, the reference for the opaque-slab limit of the bath integrand and
+for the grouping of ``halfspace_combined_integrand``.
 """
 
 import numpy as np
+
+from casimir1d._core import _surface_refl, cavity_delta, coth_half, gap_phase
 
 
 def solve_greater(omega, a, d, nL, nR):
@@ -111,3 +117,17 @@ def bracket_greater_lesser(omega, a, d, nL, nR):
     return (1.0 + abs(g["R"]) ** 2 + abs(g["T"]) ** 2
             - abs(g["C"]) ** 2 - abs(g["D"]) ** 2
             - abs(l["C"]) ** 2 - abs(l["D"]) ** 2)
+
+
+def halfspace_bath_integrand(omega, a, matL, matR, betaL, betaR, sG=0.0):
+    """Two-temperature bath integrand between half-spaces."""
+    rnL = _surface_refl(omega, matL)
+    rnR = _surface_refl(omega, matR)
+    pL = abs(rnL) ** 2
+    pR = abs(rnR) ** 2
+    gap = gap_phase(omega, a, sG)
+    _, delta = cavity_delta(rnL, rnR, gap)
+    d2 = abs(delta) ** 2
+    return omega * (coth_half(betaL, omega) * (1.0 - pL)
+                    * (1.0 - (1.0 + pR) / d2)
+                    - coth_half(betaR, omega) * (1.0 - pR) * (1.0 + pL) / d2)

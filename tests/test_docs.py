@@ -9,7 +9,7 @@ DOCS = pathlib.Path(__file__).resolve().parent.parent / "docs"
 
 # infrastructure names that are not physics operations
 _EXEMPT = {
-    "COMPILED", "__version__",
+    "__version__",
     "CavityResonanceError", "DeltaStateWeightError", "NaNIntegrandError",
     "NonConvergenceError", "RegionUnsupportedError",
     "ResonanceSingularityError", "SingularEvaluationError",

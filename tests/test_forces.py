@@ -337,9 +337,7 @@ def test_halfspace_mismatch_group_matches_two_integral_difference():
         def sh(k, sL, sR, sG, b1=b1, b2=b2):
             return core.halfspace_combined_integrand(k, a, tl, tr, b1, b2,
                                                      bphi, sG)
-        parts.append(forces._oscillatory_integral(
-            lambda k, sh=sh: sh(k, 0.0, 0.0, 0.0), sh, SPEC6, a,
-            breakpoints=bks, naxes=1))
+        parts.append(forces._oscillatory_integral(sh, SPEC6, a, bks))
     (tot, e_tot), (ic, e_ic) = parts
 
     def g(k):
@@ -418,7 +416,7 @@ def test_dense_bands_only_for_sharp_identical_slabs():
 
 
 def test_slab_mean_settles_geometrically():
-    f = forces._vacuum_bath_integrand(WEAK_CFG)
+    f = forces._bath_integrand(WEAK_CFG, math.inf, math.inf)
     for k in (9.4, 9.8, 9.95, 9.99, 14.15, 14.5):
         means = []
         for n in (8, 16, 32, 64, 128, 256, 512):
@@ -449,6 +447,36 @@ def test_diagonal_mean_for_identical_slabs():
     assert forces._phase_average(f, 1.0, 2) == pytest.approx(1.0)
     assert len(calls) == 16 and all(sl == sr for sl, sr in calls)
     assert forces._phase_average(f, 1.0, 3) == pytest.approx(0.0, abs=1e-15)
+
+    # the real-axis integral reads its phase axes from the cavity: identical
+    # slabs are offset only on the diagonal, different slabs also off it
+    loose = QuadratureSpec(rel_tol=1e-3, abs_tol=1e-6)
+    for cfg, diagonal in ((CavityConfig(1.0, 0.4, MILD_L, MILD_L), True),
+                          (CFG, False)):
+        calls = []
+        bath = forces._bath_integrand(cfg, math.inf, math.inf)
+
+        def rec(k, sL, sR, sG, bath=bath, calls=calls):
+            calls.append((sL, sR))
+            return bath(k, sL, sR, sG)
+
+        forces._real_axis(cfg, loose, rec)
+        assert any(c != (0.0, 0.0) for c in calls)
+        assert all(sl == sr for sl, sr in calls) == diagonal
+
+    # without a cavity only the gap phase is offset
+    calls = []
+    tl, tr = MILD_L.as_tuple(), MILD_R.as_tuple()
+
+    def half(k, sL, sR, sG):
+        calls.append((sL, sR, sG))
+        return core.halfspace_combined_integrand(k, 1.0, tl, tr, 10.0, 10.0,
+                                                 10.0, sG)
+
+    forces._oscillatory_integral(half, loose, 1.0,
+                                 forces._breakpoints(MILD_L, MILD_R))
+    assert all(sl == sr == 0.0 for sl, sr, _ in calls)
+    assert any(sg != 0.0 for _, _, sg in calls)
 
 
 def test_bound_gap_modes_located():
