@@ -160,7 +160,7 @@ def _state(cp, gap_meters):
     raise ConfigError("unknown state variant %r" % variant)
 
 
-def load_run_config(path, need_baths=True, need_sweep=False):
+def load_run_config(path, need_sweep=False):
     """Parse the INI run configuration at path into a RunConfig."""
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
@@ -184,12 +184,10 @@ def load_run_config(path, need_baths=True, need_sweep=False):
     except ValueError as exc:
         raise ConfigError("bad [cavity]: %s" % exc)
 
-    beta_left = beta_right = 1.0
-    if need_baths:
-        if not cp.has_section("baths"):
-            raise ConfigError("missing required section [baths]")
-        beta_left = _beta(cp, "baths", "beta_left", gap_meters)
-        beta_right = _beta(cp, "baths", "beta_right", gap_meters)
+    if not cp.has_section("baths"):
+        raise ConfigError("missing required section [baths]")
+    beta_left = _beta(cp, "baths", "beta_left", gap_meters)
+    beta_right = _beta(cp, "baths", "beta_right", gap_meters)
 
     kwargs = {}
     if cp.has_section("quadrature"):
@@ -439,18 +437,20 @@ def _verify_checks():
     checks.append(("lifshitz_dual_pipeline",
                    abs(hs_ic - lif) / abs(lif), 1e-6))
 
-    # the slab-phase mean against raw quadrature inside the dense band of
-    # the weakly damped pair, in units of the combined error estimate
+    # the slab-phase mean plus its bound against raw quadrature on
+    # half-slab-period panels inside the dense band of the weakly damped
+    # pair, in units of the combined error estimate
     weak = Material(10.0, 10.0, 1e-6)
-    dev, est = forces._dense_band_dual(
-        CavityConfig(1.0, 100.0, weak, weak), 9.4, 9.6,
-        QuadratureSpec(rel_tol=1e-6, abs_tol=1e-9))
+    cfg_weak = CavityConfig(1.0, 100.0, weak, weak)
+    dev, est = forces._band_dual(
+        cfg_weak, forces._bath_integrand(cfg_weak, math.inf, math.inf),
+        9.4, 9.6, QuadratureSpec(rel_tol=1e-6, abs_tol=1e-9))
     checks.append(("dense_band_dual_pipeline", dev / est, 1.0))
 
-    # the slab-phase mean plus its third-order bound against raw quadrature
-    # on half-slab-period panels, in the shallow band of the docs cavity,
-    # for the bath and the state integrands, from the band's opaque lower
-    # edge and inside it; the worst ratio to the combined estimate
+    # the slab-phase mean plus its bound against raw quadrature on
+    # half-slab-period panels, in the shallow band of the docs cavity, for
+    # the bath and the state integrands, from the band's opaque lower edge
+    # and inside it; the worst ratio to the combined estimate
     fig = Material(10.0, 10.0, 0.1)
     cfg_fig = CavityConfig(1.0, 100.0, fig, fig)
     spec_fig = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-10)
@@ -459,8 +459,7 @@ def _verify_checks():
     for f in (forces._bath_integrand(cfg_fig, math.inf, math.inf),
               forces._state_integrand(cfg_fig)):
         for lo, hi in ((start, 30.0), (25.3, 27.9)):
-            dev, est = forces._shallow_band_dual(cfg_fig, f, lo, hi,
-                                                 spec_fig)
+            dev, est = forces._band_dual(cfg_fig, f, lo, hi, spec_fig)
             worst = max(worst, dev / est)
     checks.append(("shallow_band_dual_pipeline", worst, 1.0))
     return checks

@@ -46,25 +46,25 @@ structure they would otherwise chase blindly:
   faster than the gap phase (below a weakly damped resonance, sharp slab
   resonances pile up), the passes integrate the mean over the common slab
   phase, converged by doubling its offsets, while quadrature still resolves
-  the gap phase.  The band edges are breakpoints, and the dropped slab
-  oscillation (its envelope over the phase rate at both edges, plus its
-  variation across the band) joins the error estimate;
+  the gap phase.  The band edges are breakpoints;
 * the shallow band: above the stop band, once an identical pair's slabs
   are no longer opaque (e^{-2 k Im(n) d} >= 1e-6) while their slab phase
   still runs fast and their comb is shallow (|rn^2 E| below the dense
   band's), the direct pass integrates the slab-phase mean up to the switch
   point, and so do the strips of ``band_excess_curve``.  The band is used
   only when the slab is opaque just below its lower edge, where the
-  dropped oscillation vanishes, and when it spans eight panels.  Its bound
-  integrates each slab harmonic h_j e^{i j phi} by parts three times: edge
-  terms at orders 1/j, 1/j^2 and 1/j^3 plus the variation of the last,
-  counted for both signs of j, from the harmonics sampled once on a grid
-  across the band that resolves the gap phase;
+  dropped oscillation vanishes, and when it spans eight panels;
 * bound gap modes: inside each absorbing slab's stop band the cavity
   denominator |1 - rL rR e^{2ika}| dips at the bound modes.  Modes far
   narrower than a panel are located by a scan and golden-section search and
   pinned as breakpoints at k_m and k_m +- 10^j times their width, so the
   spikes are integrated no matter where refinement puts its nodes.
+
+Across both kinds of band one bound on the dropped slab oscillation joins
+the error estimate: each slab harmonic h_j e^{i j phi} is integrated by
+parts three times, leaving edge terms at orders 1/j, 1/j^2 and 1/j^3 plus
+the variation of the last, counted for both signs of j, from the harmonics
+sampled once on a grid across the band that resolves the gap phase.
 
 Undamped slabs leave the real-axis tail undamped, so no classical improper
 integral exists there; only the rotated R and the absolutely convergent
@@ -120,15 +120,13 @@ _SHARP_MAX = 0.9
 # doubles them until two successive means agree.
 _MEAN_START = 8
 _MEAN_MAX = 4096
-# Rounding floor of the shallow band's mean tolerance, in units of the
-# evaluation noise _NOISE_EPS * k at the band's top: two means of a shallow
+# Rounding floor of the slab-phase mean tolerance, in units of the
+# evaluation noise _NOISE_EPS * k at the bands' top: two means of a shallow
 # comb differ only by rounding once their harmonics are gone (up to 2.1 units
 # on the docs cavity, where k times the state bracket cancels to 1e-4 of its
 # terms), and a tolerance below that would double the offsets until
 # _MEAN_MAX.
 _MEAN_NOISE = 8.0
-# Samples across a dense band for the variation of the dropped oscillation.
-_BAND_SAMPLES = 16
 # Shallow band of identical slabs: above the stop band, where the slab phase
 # runs fast, the slab comb is shallow (|rn^2 E| < _SHARP_MIN) and the slab is
 # not opaque (e^{-2 k Im(n) d} >= _CLEAR_MIN), the passes integrate the
@@ -137,7 +135,7 @@ _BAND_SAMPLES = 16
 # _SHALLOW_PANELS panel widths.
 _CLEAR_MIN = 1e-6
 _SHALLOW_PANELS = 8
-# The shallow-band bound takes the slab harmonics from _HARM_OFFSETS diagonal
+# The band bound takes the slab harmonics from _HARM_OFFSETS diagonal
 # samples at _HARM_GRID points per gap period pi/a.
 _HARM_OFFSETS = 32
 _HARM_GRID = 8
@@ -283,42 +281,21 @@ def _slab_mean(shifted, k, tol):
     Doubles the number of equidistant offsets from ``_MEAN_START`` until two
     successive means agree within ``tol`` (the Fourier harmonics of the slab
     phase decay geometrically, so the last mean is far closer than that).
-    Returns ``(mean, amp)``, with ``amp`` the largest deviation of a sample
-    from the mean: the envelope of the oscillation the mean drops.
     """
     n = _MEAN_START
     vals = _diagonal(shifted, k, [2.0 * math.pi * i / n for i in range(n)],
                      0.0)
     mean = sum(vals) / n
-    while True:
-        if n >= _MEAN_MAX:
-            raise NonConvergenceError(
-                "slab-phase mean at k = %.6g not settled to %.3e with %d "
-                "offsets" % (k, tol, n), partial=None, error=None, panels=0)
+    while n < _MEAN_MAX:
         vals += _diagonal(shifted, k,
                           [math.pi * (2 * i + 1) / n for i in range(n)], 0.0)
         n *= 2
         prev, mean = mean, sum(vals) / n
         if abs(mean - prev) <= tol:
-            break
-    return mean, max(abs(v - mean) for v in vals)
-
-
-def _band_bound(shifted, comb, lo, hi, tol):
-    """Bound on the slab oscillation dropped by integrating the mean over
-    [lo, hi] in a dense band of the identical slabs of ``comb``.
-
-    Integrating the harmonics of the slab phase phi by parts leaves the
-    deviation envelope over phi' at both edges plus the variation of that
-    ratio across the band; both are sampled on ``_BAND_SAMPLES`` intervals.
-    """
-    ratios = []
-    for i in range(_BAND_SAMPLES + 1):
-        k = lo + (hi - lo) * i / _BAND_SAMPLES
-        ratios.append(_slab_mean(shifted, k, tol)[1]
-                      / abs(_slab_rate(comb.left, comb.width, k)))
-    variation = sum(abs(b - a) for a, b in zip(ratios[:-1], ratios[1:]))
-    return ratios[0] + ratios[-1] + variation
+            return mean
+    raise NonConvergenceError(
+        "slab-phase mean at k = %.6g not settled to %.3e with %d offsets"
+        % (k, tol, n), partial=None, error=None, panels=0)
 
 
 def _harmonics(shifted, comb, k):
@@ -346,10 +323,10 @@ def _derivative(ys, h):
     return out
 
 
-def _shallow_bounds(shifted, comb, lo, hi):
+def _band_bounds(shifted, comb, lo, hi):
     """Bounds on the slab oscillation dropped by integrating the mean over
-    parts of the shallow band [lo, hi]: returns ``bound(x0, x1)`` for
-    lo <= x0 < x1 <= hi.
+    parts of a dense or shallow band [lo, hi] of the identical slabs of
+    ``comb``: returns ``bound(x0, x1)`` for lo <= x0 < x1 <= hi.
 
     Three integrations by parts of each harmonic integral of h_j e^{i j phi}
     leave the edge terms of u = h_j / phi', u' / phi' and (u' / phi')' / phi'
@@ -396,6 +373,16 @@ def _shallow_bounds(shifted, comb, lo, hi):
     return bound
 
 
+def _mean_tol(abs_tol, bands):
+    """Tolerance of the slab-phase means across ``bands``: their integrated
+    error held to a hundredth of ``abs_tol``, or the rounding floor at the
+    bands' top where that is larger; 0 without bands."""
+    if not bands:
+        return 0.0
+    return max(0.01 * abs_tol / sum(hi - lo for lo, hi in bands),
+               _MEAN_NOISE * _NOISE_EPS * max(hi for _, hi in bands))
+
+
 def _banded(raw, shifted, bands, tol):
     """The pass integrand: the slab-phase mean inside the bands (whose edges
     are breakpoints, so no panel straddles one), raw elsewhere."""
@@ -405,7 +392,7 @@ def _banded(raw, shifted, bands, tol):
     def f(k):
         for lo, hi in bands:
             if lo < k < hi:
-                return _slab_mean(shifted, k, tol)[0]
+                return _slab_mean(shifted, k, tol)
         return raw(k)
     return f
 
@@ -434,7 +421,7 @@ def _oscillatory_integral(shifted, spec, gap, breakpoints, cfg=None):
         Tolerances; ``rel_tol`` is interpreted against the integral scale.
     gap : float
         Gap width, fixing the slowest oscillation rate.
-    breakpoints : sequence
+    breakpoints : tuple
         Sorted material response features, passed to the direct quadrature;
         the last one fixes the first switch point candidate.
     cfg : CavityConfig or None
@@ -465,9 +452,6 @@ def _oscillatory_integral(shifted, spec, gap, breakpoints, cfg=None):
     def averaged(k):
         return _phase_average(shifted, k, naxes)
 
-    band_len = sum(hi - lo for lo, hi in bands)
-    edges = tuple(e for band in bands for e in band)
-
     _endpoint_check(raw)
 
     k0 = max(8.0 * spec.panel_width, 4.0 * period)
@@ -477,13 +461,10 @@ def _oscillatory_integral(shifted, spec, gap, breakpoints, cfg=None):
     # Cheap magnitude estimate fixing the absolute error budget.
     coarse = replace(spec, rel_tol=1e-2, abs_tol=max(spec.abs_tol, 1e-8),
                      max_panels=max(2000, spec.max_panels // 10))
-    inner = tuple(b for b in breakpoints if b < k0) + edges
-    # each pass holds the means' integrated error to a hundredth of its
-    # absolute tolerance
-    mean_tol = 0.01 * coarse.abs_tol / band_len if bands else 0.0
     try:
-        c0, _ = integrate_interval(_banded(raw, shifted, bands, mean_tol),
-                                   0.0, k0, coarse, breakpoints=inner)
+        c0, _ = integrate_interval(
+            _banded(raw, shifted, bands, _mean_tol(coarse.abs_tol, bands)),
+            0.0, k0, coarse, breakpoints=breakpoints + sum(bands, ()))
     except NonConvergenceError as exc:
         c0 = exc.partial if exc.partial is not None else 0.0
     scale = max(abs(c0), abs(averaged(k0)) * k0, spec.abs_tol)
@@ -520,27 +501,20 @@ def _oscillatory_integral(shifted, spec, gap, breakpoints, cfg=None):
             % (bound, K, budget), partial=None, error=bound, panels=0)
 
     # Direct adaptive pass below the switch point; the shallow band joins
-    # the dense bands there.
-    shallow = (_shallow_band(cfg, K, spec.panel_width)
-               if cfg is not None else None)
+    # the dense bands there, and each band adds the bound on the slab
+    # oscillation it drops plus its means' allowance.
+    shallow = cfg is not None and _shallow_band(cfg, K, spec.panel_width)
+    if shallow:
+        bands += (shallow,)
     direct = replace(spec, abs_tol=max(spec.abs_tol, 0.25 * budget,
                                        0.5 * _NOISE_EPS * K * K))
-    mean_tol = 0.01 * direct.abs_tol / band_len if bands else 0.0
-    integrand = _banded(raw, shifted, bands, mean_tol)
-    if shallow:
-        shallow_tol = _shallow_tol(direct.abs_tol, *shallow)
-        integrand = _banded(integrand, shifted, (shallow,), shallow_tol)
-        edges += shallow
+    tol = _mean_tol(direct.abs_tol, bands)
     val, err = integrate_interval(
-        integrand, 0.0, K, direct,
-        breakpoints=tuple(b for b in breakpoints if b < K) + edges)
+        _banded(raw, shifted, bands, tol), 0.0, K, direct,
+        breakpoints=breakpoints + sum(bands, ()))
     err += bound
     for lo, hi in bands:
-        err += _band_bound(shifted, cfg, lo, hi, mean_tol)
-    err += mean_tol * band_len
-    if shallow:
-        err += (_shallow_bounds(shifted, cfg, *shallow)(*shallow)
-                + shallow_tol * (shallow[1] - shallow[0]))
+        err += _band_bounds(shifted, cfg, lo, hi)(lo, hi) + tol * (hi - lo)
 
     # Phase-averaged tail over geometric panels; for an inverse-cube mean
     # envelope f(k) ~ C/k^3 the remainder past kk is exactly f(kk)*kk/2.
@@ -705,13 +679,6 @@ def _shallow_band(cfg, k_end, panel_width):
     return lo, hi
 
 
-def _shallow_tol(abs_tol, lo, hi):
-    """Tolerance of the slab-phase means across the shallow band [lo, hi]:
-    their integrated error held to a hundredth of ``abs_tol``, or the
-    rounding floor at the band's top where that is larger."""
-    return max(0.01 * abs_tol / (hi - lo), _MEAN_NOISE * _NOISE_EPS * hi)
-
-
 def _gap_modes(cfg):
     """Bound gap modes in the stop bands of the absorbing dispersive slabs.
 
@@ -806,9 +773,8 @@ def _thermal_excess(bracket, beta, spec, breakpoints):
         return k * occ * bracket(k)
 
     _endpoint_check(g)
-    hi = 120.0 / beta
-    bks = tuple(b for b in breakpoints if b < hi)
-    return integrate_interval(g, 0.0, hi, spec, breakpoints=bks)
+    return integrate_interval(g, 0.0, 120.0 / beta, spec,
+                              breakpoints=breakpoints)
 
 
 def _band_excess(bracket, state, spec, breakpoints):
@@ -816,19 +782,24 @@ def _band_excess(bracket, state, spec, breakpoints):
     lo, hi = band_edges(state)
     if hi <= lo:
         return 0.0, 0.0
-    try:
-        fac = math.cosh(2.0 / state.sigma) - 1.0
-    except OverflowError:
-        raise NonConvergenceError(
-            "band weight cosh(2/sigma) overflows at sigma = %r; widen the "
-            "band" % state.sigma, partial=None, error=math.inf, panels=0)
+    fac = _band_factor(state.sigma)
 
     def g(k):
         return k * bracket(k)
 
-    bks = tuple(b for b in breakpoints if lo < b < hi)
-    v, e = integrate_interval(g, lo, hi, spec, breakpoints=bks)
+    v, e = integrate_interval(g, lo, hi, spec, breakpoints=breakpoints)
     return fac * v, fac * e
+
+
+def _band_factor(sigma):
+    """Excess cosh(2/sigma) - 1 of the band weight over the vacuum weight;
+    NonConvergenceError naming sigma where cosh overflows."""
+    try:
+        return math.cosh(2.0 / sigma) - 1.0
+    except OverflowError:
+        raise NonConvergenceError(
+            "band weight cosh(2/sigma) overflows at sigma = %r; widen the "
+            "band" % sigma, partial=None, error=math.inf, panels=0)
 
 
 def _state_excess(bracket, state, spec, breakpoints):
@@ -900,47 +871,25 @@ def _state_integrand(cfg):
     return f
 
 
-def _mean_vs_raw(f, lo, hi, spec, tol, dropped, raw_spec):
-    """Integral of ``f(k, sL, sR, sG)`` over [lo, hi] by the slab-phase mean
-    settled to ``tol`` and by raw quadrature at ``raw_spec``.
+def _band_dual(cfg, f, lo, hi, spec):
+    """Integral of ``f(k, sL, sR, sG)`` over [lo, hi], inside a dense or
+    shallow band of identical slabs, by the slab-phase mean with its bound
+    and by raw quadrature on panels of half a slab period.
 
     Returns ``(deviation, estimate)``: the two routes' difference and the
-    sum of their error estimates, the mean's including ``dropped``, the
-    bound on the oscillation it drops.
+    sum of their error estimates, the mean's including its bound and its
+    convergence allowance.  An independent check of the band route and of
+    its bound.
     """
-    v_mean, e_mean = integrate_interval(
-        lambda k: _slab_mean(f, k, tol)[0], lo, hi, spec)
-    e_mean += dropped + tol * (hi - lo)
-    v_raw, e_raw = integrate_interval(lambda k: f(k, 0.0, 0.0, 0.0), lo, hi,
-                                      raw_spec)
-    return abs(v_mean - v_raw), e_mean + e_raw
-
-
-def _dense_band_dual(cfg, lo, hi, spec):
-    """Zero-temperature bath integral over [lo, hi], inside a dense band of
-    identical slabs, by the slab-phase mean and by raw quadrature.
-
-    Returns ``(deviation, estimate)`` (see ``_mean_vs_raw``).  An
-    independent check of the dense-band route.
-    """
-    f = _bath_integrand(cfg, math.inf, math.inf)
-    tol = 0.01 * spec.abs_tol / (hi - lo)
-    return _mean_vs_raw(f, lo, hi, spec, tol,
-                        _band_bound(f, cfg, lo, hi, tol), spec)
-
-
-def _shallow_band_dual(cfg, f, lo, hi, spec):
-    """Integral of ``f(k, sL, sR, sG)`` over [lo, hi], inside the shallow
-    band of identical slabs, by the slab-phase mean with its bound and by
-    raw quadrature on panels of half a slab period.
-
-    Returns ``(deviation, estimate)`` (see ``_mean_vs_raw``).  An
-    independent check of the shallow-band route and of its bound.
-    """
+    tol = _mean_tol(spec.abs_tol, ((lo, hi),))
+    v_mean, e_mean = integrate_interval(lambda k: _slab_mean(f, k, tol),
+                                        lo, hi, spec)
+    e_mean += _band_bounds(f, cfg, lo, hi)(lo, hi) + tol * (hi - lo)
     fine = replace(spec, panel_width=math.pi / _slab_rate(cfg.left,
                                                           cfg.width, lo))
-    return _mean_vs_raw(f, lo, hi, spec, _shallow_tol(spec.abs_tol, lo, hi),
-                        _shallow_bounds(f, cfg, lo, hi)(lo, hi), fine)
+    v_raw, e_raw = integrate_interval(lambda k: f(k, 0.0, 0.0, 0.0), lo, hi,
+                                      fine)
+    return abs(v_mean - v_raw), e_mean + e_raw
 
 
 def _ic_parts(cfg, state, spec):
@@ -989,9 +938,8 @@ def _bath_parts(cfg, beta_left, beta_right, spec):
         return hot(k, 0.0, 0.0, 0.0) - cold(k, 0.0, 0.0, 0.0)
 
     _endpoint_check(g)
-    hi = 120.0 / min(beta_left, beta_right)
-    bks = tuple(b for b in _breakpoints(L, R) if b < hi)
-    return zt, integrate_interval(g, 0.0, hi, spec, breakpoints=bks)
+    return zt, integrate_interval(g, 0.0, 120.0 / min(beta_left, beta_right),
+                                  spec, breakpoints=_breakpoints(L, R))
 
 
 def force_ic(cfg, state, spec):
@@ -1299,9 +1247,9 @@ def halfspace_forces(matL, matR, a, beta_left, beta_right, beta_phi, spec):
                                                  beta_right, beta_phi)
 
     _endpoint_check(g)
-    hi = 120.0 / min(beta_left, beta_right, beta_phi)
-    f_b, _ = integrate_interval(g, 0.0, hi, spec,
-                                breakpoints=tuple(b for b in bks if b < hi))
+    f_b, _ = integrate_interval(g, 0.0,
+                                120.0 / min(beta_left, beta_right, beta_phi),
+                                spec, breakpoints=bks)
     return f_ic, f_b
 
 
@@ -1345,8 +1293,8 @@ def band_excess_curve(cfg, omega_center, sigmas, spec):
     list of (excess, err)
         One pair per input sigma, in input order.
     """
+    facs = [_band_factor(sg) for sg in sigmas]
     bks = _breakpoints(cfg.left, cfg.right)
-
     f = _state_integrand(cfg)
     windows = [band_edges(FieldState.squeezed_band(sg, omega_center))
                for sg in sigmas]
@@ -1356,8 +1304,8 @@ def band_excess_curve(cfg, omega_center, sigmas, spec):
     band = (_shallow_band(cfg, max(hi for _, hi in windows), spec.panel_width)
             if windows else None)
     if band:
-        tol = _shallow_tol(spec.abs_tol, *band)
-        bound = _shallow_bounds(f, cfg, *band)
+        tol = _mean_tol(spec.abs_tol, (band,))
+        bound = _band_bounds(f, cfg, *band)
 
     def g(k):
         return f(k, 0.0, 0.0, 0.0)
@@ -1365,12 +1313,11 @@ def band_excess_curve(cfg, omega_center, sigmas, spec):
     def strip(lo, hi):
         if hi <= lo:
             return 0.0, 0.0
-        inner = tuple(b for b in bks if lo < b < hi)
         if not band or hi <= band[0] or band[1] <= lo:
-            return integrate_interval(g, lo, hi, spec, breakpoints=inner)
+            return integrate_interval(g, lo, hi, spec, breakpoints=bks)
         part = (max(band[0], lo), min(band[1], hi))
         v, e = integrate_interval(_banded(g, f, (part,), tol), lo, hi, spec,
-                                  breakpoints=inner + part)
+                                  breakpoints=bks + part)
         return v, e + tol * (part[1] - part[0])
 
     order = sorted(range(len(sigmas)), key=lambda i: sigmas[i])
@@ -1378,7 +1325,6 @@ def band_excess_curve(cfg, omega_center, sigmas, spec):
     acc, eacc = 0.0, 0.0
     prev_lo = prev_hi = omega_center
     for i in order:
-        sg = sigmas[i]
         lo, hi = windows[i]
         v1, e1 = strip(lo, min(prev_lo, hi))
         v2, e2 = strip(max(prev_hi, lo), hi)
@@ -1388,8 +1334,7 @@ def band_excess_curve(cfg, omega_center, sigmas, spec):
         dropped = 0.0
         if band and lo < band[1] and band[0] < hi:
             dropped = bound(max(band[0], lo), min(band[1], hi))
-        fac = math.cosh(2.0 / sg) - 1.0
-        out[i] = (fac * acc, fac * (eacc + dropped))
+        out[i] = (facs[i] * acc, facs[i] * (eacc + dropped))
     return out
 
 

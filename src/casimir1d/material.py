@@ -110,12 +110,6 @@ def refractive_index(material, omega):
     return core.refractive_at(-1j * (-omega), w0, wp, g0, static).conjugate()
 
 
-def refractive_index_rotated(material, kappa):
-    """Real index on the imaginary frequency axis, n(i kappa) for kappa >= 0."""
-    w0, wp, g0, static = material.as_tuple()
-    return core.refractive_rot(kappa, w0, wp, g0, static)
-
-
 def surface_reflection(material, omega):
     """Fresnel amplitude of the bare interface, (1 - n)/(1 + n)."""
     n = refractive_index(material, omega)

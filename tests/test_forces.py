@@ -210,6 +210,8 @@ def test_persistent_reflection_is_detected():
 def test_band_weight_overflow_names_sigma():
     with pytest.raises(NonConvergenceError, match="sigma = 0.001"):
         force_ic(CFG, FieldState.squeezed_band(0.001, 3.0), SPEC6)
+    with pytest.raises(NonConvergenceError, match="sigma = 0.001"):
+        band_excess_curve(CFG, 3.0, [0.5, 0.001], SPEC6)
 
 
 def test_default_spec_reaches_the_mild_pair():
@@ -430,9 +432,8 @@ def test_slab_mean_settles_geometrically():
         assert all(d2 < d1 or d2 < floor
                    for d1, d2 in zip(diffs[:-1], diffs[1:]))
         assert diffs[-1] < 1e-9 * abs(ref)
-        mean, amp = forces._slab_mean(f, k, floor)
+        mean = forces._slab_mean(f, k, floor)
         assert mean == pytest.approx(ref, rel=1e-9)
-        assert amp > 0.0
 
 
 def test_diagonal_mean_for_identical_slabs():
@@ -512,9 +513,17 @@ def test_bound_mode_area_survives_smaller_damping():
 
 
 def test_dense_band_dual_route():
-    dev, est = forces._dense_band_dual(
-        WEAK_CFG, 9.4, 9.5, QuadratureSpec(rel_tol=1e-6, abs_tol=1e-9))
+    spec = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-9)
+    bath = forces._bath_integrand(WEAK_CFG, math.inf, math.inf)
+    dev, est = forces._band_dual(WEAK_CFG, bath, 9.4, 9.5, spec)
     assert dev <= est
+    # the whole upper dense band, whose comb is at its deepest (0.9) on the
+    # lower edge, for the bath and the state integrands
+    lo, hi = forces._dense_bands(WEAK_CFG, 1.3 * 10.0 * math.sqrt(2.0))[1]
+    assert forces._comb(WEAK_CFG, lo)[1] == pytest.approx(0.9)
+    for f in (bath, forces._state_integrand(WEAK_CFG)):
+        dev, est = forces._band_dual(WEAK_CFG, f, lo, hi, spec)
+        assert dev <= est
 
 
 def test_shallow_band_selected_from_observables():
@@ -546,8 +555,8 @@ def test_shallow_bound_counts_both_signs_of_each_harmonic():
     # shallow_band_dual_pipeline)
     f = forces._state_integrand(FIG_CFG)
     lo = forces._shallow_band(FIG_CFG, 30.0, SPEC6.panel_width)[0]
-    dev, _ = forces._shallow_band_dual(FIG_CFG, f, lo, 30.0, SPEC6)
-    assert dev > 0.5 * forces._shallow_bounds(f, FIG_CFG, lo, 30.0)(lo, 30.0)
+    dev, _ = forces._band_dual(FIG_CFG, f, lo, 30.0, SPEC6)
+    assert dev > 0.5 * forces._band_bounds(f, FIG_CFG, lo, 30.0)(lo, 30.0)
 
 
 @pytest.mark.parametrize("sigmas", [

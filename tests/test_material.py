@@ -7,13 +7,13 @@ import random
 import pytest
 
 from casimir1d.errors import ResonanceSingularityError, SingularEvaluationError
+from casimir1d.kernels import core
 from casimir1d.material import (
     Material,
     damping_transform,
     fd_weight,
     permittivity,
     refractive_index,
-    refractive_index_rotated,
     surface_reflection,
 )
 
@@ -139,13 +139,13 @@ def test_rotated_axis_index():
     # monotonically decreasing towards 1
     prev = None
     for kap in (1e-3, 0.1, 1.0, 5.0, 20.0, 200.0):
-        n = refractive_index_rotated(FIG, kap)
+        n = core.refractive_rot(kap, *FIG.as_tuple())
         assert n >= 1.0
         if prev is not None:
             assert n <= prev
         prev = n
     # kappa -> 0 approaches the static value sqrt(2)
-    assert refractive_index_rotated(FIG, 1e-9) == pytest.approx(
+    assert core.refractive_rot(1e-9, *FIG.as_tuple()) == pytest.approx(
         math.sqrt(2.0), rel=1e-9)
 
 
