@@ -90,10 +90,20 @@ def refractive_at(s, omega0, omega_pl, gamma0, static):
 #   em1   1 - e^-, computed via expm1 for small exponents
 #   e2it  E/|E| = exp(2 i omega Re(n) d + i shift), unit modulus
 # The optional ``shift`` rotates the internal slab phase; it is used by the
-# fast-phase averaging of the large-k tails and must default to zero.
+# phase averages of the force integrands (tail means, slab-phase means and
+# band bounds) and must default to zero.
+#
+# slab_parts is the composition of two helpers that the offset kernels call
+# separately: slab_fixed holds what does not depend on the shift (rn, q and
+# their squares, em, em1 and the unshifted phase), once per frequency, and
+# slab_offset the shifted parts (e2it, E, F, r, tl2, t2a, g), once per
+# distinct shift.  The transmissions t and tau need two complex
+# exponentials that no force integrand reads, so only slab_parts forms them.
 # ---------------------------------------------------------------------------
 
-def slab_parts(omega, n, d, shift=0.0):
+def slab_fixed(omega, n, d):
+    """Shift-free parts of one slab: ``(rn, rn^2, q, q^2, |q|^2, em, em1,
+    th0)`` with q = 4n/(1+n)^2 and th0 = 2 omega Re(n) d."""
     rn = (1.0 - n) / (1.0 + n)
     x = 2.0 * omega * n.imag * d
     if x > 1400.0:
@@ -102,17 +112,29 @@ def slab_parts(omega, n, d, shift=0.0):
     else:
         em = exp(-x)
         em1 = -expm1(-x)
-    th = 2.0 * omega * n.real * d + shift
+    q = 4.0 * n / ((1.0 + n) * (1.0 + n))
+    return rn, rn * rn, q, q * q, abs(q) ** 2, em, em1, \
+        2.0 * omega * n.real * d
+
+
+def slab_offset(fixed, shift):
+    """Parts of one slab at internal phase offset ``shift``, from its
+    ``slab_fixed`` parts: ``(e2it, E, F, r, tl2, t2a, g)``."""
+    rn, rn2, _, q2, aq2, em, _, th0 = fixed
+    th = th0 + shift
     e2it = complex(cos(th), sin(th))
     E = em * e2it
-    F = 1.0 - rn * rn * E
-    r = rn * (1.0 - E) / F
-    q = 4.0 * n / ((1.0 + n) * (1.0 + n))
-    tl2 = q * q * E / (F * F)
+    F = 1.0 - rn2 * E
+    g = aq2 / abs(F) ** 2
+    return e2it, E, F, rn * (1.0 - E) / F, q2 * E / (F * F), g * em, g
+
+
+def slab_parts(omega, n, d, shift=0.0):
+    fixed = slab_fixed(omega, n, d)
+    rn, _, q, _, _, em, em1, _ = fixed
+    e2it, E, F, r, tl2, t2a, g = slab_offset(fixed, shift)
     t = q * cmath.exp(1j * omega * d * n) / F
     tau = q * cmath.exp(-1j * omega * d * (1.0 - n)) / F
-    g = abs(q) ** 2 / abs(F) ** 2
-    t2a = g * em
     return rn, E, F, r, t, tau, tl2, t2a, g, em, em1, e2it
 
 
@@ -130,6 +152,57 @@ def cavity_delta(rL, rR, gap):
             "cavity round-trip denominator |1 - rL rR e^{2 i omega a}| < %g"
             % DELTA_FLOOR)
     return w, delta
+
+
+def _slab_pair(omega, d, matL, matR):
+    """``(nL, nR, fixed_L, fixed_R)`` of the two slabs at omega; identical
+    slabs share the left slab's index and parts."""
+    s = -1j * omega
+    nL = refractive_at(s, matL[0], matL[1], matL[2], matL[3])
+    fL = slab_fixed(omega, nL, d)
+    if matR == matL:
+        return nL, nL, fL, fL
+    nR = refractive_at(s, matR[0], matR[1], matR[2], matR[3])
+    return nL, nR, fL, slab_fixed(omega, nR, d)
+
+
+def _offset_parts(omega, a, fL, fR, offsets):
+    """Yield ``(left, right, gap)`` for each ``(sL, sR, sG)`` of
+    ``offsets``: the two slabs' ``slab_offset`` parts and the gap factor,
+    each computed once per distinct offset (one table for both slabs when
+    they are identical)."""
+    left = {}
+    right = left if fR is fL else {}
+    gaps = {}
+    for sL, sR, sG in offsets:
+        pL = left.get(sL)
+        if pL is None:
+            pL = left[sL] = slab_offset(fL, sL)
+        pR = right.get(sR)
+        if pR is None:
+            pR = right[sR] = slab_offset(fR, sR)
+        gap = gaps.get(sG)
+        if gap is None:
+            gap = gaps[sG] = gap_phase(omega, a, sG)
+        yield pL, pR, gap
+
+
+def ic_brackets(omega, a, d, matL, matR, offsets):
+    """``ic_bracket`` at omega for each ``(sL, sR, sG)`` of ``offsets``, as
+    a list; the slab and gap work is shared across the offsets."""
+    _, _, fL, fR = _slab_pair(omega, d, matL, matR)
+    out = []
+    for pL, pR, gap in _offset_parts(omega, a, fL, fR, offsets):
+        rL, tl2L, t2aL = pL[3], pL[4], pL[5]
+        rR, t2aR = pR[3], pR[5]
+        _, delta = cavity_delta(rL, rR, gap)
+        d2 = abs(delta) ** 2
+        rho = rL + rR * tl2L * gap / delta
+        aL2 = abs(rL) ** 2
+        aR2 = abs(rR) ** 2
+        out.append(1.0 + abs(rho) ** 2 + t2aL * t2aR / d2
+                   - (t2aL * (1.0 + aR2) + t2aR * (1.0 + aL2)) / d2)
+    return out
 
 
 def ic_bracket(omega, a, d, matL, matR, sL=0.0, sR=0.0, sG=0.0):
@@ -150,19 +223,56 @@ def ic_bracket(omega, a, d, matL, matR, sL=0.0, sR=0.0, sG=0.0):
         Phase offsets of the two internal slab phases and of the gap
         round-trip phase (used only by tail averaging).
     """
-    s = -1j * omega
-    nL = refractive_at(s, matL[0], matL[1], matL[2], matL[3])
-    nR = refractive_at(s, matR[0], matR[1], matR[2], matR[3])
-    _, _, _, rL, _, _, tl2L, t2aL, _, _, _, _ = slab_parts(omega, nL, d, sL)
-    _, _, _, rR, _, _, _, t2aR, _, _, _, _ = slab_parts(omega, nR, d, sR)
-    gap = gap_phase(omega, a, sG)
-    _, delta = cavity_delta(rL, rR, gap)
-    d2 = abs(delta) ** 2
-    rho = rL + rR * tl2L * gap / delta
-    aL2 = abs(rL) ** 2
-    aR2 = abs(rR) ** 2
-    return (1.0 + abs(rho) ** 2 + t2aL * t2aR / d2
-            - (t2aL * (1.0 + aR2) + t2aR * (1.0 + aL2)) / d2)
+    return ic_brackets(omega, a, d, matL, matR, ((sL, sR, sG),))[0]
+
+
+def bath_integrands(omega, a, d, matL, matR, betaL, betaR, offsets):
+    """``bath_integrand`` at omega for each ``(sL, sR, sG)`` of
+    ``offsets``, as a list; the slab and gap work is shared across the
+    offsets."""
+    nL, nR, fL, fR = _slab_pair(omega, d, matL, matR)
+    wL = 2.0 * nL.real * nL.imag
+    wR = 2.0 * nR.real * nR.imag
+    if wL == 0.0 and wR == 0.0:
+        return [0.0] * len(offsets)
+    rnL, _, qL, _, _, emL, em1L, _ = fL
+    rnR, _, _, _, _, _, em1R, _ = fR
+    renL, imnL = nL.real, nL.imag
+    renR, imnR = nR.real, nR.imag
+    if wL != 0.0:
+        cL = 0.25 * omega * (abs(1.0 + nL) ** 2 / abs(nL) ** 2) \
+            * coth_half(betaL, omega)
+    if wR != 0.0:
+        cR = 0.25 * omega * (abs(1.0 + nR) ** 2 / abs(nR) ** 2) \
+            * coth_half(betaR, omega)
+    out = []
+    for pL, pR, gap in _offset_parts(omega, a, fL, fR, offsets):
+        e2itL, _, FL, rL, tl2L, t2aL, gL = pL
+        e2itR, _, _, rR, _, t2aR, gR = pR
+        _, delta = cavity_delta(rL, rR, gap)
+        d2 = abs(delta) ** 2
+        feedL = rR * gap * qL * qL / (FL * FL * delta)
+        rho = rL + tl2L * rR * gap / delta
+        v = 0.0
+        if wL != 0.0:
+            P = 1.0 - rnL * rho
+            Qt = rnL * (rnL * rnL - 1.0) / FL + feedL
+            near = renL * (abs(P) ** 2 * em1L + abs(Qt) ** 2 * emL * em1L)
+            if emL > 0.0:
+                near += 2.0 * imnL * emL * (P * Qt.conjugate()
+                                            * (1.0 - e2itL.conjugate())).imag
+            near -= ((1.0 + abs(rR) ** 2) / d2) * (
+                renL * (gL * em1L + t2aL * abs(rnL) ** 2 * em1L)
+                - 2.0 * imnL * t2aL * (rnL * (e2itL - 1.0)).imag)
+            v += cL * near
+        if wR != 0.0:
+            mL = t2aL - 1.0 - abs(rL) ** 2
+            far = renR * gR * em1R + t2aR * (
+                renR * abs(rnR) ** 2 * em1R
+                - 2.0 * imnR * (rnR * (e2itR - 1.0)).imag)
+            v += cR * (mL / d2) * far
+        out.append(v)
+    return out
 
 
 def bath_integrand(omega, a, d, matL, matR, betaL, betaR,
@@ -173,48 +283,8 @@ def bath_integrand(omega, a, d, matL, matR, betaL, betaR,
     per-slab inverse temperatures betaL/betaR; both slab source integrals are
     folded in analytically.  Vanishes identically when neither slab absorbs.
     """
-    s = -1j * omega
-    nL = refractive_at(s, matL[0], matL[1], matL[2], matL[3])
-    nR = refractive_at(s, matR[0], matR[1], matR[2], matR[3])
-    pL = slab_parts(omega, nL, d, sL)
-    pR = slab_parts(omega, nR, d, sR)
-    rnL, _, FL, rL, _, _, tl2L, t2aL, gL, emL, em1L, e2itL = pL
-    rnR, _, FR, rR, _, _, tl2R, t2aR, gR, emR, em1R, e2itR = pR
-    wL = 2.0 * nL.real * nL.imag
-    wR = 2.0 * nR.real * nR.imag
-    if wL == 0.0 and wR == 0.0:
-        return 0.0
-    gap = gap_phase(omega, a, sG)
-    _, delta = cavity_delta(rL, rR, gap)
-    d2 = abs(delta) ** 2
-    qL = 4.0 * nL / ((1.0 + nL) * (1.0 + nL))
-    feedL = rR * gap * qL * qL / (FL * FL * delta)
-    rho = rL + tl2L * rR * gap / delta
-    out = 0.0
-    if wL != 0.0:
-        P = 1.0 - rnL * rho
-        Qt = rnL * (rnL * rnL - 1.0) / FL + feedL
-        renL = nL.real
-        imnL = nL.imag
-        near = renL * (abs(P) ** 2 * em1L + abs(Qt) ** 2 * emL * em1L)
-        if emL > 0.0:
-            near += 2.0 * imnL * emL * (P * Qt.conjugate()
-                                        * (1.0 - e2itL.conjugate())).imag
-        near -= ((1.0 + abs(rR) ** 2) / d2) * (
-            renL * (gL * em1L + t2aL * abs(rnL) ** 2 * em1L)
-            - 2.0 * imnL * t2aL * (rnL * (e2itL - 1.0)).imag)
-        pref = abs(1.0 + nL) ** 2 / abs(nL) ** 2
-        out += 0.25 * omega * pref * coth_half(betaL, omega) * near
-    if wR != 0.0:
-        mL = t2aL - 1.0 - abs(rL) ** 2
-        renR = nR.real
-        imnR = nR.imag
-        far = renR * gR * em1R + t2aR * (
-            renR * abs(rnR) ** 2 * em1R
-            - 2.0 * imnR * (rnR * (e2itR - 1.0)).imag)
-        pref = abs(1.0 + nR) ** 2 / abs(nR) ** 2
-        out += 0.25 * omega * pref * coth_half(betaR, omega) * (mL / d2) * far
-    return out
+    return bath_integrands(omega, a, d, matL, matR, betaL, betaR,
+                           ((sL, sR, sG),))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +361,8 @@ def nodiss_bracket(omega, a, d, matL, matR):
     s = -1j * omega
     nL = refractive_at(s, matL[0], matL[1], matL[2], matL[3])
     nR = refractive_at(s, matR[0], matR[1], matR[2], matR[3])
-    _, _, _, rL, _, _, _, t2aL, _, _, _, _ = slab_parts(omega, nL, d)
-    _, _, _, rR, _, _, _, t2aR, _, _, _, _ = slab_parts(omega, nR, d)
+    _, _, _, rL, _, t2aL, _ = slab_offset(slab_fixed(omega, nL, d), 0.0)
+    _, _, _, rR, _, t2aR, _ = slab_offset(slab_fixed(omega, nR, d), 0.0)
     gap = gap_phase(omega, a)
     _, delta = cavity_delta(rL, rR, gap)
     d2 = abs(delta) ** 2
@@ -309,6 +379,29 @@ def _surface_refl(omega, mat):
     return (1.0 - n) / (1.0 + n)
 
 
+def halfspace_combined_integrands(k, a, matL, matR, betaL, betaR, beta_phi,
+                                  offsets):
+    """``halfspace_combined_integrand`` at k for each ``(sL, sR, sG)`` of
+    ``offsets``, as a list.  Half-spaces have no slab phase: only sG acts,
+    and the surface reflections and occupations are shared across the
+    offsets."""
+    rnL = _surface_refl(k, matL)
+    rnR = _surface_refl(k, matR)
+    pL = abs(rnL) ** 2
+    pR = abs(rnR) ** 2
+    cphi = coth_half(beta_phi, k)
+    c = 4.0 * k * cphi
+    dL = coth_half(betaL, k) - cphi
+    dR = coth_half(betaR, k) - cphi
+    out = []
+    for _, _, sG in offsets:
+        w, delta = cavity_delta(rnL, rnR, gap_phase(k, a, sG))
+        d2 = abs(delta) ** 2
+        out.append(c * (abs(w) ** 2 - w.real) / d2
+                   + _halfspace_mismatch(k, pL, pR, d2, dL, dR))
+    return out
+
+
 def halfspace_combined_integrand(k, a, matL, matR, betaL, betaR, beta_phi,
                                  sG=0.0):
     """Summed (state + bath) half-space integrand, stable at large k.
@@ -318,26 +411,16 @@ def halfspace_combined_integrand(k, a, matL, matR, betaL, betaR, beta_phi,
     4 k coth_phi [|w|^2 - Re w]/|Delta|^2 plus exponentially small
     coth-difference terms.
     """
-    rnL = _surface_refl(k, matL)
-    rnR = _surface_refl(k, matR)
-    pL = abs(rnL) ** 2
-    pR = abs(rnR) ** 2
-    gap = gap_phase(k, a, sG)
-    w, delta = cavity_delta(rnL, rnR, gap)
-    d2 = abs(delta) ** 2
-    cphi = coth_half(beta_phi, k)
-    out = 4.0 * k * cphi * (abs(w) ** 2 - w.real) / d2
-    return out + _halfspace_mismatch(k, pL, pR, d2, betaL, betaR, cphi)
+    return halfspace_combined_integrands(k, a, matL, matR, betaL, betaR,
+                                         beta_phi, ((0.0, 0.0, sG),))[0]
 
 
-def _halfspace_mismatch(k, pL, pR, d2, betaL, betaR, cphi):
+def _halfspace_mismatch(k, pL, pR, d2, dL, dR):
     """Coth-difference terms of the half-space integrand: the baths' excess
-    over the field-state weight cphi."""
+    dL, dR over the field-state weight coth(beta_phi k/2)."""
     out = 0.0
-    dL = coth_half(betaL, k) - cphi
     if dL != 0.0:
         out += k * dL * (1.0 - pL) * (1.0 - (1.0 + pR) / d2)
-    dR = coth_half(betaR, k) - cphi
     if dR != 0.0:
         out -= k * dR * (1.0 - pR) * (1.0 + pL) / d2
     return out
@@ -349,6 +432,7 @@ def halfspace_mismatch_integrand(k, a, matL, matR, betaL, betaR, beta_phi):
     rnL = _surface_refl(k, matL)
     rnR = _surface_refl(k, matR)
     _, delta = cavity_delta(rnL, rnR, gap_phase(k, a))
+    cphi = coth_half(beta_phi, k)
     return _halfspace_mismatch(k, abs(rnL) ** 2, abs(rnR) ** 2,
-                               abs(delta) ** 2, betaL, betaR,
-                               coth_half(beta_phi, k))
+                               abs(delta) ** 2, coth_half(betaL, k) - cphi,
+                               coth_half(betaR, k) - cphi)

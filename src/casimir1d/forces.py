@@ -106,6 +106,8 @@ __all__ = [
 # surviving fourth harmonic carries at least the fourth power of a slab
 # round-trip factor, far below the tail budget wherever the average is used.
 _SHIFTS = 4
+# The one offset triple (sL, sR, sG) of the unshifted integrand.
+_RAW = ((0.0, 0.0, 0.0),)
 # Dense Fabry-Perot band of identical slabs: where the slab round-trip phase
 # runs at least _DENSE_RATE times faster than the gap phase and the slab's
 # internal round trip |rn^2 E| lies in [_SHARP_MIN, _SHARP_MAX], the passes
@@ -241,38 +243,46 @@ def _endpoint_check(f, k_min=1e-8):
         raise NaNIntegrandError(k_min)
 
 
-def _diagonal(shifted, k, offsets, sG):
-    """Integrand values with one common offset on both slab phases."""
-    return [shifted(k, s, s, sG) for s in offsets]
+def _diagonal(offsets):
+    """Offset triples with one common offset on both slab phases and none
+    on the gap phase."""
+    return [(s, s, 0.0) for s in offsets]
+
+
+def _odd(n):
+    """The n offsets that double n equidistant ones to 2n."""
+    return [math.pi * (2 * i + 1) / n for i in range(n)]
 
 
 def _phase_average(shifted, k, naxes):
     """Discrete mean of the integrand over offsets of its oscillation phases.
 
-    ``shifted(k, sL, sR, sG)`` evaluates the integrand with additive offsets
-    on the left-slab, right-slab and gap phases.  ``naxes`` is 3 for two
-    different slabs, 2 for identical slabs (whose two slab phases are one
-    phase, so only the diagonal sL = sR is averaged) and 1 when only the gap
-    phase exists (half-space limits).
+    ``shifted(k, offsets)`` evaluates the integrand at k once per additive
+    offset triple (sL, sR, sG) on the left-slab, right-slab and gap phases.
+    ``naxes`` is 3 for two different slabs, 2 for identical slabs (whose two
+    slab phases are one phase, so only the diagonal sL = sR is averaged) and
+    1 when only the gap phase exists (half-space limits).
     """
     step = 2.0 * math.pi / _SHIFTS
     offsets = [i * step for i in range(_SHIFTS)]
     if naxes == 1:
-        tot = 0.0
-        for g in offsets:
-            tot += shifted(k, 0.0, 0.0, g)
-        return tot / _SHIFTS
-    if naxes == 2:
-        tot = 0.0
-        for g in offsets:
-            tot += sum(_diagonal(shifted, k, offsets, g))
-        return tot / float(_SHIFTS ** 2)
+        grid = [(0.0, 0.0, g) for g in offsets]
+    elif naxes == 2:
+        grid = [(s, s, g) for g in offsets for s in offsets]
+    else:
+        grid = [(sL, sR, g) for sL in offsets for sR in offsets
+                for g in offsets]
+    vals = shifted(k, grid)
     tot = 0.0
-    for sL in offsets:
-        for sR in offsets:
-            for g in offsets:
-                tot += shifted(k, sL, sR, g)
-    return tot / float(_SHIFTS ** 3)
+    if naxes == 2:
+        # the diagonal is summed per gap offset first; this order fixes the
+        # rounding of the mean
+        for i in range(0, len(vals), _SHIFTS):
+            tot += sum(vals[i:i + _SHIFTS])
+    else:
+        for v in vals:
+            tot += v
+    return tot / float(len(grid))
 
 
 def _slab_mean(shifted, k, tol):
@@ -281,18 +291,20 @@ def _slab_mean(shifted, k, tol):
     Doubles the number of equidistant offsets from ``_MEAN_START`` until two
     successive means agree within ``tol`` (the Fourier harmonics of the slab
     phase decay geometrically, so the last mean is far closer than that).
+    The first doubling always runs, so one call evaluates both of its sets.
     """
     n = _MEAN_START
-    vals = _diagonal(shifted, k, [2.0 * math.pi * i / n for i in range(n)],
-                     0.0)
-    mean = sum(vals) / n
-    while n < _MEAN_MAX:
-        vals += _diagonal(shifted, k,
-                          [math.pi * (2 * i + 1) / n for i in range(n)], 0.0)
+    vals = shifted(k, _diagonal([2.0 * math.pi * i / n for i in range(n)]
+                                + _odd(n)))
+    mean = sum(vals[:n]) / n
+    while True:
         n *= 2
         prev, mean = mean, sum(vals) / n
         if abs(mean - prev) <= tol:
             return mean
+        if n >= _MEAN_MAX:
+            break
+        vals += shifted(k, _diagonal(_odd(n)))
     raise NonConvergenceError(
         "slab-phase mean at k = %.6g not settled to %.3e with %d offsets"
         % (k, tol, n), partial=None, error=None, panels=0)
@@ -308,8 +320,7 @@ def _harmonics(shifted, comb, k):
     the power _HARM_OFFSETS / 2, is left out.
     """
     n = _HARM_OFFSETS
-    vals = _diagonal(shifted, k, [2.0 * math.pi * i / n for i in range(n)],
-                     0.0)
+    vals = shifted(k, _diagonal([2.0 * math.pi * i / n for i in range(n)]))
     phi = _slab_phase(comb.left, comb.width, k)
     return [sum(v * w for v, w in zip(vals, _TWIDDLES[j])) / n
             * cmath.exp(-1j * j * phi) for j in range(1, n // 2)]
@@ -414,9 +425,10 @@ def _oscillatory_integral(shifted, spec, gap, breakpoints, cfg=None):
     Parameters
     ----------
     shifted : callable
-        ``shifted(k, sL, sR, sG)`` evaluates the integrand with additive
-        offsets on the left-slab, right-slab and gap phases; the integrand
-        itself is ``shifted(k, 0, 0, 0)``.
+        ``shifted(k, offsets)`` evaluates the integrand at k once per
+        additive offset triple (sL, sR, sG) on the left-slab, right-slab
+        and gap phases, as a list; the integrand itself is the one-triple
+        call ``shifted(k, _RAW)[0]``.
     spec : QuadratureSpec
         Tolerances; ``rel_tol`` is interpreted against the integral scale.
     gap : float
@@ -438,7 +450,7 @@ def _oscillatory_integral(shifted, spec, gap, breakpoints, cfg=None):
         tail remainder-model uncertainty.
     """
     def raw(k):
-        return shifted(k, 0.0, 0.0, 0.0)
+        return shifted(k, _RAW)[0]
 
     period = math.pi / gap
     inv_rate = 1.0 / gap
@@ -679,6 +691,12 @@ def _shallow_band(cfg, k_end, panel_width):
     return lo, hi
 
 
+def _slab_refl(k, mat, d):
+    """Reflection r of one slab of material tuple ``mat`` at real k."""
+    n = core.refractive_at(-1j * k, mat[0], mat[1], mat[2], mat[3])
+    return core.slab_offset(core.slab_fixed(k, n, d), 0.0)[3]
+
+
 def _gap_modes(cfg):
     """Bound gap modes in the stop bands of the absorbing dispersive slabs.
 
@@ -693,10 +711,8 @@ def _gap_modes(cfg):
     tl, tr = cfg.left.as_tuple(), cfg.right.as_tuple()
 
     def delta(k):
-        s = -1j * k
-        rL = core.slab_parts(k, core.refractive_at(s, *tl), d)[3]
-        rR = core.slab_parts(k, core.refractive_at(s, *tr), d)[3]
-        return 1.0 - rL * rR * core.gap_phase(k, a)
+        return 1.0 - _slab_refl(k, tl, d) * _slab_refl(k, tr, d) \
+            * core.gap_phase(k, a)
 
     modes = []
     mats = (cfg.left,) if cfg.left == cfg.right else (cfg.left, cfg.right)
@@ -751,7 +767,7 @@ def _mode_points(cfg, panel_width):
 
 
 def _real_axis(cfg, spec, f):
-    """``_oscillatory_integral`` of the cavity integrand ``f(k, sL, sR, sG)``
+    """``_oscillatory_integral`` of the cavity integrand ``f(k, offsets)``
     with the narrow bound gap modes added to the breakpoints."""
     bks = _breakpoints(cfg.left, cfg.right) + _mode_points(cfg,
                                                            spec.panel_width)
@@ -839,14 +855,14 @@ def _vacuum_bath(cfg, spec):
 
 
 def _bath_integrand(cfg, beta_left, beta_right):
-    """Bath integrand ``f(k, sL, sR, sG)`` of a cavity at the given inverse
+    """Bath integrand ``f(k, offsets)`` of a cavity at the given inverse
     bath temperatures (both infinite for zero temperature)."""
     a, d = cfg.gap, cfg.width
     tl, tr = cfg.left.as_tuple(), cfg.right.as_tuple()
 
-    def f(k, sL, sR, sG):
-        return core.bath_integrand(k, a, d, tl, tr, beta_left, beta_right,
-                                   sL, sR, sG)
+    def f(k, offsets):
+        return core.bath_integrands(k, a, d, tl, tr, beta_left, beta_right,
+                                    offsets)
     return f
 
 
@@ -861,18 +877,18 @@ def _bracket(cfg):
 
 
 def _state_integrand(cfg):
-    """Vacuum-weight state integrand ``f(k, sL, sR, sG)``, k times the state
+    """Vacuum-weight state integrand ``f(k, offsets)``, k times the state
     bracket, of a cavity."""
     a, d = cfg.gap, cfg.width
     tl, tr = cfg.left.as_tuple(), cfg.right.as_tuple()
 
-    def f(k, sL, sR, sG):
-        return k * core.ic_bracket(k, a, d, tl, tr, sL, sR, sG)
+    def f(k, offsets):
+        return [k * b for b in core.ic_brackets(k, a, d, tl, tr, offsets)]
     return f
 
 
 def _band_dual(cfg, f, lo, hi, spec):
-    """Integral of ``f(k, sL, sR, sG)`` over [lo, hi], inside a dense or
+    """Integral of ``f(k, offsets)`` over [lo, hi], inside a dense or
     shallow band of identical slabs, by the slab-phase mean with its bound
     and by raw quadrature on panels of half a slab period.
 
@@ -887,8 +903,7 @@ def _band_dual(cfg, f, lo, hi, spec):
     e_mean += _band_bounds(f, cfg, lo, hi)(lo, hi) + tol * (hi - lo)
     fine = replace(spec, panel_width=math.pi / _slab_rate(cfg.left,
                                                           cfg.width, lo))
-    v_raw, e_raw = integrate_interval(lambda k: f(k, 0.0, 0.0, 0.0), lo, hi,
-                                      fine)
+    v_raw, e_raw = integrate_interval(lambda k: f(k, _RAW)[0], lo, hi, fine)
     return abs(v_mean - v_raw), e_mean + e_raw
 
 
@@ -935,7 +950,7 @@ def _bath_parts(cfg, beta_left, beta_right, spec):
 
     # coth(beta k / 2) - 1 < 1e-52 past beta k = 120 on both baths
     def g(k):
-        return hot(k, 0.0, 0.0, 0.0) - cold(k, 0.0, 0.0, 0.0)
+        return hot(k, _RAW)[0] - cold(k, _RAW)[0]
 
     _endpoint_check(g)
     return zt, integrate_interval(g, 0.0, 120.0 / min(beta_left, beta_right),
@@ -1058,9 +1073,7 @@ def _ident_bracket(k, a, d, mat):
     slab reflection; algebraically identical to the general two-slab form
     when both slabs share one material and absorb nothing.
     """
-    n = core.refractive_at(-1j * k, mat[0], mat[1], mat[2], mat[3])
-    parts = core.slab_parts(k, n, d)
-    r = parts[3]
+    r = _slab_refl(k, mat, d)
     gapf = core.gap_phase(k, a)
     _, delta = core.cavity_delta(r, r, gapf)
     p2 = abs(r) ** 2
@@ -1233,9 +1246,9 @@ def halfspace_forces(matL, matR, a, beta_left, beta_right, beta_phi, spec):
     tr = matR.as_tuple()
     bks = _breakpoints(matL, matR)
 
-    def f(k, sL, sR, sG):
-        return core.halfspace_combined_integrand(k, a, tl, tr, beta_phi,
-                                                 beta_phi, beta_phi, sG)
+    def f(k, offsets):
+        return core.halfspace_combined_integrands(k, a, tl, tr, beta_phi,
+                                                  beta_phi, beta_phi, offsets)
 
     f_ic, _ = _oscillatory_integral(f, spec, a, bks)
     if beta_left == beta_phi and beta_right == beta_phi:
@@ -1308,7 +1321,7 @@ def band_excess_curve(cfg, omega_center, sigmas, spec):
         bound = _band_bounds(f, cfg, *band)
 
     def g(k):
-        return f(k, 0.0, 0.0, 0.0)
+        return f(k, _RAW)[0]
 
     def strip(lo, hi):
         if hi <= lo:

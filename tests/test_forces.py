@@ -336,9 +336,9 @@ def test_halfspace_mismatch_group_matches_two_integral_difference():
     bks = forces._breakpoints(FIG, FIG)
     parts = []
     for b1, b2 in ((bl, br), (bphi, bphi)):
-        def sh(k, sL, sR, sG, b1=b1, b2=b2):
-            return core.halfspace_combined_integrand(k, a, tl, tr, b1, b2,
-                                                     bphi, sG)
+        def sh(k, offsets, b1=b1, b2=b2):
+            return core.halfspace_combined_integrands(k, a, tl, tr, b1, b2,
+                                                      bphi, offsets)
         parts.append(forces._oscillatory_integral(sh, SPEC6, a, bks))
     (tot, e_tot), (ic, e_ic) = parts
 
@@ -422,8 +422,9 @@ def test_slab_mean_settles_geometrically():
     for k in (9.4, 9.8, 9.95, 9.99, 14.15, 14.5):
         means = []
         for n in (8, 16, 32, 64, 128, 256, 512):
-            means.append(sum(f(k, s, s, 0.0) for s in
-                             (2.0 * math.pi * i / n for i in range(n))) / n)
+            means.append(sum(f(k, [(s, s, 0.0) for s in
+                                   (2.0 * math.pi * i / n
+                                    for i in range(n))])) / n)
         ref = means[-1]
         floor = 1e-12 * abs(ref)
         # the mean for N against 2N: each doubling shrinks the change until
@@ -438,16 +439,27 @@ def test_slab_mean_settles_geometrically():
 
 def test_diagonal_mean_for_identical_slabs():
     # the two slab phases of identical slabs are one phase: the tail mean
-    # averages the diagonal with 16 calls, not the 64-point torus
+    # averages the diagonal with 16 offsets, not the 64-point torus, and
+    # every mean makes one integrand call per k
     calls = []
 
-    def f(k, sL, sR, sG):
-        calls.append((sL, sR))
-        return math.cos(sL - sR) + math.cos(sG)
+    def f(k, offsets):
+        calls.append(list(offsets))
+        return [math.cos(sL - sR) + math.cos(sG) for sL, sR, sG in offsets]
 
     assert forces._phase_average(f, 1.0, 2) == pytest.approx(1.0)
-    assert len(calls) == 16 and all(sl == sr for sl, sr in calls)
+    assert len(calls) == 1 and len(calls[0]) == 16
+    assert all(sl == sr for sl, sr, _ in calls[0])
+    calls.clear()
     assert forces._phase_average(f, 1.0, 3) == pytest.approx(0.0, abs=1e-15)
+    assert len(calls) == 1 and len(calls[0]) == 64
+    # the slab mean settles on its first doubling and the harmonics take
+    # their 32 diagonal offsets, each in one call
+    calls.clear()
+    assert forces._slab_mean(f, 1.0, 1e-12) == pytest.approx(2.0)
+    forces._harmonics(f, FIG_CFG, 1.0)
+    assert [len(c) for c in calls] == [16, forces._HARM_OFFSETS]
+    assert all(sl == sr and sg == 0.0 for c in calls for sl, sr, sg in c)
 
     # the real-axis integral reads its phase axes from the cavity: identical
     # slabs are offset only on the diagonal, different slabs also off it
@@ -457,9 +469,9 @@ def test_diagonal_mean_for_identical_slabs():
         calls = []
         bath = forces._bath_integrand(cfg, math.inf, math.inf)
 
-        def rec(k, sL, sR, sG, bath=bath, calls=calls):
-            calls.append((sL, sR))
-            return bath(k, sL, sR, sG)
+        def rec(k, offsets, bath=bath, calls=calls):
+            calls.extend((sL, sR) for sL, sR, _ in offsets)
+            return bath(k, offsets)
 
         forces._real_axis(cfg, loose, rec)
         assert any(c != (0.0, 0.0) for c in calls)
@@ -469,10 +481,10 @@ def test_diagonal_mean_for_identical_slabs():
     calls = []
     tl, tr = MILD_L.as_tuple(), MILD_R.as_tuple()
 
-    def half(k, sL, sR, sG):
-        calls.append((sL, sR, sG))
-        return core.halfspace_combined_integrand(k, 1.0, tl, tr, 10.0, 10.0,
-                                                 10.0, sG)
+    def half(k, offsets):
+        calls.extend(offsets)
+        return core.halfspace_combined_integrands(k, 1.0, tl, tr, 10.0,
+                                                  10.0, 10.0, offsets)
 
     forces._oscillatory_integral(half, loose, 1.0,
                                  forces._breakpoints(MILD_L, MILD_R))

@@ -16,6 +16,7 @@ MILD_R = (2.5, 1.5, 1.0, False)
 FIG = (10.0, 10.0, 0.1, False)
 STATIC = (10.0, 10.0, 0.0, True)
 VAC = (1.0, 0.0, 0.0, False)
+WEAK = (10.0, 10.0, 1e-6, False)
 
 
 def _n(mat, om):
@@ -182,3 +183,72 @@ def test_coth_half():
 def test_states_share_the_kernel_coth_half():
     from casimir1d import states
     assert states.coth_half is pure.coth_half
+
+
+# (left, right, width, frequencies): the fig, weak and mild pairs, lossless
+# and empty slabs, and slabs opaque past the em = 0 cut (2 k Im(n) d > 1400)
+# in the fig stop band
+_OFFSET_CASES = (
+    (FIG, FIG, 100.0, (0.7, 9.95, 16.6, 40.0, 210.0)),
+    (WEAK, WEAK, 100.0, (9.4, 9.99, 11.405318, 14.5, 30.0)),
+    (MILD_L, MILD_R, 0.4, (0.3, 2.9, 7.0, 55.0)),
+    (STATIC, STATIC, 0.7, (0.5, 6.0, 33.0)),
+    (VAC, VAC, 2.0, (0.1, 7.3)),
+    (FIG, MILD_R, 100.0, (11.0, 12.5, 13.0)),
+)
+_QUARTER = [0.5 * math.pi * i for i in range(4)]
+_OFFSET_LISTS = (
+    [(0.0, 0.0, 0.0)],
+    [(2.0 * math.pi * i / 32, 2.0 * math.pi * i / 32, 0.0)
+     for i in range(32)],
+    [(x, y, z) for x in _QUARTER for y in _QUARTER for z in _QUARTER],
+    [(0.0, 0.0, z) for z in _QUARTER],
+)
+
+
+@pytest.mark.parametrize("left,right,d,ks", _OFFSET_CASES)
+def test_offset_kernels_equal_the_scalar_kernels(left, right, d, ks):
+    # every offset entry point shares its slab and gap work across the
+    # offsets, with the scalar kernels' arithmetic: equal to the last bit
+    a = 1.0
+    if left == FIG and right == MILD_R:
+        for k in ks:
+            n = pure.refractive_at(-1j * k, *FIG)
+            assert 2.0 * k * n.imag * d > 1400.0
+    for k in ks:
+        for offsets in _OFFSET_LISTS:
+            assert pure.ic_brackets(k, a, d, left, right, offsets) == \
+                [pure.ic_bracket(k, a, d, left, right, *o) for o in offsets]
+            for bl, br in ((2.0, 7.0), (math.inf, math.inf)):
+                assert pure.bath_integrands(
+                    k, a, d, left, right, bl, br, offsets) == \
+                    [pure.bath_integrand(k, a, d, left, right, bl, br, *o)
+                     for o in offsets]
+            assert pure.halfspace_combined_integrands(
+                k, a, left, right, 2.0, 7.0, 3.0, offsets) == \
+                [pure.halfspace_combined_integrand(k, a, left, right, 2.0,
+                                                   7.0, 3.0, o[2])
+                 for o in offsets]
+
+
+def test_offset_kernels_raise_at_a_cavity_pole():
+    # a nearly lossless stop band reflects totally; the gap offset that
+    # closes the round-trip phase puts the cavity on its pole
+    from casimir1d.errors import CavityResonanceError
+    mat, k, a, d = (10.0, 10.0, 1e-20, False), 12.0, 1.0, 100.0
+    r = pure._surface_refl(k, mat)
+    pole = -cmath.phase(r * r * pure.gap_phase(k, a))
+    offsets = [(0.0, 0.0, 0.0), (0.0, 0.0, pole)]
+    calls = (
+        lambda: pure.ic_bracket(k, a, d, mat, mat, 0.0, 0.0, pole),
+        lambda: pure.ic_brackets(k, a, d, mat, mat, offsets),
+        lambda: pure.bath_integrand(k, a, d, mat, mat, 2.0, 3.0, 0.0, 0.0,
+                                    pole),
+        lambda: pure.bath_integrands(k, a, d, mat, mat, 2.0, 3.0, offsets),
+        lambda: pure.halfspace_combined_integrand(k, a, mat, mat, 2.0, 3.0,
+                                                  4.0, pole),
+        lambda: pure.halfspace_combined_integrands(k, a, mat, mat, 2.0, 3.0,
+                                                   4.0, offsets))
+    for call in calls:
+        with pytest.raises(CavityResonanceError):
+            call()
