@@ -448,17 +448,20 @@ def _verify_checks():
     checks.append(("dense_band_dual_pipeline", dev / est, 1.0))
 
     # the slab-phase mean plus its bound against raw quadrature on
-    # half-slab-period panels, in the shallow band of the docs cavity, for
-    # the bath and the state integrands, from the band's opaque lower edge
-    # and inside it; the worst ratio to the combined estimate
+    # half-slab-period panels, in the shallow bands of the docs cavity, for
+    # the bath and the state integrands: above the stop band from the high
+    # band's opaque lower edge and inside it, below it over the whole low
+    # band and from k -> 0 into its clear comb; the worst ratio to the
+    # combined estimate
     fig = Material(10.0, 10.0, 0.1)
     cfg_fig = CavityConfig(1.0, 100.0, fig, fig)
     spec_fig = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-10)
-    start = forces._shallow_band(cfg_fig, 30.0, spec_fig.panel_width)[0]
+    (low_lo, low_hi), (start, _) = forces._shallow_bands(cfg_fig, 30.0)
     worst = 0.0
     for f in (forces._bath_integrand(cfg_fig, math.inf, math.inf),
               forces._state_integrand(cfg_fig)):
-        for lo, hi in ((start, 30.0), (25.3, 27.9)):
+        for lo, hi in ((start, 30.0), (25.3, 27.9), (low_lo, low_hi),
+                       (low_lo, 3.0)):
             dev, est = forces._band_dual(cfg_fig, f, lo, hi, spec_fig)
             worst = max(worst, dev / est)
     checks.append(("shallow_band_dual_pipeline", worst, 1.0))

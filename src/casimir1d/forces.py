@@ -47,13 +47,17 @@ structure they would otherwise chase blindly:
   resonances pile up), the passes integrate the mean over the common slab
   phase, converged by doubling its offsets, while quadrature still resolves
   the gap phase.  The band edges are breakpoints;
-* the shallow band: above the stop band, once an identical pair's slabs
-  are no longer opaque (e^{-2 k Im(n) d} >= 1e-6) while their slab phase
-  still runs fast and their comb is shallow (|rn^2 E| below the dense
-  band's), the direct pass integrates the slab-phase mean up to the switch
-  point, and so do the strips of ``band_excess_curve``.  The band is used
-  only when the slab is opaque just below its lower edge, where the
-  dropped oscillation vanishes, and when it spans eight panels;
+* the shallow bands: where an identical pair's slabs are not opaque
+  (e^{-2 k Im(n) d} >= 1e-6) while their slab phase runs fast and their
+  comb is shallow (|rn^2 E| below the dense band's), the direct pass
+  integrates the slab-phase mean, on both sides of the stop band: below it
+  from k -> 0 to where the slab turns opaque under the resonance, above it
+  from where the slab clears to the switch point.  A band is used only
+  when the slab is opaque just past its edge facing the stop band, where
+  the dropped oscillation vanishes.  The strips of ``band_excess_curve``
+  use only the band above the stop band: their windows around a band
+  center below the resonance end inside the clear comb, where the bound's
+  edge terms would swamp the narrow windows;
 * bound gap modes: inside each absorbing slab's stop band the cavity
   denominator |1 - rL rR e^{2ika}| dips at the bound modes.  Modes far
   narrower than a panel are located by a scan and golden-section search and
@@ -77,6 +81,7 @@ independent check of ``force_ic``.
 import cmath
 import functools
 import math
+import operator
 import sys
 from dataclasses import dataclass, field, replace
 
@@ -129,12 +134,15 @@ _MEAN_MAX = 4096
 # terms), and a tolerance below that would double the offsets until
 # _MEAN_MAX.
 _MEAN_NOISE = 8.0
-# Shallow band of identical slabs: above the stop band, where the slab phase
-# runs fast, the slab comb is shallow (|rn^2 E| < _SHARP_MIN) and the slab is
-# not opaque (e^{-2 k Im(n) d} >= _CLEAR_MIN), the passes integrate the
-# slab-phase mean instead of resolving every slab period.  The band is used
-# only from the slab's opaque-to-clear crossing and when it spans
-# _SHALLOW_PANELS panel widths.
+# Shallow bands of identical slabs: on either side of the stop band, where
+# the slab phase runs fast, the slab comb is shallow (|rn^2 E| < _SHARP_MIN)
+# and the slab is not opaque (e^{-2 k Im(n) d} >= _CLEAR_MIN), the passes
+# integrate the slab-phase mean instead of resolving every slab period.  A
+# band is used only when it meets the slab's opaque stretch at its edge
+# facing the stop band and when it spans _SHALLOW_PANELS half slab periods,
+# the panels raw quadrature needs there: the raw cost grows with the slab
+# periods, while the mean and its bound cost a few panels and gap periods,
+# about as much as four slab periods raw.
 _CLEAR_MIN = 1e-6
 _SHALLOW_PANELS = 8
 # The band bound takes the slab harmonics from _HARM_OFFSETS diagonal
@@ -254,25 +262,27 @@ def _odd(n):
     return [math.pi * (2 * i + 1) / n for i in range(n)]
 
 
-def _phase_average(shifted, k, naxes):
-    """Discrete mean of the integrand over offsets of its oscillation phases.
-
-    ``shifted(k, offsets)`` evaluates the integrand at k once per additive
-    offset triple (sL, sR, sG) on the left-slab, right-slab and gap phases.
-    ``naxes`` is 3 for two different slabs, 2 for identical slabs (whose two
+def _phase_grid(naxes):
+    """Offset triples (sL, sR, sG) of the phase average over ``naxes``
+    phases: 3 for two different slabs, 2 for identical slabs (whose two
     slab phases are one phase, so only the diagonal sL = sR is averaged) and
-    1 when only the gap phase exists (half-space limits).
-    """
+    1 when only the gap phase exists (half-space limits).  Every grid leads
+    with the unshifted triple (0, 0, 0)."""
     step = 2.0 * math.pi / _SHIFTS
     offsets = [i * step for i in range(_SHIFTS)]
     if naxes == 1:
-        grid = [(0.0, 0.0, g) for g in offsets]
-    elif naxes == 2:
-        grid = [(s, s, g) for g in offsets for s in offsets]
-    else:
-        grid = [(sL, sR, g) for sL in offsets for sR in offsets
-                for g in offsets]
-    vals = shifted(k, grid)
+        return tuple((0.0, 0.0, g) for g in offsets)
+    if naxes == 2:
+        return tuple((s, s, g) for g in offsets for s in offsets)
+    return tuple((sL, sR, g) for sL in offsets for sR in offsets
+                 for g in offsets)
+
+
+_PHASE_GRIDS = {n: _phase_grid(n) for n in (1, 2, 3)}
+
+
+def _phase_mean(vals, naxes):
+    """Mean of the integrand values on ``_PHASE_GRIDS[naxes]``."""
     tot = 0.0
     if naxes == 2:
         # the diagonal is summed per gap offset first; this order fixes the
@@ -282,7 +292,17 @@ def _phase_average(shifted, k, naxes):
     else:
         for v in vals:
             tot += v
-    return tot / float(len(grid))
+    return tot / float(len(vals))
+
+
+def _phase_average(shifted, k, naxes):
+    """Discrete mean of the integrand over offsets of its oscillation phases.
+
+    ``shifted(k, offsets)`` evaluates the integrand at k once per additive
+    offset triple (sL, sR, sG) on the left-slab, right-slab and gap phases;
+    ``naxes`` is as in ``_phase_grid``.
+    """
+    return _phase_mean(shifted(k, _PHASE_GRIDS[naxes]), naxes)
 
 
 def _slab_mean(shifted, k, tol):
@@ -322,7 +342,7 @@ def _harmonics(shifted, comb, k):
     n = _HARM_OFFSETS
     vals = shifted(k, _diagonal([2.0 * math.pi * i / n for i in range(n)]))
     phi = _slab_phase(comb.left, comb.width, k)
-    return [sum(v * w for v, w in zip(vals, _TWIDDLES[j])) / n
+    return [sum(map(operator.mul, vals, _TWIDDLES[j])) / n
             * cmath.exp(-1j * j * phi) for j in range(1, n // 2)]
 
 
@@ -408,12 +428,14 @@ def _banded(raw, shifted, bands, tol):
     return f
 
 
-def _probe_amplitude(raw, averaged, k, window):
-    """Largest deviation of the integrand from its phase average near k."""
+def _probe_amplitude(shifted, naxes, k, window):
+    """Largest deviation of the integrand from its phase average near k,
+    from one call per sample: the grid's leading triple is the raw value."""
     amp = 0.0
     for i in range(_PROBE_SAMPLES):
-        x = k + window * (i + 0.5) / _PROBE_SAMPLES
-        dev = abs(raw(x) - averaged(x))
+        vals = shifted(k + window * (i + 0.5) / _PROBE_SAMPLES,
+                       _PHASE_GRIDS[naxes])
+        dev = abs(vals[0] - _phase_mean(vals, naxes))
         if dev > amp:
             amp = dev
     return amp
@@ -493,7 +515,7 @@ def _oscillatory_integral(shifted, spec, gap, breakpoints, cfg=None):
     prev_amp_k = math.inf
     for _ in range(_MAX_MARCH):
         window = max(period, 0.05 * K)
-        amp = _probe_amplitude(raw, averaged, K, window)
+        amp = _probe_amplitude(shifted, naxes, K, window)
         bound = 0.5 * amp * inv_rate
         if bound <= 0.5 * budget or amp <= 64.0 * _NOISE_EPS * K:
             break
@@ -512,12 +534,11 @@ def _oscillatory_integral(shifted, spec, gap, breakpoints, cfg=None):
             "oscillation bound still %.3e at k = %.3e (budget %.3e)"
             % (bound, K, budget), partial=None, error=bound, panels=0)
 
-    # Direct adaptive pass below the switch point; the shallow band joins
+    # Direct adaptive pass below the switch point; the shallow bands join
     # the dense bands there, and each band adds the bound on the slab
     # oscillation it drops plus its means' allowance.
-    shallow = cfg is not None and _shallow_band(cfg, K, spec.panel_width)
-    if shallow:
-        bands += (shallow,)
+    if cfg is not None:
+        bands += _shallow_bands(cfg, K)
     direct = replace(spec, abs_tol=max(spec.abs_tol, 0.25 * budget,
                                        0.5 * _NOISE_EPS * K * K))
     tol = _mean_tol(direct.abs_tol, bands)
@@ -634,7 +655,8 @@ def _bands(cfg, inside, k_lo, k_end):
     otherwise.
 
     A scan at a sixteenth of the gap period finds the bands and bisection
-    places their edges.
+    places their edges; a band holding at the first or last scan point
+    runs to k_lo or k_end.
     """
     if cfg.left != cfg.right or not _absorbing(cfg.left) or k_end <= k_lo:
         return ()
@@ -655,7 +677,7 @@ def _bands(cfg, inside, k_lo, k_end):
     start = None
     for i, flag in enumerate(flags):
         if flag and start is None:
-            start = edge(ks[i - 1], ks[i], False) if i else ks[0]
+            start = edge(ks[i - 1], ks[i], False) if i else k_lo
         elif not flag and start is not None:
             bands.append((start, edge(ks[i - 1], ks[i], True)))
             start = None
@@ -669,26 +691,32 @@ def _dense_bands(cfg, k_end):
     return _bands(cfg, _dense, 0.0, k_end)
 
 
-def _shallow_band(cfg, k_end, panel_width):
-    """The shallow band below ``k_end`` as ``(lo, hi)``, or None.
+def _half_period(cfg, k):
+    """Half a slab period, pi over the slab rate, at k."""
+    return math.pi / _slab_rate(cfg.left, cfg.width, k)
 
-    The candidate is the first interval above the stop band [omega0,
-    sqrt(omega0^2 + omega_pl^2)] where ``_shallow`` holds.  It is kept only
-    when the slab is opaque just below its lower edge, so the slab
-    oscillation is negligible there (a band that abuts a dense band, where
-    the comb is still deep, is not), and when it spans ``_SHALLOW_PANELS``
-    panel widths (a shorter band is cheap to resolve raw).
+
+def _shallow_bands(cfg, k_end):
+    """The shallow bands below ``k_end``, sorted: at most one on each side
+    of the stop band [omega0, sqrt(omega0^2 + omega_pl^2)].
+
+    Below it the candidate is the last interval of (0, omega0) where
+    ``_shallow`` holds, above it the first one.  A candidate is kept only
+    when the slab is opaque just past its edge facing the stop band, so the
+    slab oscillation is negligible there (a stretch that abuts a dense band,
+    where the comb is still deep, is not), and when it spans
+    ``_SHALLOW_PANELS`` half slab periods.
     """
     mat = cfg.left
     top = math.sqrt(mat.omega0 ** 2 + mat.omega_pl ** 2)
-    bands = _bands(cfg, _shallow, top, k_end)
-    if not bands:
-        return None
-    lo, hi = bands[0]
-    if (hi - lo < _SHALLOW_PANELS * panel_width
-            or _comb(cfg, lo * (1.0 - 1e-9))[0] >= _CLEAR_MIN):
-        return None
-    return lo, hi
+    below = _bands(cfg, _shallow, 0.0, min(mat.omega0, k_end))[-1:]
+    above = _bands(cfg, _shallow, top, k_end)[:1]
+    # each candidate with the point just past its edge facing the stop band
+    cands = ([(b, b[1] * (1.0 + 1e-9)) for b in below]
+             + [(b, b[0] * (1.0 - 1e-9)) for b in above])
+    return tuple((lo, hi) for (lo, hi), edge in cands
+                 if hi - lo >= _SHALLOW_PANELS * _half_period(cfg, lo)
+                 and _comb(cfg, edge)[0] < _CLEAR_MIN)
 
 
 def _slab_refl(k, mat, d):
@@ -901,8 +929,7 @@ def _band_dual(cfg, f, lo, hi, spec):
     v_mean, e_mean = integrate_interval(lambda k: _slab_mean(f, k, tol),
                                         lo, hi, spec)
     e_mean += _band_bounds(f, cfg, lo, hi)(lo, hi) + tol * (hi - lo)
-    fine = replace(spec, panel_width=math.pi / _slab_rate(cfg.left,
-                                                          cfg.width, lo))
+    fine = replace(spec, panel_width=_half_period(cfg, lo))
     v_raw, e_raw = integrate_interval(lambda k: f(k, _RAW)[0], lo, hi, fine)
     return abs(v_mean - v_raw), e_mean + e_raw
 
@@ -1297,9 +1324,10 @@ def band_excess_curve(cfg, omega_center, sigmas, spec):
     over |k - omega_center| <= sigma/2.  The window integrals are nested,
     so they are assembled incrementally from non-overlapping strips and a
     full ladder costs a single pass over the widest window.  Where a strip
-    crosses the shallow band of identical absorbing slabs, it integrates
-    the slab-phase mean there, and each window adds to its error the bound
-    on the slab oscillation dropped across its part of the band.
+    crosses the shallow band above the stop band of identical absorbing
+    slabs, it integrates the slab-phase mean there, and each window adds to
+    its error the bound on the slab oscillation dropped across its part of
+    the band; below the resonance the strips stay raw.
 
     Returns
     -------
@@ -1311,11 +1339,16 @@ def band_excess_curve(cfg, omega_center, sigmas, spec):
     f = _state_integrand(cfg)
     windows = [band_edges(FieldState.squeezed_band(sg, omega_center))
                for sg in sigmas]
-    # the band is chosen once, over the widest window; every strip that
-    # overlaps it integrates the mean there, and each window adds the bound
-    # for its own part of the band
-    band = (_shallow_band(cfg, max(hi for _, hi in windows), spec.panel_width)
-            if windows else None)
+    # the band above the stop band is chosen once, over the widest window;
+    # every strip that overlaps it integrates the mean there, and each
+    # window adds the bound for its own part of the band.  Below the
+    # resonance the strips stay raw: windows around a band center there end
+    # inside the clear comb, where the bound's edge terms are large
+    band = None
+    if windows:
+        band = next((b for b in _shallow_bands(
+            cfg, max(hi for _, hi in windows)) if b[0] > cfg.left.omega0),
+            None)
     if band:
         tol = _mean_tol(spec.abs_tol, (band,))
         bound = _band_bounds(f, cfg, *band)

@@ -460,6 +460,13 @@ def test_diagonal_mean_for_identical_slabs():
     forces._harmonics(f, FIG_CFG, 1.0)
     assert [len(c) for c in calls] == [16, forces._HARM_OFFSETS]
     assert all(sl == sr and sg == 0.0 for c in calls for sl, sr, sg in c)
+    # the probe reads the raw value and the phase average from one call per
+    # sample, whose grid leads with the unshifted triple
+    calls.clear()
+    assert forces._probe_amplitude(f, 2, 1.0, 0.5) == pytest.approx(1.0)
+    assert len(calls) == forces._PROBE_SAMPLES
+    assert all(c == list(forces._PHASE_GRIDS[2]) for c in calls)
+    assert calls[0][0] == (0.0, 0.0, 0.0)
 
     # the real-axis integral reads its phase axes from the cavity: identical
     # slabs are offset only on the diagonal, different slabs also off it
@@ -538,26 +545,90 @@ def test_dense_band_dual_route():
         assert dev <= est
 
 
-def test_shallow_band_selected_from_observables():
-    # fig: the band starts above the stop band where the slab stops being
-    # opaque (e^{-2 k Im(n) d} = 1e-6), and runs to the requested end
-    width = SPEC6.panel_width
-    lo, hi = forces._shallow_band(FIG_CFG, 106.5, width)
+def test_shallow_band_selected_from_observables(monkeypatch):
+    # fig: below the stop band the low band runs from k -> 0 to where the
+    # slab turns opaque under the resonance (e^{-2 k Im(n) d} = 1e-6);
+    # above it the high band starts where the slab stops being opaque and
+    # runs to the requested end
+    (lo0, hi0), (lo, hi) = forces._shallow_bands(FIG_CFG, 106.5)
+    assert lo0 == 0.0 and hi0 == pytest.approx(7.303, abs=1e-3)
+    assert forces._shallow(FIG_CFG, 0.5 * hi0)
+    assert not forces._shallow(FIG_CFG, hi0 + 1e-3)
+    assert forces._comb(FIG_CFG, hi0 + 1e-3)[0] < forces._CLEAR_MIN
     assert 16.5 < lo < 16.7 and hi == 106.5
     assert forces._shallow(FIG_CFG, 0.5 * (lo + hi))
     assert not forces._shallow(FIG_CFG, lo - 1e-3)
     assert forces._comb(FIG_CFG, lo - 1e-3)[0] < forces._CLEAR_MIN
-    # shorter than eight panel widths: raw
-    assert forces._shallow_band(FIG_CFG, lo + 7.0 * width, width) is None
-    # weak pair: the shallow stretch abuts the upper dense band, where the
-    # slab is clear and its comb deep, so it is never used, for Z's switch
-    # point 1.3 x sqrt(200) or for any later one
+    # each band must span _SHALLOW_PANELS of its own half slab periods; the
+    # low band is 4.6 panel widths long but spans about 660 of them
+    assert hi0 - lo0 < 5.0 * SPEC6.panel_width
+    n_low = (hi0 - lo0) / forces._half_period(FIG_CFG, lo0)
+    assert 600.0 < n_low < 700.0
+    monkeypatch.setattr(forces, "_SHALLOW_PANELS", 1.01 * n_low)
+    assert forces._shallow_bands(FIG_CFG, 106.5) == ((lo, hi),)
+    monkeypatch.undo()
+    # a low stretch cut short of its opaque edge is not a band
+    assert forces._shallow_bands(FIG_CFG, 5.0) == ()
+    # weak pair: both shallow stretches abut a dense band, where the slab is
+    # clear and its comb deep (the low one runs into it at 9.356), so
+    # neither is used, for Z's switch point 1.3 x sqrt(200) or any later one
+    low = forces._bands(WEAK_CFG, forces._shallow, 0.0, 10.0)[-1]
+    assert low[1] == pytest.approx(9.356, abs=1e-3)
+    assert forces._dense(WEAK_CFG, low[1] + 1e-3)
     for k_end in (1.3 * 10.0 * math.sqrt(2.0), 30.0, 100.0):
-        assert forces._shallow_band(WEAK_CFG, k_end, 0.01) is None
+        assert forces._shallow_bands(WEAK_CFG, k_end) == ()
     # mild pairs: different slabs, or identical slabs whose phase is slow
     for cfg in (CFG, CavityConfig(0.5, 0.4, MILD_L, MILD_R),
                 CavityConfig(1.0, 0.4, MILD_L, MILD_L)):
-        assert forces._shallow_band(cfg, 100.0, width) is None
+        assert forces._shallow_bands(cfg, 100.0) == ()
+
+
+def test_low_shallow_band_dual_route():
+    # the whole low band, from k -> 0 to its opaque edge, and the part of it
+    # that ends inside the clear comb, for the bath and the state integrands
+    lo, hi = forces._shallow_bands(FIG_CFG, 30.0)[0]
+    for f in (forces._bath_integrand(FIG_CFG, math.inf, math.inf),
+              forces._state_integrand(FIG_CFG)):
+        for x1 in (hi, 3.0):
+            dev, est = forces._band_dual(FIG_CFG, f, lo, x1, SPEC6)
+            assert dev <= est
+
+
+def test_real_axis_error_carries_both_shallow_band_bounds(monkeypatch):
+    # fig's Z integrates the mean over both shallow bands, and each band's
+    # dropped-oscillation bound joins the error
+    bath = forces._bath_integrand(FIG_CFG, math.inf, math.inf)
+    z, ez = forces._real_axis(FIG_CFG, SPEC6, bath)
+    monkeypatch.setattr(forces, "_band_bounds",
+                        lambda *args: lambda x0, x1: 1.0)
+    z1, ez1 = forces._real_axis(FIG_CFG, SPEC6, bath)
+    assert z1 == z
+    assert ez1 - ez == pytest.approx(2.0, abs=1e-4)
+
+
+def test_band_excess_ladder_keeps_its_strips_raw_below_the_resonance(
+        monkeypatch):
+    # windows around omega = 5 end inside the clear comb of the low band,
+    # where the bound's edge terms would swamp the narrow windows: the
+    # ladder evaluates the bare integrand there
+    state = forces._state_integrand
+    low = []
+
+    def recording(cfg):
+        f = state(cfg)
+
+        def rec(k, offsets):
+            if k < FIG.omega0:
+                low.append(len(offsets))
+            return f(k, offsets)
+        return rec
+
+    monkeypatch.setattr(forces, "_state_integrand", recording)
+    sigmas = [0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 5.0, 10.0, 20.0, 50.0,
+              100.0, 200.0, 400.0, 700.0]
+    out = band_excess_curve(FIG_CFG, 5.0, sigmas, SPEC6)
+    assert low and set(low) == {1}
+    assert out[0][1] == pytest.approx(5.7056e-4, rel=1e-4)
 
 
 def test_shallow_bound_counts_both_signs_of_each_harmonic():
@@ -566,7 +637,7 @@ def test_shallow_bound_counts_both_signs_of_each_harmonic():
     # (that the full bound covers it is the verify check
     # shallow_band_dual_pipeline)
     f = forces._state_integrand(FIG_CFG)
-    lo = forces._shallow_band(FIG_CFG, 30.0, SPEC6.panel_width)[0]
+    lo = forces._shallow_bands(FIG_CFG, 30.0)[-1][0]
     dev, _ = forces._band_dual(FIG_CFG, f, lo, 30.0, SPEC6)
     assert dev > 0.5 * forces._band_bounds(f, FIG_CFG, lo, 30.0)(lo, 30.0)
 
