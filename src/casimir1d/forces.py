@@ -45,8 +45,8 @@ structure they would otherwise chase blindly:
   weakly reflecting and the slab round-trip phase 2 k Re(n) d runs far
   faster than the gap phase (below a weakly damped resonance, sharp slab
   resonances pile up), the passes integrate the mean over the common slab
-  phase, converged by doubling its offsets, while quadrature still resolves
-  the gap phase.  The band edges are breakpoints;
+  phase, while quadrature still resolves the gap phase.  The band edges are
+  breakpoints;
 * the shallow bands: where an identical pair's slabs are not opaque
   (e^{-2 k Im(n) d} >= 1e-6) while their slab phase runs fast and their
   comb is shallow (|rn^2 E| below the dense band's), the direct pass
@@ -68,7 +68,14 @@ Across both kinds of band one bound on the dropped slab oscillation joins
 the error estimate: each slab harmonic h_j e^{i j phi} is integrated by
 parts three times, leaving edge terms at orders 1/j, 1/j^2 and 1/j^3 plus
 the variation of the last, counted for both signs of j, from the harmonics
-sampled once on a grid across the band that resolves the gap phase.
+sampled once on a grid across the band that resolves the gap phase.  The
+harmonics fall like rho^j, with rho the closed-form radius of the
+integrand's poles in e^{i phi}.  Where rho stays small across a band (the
+shallow bands of the docs cavity), the grid samples the harmonics until
+rho^j falls to 1e-12 and bounds the rest by a geometric tail, and each mean
+takes, in one call, the offsets that hold its aliased harmonics to its
+tolerance.  Elsewhere (the dense bands) the grid takes 32 samples and each
+mean doubles its offsets until two successive means agree.
 
 Undamped slabs leave the real-axis tail undamped, so no classical improper
 integral exists there; only the rotated R and the absolutely convergent
@@ -123,8 +130,9 @@ _RAW = ((0.0, 0.0, 0.0),)
 _DENSE_RATE = 100.0
 _SHARP_MIN = 0.25
 _SHARP_MAX = 0.9
-# The slab-phase mean starts from _MEAN_START equidistant offsets and
-# doubles them until two successive means agree.
+# Where the band bound cannot size it (pole radius above _RHO_MAX), the
+# slab-phase mean starts from _MEAN_START equidistant offsets and doubles
+# them until two successive means agree.
 _MEAN_START = 8
 _MEAN_MAX = 4096
 # Rounding floor of the slab-phase mean tolerance, in units of the
@@ -145,14 +153,15 @@ _MEAN_NOISE = 8.0
 # about as much as four slab periods raw.
 _CLEAR_MIN = 1e-6
 _SHALLOW_PANELS = 8
-# The band bound takes the slab harmonics from _HARM_OFFSETS diagonal
-# samples at _HARM_GRID points per gap period pi/a.
+# The band bound samples the slab harmonics at _HARM_GRID points per gap
+# period pi/a.  Where their pole radius rho exceeds _RHO_MAX somewhere in a
+# band, they decay too slowly to be sized: every point takes _HARM_OFFSETS
+# diagonal samples.  Elsewhere a point takes the harmonics until rho^j falls
+# to _HARM_DROP, and each mean the offsets it needs (see ``_band_bounds``).
 _HARM_OFFSETS = 32
 _HARM_GRID = 8
-_TWIDDLES = tuple(
-    tuple(cmath.exp(-2j * math.pi * j * i / _HARM_OFFSETS)
-          for i in range(_HARM_OFFSETS))
-    for j in range(_HARM_OFFSETS // 2))
+_HARM_DROP = 1e-12
+_RHO_MAX = 0.25
 # Bisection steps placing a dense-band edge between two scan points.
 _EDGE_STEPS = 40
 # Bound gap modes narrower than this fraction of the panel width are pinned
@@ -305,22 +314,27 @@ def _phase_average(shifted, k, naxes):
     return _phase_mean(shifted(k, _PHASE_GRIDS[naxes]), naxes)
 
 
-def _slab_mean(shifted, k, tol):
+def _even(n):
+    """n equidistant offsets from 0."""
+    return [2.0 * math.pi * i / n for i in range(n)]
+
+
+def _slab_mean(shifted, k, tol, rel=0.0):
     """Mean of the integrand over the common slab phase at fixed gap phase.
 
     Doubles the number of equidistant offsets from ``_MEAN_START`` until two
-    successive means agree within ``tol`` (the Fourier harmonics of the slab
-    phase decay geometrically, so the last mean is far closer than that).
-    The first doubling always runs, so one call evaluates both of its sets.
+    successive means agree within ``tol``, or within ``rel`` times the mean
+    where that is larger (the Fourier harmonics of the slab phase decay
+    geometrically, so the last mean is far closer than that).  The first
+    doubling always runs, so one call evaluates both of its sets.
     """
     n = _MEAN_START
-    vals = shifted(k, _diagonal([2.0 * math.pi * i / n for i in range(n)]
-                                + _odd(n)))
+    vals = shifted(k, _diagonal(_even(n) + _odd(n)))
     mean = sum(vals[:n]) / n
     while True:
         n *= 2
         prev, mean = mean, sum(vals) / n
-        if abs(mean - prev) <= tol:
+        if abs(mean - prev) <= max(tol, rel * abs(mean)):
             return mean
         if n >= _MEAN_MAX:
             break
@@ -330,20 +344,63 @@ def _slab_mean(shifted, k, tol):
         % (k, tol, n), partial=None, error=None, panels=0)
 
 
-def _harmonics(shifted, comb, k):
-    """Slab harmonics h_j(k), j = 1 .. _HARM_OFFSETS / 2 - 1, at k.
+@functools.lru_cache(maxsize=None)
+def _twiddles(n):
+    """DFT factors e^{-2 pi i j l / n} over the n samples l, for j < n / 2."""
+    return tuple(tuple(cmath.exp(-2j * math.pi * j * i / n) for i in range(n))
+                 for j in range(n // 2))
+
+
+def _harmonics(shifted, comb, k, n=_HARM_OFFSETS):
+    """Slab harmonics h_j(k), j = 1 .. n / 2 - 1, at k, from n samples.
 
     With phi the slab round-trip phase of the identical slabs of ``comb``,
     the integrand is the sum over j of h_j(k) e^{i j phi(k)}, where h_j
     varies only with the gap phase.  The DFT of the diagonal samples gives
-    h_j e^{i j phi}; the Nyquist harmonic, whose size is the comb depth to
-    the power _HARM_OFFSETS / 2, is left out.
+    h_j e^{i j phi}; the Nyquist harmonic, whose size is the pole radius to
+    the power n / 2, is left out.
     """
-    n = _HARM_OFFSETS
-    vals = shifted(k, _diagonal([2.0 * math.pi * i / n for i in range(n)]))
+    vals = shifted(k, _diagonal(_even(n)))
     phi = _slab_phase(comb.left, comb.width, k)
-    return [sum(map(operator.mul, vals, _TWIDDLES[j])) / n
+    return [sum(map(operator.mul, vals, _twiddles(n)[j])) / n
             * cmath.exp(-1j * j * phi) for j in range(1, n // 2)]
+
+
+def _pole_radius(cfg, k):
+    """Decay ratio rho of the slab harmonics of identical slabs at k.
+
+    On the diagonal the integrand is rational in z = e^{i phi}.  With rn the
+    surface reflection, E0 = e^{-2 k Im(n) d} and u = e^{i k a}, the cavity
+    denominator factors as (F - rn u (1 - E))(F + rn u (1 - E)) with
+    E = E0 z and F = 1 - rn^2 E, and the integrands also divide by F.  Their
+    poles lie at |z| = 1 / rho_p with rho_p = E0 |rn| |rn -+ u| / |1 -+ rn u|
+    and E0 |rn|^2, so the harmonics fall like the largest, rho^j.
+    """
+    n = core.refractive_at(-1j * k, *cfg.left.as_tuple())
+    rn = (1.0 - n) / (1.0 + n)
+    x = 2.0 * k * n.imag * cfg.width
+    u = cmath.exp(1j * k * cfg.gap)
+    return (math.exp(-x) if x < 700.0 else 0.0) * abs(rn) * max(
+        abs(rn - u) / abs(1.0 - rn * u), abs(rn + u) / abs(1.0 + rn * u),
+        abs(rn))
+
+
+def _sized_harmonics(shifted, comb, k, rho):
+    """``(harmonics, C)`` at k, where the pole radius is ``rho``: h_j for
+    j <= J, J the least with rho^J <= _HARM_DROP (below _HARM_OFFSETS / 2),
+    from 2J + 2 samples, and the amplitude C = max |h_j| / (j rho^j) over
+    h_1 and the harmonics above the rounding floor.
+
+    The model |h_j| <= C j rho^j allows for a pair of near-coincident poles
+    of opposite residue, whose harmonics rise before they decay.
+    """
+    J = 1
+    while J < _HARM_OFFSETS // 2 - 1 and rho ** J > _HARM_DROP:
+        J += 1
+    harm = _harmonics(shifted, comb, k, 2 * J + 2)
+    floor = _MEAN_NOISE * _NOISE_EPS * k
+    return harm, max(abs(h) / (j * rho ** j) for j, h in enumerate(harm, 1)
+                     if j == 1 or abs(h) > floor)
 
 
 def _derivative(ys, h):
@@ -357,7 +414,9 @@ def _derivative(ys, h):
 def _band_bounds(shifted, comb, lo, hi):
     """Bounds on the slab oscillation dropped by integrating the mean over
     parts of a dense or shallow band [lo, hi] of the identical slabs of
-    ``comb``: returns ``bound(x0, x1)`` for lo <= x0 < x1 <= hi.
+    ``comb``, and the mean itself: returns ``(bound, mean)``, where
+    ``bound(x0, x1)`` serves lo <= x0 < x1 <= hi and ``mean(k, tol)`` is the
+    slab-phase mean at k inside the band, within ``tol``.
 
     Three integrations by parts of each harmonic integral of h_j e^{i j phi}
     leave the edge terms of u = h_j / phi', u' / phi' and (u' / phi')' / phi'
@@ -367,16 +426,36 @@ def _band_bounds(shifted, comb, lo, hi):
     grid of ``_HARM_GRID`` points per gap period across the band, which
     resolves their gap-phase variation; between grid points the edge terms
     take the larger neighbour and the variation covers whole grid steps.
+
+    Where the pole radius stays at most ``_RHO_MAX`` on the grid, each point
+    takes its harmonics from ``_sized_harmonics``, and the tail sum over
+    j > J of 2 C j rho^j joins its edge terms and the variation of its grid
+    steps.  The mean at k then takes the least number n of
+    equidistant offsets whose aliased harmonics, at most
+    2 C n rho^n / (1 - rho^n)^2 with C the larger amplitude of k's grid
+    step, fit tol / 2.  Elsewhere every point takes ``_HARM_OFFSETS``
+    samples and the mean is ``_slab_mean``.
     """
     m = max(2, int(math.ceil(_HARM_GRID * (hi - lo) * comb.gap / math.pi)))
     step = (hi - lo) / m
     ks = [lo + step * i for i in range(m)] + [hi]
     rates = [_slab_rate(comb.left, comb.width, k) for k in ks]
-    harm = [_harmonics(shifted, comb, k) for k in ks]
-    edge = [0.0] * (m + 1)
-    jumps = [0.0] * m
-    for j in range(1, _HARM_OFFSETS // 2):
-        u = [h[j - 1] / r for h, r in zip(harm, rates)]
+    rhos = [_pole_radius(comb, k) for k in ks]
+    sized = max(rhos) <= _RHO_MAX
+    if sized:
+        harm, amps = zip(*(_sized_harmonics(shifted, comb, k, rho)
+                           for k, rho in zip(ks, rhos)))
+        # 2 C times the sum over j > J of j rho^j
+        tails = [2.0 * c * rho ** (len(h) + 1) * (len(h) + 1 - len(h) * rho)
+                 / (1.0 - rho) ** 2 for h, c, rho in zip(harm, amps, rhos)]
+    else:
+        harm = [_harmonics(shifted, comb, k) for k in ks]
+        tails = [0.0] * (m + 1)
+    edge = list(tails)
+    jumps = [a + b for a, b in zip(tails, tails[1:])]
+    for j in range(1, max(map(len, harm)) + 1):
+        u = [(h[j - 1] if j <= len(h) else 0.0) / r
+             for h, r in zip(harm, rates)]
         v = [x / r for x, r in zip(_derivative(u, step), rates)]
         w = [x / r for x, r in zip(_derivative(v, step), rates)]
         for i in range(m + 1):
@@ -401,7 +480,18 @@ def _band_bounds(shifted, comb, lo, hi):
         a1, b1 = cell(x1)
         return (max(edge[a0], edge[b0]) + max(edge[a1], edge[b1])
                 + variation[b1] - variation[a0])
-    return bound
+
+    def mean(k, tol):
+        if not sized:
+            return _slab_mean(shifted, k, tol)
+        i, i1 = cell(k)
+        c = max(amps[i], amps[i1])
+        rho = _pole_radius(comb, k)
+        n = 1
+        while 4.0 * c * n * rho ** n > tol * (1.0 - rho ** n) ** 2:
+            n += 1
+        return sum(shifted(k, _diagonal(_even(n)))) / n
+    return bound, mean
 
 
 def _mean_tol(abs_tol, bands):
@@ -414,16 +504,17 @@ def _mean_tol(abs_tol, bands):
                _MEAN_NOISE * _NOISE_EPS * max(hi for _, hi in bands))
 
 
-def _banded(raw, shifted, bands, tol):
-    """The pass integrand: the slab-phase mean inside the bands (whose edges
-    are breakpoints, so no panel straddles one), raw elsewhere."""
-    if not bands:
+def _banded(raw, means, tol):
+    """The pass integrand: ``mean(k, tol)`` inside each band ``(lo, hi,
+    mean)`` of ``means`` (whose edges are breakpoints, so no panel
+    straddles one), raw elsewhere."""
+    if not means:
         return raw
 
     def f(k):
-        for lo, hi in bands:
+        for lo, hi, mean in means:
             if lo < k < hi:
-                return _slab_mean(shifted, k, tol)
+                return mean(k, tol)
         return raw(k)
     return f
 
@@ -492,12 +583,18 @@ def _oscillatory_integral(shifted, spec, gap, breakpoints, cfg=None):
     if breakpoints:
         k0 = max(k0, 1.3 * breakpoints[-1])
 
-    # Cheap magnitude estimate fixing the absolute error budget.
+    # Cheap magnitude estimate fixing the absolute error budget; its means
+    # settle to a hundredth of its relative tolerance, or to rounding.
     coarse = replace(spec, rel_tol=1e-2, abs_tol=max(spec.abs_tol, 1e-8),
                      max_panels=max(2000, spec.max_panels // 10))
+
+    def settle(k, tol):
+        return _slab_mean(shifted, k, tol, 1e-2 * coarse.rel_tol)
+
     try:
         c0, _ = integrate_interval(
-            _banded(raw, shifted, bands, _mean_tol(coarse.abs_tol, bands)),
+            _banded(raw, [(lo, hi, settle) for lo, hi in bands],
+                    _mean_tol(0.0, bands)),
             0.0, k0, coarse, breakpoints=breakpoints + sum(bands, ()))
     except NonConvergenceError as exc:
         c0 = exc.partial if exc.partial is not None else 0.0
@@ -536,18 +633,21 @@ def _oscillatory_integral(shifted, spec, gap, breakpoints, cfg=None):
 
     # Direct adaptive pass below the switch point; the shallow bands join
     # the dense bands there, and each band adds the bound on the slab
-    # oscillation it drops plus its means' allowance.
+    # oscillation it drops plus its means' allowance.  The bounds come
+    # first: they size the means.
     if cfg is not None:
         bands += _shallow_bands(cfg, K)
     direct = replace(spec, abs_tol=max(spec.abs_tol, 0.25 * budget,
                                        0.5 * _NOISE_EPS * K * K))
     tol = _mean_tol(direct.abs_tol, bands)
+    bounds = [_band_bounds(shifted, cfg, lo, hi) for lo, hi in bands]
     val, err = integrate_interval(
-        _banded(raw, shifted, bands, tol), 0.0, K, direct,
+        _banded(raw, [(lo, hi, mean) for (lo, hi), (_, mean)
+                      in zip(bands, bounds)], tol), 0.0, K, direct,
         breakpoints=breakpoints + sum(bands, ()))
     err += bound
-    for lo, hi in bands:
-        err += _band_bounds(shifted, cfg, lo, hi)(lo, hi) + tol * (hi - lo)
+    for (lo, hi), (dropped, _) in zip(bands, bounds):
+        err += dropped(lo, hi) + tol * (hi - lo)
 
     # Phase-averaged tail over geometric panels; for an inverse-cube mean
     # envelope f(k) ~ C/k^3 the remainder past kk is exactly f(kk)*kk/2.
@@ -922,13 +1022,13 @@ def _band_dual(cfg, f, lo, hi, spec):
 
     Returns ``(deviation, estimate)``: the two routes' difference and the
     sum of their error estimates, the mean's including its bound and its
-    convergence allowance.  An independent check of the band route and of
-    its bound.
+    convergence allowance.  An independent check of the band route, its
+    mean as production sizes it, and its bound.
     """
     tol = _mean_tol(spec.abs_tol, ((lo, hi),))
-    v_mean, e_mean = integrate_interval(lambda k: _slab_mean(f, k, tol),
-                                        lo, hi, spec)
-    e_mean += _band_bounds(f, cfg, lo, hi)(lo, hi) + tol * (hi - lo)
+    bound, mean = _band_bounds(f, cfg, lo, hi)
+    v_mean, e_mean = integrate_interval(lambda k: mean(k, tol), lo, hi, spec)
+    e_mean += bound(lo, hi) + tol * (hi - lo)
     fine = replace(spec, panel_width=_half_period(cfg, lo))
     v_raw, e_raw = integrate_interval(lambda k: f(k, _RAW)[0], lo, hi, fine)
     return abs(v_mean - v_raw), e_mean + e_raw
@@ -1351,7 +1451,7 @@ def band_excess_curve(cfg, omega_center, sigmas, spec):
             None)
     if band:
         tol = _mean_tol(spec.abs_tol, (band,))
-        bound = _band_bounds(f, cfg, *band)
+        bound, mean = _band_bounds(f, cfg, *band)
 
     def g(k):
         return f(k, _RAW)[0]
@@ -1362,8 +1462,8 @@ def band_excess_curve(cfg, omega_center, sigmas, spec):
         if not band or hi <= band[0] or band[1] <= lo:
             return integrate_interval(g, lo, hi, spec, breakpoints=bks)
         part = (max(band[0], lo), min(band[1], hi))
-        v, e = integrate_interval(_banded(g, f, (part,), tol), lo, hi, spec,
-                                  breakpoints=bks + part)
+        v, e = integrate_interval(_banded(g, [part + (mean,)], tol), lo, hi,
+                                  spec, breakpoints=bks + part)
         return v, e + tol * (part[1] - part[0])
 
     order = sorted(range(len(sigmas)), key=lambda i: sigmas[i])

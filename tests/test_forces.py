@@ -1,6 +1,7 @@
 """Force integrals: dual routes, equilibrium identities, honest refusals."""
 
 import math
+import random
 from dataclasses import FrozenInstanceError, replace
 
 import pytest
@@ -599,8 +600,9 @@ def test_real_axis_error_carries_both_shallow_band_bounds(monkeypatch):
     # dropped-oscillation bound joins the error
     bath = forces._bath_integrand(FIG_CFG, math.inf, math.inf)
     z, ez = forces._real_axis(FIG_CFG, SPEC6, bath)
-    monkeypatch.setattr(forces, "_band_bounds",
-                        lambda *args: lambda x0, x1: 1.0)
+    bounds = forces._band_bounds
+    monkeypatch.setattr(forces, "_band_bounds", lambda *args: (
+        lambda x0, x1: 1.0, bounds(*args)[1]))
     z1, ez1 = forces._real_axis(FIG_CFG, SPEC6, bath)
     assert z1 == z
     assert ez1 - ez == pytest.approx(2.0, abs=1e-4)
@@ -639,7 +641,121 @@ def test_shallow_bound_counts_both_signs_of_each_harmonic():
     f = forces._state_integrand(FIG_CFG)
     lo = forces._shallow_bands(FIG_CFG, 30.0)[-1][0]
     dev, _ = forces._band_dual(FIG_CFG, f, lo, 30.0, SPEC6)
-    assert dev > 0.5 * forces._band_bounds(f, FIG_CFG, lo, 30.0)(lo, 30.0)
+    bound, _ = forces._band_bounds(f, FIG_CFG, lo, 30.0)
+    assert dev > 0.5 * bound(lo, 30.0)
+
+
+def _both_integrands(cfg):
+    """The bath and the state integrands of ``cfg``."""
+    return (forces._bath_integrand(cfg, math.inf, math.inf),
+            forces._state_integrand(cfg))
+
+
+@pytest.mark.parametrize("cfg, k, rho", [
+    (FIG_CFG, 3.0, 0.0866), (WEAK_CFG, 9.45, 0.5244),
+    (WEAK_CFG, 9.9, 0.7292)], ids=["fig-3", "weak-9.45", "weak-9.9"])
+def test_pole_radius_matches_the_measured_harmonic_decay(cfg, k, rho):
+    # sqrt|h_{j+2} / h_j| from 256 diagonal samples, over the harmonics
+    # clear of rounding, for the bath and the state integrands
+    assert forces._pole_radius(cfg, k) == pytest.approx(rho, abs=1e-4)
+    for f in _both_integrands(cfg):
+        h = forces._harmonics(f, cfg, k, 256)
+        ratios = [math.sqrt(abs(h[j + 2] / h[j])) for j in range(60)
+                  if abs(h[j + 2]) > 2e-12 * k]
+        assert len(ratios) >= 8
+        assert all(0.85 * rho < r < 1.2 * rho for r in ratios)
+        mean_log = math.fsum(map(math.log, ratios)) / len(ratios)
+        assert math.exp(mean_log) == pytest.approx(rho, rel=0.06)
+
+
+def test_harmonic_amplitude_bounds_the_measured_harmonics():
+    # on the grids of fig's band bounds, C j rho^j with C read from the
+    # sized 2J + 2 samples bounds every harmonic j <= 40 of a 128-sample DFT,
+    # up to the rounding floor
+    for f in _both_integrands(FIG_CFG):
+        for lo, hi in forces._shallow_bands(FIG_CFG, 106.5):
+            m = math.ceil(forces._HARM_GRID * (hi - lo) * FIG_CFG.gap
+                          / math.pi)
+            for i in range(m + 1):
+                k = lo + (hi - lo) * i / m
+                rho = forces._pole_radius(FIG_CFG, k)
+                harm, c = forces._sized_harmonics(f, FIG_CFG, k, rho)
+                assert 2 * len(harm) + 2 <= forces._HARM_OFFSETS
+                floor = forces._MEAN_NOISE * forces._NOISE_EPS * k
+                ref = forces._harmonics(f, FIG_CFG, k, 128)
+                assert all(abs(h) <= c * j * rho ** j + 2.0 * floor
+                           for j, h in enumerate(ref[:40], 1))
+
+
+def test_sized_mean_is_within_half_its_tolerance():
+    # in both of fig's bands, at Z's tolerance and near the rounding floor,
+    # against the mean of 256 offsets
+    rng = random.Random(7)
+    for f in _both_integrands(FIG_CFG):
+        for lo, hi in forces._shallow_bands(FIG_CFG, 106.5):
+            _, mean = forces._band_bounds(f, FIG_CFG, lo, hi)
+            for tol in (2e-8, 1e-11):
+                for _ in range(30):
+                    k = rng.uniform(lo, hi)
+                    ref = sum(f(k, forces._diagonal(forces._even(256))))
+                    assert abs(mean(k, tol) - ref / 256) <= 0.5 * tol
+
+
+def test_band_route_follows_the_pole_radius():
+    calls = []
+
+    def recording(f):
+        def rec(k, offsets):
+            calls.append(len(offsets))
+            return f(k, offsets)
+        return rec
+
+    # fig's shallow bands: at most 32 samples per grid point, and one call
+    # per mean
+    f = forces._bath_integrand(FIG_CFG, math.inf, math.inf)
+    for lo, hi in forces._shallow_bands(FIG_CFG, 106.5):
+        calls.clear()
+        _, mean = forces._band_bounds(recording(f), FIG_CFG, lo, hi)
+        assert max(calls) <= forces._HARM_OFFSETS
+        assert min(calls) < forces._HARM_OFFSETS
+        calls.clear()
+        mean(0.5 * (lo + hi), 1e-10)
+        assert len(calls) == 1
+    # the weak pair's dense bands have pole radii from 0.28 to 0.94, above
+    # _RHO_MAX: 32 samples at every grid point, and means that double
+    f = forces._bath_integrand(WEAK_CFG, math.inf, math.inf)
+    bands = forces._dense_bands(WEAK_CFG, 1.3 * 10.0 * math.sqrt(2.0))
+    assert len(bands) == 2
+    for lo, hi in bands:
+        rhos = [forces._pole_radius(WEAK_CFG, lo + (hi - lo) * i / 64)
+                for i in range(65)]
+        assert forces._RHO_MAX < min(rhos) and max(rhos) < 1.0
+        calls.clear()
+        _, mean = forces._band_bounds(recording(f), WEAK_CFG, lo, hi)
+        assert set(calls) == {forces._HARM_OFFSETS}
+        k = 0.5 * (lo + hi)
+        calls.clear()
+        assert mean(k, 1e-9) == forces._slab_mean(f, k, 1e-9)
+        assert calls[0] == 2 * forces._MEAN_START
+
+
+def test_fig_bath_integral_offset_points(monkeypatch):
+    # the sized means and harmonics hold fig's Z to at most 17,000
+    # bath-integrand offset points
+    points = []
+    kernel = core.bath_integrands
+
+    def counting(*args):
+        points.append(len(args[-1]))
+        return kernel(*args)
+
+    monkeypatch.setattr(core, "bath_integrands", counting)
+    forces._vacuum_bath.cache_clear()
+    try:
+        forces._vacuum_bath(FIG_CFG, SPEC6)
+    finally:
+        forces._vacuum_bath.cache_clear()
+    assert sum(points) <= 17000
 
 
 @pytest.mark.parametrize("sigmas", [
