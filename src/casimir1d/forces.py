@@ -70,12 +70,13 @@ parts three times, leaving edge terms at orders 1/j, 1/j^2 and 1/j^3 plus
 the variation of the last, counted for both signs of j, from the harmonics
 sampled once on a grid across the band that resolves the gap phase.  The
 harmonics fall like rho^j, with rho the closed-form radius of the
-integrand's poles in e^{i phi}.  Where rho stays small across a band (the
-shallow bands of the docs cavity), the grid samples the harmonics until
-rho^j falls to 1e-12 and bounds the rest by a geometric tail, and each mean
-takes, in one call, the offsets that hold its aliased harmonics to its
-tolerance.  Elsewhere (the dense bands) the grid takes 32 samples and each
-mean doubles its offsets until two successive means agree.
+integrand's poles in e^{i phi}.  A grid point where rho is small (all of
+the shallow bands of the docs cavity) samples the harmonics until rho^j
+falls to 1e-12 and bounds the rest by a geometric tail; one where rho is
+large (every dense-band point) takes 32 samples and sums j <= 15.  In every
+band each mean takes, in one call, the offsets that hold its aliased
+harmonics to its tolerance, and both passes share one bound and mean per
+band.
 
 Undamped slabs leave the real-axis tail undamped, so no classical improper
 integral exists there; only the rotated R and the absolutely convergent
@@ -130,17 +131,12 @@ _RAW = ((0.0, 0.0, 0.0),)
 _DENSE_RATE = 100.0
 _SHARP_MIN = 0.25
 _SHARP_MAX = 0.9
-# Where the band bound cannot size it (pole radius above _RHO_MAX), the
-# slab-phase mean starts from _MEAN_START equidistant offsets and doubles
-# them until two successive means agree.
-_MEAN_START = 8
-_MEAN_MAX = 4096
 # Rounding floor of the slab-phase mean tolerance, in units of the
 # evaluation noise _NOISE_EPS * k at the bands' top: two means of a shallow
 # comb differ only by rounding once their harmonics are gone (up to 2.1 units
 # on the docs cavity, where k times the state bracket cancels to 1e-4 of its
-# terms), and a tolerance below that would double the offsets until
-# _MEAN_MAX.
+# terms), so a tolerance below that buys offsets and no accuracy.  The same
+# floor keeps the rounding of the sampled harmonics out of their amplitude.
 _MEAN_NOISE = 8.0
 # Shallow bands of identical slabs: on either side of the stop band, where
 # the slab phase runs fast, the slab comb is shallow (|rn^2 E| < _SHARP_MIN)
@@ -154,10 +150,12 @@ _MEAN_NOISE = 8.0
 _CLEAR_MIN = 1e-6
 _SHALLOW_PANELS = 8
 # The band bound samples the slab harmonics at _HARM_GRID points per gap
-# period pi/a.  Where their pole radius rho exceeds _RHO_MAX somewhere in a
-# band, they decay too slowly to be sized: every point takes _HARM_OFFSETS
-# diagonal samples.  Elsewhere a point takes the harmonics until rho^j falls
-# to _HARM_DROP, and each mean the offsets it needs (see ``_band_bounds``).
+# period pi/a.  Each point takes the harmonics until their pole radius rho
+# raised to the j falls to _HARM_DROP, from at most _HARM_OFFSETS diagonal
+# samples, and each mean the offsets it needs (see ``_band_bounds``).  A
+# point with rho at most _RHO_MAX adds a geometric tail past its last
+# harmonic; one above it (every dense-band point, where rho^15 stays large)
+# has none.
 _HARM_OFFSETS = 32
 _HARM_GRID = 8
 _HARM_DROP = 1e-12
@@ -266,11 +264,6 @@ def _diagonal(offsets):
     return [(s, s, 0.0) for s in offsets]
 
 
-def _odd(n):
-    """The n offsets that double n equidistant ones to 2n."""
-    return [math.pi * (2 * i + 1) / n for i in range(n)]
-
-
 def _phase_grid(naxes):
     """Offset triples (sL, sR, sG) of the phase average over ``naxes``
     phases: 3 for two different slabs, 2 for identical slabs (whose two
@@ -319,31 +312,6 @@ def _even(n):
     return [2.0 * math.pi * i / n for i in range(n)]
 
 
-def _slab_mean(shifted, k, tol, rel=0.0):
-    """Mean of the integrand over the common slab phase at fixed gap phase.
-
-    Doubles the number of equidistant offsets from ``_MEAN_START`` until two
-    successive means agree within ``tol``, or within ``rel`` times the mean
-    where that is larger (the Fourier harmonics of the slab phase decay
-    geometrically, so the last mean is far closer than that).  The first
-    doubling always runs, so one call evaluates both of its sets.
-    """
-    n = _MEAN_START
-    vals = shifted(k, _diagonal(_even(n) + _odd(n)))
-    mean = sum(vals[:n]) / n
-    while True:
-        n *= 2
-        prev, mean = mean, sum(vals) / n
-        if abs(mean - prev) <= max(tol, rel * abs(mean)):
-            return mean
-        if n >= _MEAN_MAX:
-            break
-        vals += shifted(k, _diagonal(_odd(n)))
-    raise NonConvergenceError(
-        "slab-phase mean at k = %.6g not settled to %.3e with %d offsets"
-        % (k, tol, n), partial=None, error=None, panels=0)
-
-
 @functools.lru_cache(maxsize=None)
 def _twiddles(n):
     """DFT factors e^{-2 pi i j l / n} over the n samples l, for j < n / 2."""
@@ -351,7 +319,7 @@ def _twiddles(n):
                  for j in range(n // 2))
 
 
-def _harmonics(shifted, comb, k, n=_HARM_OFFSETS):
+def _harmonics(shifted, comb, k, n):
     """Slab harmonics h_j(k), j = 1 .. n / 2 - 1, at k, from n samples.
 
     With phi the slab round-trip phase of the identical slabs of ``comb``,
@@ -387,9 +355,10 @@ def _pole_radius(cfg, k):
 
 def _sized_harmonics(shifted, comb, k, rho):
     """``(harmonics, C)`` at k, where the pole radius is ``rho``: h_j for
-    j <= J, J the least with rho^J <= _HARM_DROP (below _HARM_OFFSETS / 2),
-    from 2J + 2 samples, and the amplitude C = max |h_j| / (j rho^j) over
-    h_1 and the harmonics above the rounding floor.
+    j <= J, J the least with rho^J <= _HARM_DROP but at most
+    _HARM_OFFSETS / 2 - 1, from 2J + 2 samples, and the amplitude
+    C = max |h_j| / (j rho^j) over h_1 and the harmonics above the rounding
+    floor.
 
     The model |h_j| <= C j rho^j allows for a pair of near-coincident poles
     of opposite residue, whose harmonics rise before they decay.
@@ -427,30 +396,26 @@ def _band_bounds(shifted, comb, lo, hi):
     resolves their gap-phase variation; between grid points the edge terms
     take the larger neighbour and the variation covers whole grid steps.
 
-    Where the pole radius stays at most ``_RHO_MAX`` on the grid, each point
-    takes its harmonics from ``_sized_harmonics``, and the tail sum over
-    j > J of 2 C j rho^j joins its edge terms and the variation of its grid
-    steps.  The mean at k then takes the least number n of
+    Each grid point takes its harmonics and their amplitude C from
+    ``_sized_harmonics``.  Where its pole radius is at most ``_RHO_MAX``,
+    the tail sum over j > J of 2 C j rho^j joins its edge terms and the
+    variation of its grid steps; above that J reaches its cap and the bound
+    sums j <= J only.  The mean at k takes the least number n of
     equidistant offsets whose aliased harmonics, at most
     2 C n rho^n / (1 - rho^n)^2 with C the larger amplitude of k's grid
-    step, fit tol / 2.  Elsewhere every point takes ``_HARM_OFFSETS``
-    samples and the mean is ``_slab_mean``.
+    step, fit tol / 2.
     """
     m = max(2, int(math.ceil(_HARM_GRID * (hi - lo) * comb.gap / math.pi)))
     step = (hi - lo) / m
     ks = [lo + step * i for i in range(m)] + [hi]
     rates = [_slab_rate(comb.left, comb.width, k) for k in ks]
     rhos = [_pole_radius(comb, k) for k in ks]
-    sized = max(rhos) <= _RHO_MAX
-    if sized:
-        harm, amps = zip(*(_sized_harmonics(shifted, comb, k, rho)
-                           for k, rho in zip(ks, rhos)))
-        # 2 C times the sum over j > J of j rho^j
-        tails = [2.0 * c * rho ** (len(h) + 1) * (len(h) + 1 - len(h) * rho)
-                 / (1.0 - rho) ** 2 for h, c, rho in zip(harm, amps, rhos)]
-    else:
-        harm = [_harmonics(shifted, comb, k) for k in ks]
-        tails = [0.0] * (m + 1)
+    harm, amps = zip(*(_sized_harmonics(shifted, comb, k, rho)
+                       for k, rho in zip(ks, rhos)))
+    # 2 C times the sum over j > J of j rho^j, where rho <= _RHO_MAX
+    tails = [2.0 * c * rho ** (len(h) + 1) * (len(h) + 1 - len(h) * rho)
+             / (1.0 - rho) ** 2 if rho <= _RHO_MAX else 0.0
+             for h, c, rho in zip(harm, amps, rhos)]
     edge = list(tails)
     jumps = [a + b for a, b in zip(tails, tails[1:])]
     for j in range(1, max(map(len, harm)) + 1):
@@ -482,8 +447,6 @@ def _band_bounds(shifted, comb, lo, hi):
                 + variation[b1] - variation[a0])
 
     def mean(k, tol):
-        if not sized:
-            return _slab_mean(shifted, k, tol)
         i, i1 = cell(k)
         c = max(amps[i], amps[i1])
         rho = _pole_radius(comb, k)
@@ -573,9 +536,15 @@ def _oscillatory_integral(shifted, spec, gap, breakpoints, cfg=None):
         naxes = 2 if cfg.left == cfg.right else 3
         if breakpoints:
             bands = _dense_bands(cfg, 1.3 * breakpoints[-1])
+    # each band's bound and mean, built once for both passes
+    bounds = [_band_bounds(shifted, cfg, lo, hi) for lo, hi in bands]
 
     def averaged(k):
         return _phase_average(shifted, k, naxes)
+
+    def banded(tol):
+        return _banded(raw, [(lo, hi, mean) for (lo, hi), (_, mean)
+                             in zip(bands, bounds)], tol)
 
     _endpoint_check(raw)
 
@@ -583,19 +552,13 @@ def _oscillatory_integral(shifted, spec, gap, breakpoints, cfg=None):
     if breakpoints:
         k0 = max(k0, 1.3 * breakpoints[-1])
 
-    # Cheap magnitude estimate fixing the absolute error budget; its means
-    # settle to a hundredth of its relative tolerance, or to rounding.
+    # Cheap magnitude estimate fixing the absolute error budget.
     coarse = replace(spec, rel_tol=1e-2, abs_tol=max(spec.abs_tol, 1e-8),
                      max_panels=max(2000, spec.max_panels // 10))
-
-    def settle(k, tol):
-        return _slab_mean(shifted, k, tol, 1e-2 * coarse.rel_tol)
-
     try:
         c0, _ = integrate_interval(
-            _banded(raw, [(lo, hi, settle) for lo, hi in bands],
-                    _mean_tol(0.0, bands)),
-            0.0, k0, coarse, breakpoints=breakpoints + sum(bands, ()))
+            banded(_mean_tol(coarse.abs_tol, bands)), 0.0, k0, coarse,
+            breakpoints=breakpoints + sum(bands, ()))
     except NonConvergenceError as exc:
         c0 = exc.partial if exc.partial is not None else 0.0
     scale = max(abs(c0), abs(averaged(k0)) * k0, spec.abs_tol)
@@ -633,18 +596,16 @@ def _oscillatory_integral(shifted, spec, gap, breakpoints, cfg=None):
 
     # Direct adaptive pass below the switch point; the shallow bands join
     # the dense bands there, and each band adds the bound on the slab
-    # oscillation it drops plus its means' allowance.  The bounds come
-    # first: they size the means.
+    # oscillation it drops plus its means' allowance.
     if cfg is not None:
-        bands += _shallow_bands(cfg, K)
+        shallow = _shallow_bands(cfg, K)
+        bands += shallow
+        bounds += [_band_bounds(shifted, cfg, lo, hi) for lo, hi in shallow]
     direct = replace(spec, abs_tol=max(spec.abs_tol, 0.25 * budget,
                                        0.5 * _NOISE_EPS * K * K))
     tol = _mean_tol(direct.abs_tol, bands)
-    bounds = [_band_bounds(shifted, cfg, lo, hi) for lo, hi in bands]
     val, err = integrate_interval(
-        _banded(raw, [(lo, hi, mean) for (lo, hi), (_, mean)
-                      in zip(bands, bounds)], tol), 0.0, K, direct,
-        breakpoints=breakpoints + sum(bands, ()))
+        banded(tol), 0.0, K, direct, breakpoints=breakpoints + sum(bands, ()))
     err += bound
     for (lo, hi), (dropped, _) in zip(bands, bounds):
         err += dropped(lo, hi) + tol * (hi - lo)
@@ -756,7 +717,9 @@ def _bands(cfg, inside, k_lo, k_end):
 
     A scan at a sixteenth of the gap period finds the bands and bisection
     places their edges; a band holding at the first or last scan point
-    runs to k_lo or k_end.
+    runs to k_lo or k_end.  k_end is tested too, so a band that starts
+    after the last scan point runs from its bisected start to k_end.  A
+    band narrower than the scan step that ends before k_end is missed.
     """
     if cfg.left != cfg.right or not _absorbing(cfg.left) or k_end <= k_lo:
         return ()
@@ -781,6 +744,8 @@ def _bands(cfg, inside, k_lo, k_end):
         elif not flag and start is not None:
             bands.append((start, edge(ks[i - 1], ks[i], True)))
             start = None
+    if start is None and inside(cfg, k_end):
+        start = edge(ks[-1], k_end, False)
     if start is not None:
         bands.append((start, k_end))
     return tuple(bands)

@@ -420,7 +420,12 @@ def test_dense_bands_only_for_sharp_identical_slabs():
 
 def test_slab_mean_settles_geometrically():
     f = forces._bath_integrand(WEAK_CFG, math.inf, math.inf)
+    bands = forces._dense_bands(WEAK_CFG, 1.3 * 10.0 * math.sqrt(2.0))
+    band_means = [(lo, hi, forces._band_bounds(f, WEAK_CFG, lo, hi)[1])
+                  for lo, hi in bands]
     for k in (9.4, 9.8, 9.95, 9.99, 14.15, 14.5):
+        # the sized mean of the dense band holding k
+        (mean,) = [m for lo, hi, m in band_means if lo < k < hi]
         means = []
         for n in (8, 16, 32, 64, 128, 256, 512):
             means.append(sum(f(k, [(s, s, 0.0) for s in
@@ -434,8 +439,7 @@ def test_slab_mean_settles_geometrically():
         assert all(d2 < d1 or d2 < floor
                    for d1, d2 in zip(diffs[:-1], diffs[1:]))
         assert diffs[-1] < 1e-9 * abs(ref)
-        mean = forces._slab_mean(f, k, floor)
-        assert mean == pytest.approx(ref, rel=1e-9)
+        assert mean(k, floor) == pytest.approx(ref, rel=1e-9)
 
 
 def test_diagonal_mean_for_identical_slabs():
@@ -454,12 +458,10 @@ def test_diagonal_mean_for_identical_slabs():
     calls.clear()
     assert forces._phase_average(f, 1.0, 3) == pytest.approx(0.0, abs=1e-15)
     assert len(calls) == 1 and len(calls[0]) == 64
-    # the slab mean settles on its first doubling and the harmonics take
-    # their 32 diagonal offsets, each in one call
+    # the harmonics take their diagonal offsets in one call
     calls.clear()
-    assert forces._slab_mean(f, 1.0, 1e-12) == pytest.approx(2.0)
-    forces._harmonics(f, FIG_CFG, 1.0)
-    assert [len(c) for c in calls] == [16, forces._HARM_OFFSETS]
+    forces._harmonics(f, FIG_CFG, 1.0, forces._HARM_OFFSETS)
+    assert [len(c) for c in calls] == [forces._HARM_OFFSETS]
     assert all(sl == sr and sg == 0.0 for c in calls for sl, sr, sg in c)
     # the probe reads the raw value and the phase average from one call per
     # sample, whose grid leads with the unshifted triple
@@ -570,6 +572,14 @@ def test_shallow_band_selected_from_observables(monkeypatch):
     monkeypatch.undo()
     # a low stretch cut short of its opaque edge is not a band
     assert forces._shallow_bands(FIG_CFG, 5.0) == ()
+    # the high band cut 9 or 12 half slab periods past its start holds at
+    # none of the scan points, a sixteenth of the gap period apart; it holds
+    # at k_end, so its start is bisected from the last scan point
+    for periods in (9, 12):
+        k_end = lo + periods * forces._half_period(FIG_CFG, lo)
+        assert k_end - lo < math.pi / (16.0 * FIG_CFG.gap)
+        assert forces._shallow_bands(FIG_CFG, k_end)[-1] == (
+            pytest.approx(lo, abs=1e-9), k_end)
     # weak pair: both shallow stretches abut a dense band, where the slab is
     # clear and its comb deep (the low one runs into it at 9.356), so
     # neither is used, for Z's switch point 1.3 x sqrt(200) or any later one
@@ -699,6 +709,18 @@ def test_sized_mean_is_within_half_its_tolerance():
                     k = rng.uniform(lo, hi)
                     ref = sum(f(k, forces._diagonal(forces._even(256))))
                     assert abs(mean(k, tol) - ref / 256) <= 0.5 * tol
+    # in the weak pair's dense bands, where rho reaches 0.945, against the
+    # mean of 4,096 offsets.  Below tol 1e-10 the state integrand's means
+    # level off at the rounding of its evaluation, 1e-12 to 7e-12
+    for f in _both_integrands(WEAK_CFG):
+        for lo, hi in forces._dense_bands(WEAK_CFG,
+                                          1.3 * 10.0 * math.sqrt(2.0)):
+            _, mean = forces._band_bounds(f, WEAK_CFG, lo, hi)
+            for _ in range(15):
+                k = rng.uniform(lo, hi)
+                ref = sum(f(k, forces._diagonal(forces._even(4096)))) / 4096
+                for tol in (1e-7, 1e-9):
+                    assert abs(mean(k, tol) - ref) <= 0.5 * tol
 
 
 def test_band_route_follows_the_pole_radius():
@@ -722,7 +744,7 @@ def test_band_route_follows_the_pole_radius():
         mean(0.5 * (lo + hi), 1e-10)
         assert len(calls) == 1
     # the weak pair's dense bands have pole radii from 0.28 to 0.94, above
-    # _RHO_MAX: 32 samples at every grid point, and means that double
+    # _RHO_MAX: 32 samples at every grid point, and one call per mean
     f = forces._bath_integrand(WEAK_CFG, math.inf, math.inf)
     bands = forces._dense_bands(WEAK_CFG, 1.3 * 10.0 * math.sqrt(2.0))
     assert len(bands) == 2
@@ -733,10 +755,9 @@ def test_band_route_follows_the_pole_radius():
         calls.clear()
         _, mean = forces._band_bounds(recording(f), WEAK_CFG, lo, hi)
         assert set(calls) == {forces._HARM_OFFSETS}
-        k = 0.5 * (lo + hi)
         calls.clear()
-        assert mean(k, 1e-9) == forces._slab_mean(f, k, 1e-9)
-        assert calls[0] == 2 * forces._MEAN_START
+        mean(0.5 * (lo + hi), 1e-9)
+        assert len(calls) == 1
 
 
 def test_fig_bath_integral_offset_points(monkeypatch):
@@ -756,6 +777,32 @@ def test_fig_bath_integral_offset_points(monkeypatch):
     finally:
         forces._vacuum_bath.cache_clear()
     assert sum(points) <= 17000
+
+
+def test_weak_bath_integral_builds_each_dense_band_once(monkeypatch):
+    # both passes integrate the sized means of one bound per dense band,
+    # holding weak Z to at most 12,000 bath-integrand offset points
+    points, built = [], []
+    kernel, bounds = core.bath_integrands, forces._band_bounds
+
+    def counting(*args):
+        points.append(len(args[-1]))
+        return kernel(*args)
+
+    def building(*args):
+        built.append(args[2:])
+        return bounds(*args)
+
+    monkeypatch.setattr(core, "bath_integrands", counting)
+    monkeypatch.setattr(forces, "_band_bounds", building)
+    forces._vacuum_bath.cache_clear()
+    try:
+        forces._vacuum_bath(WEAK_CFG, WEAK_SPEC)
+    finally:
+        forces._vacuum_bath.cache_clear()
+    assert sum(points) <= 12000
+    assert built == list(forces._dense_bands(WEAK_CFG,
+                                             1.3 * 10.0 * math.sqrt(2.0)))
 
 
 @pytest.mark.parametrize("sigmas", [
