@@ -17,15 +17,21 @@ from .errors import CavityResonanceError, SingularEvaluationError
 DELTA_FLOOR = 1e-14
 
 
+def occupation_excess(beta, omega):
+    """coth(beta*omega/2) - 1 = 2/(e^{beta*omega} - 1), exact also where it
+    is below the rounding of coth; 0 past beta*omega = 700, inf at 0."""
+    x = beta * omega
+    if x > 700.0:
+        return 0.0
+    if x == 0.0:
+        return inf
+    return 2.0 / expm1(x)
+
+
 def coth_half(beta, omega):
     """coth(beta*omega/2) evaluated as 1 + 2/(e^{beta*omega} - 1); inf at
     beta*omega = 0, where the occupation diverges."""
-    x = beta * omega
-    if x > 700.0:
-        return 1.0
-    if x == 0.0:
-        return inf
-    return 1.0 + 2.0 / expm1(x)
+    return 1.0 + occupation_excess(beta, omega)
 
 
 def g2_transform(s, omega0, gamma0):
@@ -230,6 +236,14 @@ def bath_integrands(omega, a, d, matL, matR, betaL, betaR, offsets):
     """``bath_integrand`` at omega for each ``(sL, sR, sG)`` of
     ``offsets``, as a list; the slab and gap work is shared across the
     offsets."""
+    return bath_weighted(omega, a, d, matL, matR, coth_half(betaL, omega),
+                         coth_half(betaR, omega), offsets)
+
+
+def bath_weighted(omega, a, d, matL, matR, occL, occR, offsets):
+    """``bath_integrands`` with the occupation weights ``occL`` and
+    ``occR`` in place of coth(beta omega/2); the integrand is linear in
+    them."""
     nL, nR, fL, fR = _slab_pair(omega, d, matL, matR)
     wL = 2.0 * nL.real * nL.imag
     wR = 2.0 * nR.real * nR.imag
@@ -240,11 +254,9 @@ def bath_integrands(omega, a, d, matL, matR, betaL, betaR, offsets):
     renL, imnL = nL.real, nL.imag
     renR, imnR = nR.real, nR.imag
     if wL != 0.0:
-        cL = 0.25 * omega * (abs(1.0 + nL) ** 2 / abs(nL) ** 2) \
-            * coth_half(betaL, omega)
+        cL = 0.25 * omega * (abs(1.0 + nL) ** 2 / abs(nL) ** 2) * occL
     if wR != 0.0:
-        cR = 0.25 * omega * (abs(1.0 + nR) ** 2 / abs(nR) ** 2) \
-            * coth_half(betaR, omega)
+        cR = 0.25 * omega * (abs(1.0 + nR) ** 2 / abs(nR) ** 2) * occR
     out = []
     for pL, pR, gap in _offset_parts(omega, a, fL, fR, offsets):
         e2itL, _, FL, rL, tl2L, t2aL, gL = pL

@@ -29,14 +29,14 @@ force is R alone.
 The real-axis oscillatory integrals (Z, the half-space limits, and the
 two-integral route kept as an independent check) oscillate under three
 linear phases (one per slab thickness and one for the gap round trip) on
-top of slowly decaying absorption envelopes.  Each is evaluated in three
-stages: adaptive quadrature up to a switch point chosen by probing the
-local oscillation amplitude against the error budget, quadrature of the
-phase-averaged integrand over geometric tail panels, and an inverse-cube
-remainder model for the truncated far tail.  The dropped oscillation bound
-and the remainder-model uncertainty are folded into the returned error
-estimate.  Two identical slabs share one slab phase, so their phase average
-runs over the diagonal of common slab offsets times the gap offsets.
+top of slowly decaying absorption envelopes.  Each is evaluated in two
+stages: adaptive quadrature up to a switch point K chosen by probing the
+local oscillation amplitude against the error budget, then quadrature of
+the phase-averaged integrand on t = (K/k)^2 in (0, 1].  The dropped
+oscillation bound and the tail's evaluation noise are folded into the
+returned error estimate.  Two identical slabs share one slab phase, so
+their phase average runs over the diagonal of common slab offsets times
+the gap offsets.
 
 Below the switch point three layout features keep the adaptive passes off
 structure they would otherwise chase blindly:
@@ -169,18 +169,17 @@ _MODE_DECADES = 5
 # Least number of scan points bracketing the modes of one stop band.
 _MODE_SCAN = 64
 _GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
-# Growth factor for the switch-point march and geometric ratio of the
-# averaged-tail panels.
+# Growth factor and step cap of the switch-point march, and the panel cap
+# of the mapped averaged tail past it.
 _GROWTH = 1.6
-_TAIL_RATIO = 1.7
 _MAX_MARCH = 48
 _MAX_TAIL_PANELS = 240
 # Samples per probe window when estimating the local oscillation amplitude.
 _PROBE_SAMPLES = 24
 # Absolute rounding noise of one bracket evaluation is a few ulps of its
 # O(1) intermediates; the force integrands carry an extra factor k.  The
-# tail machinery must not chase structure below this floor, and the floor
-# belongs in the reported error.
+# passes must not chase structure below this floor, and the floor, summed
+# over the k the averaged tail samples, belongs in the reported error.
 _NOISE_EPS = 2e-16
 # Zero-temperature bath integrals memoized per process.  A sweep or a
 # nonequilibrium study needs one entry; the bound keeps a long-running
@@ -320,18 +319,18 @@ def _twiddles(n):
 
 
 def _harmonics(shifted, comb, k, n):
-    """Slab harmonics h_j(k), j = 1 .. n / 2 - 1, at k, from n samples.
+    """Slab harmonics h_j(k), j = 0 .. n / 2 - 1, at k, from n samples.
 
     With phi the slab round-trip phase of the identical slabs of ``comb``,
     the integrand is the sum over j of h_j(k) e^{i j phi(k)}, where h_j
-    varies only with the gap phase.  The DFT of the diagonal samples gives
-    h_j e^{i j phi}; the Nyquist harmonic, whose size is the pole radius to
-    the power n / 2, is left out.
+    varies only with the gap phase; h_0 is the slab-phase mean.  The DFT of
+    the diagonal samples gives h_j e^{i j phi}; the Nyquist harmonic, whose
+    size is the pole radius to the power n / 2, is left out.
     """
     vals = shifted(k, _diagonal(_even(n)))
     phi = _slab_phase(comb.left, comb.width, k)
     return [sum(map(operator.mul, vals, _twiddles(n)[j])) / n
-            * cmath.exp(-1j * j * phi) for j in range(1, n // 2)]
+            * cmath.exp(-1j * j * phi) for j in range(n // 2)]
 
 
 def _pole_radius(cfg, k):
@@ -354,9 +353,9 @@ def _pole_radius(cfg, k):
 
 
 def _sized_harmonics(shifted, comb, k, rho):
-    """``(harmonics, C)`` at k, where the pole radius is ``rho``: h_j for
-    j <= J, J the least with rho^J <= _HARM_DROP but at most
-    _HARM_OFFSETS / 2 - 1, from 2J + 2 samples, and the amplitude
+    """``(h0, harmonics, C)`` at k, where the pole radius is ``rho``: the
+    mean h_0, h_j for 1 <= j <= J, J the least with rho^J <= _HARM_DROP but
+    at most _HARM_OFFSETS / 2 - 1, from 2J + 2 samples, and the amplitude
     C = max |h_j| / (j rho^j) over h_1 and the harmonics above the rounding
     floor.
 
@@ -366,10 +365,11 @@ def _sized_harmonics(shifted, comb, k, rho):
     J = 1
     while J < _HARM_OFFSETS // 2 - 1 and rho ** J > _HARM_DROP:
         J += 1
-    harm = _harmonics(shifted, comb, k, 2 * J + 2)
+    h0, *harm = _harmonics(shifted, comb, k, 2 * J + 2)
     floor = _MEAN_NOISE * _NOISE_EPS * k
-    return harm, max(abs(h) / (j * rho ** j) for j, h in enumerate(harm, 1)
-                     if j == 1 or abs(h) > floor)
+    return h0, harm, max(abs(h) / (j * rho ** j)
+                         for j, h in enumerate(harm, 1)
+                         if j == 1 or abs(h) > floor)
 
 
 def _derivative(ys, h):
@@ -383,9 +383,11 @@ def _derivative(ys, h):
 def _band_bounds(shifted, comb, lo, hi):
     """Bounds on the slab oscillation dropped by integrating the mean over
     parts of a dense or shallow band [lo, hi] of the identical slabs of
-    ``comb``, and the mean itself: returns ``(bound, mean)``, where
-    ``bound(x0, x1)`` serves lo <= x0 < x1 <= hi and ``mean(k, tol)`` is the
-    slab-phase mean at k inside the band, within ``tol``.
+    ``comb``, the mean itself and its size: returns ``(bound, mean,
+    size)``, where ``bound(x0, x1)`` serves lo <= x0 < x1 <= hi,
+    ``mean(k, tol)`` is the slab-phase mean at k inside the band, within
+    ``tol``, and ``size`` is the integral of its modulus over the band by
+    the trapezoid rule on the grid.
 
     Three integrations by parts of each harmonic integral of h_j e^{i j phi}
     leave the edge terms of u = h_j / phi', u' / phi' and (u' / phi')' / phi'
@@ -410,8 +412,9 @@ def _band_bounds(shifted, comb, lo, hi):
     ks = [lo + step * i for i in range(m)] + [hi]
     rates = [_slab_rate(comb.left, comb.width, k) for k in ks]
     rhos = [_pole_radius(comb, k) for k in ks]
-    harm, amps = zip(*(_sized_harmonics(shifted, comb, k, rho)
-                       for k, rho in zip(ks, rhos)))
+    h0s, harm, amps = zip(*(_sized_harmonics(shifted, comb, k, rho)
+                            for k, rho in zip(ks, rhos)))
+    size = step * (sum(map(abs, h0s)) - 0.5 * (abs(h0s[0]) + abs(h0s[-1])))
     # 2 C times the sum over j > J of j rho^j, where rho <= _RHO_MAX
     tails = [2.0 * c * rho ** (len(h) + 1) * (len(h) + 1 - len(h) * rho)
              / (1.0 - rho) ** 2 if rho <= _RHO_MAX else 0.0
@@ -454,7 +457,7 @@ def _band_bounds(shifted, comb, lo, hi):
         while 4.0 * c * n * rho ** n > tol * (1.0 - rho ** n) ** 2:
             n += 1
         return sum(shifted(k, _diagonal(_even(n)))) / n
-    return bound, mean
+    return bound, mean, size
 
 
 def _mean_tol(abs_tol, bands):
@@ -523,7 +526,7 @@ def _oscillatory_integral(shifted, spec, gap, breakpoints, cfg=None):
         The integral and a conservative error estimate combining the
         quadrature errors, the probed bound on the oscillation dropped at
         the switch point and across the dense and shallow bands, and the
-        tail remainder-model uncertainty.
+        tail's quadrature error and evaluation-noise allowance.
     """
     def raw(k):
         return shifted(k, _RAW)[0]
@@ -543,7 +546,7 @@ def _oscillatory_integral(shifted, spec, gap, breakpoints, cfg=None):
         return _phase_average(shifted, k, naxes)
 
     def banded(tol):
-        return _banded(raw, [(lo, hi, mean) for (lo, hi), (_, mean)
+        return _banded(raw, [(lo, hi, mean) for (lo, hi), (_, mean, _)
                              in zip(bands, bounds)], tol)
 
     _endpoint_check(raw)
@@ -552,12 +555,15 @@ def _oscillatory_integral(shifted, spec, gap, breakpoints, cfg=None):
     if breakpoints:
         k0 = max(k0, 1.3 * breakpoints[-1])
 
-    # Cheap magnitude estimate fixing the absolute error budget.
+    # Cheap magnitude estimate fixing the absolute error budget; its means
+    # are sized to its own target, rel_tol of the bands' size.
     coarse = replace(spec, rel_tol=1e-2, abs_tol=max(spec.abs_tol, 1e-8),
                      max_panels=max(2000, spec.max_panels // 10))
+    size = sum(s for _, _, s in bounds)
     try:
         c0, _ = integrate_interval(
-            banded(_mean_tol(coarse.abs_tol, bands)), 0.0, k0, coarse,
+            banded(_mean_tol(max(coarse.abs_tol, coarse.rel_tol * size),
+                             bands)), 0.0, k0, coarse,
             breakpoints=breakpoints + sum(bands, ()))
     except NonConvergenceError as exc:
         c0 = exc.partial if exc.partial is not None else 0.0
@@ -607,38 +613,38 @@ def _oscillatory_integral(shifted, spec, gap, breakpoints, cfg=None):
     val, err = integrate_interval(
         banded(tol), 0.0, K, direct, breakpoints=breakpoints + sum(bands, ()))
     err += bound
-    for (lo, hi), (dropped, _) in zip(bands, bounds):
+    for (lo, hi), (dropped, _, _) in zip(bands, bounds):
         err += dropped(lo, hi) + tol * (hi - lo)
 
-    # Phase-averaged tail over geometric panels; for an inverse-cube mean
-    # envelope f(k) ~ C/k^3 the remainder past kk is exactly f(kk)*kk/2.
-    # Each segment accumulates an evaluation-noise allowance; once the
-    # remainder drops below the accumulated noise, further integration
-    # cannot improve the value and the loop stops with the remainder model.
-    seg_tol = max(spec.abs_tol, 0.02 * budget)
-    kk = K
-    noise_acc = 0.0
-    for _ in range(_MAX_TAIL_PANELS):
-        mean = averaged(kk)
-        rem = 0.5 * mean * kk
-        if abs(rem) <= max(0.25 * budget, noise_acc):
-            val += rem
-            err += 0.5 * abs(rem) + noise_acc
-            break
-        hi = kk * _TAIL_RATIO
-        floor = _NOISE_EPS * hi * (hi - kk)
-        seg = replace(spec, abs_tol=max(seg_tol, floor),
-                      panel_width=0.5 * (hi - kk))
-        v, e = integrate_interval(averaged, kk, hi, seg)
-        val += v
-        err += e
-        noise_acc += floor
-        kk = hi
-    else:
+    # Phase-averaged tail; a failure carries the integral below K
+    try:
+        v, e = _averaged_tail(averaged, K, replace(
+            spec, abs_tol=max(spec.abs_tol, 0.25 * budget)))
+    except NonConvergenceError as exc:
         raise NonConvergenceError(
-            "averaged tail failed to decay below budget %.3e by k = %.3e"
-            % (budget, kk), partial=val, error=err, panels=0)
-    return val, err
+            "averaged tail past K = %.6g: %s" % (K, exc), partial=val,
+            error=err, panels=exc.panels)
+    return val + v, err + e
+
+
+def _averaged_tail(averaged, K, spec):
+    """Integral of ``averaged(k)`` over [K, inf) and its error, on
+    t = (K/k)^2 in (0, 1] as QUADPACK's qagi maps an infinite range: a mean
+    falling like k^-3 (c0 + c2 k^-2 + ...) becomes a polynomial in t, which
+    one Gauss-Kronrod panel resolves.  The error adds the noise
+    _NOISE_EPS * k summed from K to the deepest k sampled (15 K for one
+    panel)."""
+    deep = K
+
+    def mapped(t):
+        nonlocal deep
+        k = K / math.sqrt(t)
+        deep = max(deep, k)
+        return averaged(k) * K / (2.0 * t * math.sqrt(t))
+
+    v, e = integrate_interval(mapped, 0.0, 1.0, replace(
+        spec, panel_width=1.0, max_panels=_MAX_TAIL_PANELS))
+    return v, e + 0.5 * _NOISE_EPS * (deep * deep - K * K)
 
 
 def _rotated_vacuum(cfg, spec, roundtrip):
@@ -875,11 +881,7 @@ def _thermal_excess(bracket, beta, spec, breakpoints):
     the material's absorption.
     """
     def g(k):
-        x = beta * k
-        if x > 120.0:
-            return 0.0
-        occ = 2.0 / math.expm1(x) if x > 0.0 else math.inf
-        return k * occ * bracket(k)
+        return k * core.occupation_excess(beta, k) * bracket(k)
 
     _endpoint_check(g)
     return integrate_interval(g, 0.0, 120.0 / beta, spec,
@@ -991,7 +993,7 @@ def _band_dual(cfg, f, lo, hi, spec):
     mean as production sizes it, and its bound.
     """
     tol = _mean_tol(spec.abs_tol, ((lo, hi),))
-    bound, mean = _band_bounds(f, cfg, lo, hi)
+    bound, mean, _ = _band_bounds(f, cfg, lo, hi)
     v_mean, e_mean = integrate_interval(lambda k: mean(k, tol), lo, hi, spec)
     e_mean += bound(lo, hi) + tol * (hi - lo)
     fine = replace(spec, panel_width=_half_period(cfg, lo))
@@ -1037,12 +1039,15 @@ def _bath_parts(cfg, beta_left, beta_right, spec):
     if not (_absorbing(L) or _absorbing(R)):
         return _ZERO, _ZERO
     zt = _vacuum_bath(cfg, spec)
-    hot = _bath_integrand(cfg, beta_left, beta_right)
-    cold = _bath_integrand(cfg, math.inf, math.inf)
+    a, d = cfg.gap, cfg.width
+    tl, tr = L.as_tuple(), R.as_tuple()
 
-    # coth(beta k / 2) - 1 < 1e-52 past beta k = 120 on both baths
+    # one kernel pass weighted by the occupation excesses coth(beta k/2) - 1,
+    # which fall below 1e-52 past beta k = 120 on both baths
     def g(k):
-        return hot(k, _RAW)[0] - cold(k, _RAW)[0]
+        return core.bath_weighted(
+            k, a, d, tl, tr, core.occupation_excess(beta_left, k),
+            core.occupation_excess(beta_right, k), _RAW)[0]
 
     _endpoint_check(g)
     return zt, integrate_interval(g, 0.0, 120.0 / min(beta_left, beta_right),
@@ -1416,7 +1421,7 @@ def band_excess_curve(cfg, omega_center, sigmas, spec):
             None)
     if band:
         tol = _mean_tol(spec.abs_tol, (band,))
-        bound, mean = _band_bounds(f, cfg, *band)
+        bound, mean, _ = _band_bounds(f, cfg, *band)
 
     def g(k):
         return f(k, _RAW)[0]

@@ -612,7 +612,7 @@ def test_real_axis_error_carries_both_shallow_band_bounds(monkeypatch):
     z, ez = forces._real_axis(FIG_CFG, SPEC6, bath)
     bounds = forces._band_bounds
     monkeypatch.setattr(forces, "_band_bounds", lambda *args: (
-        lambda x0, x1: 1.0, bounds(*args)[1]))
+        (lambda x0, x1: 1.0,) + bounds(*args)[1:]))
     z1, ez1 = forces._real_axis(FIG_CFG, SPEC6, bath)
     assert z1 == z
     assert ez1 - ez == pytest.approx(2.0, abs=1e-4)
@@ -651,7 +651,7 @@ def test_shallow_bound_counts_both_signs_of_each_harmonic():
     f = forces._state_integrand(FIG_CFG)
     lo = forces._shallow_bands(FIG_CFG, 30.0)[-1][0]
     dev, _ = forces._band_dual(FIG_CFG, f, lo, 30.0, SPEC6)
-    bound, _ = forces._band_bounds(f, FIG_CFG, lo, 30.0)
+    bound, _, _ = forces._band_bounds(f, FIG_CFG, lo, 30.0)
     assert dev > 0.5 * bound(lo, 30.0)
 
 
@@ -669,7 +669,7 @@ def test_pole_radius_matches_the_measured_harmonic_decay(cfg, k, rho):
     # clear of rounding, for the bath and the state integrands
     assert forces._pole_radius(cfg, k) == pytest.approx(rho, abs=1e-4)
     for f in _both_integrands(cfg):
-        h = forces._harmonics(f, cfg, k, 256)
+        h = forces._harmonics(f, cfg, k, 256)[1:]
         ratios = [math.sqrt(abs(h[j + 2] / h[j])) for j in range(60)
                   if abs(h[j + 2]) > 2e-12 * k]
         assert len(ratios) >= 8
@@ -689,10 +689,10 @@ def test_harmonic_amplitude_bounds_the_measured_harmonics():
             for i in range(m + 1):
                 k = lo + (hi - lo) * i / m
                 rho = forces._pole_radius(FIG_CFG, k)
-                harm, c = forces._sized_harmonics(f, FIG_CFG, k, rho)
+                _, harm, c = forces._sized_harmonics(f, FIG_CFG, k, rho)
                 assert 2 * len(harm) + 2 <= forces._HARM_OFFSETS
                 floor = forces._MEAN_NOISE * forces._NOISE_EPS * k
-                ref = forces._harmonics(f, FIG_CFG, k, 128)
+                ref = forces._harmonics(f, FIG_CFG, k, 128)[1:]
                 assert all(abs(h) <= c * j * rho ** j + 2.0 * floor
                            for j, h in enumerate(ref[:40], 1))
 
@@ -703,7 +703,7 @@ def test_sized_mean_is_within_half_its_tolerance():
     rng = random.Random(7)
     for f in _both_integrands(FIG_CFG):
         for lo, hi in forces._shallow_bands(FIG_CFG, 106.5):
-            _, mean = forces._band_bounds(f, FIG_CFG, lo, hi)
+            _, mean, _ = forces._band_bounds(f, FIG_CFG, lo, hi)
             for tol in (2e-8, 1e-11):
                 for _ in range(30):
                     k = rng.uniform(lo, hi)
@@ -715,7 +715,7 @@ def test_sized_mean_is_within_half_its_tolerance():
     for f in _both_integrands(WEAK_CFG):
         for lo, hi in forces._dense_bands(WEAK_CFG,
                                           1.3 * 10.0 * math.sqrt(2.0)):
-            _, mean = forces._band_bounds(f, WEAK_CFG, lo, hi)
+            _, mean, _ = forces._band_bounds(f, WEAK_CFG, lo, hi)
             for _ in range(15):
                 k = rng.uniform(lo, hi)
                 ref = sum(f(k, forces._diagonal(forces._even(4096)))) / 4096
@@ -737,7 +737,7 @@ def test_band_route_follows_the_pole_radius():
     f = forces._bath_integrand(FIG_CFG, math.inf, math.inf)
     for lo, hi in forces._shallow_bands(FIG_CFG, 106.5):
         calls.clear()
-        _, mean = forces._band_bounds(recording(f), FIG_CFG, lo, hi)
+        _, mean, _ = forces._band_bounds(recording(f), FIG_CFG, lo, hi)
         assert max(calls) <= forces._HARM_OFFSETS
         assert min(calls) < forces._HARM_OFFSETS
         calls.clear()
@@ -753,16 +753,15 @@ def test_band_route_follows_the_pole_radius():
                 for i in range(65)]
         assert forces._RHO_MAX < min(rhos) and max(rhos) < 1.0
         calls.clear()
-        _, mean = forces._band_bounds(recording(f), WEAK_CFG, lo, hi)
+        _, mean, _ = forces._band_bounds(recording(f), WEAK_CFG, lo, hi)
         assert set(calls) == {forces._HARM_OFFSETS}
         calls.clear()
         mean(0.5 * (lo + hi), 1e-9)
         assert len(calls) == 1
 
 
-def test_fig_bath_integral_offset_points(monkeypatch):
-    # the sized means and harmonics hold fig's Z to at most 17,000
-    # bath-integrand offset points
+def _offset_points(monkeypatch, cfg, spec):
+    """Bath-integrand offset points of Z for ``cfg`` at ``spec``."""
     points = []
     kernel = core.bath_integrands
 
@@ -773,15 +772,22 @@ def test_fig_bath_integral_offset_points(monkeypatch):
     monkeypatch.setattr(core, "bath_integrands", counting)
     forces._vacuum_bath.cache_clear()
     try:
-        forces._vacuum_bath(FIG_CFG, SPEC6)
+        forces._vacuum_bath(cfg, spec)
     finally:
         forces._vacuum_bath.cache_clear()
-    assert sum(points) <= 17000
+    return sum(points)
+
+
+def test_fig_bath_integral_offset_points(monkeypatch):
+    # the sized means and harmonics and the one-panel mapped tail hold
+    # fig's Z to at most 11,500 bath-integrand offset points
+    assert _offset_points(monkeypatch, FIG_CFG, SPEC6) <= 11500
 
 
 def test_weak_bath_integral_builds_each_dense_band_once(monkeypatch):
     # both passes integrate the sized means of one bound per dense band,
-    # holding weak Z to at most 12,000 bath-integrand offset points
+    # the coarse pass at its own target, holding weak Z to at most 10,000
+    # bath-integrand offset points
     points, built = [], []
     kernel, bounds = core.bath_integrands, forces._band_bounds
 
@@ -800,7 +806,7 @@ def test_weak_bath_integral_builds_each_dense_band_once(monkeypatch):
         forces._vacuum_bath(WEAK_CFG, WEAK_SPEC)
     finally:
         forces._vacuum_bath.cache_clear()
-    assert sum(points) <= 12000
+    assert sum(points) <= 10000
     assert built == list(forces._dense_bands(WEAK_CFG,
                                              1.3 * 10.0 * math.sqrt(2.0)))
 
@@ -819,3 +825,195 @@ def test_band_excess_strips_are_honest_in_the_shallow_band(sigmas):
     fac = math.cosh(2.0 / 100.0) - 1.0
     exc, err = band_excess_curve(FIG_CFG, 5.0, list(sigmas), SPEC6)[-1]
     assert abs(exc / fac - ref) <= err / fac
+
+
+NONEQ_CFG = CavityConfig(0.5, 0.4, MILD_L, MILD_R)
+NONEQ_SPEC = QuadratureSpec(rel_tol=1e-8, abs_tol=1e-12)
+
+
+def test_mild_bath_integral_offset_points(monkeypatch):
+    # the mapped tail takes 15 phase averages of 64 offsets past the switch
+    # point, where geometric panels took 210
+    assert _offset_points(monkeypatch, NONEQ_CFG, NONEQ_SPEC) <= 8000
+
+
+def _recorded_tail(monkeypatch, run):
+    """``(averaged, K, spec, (value, err), ks)`` of the one averaged tail
+    that ``run()`` integrates, with ``ks`` the k at which it evaluated the
+    phase average."""
+    seen = []
+    tail = forces._averaged_tail
+
+    def recording(averaged, K, spec):
+        ks = []
+
+        def traced(k):
+            ks.append(k)
+            return averaged(k)
+        out = tail(traced, K, spec)
+        seen.append((averaged, K, spec, out, ks))
+        return out
+
+    monkeypatch.setattr(forces, "_averaged_tail", recording)
+    forces._vacuum_bath.cache_clear()
+    try:
+        run()
+    finally:
+        forces._vacuum_bath.cache_clear()
+    (rec,) = seen
+    return rec
+
+
+def _tail_reference(averaged, K, k_end, abs_tol, noisy):
+    """Integral of ``averaged`` over [K, inf) and its error: panels
+    doubling in k up to ``k_end`` at rel_tol 1e-12 or ``abs_tol`` each,
+    plus C / (2 k^2) past k_end with C = k^3 averaged(k) measured there.  A
+    ``noisy`` integrand floors each panel's tolerance at, and adds to the
+    error, its rounding noise _NOISE_EPS * k summed over the panel."""
+    val = err = 0.0
+    lo = K
+    while lo < k_end:
+        hi = min(2.0 * lo, k_end)
+        noise = forces._NOISE_EPS * hi * (hi - lo) if noisy else 0.0
+        spec = QuadratureSpec(rel_tol=1e-12, abs_tol=max(noise, abs_tol),
+                              panel_width=0.5 * (hi - lo), max_panels=4000)
+        v, e = forces.integrate_interval(averaged, lo, hi, spec)
+        val += v
+        err += e + noise
+        lo = hi
+    return val + 0.5 * averaged(k_end) * k_end, err
+
+
+# Each averaged tail, the depth of its reference and whether the reference
+# must allow for rounding noise.  The bath integrands' noise is far below
+# _NOISE_EPS * k; the state integrand's is close to it, since its O(1)
+# bracket terms cancel, and swamps its k^-3 mean past a few 1e4 (the mean
+# reads exactly 0 by k = 1e6), so its reference stops at 2e4.
+_TAILS = {
+    "fig-bath": (lambda: forces._vacuum_bath(FIG_CFG, SPEC6), 1e6, False),
+    "mild-bath": (lambda: forces._vacuum_bath(NONEQ_CFG, NONEQ_SPEC), 1e6,
+                  False),
+    "weak-bath": (lambda: forces._vacuum_bath(WEAK_CFG, WEAK_SPEC), 1e6,
+                  False),
+    "fig-state": (lambda: forces._real_axis(
+        FIG_CFG, SPEC6, forces._state_integrand(FIG_CFG)), 2e4, True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TAILS))
+def test_mapped_tail_matches_geometric_panels(monkeypatch, name):
+    # one Gauss-Kronrod panel on t = (K/k)^2: 15 phase averages, the deepest
+    # at about 15 K, within its estimate of a reference that integrates the
+    # average on k itself, each of its panels to a thousandth of the tail's
+    # tolerance
+    run, k_end, noisy = _TAILS[name]
+    averaged, K, spec, (v, e), ks = _recorded_tail(monkeypatch, run)
+    assert len(ks) == 15
+    assert K < min(ks) and max(ks) < 16.0 * K
+    ref, ref_err = _tail_reference(averaged, K, k_end, 1e-3 * spec.abs_tol,
+                                   noisy)
+    assert abs(v - ref) <= e + ref_err
+
+
+def test_tail_noise_model_holds_where_the_tail_samples(monkeypatch):
+    # the noise of the phase-averaged bath and state integrands, estimated
+    # from fourth differences at step 1e-7 k (the stencil multiplies
+    # independent errors of size s by sqrt(70) in the rms), stays within
+    # _NOISE_EPS * k up to the deepest k the mapped tail samples
+    for cfg, spec, naxes in ((FIG_CFG, SPEC6, 2),
+                             (NONEQ_CFG, NONEQ_SPEC, 3)):
+        *_, ks = _recorded_tail(monkeypatch,
+                                lambda: forces._vacuum_bath(cfg, spec))
+        monkeypatch.undo()
+        for f in _both_integrands(cfg):
+            for k in (1e2, 1e3, max(ks)):
+                h = 1e-7 * k
+                d4 = []
+                for j in range(8):
+                    x = k * (1.0 + 1e-5 * j)
+                    v = [forces._phase_average(f, x + i * h, naxes)
+                         for i in range(-2, 3)]
+                    d4.append(v[0] - 4.0 * v[1] + 6.0 * v[2] - 4.0 * v[3]
+                              + v[4])
+                noise = math.sqrt(math.fsum(y * y for y in d4) / (70.0 * 8))
+                assert noise <= forces._NOISE_EPS * k
+
+
+@pytest.mark.parametrize("cfg, spec, z_old, ez_old", [
+    (FIG_CFG, SPEC6, -865.1878674366928, 1.0325795473025818e-3),
+    (NONEQ_CFG, NONEQ_SPEC, -1.80825713054461, 1.715850174769573e-08),
+    (WEAK_CFG, WEAK_SPEC, -98.46437950375817, 0.029396978392883213)],
+    ids=["fig", "mild", "weak"])
+def test_bath_integral_moves_within_its_estimate(cfg, spec, z_old, ez_old):
+    # Z with geometric tail panels and an inverse-cube remainder model past
+    # the switch point: the mapped tail moves it only within its estimate,
+    # and the estimate does not rise
+    forces._vacuum_bath.cache_clear()
+    z, ez = forces._vacuum_bath(cfg, spec)
+    forces._vacuum_bath.cache_clear()
+    assert ez <= ez_old
+    assert abs(z - z_old) <= ez
+
+
+def test_failing_tail_names_its_stage():
+    # a mean decaying like 1/k maps to 1/(2t) on t = (K/k)^2, whose integral
+    # diverges logarithmically; the tail gives up within its panel cap and
+    # carries the integral below K
+    def slow(k, offsets):
+        return [1.0 / (1.0 + k)] * len(offsets)
+
+    with pytest.raises(NonConvergenceError,
+                       match="averaged tail past K = ") as exc:
+        forces._oscillatory_integral(slow, SPEC6, 1.0, ())
+    assert exc.value.panels <= forces._MAX_TAIL_PANELS
+    assert exc.value.partial > 0.0
+
+
+def test_bath_excess_takes_one_kernel_pass(monkeypatch):
+    # the bath integrand is linear in the occupations, so the excess over
+    # its zero-temperature value is one weighted kernel call per node (and
+    # one for the endpoint check), with Z memoized
+    forces._vacuum_bath(NONEQ_CFG, NONEQ_SPEC)
+    calls, nodes = [], []
+    weighted, interval = core.bath_weighted, forces.integrate_interval
+
+    def counting(*args):
+        calls.append(args[0])
+        return weighted(*args)
+
+    def tracing(f, *args, **kw):
+        def g(k):
+            nodes.append(k)
+            return f(k)
+        return interval(g, *args, **kw)
+
+    monkeypatch.setattr(core, "bath_weighted", counting)
+    monkeypatch.setattr(forces, "integrate_interval", tracing)
+    forces._bath_parts(NONEQ_CFG, 3.0, 8.0, NONEQ_SPEC)
+    assert nodes and len(calls) == len(nodes) + 1
+
+
+def test_bath_excess_matches_hot_minus_cold():
+    # the excess weights 2 / (e^{beta k} - 1) against the difference of two
+    # full evaluations where that still resolves them, and past beta k ~ 37,
+    # where coth(beta k / 2) rounds to 1 and the difference to zero
+    a, d = NONEQ_CFG.gap, NONEQ_CFG.width
+    tl, tr = MILD_L.as_tuple(), MILD_R.as_tuple()
+
+    def excess(k, bl, br):
+        return core.bath_weighted(k, a, d, tl, tr,
+                                  core.occupation_excess(bl, k),
+                                  core.occupation_excess(br, k),
+                                  forces._RAW)[0]
+
+    for bl, br in ((3.0, 8.0), (8.0, 3.0), (5.0, 5.0)):
+        for k in (0.01, 0.3, 1.0, 1.7, 2.9, 3.6):
+            if max(bl, br) * k >= 30.0:
+                continue
+            hot = core.bath_integrand(k, a, d, tl, tr, bl, br)
+            cold = core.bath_integrand(k, a, d, tl, tr, math.inf, math.inf)
+            assert abs(excess(k, bl, br) - (hot - cold)) <= 1e-13 * abs(hot)
+    k = 40.0 / 5.0
+    hot = core.bath_integrand(k, a, d, tl, tr, 5.0, 5.0)
+    assert hot == core.bath_integrand(k, a, d, tl, tr, math.inf, math.inf)
+    assert excess(k, 5.0, 5.0) != 0.0
