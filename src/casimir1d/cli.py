@@ -456,7 +456,7 @@ def _verify_checks():
     fig = Material(10.0, 10.0, 0.1)
     cfg_fig = CavityConfig(1.0, 100.0, fig, fig)
     spec_fig = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-10)
-    (low_lo, low_hi), (start, _) = forces._shallow_bands(cfg_fig, 30.0)
+    (low_lo, low_hi), (start, _) = forces._bands(cfg_fig, 30.0)[1]
     worst = 0.0
     for f in (forces._bath_integrand(cfg_fig, math.inf, math.inf),
               forces._state_integrand(cfg_fig)):

@@ -41,23 +41,23 @@ the gap offsets.
 Below the switch point three layout features keep the adaptive passes off
 structure they would otherwise chase blindly:
 
-* dense bands: where the slabs of an identical pair are neither opaque nor
-  weakly reflecting and the slab round-trip phase 2 k Re(n) d runs far
-  faster than the gap phase (below a weakly damped resonance, sharp slab
-  resonances pile up), the passes integrate the mean over the common slab
-  phase, while quadrature still resolves the gap phase.  The band edges are
-  breakpoints;
-* the shallow bands: where an identical pair's slabs are not opaque
-  (e^{-2 k Im(n) d} >= 1e-6) while their slab phase runs fast and their
-  comb is shallow (|rn^2 E| below the dense band's), the direct pass
-  integrates the slab-phase mean, on both sides of the stop band: below it
-  from k -> 0 to where the slab turns opaque under the resonance, above it
-  from where the slab clears to the switch point.  A band is used only
-  when the slab is opaque just past its edge facing the stop band, where
-  the dropped oscillation vanishes.  The strips of ``band_excess_curve``
-  use only the band above the stop band: their windows around a band
-  center below the resonance end inside the clear comb, where the bound's
-  edge terms would swamp the narrow windows;
+* slab bands: one scan sorts the k of an identical pair into three kinds.
+  Where the slab round-trip phase 2 k Re(n) d runs far faster than the gap
+  phase, a dense band has a sharp slab comb, its slabs neither opaque nor
+  weakly reflecting (below a weakly damped resonance, sharp slab resonances
+  pile up), and a shallow band has a shallow comb (|rn^2 E| below the dense
+  band's) while its slabs are not opaque (e^{-2 k Im(n) d} >= 1e-6).  There
+  the passes integrate the mean over the common slab phase, while
+  quadrature still resolves the gap phase, and the band edges are
+  breakpoints.  The coarse pass takes the dense bands, the direct pass both
+  kinds.  A shallow band is used only when the slab is opaque just past
+  each of its edges inside the scan, where the dropped oscillation
+  vanishes: on the docs cavity one below the stop band, from k -> 0 to
+  where the slab turns opaque under the resonance, and one above it, from
+  where the slab clears to the switch point.  The strips of
+  ``band_excess_curve`` use only the band above the stop band: their
+  windows around a band center below the resonance end inside the clear
+  comb, where the bound's edge terms would swamp the narrow windows;
 * bound gap modes: inside each absorbing slab's stop band the cavity
   denominator |1 - rL rR e^{2ika}| dips at the bound modes.  Modes far
   narrower than a panel are located by a scan and golden-section search and
@@ -121,13 +121,12 @@ __all__ = [
 _SHIFTS = 4
 # The one offset triple (sL, sR, sG) of the unshifted integrand.
 _RAW = ((0.0, 0.0, 0.0),)
-# Dense Fabry-Perot band of identical slabs: where the slab round-trip phase
-# runs at least _DENSE_RATE times faster than the gap phase and the slab's
-# internal round trip |rn^2 E| lies in [_SHARP_MIN, _SHARP_MAX], the passes
+# Slab bands of identical slabs (see ``_kind``): where the slab round-trip
+# phase runs at least _DENSE_RATE times faster than the gap phase, the passes
 # below the switch point integrate the mean over the common slab phase
-# instead of chasing each sharp slab resonance.  Below _SHARP_MIN the slab
-# comb is shallow (or the slab opaque) and cheap to resolve directly; the
-# upper limit keeps the geometric convergence of the mean fast.
+# instead of resolving each slab period.  A dense band's internal round trip
+# |rn^2 E| lies in [_SHARP_MIN, _SHARP_MAX], where the slab resonances are
+# sharp; the upper limit keeps the geometric convergence of the mean fast.
 _DENSE_RATE = 100.0
 _SHARP_MIN = 0.25
 _SHARP_MAX = 0.9
@@ -138,15 +137,13 @@ _SHARP_MAX = 0.9
 # terms), so a tolerance below that buys offsets and no accuracy.  The same
 # floor keeps the rounding of the sampled harmonics out of their amplitude.
 _MEAN_NOISE = 8.0
-# Shallow bands of identical slabs: on either side of the stop band, where
-# the slab phase runs fast, the slab comb is shallow (|rn^2 E| < _SHARP_MIN)
-# and the slab is not opaque (e^{-2 k Im(n) d} >= _CLEAR_MIN), the passes
-# integrate the slab-phase mean instead of resolving every slab period.  A
-# band is used only when it meets the slab's opaque stretch at its edge
-# facing the stop band and when it spans _SHALLOW_PANELS half slab periods,
-# the panels raw quadrature needs there: the raw cost grows with the slab
-# periods, while the mean and its bound cost a few panels and gap periods,
-# about as much as four slab periods raw.
+# A shallow band's comb is shallower (|rn^2 E| < _SHARP_MIN) while the slab
+# is not opaque (e^{-2 k Im(n) d} >= _CLEAR_MIN).  One scan finds both kinds
+# (see ``_bands``); a shallow run is used only when the slab is opaque just
+# past each of its edges inside the scan and when it spans _SHALLOW_PANELS
+# half slab periods, the panels raw quadrature needs there: the raw cost
+# grows with the slab periods, while the mean and its bound cost a few
+# panels and gap periods, about as much as four slab periods raw.
 _CLEAR_MIN = 1e-6
 _SHALLOW_PANELS = 8
 # The band bound samples the slab harmonics at _HARM_GRID points per gap
@@ -160,7 +157,7 @@ _HARM_OFFSETS = 32
 _HARM_GRID = 8
 _HARM_DROP = 1e-12
 _RHO_MAX = 0.25
-# Bisection steps placing a dense-band edge between two scan points.
+# Bisection steps placing a band edge between two scan points.
 _EDGE_STEPS = 40
 # Bound gap modes narrower than this fraction of the panel width are pinned
 # as breakpoints, together with neighbours at 10^j mode widths.
@@ -533,13 +530,15 @@ def _oscillatory_integral(shifted, spec, gap, breakpoints, cfg=None):
 
     period = math.pi / gap
     inv_rate = 1.0 / gap
-    naxes, bands = 1, ()
+    k0 = max(8.0 * spec.panel_width, 4.0 * period)
+    if breakpoints:
+        k0 = max(k0, 1.3 * breakpoints[-1])
+    naxes, bands, shallow = 1, (), ()
     if cfg is not None:
         inv_rate += 1.0 / cfg.width
         naxes = 2 if cfg.left == cfg.right else 3
-        if breakpoints:
-            bands = _dense_bands(cfg, 1.3 * breakpoints[-1])
-    # each band's bound and mean, built once for both passes
+        bands, shallow = _bands(cfg, k0)
+    # each dense band's bound and mean, built once for both passes
     bounds = [_band_bounds(shifted, cfg, lo, hi) for lo, hi in bands]
 
     def averaged(k):
@@ -550,10 +549,6 @@ def _oscillatory_integral(shifted, spec, gap, breakpoints, cfg=None):
                              in zip(bands, bounds)], tol)
 
     _endpoint_check(raw)
-
-    k0 = max(8.0 * spec.panel_width, 4.0 * period)
-    if breakpoints:
-        k0 = max(k0, 1.3 * breakpoints[-1])
 
     # Cheap magnitude estimate fixing the absolute error budget; its means
     # are sized to its own target, rel_tol of the bands' size.
@@ -600,13 +595,14 @@ def _oscillatory_integral(shifted, spec, gap, breakpoints, cfg=None):
             "oscillation bound still %.3e at k = %.3e (budget %.3e)"
             % (bound, K, budget), partial=None, error=bound, panels=0)
 
-    # Direct adaptive pass below the switch point; the shallow bands join
-    # the dense bands there, and each band adds the bound on the slab
-    # oscillation it drops plus its means' allowance.
-    if cfg is not None:
-        shallow = _shallow_bands(cfg, K)
-        bands += shallow
-        bounds += [_band_bounds(shifted, cfg, lo, hi) for lo, hi in shallow]
+    # Direct adaptive pass below the switch point; the shallow bands, found
+    # again up to K where it passed k0, join the dense bands there, and each
+    # band adds the bound on the slab oscillation it drops plus its means'
+    # allowance.
+    if cfg is not None and K > k0:
+        shallow = _bands(cfg, K)[1]
+    bands += shallow
+    bounds += [_band_bounds(shifted, cfg, lo, hi) for lo, hi in shallow]
     direct = replace(spec, abs_tol=max(spec.abs_tol, 0.25 * budget,
                                        0.5 * _NOISE_EPS * K * K))
     tol = _mean_tol(direct.abs_tol, bands)
@@ -691,103 +687,76 @@ def _comb(cfg, k):
     return clear, abs(rn) ** 2 * clear
 
 
-def _fast(cfg, k):
-    """True where the slab phase runs ``_DENSE_RATE`` times faster than the
-    gap phase."""
-    return (_slab_rate(cfg.left, cfg.width, k)
-            >= _DENSE_RATE * 2.0 * cfg.gap)
-
-
-def _dense(cfg, k):
-    """True where the slab-phase mean replaces the raw integrand at k.
-
-    The slab phase must run far faster than the gap phase, and the slab's
-    internal round trip |rn^2 E| must make its resonances sharp: neither
-    opaque nor weakly reflecting.
-    """
-    depth = _comb(cfg, k)[1]
-    return _SHARP_MIN <= depth <= _SHARP_MAX and _fast(cfg, k)
-
-
-def _shallow(cfg, k):
-    """True where the shallow band holds at k: the slab phase runs fast,
-    the comb is shallow and the slab is not opaque."""
-    clear, depth = _comb(cfg, k)
-    return depth < _SHARP_MIN and clear >= _CLEAR_MIN and _fast(cfg, k)
-
-
-def _bands(cfg, inside, k_lo, k_end):
-    """Intervals of (k_lo, k_end) where ``inside(cfg, k)`` holds, for
-    identical absorbing slabs (both slab phases are then one phase); empty
-    otherwise.
-
-    A scan at a sixteenth of the gap period finds the bands and bisection
-    places their edges; a band holding at the first or last scan point
-    runs to k_lo or k_end.  k_end is tested too, so a band that starts
-    after the last scan point runs from its bisected start to k_end.  A
-    band narrower than the scan step that ends before k_end is missed.
-    """
-    if cfg.left != cfg.right or not _absorbing(cfg.left) or k_end <= k_lo:
-        return ()
-    m = int(math.ceil(16.0 * (k_end - k_lo) * cfg.gap / math.pi))
-    ks = [k_lo + (k_end - k_lo) * (i + 0.5) / m for i in range(m)]
-    flags = [inside(cfg, k) for k in ks]
-
-    def edge(lo, hi, inside_lo):
-        for _ in range(_EDGE_STEPS):
-            mid = 0.5 * (lo + hi)
-            if inside(cfg, mid) == inside_lo:
-                lo = mid
-            else:
-                hi = mid
-        return lo if inside_lo else hi
-
-    bands = []
-    start = None
-    for i, flag in enumerate(flags):
-        if flag and start is None:
-            start = edge(ks[i - 1], ks[i], False) if i else k_lo
-        elif not flag and start is not None:
-            bands.append((start, edge(ks[i - 1], ks[i], True)))
-            start = None
-    if start is None and inside(cfg, k_end):
-        start = edge(ks[-1], k_end, False)
-    if start is not None:
-        bands.append((start, k_end))
-    return tuple(bands)
-
-
-def _dense_bands(cfg, k_end):
-    """Intervals of (0, k_end) where ``_dense`` holds (see ``_bands``)."""
-    return _bands(cfg, _dense, 0.0, k_end)
-
-
 def _half_period(cfg, k):
     """Half a slab period, pi over the slab rate, at k."""
     return math.pi / _slab_rate(cfg.left, cfg.width, k)
 
 
-def _shallow_bands(cfg, k_end):
-    """The shallow bands below ``k_end``, sorted: at most one on each side
-    of the stop band [omega0, sqrt(omega0^2 + omega_pl^2)].
+def _kind(cfg, k):
+    """Band kind of the identical slabs of ``cfg`` at k: 2 in a dense band,
+    1 in a shallow band, 0 elsewhere.
 
-    Below it the candidate is the last interval of (0, omega0) where
-    ``_shallow`` holds, above it the first one.  A candidate is kept only
-    when the slab is opaque just past its edge facing the stop band, so the
-    slab oscillation is negligible there (a stretch that abuts a dense band,
-    where the comb is still deep, is not), and when it spans
-    ``_SHALLOW_PANELS`` half slab periods.
+    Both kinds need the slab phase to run ``_DENSE_RATE`` times faster than
+    the gap phase.  A dense band's internal round trip |rn^2 E| makes the
+    slab resonances sharp, neither opaque nor weakly reflecting; a shallow
+    band's comb is shallower while the slab is not opaque.
     """
-    mat = cfg.left
-    top = math.sqrt(mat.omega0 ** 2 + mat.omega_pl ** 2)
-    below = _bands(cfg, _shallow, 0.0, min(mat.omega0, k_end))[-1:]
-    above = _bands(cfg, _shallow, top, k_end)[:1]
-    # each candidate with the point just past its edge facing the stop band
-    cands = ([(b, b[1] * (1.0 + 1e-9)) for b in below]
-             + [(b, b[0] * (1.0 - 1e-9)) for b in above])
-    return tuple((lo, hi) for (lo, hi), edge in cands
-                 if hi - lo >= _SHALLOW_PANELS * _half_period(cfg, lo)
-                 and _comb(cfg, edge)[0] < _CLEAR_MIN)
+    clear, depth = _comb(cfg, k)
+    if depth > _SHARP_MAX or (depth < _SHARP_MIN and clear < _CLEAR_MIN):
+        return 0
+    if _slab_rate(cfg.left, cfg.width, k) < _DENSE_RATE * 2.0 * cfg.gap:
+        return 0
+    return 2 if depth >= _SHARP_MIN else 1
+
+
+def _bands(cfg, k_end):
+    """``(dense, shallow)``: the dense and the shallow bands in (0, k_end]
+    of identical absorbing slabs (both slab phases are then one phase),
+    each sorted; empty otherwise.
+
+    One scan classifies the points j pi / (16 a) below k_end, and k_end
+    itself, by ``_kind``; each change of kind between neighbouring points is
+    bisected once, and a run holding at the first or last point runs to 0
+    or k_end.  Every dense run is a band.  A shallow run is one when the
+    slab is opaque just past each of its edges inside (0, k_end), of which
+    it has at least one, so the dropped slab oscillation vanishes there (a
+    run that abuts a dense band, where the comb is still deep, does not
+    qualify), and when it spans ``_SHALLOW_PANELS`` half slab periods.  A
+    band narrower than the scan step that ends before k_end is missed.
+    """
+    if cfg.left != cfg.right or not _absorbing(cfg.left):
+        return (), ()
+    step = math.pi / (16.0 * cfg.gap)
+    ks = [step * i for i in range(1, int(math.ceil(k_end / step)))] + [k_end]
+    kinds = [_kind(cfg, k) for k in ks]
+
+    def edge(lo, hi, kind):
+        """``(x, y)``, 2^-_EDGE_STEPS of [lo, hi] apart, where ``kind``
+        holds at x and not at y."""
+        for _ in range(_EDGE_STEPS):
+            mid = 0.5 * (lo + hi)
+            if _kind(cfg, mid) == kind:
+                lo = mid
+            else:
+                hi = mid
+        return lo, hi
+
+    # runs (kind, lo, hi, past): past holds the points just outside the
+    # run's edges inside (0, k_end)
+    runs, lo, past = [], 0.0, []
+    for i in range(1, len(ks)):
+        if kinds[i] != kinds[i - 1]:
+            hi, after = edge(ks[i - 1], ks[i], kinds[i - 1])
+            runs.append((kinds[i - 1], lo, hi, past + [after]))
+            lo, past = after, [hi]
+    runs.append((kinds[-1], lo, k_end, past))
+    dense = tuple((lo, hi) for kind, lo, hi, _ in runs if kind == 2)
+    shallow = tuple(
+        (lo, hi) for kind, lo, hi, past in runs
+        if kind == 1 and past
+        and all(_comb(cfg, x)[0] < _CLEAR_MIN for x in past)
+        and hi - lo >= _SHALLOW_PANELS * _half_period(cfg, lo))
+    return dense, shallow
 
 
 def _slab_refl(k, mat, d):
@@ -1416,9 +1385,8 @@ def band_excess_curve(cfg, omega_center, sigmas, spec):
     # inside the clear comb, where the bound's edge terms are large
     band = None
     if windows:
-        band = next((b for b in _shallow_bands(
-            cfg, max(hi for _, hi in windows)) if b[0] > cfg.left.omega0),
-            None)
+        band = next((b for b in _bands(cfg, max(hi for _, hi in windows))[1]
+                     if b[0] > cfg.left.omega0), None)
     if band:
         tol = _mean_tol(spec.abs_tol, (band,))
         bound, mean, _ = _band_bounds(f, cfg, *band)

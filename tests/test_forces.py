@@ -404,8 +404,8 @@ def test_dense_bands_only_for_sharp_identical_slabs():
     # and the mild pair's slabs differ
     for cfg in (FIG_CFG, CavityConfig(0.5, 0.4, MILD_L, MILD_R), CFG):
         bks = forces._breakpoints(cfg.left, cfg.right)
-        assert forces._dense_bands(cfg, 1.3 * bks[-1]) == ()
-    bands = forces._dense_bands(WEAK_CFG, 1.3 * 10.0 * math.sqrt(2.0))
+        assert forces._bands(cfg, 1.3 * bks[-1])[0] == ()
+    bands = forces._bands(WEAK_CFG, 1.3 * 10.0 * math.sqrt(2.0))[0]
     # below the resonance and just above the stop band
     assert len(bands) == 2
     (lo1, hi1), (lo2, hi2) = bands
@@ -413,14 +413,14 @@ def test_dense_bands_only_for_sharp_identical_slabs():
     assert 10.0 * math.sqrt(2.0) < lo2 < hi2 < 15.0
     for lo, hi in bands:
         mid = 0.5 * (lo + hi)
-        assert forces._dense(WEAK_CFG, mid)
-        assert not forces._dense(WEAK_CFG, lo - 1e-3)
-        assert not forces._dense(WEAK_CFG, hi + 1e-3)
+        assert forces._kind(WEAK_CFG, mid) == 2
+        assert forces._kind(WEAK_CFG, lo - 1e-3) != 2
+        assert forces._kind(WEAK_CFG, hi + 1e-3) != 2
 
 
 def test_slab_mean_settles_geometrically():
     f = forces._bath_integrand(WEAK_CFG, math.inf, math.inf)
-    bands = forces._dense_bands(WEAK_CFG, 1.3 * 10.0 * math.sqrt(2.0))
+    bands = forces._bands(WEAK_CFG, 1.3 * 10.0 * math.sqrt(2.0))[0]
     band_means = [(lo, hi, forces._band_bounds(f, WEAK_CFG, lo, hi)[1])
                   for lo, hi in bands]
     for k in (9.4, 9.8, 9.95, 9.99, 14.15, 14.5):
@@ -541,7 +541,7 @@ def test_dense_band_dual_route():
     assert dev <= est
     # the whole upper dense band, whose comb is at its deepest (0.9) on the
     # lower edge, for the bath and the state integrands
-    lo, hi = forces._dense_bands(WEAK_CFG, 1.3 * 10.0 * math.sqrt(2.0))[1]
+    lo, hi = forces._bands(WEAK_CFG, 1.3 * 10.0 * math.sqrt(2.0))[0][1]
     assert forces._comb(WEAK_CFG, lo)[1] == pytest.approx(0.9)
     for f in (bath, forces._state_integrand(WEAK_CFG)):
         dev, est = forces._band_dual(WEAK_CFG, f, lo, hi, spec)
@@ -553,14 +553,15 @@ def test_shallow_band_selected_from_observables(monkeypatch):
     # slab turns opaque under the resonance (e^{-2 k Im(n) d} = 1e-6);
     # above it the high band starts where the slab stops being opaque and
     # runs to the requested end
-    (lo0, hi0), (lo, hi) = forces._shallow_bands(FIG_CFG, 106.5)
+    dense, ((lo0, hi0), (lo, hi)) = forces._bands(FIG_CFG, 106.5)
+    assert dense == ()
     assert lo0 == 0.0 and hi0 == pytest.approx(7.303, abs=1e-3)
-    assert forces._shallow(FIG_CFG, 0.5 * hi0)
-    assert not forces._shallow(FIG_CFG, hi0 + 1e-3)
+    assert forces._kind(FIG_CFG, 0.5 * hi0) == 1
+    assert forces._kind(FIG_CFG, hi0 + 1e-3) == 0
     assert forces._comb(FIG_CFG, hi0 + 1e-3)[0] < forces._CLEAR_MIN
     assert 16.5 < lo < 16.7 and hi == 106.5
-    assert forces._shallow(FIG_CFG, 0.5 * (lo + hi))
-    assert not forces._shallow(FIG_CFG, lo - 1e-3)
+    assert forces._kind(FIG_CFG, 0.5 * (lo + hi)) == 1
+    assert forces._kind(FIG_CFG, lo - 1e-3) == 0
     assert forces._comb(FIG_CFG, lo - 1e-3)[0] < forces._CLEAR_MIN
     # each band must span _SHALLOW_PANELS of its own half slab periods; the
     # low band is 4.6 panel widths long but spans about 660 of them
@@ -568,36 +569,41 @@ def test_shallow_band_selected_from_observables(monkeypatch):
     n_low = (hi0 - lo0) / forces._half_period(FIG_CFG, lo0)
     assert 600.0 < n_low < 700.0
     monkeypatch.setattr(forces, "_SHALLOW_PANELS", 1.01 * n_low)
-    assert forces._shallow_bands(FIG_CFG, 106.5) == ((lo, hi),)
+    assert forces._bands(FIG_CFG, 106.5)[1] == ((lo, hi),)
     monkeypatch.undo()
-    # a low stretch cut short of its opaque edge is not a band
-    assert forces._shallow_bands(FIG_CFG, 5.0) == ()
+    # a low stretch cut short of its opaque edge, which then runs from 0 to
+    # k_end with no edge inside the scan, is not a band
+    assert forces._bands(FIG_CFG, 5.0) == ((), ())
     # the high band cut 9 or 12 half slab periods past its start holds at
     # none of the scan points, a sixteenth of the gap period apart; it holds
-    # at k_end, so its start is bisected from the last scan point
+    # at k_end, the last point, so its start is bisected from the point
+    # before it
     for periods in (9, 12):
         k_end = lo + periods * forces._half_period(FIG_CFG, lo)
         assert k_end - lo < math.pi / (16.0 * FIG_CFG.gap)
-        assert forces._shallow_bands(FIG_CFG, k_end)[-1] == (
+        assert forces._bands(FIG_CFG, k_end)[1][-1] == (
             pytest.approx(lo, abs=1e-9), k_end)
     # weak pair: both shallow stretches abut a dense band, where the slab is
     # clear and its comb deep (the low one runs into it at 9.356), so
     # neither is used, for Z's switch point 1.3 x sqrt(200) or any later one
-    low = forces._bands(WEAK_CFG, forces._shallow, 0.0, 10.0)[-1]
-    assert low[1] == pytest.approx(9.356, abs=1e-3)
-    assert forces._dense(WEAK_CFG, low[1] + 1e-3)
     for k_end in (1.3 * 10.0 * math.sqrt(2.0), 30.0, 100.0):
-        assert forces._shallow_bands(WEAK_CFG, k_end) == ()
+        dense, shallow = forces._bands(WEAK_CFG, k_end)
+        assert shallow == ()
+        start = dense[0][0]
+        assert start == pytest.approx(9.356, abs=1e-3)
+        assert forces._kind(WEAK_CFG, 0.5 * start) == 1
+        assert forces._kind(WEAK_CFG, start - 1e-3) == 1
+        assert forces._comb(WEAK_CFG, start - 1e-3)[0] >= forces._CLEAR_MIN
     # mild pairs: different slabs, or identical slabs whose phase is slow
     for cfg in (CFG, CavityConfig(0.5, 0.4, MILD_L, MILD_R),
                 CavityConfig(1.0, 0.4, MILD_L, MILD_L)):
-        assert forces._shallow_bands(cfg, 100.0) == ()
+        assert forces._bands(cfg, 100.0) == ((), ())
 
 
 def test_low_shallow_band_dual_route():
     # the whole low band, from k -> 0 to its opaque edge, and the part of it
     # that ends inside the clear comb, for the bath and the state integrands
-    lo, hi = forces._shallow_bands(FIG_CFG, 30.0)[0]
+    lo, hi = forces._bands(FIG_CFG, 30.0)[1][0]
     for f in (forces._bath_integrand(FIG_CFG, math.inf, math.inf),
               forces._state_integrand(FIG_CFG)):
         for x1 in (hi, 3.0):
@@ -649,7 +655,7 @@ def test_shallow_bound_counts_both_signs_of_each_harmonic():
     # (that the full bound covers it is the verify check
     # shallow_band_dual_pipeline)
     f = forces._state_integrand(FIG_CFG)
-    lo = forces._shallow_bands(FIG_CFG, 30.0)[-1][0]
+    lo = forces._bands(FIG_CFG, 30.0)[1][-1][0]
     dev, _ = forces._band_dual(FIG_CFG, f, lo, 30.0, SPEC6)
     bound, _, _ = forces._band_bounds(f, FIG_CFG, lo, 30.0)
     assert dev > 0.5 * bound(lo, 30.0)
@@ -683,7 +689,7 @@ def test_harmonic_amplitude_bounds_the_measured_harmonics():
     # sized 2J + 2 samples bounds every harmonic j <= 40 of a 128-sample DFT,
     # up to the rounding floor
     for f in _both_integrands(FIG_CFG):
-        for lo, hi in forces._shallow_bands(FIG_CFG, 106.5):
+        for lo, hi in forces._bands(FIG_CFG, 106.5)[1]:
             m = math.ceil(forces._HARM_GRID * (hi - lo) * FIG_CFG.gap
                           / math.pi)
             for i in range(m + 1):
@@ -702,7 +708,7 @@ def test_sized_mean_is_within_half_its_tolerance():
     # against the mean of 256 offsets
     rng = random.Random(7)
     for f in _both_integrands(FIG_CFG):
-        for lo, hi in forces._shallow_bands(FIG_CFG, 106.5):
+        for lo, hi in forces._bands(FIG_CFG, 106.5)[1]:
             _, mean, _ = forces._band_bounds(f, FIG_CFG, lo, hi)
             for tol in (2e-8, 1e-11):
                 for _ in range(30):
@@ -713,8 +719,8 @@ def test_sized_mean_is_within_half_its_tolerance():
     # mean of 4,096 offsets.  Below tol 1e-10 the state integrand's means
     # level off at the rounding of its evaluation, 1e-12 to 7e-12
     for f in _both_integrands(WEAK_CFG):
-        for lo, hi in forces._dense_bands(WEAK_CFG,
-                                          1.3 * 10.0 * math.sqrt(2.0)):
+        for lo, hi in forces._bands(WEAK_CFG,
+                                    1.3 * 10.0 * math.sqrt(2.0))[0]:
             _, mean, _ = forces._band_bounds(f, WEAK_CFG, lo, hi)
             for _ in range(15):
                 k = rng.uniform(lo, hi)
@@ -735,7 +741,7 @@ def test_band_route_follows_the_pole_radius():
     # fig's shallow bands: at most 32 samples per grid point, and one call
     # per mean
     f = forces._bath_integrand(FIG_CFG, math.inf, math.inf)
-    for lo, hi in forces._shallow_bands(FIG_CFG, 106.5):
+    for lo, hi in forces._bands(FIG_CFG, 106.5)[1]:
         calls.clear()
         _, mean, _ = forces._band_bounds(recording(f), FIG_CFG, lo, hi)
         assert max(calls) <= forces._HARM_OFFSETS
@@ -746,7 +752,7 @@ def test_band_route_follows_the_pole_radius():
     # the weak pair's dense bands have pole radii from 0.28 to 0.94, above
     # _RHO_MAX: 32 samples at every grid point, and one call per mean
     f = forces._bath_integrand(WEAK_CFG, math.inf, math.inf)
-    bands = forces._dense_bands(WEAK_CFG, 1.3 * 10.0 * math.sqrt(2.0))
+    bands = forces._bands(WEAK_CFG, 1.3 * 10.0 * math.sqrt(2.0))[0]
     assert len(bands) == 2
     for lo, hi in bands:
         rhos = [forces._pole_radius(WEAK_CFG, lo + (hi - lo) * i / 64)
@@ -787,9 +793,12 @@ def test_fig_bath_integral_offset_points(monkeypatch):
 def test_weak_bath_integral_builds_each_dense_band_once(monkeypatch):
     # both passes integrate the sized means of one bound per dense band,
     # the coarse pass at its own target, holding weak Z to at most 10,000
-    # bath-integrand offset points
-    points, built = [], []
-    kernel, bounds = core.bath_integrands, forces._band_bounds
+    # bath-integrand offset points; the bands are found once, at the
+    # switch point k0 = K = 1.3 x sqrt(200), while fig Z, whose switch
+    # point marches past k0, finds them again at K
+    points, built, scans = [], [], []
+    kernel, bounds, bands = (core.bath_integrands, forces._band_bounds,
+                             forces._bands)
 
     def counting(*args):
         points.append(len(args[-1]))
@@ -799,16 +808,46 @@ def test_weak_bath_integral_builds_each_dense_band_once(monkeypatch):
         built.append(args[2:])
         return bounds(*args)
 
+    def scanning(cfg, k_end):
+        scans.append(k_end)
+        return bands(cfg, k_end)
+
     monkeypatch.setattr(core, "bath_integrands", counting)
     monkeypatch.setattr(forces, "_band_bounds", building)
+    monkeypatch.setattr(forces, "_bands", scanning)
     forces._vacuum_bath.cache_clear()
     try:
         forces._vacuum_bath(WEAK_CFG, WEAK_SPEC)
+        assert sum(points) <= 10000
+        k0 = 1.3 * 10.0 * math.sqrt(2.0)
+        assert scans == [pytest.approx(k0)]
+        assert built == list(bands(WEAK_CFG, k0)[0])
+        scans.clear()
+        forces._vacuum_bath(FIG_CFG, SPEC6)
+        assert len(scans) == 2 and scans[0] < scans[1]
     finally:
         forces._vacuum_bath.cache_clear()
-    assert sum(points) <= 10000
-    assert built == list(forces._dense_bands(WEAK_CFG,
-                                             1.3 * 10.0 * math.sqrt(2.0)))
+
+
+@pytest.mark.parametrize("gamma0, width", [(1e-3, 40.0), (1e-4, 100.0)])
+def test_low_shallow_band_ends_where_the_slab_turns_opaque(gamma0, width):
+    # at gap 0.5 the slabs of these pairs turn opaque just below omega0 =
+    # 10; a low shallow band run on to omega0, where the pole radius is 0,
+    # made the band bound divide by zero.  The force matches the Matsubara
+    # sum within its estimate
+    mat = Material(10.0, 10.0, gamma0)
+    cfg = CavityConfig(0.5, width, mat, mat)
+    beta = 76.3302
+    out = force_total(cfg, FieldState.thermal(beta), beta, beta, WEAK_SPEC)
+    ref, _ = equilibrium_matsubara(cfg, beta, WEAK_SPEC)
+    assert math.isfinite(out.total)
+    assert abs(out.total - ref) <= out.err_ic + out.err_bath
+    lo, hi = forces._bands(cfg, 1.3 * 10.0 * math.sqrt(2.0))[1][0]
+    assert lo == 0.0 and hi < 10.0
+    assert forces._pole_radius(cfg, lo) > 0.0
+    assert forces._pole_radius(cfg, hi) > 0.0
+    if gamma0 == 1e-3:
+        assert hi == pytest.approx(9.8999, abs=1e-4)
 
 
 @pytest.mark.parametrize("sigmas", [
