@@ -465,6 +465,19 @@ def _verify_checks():
             dev, est = forces._band_dual(cfg_fig, f, lo, hi, spec_fig)
             worst = max(worst, dev / est)
     checks.append(("shallow_band_dual_pipeline", worst, 1.0))
+
+    # the slab-phase mean plus the signed edge terms S(x1) - S(x0) against
+    # raw quadrature on half-slab-period panels, for the state integrand on
+    # windows that end inside the clear comb of either shallow band, as the
+    # sigma ladder's windows do; the worst ratio to the combined estimate
+    low, high = forces._bands(cfg_fig, 55.0)[1]
+    worst = 0.0
+    for band, window in ((low, (4.875, 5.125)), (low, (2.0, 3.0)),
+                         (low, (0.0, 3.0)), (high, (30.0, 55.0))):
+        dev, est = forces._band_dual(cfg_fig, forces._state_integrand(cfg_fig),
+                                     *band, spec_fig, window=window)
+        worst = max(worst, dev / est)
+    checks.append(("ladder_edge_dual_pipeline", worst, 1.0))
     return checks
 
 

@@ -55,9 +55,8 @@ structure they would otherwise chase blindly:
   vanishes: on the docs cavity one below the stop band, from k -> 0 to
   where the slab turns opaque under the resonance, and one above it, from
   where the slab clears to the switch point.  The strips of
-  ``band_excess_curve`` use only the band above the stop band: their
-  windows around a band center below the resonance end inside the clear
-  comb, where the bound's edge terms would swamp the narrow windows;
+  ``band_excess_curve`` use both; their windows end inside the clear comb,
+  so each adds the signed edge terms of the dropped oscillation there;
 * bound gap modes: inside each absorbing slab's stop band the cavity
   denominator |1 - rL rR e^{2ika}| dips at the bound modes.  Modes far
   narrower than a panel are located by a scan and golden-section search and
@@ -76,7 +75,10 @@ falls to 1e-12 and bounds the rest by a geometric tail; one where rho is
 large (every dense-band point) takes 32 samples and sums j <= 15.  In every
 band each mean takes, in one call, the offsets that hold its aliased
 harmonics to its tolerance, and both passes share one bound and mean per
-band.
+band.  The sigma ladder adds the signed edge terms instead, with
+derivatives by finite differences at each window end, and keeps only the
+variation of the last order, the stencil error and the tail in its error
+(Iserles and Norsett's asymptotic method).
 
 Undamped slabs leave the real-axis tail undamped, so no classical improper
 integral exists there; only the rotated R and the absolutely convergent
@@ -157,6 +159,13 @@ _HARM_OFFSETS = 32
 _HARM_GRID = 8
 _HARM_DROP = 1e-12
 _RHO_MAX = 0.25
+# The signed edge sum takes the derivatives of the harmonics at a window end
+# x from seven samples _FD_STEP apart, centred on x, or starting at x where
+# x < 3 _FD_STEP (k = 0); the five inner (or first) samples give a
+# lower-order sum, whose difference from it is the sum's stencil error.
+# _STENCIL_NODES holds the central and the one-sided nodes, in that order.
+_FD_STEP = 2e-3
+_STENCIL_NODES = (tuple(range(-3, 4)), tuple(range(7)))
 # Bisection steps placing a band edge between two scan points.
 _EDGE_STEPS = 40
 # Bound gap modes narrower than this fraction of the panel width are pinned
@@ -377,14 +386,37 @@ def _derivative(ys, h):
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _stencil(nodes, m):
+    """Weights of the m-th derivative at 0 from samples at ``nodes`` (unit
+    step), from the derivatives of the Lagrange basis."""
+    out = []
+    for i, zi in enumerate(nodes):
+        poly, den = [1.0], 1.0
+        for zk in nodes[:i] + nodes[i + 1:]:
+            poly = [b - zk * a for a, b in zip(poly + [0.0], [0.0] + poly)]
+            den *= zi - zk
+        out.append(math.factorial(m) * poly[m] / den)
+    return tuple(out)
+
+
+def _tail(c, rho, J):
+    """2 C times the sum over j > J of j rho^j where rho <= _RHO_MAX, else
+    0: the harmonics past the last sampled one."""
+    if rho > _RHO_MAX:
+        return 0.0
+    return 2.0 * c * rho ** (J + 1) * (J + 1 - J * rho) / (1.0 - rho) ** 2
+
+
 def _band_bounds(shifted, comb, lo, hi):
     """Bounds on the slab oscillation dropped by integrating the mean over
     parts of a dense or shallow band [lo, hi] of the identical slabs of
-    ``comb``, the mean itself and its size: returns ``(bound, mean,
-    size)``, where ``bound(x0, x1)`` serves lo <= x0 < x1 <= hi,
-    ``mean(k, tol)`` is the slab-phase mean at k inside the band, within
-    ``tol``, and ``size`` is the integral of its modulus over the band by
-    the trapezoid rule on the grid.
+    ``comb``, the mean itself, its size and the signed edge terms: returns
+    ``(bound, mean, size, edges)``, where ``bound(x0, x1)`` serves
+    lo <= x0 < x1 <= hi, ``mean(k, tol)`` is the slab-phase mean at k
+    inside the band, within ``tol``, ``size`` is the integral of its
+    modulus over the band by the trapezoid rule on the grid, and ``edges``
+    is described below.
 
     Three integrations by parts of each harmonic integral of h_j e^{i j phi}
     leave the edge terms of u = h_j / phi', u' / phi' and (u' / phi')' / phi'
@@ -403,6 +435,15 @@ def _band_bounds(shifted, comb, lo, hi):
     equidistant offsets whose aliased harmonics, at most
     2 C n rho^n / (1 - rho^n)^2 with C the larger amplitude of k's grid
     step, fit tol / 2.
+
+    A fourth function, ``edges(x0, x1)``, returns ``(S(x1) - S(x0),
+    err)``: the signed edge sum S(x) = sum over j != 0 and m < 3 of
+    (-1)^m sigma_m(x) e^{i j phi(x)}, with sigma_0 = h_j / (i j phi') and
+    sigma_{m+1} = sigma_m' / (i j phi'), which the raw integral over
+    [x0, x1] adds to the mean's.  Its derivatives come from the harmonics
+    sampled on a stencil at x (see ``_FD_STEP``); err adds the variation
+    of the last order over the grid steps of [x0, x1], each end's stencil
+    error and its tail past the last harmonic.
     """
     m = max(2, int(math.ceil(_HARM_GRID * (hi - lo) * comb.gap / math.pi)))
     step = (hi - lo) / m
@@ -412,10 +453,7 @@ def _band_bounds(shifted, comb, lo, hi):
     h0s, harm, amps = zip(*(_sized_harmonics(shifted, comb, k, rho)
                             for k, rho in zip(ks, rhos)))
     size = step * (sum(map(abs, h0s)) - 0.5 * (abs(h0s[0]) + abs(h0s[-1])))
-    # 2 C times the sum over j > J of j rho^j, where rho <= _RHO_MAX
-    tails = [2.0 * c * rho ** (len(h) + 1) * (len(h) + 1 - len(h) * rho)
-             / (1.0 - rho) ** 2 if rho <= _RHO_MAX else 0.0
-             for h, c, rho in zip(harm, amps, rhos)]
+    tails = [_tail(c, rho, len(h)) for h, c, rho in zip(harm, amps, rhos)]
     edge = list(tails)
     jumps = [a + b for a, b in zip(tails, tails[1:])]
     for j in range(1, max(map(len, harm)) + 1):
@@ -454,7 +492,41 @@ def _band_bounds(shifted, comb, lo, hi):
         while 4.0 * c * n * rho ** n > tol * (1.0 - rho ** n) ** 2:
             n += 1
         return sum(shifted(k, _diagonal(_even(n)))) / n
-    return bound, mean, size
+
+    @functools.lru_cache(maxsize=None)
+    def edge_sum(x):
+        """``(S(x), err)``: err is the stencil error, the difference from
+        the lower-order sum, plus the tail past the last harmonic."""
+        nodes = _STENCIL_NODES[x < 3.0 * _FD_STEP]
+        ts = [x + _FD_STEP * z for z in nodes]
+        rho = max(_pole_radius(comb, t) for t in ts)
+        _, hs, cs = zip(*(_sized_harmonics(shifted, comb, t, rho) for t in ts))
+        rates = [_slab_rate(comb.left, comb.width, t) for t in ts]
+        at = nodes.index(0)
+        phi = _slab_phase(comb.left, comb.width, x)
+        fits = []
+        for part in (slice(0, 7), slice(0, 5) if at == 0 else slice(1, 6)):
+            w1, w2 = _stencil(nodes[part], 1), _stencil(nodes[part], 2)
+            r1 = sum(map(operator.mul, w1, rates[part])) / _FD_STEP
+            fits.append((part, w1, w2, r1))
+        sums = [0.0, 0.0]
+        for j in range(1, len(hs[0]) + 1):
+            s0 = [h[j - 1] / (1j * j * r) for h, r in zip(hs, rates)]
+            ijr = 1j * j * rates[at]
+            turn = cmath.exp(1j * j * phi)
+            for n, (part, w1, w2, r1) in enumerate(fits):
+                d1 = sum(map(operator.mul, w1, s0[part])) / _FD_STEP
+                d2 = sum(map(operator.mul, w2, s0[part])) / _FD_STEP ** 2
+                s2 = (d2 - d1 * r1 / rates[at]) / ijr ** 2
+                sums[n] += 2.0 * ((s0[at] - d1 / ijr + s2) * turn).real
+        return sums[0], abs(sums[0] - sums[1]) + _tail(cs[at], rho,
+                                                       len(hs[0]))
+
+    def edges(x0, x1):
+        (s0, e0), (s1, e1) = edge_sum(x0), edge_sum(x1)
+        return s1 - s0, variation[cell(x1)[1]] - variation[cell(x0)[0]] + (
+            e0 + e1)
+    return bound, mean, size, edges
 
 
 def _mean_tol(abs_tol, bands):
@@ -533,11 +605,11 @@ def _oscillatory_integral(shifted, spec, gap, breakpoints, cfg=None):
     k0 = max(8.0 * spec.panel_width, 4.0 * period)
     if breakpoints:
         k0 = max(k0, 1.3 * breakpoints[-1])
-    naxes, bands, shallow = 1, (), ()
+    naxes, bands, shallow, kinds = 1, (), (), {}
     if cfg is not None:
         inv_rate += 1.0 / cfg.width
         naxes = 2 if cfg.left == cfg.right else 3
-        bands, shallow = _bands(cfg, k0)
+        bands, shallow = _bands(cfg, k0, kinds)
     # each dense band's bound and mean, built once for both passes
     bounds = [_band_bounds(shifted, cfg, lo, hi) for lo, hi in bands]
 
@@ -545,7 +617,7 @@ def _oscillatory_integral(shifted, spec, gap, breakpoints, cfg=None):
         return _phase_average(shifted, k, naxes)
 
     def banded(tol):
-        return _banded(raw, [(lo, hi, mean) for (lo, hi), (_, mean, _)
+        return _banded(raw, [(lo, hi, mean) for (lo, hi), (_, mean, _, _)
                              in zip(bands, bounds)], tol)
 
     _endpoint_check(raw)
@@ -554,7 +626,7 @@ def _oscillatory_integral(shifted, spec, gap, breakpoints, cfg=None):
     # are sized to its own target, rel_tol of the bands' size.
     coarse = replace(spec, rel_tol=1e-2, abs_tol=max(spec.abs_tol, 1e-8),
                      max_panels=max(2000, spec.max_panels // 10))
-    size = sum(s for _, _, s in bounds)
+    size = sum(s for _, _, s, _ in bounds)
     try:
         c0, _ = integrate_interval(
             banded(_mean_tol(max(coarse.abs_tol, coarse.rel_tol * size),
@@ -596,11 +668,11 @@ def _oscillatory_integral(shifted, spec, gap, breakpoints, cfg=None):
             % (bound, K, budget), partial=None, error=bound, panels=0)
 
     # Direct adaptive pass below the switch point; the shallow bands, found
-    # again up to K where it passed k0, join the dense bands there, and each
-    # band adds the bound on the slab oscillation it drops plus its means'
-    # allowance.
+    # again up to K where it passed k0 (classifying only the points the k0
+    # scan did not), join the dense bands there, and each band adds the
+    # bound on the slab oscillation it drops plus its means' allowance.
     if cfg is not None and K > k0:
-        shallow = _bands(cfg, K)[1]
+        shallow = _bands(cfg, K, kinds)[1]
     bands += shallow
     bounds += [_band_bounds(shifted, cfg, lo, hi) for lo, hi in shallow]
     direct = replace(spec, abs_tol=max(spec.abs_tol, 0.25 * budget,
@@ -609,7 +681,7 @@ def _oscillatory_integral(shifted, spec, gap, breakpoints, cfg=None):
     val, err = integrate_interval(
         banded(tol), 0.0, K, direct, breakpoints=breakpoints + sum(bands, ()))
     err += bound
-    for (lo, hi), (dropped, _, _) in zip(bands, bounds):
+    for (lo, hi), (dropped, _, _, _) in zip(bands, bounds):
         err += dropped(lo, hi) + tol * (hi - lo)
 
     # Phase-averaged tail; a failure carries the integral below K
@@ -709,7 +781,7 @@ def _kind(cfg, k):
     return 2 if depth >= _SHARP_MIN else 1
 
 
-def _bands(cfg, k_end):
+def _bands(cfg, k_end, kinds=None):
     """``(dense, shallow)``: the dense and the shallow bands in (0, k_end]
     of identical absorbing slabs (both slab phases are then one phase),
     each sorted; empty otherwise.
@@ -723,19 +795,32 @@ def _bands(cfg, k_end):
     run that abuts a dense band, where the comb is still deep, does not
     qualify), and when it spans ``_SHALLOW_PANELS`` half slab periods.  A
     band narrower than the scan step that ends before k_end is missed.
+
+    ``kinds``, a dict from k to its kind, carries the points classified by
+    an earlier scan of the same cavity: every scan uses the same grid and
+    bisects the same neighbours, so a scan to a larger k_end classifies
+    only the points it adds.
     """
     if cfg.left != cfg.right or not _absorbing(cfg.left):
         return (), ()
+    if kinds is None:
+        kinds = {}
+
+    def kind(k):
+        if k not in kinds:
+            kinds[k] = _kind(cfg, k)
+        return kinds[k]
+
     step = math.pi / (16.0 * cfg.gap)
     ks = [step * i for i in range(1, int(math.ceil(k_end / step)))] + [k_end]
-    kinds = [_kind(cfg, k) for k in ks]
+    got = [kind(k) for k in ks]
 
-    def edge(lo, hi, kind):
-        """``(x, y)``, 2^-_EDGE_STEPS of [lo, hi] apart, where ``kind``
-        holds at x and not at y."""
+    def edge(lo, hi, held):
+        """``(x, y)``, 2^-_EDGE_STEPS of [lo, hi] apart, where the kind
+        ``held`` holds at x and not at y."""
         for _ in range(_EDGE_STEPS):
             mid = 0.5 * (lo + hi)
-            if _kind(cfg, mid) == kind:
+            if kind(mid) == held:
                 lo = mid
             else:
                 hi = mid
@@ -745,11 +830,11 @@ def _bands(cfg, k_end):
     # run's edges inside (0, k_end)
     runs, lo, past = [], 0.0, []
     for i in range(1, len(ks)):
-        if kinds[i] != kinds[i - 1]:
-            hi, after = edge(ks[i - 1], ks[i], kinds[i - 1])
-            runs.append((kinds[i - 1], lo, hi, past + [after]))
+        if got[i] != got[i - 1]:
+            hi, after = edge(ks[i - 1], ks[i], got[i - 1])
+            runs.append((got[i - 1], lo, hi, past + [after]))
             lo, past = after, [hi]
-    runs.append((kinds[-1], lo, k_end, past))
+    runs.append((got[-1], lo, k_end, past))
     dense = tuple((lo, hi) for kind, lo, hi, _ in runs if kind == 2)
     shallow = tuple(
         (lo, hi) for kind, lo, hi, past in runs
@@ -951,23 +1036,28 @@ def _state_integrand(cfg):
     return f
 
 
-def _band_dual(cfg, f, lo, hi, spec):
+def _band_dual(cfg, f, lo, hi, spec, window=None):
     """Integral of ``f(k, offsets)`` over [lo, hi], inside a dense or
     shallow band of identical slabs, by the slab-phase mean with its bound
-    and by raw quadrature on panels of half a slab period.
+    and by raw quadrature on panels of half a slab period.  Given a
+    ``window`` (x0, x1) inside the band [lo, hi], the integral runs over the
+    window and the mean route adds the signed edge terms S(x1) - S(x0), as
+    ``band_excess_curve`` does, in place of the bound.
 
     Returns ``(deviation, estimate)``: the two routes' difference and the
-    sum of their error estimates, the mean's including its bound and its
-    convergence allowance.  An independent check of the band route, its
-    mean as production sizes it, and its bound.
+    sum of their error estimates, the mean's including its bound (or the
+    edge terms' error) and its convergence allowance.  An independent check
+    of the band route, its mean as production sizes it, and its bound.
     """
     tol = _mean_tol(spec.abs_tol, ((lo, hi),))
-    bound, mean, _ = _band_bounds(f, cfg, lo, hi)
-    v_mean, e_mean = integrate_interval(lambda k: mean(k, tol), lo, hi, spec)
-    e_mean += bound(lo, hi) + tol * (hi - lo)
-    fine = replace(spec, panel_width=_half_period(cfg, lo))
-    v_raw, e_raw = integrate_interval(lambda k: f(k, _RAW)[0], lo, hi, fine)
-    return abs(v_mean - v_raw), e_mean + e_raw
+    bound, mean, _, edges = _band_bounds(f, cfg, lo, hi)
+    x0, x1 = window or (lo, hi)
+    v_mean, e_mean = integrate_interval(lambda k: mean(k, tol), x0, x1, spec)
+    dv, de = edges(x0, x1) if window else (0.0, bound(lo, hi))
+    e_mean += de + tol * (x1 - x0)
+    fine = replace(spec, panel_width=_half_period(cfg, x0))
+    v_raw, e_raw = integrate_interval(lambda k: f(k, _RAW)[0], x0, x1, fine)
+    return abs(v_mean + dv - v_raw), e_mean + e_raw
 
 
 def _ic_parts(cfg, state, spec):
@@ -1363,10 +1453,11 @@ def band_excess_curve(cfg, omega_center, sigmas, spec):
     over |k - omega_center| <= sigma/2.  The window integrals are nested,
     so they are assembled incrementally from non-overlapping strips and a
     full ladder costs a single pass over the widest window.  Where a strip
-    crosses the shallow band above the stop band of identical absorbing
-    slabs, it integrates the slab-phase mean there, and each window adds to
-    its error the bound on the slab oscillation dropped across its part of
-    the band; below the resonance the strips stay raw.
+    crosses a shallow band of identical absorbing slabs, on either side of
+    the stop band, it integrates the slab-phase mean there.  Each window
+    adds, for its part of each band, the signed edge terms of the dropped
+    slab oscillation at the part's two ends, and its error carries their
+    stencil error and the third-order variation over the part.
 
     Returns
     -------
@@ -1378,31 +1469,31 @@ def band_excess_curve(cfg, omega_center, sigmas, spec):
     f = _state_integrand(cfg)
     windows = [band_edges(FieldState.squeezed_band(sg, omega_center))
                for sg in sigmas]
-    # the band above the stop band is chosen once, over the widest window;
-    # every strip that overlaps it integrates the mean there, and each
-    # window adds the bound for its own part of the band.  Below the
-    # resonance the strips stay raw: windows around a band center there end
-    # inside the clear comb, where the bound's edge terms are large
-    band = None
-    if windows:
-        band = next((b for b in _bands(cfg, max(hi for _, hi in windows))[1]
-                     if b[0] > cfg.left.omega0), None)
-    if band:
-        tol = _mean_tol(spec.abs_tol, (band,))
-        bound, mean, _ = _band_bounds(f, cfg, *band)
+    # the shallow bands are found once, over the widest window; every strip
+    # that overlaps one integrates the mean there, and each window adds the
+    # signed edge terms at the ends of its own part of each band
+    bands = _bands(cfg, max(hi for _, hi in windows))[1] if windows else ()
+    tol = _mean_tol(spec.abs_tol, bands)
+    built = [_band_bounds(f, cfg, lo, hi) for lo, hi in bands]
 
     def g(k):
         return f(k, _RAW)[0]
 
+    def parts(lo, hi):
+        """``(x0, x1, mean, edges)``: each band's part of [lo, hi], with
+        the band's mean and signed edge terms."""
+        return [(max(b0, lo), min(b1, hi), mean, edges)
+                for (b0, b1), (_, mean, _, edges) in zip(bands, built)
+                if lo < b1 and b0 < hi]
+
     def strip(lo, hi):
         if hi <= lo:
             return 0.0, 0.0
-        if not band or hi <= band[0] or band[1] <= lo:
-            return integrate_interval(g, lo, hi, spec, breakpoints=bks)
-        part = (max(band[0], lo), min(band[1], hi))
-        v, e = integrate_interval(_banded(g, [part + (mean,)], tol), lo, hi,
-                                  spec, breakpoints=bks + part)
-        return v, e + tol * (part[1] - part[0])
+        own = [p[:3] for p in parts(lo, hi)]
+        v, e = integrate_interval(_banded(g, own, tol), lo, hi, spec,
+                                  breakpoints=bks + sum((p[:2] for p in own),
+                                                        ()))
+        return v, e + tol * sum(x1 - x0 for x0, x1, _ in own)
 
     order = sorted(range(len(sigmas)), key=lambda i: sigmas[i])
     out = [None] * len(sigmas)
@@ -1415,10 +1506,11 @@ def band_excess_curve(cfg, omega_center, sigmas, spec):
         acc += v1 + v2
         eacc += e1 + e2
         prev_lo, prev_hi = lo, hi
-        dropped = 0.0
-        if band and lo < band[1] and band[0] < hi:
-            dropped = bound(max(band[0], lo), min(band[1], hi))
-        out[i] = (facs[i] * acc, facs[i] * (eacc + dropped))
+        v, e = acc, eacc
+        for x0, x1, _, edges in parts(lo, hi):
+            dv, de = edges(x0, x1)
+            v, e = v + dv, e + de
+        out[i] = (facs[i] * v, facs[i] * e)
     return out
 
 

@@ -355,4 +355,5 @@ def test_verify_passes(tmp_path, capsys):
     assert "nonequilibrium_dual_pipeline" in names
     assert "dense_band_dual_pipeline" in names
     assert "shallow_band_dual_pipeline" in names
+    assert "ladder_edge_dual_pipeline" in names
     assert "bath_dissipationless_zero" in names

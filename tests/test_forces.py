@@ -1,6 +1,8 @@
 """Force integrals: dual routes, equilibrium identities, honest refusals."""
 
+import json
 import math
+import os
 import random
 from dataclasses import FrozenInstanceError, replace
 
@@ -46,6 +48,9 @@ MIX_CFG = CavityConfig(1.0, 0.4, MILD_L, STATIC)
 
 SPEC6 = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-10)
 SPEC9 = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-13)
+# The sigma grid of the docs sweep (docs/reproduce_sweep.md)
+DOCS_SIGMAS = [0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 5.0, 10.0, 20.0, 50.0,
+               100.0, 200.0, 400.0, 700.0]
 
 
 def test_breakdown_is_frozen_and_additive():
@@ -624,29 +629,49 @@ def test_real_axis_error_carries_both_shallow_band_bounds(monkeypatch):
     assert ez1 - ez == pytest.approx(2.0, abs=1e-4)
 
 
-def test_band_excess_ladder_keeps_its_strips_raw_below_the_resonance(
-        monkeypatch):
-    # windows around omega = 5 end inside the clear comb of the low band,
-    # where the bound's edge terms would swamp the narrow windows: the
-    # ladder evaluates the bare integrand there
+def test_band_excess_ladder_takes_the_low_band(monkeypatch):
+    # windows around omega = 5 end inside the clear comb of the low band
+    # [0, 7.303]: the strips integrate the slab-phase mean there and each
+    # window adds the signed edge terms at its part's ends, so no bare
+    # integrand is evaluated inside the band, and the narrowest window's
+    # estimate is set by the third-order variation (5.7056e-4 raw)
     state = forces._state_integrand
-    low = []
+    lo, hi = forces._bands(FIG_CFG, 355.0)[1][0]
+    raw = []
 
     def recording(cfg):
         f = state(cfg)
 
         def rec(k, offsets):
-            if k < FIG.omega0:
-                low.append(len(offsets))
+            if len(offsets) == 1 and lo < k < hi:
+                raw.append(k)
             return f(k, offsets)
         return rec
 
     monkeypatch.setattr(forces, "_state_integrand", recording)
-    sigmas = [0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 5.0, 10.0, 20.0, 50.0,
-              100.0, 200.0, 400.0, 700.0]
-    out = band_excess_curve(FIG_CFG, 5.0, sigmas, SPEC6)
-    assert low and set(low) == {1}
-    assert out[0][1] == pytest.approx(5.7056e-4, rel=1e-4)
+    out = band_excess_curve(FIG_CFG, 5.0, DOCS_SIGMAS, SPEC6)
+    assert raw == []
+    assert out[0][1] < 5.7056e-5
+
+
+def test_band_excess_ladder_is_honest_below_the_resonance():
+    # Reference: the window [2.5, 7.5] of k * bracket by integrate_interval
+    # on 0.003-wide panels at rel_tol 1e-10 and abs_tol 1e-14
+    # (22.016340417216593 +- 2.4e-13).  A raw strip [6.5, 7.5] on pi/2
+    # panels aliased about 200 slab half-periods and missed it by 2.34 times
+    # the window's estimate
+    exc, err = band_excess_curve(FIG_CFG, 5.0, [2.0, 5.0], SPEC6)[-1]
+    assert abs(exc - (math.cosh(0.4) - 1.0) * 22.016340417216593) <= err
+    # every cell of the docs ladder against the benchmark's reference
+    # excesses (the raw strips' worst cell read 0.90 of its estimate)
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                        "reference.json")
+    with open(path, encoding="utf-8") as fh:
+        ref = json.load(fh)["sweep_docs"]
+    assert ref["omega_center"] == 5.0 and ref["sigmas"] == DOCS_SIGMAS
+    out = band_excess_curve(FIG_CFG, 5.0, DOCS_SIGMAS, SPEC6)
+    for (exc, err), (want, _) in zip(out, ref["band_excess"]):
+        assert abs(exc - want) <= err
 
 
 def test_shallow_bound_counts_both_signs_of_each_harmonic():
@@ -657,7 +682,7 @@ def test_shallow_bound_counts_both_signs_of_each_harmonic():
     f = forces._state_integrand(FIG_CFG)
     lo = forces._bands(FIG_CFG, 30.0)[1][-1][0]
     dev, _ = forces._band_dual(FIG_CFG, f, lo, 30.0, SPEC6)
-    bound, _, _ = forces._band_bounds(f, FIG_CFG, lo, 30.0)
+    bound = forces._band_bounds(f, FIG_CFG, lo, 30.0)[0]
     assert dev > 0.5 * bound(lo, 30.0)
 
 
@@ -709,7 +734,7 @@ def test_sized_mean_is_within_half_its_tolerance():
     rng = random.Random(7)
     for f in _both_integrands(FIG_CFG):
         for lo, hi in forces._bands(FIG_CFG, 106.5)[1]:
-            _, mean, _ = forces._band_bounds(f, FIG_CFG, lo, hi)
+            mean = forces._band_bounds(f, FIG_CFG, lo, hi)[1]
             for tol in (2e-8, 1e-11):
                 for _ in range(30):
                     k = rng.uniform(lo, hi)
@@ -721,7 +746,7 @@ def test_sized_mean_is_within_half_its_tolerance():
     for f in _both_integrands(WEAK_CFG):
         for lo, hi in forces._bands(WEAK_CFG,
                                     1.3 * 10.0 * math.sqrt(2.0))[0]:
-            _, mean, _ = forces._band_bounds(f, WEAK_CFG, lo, hi)
+            mean = forces._band_bounds(f, WEAK_CFG, lo, hi)[1]
             for _ in range(15):
                 k = rng.uniform(lo, hi)
                 ref = sum(f(k, forces._diagonal(forces._even(4096)))) / 4096
@@ -743,7 +768,7 @@ def test_band_route_follows_the_pole_radius():
     f = forces._bath_integrand(FIG_CFG, math.inf, math.inf)
     for lo, hi in forces._bands(FIG_CFG, 106.5)[1]:
         calls.clear()
-        _, mean, _ = forces._band_bounds(recording(f), FIG_CFG, lo, hi)
+        mean = forces._band_bounds(recording(f), FIG_CFG, lo, hi)[1]
         assert max(calls) <= forces._HARM_OFFSETS
         assert min(calls) < forces._HARM_OFFSETS
         calls.clear()
@@ -759,7 +784,7 @@ def test_band_route_follows_the_pole_radius():
                 for i in range(65)]
         assert forces._RHO_MAX < min(rhos) and max(rhos) < 1.0
         calls.clear()
-        _, mean, _ = forces._band_bounds(recording(f), WEAK_CFG, lo, hi)
+        mean = forces._band_bounds(recording(f), WEAK_CFG, lo, hi)[1]
         assert set(calls) == {forces._HARM_OFFSETS}
         calls.clear()
         mean(0.5 * (lo + hi), 1e-9)
@@ -808,9 +833,9 @@ def test_weak_bath_integral_builds_each_dense_band_once(monkeypatch):
         built.append(args[2:])
         return bounds(*args)
 
-    def scanning(cfg, k_end):
+    def scanning(cfg, k_end, kinds):
         scans.append(k_end)
-        return bands(cfg, k_end)
+        return bands(cfg, k_end, kinds)
 
     monkeypatch.setattr(core, "bath_integrands", counting)
     monkeypatch.setattr(forces, "_band_bounds", building)
@@ -827,6 +852,30 @@ def test_weak_bath_integral_builds_each_dense_band_once(monkeypatch):
         assert len(scans) == 2 and scans[0] < scans[1]
     finally:
         forces._vacuum_bath.cache_clear()
+
+
+def test_fig_bath_integral_classifies_each_point_once(monkeypatch):
+    # fig Z's switch point marches past k0, so it scans its bands again up
+    # to K; that scan reuses the grid points and edges of the scan to k0,
+    # classifying no point twice, and finds the bands a fresh scan finds
+    kind, seen = forces._kind, []
+
+    def classifying(cfg, k):
+        seen.append(k)
+        return kind(cfg, k)
+
+    monkeypatch.setattr(forces, "_kind", classifying)
+    forces._vacuum_bath.cache_clear()
+    try:
+        forces._vacuum_bath(FIG_CFG, SPEC6)
+    finally:
+        forces._vacuum_bath.cache_clear()
+    assert seen and len(seen) == len(set(seen))
+    kinds = {}
+    k0 = 1.3 * 10.0 * math.sqrt(2.0)
+    assert forces._bands(FIG_CFG, k0, kinds) == forces._bands(FIG_CFG, k0)
+    assert forces._bands(FIG_CFG, 106.5, kinds) == forces._bands(FIG_CFG,
+                                                                 106.5)
 
 
 @pytest.mark.parametrize("gamma0, width", [(1e-3, 40.0), (1e-4, 100.0)])
