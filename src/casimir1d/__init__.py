@@ -22,7 +22,6 @@ from .errors import (
 from .forces import (
     ForceBreakdown,
     band_excess_curve,
-    bracket_sign_scan,
     equilibrium_matsubara,
     force_bath,
     force_delta_squeezed,
@@ -30,7 +29,6 @@ from .forces import (
     force_ic,
     force_total,
     halfspace_forces,
-    halfspace_ic_unregularized,
     lifshitz_matsubara,
 )
 from .material import (
@@ -86,7 +84,6 @@ __all__ = [
     "ScatteringSet",
     "SingularEvaluationError",
     "band_excess_curve",
-    "bracket_sign_scan",
     "cavity_coefficients",
     "classify_region",
     "damping_transform",
@@ -99,7 +96,6 @@ __all__ = [
     "force_total",
     "green_function",
     "halfspace_forces",
-    "halfspace_ic_unregularized",
     "integrate_interval",
     "integrate_semiinfinite",
     "lifshitz_matsubara",

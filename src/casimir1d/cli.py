@@ -478,6 +478,19 @@ def _verify_checks():
                                      *band, spec_fig, window=window)
         worst = max(worst, dev / est)
     checks.append(("ladder_edge_dual_pipeline", worst, 1.0))
+
+    # the phase average plus the signed edge terms S(k1) - S(K) against raw
+    # quadrature on half-slab-period panels, from the switch point K to the
+    # one the retired probe march reached (106.5 on the docs cavity, 213.2
+    # on the mild pair), for the bath and the state integrands; the worst
+    # ratio to the combined estimate
+    worst = 0.0
+    for cav, k1, sp in ((cfg_fig, 106.5, spec_fig), (cfg, 213.2, spec)):
+        for f in (forces._bath_integrand(cav, math.inf, math.inf),
+                  forces._state_integrand(cav)):
+            dev, est = forces._tail_dual(cav, f, k1, sp)
+            worst = max(worst, dev / est)
+    checks.append(("tail_edge_dual_pipeline", worst, 1.0))
     return checks
 
 

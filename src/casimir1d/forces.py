@@ -30,13 +30,20 @@ The real-axis oscillatory integrals (Z, the half-space limits, and the
 two-integral route kept as an independent check) oscillate under three
 linear phases (one per slab thickness and one for the gap round trip) on
 top of slowly decaying absorption envelopes.  Each is evaluated in two
-stages: adaptive quadrature up to a switch point K chosen by probing the
-local oscillation amplitude against the error budget, then quadrature of
-the phase-averaged integrand on t = (K/k)^2 in (0, 1].  The dropped
-oscillation bound and the tail's evaluation noise are folded into the
-returned error estimate.  Two identical slabs share one slab phase, so
-their phase average runs over the diagonal of common slab offsets times
-the gap offsets.
+stages: adaptive quadrature up to a switch point K, then quadrature of the
+phase-averaged integrand on t = (K/k)^2 in (0, 1] less the signed edge
+terms S(K) of the oscillation it drops.  S sums, over every harmonic j of
+the phase grid, three integrations by parts of h_j e^{i j . phi} at rate
+j . phi', with derivatives from a seven-point stencil (Iserles and
+Norsett's asymptotic method); harmonics too slow for it stay in the mean.
+K follows from closed-form decay ratios of the harmonics, the slab pole
+radius and the gap round trip |rL rR|: the harmonics sampled at the first
+candidate k0, past the slabs' response features, are scaled by them along
+a ladder until the predicted error of S fits the tail's share of the
+budget, and S is measured at K.  The error of S, the tail's quadrature
+error and its evaluation noise are folded into the returned estimate.
+Two identical slabs share one slab phase, so their phase average runs over
+the diagonal of common slab offsets times the gap offsets.
 
 Below the switch point three layout features keep the adaptive passes off
 structure they would otherwise chase blindly:
@@ -77,8 +84,9 @@ band each mean takes, in one call, the offsets that hold its aliased
 harmonics to its tolerance, and both passes share one bound and mean per
 band.  The sigma ladder adds the signed edge terms instead, with
 derivatives by finite differences at each window end, and keeps only the
-variation of the last order, the stencil error and the tail in its error
-(Iserles and Norsett's asymptotic method).
+variation of the last order, the stencil error and the tail in its error;
+past the switch point its windows take the mean over every phase and the
+edge terms of every harmonic, as the tail does.
 
 Undamped slabs leave the real-axis tail undamped, so no classical improper
 integral exists there; only the rotated R and the absolutely convergent
@@ -99,12 +107,12 @@ from .errors import (DeltaStateWeightError, NaNIntegrandError,
                      NonConvergenceError)
 from .kernels import core
 from .quadrature import integrate_interval, integrate_semiinfinite, matsubara_sum
+from .scattering import CavityConfig
 from .states import FieldState, band_edges, weight
 
 __all__ = [
     "ForceBreakdown",
     "band_excess_curve",
-    "bracket_sign_scan",
     "equilibrium_matsubara",
     "force_bath",
     "force_delta_squeezed",
@@ -112,7 +120,6 @@ __all__ = [
     "force_ic",
     "force_total",
     "halfspace_forces",
-    "halfspace_ic_unregularized",
     "lifshitz_matsubara",
 ]
 
@@ -175,13 +182,21 @@ _MODE_DECADES = 5
 # Least number of scan points bracketing the modes of one stop band.
 _MODE_SCAN = 64
 _GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
-# Growth factor and step cap of the switch-point march, and the panel cap
-# of the mapped averaged tail past it.
-_GROWTH = 1.6
-_MAX_MARCH = 48
+# Past the switch point K the tail integrates the phase average and
+# subtracts the signed edge terms of the harmonics at K.  K is the first
+# point of the ladder k0 _LADDER^i whose predicted edge-term error fits the
+# tail's share of the budget.  Harmonics whose logarithmic slope exceeds
+# _SLOW times their rate (the mild pair's (-1, 1, 0) runs at 7e-4) stay in
+# the mean and out of the edge terms.  Each phase of the grid takes the
+# samples whose last harmonic is _AXIS_DROP of its first.  Where a slab
+# reflects without absorbing, harmonics falling slower than
+# k^-_PERSISTENT (like 1/k) have no absolutely convergent tail and are
+# refused.  The mapped averaged tail takes at most _MAX_TAIL_PANELS panels.
+_LADDER = 2.0 ** 0.125
+_SLOW = 0.5
+_AXIS_DROP = 1e-3
+_PERSISTENT = 1.5
 _MAX_TAIL_PANELS = 240
-# Samples per probe window when estimating the local oscillation amplitude.
-_PROBE_SAMPLES = 24
 # Absolute rounding noise of one bracket evaluation is a few ulps of its
 # O(1) intermediates; the force integrands carry an extra factor k.  The
 # passes must not chase structure below this floor, and the floor, summed
@@ -269,20 +284,33 @@ def _diagonal(offsets):
     return [(s, s, 0.0) for s in offsets]
 
 
+# Offset slots (sL, sR, sG) of each oscillation phase, outermost first, for
+# ``naxes`` phases: two different slabs have three phases; identical slabs
+# two, whose one slab phase shifts both slab slots (the diagonal sL = sR); a
+# cavity without slab phases (half-spaces) only the gap phase.
+_SLOTS = {1: ((2,),), 2: ((2,), (0, 1)), 3: ((0,), (1,), (2,))}
+
+
+def _even(n):
+    """n equidistant offsets from 0."""
+    return [2.0 * math.pi * i / n for i in range(n)]
+
+
+def _grid(slots, dims):
+    """Offset triples of the product grid of ``dims[a]`` equidistant
+    offsets on the offset slots ``slots[a]`` of each phase, first phase
+    outermost; every grid leads with the unshifted triple (0, 0, 0)."""
+    grid = [(0.0, 0.0, 0.0)]
+    for places, n in zip(slots, dims):
+        grid = [tuple(s if i in places else t[i] for i in range(3))
+                for t in grid for s in _even(n)]
+    return tuple(grid)
+
+
 def _phase_grid(naxes):
     """Offset triples (sL, sR, sG) of the phase average over ``naxes``
-    phases: 3 for two different slabs, 2 for identical slabs (whose two
-    slab phases are one phase, so only the diagonal sL = sR is averaged) and
-    1 when only the gap phase exists (half-space limits).  Every grid leads
-    with the unshifted triple (0, 0, 0)."""
-    step = 2.0 * math.pi / _SHIFTS
-    offsets = [i * step for i in range(_SHIFTS)]
-    if naxes == 1:
-        return tuple((0.0, 0.0, g) for g in offsets)
-    if naxes == 2:
-        return tuple((s, s, g) for g in offsets for s in offsets)
-    return tuple((sL, sR, g) for sL in offsets for sR in offsets
-                 for g in offsets)
+    phases (see ``_SLOTS``), ``_SHIFTS`` offsets per phase."""
+    return _grid(_SLOTS[naxes], (_SHIFTS,) * naxes)
 
 
 _PHASE_GRIDS = {n: _phase_grid(n) for n in (1, 2, 3)}
@@ -312,35 +340,29 @@ def _phase_average(shifted, k, naxes):
     return _phase_mean(shifted(k, _PHASE_GRIDS[naxes]), naxes)
 
 
-def _even(n):
-    """n equidistant offsets from 0."""
-    return [2.0 * math.pi * i / n for i in range(n)]
-
-
-@functools.lru_cache(maxsize=None)
-def _twiddles(n):
-    """DFT factors e^{-2 pi i j l / n} over the n samples l, for j < n / 2."""
-    return tuple(tuple(cmath.exp(-2j * math.pi * j * i / n) for i in range(n))
-                 for j in range(n // 2))
-
-
-def _harmonics(shifted, comb, k, n):
+def _harmonics(shifted, comb, k, n, index=None):
     """Slab harmonics h_j(k), j = 0 .. n / 2 - 1, at k, from n samples.
 
     With phi the slab round-trip phase of the identical slabs of ``comb``,
     the integrand is the sum over j of h_j(k) e^{i j phi(k)}, where h_j
     varies only with the gap phase; h_0 is the slab-phase mean.  The DFT of
     the diagonal samples gives h_j e^{i j phi}; the Nyquist harmonic, whose
-    size is the pole radius to the power n / 2, is left out.
+    size is the pole radius to the power n / 2, is left out.  ``index`` is
+    the slab's refractive index at k, when the caller has it.
     """
-    vals = shifted(k, _diagonal(_even(n)))
-    phi = _slab_phase(comb.left, comb.width, k)
-    return [sum(map(operator.mul, vals, _twiddles(n)[j])) / n
-            * cmath.exp(-1j * j * phi) for j in range(n // 2)]
+    c = _dft(shifted(k, _diagonal(_even(n))), (n,))
+    phi = _slab_phase(comb.left, comb.width, k, index)
+    return [c[j, ] * cmath.exp(-1j * j * phi) for j in range(n // 2)]
 
 
-def _pole_radius(cfg, k):
-    """Decay ratio rho of the slab harmonics of identical slabs at k.
+def _index(mat, k):
+    """Refractive index of ``mat`` at real frequency k."""
+    return core.refractive_at(-1j * k, *mat.as_tuple())
+
+
+def _pole_radius(cfg, k, n=None):
+    """Decay ratio rho of the slab harmonics of identical slabs at k, from
+    their refractive index n there (computed when not given).
 
     On the diagonal the integrand is rational in z = e^{i phi}.  With rn the
     surface reflection, E0 = e^{-2 k Im(n) d} and u = e^{i k a}, the cavity
@@ -349,7 +371,8 @@ def _pole_radius(cfg, k):
     poles lie at |z| = 1 / rho_p with rho_p = E0 |rn| |rn -+ u| / |1 -+ rn u|
     and E0 |rn|^2, so the harmonics fall like the largest, rho^j.
     """
-    n = core.refractive_at(-1j * k, *cfg.left.as_tuple())
+    if n is None:
+        n = _index(cfg.left, k)
     rn = (1.0 - n) / (1.0 + n)
     x = 2.0 * k * n.imag * cfg.width
     u = cmath.exp(1j * k * cfg.gap)
@@ -358,12 +381,12 @@ def _pole_radius(cfg, k):
         abs(rn))
 
 
-def _sized_harmonics(shifted, comb, k, rho):
+def _sized_harmonics(shifted, comb, k, rho, index=None):
     """``(h0, harmonics, C)`` at k, where the pole radius is ``rho``: the
     mean h_0, h_j for 1 <= j <= J, J the least with rho^J <= _HARM_DROP but
     at most _HARM_OFFSETS / 2 - 1, from 2J + 2 samples, and the amplitude
     C = max |h_j| / (j rho^j) over h_1 and the harmonics above the rounding
-    floor.
+    floor.  ``index`` is as in ``_harmonics``.
 
     The model |h_j| <= C j rho^j allows for a pair of near-coincident poles
     of opposite residue, whose harmonics rise before they decay.
@@ -371,11 +394,353 @@ def _sized_harmonics(shifted, comb, k, rho):
     J = 1
     while J < _HARM_OFFSETS // 2 - 1 and rho ** J > _HARM_DROP:
         J += 1
-    h0, *harm = _harmonics(shifted, comb, k, 2 * J + 2)
+    h0, *harm = _harmonics(shifted, comb, k, 2 * J + 2, index)
     floor = _MEAN_NOISE * _NOISE_EPS * k
     return h0, harm, max(abs(h) / (j * rho ** j)
                          for j, h in enumerate(harm, 1)
                          if j == 1 or abs(h) > floor)
+
+
+@functools.lru_cache(maxsize=None)
+def _roots(n):
+    """``(j, e^{-2 pi i j l / n} for l < n)`` for every |j| < n / 2."""
+    return tuple((j, tuple(cmath.exp(-2j * math.pi * j * i / n)
+                           for i in range(n)))
+                 for j in range(1 - n // 2, n // 2))
+
+
+def _dft(vals, dims, lead=True):
+    """``{j: c_j}``: the DFT coefficients of ``vals``, sampled on the
+    product grid of ``dims`` (see ``_grid``), for every index vector j
+    with |j_a| < dims[a] / 2 and, with ``lead``, j_0 >= 0, which keeps one
+    of each pair +-j with j_0 != 0 (c_-j is the conjugate of c_j for a
+    real integrand).  The integrand is the sum over j of c_j e^{i j . s} in
+    the offsets s."""
+    if not dims:
+        return {(): vals[0]}
+    n = dims[0]
+    m = len(vals) // n
+    out = {}
+    for j, tw in _roots(n):
+        if lead and j < 0:
+            continue
+        row = [sum(t * vals[i * m + r] for i, t in enumerate(tw)) / n
+               for r in range(m)]
+        for rest, c in _dft(row, dims[1:], False).items():
+            out[(j,) + rest] = c
+    return out
+
+
+def _leads(j):
+    """True for the one of each pair of harmonics +-j (j != 0) whose first
+    nonzero index is positive; h_-j is the conjugate of h_j."""
+    return next((x for x in j if x), 0) > 0
+
+
+def _first_switch(spec, gap, cfg):
+    """First switch point candidate k0: four gap periods and eight panels,
+    and 1.3 times the top of the slabs' response features (see
+    ``_response_top``) where there is a cavity."""
+    k0 = max(8.0 * spec.panel_width, 4.0 * math.pi / gap)
+    return k0 if cfg is None else max(k0, 1.3 * _response_top(cfg))
+
+
+def _coarse(spec):
+    """The cheap pass that fixes the absolute error budget."""
+    return replace(spec, rel_tol=1e-2, abs_tol=max(spec.abs_tol, 1e-8),
+                   max_panels=max(2000, spec.max_panels // 10))
+
+
+def _response_top(cfg):
+    """Top of the response features of the slabs of ``cfg``: the upper
+    edge sqrt(omega0^2 + omega_pl^2) of each dispersive slab's stop band, or
+    omega0 + gamma0 where that is higher.  Past it the index approaches
+    its asymptote 1 - omega_pl^2 / (2 k^2) monotonically."""
+    return max([0.0] + [max(math.hypot(m.omega0, m.omega_pl),
+                            m.omega0 + m.gamma0)
+                        for m in (cfg.left, cfg.right)
+                        if not m.static and m.omega_pl > 0.0])
+
+
+def _phase_axes(cfg, naxes):
+    """``(slots, mat)`` of each of the ``naxes`` oscillation phases of the
+    cavity ``cfg``, as in ``_SLOTS``: its offset slots and its slab, None
+    for the gap phase."""
+    left, right = (None, None) if cfg is None else (cfg.left, cfg.right)
+    mats = {(2,): None, (0, 1): left, (0,): left, (1,): right}
+    return tuple((slots, mats[slots]) for slots in _SLOTS[naxes])
+
+
+def _phases(cfg, gap, axes, k):
+    """``(phases, rates)`` at k of the phases ``axes``: the slab round-trip
+    phase 2 k Re(n) d of each slab axis and the gap round-trip phase 2 k a,
+    and their rates."""
+    phases, rates = [], []
+    for slots, mat in axes:
+        if slots == (2,):
+            phases.append(2.0 * gap * k)
+            rates.append(2.0 * gap)
+        else:
+            phases.append(_slab_phase(mat, cfg.width, k))
+            rates.append(_slab_rate(mat, cfg.width, k))
+    return phases, rates
+
+
+def _decay_ratios(cfg, axes, k):
+    """Closed-form ratio of successive harmonics of each phase of ``axes``
+    at k.
+
+    With rn the surface reflection and E0 = e^{-2 k Im(n) d} of a slab (0
+    for a half-space), its reflection reaches at most
+    rbar = |rn| (1 + E0) / (1 - |rn|^2 E0) over its slab phase, and the
+    cavity denominator 1 - rL rR e^{2ika} makes the gap harmonics fall like
+    rbarL rbarR.  The slab phase of identical slabs falls like their pole
+    radius (``_pole_radius``); that of one of two different slabs like
+    E0 |rn| (|rn| + rbar') / (1 - |rn| rbar'), rbar' the other slab's.
+    """
+    surf = []
+    for mat in (cfg.left, cfg.right):
+        n = _index(mat, k)
+        rn = abs((1.0 - n) / (1.0 + n))
+        x = 2.0 * k * n.imag * cfg.width if math.isfinite(cfg.width) \
+            else math.inf
+        e0 = math.exp(-x) if x < 700.0 else 0.0
+        surf.append((n, rn, e0, rn * (1.0 + e0) / (1.0 - rn * rn * e0)))
+    out = []
+    for slots, _ in axes:
+        if slots == (2,):
+            out.append(surf[0][3] * surf[1][3])
+        elif slots == (0, 1):
+            out.append(_pole_radius(cfg, k, surf[0][0]))
+        else:
+            _, rn, e0, _ = surf[slots[0]]
+            other = surf[1 - slots[0]][3]
+            out.append(e0 * rn * (rn + other) / (1.0 - rn * other))
+    return out
+
+
+def _predicted(cfg, gap, axes, k0, harm, share, k_max, first):
+    """The first point k0 _LADDER^i, i >= ``first``, up to ``k_max``
+    where the variation of the last order of the signed edge terms,
+    predicted from the harmonics ``harm`` ({j: h_j} at k0), fits ``share``.
+
+    Harmonic j of modulus |h_j| at k0 is predicted to fall with the
+    product of its phases' closed-form decay ratios rho_a (see
+    ``_decay_ratios``) to the power |j_a|, its logarithmic slope g_j being
+    the sum of |j_a| d ln rho_a / dk between neighbouring ladder points.  A
+    harmonic of rate w_j = j . phi' leaves, after three integrations by
+    parts, the variation 2 |h_j| g_j^2 / |w_j|^3 past k.  Harmonics at the
+    rounding floor or whose ratios vanish at k0, and the slow ones
+    (g_j > _SLOW |w_j|, which the edge terms leave out), are left to the
+    terms measured at K.  NonConvergenceError where no point fits.
+    """
+    floor = _MEAN_NOISE * _NOISE_EPS * k0
+    r0 = _decay_ratios(cfg, axes, k0)
+    live = [(j, abs(h)) for j, h in harm.items()
+            if _leads(j) and abs(h) > floor
+            and all(r0[a] > 0.0 for a, x in enumerate(j) if x)]
+    k = k0 * _LADDER ** first
+    r = _decay_ratios(cfg, axes, k)
+    while k <= max(k0, k_max):
+        k1 = k * _LADDER
+        r1 = _decay_ratios(cfg, axes, k1)
+        rates = _phases(cfg, gap, axes, k)[1]
+        err = 0.0
+        for j, h in live:
+            amp, slope = h, 0.0
+            for a, x in enumerate(j):
+                if x and r[a] > 0.0 and r1[a] > 0.0:
+                    amp *= (r[a] / r0[a]) ** abs(x)
+                    slope += abs(x) * math.log(r1[a] / r[a]) / (k1 - k)
+                elif x:
+                    amp = 0.0
+            rate = abs(sum(map(operator.mul, j, rates)))
+            if abs(slope) <= _SLOW * rate:
+                err += 2.0 * amp * slope * slope / rate ** 3
+        if err <= share:
+            return k
+        k, r = k1, r1
+    raise NonConvergenceError(
+        "no switch point within the reach of max_panels (k <= %.3e): the "
+        "edge terms predicted from k = %.3e stay above %.3e"
+        % (max(k0, k_max), k0, share), partial=None, error=math.inf,
+        panels=0)
+
+
+def _switch(f, spec, gap, cfg, axes, edge_sum, c0=0.0):
+    """``(K, S(K), err, budget)``: the switch point of the integrand
+    ``f(k, offsets)`` with phases ``axes``, the signed edge terms there
+    (``edge_sum``, see ``_above_edges``) and their error, and the absolute
+    error budget, rel_tol times the scale max(|c0|, k0 |mean(k0)|,
+    abs_tol), ``c0`` the integral below k0 and mean the phase average.  The
+    tail's share is a quarter of the budget.
+
+    The phase average at k0 comes with the harmonics on its grid.  Where
+    the first order of each, 2 |h_j / w_j| with w_j = j . phi', doubled for
+    its variation past k0 and raised by rho_a / (1 - rho_a) for the
+    harmonics past the grid on each of its phases, fits the share in sum,
+    K = k0 and that sum is the error, with no edge terms; without a cavity
+    K = k0 and the edge terms are measured there.  Otherwise K is predicted
+    from the harmonics at k0 (``_predicted``, to half the share) and the
+    edge terms are measured there.  K stands when their error fits the
+    share and every harmonic whose first order exceeds the share decays at
+    least like 1/k (past a rising one the last order's variation is not
+    its value at K); otherwise the next prediction starts from the
+    harmonics measured at K.  Where a slab reflects without absorbing, such
+    a harmonic falling slower than k^-_PERSISTENT has no absolutely
+    convergent tail and is refused.
+    """
+    k0 = _first_switch(spec, gap, cfg)
+    vals = f(k0, _PHASE_GRIDS[len(axes)])
+    scale = max(abs(c0), abs(_phase_mean(vals, len(axes))) * k0,
+                spec.abs_tol)
+    budget = max(spec.abs_tol, spec.rel_tol * scale)
+    share = 0.25 * budget
+    harm = _dft(vals, (_SHIFTS,) * len(axes))
+    rates = _phases(cfg, gap, axes, k0)[1]
+    ratios = _decay_ratios(cfg, axes, k0) if cfg else [0.0] * len(axes)
+    first = 0.0
+    for j, h in harm.items():
+        if _leads(j):
+            w = abs(sum(map(operator.mul, j, rates)))
+            first += (4.0 * abs(h) / w if w > 0.0 else math.inf) * (
+                1.0 + sum(r / (1.0 - r) if r < 1.0 else math.inf
+                          for r, x in zip(ratios, j) if x))
+    if first <= share:
+        return k0, 0.0, first, budget
+    if cfg is None:
+        return (k0,) + edge_sum(k0)[:2] + (budget,)
+    mirror = any(m.omega_pl > 0.0 and not _absorbing(m)
+                 for m in (cfg.left, cfg.right))
+    k, step = k0, 0
+    while True:
+        K = _predicted(cfg, gap, axes, k, harm, 0.5 * share,
+                       0.5 * spec.max_panels * spec.panel_width, step)
+        s, err, terms = edge_sum(K)
+        settled = err <= share
+        for h, dh, w, _ in terms.values():
+            if 2.0 * abs(h / w) <= share:
+                continue
+            p = -K * (dh / h).real
+            if mirror and p < _PERSISTENT:
+                raise NonConvergenceError(
+                    "oscillation amplitude decays like 1/k (a persistent "
+                    "reflection): at k = %.3e a harmonic of first order "
+                    "%.3e falls like k^-%.2f" % (K, 2.0 * abs(h / w), p),
+                    partial=None, error=2.0 * abs(h / w), panels=0)
+            settled = settled and p >= 1.0
+        if settled:
+            return K, s, err, budget
+        k, step, harm = K, 1, {j: t[0] for j, t in terms.items()}
+
+
+def _axis_size(rho):
+    """Samples of a phase whose harmonics fall like ``rho``: the least even
+    count, from _SHIFTS, whose last harmonic is _AXIS_DROP of the first,
+    but at most _HARM_OFFSETS."""
+    n = _SHIFTS
+    while n < _HARM_OFFSETS and rho ** (n // 2 - 1) > _AXIS_DROP:
+        n += 2
+    return n
+
+
+def _edge_terms(hs, rates, phases, nodes, step, floor, slow):
+    """``(S, err, terms)``: the signed edge sum at the centre x of the
+    stencil ``nodes`` (unit ``step``).
+
+    ``hs`` holds, per node, the harmonics {j: h_j} of the integrand (one
+    of each pair +-j), ``rates`` the rates of its phases, and ``phases``
+    the phases at x.  S is the sum over j of
+    2 Re[(sigma_0 - sigma_1 + sigma_2) e^{i j . phi(x)}], with
+    sigma_0 = h_j / (i w_j), w_j = j . phi' and
+    sigma_{m+1} = sigma_m' / (i w_j), the derivatives by the stencil; err
+    is its stencil error, the difference from the sum with the lower-order
+    stencil of the inner (or first) five nodes.  Harmonics at or below
+    ``floor`` are left out, and so are the slow ones, whose logarithmic
+    slope |h_j' / h_j| exceeds ``slow`` times |w_j|.  ``terms`` maps every
+    other j to (h_j, h_j', w_j, sigma_2) at x, sigma_2 None where slow.
+    """
+    at = nodes.index(0)
+    fits = []
+    for part in (slice(0, 7), slice(0, 5) if at == 0 else slice(1, 6)):
+        fits.append((part, _stencil(nodes[part], 1), _stencil(nodes[part], 2)))
+    sums = [0.0, 0.0]
+    terms = {}
+    for j, h in hs[at].items():
+        if floor and abs(h) <= floor:
+            continue
+        ws = [sum(map(operator.mul, j, r)) for r in rates]
+        dh = sum(map(operator.mul, fits[0][1], [g[j] for g in hs])) / step
+        if abs(dh) > slow * abs(ws[at] * h):
+            terms[j] = (h, dh, ws[at], None)
+            continue
+        s0 = [g[j] / (1j * w) for g, w in zip(hs, ws)]
+        iw = 1j * ws[at]
+        turn = cmath.exp(1j * sum(map(operator.mul, j, phases)))
+        for n, (part, w1, w2) in enumerate(fits):
+            d1 = sum(map(operator.mul, w1, s0[part])) / step
+            d2 = sum(map(operator.mul, w2, s0[part])) / step ** 2
+            w1r = sum(map(operator.mul, w1, ws[part])) / step
+            s2 = (d2 - d1 * w1r / ws[at]) / iw ** 2
+            if n == 0:
+                terms[j] = (h, dh, ws[at], s2)
+            sums[n] += 2.0 * ((s0[at] - d1 / iw + s2) * turn).real
+    return sums[0], abs(sums[0] - sums[1]), terms
+
+
+def _above_edges(shifted, cfg, gap, axes):
+    """``edge_sum(x)``, memoized: ``(S(x), err, terms)``, the signed edge
+    terms (``_edge_terms``) of every harmonic of the integrand on the phase
+    grid of ``axes``, which the raw integral over [x, inf) subtracts from
+    the phase average's, for x past the switch point.
+
+    The harmonics are sampled on a stencil of step _FD_STEP x, over a
+    grid whose phases take ``_axis_size`` samples of their decay ratio at
+    x (_SHIFTS without a cavity).  err adds to the stencil error, per
+    harmonic, 2 |sigma_2|, the variation of the last order past x where
+    it decays there; for a slow harmonic, the lesser of its first order
+    2 |h / w| doubled for its variation and, where it decays like k^-p
+    with p > 1, the integral 2 |h| x / (p - 1) of its modulus (the slope
+    of a small harmonic reads its grid's aliasing, so it may look slow);
+    and on each phase, the first order of its outermost harmonics times
+    rho / (1 - rho), for the harmonics past the grid.
+    """
+    slots = tuple(s for s, _ in axes)
+
+    @functools.lru_cache(maxsize=None)
+    def edge_sum(x):
+        ratios = (_decay_ratios(cfg, axes, x) if cfg is not None
+                  else [0.0] * len(axes))
+        dims = tuple(map(_axis_size, ratios))
+        grid = _grid(slots, dims)
+        nodes = _STENCIL_NODES[0]
+        step = _FD_STEP * x
+        hs, rates = [], []
+        for z in nodes:
+            t = x + step * z
+            phases, rt = _phases(cfg, gap, axes, t)
+            hs.append({j: c * cmath.exp(-1j * sum(map(operator.mul, j,
+                                                      phases)))
+                       for j, c in _dft(shifted(t, grid), dims).items()
+                       if _leads(j)})
+            rates.append(rt)
+            if z == 0:
+                at = phases
+        s, err, terms = _edge_terms(hs, rates, at, nodes, step,
+                                    _MEAN_NOISE * _NOISE_EPS * x, _SLOW)
+        for j, (h, dh, w, s2) in terms.items():
+            if s2 is not None:
+                err += 2.0 * abs(s2)
+                continue
+            p = -x * (dh / h).real
+            err += min(4.0 * abs(h / w) if w else math.inf,
+                       2.0 * abs(h) * x / (p - 1.0) if p > 1.0 else math.inf)
+        for a, (n, rho) in enumerate(zip(dims, ratios)):
+            outer = sum(2.0 * abs(h / w) for j, (h, _, w, s2) in terms.items()
+                        if s2 is not None and abs(j[a]) == n // 2 - 1)
+            err += outer * rho / (1.0 - rho) if rho < 1.0 else math.inf
+        return s, err, terms
+    return edge_sum
 
 
 def _derivative(ys, h):
@@ -441,21 +806,26 @@ def _band_bounds(shifted, comb, lo, hi):
     (-1)^m sigma_m(x) e^{i j phi(x)}, with sigma_0 = h_j / (i j phi') and
     sigma_{m+1} = sigma_m' / (i j phi'), which the raw integral over
     [x0, x1] adds to the mean's.  Its derivatives come from the harmonics
-    sampled on a stencil at x (see ``_FD_STEP``); err adds the variation
-    of the last order over the grid steps of [x0, x1], each end's stencil
-    error and its tail past the last harmonic.
+    sampled on a stencil at x (see ``_FD_STEP``); err adds each end's
+    stencil error and its tail past the last harmonic to the variation of
+    the last order over [x0, x1]: inside one grid step the change of the
+    last order between x0 and x1, else its changes from x0 to the next grid
+    point and from the last grid point to x1 plus the whole steps between.
     """
     m = max(2, int(math.ceil(_HARM_GRID * (hi - lo) * comb.gap / math.pi)))
     step = (hi - lo) / m
     ks = [lo + step * i for i in range(m)] + [hi]
     rates = [_slab_rate(comb.left, comb.width, k) for k in ks]
-    rhos = [_pole_radius(comb, k) for k in ks]
-    h0s, harm, amps = zip(*(_sized_harmonics(shifted, comb, k, rho)
-                            for k, rho in zip(ks, rhos)))
+    ns = [_index(comb.left, k) for k in ks]
+    rhos = [_pole_radius(comb, k, n) for k, n in zip(ks, ns)]
+    h0s, harm, amps = zip(*(_sized_harmonics(shifted, comb, k, rho, n)
+                            for k, rho, n in zip(ks, rhos, ns)))
     size = step * (sum(map(abs, h0s)) - 0.5 * (abs(h0s[0]) + abs(h0s[-1])))
     tails = [_tail(c, rho, len(h)) for h, c, rho in zip(harm, amps, rhos)]
     edge = list(tails)
     jumps = [a + b for a, b in zip(tails, tails[1:])]
+    # the last order sigma_2 = w / (i j)^3 of each harmonic at each point
+    last = [{} for _ in ks]
     for j in range(1, max(map(len, harm)) + 1):
         u = [(h[j - 1] if j <= len(h) else 0.0) / r
              for h, r in zip(harm, rates)]
@@ -464,6 +834,7 @@ def _band_bounds(shifted, comb, lo, hi):
         for i in range(m + 1):
             edge[i] += 2.0 * (abs(u[i]) / j + abs(v[i]) / j ** 2
                               + abs(w[i]) / j ** 3)
+            last[i][j,] = w[i] / (1j * j) ** 3
         for i in range(m):
             jumps[i] += 2.0 * abs(w[i + 1] - w[i]) / j ** 3
     variation = [0.0]
@@ -495,38 +866,43 @@ def _band_bounds(shifted, comb, lo, hi):
 
     @functools.lru_cache(maxsize=None)
     def edge_sum(x):
-        """``(S(x), err)``: err is the stencil error, the difference from
-        the lower-order sum, plus the tail past the last harmonic."""
+        """``(S(x), err, last)``: err is the stencil error plus the tail
+        past the last harmonic, last the last order of each harmonic."""
         nodes = _STENCIL_NODES[x < 3.0 * _FD_STEP]
         ts = [x + _FD_STEP * z for z in nodes]
-        rho = max(_pole_radius(comb, t) for t in ts)
-        _, hs, cs = zip(*(_sized_harmonics(shifted, comb, t, rho) for t in ts))
-        rates = [_slab_rate(comb.left, comb.width, t) for t in ts]
+        ns = [_index(comb.left, t) for t in ts]
+        rho = max(_pole_radius(comb, t, n) for t, n in zip(ts, ns))
+        _, hs, cs = zip(*(_sized_harmonics(shifted, comb, t, rho, n)
+                          for t, n in zip(ts, ns)))
         at = nodes.index(0)
-        phi = _slab_phase(comb.left, comb.width, x)
-        fits = []
-        for part in (slice(0, 7), slice(0, 5) if at == 0 else slice(1, 6)):
-            w1, w2 = _stencil(nodes[part], 1), _stencil(nodes[part], 2)
-            r1 = sum(map(operator.mul, w1, rates[part])) / _FD_STEP
-            fits.append((part, w1, w2, r1))
-        sums = [0.0, 0.0]
-        for j in range(1, len(hs[0]) + 1):
-            s0 = [h[j - 1] / (1j * j * r) for h, r in zip(hs, rates)]
-            ijr = 1j * j * rates[at]
-            turn = cmath.exp(1j * j * phi)
-            for n, (part, w1, w2, r1) in enumerate(fits):
-                d1 = sum(map(operator.mul, w1, s0[part])) / _FD_STEP
-                d2 = sum(map(operator.mul, w2, s0[part])) / _FD_STEP ** 2
-                s2 = (d2 - d1 * r1 / rates[at]) / ijr ** 2
-                sums[n] += 2.0 * ((s0[at] - d1 / ijr + s2) * turn).real
-        return sums[0], abs(sums[0] - sums[1]) + _tail(cs[at], rho,
-                                                       len(hs[0]))
+        s, err, terms = _edge_terms(
+            [{(j,): h for j, h in enumerate(hj, 1)} for hj in hs],
+            [[_slab_rate(comb.left, comb.width, t)] for t in ts],
+            [_slab_phase(comb.left, comb.width, x, ns[at])], nodes,
+            _FD_STEP, 0.0, math.inf)
+        return s, err + _tail(cs[at], rho, len(hs[0])), {
+            j: t[3] for j, t in terms.items()}
 
     def edges(x0, x1):
-        (s0, e0), (s1, e1) = edge_sum(x0), edge_sum(x1)
-        return s1 - s0, variation[cell(x1)[1]] - variation[cell(x0)[0]] + (
-            e0 + e1)
+        """Within a grid step the variation is the chord of the last
+        order between the window ends, else the chords to the grid points
+        next inside plus the whole steps between them."""
+        (s0, e0, w0), (s1, e1, w1) = edge_sum(x0), edge_sum(x1)
+        i0, i1 = cell(x0)[1], cell(x1)[0]
+        if i0 > i1:
+            var = _chord(w0, w1)
+        else:
+            var = (_chord(w0, last[i0]) + variation[i1] - variation[i0]
+                   + _chord(last[i1], w1))
+        return s1 - s0, var + e0 + e1
     return bound, mean, size, edges
+
+
+def _chord(a, b):
+    """Sum over the harmonics j of 2 |a_j - b_j|, for maps from j to the
+    last order of the edge terms at two points."""
+    return sum(2.0 * abs(a.get(j, 0.0) - b.get(j, 0.0))
+               for j in set(a) | set(b))
 
 
 def _mean_tol(abs_tol, bands):
@@ -554,19 +930,6 @@ def _banded(raw, means, tol):
     return f
 
 
-def _probe_amplitude(shifted, naxes, k, window):
-    """Largest deviation of the integrand from its phase average near k,
-    from one call per sample: the grid's leading triple is the raw value."""
-    amp = 0.0
-    for i in range(_PROBE_SAMPLES):
-        vals = shifted(k + window * (i + 0.5) / _PROBE_SAMPLES,
-                       _PHASE_GRIDS[naxes])
-        dev = abs(vals[0] - _phase_mean(vals, naxes))
-        if dev > amp:
-            amp = dev
-    return amp
-
-
 def _oscillatory_integral(shifted, spec, gap, breakpoints, cfg=None):
     """Integrate a decaying oscillatory force integrand over [0, inf).
 
@@ -582,34 +945,34 @@ def _oscillatory_integral(shifted, spec, gap, breakpoints, cfg=None):
     gap : float
         Gap width, fixing the slowest oscillation rate.
     breakpoints : tuple
-        Sorted material response features, passed to the direct quadrature;
-        the last one fixes the first switch point candidate.
+        Sorted material response features, passed to the direct quadrature.
     cfg : CavityConfig or None
-        The cavity; None for half-space integrands, whose only phase is the
-        gap phase.  It sets the slab rate, the phases the tail averages
-        and, for identical absorbing slabs, the dense and shallow bands.
+        The cavity (of infinite width for half-spaces, whose only phase is
+        the gap phase); None for an integrand without one.  It sets the
+        first switch point candidate, the phases the tail averages, the
+        decay ratios of their harmonics and, for identical absorbing slabs,
+        the dense and shallow bands.  Without it K = k0.
 
     Returns
     -------
     value, err : float
         The integral and a conservative error estimate combining the
-        quadrature errors, the probed bound on the oscillation dropped at
-        the switch point and across the dense and shallow bands, and the
+        quadrature errors, the bound on the slab oscillation dropped across
+        the dense and shallow bands, the error of the signed edge terms
+        S(K) of the oscillation dropped past the switch point K (their
+        last order's variation past K, their stencil error, the harmonics
+        past the grid and the slow harmonics kept out of them), and the
         tail's quadrature error and evaluation-noise allowance.
     """
     def raw(k):
         return shifted(k, _RAW)[0]
 
-    period = math.pi / gap
-    inv_rate = 1.0 / gap
-    k0 = max(8.0 * spec.panel_width, 4.0 * period)
-    if breakpoints:
-        k0 = max(k0, 1.3 * breakpoints[-1])
+    k0 = _first_switch(spec, gap, cfg)
     naxes, bands, shallow, kinds = 1, (), (), {}
-    if cfg is not None:
-        inv_rate += 1.0 / cfg.width
+    if cfg is not None and math.isfinite(cfg.width):
         naxes = 2 if cfg.left == cfg.right else 3
         bands, shallow = _bands(cfg, k0, kinds)
+    axes = _phase_axes(cfg, naxes)
     # each dense band's bound and mean, built once for both passes
     bounds = [_band_bounds(shifted, cfg, lo, hi) for lo, hi in bands]
 
@@ -624,8 +987,7 @@ def _oscillatory_integral(shifted, spec, gap, breakpoints, cfg=None):
 
     # Cheap magnitude estimate fixing the absolute error budget; its means
     # are sized to its own target, rel_tol of the bands' size.
-    coarse = replace(spec, rel_tol=1e-2, abs_tol=max(spec.abs_tol, 1e-8),
-                     max_panels=max(2000, spec.max_panels // 10))
+    coarse = _coarse(spec)
     size = sum(s for _, _, s, _ in bounds)
     try:
         c0, _ = integrate_interval(
@@ -634,44 +996,16 @@ def _oscillatory_integral(shifted, spec, gap, breakpoints, cfg=None):
             breakpoints=breakpoints + sum(bands, ()))
     except NonConvergenceError as exc:
         c0 = exc.partial if exc.partial is not None else 0.0
-    scale = max(abs(c0), abs(averaged(k0)) * k0, spec.abs_tol)
-    budget = max(spec.abs_tol, spec.rel_tol * scale)
 
-    # March the switch point until the dropped oscillation fits the budget
-    # or falls to the evaluation noise floor, whichever comes first.  When
-    # one slab keeps reflecting at high k (lossless component), the
-    # amplitude decays only like 1/k and no reachable switch point exists:
-    # amp*K stalling across steps detects that regime early.
-    K = k0
-    bound = math.inf
-    stalls = 0
-    prev_amp_k = math.inf
-    for _ in range(_MAX_MARCH):
-        window = max(period, 0.05 * K)
-        amp = _probe_amplitude(shifted, naxes, K, window)
-        bound = 0.5 * amp * inv_rate
-        if bound <= 0.5 * budget or amp <= 64.0 * _NOISE_EPS * K:
-            break
-        stalls = stalls + 1 if amp * K > 0.7 * prev_amp_k else 0
-        k_req = K * bound / (0.5 * budget)
-        if stalls >= 3 and k_req > 0.5 * spec.max_panels * spec.panel_width:
-            raise NonConvergenceError(
-                "oscillation amplitude decays like 1/k (a persistent "
-                "reflection); the switch point for budget %.3e would sit "
-                "near k = %.3e, beyond the panel budget"
-                % (budget, k_req), partial=None, error=bound, panels=0)
-        prev_amp_k = amp * K
-        K *= _GROWTH
-    else:
-        raise NonConvergenceError(
-            "oscillation bound still %.3e at k = %.3e (budget %.3e)"
-            % (bound, K, budget), partial=None, error=bound, panels=0)
+    # The switch point and the signed edge terms of the oscillation there
+    K, s_K, e_K, budget = _switch(shifted, spec, gap, cfg, axes,
+                                  _above_edges(shifted, cfg, gap, axes), c0)
 
     # Direct adaptive pass below the switch point; the shallow bands, found
     # again up to K where it passed k0 (classifying only the points the k0
     # scan did not), join the dense bands there, and each band adds the
     # bound on the slab oscillation it drops plus its means' allowance.
-    if cfg is not None and K > k0:
+    if naxes > 1 and K > k0:
         shallow = _bands(cfg, K, kinds)[1]
     bands += shallow
     bounds += [_band_bounds(shifted, cfg, lo, hi) for lo, hi in shallow]
@@ -680,11 +1014,12 @@ def _oscillatory_integral(shifted, spec, gap, breakpoints, cfg=None):
     tol = _mean_tol(direct.abs_tol, bands)
     val, err = integrate_interval(
         banded(tol), 0.0, K, direct, breakpoints=breakpoints + sum(bands, ()))
-    err += bound
+    err += e_K
     for (lo, hi), (dropped, _, _, _) in zip(bands, bounds):
         err += dropped(lo, hi) + tol * (hi - lo)
 
-    # Phase-averaged tail; a failure carries the integral below K
+    # Phase-averaged tail less the signed edge terms at K; a failure
+    # carries the integral below K
     try:
         v, e = _averaged_tail(averaged, K, replace(
             spec, abs_tol=max(spec.abs_tol, 0.25 * budget)))
@@ -692,7 +1027,7 @@ def _oscillatory_integral(shifted, spec, gap, breakpoints, cfg=None):
         raise NonConvergenceError(
             "averaged tail past K = %.6g: %s" % (K, exc), partial=val,
             error=err, panels=exc.panels)
-    return val + v, err + e
+    return val + v - s_K, err + e
 
 
 def _averaged_tail(averaged, K, spec):
@@ -736,9 +1071,12 @@ def _rotated_vacuum(cfg, spec, roundtrip):
     return integrate_semiinfinite(g, s)
 
 
-def _slab_phase(mat, d, k):
-    """Slab round-trip phase 2 k Re(n) d at real frequency k."""
-    return 2.0 * k * core.refractive_at(-1j * k, *mat.as_tuple()).real * d
+def _slab_phase(mat, d, k, n=None):
+    """Slab round-trip phase 2 k Re(n) d at real frequency k, from the
+    slab's refractive index n there (computed when not given)."""
+    if n is None:
+        n = _index(mat, k)
+    return 2.0 * k * n.real * d
 
 
 def _slab_rate(mat, d, k):
@@ -1058,6 +1396,34 @@ def _band_dual(cfg, f, lo, hi, spec, window=None):
     fine = replace(spec, panel_width=_half_period(cfg, x0))
     v_raw, e_raw = integrate_interval(lambda k: f(k, _RAW)[0], x0, x1, fine)
     return abs(v_mean + dv - v_raw), e_mean + e_raw
+
+
+def _tail_dual(cfg, f, k1, spec):
+    """Integral of ``f(k, offsets)`` over [K, k1], K the switch point of
+    its real-axis integral (for a cavity without dense bands), by the phase
+    average plus the signed edge terms S(k1) - S(K) and by raw quadrature on
+    panels of half the shortest slab period.
+
+    Returns ``(deviation, estimate)``: the two routes' difference and the
+    sum of their error estimates, the first's including both ends' edge
+    term errors.  An independent check of the tail past the switch point.
+    """
+    axes = _phase_axes(cfg, 2 if cfg.left == cfg.right else 3)
+    edge_sum = _above_edges(f, cfg, cfg.gap, axes)
+    c0, _ = integrate_interval(
+        lambda k: f(k, _RAW)[0], 0.0, _first_switch(spec, cfg.gap, cfg),
+        _coarse(spec), breakpoints=_breakpoints(cfg.left, cfg.right))
+    K = _switch(f, spec, cfg.gap, cfg, axes, edge_sum, c0)[0]
+    (s0, e0, _), (s1, e1, _) = edge_sum(K), edge_sum(k1)
+    v_avg, e_avg = integrate_interval(
+        lambda k: _phase_average(f, k, len(axes)), K, k1,
+        replace(spec, panel_width=k1 - K))
+    fine = replace(spec, panel_width=min(
+        [spec.panel_width] + [math.pi / _slab_rate(m, cfg.width, K)
+                              for m in (cfg.left, cfg.right)]),
+        max_panels=10 * spec.max_panels)
+    v_raw, e_raw = integrate_interval(lambda k: f(k, _RAW)[0], K, k1, fine)
+    return abs(v_avg + s1 - s0 - v_raw), e_avg + e0 + e1 + e_raw
 
 
 def _ic_parts(cfg, state, spec):
@@ -1383,9 +1749,7 @@ def halfspace_forces(matL, matR, a, beta_left, beta_right, beta_phi, spec):
         group (the coth-difference terms, which decay exponentially, so
         they are integrated over a finite interval).  At
         equal temperatures ``f_b`` is exactly zero and ``f_ic`` alone is
-        the equilibrium force.  The unsubtracted state integral is
-        available as ``halfspace_ic_unregularized`` for callers who want
-        the honest non-convergence.
+        the equilibrium force.
     """
     for m, side in ((matL, "left"), (matR, "right")):
         if not _absorbing(m):
@@ -1406,7 +1770,8 @@ def halfspace_forces(matL, matR, a, beta_left, beta_right, beta_phi, spec):
         return core.halfspace_combined_integrands(k, a, tl, tr, beta_phi,
                                                   beta_phi, beta_phi, offsets)
 
-    f_ic, _ = _oscillatory_integral(f, spec, a, bks)
+    f_ic, _ = _oscillatory_integral(f, spec, a, bks,
+                                    CavityConfig(a, math.inf, matL, matR))
     if beta_left == beta_phi and beta_right == beta_phi:
         return f_ic, 0.0
 
@@ -1422,29 +1787,6 @@ def halfspace_forces(matL, matR, a, beta_left, beta_right, beta_phi, spec):
     return f_ic, f_b
 
 
-def halfspace_ic_unregularized(matL, a, beta_phi, spec):
-    """Unsubtracted half-space state integral, kept for honesty.
-
-    The integrand k * coth(beta k / 2) * (1 + |r|^2) tends to k at large k,
-    so the improper integral does not exist; the marching quadrature
-    exhausts its panel budget and raises NonConvergenceError.  Exposed so
-    the divergence of the standalone state term is a demonstrable fact
-    rather than a silent subtraction.
-    """
-    if not a > 0.0:
-        raise ValueError("gap must be positive")
-    if not beta_phi > 0.0:
-        raise ValueError("beta_phi must be positive")
-    tl = matL.as_tuple()
-
-    def f(k):
-        n = core.refractive_at(-1j * k, tl[0], tl[1], tl[2], tl[3])
-        rn = (1.0 - n) / (1.0 + n)
-        return k * core.coth_half(beta_phi, k) * (1.0 + abs(rn) ** 2)
-
-    return integrate_semiinfinite(f, spec, lower=1e-12)
-
-
 def band_excess_curve(cfg, omega_center, sigmas, spec):
     """Band-state force excesses for a ladder of band widths.
 
@@ -1454,10 +1796,13 @@ def band_excess_curve(cfg, omega_center, sigmas, spec):
     so they are assembled incrementally from non-overlapping strips and a
     full ladder costs a single pass over the widest window.  Where a strip
     crosses a shallow band of identical absorbing slabs, on either side of
-    the stop band, it integrates the slab-phase mean there.  Each window
-    adds, for its part of each band, the signed edge terms of the dropped
-    slab oscillation at the part's two ends, and its error carries their
-    stencil error and the third-order variation over the part.
+    the stop band, it integrates the slab-phase mean there; past the switch
+    point K of the state integrand (``_switch``, at the budget of its phase
+    average at k0) it integrates the mean over every phase.  Each window
+    adds, for its part of each band and its part past K, the signed edge
+    terms of the dropped oscillation at the part's two ends, and its error
+    carries their stencil error and the variation of their last order over
+    the part.
 
     Returns
     -------
@@ -1469,10 +1814,27 @@ def band_excess_curve(cfg, omega_center, sigmas, spec):
     f = _state_integrand(cfg)
     windows = [band_edges(FieldState.squeezed_band(sg, omega_center))
                for sg in sigmas]
-    # the shallow bands are found once, over the widest window; every strip
-    # that overlaps one integrates the mean there, and each window adds the
-    # signed edge terms at the ends of its own part of each band
-    bands = _bands(cfg, max(hi for _, hi in windows))[1] if windows else ()
+    top = max([hi for _, hi in windows] + [0.0])
+    naxes = 2 if cfg.left == cfg.right else 3
+    axes = _phase_axes(cfg, naxes)
+    above = _above_edges(f, cfg, cfg.gap, axes)
+    K = top
+    if top > _first_switch(spec, cfg.gap, cfg):
+        try:
+            K = min(top, _switch(f, spec, cfg.gap, cfg, axes, above)[0])
+        except NonConvergenceError:
+            # no switch point (a slab reflecting without loss): the finite
+            # windows stay on the raw integrand
+            pass
+
+    def above_edges(x0, x1):
+        (s0, e0, _), (s1, e1, _) = above(x0), above(x1)
+        return s1 - s0, e0 + e1
+
+    # the shallow bands are found once, up to K; every strip that overlaps
+    # one integrates the mean there, and each window adds the signed edge
+    # terms at the ends of its own part of each band and past K
+    bands = _bands(cfg, K)[1] if windows else ()
     tol = _mean_tol(spec.abs_tol, bands)
     built = [_band_bounds(f, cfg, lo, hi) for lo, hi in bands]
 
@@ -1481,19 +1843,29 @@ def band_excess_curve(cfg, omega_center, sigmas, spec):
 
     def parts(lo, hi):
         """``(x0, x1, mean, edges)``: each band's part of [lo, hi], with
-        the band's mean and signed edge terms."""
-        return [(max(b0, lo), min(b1, hi), mean, edges)
-                for (b0, b1), (_, mean, _, edges) in zip(bands, built)
-                if lo < b1 and b0 < hi]
+        the band's mean and signed edge terms, and the part past K."""
+        out = [(max(b0, lo), min(b1, hi), mean, edges)
+               for (b0, b1), (_, mean, _, edges) in zip(bands, built)
+               if lo < b1 and b0 < hi]
+        if hi > K:
+            out.append((max(K, lo), hi, None, above_edges))
+        return out
 
     def strip(lo, hi):
         if hi <= lo:
             return 0.0, 0.0
-        own = [p[:3] for p in parts(lo, hi)]
-        v, e = integrate_interval(_banded(g, own, tol), lo, hi, spec,
+        own = [p[:3] for p in parts(lo, min(hi, K))]
+        v, e = integrate_interval(_banded(g, own, tol), lo, min(hi, K), spec,
                                   breakpoints=bks + sum((p[:2] for p in own),
                                                         ()))
-        return v, e + tol * sum(x1 - x0 for x0, x1, _ in own)
+        e += tol * sum(x1 - x0 for x0, x1, _ in own)
+        if hi > K:
+            x0 = max(lo, K)
+            va, ea = integrate_interval(
+                lambda k: _phase_average(f, k, naxes), x0, hi,
+                replace(spec, panel_width=hi - x0))
+            v, e = v + va, e + ea
+        return v, e
 
     order = sorted(range(len(sigmas)), key=lambda i: sigmas[i])
     out = [None] * len(sigmas)
@@ -1512,28 +1884,3 @@ def band_excess_curve(cfg, omega_center, sigmas, spec):
             v, e = v + dv, e + de
         out[i] = (facs[i] * v, facs[i] * e)
     return out
-
-
-def bracket_sign_scan(cfg, k_max=60.0, samples=4096):
-    """Sign of the state bracket sampled over (0, k_max].
-
-    Returns +1 or -1 when every sample clear of rounding noise shares one
-    sign, and 0 when signs mix (or nothing rises above noise).  Weight
-    monotonicity arguments only hold on single-signed configurations, so
-    callers must consult this scan before invoking them.
-    """
-    bracket = _bracket(cfg)
-    pos = neg = False
-    for i in range(samples):
-        v = bracket(k_max * (i + 1) / samples)
-        if v > 1e-13:
-            pos = True
-        elif v < -1e-13:
-            neg = True
-        if pos and neg:
-            return 0
-    if pos:
-        return 1
-    if neg:
-        return -1
-    return 0

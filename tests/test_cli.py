@@ -179,12 +179,13 @@ def test_force_timestamp_unless_reproducible(tmp_path):
 
 
 def test_force_nonconvergence_exit_code(tmp_path, capsys):
-    # a 40-panel budget cannot lay out the oscillatory bath integral
-    body = MILD_BODY + "max_panels = 40\n"
+    # 40 panels of width 0.5 cannot reach the oscillatory bath integral's
+    # switch point
+    body = MILD_BODY + "max_panels = 40\npanel_width = 0.5\n"
     assert main(["force", "--config", write(tmp_path, body)]) == EXIT_NUMERIC
     err = capsys.readouterr().err
     assert "non-convergence" in err
-    assert "interval layout exceeds max_panels" in err
+    assert "within the reach of max_panels" in err
 
 
 def test_force_band_weight_overflow_exit_code(tmp_path, capsys):
@@ -356,4 +357,5 @@ def test_verify_passes(tmp_path, capsys):
     assert "dense_band_dual_pipeline" in names
     assert "shallow_band_dual_pipeline" in names
     assert "ladder_edge_dual_pipeline" in names
+    assert "tail_edge_dual_pipeline" in names
     assert "bath_dissipationless_zero" in names

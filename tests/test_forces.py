@@ -1,5 +1,6 @@
 """Force integrals: dual routes, equilibrium identities, honest refusals."""
 
+import cmath
 import json
 import math
 import os
@@ -16,7 +17,6 @@ from casimir1d.errors import (
 from casimir1d.forces import (
     ForceBreakdown,
     band_excess_curve,
-    bracket_sign_scan,
     equilibrium_matsubara,
     force_bath,
     force_delta_squeezed,
@@ -24,12 +24,11 @@ from casimir1d.forces import (
     force_ic,
     force_total,
     halfspace_forces,
-    halfspace_ic_unregularized,
     lifshitz_matsubara,
 )
 from casimir1d.kernels import core
 from casimir1d.material import Material
-from casimir1d.quadrature import QuadratureSpec
+from casimir1d.quadrature import QuadratureSpec, integrate_semiinfinite
 from casimir1d.scattering import CavityConfig
 from casimir1d.states import FieldState, coth_half
 
@@ -142,9 +141,10 @@ def test_vacuum_memo_keys_on_cavity_and_spec():
 
 
 def test_refusals_are_not_memoized():
-    # a 40-panel budget cannot lay out the zero-temperature bath integral;
-    # the refusal is raised afresh on every call and leaves nothing behind
-    tiny = replace(SPEC6, max_panels=40)
+    # 40 panels of width 0.5 cannot reach the zero-temperature bath
+    # integral's switch point; the refusal is raised afresh on every call
+    # and leaves nothing behind
+    tiny = replace(SPEC6, max_panels=40, panel_width=0.5)
     for _ in range(2):
         with pytest.raises(NonConvergenceError, match="max_panels"):
             force_bath(CFG, 5.0, 5.0, tiny)
@@ -362,6 +362,25 @@ def test_halfspace_requires_absorbing_media():
         halfspace_forces(STATIC, STATIC, 1.0, 10.0, 10.0, 10.0, SPEC6)
 
 
+def halfspace_ic_unregularized(matL, a, beta_phi, spec):
+    """Unsubtracted half-space state integral.
+
+    The integrand k * coth(beta k / 2) * (1 + |r|^2) tends to k at large k,
+    so the improper integral does not exist; the marching quadrature
+    exhausts its panel budget and raises NonConvergenceError.  The
+    divergence of the standalone state term is why ``halfspace_forces``
+    groups it with the bath term.
+    """
+    tl = matL.as_tuple()
+
+    def f(k):
+        n = core.refractive_at(-1j * k, tl[0], tl[1], tl[2], tl[3])
+        rn = (1.0 - n) / (1.0 + n)
+        return k * coth_half(beta_phi, k) * (1.0 + abs(rn) ** 2)
+
+    return integrate_semiinfinite(f, spec, lower=1e-12)
+
+
 def test_halfspace_bare_state_integral_diverges():
     spec = replace(SPEC6, max_panels=500)
     with pytest.raises(NonConvergenceError) as exc:
@@ -387,6 +406,19 @@ def test_band_excess_curve_preserves_input_order():
     rev = band_excess_curve(CFG, omega, [4.0, 0.5], SPEC6)
     assert fwd[0][0] == pytest.approx(rev[1][0], rel=1e-12)
     assert fwd[1][0] == pytest.approx(rev[0][0], rel=1e-12)
+
+
+def bracket_sign_scan(cfg, k_max=60.0, samples=4096):
+    """Sign of the state bracket sampled over (0, k_max]: +1 or -1 when
+    every sample clear of rounding noise shares one sign, 0 when signs mix
+    (or nothing rises above noise)."""
+    bracket = forces._bracket(cfg)
+    signs = set()
+    for i in range(samples):
+        v = bracket(k_max * (i + 1) / samples)
+        if abs(v) > 1e-13:
+            signs.add(1 if v > 0.0 else -1)
+    return signs.pop() if len(signs) == 1 else 0
 
 
 def test_bracket_sign_scan_contract():
@@ -468,13 +500,14 @@ def test_diagonal_mean_for_identical_slabs():
     forces._harmonics(f, FIG_CFG, 1.0, forces._HARM_OFFSETS)
     assert [len(c) for c in calls] == [forces._HARM_OFFSETS]
     assert all(sl == sr and sg == 0.0 for c in calls for sl, sr, sg in c)
-    # the probe reads the raw value and the phase average from one call per
-    # sample, whose grid leads with the unshifted triple
+    # the switch point reads the phase average and the harmonics at k0 from
+    # one call on the average's grid, which leads with the unshifted triple
     calls.clear()
-    assert forces._probe_amplitude(f, 2, 1.0, 0.5) == pytest.approx(1.0)
-    assert len(calls) == forces._PROBE_SAMPLES
-    assert all(c == list(forces._PHASE_GRIDS[2]) for c in calls)
-    assert calls[0][0] == (0.0, 0.0, 0.0)
+    harm = forces._dft(f(1.0, forces._PHASE_GRIDS[2]), (forces._SHIFTS,) * 2)
+    assert len(calls) == 1 and calls[0][0] == (0.0, 0.0, 0.0)
+    assert harm[0, 0] == pytest.approx(forces._phase_average(f, 1.0, 2))
+    assert harm[1, 0] == pytest.approx(0.5)
+    assert abs(harm[0, 1]) == pytest.approx(0.0, abs=1e-15)
 
     # the real-axis integral reads its phase axes from the cavity: identical
     # slabs are offset only on the diagonal, different slabs also off it
@@ -810,9 +843,70 @@ def _offset_points(monkeypatch, cfg, spec):
 
 
 def test_fig_bath_integral_offset_points(monkeypatch):
-    # the sized means and harmonics and the one-panel mapped tail hold
-    # fig's Z to at most 11,500 bath-integrand offset points
-    assert _offset_points(monkeypatch, FIG_CFG, SPEC6) <= 11500
+    # the sized means and harmonics, the switch point near 40 with its edge
+    # terms, and the one-panel mapped tail hold fig's Z to at most 5,000
+    # bath-integrand offset points (10,909 with the probe march to 106.5)
+    assert _offset_points(monkeypatch, FIG_CFG, SPEC6) <= 5000
+
+
+def test_fig_switch_point_sits_below_50(monkeypatch):
+    # the switch point follows the closed-form decay ratios from k0 = 1.3 x
+    # sqrt(200); the probe march put it at 106.5
+    seen = []
+    switch = forces._switch
+
+    def recording(*args):
+        out = switch(*args)
+        seen.append(out[0])
+        return out
+
+    monkeypatch.setattr(forces, "_switch", recording)
+    forces._vacuum_bath.cache_clear()
+    try:
+        forces._vacuum_bath(FIG_CFG, SPEC6)
+    finally:
+        forces._vacuum_bath.cache_clear()
+    (K,) = seen
+    assert 1.3 * 10.0 * math.sqrt(2.0) < K < 50.0
+
+
+@pytest.mark.parametrize("cfg, terms", [
+    (CavityConfig(1.0, 2.0, STATIC, STATIC),
+     {(1, 0): 0.3, (0, 1): 0.2, (1, -1): 0.1, (2, 1): 0.05}),
+    (CavityConfig(1.0, 2.0, STATIC, STATIC2),
+     {(1, 0, 0): 0.2, (0, 1, -1): 0.1, (1, -1, 1): 0.05, (0, 0, 2): 0.3})],
+    ids=["two-axis", "three-axis"])
+def test_edge_terms_match_the_dropped_harmonics(cfg, terms):
+    # a mean k^-3 plus harmonics c_j e^{-mu k} cos(j . (phi + s)) on the
+    # phase grid (gap and common slab phase of identical slabs; both slab
+    # phases and the gap phase of different ones), all linear in k for
+    # static slabs: S(x) is minus their integral over [x, inf),
+    # sum of -c_j Re[e^{(i w_j - mu) x} / (mu - i w_j)], w_j = j . phi'
+    axes = forces._phase_axes(cfg, len(next(iter(terms))))
+    mu = 0.1
+
+    def f(k, offsets):
+        phases = forces._phases(cfg, cfg.gap, axes, k)[0]
+        out = []
+        for off in offsets:
+            shifted = [p + off[slots[0]] for p, (slots, _) in
+                       zip(phases, axes)]
+            out.append(k ** -3 + sum(
+                c * math.exp(-mu * k)
+                * math.cos(sum(a * b for a, b in zip(j, shifted)))
+                for j, c in terms.items()))
+        return out
+
+    rates = forces._phases(cfg, cfg.gap, axes, 1.0)[1]
+    for x in (20.0, 30.0):
+        exact = 0.0
+        for j, c in terms.items():
+            w = sum(a * b for a, b in zip(j, rates))
+            exact -= c * (cmath.exp(complex(-mu, w) * x)
+                          / complex(mu, -w)).real
+        s, err, _ = forces._above_edges(f, cfg, cfg.gap, axes)(x)
+        assert abs(s - exact) <= err
+        assert err < 0.02 * abs(exact)
 
 
 def test_weak_bath_integral_builds_each_dense_band_once(monkeypatch):
@@ -820,7 +914,7 @@ def test_weak_bath_integral_builds_each_dense_band_once(monkeypatch):
     # the coarse pass at its own target, holding weak Z to at most 10,000
     # bath-integrand offset points; the bands are found once, at the
     # switch point k0 = K = 1.3 x sqrt(200), while fig Z, whose switch
-    # point marches past k0, finds them again at K
+    # point lies past k0, finds them again at K
     points, built, scans = [], [], []
     kernel, bounds, bands = (core.bath_integrands, forces._band_bounds,
                              forces._bands)
@@ -855,7 +949,7 @@ def test_weak_bath_integral_builds_each_dense_band_once(monkeypatch):
 
 
 def test_fig_bath_integral_classifies_each_point_once(monkeypatch):
-    # fig Z's switch point marches past k0, so it scans its bands again up
+    # fig Z's switch point lies past k0, so it scans its bands again up
     # to K; that scan reuses the grid points and edges of the scan to k0,
     # classifying no point twice, and finds the bands a fresh scan finds
     kind, seen = forces._kind, []
@@ -920,9 +1014,11 @@ NONEQ_SPEC = QuadratureSpec(rel_tol=1e-8, abs_tol=1e-12)
 
 
 def test_mild_bath_integral_offset_points(monkeypatch):
-    # the mapped tail takes 15 phase averages of 64 offsets past the switch
-    # point, where geometric panels took 210
-    assert _offset_points(monkeypatch, NONEQ_CFG, NONEQ_SPEC) <= 8000
+    # k0 = 4 gap periods rather than 1.3 (omega0 + 100 gamma0), the switch
+    # point near 50 rather than 213 and the mapped tail's 15 phase averages
+    # of 64 offsets hold mild's Z to at most 3,000 offset points (7,712
+    # with the probe march)
+    assert _offset_points(monkeypatch, NONEQ_CFG, NONEQ_SPEC) <= 3000
 
 
 def _recorded_tail(monkeypatch, run):
@@ -1028,14 +1124,15 @@ def test_tail_noise_model_holds_where_the_tail_samples(monkeypatch):
 
 
 @pytest.mark.parametrize("cfg, spec, z_old, ez_old", [
-    (FIG_CFG, SPEC6, -865.1878674366928, 1.0325795473025818e-3),
-    (NONEQ_CFG, NONEQ_SPEC, -1.80825713054461, 1.715850174769573e-08),
-    (WEAK_CFG, WEAK_SPEC, -98.46437950375817, 0.029396978392883213)],
+    (FIG_CFG, SPEC6, -865.1878674367014, 9.671569699974061e-4),
+    (NONEQ_CFG, NONEQ_SPEC, -1.8082571305446087, 6.234011840429912e-09),
+    (WEAK_CFG, WEAK_SPEC, -98.46362958677915, 0.02890165749915292)],
     ids=["fig", "mild", "weak"])
 def test_bath_integral_moves_within_its_estimate(cfg, spec, z_old, ez_old):
-    # Z with geometric tail panels and an inverse-cube remainder model past
-    # the switch point: the mapped tail moves it only within its estimate,
-    # and the estimate does not rise
+    # Z with the probe-marched switch point and the first-order bound on the
+    # oscillation dropped there: the switch point from the decay ratios,
+    # with the signed edge terms, moves it only within its estimate, and
+    # the estimate does not rise
     forces._vacuum_bath.cache_clear()
     z, ez = forces._vacuum_bath(cfg, spec)
     forces._vacuum_bath.cache_clear()
