@@ -33,15 +33,18 @@ top of slowly decaying absorption envelopes.  Each is evaluated in two
 stages: adaptive quadrature up to a switch point K, then quadrature of the
 phase-averaged integrand on t = (K/k)^2 in (0, 1] less the signed edge
 terms S(K) of the oscillation it drops.  S sums, over every harmonic j of
-the phase grid, three integrations by parts of h_j e^{i j . phi} at rate
-j . phi', with derivatives from a seven-point stencil (Iserles and
-Norsett's asymptotic method); harmonics too slow for it stay in the mean.
-K follows from closed-form decay ratios of the harmonics, the slab pole
-radius and the gap round trip |rL rR|: the harmonics sampled at the first
-candidate k0, past the slabs' response features, are scaled by them along
-a ladder until the predicted error of S fits the tail's share of the
-budget, and S is measured at K.  The error of S, the tail's quadrature
-error and its evaluation noise are folded into the returned estimate.
+the phase grid that the average drops, three integrations by parts of
+h_j e^{i j . phi} at rate j . phi', with derivatives from a seven-point
+stencil (Iserles and Norsett's asymptotic method); harmonics too slow for
+it are left out of S and bounded in the error.  K follows from
+closed-form decay ratios of the harmonics, the slab pole radius and the
+gap round trip |rL rR|: the harmonics sampled at the first candidate k0,
+past the slabs' response features, are scaled by them along a ladder
+until the predicted error of S fits the tail's share of the budget, and S
+is measured at K.  The error of S (its stencil error, the variation of its
+last order along the ladder past K, the harmonics past the grid and the
+slow ones), the tail's quadrature error and its evaluation noise are
+folded into the returned estimate.
 Two identical slabs share one slab phase, so their phase average runs over
 the diagonal of common slab offsets times the gap offsets.
 
@@ -185,13 +188,16 @@ _GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
 # Past the switch point K the tail integrates the phase average and
 # subtracts the signed edge terms of the harmonics at K.  K is the first
 # point of the ladder k0 _LADDER^i whose predicted edge-term error fits the
-# tail's share of the budget.  Harmonics whose logarithmic slope exceeds
-# _SLOW times their rate (the mild pair's (-1, 1, 0) runs at 7e-4) stay in
-# the mean and out of the edge terms.  Each phase of the grid takes the
-# samples whose last harmonic is _AXIS_DROP of its first.  Where a slab
-# reflects without absorbing, harmonics falling slower than
-# k^-_PERSISTENT (like 1/k) have no absolutely convergent tail and are
-# refused.  The mapped averaged tail takes at most _MAX_TAIL_PANELS panels.
+# tail's share of the budget.  The variation of the edge terms' last order
+# is summed along the same ladder, up to where the harmonics whose last
+# order still rises hold at most _AXIS_DROP of it.  Harmonics whose
+# logarithmic slope exceeds _SLOW times their rate (the mild pair's
+# (-1, 1, 0) runs at 7e-4) are left out of the edge terms and bounded in
+# their error.  Each phase of the grid takes the samples whose last
+# harmonic is _AXIS_DROP of its first.  Where a slab reflects without
+# absorbing, harmonics falling slower than k^-_PERSISTENT (like 1/k) have
+# no absolutely convergent tail and are refused.  The mapped averaged tail
+# takes at most _MAX_TAIL_PANELS panels.
 _LADDER = 2.0 ** 0.125
 _SLOW = 0.5
 _AXIS_DROP = 1e-3
@@ -437,12 +443,12 @@ def _leads(j):
     return next((x for x in j if x), 0) > 0
 
 
-def _first_switch(spec, gap, cfg):
-    """First switch point candidate k0: four gap periods and eight panels,
-    and 1.3 times the top of the slabs' response features (see
-    ``_response_top``) where there is a cavity."""
-    k0 = max(8.0 * spec.panel_width, 4.0 * math.pi / gap)
-    return k0 if cfg is None else max(k0, 1.3 * _response_top(cfg))
+def _first_switch(spec, cfg):
+    """First switch point candidate k0 of the cavity ``cfg``: four gap
+    periods, eight panels and 1.3 times the top of the slabs' response
+    features (see ``_response_top``)."""
+    return max(8.0 * spec.panel_width, 4.0 * math.pi / cfg.gap,
+               1.3 * _response_top(cfg))
 
 
 def _coarse(spec):
@@ -462,24 +468,26 @@ def _response_top(cfg):
                         if not m.static and m.omega_pl > 0.0])
 
 
-def _phase_axes(cfg, naxes):
-    """``(slots, mat)`` of each of the ``naxes`` oscillation phases of the
-    cavity ``cfg``, as in ``_SLOTS``: its offset slots and its slab, None
-    for the gap phase."""
-    left, right = (None, None) if cfg is None else (cfg.left, cfg.right)
-    mats = {(2,): None, (0, 1): left, (0,): left, (1,): right}
+def _phase_axes(cfg):
+    """``(slots, mat)`` of each oscillation phase of the cavity ``cfg``, as
+    in ``_SLOTS``: its offset slots and its slab, None for the gap phase.
+    Half-spaces (infinite width) have only the gap phase, identical slabs
+    one common slab phase besides, different slabs one each."""
+    naxes = (1 if not math.isfinite(cfg.width)
+             else 2 if cfg.left == cfg.right else 3)
+    mats = {(2,): None, (0, 1): cfg.left, (0,): cfg.left, (1,): cfg.right}
     return tuple((slots, mats[slots]) for slots in _SLOTS[naxes])
 
 
-def _phases(cfg, gap, axes, k):
+def _phases(cfg, axes, k):
     """``(phases, rates)`` at k of the phases ``axes``: the slab round-trip
     phase 2 k Re(n) d of each slab axis and the gap round-trip phase 2 k a,
     and their rates."""
     phases, rates = [], []
     for slots, mat in axes:
         if slots == (2,):
-            phases.append(2.0 * gap * k)
-            rates.append(2.0 * gap)
+            phases.append(2.0 * cfg.gap * k)
+            rates.append(2.0 * cfg.gap)
         else:
             phases.append(_slab_phase(mat, cfg.width, k))
             rates.append(_slab_rate(mat, cfg.width, k))
@@ -519,7 +527,7 @@ def _decay_ratios(cfg, axes, k):
     return out
 
 
-def _predicted(cfg, gap, axes, k0, harm, share, k_max, first):
+def _predicted(cfg, axes, k0, harm, share, k_max, first):
     """The first point k0 _LADDER^i, i >= ``first``, up to ``k_max``
     where the variation of the last order of the signed edge terms,
     predicted from the harmonics ``harm`` ({j: h_j} at k0), fits ``share``.
@@ -544,7 +552,7 @@ def _predicted(cfg, gap, axes, k0, harm, share, k_max, first):
     while k <= max(k0, k_max):
         k1 = k * _LADDER
         r1 = _decay_ratios(cfg, axes, k1)
-        rates = _phases(cfg, gap, axes, k)[1]
+        rates = _phases(cfg, axes, k)[1]
         err = 0.0
         for j, h in live:
             amp, slope = h, 0.0
@@ -567,38 +575,44 @@ def _predicted(cfg, gap, axes, k0, harm, share, k_max, first):
         panels=0)
 
 
-def _switch(f, spec, gap, cfg, axes, edge_sum, c0=0.0):
-    """``(K, S(K), err, budget)``: the switch point of the integrand
-    ``f(k, offsets)`` with phases ``axes``, the signed edge terms there
-    (``edge_sum``, see ``_above_edges``) and their error, and the absolute
-    error budget, rel_tol times the scale max(|c0|, k0 |mean(k0)|,
-    abs_tol), ``c0`` the integral below k0 and mean the phase average.  The
-    tail's share is a quarter of the budget.
+def _switch(f, spec, cfg, axes, edges, below=None, breakpoints=()):
+    """``(K, -S(K), err, budget)``: the switch point of the integrand
+    ``f(k, offsets)`` with phases ``axes``, minus the signed edge terms
+    there (``edges``, see ``_above_edges``) and their error, and the
+    absolute error budget, rel_tol times the scale max(|c0|, k0 |mean(k0)|,
+    abs_tol), mean the phase average and c0 the coarse pass of
+    ``below(k)`` over [0, k0] with ``breakpoints`` (0 without ``below``).
+    The tail's share is a quarter of the budget.
 
     The phase average at k0 comes with the harmonics on its grid.  Where
     the first order of each, 2 |h_j / w_j| with w_j = j . phi', doubled for
     its variation past k0 and raised by rho_a / (1 - rho_a) for the
     harmonics past the grid on each of its phases, fits the share in sum,
-    K = k0 and that sum is the error, with no edge terms; without a cavity
-    K = k0 and the edge terms are measured there.  Otherwise K is predicted
-    from the harmonics at k0 (``_predicted``, to half the share) and the
-    edge terms are measured there.  K stands when their error fits the
-    share and every harmonic whose first order exceeds the share decays at
-    least like 1/k (past a rising one the last order's variation is not
-    its value at K); otherwise the next prediction starts from the
+    K = k0 and that sum is the error, with no edge terms.  Otherwise K is
+    predicted from the harmonics at k0 (``_predicted``, to half the share)
+    and the edge terms are measured there.  K stands when their error fits
+    the share and every harmonic whose first order exceeds the share decays
+    at least like 1/k; otherwise the next prediction starts from the
     harmonics measured at K.  Where a slab reflects without absorbing, such
     a harmonic falling slower than k^-_PERSISTENT has no absolutely
     convergent tail and is refused.
     """
-    k0 = _first_switch(spec, gap, cfg)
+    k0 = _first_switch(spec, cfg)
+    c0 = 0.0
+    if below is not None:
+        try:
+            c0 = integrate_interval(below, 0.0, k0, _coarse(spec),
+                                    breakpoints=breakpoints)[0]
+        except NonConvergenceError as exc:
+            c0 = exc.partial if exc.partial is not None else 0.0
     vals = f(k0, _PHASE_GRIDS[len(axes)])
     scale = max(abs(c0), abs(_phase_mean(vals, len(axes))) * k0,
                 spec.abs_tol)
     budget = max(spec.abs_tol, spec.rel_tol * scale)
     share = 0.25 * budget
     harm = _dft(vals, (_SHIFTS,) * len(axes))
-    rates = _phases(cfg, gap, axes, k0)[1]
-    ratios = _decay_ratios(cfg, axes, k0) if cfg else [0.0] * len(axes)
+    rates = _phases(cfg, axes, k0)[1]
+    ratios = _decay_ratios(cfg, axes, k0)
     first = 0.0
     for j, h in harm.items():
         if _leads(j):
@@ -608,15 +622,13 @@ def _switch(f, spec, gap, cfg, axes, edge_sum, c0=0.0):
                           for r, x in zip(ratios, j) if x))
     if first <= share:
         return k0, 0.0, first, budget
-    if cfg is None:
-        return (k0,) + edge_sum(k0)[:2] + (budget,)
     mirror = any(m.omega_pl > 0.0 and not _absorbing(m)
                  for m in (cfg.left, cfg.right))
     k, step = k0, 0
     while True:
-        K = _predicted(cfg, gap, axes, k, harm, 0.5 * share,
+        K = _predicted(cfg, axes, k, harm, 0.5 * share,
                        0.5 * spec.max_panels * spec.panel_width, step)
-        s, err, terms = edge_sum(K)
+        s, err, terms = edges(K)
         settled = err <= share
         for h, dh, w, _ in terms.values():
             if 2.0 * abs(h / w) <= share:
@@ -688,29 +700,35 @@ def _edge_terms(hs, rates, phases, nodes, step, floor, slow):
     return sums[0], abs(sums[0] - sums[1]), terms
 
 
-def _above_edges(shifted, cfg, gap, axes):
-    """``edge_sum(x)``, memoized: ``(S(x), err, terms)``, the signed edge
-    terms (``_edge_terms``) of every harmonic of the integrand on the phase
-    grid of ``axes``, which the raw integral over [x, inf) subtracts from
-    the phase average's, for x past the switch point.
+def _above_edges(shifted, cfg, axes):
+    """``edges(x0, x1=inf)``: ``(S(x1) - S(x0), err, terms)`` past the
+    switch point, S the signed edge terms (``_edge_terms``, ``terms`` at
+    x0) of the harmonics of the integrand that its phase average on the
+    grid of ``axes`` drops, and S(inf) = 0: the raw integral over [x0, x1]
+    is the average's plus S(x1) - S(x0).  The average on _SHIFTS offsets
+    per phase keeps the harmonics whose indices are all multiples of
+    _SHIFTS, so S leaves them out.
 
-    The harmonics are sampled on a stencil of step _FD_STEP x, over a
-    grid whose phases take ``_axis_size`` samples of their decay ratio at
-    x (_SHIFTS without a cavity).  err adds to the stencil error, per
-    harmonic, 2 |sigma_2|, the variation of the last order past x where
-    it decays there; for a slow harmonic, the lesser of its first order
-    2 |h / w| doubled for its variation and, where it decays like k^-p
-    with p > 1, the integral 2 |h| x / (p - 1) of its modulus (the slope
-    of a small harmonic reads its grid's aliasing, so it may look slow);
-    and on each phase, the first order of its outermost harmonics times
-    rho / (1 - rho), for the harmonics past the grid.
+    At each end x the harmonics are sampled on a stencil of step
+    _FD_STEP x, over a grid whose phases take ``_axis_size`` samples of
+    their decay ratio at x.  The end's error adds to the stencil error, for
+    a slow harmonic, the lesser of its first order 2 |h / w| doubled for
+    its variation and, where it decays like k^-p with p > 1, the integral
+    2 |h| x / (p - 1) of its modulus (the slope of a small harmonic reads
+    its grid's aliasing, so it may look slow); and on each phase, the first
+    order of its outermost harmonics times rho / (1 - rho), for the
+    harmonics past the grid.  err adds the variation of the last order
+    sigma_2 over [x0, x1]: its chords, 2 |sigma_2(y') - sigma_2(y)| per
+    harmonic, along the ladder y = x0 _LADDER^i up to x1 or, sooner, up to
+    the first y where the harmonics whose |sigma_2| rose over the step
+    hold at most _AXIS_DROP of the sum of |sigma_2(y)|, with 2 |sigma_2(y)|
+    for the fall past it.
     """
     slots = tuple(s for s, _ in axes)
 
     @functools.lru_cache(maxsize=None)
     def edge_sum(x):
-        ratios = (_decay_ratios(cfg, axes, x) if cfg is not None
-                  else [0.0] * len(axes))
+        ratios = _decay_ratios(cfg, axes, x)
         dims = tuple(map(_axis_size, ratios))
         grid = _grid(slots, dims)
         nodes = _STENCIL_NODES[0]
@@ -718,29 +736,52 @@ def _above_edges(shifted, cfg, gap, axes):
         hs, rates = [], []
         for z in nodes:
             t = x + step * z
-            phases, rt = _phases(cfg, gap, axes, t)
+            phases, rt = _phases(cfg, axes, t)
             hs.append({j: c * cmath.exp(-1j * sum(map(operator.mul, j,
                                                       phases)))
                        for j, c in _dft(shifted(t, grid), dims).items()
                        if _leads(j)})
             rates.append(rt)
             if z == 0:
-                at = phases
-        s, err, terms = _edge_terms(hs, rates, at, nodes, step,
-                                    _MEAN_NOISE * _NOISE_EPS * x, _SLOW)
-        for j, (h, dh, w, s2) in terms.items():
-            if s2 is not None:
-                err += 2.0 * abs(s2)
-                continue
-            p = -x * (dh / h).real
-            err += min(4.0 * abs(h / w) if w else math.inf,
-                       2.0 * abs(h) * x / (p - 1.0) if p > 1.0 else math.inf)
+                at, mid, rate = phases, hs[-1], rt
+        s, err, terms = _edge_terms(
+            [{j: h for j, h in g.items() if any(i % _SHIFTS for i in j)}
+             for g in hs], rates, at, nodes, step,
+            _MEAN_NOISE * _NOISE_EPS * x, _SLOW)
+        for h, dh, w, s2 in terms.values():
+            if s2 is None:
+                p = -x * (dh / h).real
+                err += min(4.0 * abs(h / w) if w else math.inf,
+                           2.0 * abs(h) * x / (p - 1.0) if p > 1.0
+                           else math.inf)
+        # the first orders of the outermost harmonics of each phase, those
+        # the average keeps included, stand for the harmonics past the grid
+        firsts = {}
+        for j, h in mid.items():
+            w = sum(map(operator.mul, j, rate))
+            if w and (j not in terms or terms[j][3] is not None):
+                firsts[j] = 2.0 * abs(h / w)
         for a, (n, rho) in enumerate(zip(dims, ratios)):
-            outer = sum(2.0 * abs(h / w) for j, (h, _, w, s2) in terms.items()
-                        if s2 is not None and abs(j[a]) == n // 2 - 1)
+            outer = sum(v for j, v in firsts.items()
+                        if abs(j[a]) == n // 2 - 1)
             err += outer * rho / (1.0 - rho) if rho < 1.0 else math.inf
-        return s, err, terms
-    return edge_sum
+        return s, err, terms, {j: t[3] for j, t in terms.items()
+                               if t[3] is not None}
+
+    def edges(x0, x1=math.inf):
+        s0, e0, terms, prev = edge_sum(x0)
+        s1, e1 = edge_sum(x1)[:2] if x1 < math.inf else (0.0, 0.0)
+        y, var = x0 * _LADDER, 0.0
+        while y < x1:
+            last = edge_sum(y)[3]
+            var += _chord(prev, last)
+            if sum(abs(v) for j, v in last.items()
+                   if abs(v) > abs(prev.get(j, 0.0))) <= _AXIS_DROP * sum(
+                       map(abs, last.values())):
+                return s1 - s0, e0 + e1 + var + _chord(last, {}), terms
+            y, prev = y * _LADDER, last
+        return s1 - s0, e0 + e1 + var + _chord(prev, edge_sum(x1)[3]), terms
+    return edges
 
 
 def _derivative(ys, h):
@@ -930,7 +971,7 @@ def _banded(raw, means, tol):
     return f
 
 
-def _oscillatory_integral(shifted, spec, gap, breakpoints, cfg=None):
+def _oscillatory_integral(shifted, spec, breakpoints, cfg):
     """Integrate a decaying oscillatory force integrand over [0, inf).
 
     Parameters
@@ -942,16 +983,13 @@ def _oscillatory_integral(shifted, spec, gap, breakpoints, cfg=None):
         call ``shifted(k, _RAW)[0]``.
     spec : QuadratureSpec
         Tolerances; ``rel_tol`` is interpreted against the integral scale.
-    gap : float
-        Gap width, fixing the slowest oscillation rate.
     breakpoints : tuple
         Sorted material response features, passed to the direct quadrature.
-    cfg : CavityConfig or None
+    cfg : CavityConfig
         The cavity (of infinite width for half-spaces, whose only phase is
-        the gap phase); None for an integrand without one.  It sets the
-        first switch point candidate, the phases the tail averages, the
-        decay ratios of their harmonics and, for identical absorbing slabs,
-        the dense and shallow bands.  Without it K = k0.
+        the gap phase).  It sets the first switch point candidate, the
+        phases the tail averages, the decay ratios of their harmonics and,
+        for identical absorbing slabs, the dense and shallow bands.
 
     Returns
     -------
@@ -959,25 +997,25 @@ def _oscillatory_integral(shifted, spec, gap, breakpoints, cfg=None):
         The integral and a conservative error estimate combining the
         quadrature errors, the bound on the slab oscillation dropped across
         the dense and shallow bands, the error of the signed edge terms
-        S(K) of the oscillation dropped past the switch point K (their
-        last order's variation past K, their stencil error, the harmonics
-        past the grid and the slow harmonics kept out of them), and the
-        tail's quadrature error and evaluation-noise allowance.
+        S(K) of the oscillation dropped past the switch point K (the
+        variation of their last order along the ladder past K, their
+        stencil error, the harmonics past the grid and the slow harmonics
+        left out of them), and the tail's quadrature error and
+        evaluation-noise allowance.
     """
     def raw(k):
         return shifted(k, _RAW)[0]
 
-    k0 = _first_switch(spec, gap, cfg)
-    naxes, bands, shallow, kinds = 1, (), (), {}
-    if cfg is not None and math.isfinite(cfg.width):
-        naxes = 2 if cfg.left == cfg.right else 3
+    k0 = _first_switch(spec, cfg)
+    axes = _phase_axes(cfg)
+    bands, shallow, kinds = (), (), {}
+    if len(axes) > 1:
         bands, shallow = _bands(cfg, k0, kinds)
-    axes = _phase_axes(cfg, naxes)
     # each dense band's bound and mean, built once for both passes
     bounds = [_band_bounds(shifted, cfg, lo, hi) for lo, hi in bands]
 
     def averaged(k):
-        return _phase_average(shifted, k, naxes)
+        return _phase_average(shifted, k, len(axes))
 
     def banded(tol):
         return _banded(raw, [(lo, hi, mean) for (lo, hi), (_, mean, _, _)
@@ -985,27 +1023,21 @@ def _oscillatory_integral(shifted, spec, gap, breakpoints, cfg=None):
 
     _endpoint_check(raw)
 
-    # Cheap magnitude estimate fixing the absolute error budget; its means
-    # are sized to its own target, rel_tol of the bands' size.
+    # The switch point and the signed edge terms of the oscillation there;
+    # the coarse pass below k0 that fixes the absolute error budget sizes
+    # its means to its own target, rel_tol of the bands' size.
     coarse = _coarse(spec)
     size = sum(s for _, _, s, _ in bounds)
-    try:
-        c0, _ = integrate_interval(
-            banded(_mean_tol(max(coarse.abs_tol, coarse.rel_tol * size),
-                             bands)), 0.0, k0, coarse,
-            breakpoints=breakpoints + sum(bands, ()))
-    except NonConvergenceError as exc:
-        c0 = exc.partial if exc.partial is not None else 0.0
-
-    # The switch point and the signed edge terms of the oscillation there
-    K, s_K, e_K, budget = _switch(shifted, spec, gap, cfg, axes,
-                                  _above_edges(shifted, cfg, gap, axes), c0)
+    K, s_K, e_K, budget = _switch(
+        shifted, spec, cfg, axes, _above_edges(shifted, cfg, axes),
+        banded(_mean_tol(max(coarse.abs_tol, coarse.rel_tol * size), bands)),
+        breakpoints + sum(bands, ()))
 
     # Direct adaptive pass below the switch point; the shallow bands, found
     # again up to K where it passed k0 (classifying only the points the k0
     # scan did not), join the dense bands there, and each band adds the
     # bound on the slab oscillation it drops plus its means' allowance.
-    if naxes > 1 and K > k0:
+    if len(axes) > 1 and K > k0:
         shallow = _bands(cfg, K, kinds)[1]
     bands += shallow
     bounds += [_band_bounds(shifted, cfg, lo, hi) for lo, hi in shallow]
@@ -1027,7 +1059,7 @@ def _oscillatory_integral(shifted, spec, gap, breakpoints, cfg=None):
         raise NonConvergenceError(
             "averaged tail past K = %.6g: %s" % (K, exc), partial=val,
             error=err, panels=exc.panels)
-    return val + v - s_K, err + e
+    return val + v + s_K, err + e
 
 
 def _averaged_tail(averaged, K, spec):
@@ -1262,7 +1294,7 @@ def _real_axis(cfg, spec, f):
     with the narrow bound gap modes added to the breakpoints."""
     bks = _breakpoints(cfg.left, cfg.right) + _mode_points(cfg,
                                                            spec.panel_width)
-    return _oscillatory_integral(f, spec, cfg.gap, tuple(sorted(bks)), cfg)
+    return _oscillatory_integral(f, spec, tuple(sorted(bks)), cfg)
 
 
 def _thermal_excess(bracket, beta, spec, breakpoints):
@@ -1405,16 +1437,15 @@ def _tail_dual(cfg, f, k1, spec):
     panels of half the shortest slab period.
 
     Returns ``(deviation, estimate)``: the two routes' difference and the
-    sum of their error estimates, the first's including both ends' edge
-    term errors.  An independent check of the tail past the switch point.
+    sum of their error estimates, the first's including the edge terms'
+    (both ends' and their last order's variation between them).  An
+    independent check of the tail past the switch point.
     """
-    axes = _phase_axes(cfg, 2 if cfg.left == cfg.right else 3)
-    edge_sum = _above_edges(f, cfg, cfg.gap, axes)
-    c0, _ = integrate_interval(
-        lambda k: f(k, _RAW)[0], 0.0, _first_switch(spec, cfg.gap, cfg),
-        _coarse(spec), breakpoints=_breakpoints(cfg.left, cfg.right))
-    K = _switch(f, spec, cfg.gap, cfg, axes, edge_sum, c0)[0]
-    (s0, e0, _), (s1, e1, _) = edge_sum(K), edge_sum(k1)
+    axes = _phase_axes(cfg)
+    edges = _above_edges(f, cfg, axes)
+    K = _switch(f, spec, cfg, axes, edges, lambda k: f(k, _RAW)[0],
+                _breakpoints(cfg.left, cfg.right))[0]
+    dv, de, _ = edges(K, k1)
     v_avg, e_avg = integrate_interval(
         lambda k: _phase_average(f, k, len(axes)), K, k1,
         replace(spec, panel_width=k1 - K))
@@ -1423,7 +1454,7 @@ def _tail_dual(cfg, f, k1, spec):
                               for m in (cfg.left, cfg.right)]),
         max_panels=10 * spec.max_panels)
     v_raw, e_raw = integrate_interval(lambda k: f(k, _RAW)[0], K, k1, fine)
-    return abs(v_avg + s1 - s0 - v_raw), e_avg + e0 + e1 + e_raw
+    return abs(v_avg + dv - v_raw), e_avg + de + e_raw
 
 
 def _ic_parts(cfg, state, spec):
@@ -1770,7 +1801,7 @@ def halfspace_forces(matL, matR, a, beta_left, beta_right, beta_phi, spec):
         return core.halfspace_combined_integrands(k, a, tl, tr, beta_phi,
                                                   beta_phi, beta_phi, offsets)
 
-    f_ic, _ = _oscillatory_integral(f, spec, a, bks,
+    f_ic, _ = _oscillatory_integral(f, spec, bks,
                                     CavityConfig(a, math.inf, matL, matR))
     if beta_left == beta_phi and beta_right == beta_phi:
         return f_ic, 0.0
@@ -1815,21 +1846,16 @@ def band_excess_curve(cfg, omega_center, sigmas, spec):
     windows = [band_edges(FieldState.squeezed_band(sg, omega_center))
                for sg in sigmas]
     top = max([hi for _, hi in windows] + [0.0])
-    naxes = 2 if cfg.left == cfg.right else 3
-    axes = _phase_axes(cfg, naxes)
-    above = _above_edges(f, cfg, cfg.gap, axes)
+    axes = _phase_axes(cfg)
+    above = _above_edges(f, cfg, axes)
     K = top
-    if top > _first_switch(spec, cfg.gap, cfg):
+    if top > _first_switch(spec, cfg):
         try:
-            K = min(top, _switch(f, spec, cfg.gap, cfg, axes, above)[0])
+            K = min(top, _switch(f, spec, cfg, axes, above)[0])
         except NonConvergenceError:
             # no switch point (a slab reflecting without loss): the finite
             # windows stay on the raw integrand
             pass
-
-    def above_edges(x0, x1):
-        (s0, e0, _), (s1, e1, _) = above(x0), above(x1)
-        return s1 - s0, e0 + e1
 
     # the shallow bands are found once, up to K; every strip that overlaps
     # one integrates the mean there, and each window adds the signed edge
@@ -1848,7 +1874,7 @@ def band_excess_curve(cfg, omega_center, sigmas, spec):
                for (b0, b1), (_, mean, _, edges) in zip(bands, built)
                if lo < b1 and b0 < hi]
         if hi > K:
-            out.append((max(K, lo), hi, None, above_edges))
+            out.append((max(K, lo), hi, None, above))
         return out
 
     def strip(lo, hi):
@@ -1862,7 +1888,7 @@ def band_excess_curve(cfg, omega_center, sigmas, spec):
         if hi > K:
             x0 = max(lo, K)
             va, ea = integrate_interval(
-                lambda k: _phase_average(f, k, naxes), x0, hi,
+                lambda k: _phase_average(f, k, len(axes)), x0, hi,
                 replace(spec, panel_width=hi - x0))
             v, e = v + va, e + ea
         return v, e
@@ -1880,7 +1906,7 @@ def band_excess_curve(cfg, omega_center, sigmas, spec):
         prev_lo, prev_hi = lo, hi
         v, e = acc, eacc
         for x0, x1, _, edges in parts(lo, hi):
-            dv, de = edges(x0, x1)
+            dv, de = edges(x0, x1)[:2]
             v, e = v + dv, e + de
         out[i] = (facs[i] * v, facs[i] * e)
     return out

@@ -37,6 +37,7 @@ MILD_R = Material(2.5, 1.5, 1.0)
 FIG = Material(10.0, 10.0, 0.1)
 STATIC = Material(10.0, 10.0, model="static_nd")
 STATIC2 = Material(4.0, 3.0, model="static_nd")
+STATIC3 = Material(1.0, 1.5, model="static_nd")
 VAC_STATIC = Material(1.0, 0.0, model="static_nd")
 VACM = Material(1.0, 0.0)
 UNDAMPED = Material(10.0, 10.0, 0.0)
@@ -345,7 +346,8 @@ def test_halfspace_mismatch_group_matches_two_integral_difference():
         def sh(k, offsets, b1=b1, b2=b2):
             return core.halfspace_combined_integrands(k, a, tl, tr, b1, b2,
                                                       bphi, offsets)
-        parts.append(forces._oscillatory_integral(sh, SPEC6, a, bks))
+        parts.append(forces._oscillatory_integral(
+            sh, SPEC6, bks, CavityConfig(a, math.inf, FIG, FIG)))
     (tot, e_tot), (ic, e_ic) = parts
 
     def g(k):
@@ -525,7 +527,7 @@ def test_diagonal_mean_for_identical_slabs():
         assert any(c != (0.0, 0.0) for c in calls)
         assert all(sl == sr for sl, sr in calls) == diagonal
 
-    # without a cavity only the gap phase is offset
+    # a half-space cavity offsets only the gap phase
     calls = []
     tl, tr = MILD_L.as_tuple(), MILD_R.as_tuple()
 
@@ -534,8 +536,9 @@ def test_diagonal_mean_for_identical_slabs():
         return core.halfspace_combined_integrands(k, 1.0, tl, tr, 10.0,
                                                   10.0, 10.0, offsets)
 
-    forces._oscillatory_integral(half, loose, 1.0,
-                                 forces._breakpoints(MILD_L, MILD_R))
+    forces._oscillatory_integral(half, loose,
+                                 forces._breakpoints(MILD_L, MILD_R),
+                                 CavityConfig(1.0, math.inf, MILD_L, MILD_R))
     assert all(sl == sr == 0.0 for sl, sr, _ in calls)
     assert any(sg != 0.0 for _, _, sg in calls)
 
@@ -874,19 +877,25 @@ def test_fig_switch_point_sits_below_50(monkeypatch):
     (CavityConfig(1.0, 2.0, STATIC, STATIC),
      {(1, 0): 0.3, (0, 1): 0.2, (1, -1): 0.1, (2, 1): 0.05}),
     (CavityConfig(1.0, 2.0, STATIC, STATIC2),
-     {(1, 0, 0): 0.2, (0, 1, -1): 0.1, (1, -1, 1): 0.05, (0, 0, 2): 0.3})],
-    ids=["two-axis", "three-axis"])
+     {(1, 0, 0): 0.2, (0, 1, -1): 0.1, (1, -1, 1): 0.05, (0, 0, 2): 0.3}),
+    (CavityConfig(1.0, 2.0, STATIC3, STATIC3),
+     {(1, 0): 0.3, (0, 1): 0.2, (4, 0): 0.1, (0, 4): 0.1, (4, 1): 0.05})],
+    ids=["two-axis", "three-axis", "kept-by-the-average"])
 def test_edge_terms_match_the_dropped_harmonics(cfg, terms):
     # a mean k^-3 plus harmonics c_j e^{-mu k} cos(j . (phi + s)) on the
     # phase grid (gap and common slab phase of identical slabs; both slab
     # phases and the gap phase of different ones), all linear in k for
-    # static slabs: S(x) is minus their integral over [x, inf),
-    # sum of -c_j Re[e^{(i w_j - mu) x} / (mu - i w_j)], w_j = j . phi'
-    axes = forces._phase_axes(cfg, len(next(iter(terms))))
+    # static slabs: -S(x) is the integral over [x, inf) of the harmonics
+    # the phase average drops, those with an index off the multiples of
+    # _SHIFTS, sum of c_j Re[e^{(i w_j - mu) x} / (mu - i w_j)],
+    # w_j = j . phi'.  STATIC3's phases fall like 0.39 (gap) and 0.29
+    # (slab), so the edge terms sample them past the fourth harmonic,
+    # which the average keeps.
+    axes = forces._phase_axes(cfg)
     mu = 0.1
 
     def f(k, offsets):
-        phases = forces._phases(cfg, cfg.gap, axes, k)[0]
+        phases = forces._phases(cfg, axes, k)[0]
         out = []
         for off in offsets:
             shifted = [p + off[slots[0]] for p, (slots, _) in
@@ -897,16 +906,50 @@ def test_edge_terms_match_the_dropped_harmonics(cfg, terms):
                 for j, c in terms.items()))
         return out
 
-    rates = forces._phases(cfg, cfg.gap, axes, 1.0)[1]
+    rates = forces._phases(cfg, axes, 1.0)[1]
     for x in (20.0, 30.0):
-        exact = 0.0
+        dropped = 0.0
         for j, c in terms.items():
-            w = sum(a * b for a, b in zip(j, rates))
-            exact -= c * (cmath.exp(complex(-mu, w) * x)
-                          / complex(mu, -w)).real
-        s, err, _ = forces._above_edges(f, cfg, cfg.gap, axes)(x)
-        assert abs(s - exact) <= err
-        assert err < 0.02 * abs(exact)
+            if any(i % forces._SHIFTS for i in j):
+                w = sum(a * b for a, b in zip(j, rates))
+                dropped += c * (cmath.exp(complex(-mu, w) * x)
+                                / complex(mu, -w)).real
+        s, err, _ = forces._above_edges(f, cfg, axes)(x)
+        assert abs(s - dropped) <= err
+        assert err < 0.02 * abs(dropped)
+
+
+def test_edge_terms_cover_a_rising_last_order():
+    # one gap harmonic c g(k) cos(w k + s), g = k^4 e^{-mu k}, of a
+    # half-space cavity: at x = 62 its last order sigma_2 = h'' / (i w)^3,
+    # h = c g / 2, is near a zero of g'' and rises to a peak near k = 85
+    # before it falls, so its variation past x, c / w^3 times the variation
+    # of g'', is over five times 2 |sigma_2(x)|; the error of S takes the
+    # variation along the ladder past x and covers it to within the
+    # ladder's sampling of the peak
+    cfg = CavityConfig(1.0, math.inf, VACM, VACM)
+    axes = forces._phase_axes(cfg)
+    mu, c, w, x = 0.1, 1e-4, 2.0, 62.0
+
+    def f(k, offsets):
+        return [k ** -3 + c * k ** 4 * math.exp(-mu * k) * math.cos(w * k + sg)
+                for _, _, sg in offsets]
+
+    def g2(k):
+        return k * k * math.exp(-mu * k) * (12.0 - 8.0 * mu * k
+                                            + (mu * k) ** 2)
+
+    a = complex(-mu, w)
+    dropped = -c * (cmath.exp(a * x) * sum(
+        (-1) ** n * math.factorial(4) / math.factorial(4 - n)
+        * x ** (4 - n) / a ** (n + 1) for n in range(5))).real
+    ks = [x + 0.05 * i for i in range(20000)]
+    variation = c / w ** 3 * sum(abs(g2(k1) - g2(k0))
+                                 for k0, k1 in zip(ks, ks[1:]))
+    s, err, _ = forces._above_edges(f, cfg, axes)(x)
+    assert variation > 5.0 * c * abs(g2(x)) / w ** 3
+    assert abs(s - dropped) <= err
+    assert err >= 0.9 * variation
 
 
 def test_weak_bath_integral_builds_each_dense_band_once(monkeypatch):
@@ -1149,7 +1192,8 @@ def test_failing_tail_names_its_stage():
 
     with pytest.raises(NonConvergenceError,
                        match="averaged tail past K = ") as exc:
-        forces._oscillatory_integral(slow, SPEC6, 1.0, ())
+        forces._oscillatory_integral(slow, SPEC6, (),
+                                     CavityConfig(1.0, math.inf, VACM, VACM))
     assert exc.value.panels <= forces._MAX_TAIL_PANELS
     assert exc.value.partial > 0.0
 
