@@ -33,11 +33,9 @@ from .forces import (
 )
 from .material import (
     Material,
-    damping_transform,
     fd_weight,
     permittivity,
     refractive_index,
-    surface_reflection,
 )
 from .quadrature import (
     QuadratureSpec,
@@ -56,7 +54,7 @@ from .scattering import (
     mode_eval,
     slab_coefficients,
 )
-from .states import FieldState, weight, weight_asymptotics_check
+from .states import FieldState, weight
 from .stress import (
     RegionPoint,
     pressure_difference,
@@ -86,7 +84,6 @@ __all__ = [
     "band_excess_curve",
     "cavity_coefficients",
     "classify_region",
-    "damping_transform",
     "equilibrium_matsubara",
     "fd_weight",
     "force_bath",
@@ -107,10 +104,8 @@ __all__ = [
     "refractive_index",
     "slab_coefficients",
     "slab_mod_integral",
-    "surface_reflection",
     "txx_bath_integrand",
     "txx_ic_integrand",
     "weight",
-    "weight_asymptotics_check",
     "__version__",
 ]

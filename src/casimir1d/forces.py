@@ -45,6 +45,12 @@ is measured at K.  The error of S (its stencil error, the variation of its
 last order along the ladder past K, the harmonics past the grid and the
 slow ones), the tail's quadrature error and its evaluation noise are
 folded into the returned estimate.
+Below K two adaptive passes run: a coarse one over [0, k0] that fixes the
+absolute error budget, then the direct one over [0, K] to that budget.
+They share most of their panels, so within one integral every raw value
+and every sized band mean (keyed on k and its offset count) is computed
+once, and the direct pass calls the kernel only at points the coarse pass
+did not sample.
 Two identical slabs share one slab phase, so their phase average runs over
 the diagonal of common slab offsets times the gap offsets.
 
@@ -582,7 +588,9 @@ def _switch(f, spec, cfg, axes, edges, below=None, breakpoints=()):
     absolute error budget, rel_tol times the scale max(|c0|, k0 |mean(k0)|,
     abs_tol), mean the phase average and c0 the coarse pass of
     ``below(k)`` over [0, k0] with ``breakpoints`` (0 without ``below``).
-    The tail's share is a quarter of the budget.
+    The tail's share is a quarter of the budget.  ``_oscillatory_integral``
+    passes a ``below`` that keeps its raw values and band means, so its
+    direct pass reuses every point of this coarse pass.
 
     The phase average at k0 comes with the harmonics on its grid.  Where
     the first order of each, 2 |h_j / w_j| with w_j = j . phi', doubled for
@@ -840,7 +848,10 @@ def _band_bounds(shifted, comb, lo, hi):
     sums j <= J only.  The mean at k takes the least number n of
     equidistant offsets whose aliased harmonics, at most
     2 C n rho^n / (1 - rho^n)^2 with C the larger amplitude of k's grid
-    step, fit tol / 2.
+    step, fit tol / 2.  Each mean is kept, keyed on (k, n), for the life
+    of the closure: a pass that asks again at the same k and a tolerance
+    that sizes the same n (the direct pass at the coarse pass's nodes)
+    makes no kernel call.
 
     A fourth function, ``edges(x0, x1)``, returns ``(S(x1) - S(x0),
     err)``: the signed edge sum S(x) = sum over j != 0 and m < 3 of
@@ -896,6 +907,10 @@ def _band_bounds(shifted, comb, lo, hi):
         return (max(edge[a0], edge[b0]) + max(edge[a1], edge[b1])
                 + variation[b1] - variation[a0])
 
+    @functools.lru_cache(maxsize=None)
+    def sized(k, n):
+        return sum(shifted(k, _diagonal(_even(n)))) / n
+
     def mean(k, tol):
         i, i1 = cell(k)
         c = max(amps[i], amps[i1])
@@ -903,7 +918,7 @@ def _band_bounds(shifted, comb, lo, hi):
         n = 1
         while 4.0 * c * n * rho ** n > tol * (1.0 - rho ** n) ** 2:
             n += 1
-        return sum(shifted(k, _diagonal(_even(n)))) / n
+        return sized(k, n)
 
     @functools.lru_cache(maxsize=None)
     def edge_sum(x):
@@ -1002,7 +1017,14 @@ def _oscillatory_integral(shifted, spec, breakpoints, cfg):
         stencil error, the harmonics past the grid and the slow harmonics
         left out of them), and the tail's quadrature error and
         evaluation-noise allowance.
+
+    The coarse pass over [0, k0] that fixes the budget and the direct pass
+    over [0, K] share one store of raw values keyed on k, and the band
+    means keep theirs (see ``_band_bounds``), so the direct pass calls the
+    kernel only at points the coarse pass did not sample.  Both stores
+    live only as long as this call.
     """
+    @functools.lru_cache(maxsize=None)
     def raw(k):
         return shifted(k, _RAW)[0]
 
@@ -1033,10 +1055,12 @@ def _oscillatory_integral(shifted, spec, breakpoints, cfg):
         banded(_mean_tol(max(coarse.abs_tol, coarse.rel_tol * size), bands)),
         breakpoints + sum(bands, ()))
 
-    # Direct adaptive pass below the switch point; the shallow bands, found
-    # again up to K where it passed k0 (classifying only the points the k0
-    # scan did not), join the dense bands there, and each band adds the
-    # bound on the slab oscillation it drops plus its means' allowance.
+    # Direct adaptive pass below the switch point, reusing the coarse
+    # pass's raw values and means at the nodes they share; the shallow
+    # bands, found again up to K where it passed k0 (classifying only the
+    # points the k0 scan did not), join the dense bands there, and each
+    # band adds the bound on the slab oscillation it drops plus its means'
+    # allowance.
     if len(axes) > 1 and K > k0:
         shallow = _bands(cfg, K, kinds)[1]
     bands += shallow

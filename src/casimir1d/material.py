@@ -66,15 +66,6 @@ class Material:
         return 1.0 + q * q
 
 
-def damping_transform(material, s):
-    """Laplace-domain oscillator kernel 1/(s^2 + omega0^2 + s gamma0).
-
-    Defined for complex s away from the kernel poles; raises
-    SingularEvaluationError on (numerical) pole hits.
-    """
-    return core.g2_transform(complex(s), material.omega0, material.gamma0)
-
-
 def _check_resonance(material, omega):
     if (not material.static and material.omega_pl > 0.0
             and material.gamma0 == 0.0
@@ -108,12 +99,6 @@ def refractive_index(material, omega):
     if omega >= 0.0:
         return core.refractive_at(-1j * omega, w0, wp, g0, static)
     return core.refractive_at(-1j * (-omega), w0, wp, g0, static).conjugate()
-
-
-def surface_reflection(material, omega):
-    """Fresnel amplitude of the bare interface, (1 - n)/(1 + n)."""
-    n = refractive_index(material, omega)
-    return (1.0 - n) / (1.0 + n)
 
 
 def fd_weight(material, omega):

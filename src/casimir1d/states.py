@@ -100,30 +100,3 @@ def band_edges(state):
     hi = state.omega_center + 0.5 * state.sigma
     return max(lo, 0.0), hi
 
-
-def weight_asymptotics_check(state, sigmas=None):
-    """Scan the in-band weight cosh(2/sigma) over a sigma grid.
-
-    Returns a report dict with the sampled weights and three verdicts:
-    the weight decreases monotonically with sigma, approaches 1 from above
-    for large sigma, and grows without apparent bound for small sigma.
-    """
-    if state.variant != "squeezed_band":
-        raise ValueError("asymptotics check applies to squeezed_band states")
-    if sigmas is None:
-        # log-spaced 0.02 .. 200, enough range to exhibit both asymptotes
-        sigmas = [0.02 * (10.0 ** (4.0 * i / 39.0)) for i in range(40)]
-    sigmas = sorted(float(s) for s in sigmas)
-    if any(s <= 0.0 for s in sigmas):
-        raise ValueError("sigma grid must be positive")
-    weights = [math.cosh(2.0 / s) for s in sigmas]
-    monotone = all(w1 >= w2 for w1, w2 in zip(weights[:-1], weights[1:]))
-    tends_to_one = weights[-1] >= 1.0 and weights[-1] - 1.0 < 1e-3
-    diverges_small = weights[0] > 100.0
-    return {
-        "sigma": sigmas,
-        "weight": weights,
-        "monotone_decreasing": monotone,
-        "tends_to_one": tends_to_one,
-        "diverges_at_zero": diverges_small,
-    }

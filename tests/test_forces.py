@@ -1,6 +1,7 @@
 """Force integrals: dual routes, equilibrium identities, honest refusals."""
 
 import cmath
+import collections
 import json
 import math
 import os
@@ -810,6 +811,7 @@ def test_band_route_follows_the_pole_radius():
         calls.clear()
         mean(0.5 * (lo + hi), 1e-10)
         assert len(calls) == 1
+        _assert_means_reused(mean, 0.5 * (lo + hi), 1e-10, calls)
     # the weak pair's dense bands have pole radii from 0.28 to 0.94, above
     # _RHO_MAX: 32 samples at every grid point, and one call per mean
     f = forces._bath_integrand(WEAK_CFG, math.inf, math.inf)
@@ -825,6 +827,19 @@ def test_band_route_follows_the_pole_radius():
         calls.clear()
         mean(0.5 * (lo + hi), 1e-9)
         assert len(calls) == 1
+        _assert_means_reused(mean, 0.5 * (lo + hi), 1e-9, calls)
+
+
+def _assert_means_reused(mean, k, tol, calls):
+    """After one call ``mean(k, tol)`` recorded in ``calls``: the same mean
+    again costs no kernel call, and one at a tighter tolerance that sizes
+    more offsets costs exactly one."""
+    mean(k, tol)
+    assert len(calls) == 1
+    while len(calls) == 1:
+        tol *= 0.1
+        mean(k, tol)
+    assert len(calls) == 2 and calls[1] > calls[0]
 
 
 def _offset_points(monkeypatch, cfg, spec):
@@ -1054,6 +1069,32 @@ def test_band_excess_strips_are_honest_in_the_shallow_band(sigmas):
 
 NONEQ_CFG = CavityConfig(0.5, 0.4, MILD_L, MILD_R)
 NONEQ_SPEC = QuadratureSpec(rel_tol=1e-8, abs_tol=1e-12)
+
+
+@pytest.mark.parametrize("cfg, spec", [
+    (FIG_CFG, SPEC6), (WEAK_CFG, WEAK_SPEC), (NONEQ_CFG, NONEQ_SPEC)],
+    ids=["fig", "weak", "mild"])
+def test_bath_integral_evaluates_each_point_once(monkeypatch, cfg, spec):
+    # the direct pass below the switch point reuses every raw value and
+    # every sized band mean of the coarse pass, so no kernel call repeats
+    # a (k, offsets) pair; that holds weak Z, whose direct pass repeated
+    # 2,620 of its 8,742 offset points, to at most 6,500
+    seen = collections.Counter()
+    kernel = core.bath_integrands
+
+    def counting(*args):
+        seen[args[0], tuple(args[-1])] += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(core, "bath_integrands", counting)
+    forces._vacuum_bath.cache_clear()
+    try:
+        forces._vacuum_bath(cfg, spec)
+    finally:
+        forces._vacuum_bath.cache_clear()
+    assert seen and max(seen.values()) == 1
+    if cfg is WEAK_CFG:
+        assert sum(len(offsets) for _, offsets in seen) <= 6500
 
 
 def test_mild_bath_integral_offset_points(monkeypatch):

@@ -10,14 +10,25 @@ from casimir1d.errors import ResonanceSingularityError, SingularEvaluationError
 from casimir1d.kernels import core
 from casimir1d.material import (
     Material,
-    damping_transform,
     fd_weight,
     permittivity,
     refractive_index,
-    surface_reflection,
 )
 
 FIG = Material(omega0=10.0, omega_pl=10.0, gamma0=0.1)
+
+
+def damping_transform(material, s):
+    """Laplace-domain oscillator kernel 1/(s^2 + omega0^2 + s gamma0), the
+    kernel the permittivity is built from; raises SingularEvaluationError
+    on (numerical) pole hits."""
+    return core.g2_transform(complex(s), material.omega0, material.gamma0)
+
+
+def surface_reflection(material, omega):
+    """Fresnel amplitude of the bare interface, (1 - n)/(1 + n)."""
+    n = refractive_index(material, omega)
+    return (1.0 - n) / (1.0 + n)
 
 
 def test_validation():
