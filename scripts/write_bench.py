@@ -15,9 +15,15 @@ One traced run (``--trace 1``) per workload and checkout at seed 0 gives the
 per-layer counts, and the tier-1 pytest command runs once per checkout.
 Every metric is recorded as median and quartiles per side, every run is
 kept, and for ``wall_s`` the entry counts the pairs the change won.
+The entry also records each side's size: the physical and the code lines
+of every module of ``src/casimir1d`` and their totals, where code lines
+leave out blank lines, comment-only lines and docstrings (every statement
+that is a bare string).  ``size(tree)`` gives the same count on its own.
 """
 
 import argparse
+import ast
+import io
 import json
 import os
 import platform
@@ -25,6 +31,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tokenize
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("fig_300k", "noneq_mild", "weak_damping", "sweep_docs")
@@ -33,6 +40,9 @@ SECONDS = 10
 TIER1 = [sys.executable, "-m", "pytest", "-q",
          "--continue-on-collection-errors", "-p", "no:cacheprovider"]
 SIDES = ("parent", "change")
+# tokens that do not make a line a code line
+_LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+           tokenize.DEDENT, tokenize.ENDMARKER}
 
 
 def _bench(tree, workload, seed, trace):
@@ -56,6 +66,38 @@ def _tier1(tree):
     return {"wall_s": wall, "summary": lines[-1] if lines else ""}
 
 
+def code_lines(source):
+    """Lines of the Python ``source`` that hold code: every line a token
+    other than a comment or layout covers, less the lines of docstrings."""
+    doc = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Expr) and isinstance(node.value,
+                                                     ast.Constant) \
+                and isinstance(node.value.value, str):
+            doc.update(range(node.lineno, node.end_lineno + 1))
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in _LAYOUT:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines - doc)
+
+
+def size(tree):
+    """``{module: {"physical": n, "code": n}}`` for every module of
+    ``src/casimir1d`` in ``tree``, with their sums under ``"total"``."""
+    pkg = os.path.join(tree, "src", "casimir1d")
+    out = {}
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name), encoding="utf-8") as fh:
+                source = fh.read()
+            out[name] = {"physical": len(source.splitlines()),
+                         "code": code_lines(source)}
+    out["total"] = {k: sum(m[k] for m in out.values())
+                    for k in ("physical", "code")}
+    return out
+
+
 def _summary(values):
     """Median and quartiles (the quartiles need two or more values)."""
     out = {"median": statistics.median(values), "n": len(values)}
@@ -67,7 +109,8 @@ def _summary(values):
 
 def measure(parent):
     trees = {"parent": os.path.abspath(parent), "change": ROOT}
-    entry = {"workloads": {}}
+    entry = {"workloads": {},
+             "size": {side: size(trees[side]) for side in SIDES}}
     for w in WORKLOADS:
         runs = {side: [] for side in SIDES}
         for seed in SEEDS:

@@ -55,13 +55,6 @@ from .scattering import (
     slab_coefficients,
 )
 from .states import FieldState, weight
-from .stress import (
-    RegionPoint,
-    pressure_difference,
-    slab_mod_integral,
-    txx_bath_integrand,
-    txx_ic_integrand,
-)
 
 __version__ = "0.1.0"
 
@@ -76,7 +69,6 @@ __all__ = [
     "NaNIntegrandError",
     "NonConvergenceError",
     "QuadratureSpec",
-    "RegionPoint",
     "RegionUnsupportedError",
     "ResonanceSingularityError",
     "ScatteringSet",
@@ -100,12 +92,8 @@ __all__ = [
     "mode_deriv",
     "mode_eval",
     "permittivity",
-    "pressure_difference",
     "refractive_index",
     "slab_coefficients",
-    "slab_mod_integral",
-    "txx_bath_integrand",
-    "txx_ic_integrand",
     "weight",
     "__version__",
 ]

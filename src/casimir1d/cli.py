@@ -33,7 +33,6 @@ from .material import Material
 from .quadrature import QuadratureSpec
 from .scattering import CavityConfig
 from .states import FieldState
-from .stress import pressure_difference
 
 SCHEMA_VERSION = "2"
 KELVIN_METER = 2.2899e-3
@@ -192,8 +191,7 @@ def load_run_config(path, need_sweep=False):
     kwargs = {}
     if cp.has_section("quadrature"):
         for key, cast in (("rel_tol", float), ("abs_tol", float),
-                          ("panel_width", float), ("tail_threshold", float),
-                          ("max_panels", int)):
+                          ("panel_width", float), ("max_panels", int)):
             if cp.has_option("quadrature", key):
                 kwargs[key] = _get(cp, "quadrature", key, cast)
     try:
@@ -211,10 +209,12 @@ def load_run_config(path, need_sweep=False):
             raise ConfigError("missing required key [sweep] sigma_grid")
         if not omega0_list:
             raise ConfigError("missing required key [sweep] omega0_list")
-        if any(s <= 0.0 for s in sigma_grid) or \
+        if not all(s > 0.0 for s in sigma_grid) or \
                 list(sigma_grid) != sorted(sigma_grid):
             raise ConfigError("[sweep] sigma_grid must be positive and "
                               "ascending")
+        if not all(w > 0.0 for w in omega0_list):
+            raise ConfigError("[sweep] omega0_list must be positive")
 
     return RunConfig(cavity=cavity, state=_state(cp, gap_meters),
                      beta_left=beta_left, beta_right=beta_right, spec=spec,
@@ -257,6 +257,10 @@ def _input_echo(rc):
 
 def cmd_force(rc, out, reproducible):
     """Evaluate the force breakdown for one configuration."""
+    if rc.state.variant == "squeezed_delta":
+        raise ConfigError("the squeezed_delta state has no pointwise "
+                          "weight to integrate; `limits` reports its force "
+                          "density at each [sweep] omega0_list entry")
     res = forces.force_total(rc.cavity, rc.state, rc.beta_left,
                              rc.beta_right, rc.spec)
     attractive = res.total > 0.0
@@ -380,6 +384,8 @@ def cmd_limits(rc, out, reproducible):
 
 def _verify_checks():
     """Canned invariant suite: (name, measured, threshold) triples."""
+    # the stress oracle loads only for the checks that use it
+    from .stress import pressure_difference
     mild_l = Material(3.0, 2.0, 0.5)
     mild_r = Material(2.5, 1.5, 1.0)
     stat_l = Material(10.0, 10.0, model="static_nd")

@@ -110,7 +110,7 @@ import functools
 import math
 import operator
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .errors import (DeltaStateWeightError, NaNIntegrandError,
                      NonConvergenceError)
@@ -232,8 +232,8 @@ class ForceBreakdown:
     ``total`` is always ``ic + bath`` by construction.  ``err_ic`` and
     ``err_bath`` are honest for each part on its own, so each carries the
     error of the zero-temperature bath integral Z; Z cancels from the total,
-    so ``err_total`` carries only its rounding.  ``meta`` echoes the inputs
-    that produced the numbers.
+    so ``err_total`` carries only its rounding.  The inputs are the
+    caller's: the breakdown holds only the six numbers.
     """
 
     ic: float
@@ -242,7 +242,6 @@ class ForceBreakdown:
     err_ic: float
     err_bath: float
     err_total: float
-    meta: dict = field(default_factory=dict)
 
 
 def _absorbing(mat):
@@ -372,6 +371,18 @@ def _index(mat, k):
     return core.refractive_at(-1j * k, *mat.as_tuple())
 
 
+def _surface(mat, d, k, n=None):
+    """``(n, rn, E0)`` of a slab of ``mat`` and width d at real k: its
+    refractive index n (computed when not given), its surface reflection
+    rn = (1 - n) / (1 + n) and its internal transmission
+    E0 = e^{-2 k Im(n) d}, 0 past the exponent 700 and for a half-space
+    (d = inf)."""
+    if n is None:
+        n = _index(mat, k)
+    x = 2.0 * k * n.imag * d
+    return n, (1.0 - n) / (1.0 + n), math.exp(-x) if x < 700.0 else 0.0
+
+
 def _pole_radius(cfg, k, n=None):
     """Decay ratio rho of the slab harmonics of identical slabs at k, from
     their refractive index n there (computed when not given).
@@ -383,12 +394,9 @@ def _pole_radius(cfg, k, n=None):
     poles lie at |z| = 1 / rho_p with rho_p = E0 |rn| |rn -+ u| / |1 -+ rn u|
     and E0 |rn|^2, so the harmonics fall like the largest, rho^j.
     """
-    if n is None:
-        n = _index(cfg.left, k)
-    rn = (1.0 - n) / (1.0 + n)
-    x = 2.0 * k * n.imag * cfg.width
+    _, rn, e0 = _surface(cfg.left, cfg.width, k, n)
     u = cmath.exp(1j * k * cfg.gap)
-    return (math.exp(-x) if x < 700.0 else 0.0) * abs(rn) * max(
+    return e0 * abs(rn) * max(
         abs(rn - u) / abs(1.0 - rn * u), abs(rn + u) / abs(1.0 + rn * u),
         abs(rn))
 
@@ -514,11 +522,8 @@ def _decay_ratios(cfg, axes, k):
     """
     surf = []
     for mat in (cfg.left, cfg.right):
-        n = _index(mat, k)
-        rn = abs((1.0 - n) / (1.0 + n))
-        x = 2.0 * k * n.imag * cfg.width if math.isfinite(cfg.width) \
-            else math.inf
-        e0 = math.exp(-x) if x < 700.0 else 0.0
+        n, rn, e0 = _surface(mat, cfg.width, k)
+        rn = abs(rn)
         surf.append((n, rn, e0, rn * (1.0 + e0) / (1.0 - rn * rn * e0)))
     out = []
     for slots, _ in axes:
@@ -823,12 +828,12 @@ def _tail(c, rho, J):
 
 
 def _band_bounds(shifted, comb, lo, hi):
-    """Bounds on the slab oscillation dropped by integrating the mean over
-    parts of a dense or shallow band [lo, hi] of the identical slabs of
-    ``comb``, the mean itself, its size and the signed edge terms: returns
-    ``(bound, mean, size, edges)``, where ``bound(x0, x1)`` serves
-    lo <= x0 < x1 <= hi, ``mean(k, tol)`` is the slab-phase mean at k
-    inside the band, within ``tol``, ``size`` is the integral of its
+    """The bound on the slab oscillation dropped by integrating the mean
+    over a dense or shallow band [lo, hi] of the identical slabs of
+    ``comb``, the mean itself, its size and the signed edge terms over parts
+    of the band: returns ``(bound, mean, size, edges)``, where ``bound`` is
+    a number for the whole band, ``mean(k, tol)`` is the slab-phase mean at
+    k inside the band, within ``tol``, ``size`` is the integral of its
     modulus over the band by the trapezoid rule on the grid, and ``edges``
     is described below.
 
@@ -838,8 +843,8 @@ def _band_bounds(shifted, comb, lo, hi):
     and Norsett, Proc. R. Soc. A 461, 1383 (2005)).  h_-j is the conjugate
     of h_j, so each |j| counts twice.  The harmonics are sampled once on a
     grid of ``_HARM_GRID`` points per gap period across the band, which
-    resolves their gap-phase variation; between grid points the edge terms
-    take the larger neighbour and the variation covers whole grid steps.
+    resolves their gap-phase variation: the bound takes the edge terms at
+    the band's ends and the variation over every grid step.
 
     Each grid point takes its harmonics and their amplitude C from
     ``_sized_harmonics``.  Where its pole radius is at most ``_RHO_MAX``,
@@ -874,7 +879,7 @@ def _band_bounds(shifted, comb, lo, hi):
                             for k, rho, n in zip(ks, rhos, ns)))
     size = step * (sum(map(abs, h0s)) - 0.5 * (abs(h0s[0]) + abs(h0s[-1])))
     tails = [_tail(c, rho, len(h)) for h, c, rho in zip(harm, amps, rhos)]
-    edge = list(tails)
+    ends = [tails[0], tails[m]]
     jumps = [a + b for a, b in zip(tails, tails[1:])]
     # the last order sigma_2 = w / (i j)^3 of each harmonic at each point
     last = [{} for _ in ks]
@@ -883,9 +888,10 @@ def _band_bounds(shifted, comb, lo, hi):
              for h, r in zip(harm, rates)]
         v = [x / r for x, r in zip(_derivative(u, step), rates)]
         w = [x / r for x, r in zip(_derivative(v, step), rates)]
-        for i in range(m + 1):
-            edge[i] += 2.0 * (abs(u[i]) / j + abs(v[i]) / j ** 2
+        for e, i in enumerate((0, m)):
+            ends[e] += 2.0 * (abs(u[i]) / j + abs(v[i]) / j ** 2
                               + abs(w[i]) / j ** 3)
+        for i in range(m + 1):
             last[i][j,] = w[i] / (1j * j) ** 3
         for i in range(m):
             jumps[i] += 2.0 * abs(w[i + 1] - w[i]) / j ** 3
@@ -900,12 +906,6 @@ def _band_bounds(shifted, comb, lo, hi):
         if abs(t - i) <= 1e-9:
             return i, i
         return int(t), int(t) + 1
-
-    def bound(x0, x1):
-        a0, b0 = cell(x0)
-        a1, b1 = cell(x1)
-        return (max(edge[a0], edge[b0]) + max(edge[a1], edge[b1])
-                + variation[b1] - variation[a0])
 
     @functools.lru_cache(maxsize=None)
     def sized(k, n):
@@ -951,7 +951,7 @@ def _band_bounds(shifted, comb, lo, hi):
             var = (_chord(w0, last[i0]) + variation[i1] - variation[i0]
                    + _chord(last[i1], w1))
         return s1 - s0, var + e0 + e1
-    return bound, mean, size, edges
+    return ends[0] + ends[1] + variation[m], mean, size, edges
 
 
 def _chord(a, b):
@@ -1072,7 +1072,7 @@ def _oscillatory_integral(shifted, spec, breakpoints, cfg):
         banded(tol), 0.0, K, direct, breakpoints=breakpoints + sum(bands, ()))
     err += e_K
     for (lo, hi), (dropped, _, _, _) in zip(bands, bounds):
-        err += dropped(lo, hi) + tol * (hi - lo)
+        err += dropped + tol * (hi - lo)
 
     # Phase-averaged tail less the signed edge terms at K; a failure
     # carries the integral below K
@@ -1116,8 +1116,7 @@ def _rotated_vacuum(cfg, spec, roundtrip):
     the vacuum state force itself.
     """
     a, d = cfg.gap, cfg.width
-    tl = cfg.left.as_tuple()
-    tr = cfg.right.as_tuple()
+    tl, tr = cfg.left.as_tuple(), cfg.right.as_tuple()
 
     def g(kappa):
         w = roundtrip(kappa, a, d, tl, tr)
@@ -1146,10 +1145,7 @@ def _comb(cfg, k):
     """``(clear, depth)`` of the slab comb at k: the slab's internal
     transmission e^{-2 k Im(n) d} and its internal round trip
     |rn^2 E| = |rn|^2 e^{-2 k Im(n) d}."""
-    n = core.refractive_at(-1j * k, *cfg.left.as_tuple())
-    x = 2.0 * k * n.imag * cfg.width
-    rn = (1.0 - n) / (1.0 + n)
-    clear = math.exp(-x) if x < 700.0 else 0.0
+    _, rn, clear = _surface(cfg.left, cfg.width, k)
     return clear, abs(rn) ** 2 * clear
 
 
@@ -1447,7 +1443,7 @@ def _band_dual(cfg, f, lo, hi, spec, window=None):
     bound, mean, _, edges = _band_bounds(f, cfg, lo, hi)
     x0, x1 = window or (lo, hi)
     v_mean, e_mean = integrate_interval(lambda k: mean(k, tol), x0, x1, spec)
-    dv, de = edges(x0, x1) if window else (0.0, bound(lo, hi))
+    dv, de = edges(x0, x1) if window else (0.0, bound)
     e_mean += de + tol * (x1 - x0)
     fine = replace(spec, panel_width=_half_period(cfg, x0))
     v_raw, e_raw = integrate_interval(lambda k: f(k, _RAW)[0], x0, x1, fine)
@@ -1595,7 +1591,7 @@ def force_total(cfg, state, beta_left, beta_right, spec):
         exact by construction.  Z cancels from the total unless constant
         squeezing rescales the state part, so ``err_total`` counts Z's
         error only for the uncancelled fraction, plus a few ulps of |Z| of
-        rounding.  ``meta`` echoes the inputs.
+        rounding.
     """
     scale, (r, er), (z, ez), (x, ex) = _ic_parts(cfg, state, spec)
     (zb, ezb), (y, ey) = _bath_parts(cfg, beta_left, beta_right, spec)
@@ -1603,21 +1599,8 @@ def force_total(cfg, state, beta_left, beta_right, spec):
     f_b = zb + y
     err_total = (scale * (er + ex) + ey + abs(1.0 - scale) * ezb
                  + _CANCEL_ROUNDING * scale * abs(zb))
-    meta = {
-        "gap": cfg.gap,
-        "width": cfg.width,
-        "left": cfg.left.as_tuple(),
-        "right": cfg.right.as_tuple(),
-        "state": state.variant,
-        "state_beta": state.beta,
-        "state_sigma": state.sigma,
-        "state_omega_center": state.omega_center,
-        "state_xi": state.xi,
-        "beta_left": beta_left,
-        "beta_right": beta_right,
-    }
     return ForceBreakdown(f_ic, f_b, f_ic + f_b, scale * (er + ez + ex),
-                          ezb + ey, err_total, meta)
+                          ezb + ey, err_total)
 
 
 def _real_axis_ic(cfg, state, spec):
@@ -1643,27 +1626,12 @@ def _real_axis_bath(cfg, beta_left, beta_right, spec):
     return _real_axis(cfg, spec, _bath_integrand(cfg, beta_left, beta_right))
 
 
-def _ident_bracket(k, a, d, mat):
-    """Reduced state bracket for two identical lossless slabs.
-
-    Equals 2 * [1 - (1 - |r|^4) / |1 - r^2 e^{2ika}|^2] with r the single
-    slab reflection; algebraically identical to the general two-slab form
-    when both slabs share one material and absorb nothing.
-    """
-    r = _slab_refl(k, mat, d)
-    gapf = core.gap_phase(k, a)
-    _, delta = core.cavity_delta(r, r, gapf)
-    p2 = abs(r) ** 2
-    return 2.0 * (1.0 - (1.0 - p2 * p2) / abs(delta) ** 2)
-
-
 def force_dissipationless(cfg, state, spec):
     """State force for non-dispersive lossless slabs, by a separate route.
 
     Uses the unitarity-reduced bracket (transmitted-plus-reflected flux
-    equals one), with the further reduction to a single-reflection form when
-    the two slabs are identical, and assembles the rotated round-trip factor
-    from the direct slab product rather than from the cavity coefficients.
+    equals one) and assembles the rotated round-trip factor from the direct
+    slab product rather than from the cavity coefficients.
     Must agree with ``force_ic`` on the same configuration; keeping the two
     routes separate is the regression check on both.
     """
@@ -1679,12 +1647,8 @@ def force_dissipationless(cfg, state, spec):
 
     vac, evac = _rotated_vacuum(cfg, spec, core.roundtrip_rot_direct)
 
-    if cfg.left == cfg.right:
-        def bracket(k):
-            return _ident_bracket(k, a, d, tl)
-    else:
-        def bracket(k):
-            return core.nodiss_bracket(k, a, d, tl, tr)
+    def bracket(k):
+        return core.nodiss_bracket(k, a, d, tl, tr)
 
     exc, eexc = _state_excess(bracket, eff, spec, ())
     return scale * (vac + exc), scale * (evac + eexc)
@@ -1708,61 +1672,41 @@ def force_delta_squeezed(cfg, omega_center, spec):
 
 
 def lifshitz_matsubara(matL, matR, a, beta, spec):
-    """Equilibrium half-space force as a rotated-axis pole sum.
-
-    Evaluates (8 pi / beta) * sum over l >= 1 of xi_l * w / (1 - w) at the
-    thermal frequencies xi_l = 2 pi l / beta, with w(xi) the product of the
-    two surface reflections at imaginary frequency times exp(-2 xi a).  The
-    normalization follows from closing the equal-temperature real-axis
-    integral in the upper half plane (each pole of coth contributes 2/beta
-    twice, once per sign of k); it is anchored independently by the
-    perfect-mirror zero-temperature limit and cross-checked numerically by
-    the half-space equal-temperature route.
+    """Equilibrium half-space force as a rotated-axis pole sum: the
+    half-space case of ``equilibrium_matsubara``, whose slabs of infinite
+    width reflect like their surfaces, so w(xi) is the product of the two
+    surface reflections at imaginary frequency times exp(-2 xi a).
+    Cross-checked numerically by the half-space equal-temperature route
+    (``halfspace_forces``).
 
     Returns
     -------
     value, err : float
     """
-    if not beta > 0.0:
-        raise ValueError("beta must be positive")
-    if not a > 0.0:
-        raise ValueError("gap must be positive")
-    if matL.omega_pl == 0.0 or matR.omega_pl == 0.0:
-        return 0.0, 0.0
-    tl = matL.as_tuple()
-    tr = matR.as_tuple()
-
-    def g(xi):
-        nL = core.refractive_rot(xi, tl[0], tl[1], tl[2], tl[3])
-        nR = core.refractive_rot(xi, tr[0], tr[1], tr[2], tr[3])
-        rL = (1.0 - nL) / (1.0 + nL)
-        rR = (1.0 - nR) / (1.0 + nR)
-        x = 2.0 * xi * a
-        e = math.exp(-x) if x < 700.0 else 0.0
-        w = rL * rR * e
-        return xi * w / (1.0 - w)
-
-    s, err = matsubara_sum(g, beta, spec)
-    pref = 8.0 * math.pi / beta
-    return pref * s, pref * err
+    return equilibrium_matsubara(CavityConfig(a, math.inf, matL, matR), beta,
+                                 spec)
 
 
 def equilibrium_matsubara(cfg, beta, spec):
-    """Equal-temperature total force on finite-width slabs as a pole sum.
+    """Equal-temperature total force on the slabs as a pole sum.
 
-    Same normalization as ``lifshitz_matsubara`` but with the full
-    finite-width slab reflections in the round-trip factor.  At equilibrium
-    (field and both baths at the same temperature) this must match
+    Evaluates (8 pi / beta) * sum over l >= 1 of xi_l * w / (1 - w) at the
+    thermal frequencies xi_l = 2 pi l / beta, with w(xi) the product of the
+    two slab reflections at imaginary frequency times exp(-2 xi a).  The
+    normalization follows from closing the equal-temperature real-axis
+    integral in the upper half plane (each pole of coth contributes 2/beta
+    twice, once per sign of k); it is anchored independently by the
+    perfect-mirror zero-temperature limit.  At equilibrium (field and both
+    baths at the same temperature) this must match
     ``force_ic + force_bath``; it serves as an independent cross-check of
     the real-axis machinery, since it shares none of its quadrature.
     """
     if not beta > 0.0:
         raise ValueError("beta must be positive")
-    a, d = cfg.gap, cfg.width
-    tl = cfg.left.as_tuple()
-    tr = cfg.right.as_tuple()
     if cfg.left.omega_pl == 0.0 and cfg.right.omega_pl == 0.0:
         return 0.0, 0.0
+    a, d = cfg.gap, cfg.width
+    tl, tr = cfg.left.as_tuple(), cfg.right.as_tuple()
 
     def g(xi):
         w = core.roundtrip_rot_direct(xi, a, d, tl, tr)
@@ -1812,21 +1756,18 @@ def halfspace_forces(matL, matR, a, beta_left, beta_right, beta_phi, spec):
                 "half-space %s material does not absorb; the free-field "
                 "pressure term is uncompensated and the state integral "
                 "diverges" % side, partial=None, error=math.inf, panels=0)
-    if not a > 0.0:
-        raise ValueError("gap must be positive")
+    cfg = CavityConfig(a, math.inf, matL, matR)
     for b in (beta_left, beta_right, beta_phi):
         if not b > 0.0:
             raise ValueError("inverse temperatures must be positive")
-    tl = matL.as_tuple()
-    tr = matR.as_tuple()
+    tl, tr = matL.as_tuple(), matR.as_tuple()
     bks = _breakpoints(matL, matR)
 
     def f(k, offsets):
         return core.halfspace_combined_integrands(k, a, tl, tr, beta_phi,
                                                   beta_phi, beta_phi, offsets)
 
-    f_ic, _ = _oscillatory_integral(f, spec, bks,
-                                    CavityConfig(a, math.inf, matL, matR))
+    f_ic, _ = _oscillatory_integral(f, spec, bks, cfg)
     if beta_left == beta_phi and beta_right == beta_phi:
         return f_ic, 0.0
 

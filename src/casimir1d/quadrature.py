@@ -45,6 +45,9 @@ _WG = (
 )
 
 _EPS = 2.220446049250313e-16
+# A marched panel or a summed term counts as negligible below this fraction
+# of the accumulated value (abs_tol floor); three in a row end the march.
+_TAIL_THRESHOLD = 1e-12
 
 
 @dataclass(frozen=True)
@@ -59,7 +62,6 @@ class QuadratureSpec:
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
     panel_width: float = math.pi / 2.0
-    tail_threshold: float = 1e-12
     max_panels: int = 100000
 
     def __post_init__(self):
@@ -67,8 +69,6 @@ class QuadratureSpec:
             raise ValueError("tolerances must be positive")
         if not self.panel_width > 0.0:
             raise ValueError("panel_width must be positive")
-        if not self.tail_threshold > 0.0:
-            raise ValueError("tail_threshold must be positive")
         if self.max_panels < 1:
             raise ValueError("max_panels must be at least 1")
 
@@ -145,7 +145,7 @@ def integrate_semiinfinite(f, spec, lower=0.0):
     """Integrate f over (lower, infinity) -> (value, err_estimate).
 
     Marches panels of spec.panel_width from ``lower`` until three consecutive
-    panel contributions fall below tail_threshold * |accumulated| (with an
+    panel contributions fall below _TAIL_THRESHOLD * |accumulated| (with an
     abs_tol floor so the identically-zero integrand terminates), estimates
     the discarded tail from the last panels, then refines the worst panels
     adaptively until the combined error estimate meets the tolerances.
@@ -180,7 +180,7 @@ def integrate_semiinfinite(f, spec, lower=0.0):
         err_sum += perr
         n_panels += 1
         last3[n_panels % 3] = abs(val)
-        if abs(val) <= spec.tail_threshold * max(abs(acc), spec.abs_tol):
+        if abs(val) <= _TAIL_THRESHOLD * max(abs(acc), spec.abs_tol):
             small_run += 1
         else:
             small_run = 0
@@ -255,7 +255,7 @@ def integrate_interval(f, lo, hi, spec, breakpoints=()):
 def matsubara_sum(g, beta, spec):
     """Sum g over xi_l = 2*pi*l/beta, l = 1, 2, ... -> (value, err_estimate).
 
-    Stops once |term| <= tail_threshold * |accumulated| (abs_tol floor) for
+    Stops once |term| <= _TAIL_THRESHOLD * |accumulated| (abs_tol floor) for
     three consecutive terms; the reported error l_stop * |last term| is an
     integral-test bound that stays honest even for slowly (power-law)
     decaying summands.
@@ -278,7 +278,7 @@ def matsubara_sum(g, beta, spec):
         if not math.isfinite(t):
             raise NaNIntegrandError(xi)
         acc += t
-        if abs(t) <= max(spec.abs_tol, spec.tail_threshold * abs(acc)):
+        if abs(t) <= max(spec.abs_tol, _TAIL_THRESHOLD * abs(acc)):
             small_run += 1
         else:
             small_run = 0

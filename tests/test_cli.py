@@ -1,6 +1,9 @@
 """CLI: config parsing, exit codes, CSV schema and determinism."""
 
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -214,6 +217,55 @@ SWEEP_BODY = STATIC_BODY.replace(
     "[quadrature]",
     "[state]\nvariant = thermal\nbeta = 5.0\n\n[quadrature]") \
     + "\n[sweep]\nsigma_grid = 0.001 0.5 1.0\nomega0_list = 3.0\n"
+
+
+def test_force_rejects_the_delta_state_and_points_to_limits(tmp_path,
+                                                           capsys):
+    # the delta-band state has no pointwise weight, so no force integral;
+    # limits reports its force density at each band center instead
+    body = STATIC_BODY.replace(
+        "[quadrature]", "[state]\nvariant = squeezed_delta\n"
+        "omega_center = 3.0\n\n[quadrature]") \
+        + "\n[sweep]\nomega0_list = 3.0\n"
+    cfg = write(tmp_path, body)
+    assert main(["force", "--config", cfg]) == EXIT_CONFIG
+    assert "limits" in capsys.readouterr().err
+    out = tmp_path / "limits.csv"
+    assert main(["limits", "--config", cfg, "--out", str(out),
+                 "--reproducible"]) == EXIT_OK
+    row = {r["limit"]: r for r in read_rows(out)[1]}["delta_squeezed@3"]
+    assert row["flags"] == "" and math.isfinite(float(row["value"]))
+
+
+@pytest.mark.parametrize("line", [
+    "omega0_list = -5.0", "omega0_list = 0", "omega0_list = 3.0 0",
+    "omega0_list = nan", "sigma_grid = nan"])
+def test_sweep_rejects_grid_values_that_are_not_positive(
+        tmp_path, monkeypatch, capsys, line):
+    # refused while parsing, before the three cavity-wide integrals run
+    def unexpected(*args):
+        raise AssertionError("a force integral ran")
+
+    monkeypatch.setattr(forces, "force_ic", unexpected)
+    key = line.split()[0]
+    body = "\n".join(line if ln.startswith(key + " =") else ln
+                     for ln in SWEEP_BODY.splitlines())
+    cfg = write(tmp_path, body)
+    with pytest.raises(ConfigError):
+        load_run_config(cfg, need_sweep=True)
+    assert main(["sweep-sigma", "--config", cfg]) == EXIT_CONFIG
+    assert key in capsys.readouterr().err
+
+
+def test_import_leaves_the_stress_oracle_unloaded():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import sys, casimir1d, casimir1d.cli; "
+            "print('casimir1d.stress' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_sweep_sigma_rows_and_cell_isolation(tmp_path):

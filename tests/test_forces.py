@@ -61,7 +61,6 @@ def test_breakdown_is_frozen_and_additive():
     assert out.err_ic >= 0.0 and out.err_bath >= 0.0
     # the zero-temperature bath integral cancels from the total
     assert 0.0 < out.err_total < min(out.err_ic, out.err_bath)
-    assert out.meta["gap"] == CFG.gap and out.meta["width"] == CFG.width
     with pytest.raises(FrozenInstanceError):
         out.total = 0.0
 
@@ -314,6 +313,14 @@ def test_lifshitz_trivial_and_beta_doubling():
         / (1600.0 ** 2 - 800.0 ** 2)
     # frozen against the independently rotated zero-temperature integral
     assert t0 == pytest.approx(0.029021400056, rel=1e-8)
+
+
+def test_equilibrium_sum_on_half_spaces_is_the_lifshitz_sum():
+    # slabs of infinite width reflect like their surfaces; the value is the
+    # surface-reflection pole sum that lifshitz_matsubara evaluated on its own
+    cfg = CavityConfig(1.0, math.inf, FIG, FIG)
+    assert equilibrium_matsubara(cfg, 10.0, SPEC6)[0] == pytest.approx(
+        0.02534697694167194, rel=1e-12)
 
 
 def test_halfspace_equal_temperatures_match_lifshitz():
@@ -660,7 +667,7 @@ def test_real_axis_error_carries_both_shallow_band_bounds(monkeypatch):
     z, ez = forces._real_axis(FIG_CFG, SPEC6, bath)
     bounds = forces._band_bounds
     monkeypatch.setattr(forces, "_band_bounds", lambda *args: (
-        (lambda x0, x1: 1.0,) + bounds(*args)[1:]))
+        (1.0,) + bounds(*args)[1:]))
     z1, ez1 = forces._real_axis(FIG_CFG, SPEC6, bath)
     assert z1 == z
     assert ez1 - ez == pytest.approx(2.0, abs=1e-4)
@@ -720,7 +727,7 @@ def test_shallow_bound_counts_both_signs_of_each_harmonic():
     lo = forces._bands(FIG_CFG, 30.0)[1][-1][0]
     dev, _ = forces._band_dual(FIG_CFG, f, lo, 30.0, SPEC6)
     bound = forces._band_bounds(f, FIG_CFG, lo, 30.0)[0]
-    assert dev > 0.5 * bound(lo, 30.0)
+    assert dev > 0.5 * bound
 
 
 def _both_integrands(cfg):
