@@ -19,6 +19,12 @@ The entry also records each side's size: the physical and the code lines
 of every module of ``src/casimir1d`` and their totals, where code lines
 leave out blank lines, comment-only lines and docstrings (every statement
 that is a bare string).  ``size(tree)`` gives the same count on its own.
+Each side's ``outputs`` hold the repr of what the program computes, so a
+change meant to keep every number can show that it did: ``force_total``
+on the four workload configurations at seed 0, the docs sigma ladder
+(``band_excess_curve``), the ``sweep-sigma --reproducible`` CSV of the docs
+INI and the ``verify`` rows.  ``outputs(tree)`` gives them on their own; the
+entry lists the names whose repr differs between the sides.
 """
 
 import argparse
@@ -98,6 +104,53 @@ def size(tree):
     return out
 
 
+# Run in a checkout's root with its src on the path; prints the outputs as
+# one JSON object of reprs.
+_OUTPUTS = r"""
+import contextlib, io, json, os, sys, tempfile
+sys.path.insert(0, "perfbench")
+import workloads as W
+from casimir1d import cli, forces
+from casimir1d.states import FieldState
+
+b = W.BETA_300K
+rc = cli.load_run_config(W.SWEEP_INI, need_sweep=True)
+out = {
+    "fig_300k": forces.force_total(W.FIG_CFG, FieldState.thermal(b), b, b,
+                                   W.FIG_SPEC),
+    "noneq_mild": [forces.force_total(
+        W.NONEQ_CFG, FieldState.thermal(W.NONEQ_BETA_STATE), bl, br,
+        W.NONEQ_SPEC) for bl, br in (W.NONEQ_BATHS, W.NONEQ_BATHS[::-1])],
+    "weak_damping": forces.force_total(W.WEAK_CFG, FieldState.thermal(b), b,
+                                       b, W.WEAK_SPEC),
+    "sweep_docs": forces.force_total(rc.cavity, rc.state, rc.beta_left,
+                                     rc.beta_right, rc.spec),
+    "docs_ladder": [forces.band_excess_curve(rc.cavity, w, rc.sigma_grid,
+                                             rc.spec)
+                    for w in rc.omega0_list],
+    "verify": cli._verify_checks(),
+}
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "sweep.csv")
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(["sweep-sigma", "--config", W.SWEEP_INI, "--out", path,
+                  "--reproducible"])
+    with open(path, encoding="utf-8") as fh:
+        out["sweep_csv"] = fh.read()
+print(json.dumps({k: repr(v) for k, v in out.items()}))
+"""
+
+
+def outputs(tree):
+    """``{name: repr}`` of the program's outputs in ``tree`` (see the
+    module docstring)."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    proc = subprocess.run([sys.executable, "-c", _OUTPUTS], cwd=tree,
+                          capture_output=True, text=True, env=env,
+                          check=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
 def _summary(values):
     """Median and quartiles (the quartiles need two or more values)."""
     out = {"median": statistics.median(values), "n": len(values)}
@@ -138,6 +191,11 @@ def measure(parent):
                                  "pairs": len(SEEDS),
                                  "traced_seed0": traced, "runs": runs}
     entry["tier1"] = {side: _tier1(trees[side]) for side in SIDES}
+    out = {side: outputs(trees[side]) for side in SIDES}
+    out["differ"] = sorted(k for k in out["parent"]
+                           if out["parent"][k] != out["change"].get(k))
+    out["match"] = not out["differ"]
+    entry["outputs"] = out
     return entry
 
 

@@ -312,57 +312,20 @@ def refractive_rot(kappa, omega0, omega_pl, gamma0, static):
     return sqrt(1.0 + omega_pl * omega_pl / den)
 
 
-def slab_rt_rot(kappa, n, d):
-    """Slab reflection/transmission pair at s = kappa (both real).
-
-    Returns (r, tau) with tau = t*exp(kappa d); |E| <= 1 and n >= 1 keep all
-    exponents non-positive, so the evaluation never overflows.
-    """
+def slab_r_rot(kappa, n, d):
+    """Slab reflection at s = kappa (real); |E| <= 1 and n >= 1 keep the
+    exponent non-positive, so the evaluation never overflows."""
     rn = (1.0 - n) / (1.0 + n)
     E = exp(-2.0 * kappa * n * d)
-    F = 1.0 - rn * rn * E
-    r = rn * (1.0 - E) / F
-    tau = (4.0 * n / ((1.0 + n) * (1.0 + n))) * exp(kappa * d * (1.0 - n)) / F
-    return r, tau
+    return rn * (1.0 - E) / (1.0 - rn * rn * E)
 
 
 def roundtrip_rot_direct(kappa, a, d, matL, matR):
     """Cavity round-trip factor w = rL rR e^{-2 kappa a} from slab formulas."""
     nL = refractive_rot(kappa, matL[0], matL[1], matL[2], matL[3])
     nR = refractive_rot(kappa, matR[0], matR[1], matR[2], matR[3])
-    rL, _ = slab_rt_rot(kappa, nL, d)
-    rR, _ = slab_rt_rot(kappa, nR, d)
-    return rL * rR * exp(-2.0 * kappa * a)
-
-
-def roundtrip_rot_cavity(kappa, a, d, matL, matR):
-    """Round-trip factor extracted from assembled cavity coefficients.
-
-    Builds the gap coefficients C>, D>, C<, D< at s = kappa and returns
-    (D>/C>)(D</C<); algebraically equal to roundtrip_rot_direct but follows
-    the full coefficient-assembly arithmetic path.
-    """
-    nL = refractive_rot(kappa, matL[0], matL[1], matL[2], matL[3])
-    nR = refractive_rot(kappa, matR[0], matR[1], matR[2], matR[3])
-    rL, tauL = slab_rt_rot(kappa, nL, d)
-    rR, tauR = slab_rt_rot(kappa, nR, d)
-    gap = exp(-2.0 * kappa * a)
-    w = rL * rR * gap
-    delta = 1.0 - w
-    if abs(delta) < DELTA_FLOOR:
-        raise CavityResonanceError("rotated round-trip denominator vanished")
-    eha = exp(-kappa * a)
-    if tauL < 1e-280 or tauR < 1e-280:
-        # numerically opaque slab: the transmission cancels from the
-        # coefficient ratios, which limit to the bare reflection product;
-        # below this threshold tau is subnormal-bound and the ratio
-        # arithmetic would round to garbage
-        return (rR * eha) * (rL * eha)
-    cg = tauL / delta
-    dg = rR * eha * tauL / delta
-    cl = tauR / delta
-    dl = rL * eha * tauR / delta
-    return (dg / cg) * (dl / cl)
+    return slab_r_rot(kappa, nL, d) * slab_r_rot(kappa, nR, d) * exp(
+        -2.0 * kappa * a)
 
 
 def nodiss_bracket(omega, a, d, matL, matR):
@@ -393,10 +356,16 @@ def _surface_refl(omega, mat):
 
 def halfspace_combined_integrands(k, a, matL, matR, betaL, betaR, beta_phi,
                                   offsets):
-    """``halfspace_combined_integrand`` at k for each ``(sL, sR, sG)`` of
-    ``offsets``, as a list.  Half-spaces have no slab phase: only sG acts,
+    """Summed (state + bath) half-space integrand at k, stable at large k,
+    for each ``(sL, sR, sG)`` of ``offsets``, as a list.
+
+    Algebraically equal to k coth(beta_phi k/2)(1+|rnL|^2) plus the bath
+    integrand, but grouped so the large-k cancellation is explicit:
+    4 k coth_phi [|w|^2 - Re w]/|Delta|^2 plus exponentially small
+    coth-difference terms.  Half-spaces have no slab phase: only sG acts,
     and the surface reflections and occupations are shared across the
-    offsets."""
+    offsets.
+    """
     rnL = _surface_refl(k, matL)
     rnR = _surface_refl(k, matR)
     pL = abs(rnL) ** 2
@@ -414,19 +383,6 @@ def halfspace_combined_integrands(k, a, matL, matR, betaL, betaR, beta_phi,
     return out
 
 
-def halfspace_combined_integrand(k, a, matL, matR, betaL, betaR, beta_phi,
-                                 sG=0.0):
-    """Summed (state + bath) half-space integrand, stable at large k.
-
-    Algebraically equal to k coth(beta_phi k/2)(1+|rnL|^2) plus the bath
-    integrand, but grouped so the large-k cancellation is explicit:
-    4 k coth_phi [|w|^2 - Re w]/|Delta|^2 plus exponentially small
-    coth-difference terms.
-    """
-    return halfspace_combined_integrands(k, a, matL, matR, betaL, betaR,
-                                         beta_phi, ((0.0, 0.0, sG),))[0]
-
-
 def _halfspace_mismatch(k, pL, pR, d2, dL, dR):
     """Coth-difference terms of the half-space integrand: the baths' excess
     dL, dR over the field-state weight coth(beta_phi k/2)."""
@@ -439,7 +395,7 @@ def _halfspace_mismatch(k, pL, pR, d2, dL, dR):
 
 
 def halfspace_mismatch_integrand(k, a, matL, matR, betaL, betaR, beta_phi):
-    """Bath-mismatch group of halfspace_combined_integrand: its terms with
+    """Bath-mismatch group of halfspace_combined_integrands: its terms with
     coth(beta k/2) - coth(beta_phi k/2), which decay exponentially."""
     rnL = _surface_refl(k, matL)
     rnR = _surface_refl(k, matR)

@@ -260,7 +260,7 @@ def cmd_force(rc, out, reproducible):
     if rc.state.variant == "squeezed_delta":
         raise ConfigError("the squeezed_delta state has no pointwise "
                           "weight to integrate; `limits` reports its force "
-                          "density at each [sweep] omega0_list entry")
+                          "density at its omega_center")
     res = forces.force_total(rc.cavity, rc.state, rc.beta_left,
                              rc.beta_right, rc.spec)
     attractive = res.total > 0.0
@@ -371,9 +371,13 @@ def cmd_limits(rc, out, reproducible):
                                         beta, beta, spec))
     add("dissipationless",
         lambda: forces.force_dissipationless(cav, rc.state, spec))
-    for omega0 in rc.omega0_list:
+    centers = list(rc.omega0_list)
+    if rc.state.variant == "squeezed_delta" and \
+            rc.state.omega_center not in centers:
+        centers.append(rc.state.omega_center)
+    for omega0 in centers:
         add("delta_squeezed@%g" % omega0,
-            lambda w=omega0: (forces.force_delta_squeezed(cav, w, spec), 0.0))
+            lambda w=omega0: (forces.force_delta_squeezed(cav, w), 0.0))
     for row in rows:
         print("%-28s beta=%-10s value=%-24s err=%-12s %s"
               % (row[1], _fmt(row[2]), _fmt(row[3]), _fmt(row[4]), row[5]))
@@ -401,10 +405,14 @@ def _verify_checks():
                    max(abs(fb[0]), abs(fb[1]), dev_b_nd), 0.0))
     checks.append(("stress_oracle_dissipationless_ic", dev_ic_nd, 1e-8))
 
-    f_rot, _ = forces.force_dissipationless(cfg_nd, FieldState.vacuum(), spec)
-    f_cav, _ = forces.force_ic(cfg_nd, FieldState.vacuum(), spec)
+    # both routes share R; the thermal excess integrates the full state
+    # bracket in force_ic and the unitarity-reduced one in
+    # force_dissipationless
+    th = FieldState.thermal(4.0)
+    f_red, _ = forces.force_dissipationless(cfg_nd, th, spec)
+    f_full, _ = forces.force_ic(cfg_nd, th, spec)
     checks.append(("ic_dual_route_dissipationless",
-                   abs(f_cav - f_rot) / abs(f_rot), 1e-8))
+                   abs(f_full - f_red) / abs(f_red), 1e-8))
 
     # gap 0.5 keeps the state/bath cancellation amplification of the
     # real-axis route near 7e2, so the 1e-6 agreements with it are honestly

@@ -99,10 +99,11 @@ edge terms of every harmonic, as the tail does.
 
 Undamped slabs leave the real-axis tail undamped, so no classical improper
 integral exists there; only the rotated R and the absolutely convergent
-excesses are used for them.  The dissipationless entry point builds the
-rotated round-trip factor through different arithmetic (direct slab product
-versus extraction from the assembled cavity coefficients) so it remains an
-independent check of ``force_ic``.
+excesses are used for them.  R has one route, the direct slab product on
+the imaginary axis, which ``equilibrium_matsubara`` samples too.  The
+dissipationless entry point shares it and integrates the state excess with
+the unitarity-reduced bracket instead of the full one, so its excess
+remains an independent check of ``force_ic`` at every non-vacuum state.
 """
 
 import cmath
@@ -327,20 +328,6 @@ def _phase_grid(naxes):
 _PHASE_GRIDS = {n: _phase_grid(n) for n in (1, 2, 3)}
 
 
-def _phase_mean(vals, naxes):
-    """Mean of the integrand values on ``_PHASE_GRIDS[naxes]``."""
-    tot = 0.0
-    if naxes == 2:
-        # the diagonal is summed per gap offset first; this order fixes the
-        # rounding of the mean
-        for i in range(0, len(vals), _SHIFTS):
-            tot += sum(vals[i:i + _SHIFTS])
-    else:
-        for v in vals:
-            tot += v
-    return tot / float(len(vals))
-
-
 def _phase_average(shifted, k, naxes):
     """Discrete mean of the integrand over offsets of its oscillation phases.
 
@@ -348,7 +335,8 @@ def _phase_average(shifted, k, naxes):
     offset triple (sL, sR, sG) on the left-slab, right-slab and gap phases;
     ``naxes`` is as in ``_phase_grid``.
     """
-    return _phase_mean(shifted(k, _PHASE_GRIDS[naxes]), naxes)
+    vals = shifted(k, _PHASE_GRIDS[naxes])
+    return sum(vals) / len(vals)
 
 
 def _harmonics(shifted, comb, k, n, index=None):
@@ -619,8 +607,7 @@ def _switch(f, spec, cfg, axes, edges, below=None, breakpoints=()):
         except NonConvergenceError as exc:
             c0 = exc.partial if exc.partial is not None else 0.0
     vals = f(k0, _PHASE_GRIDS[len(axes)])
-    scale = max(abs(c0), abs(_phase_mean(vals, len(axes))) * k0,
-                spec.abs_tol)
+    scale = max(abs(c0), abs(sum(vals) / len(vals)) * k0, spec.abs_tol)
     budget = max(spec.abs_tol, spec.rel_tol * scale)
     share = 0.25 * budget
     harm = _dft(vals, (_SHIFTS,) * len(axes))
@@ -1106,20 +1093,21 @@ def _averaged_tail(averaged, K, spec):
     return v, e + 0.5 * _NOISE_EPS * (deep * deep - K * K)
 
 
-def _rotated_vacuum(cfg, spec, roundtrip):
+def _rotated_vacuum(cfg, spec):
     """Zero-temperature total force by rotation onto the imaginary axis.
 
     Equals 4 * integral over kappa of kappa * w / (1 - w) with w the real
-    rotated round-trip factor supplied by ``roundtrip``; the integrand
-    decays like exp(-2 kappa gap), so the standard marching quadrature
-    terminates on its own.  For lossless pairs there is no bath and this is
-    the vacuum state force itself.
+    rotated round-trip factor rL rR e^{-2 kappa gap}; the integrand decays
+    like exp(-2 kappa gap), so the standard marching quadrature terminates
+    on its own.  On this axis 0 <= w < 1 (w(0) = 0), so 1 - w never
+    vanishes.  For lossless pairs there is no bath and this is the vacuum
+    state force itself.
     """
     a, d = cfg.gap, cfg.width
     tl, tr = cfg.left.as_tuple(), cfg.right.as_tuple()
 
     def g(kappa):
-        w = roundtrip(kappa, a, d, tl, tr)
+        w = core.roundtrip_rot_direct(kappa, a, d, tl, tr)
         return 4.0 * kappa * w / (1.0 - w)
 
     s = replace(spec, panel_width=min(spec.panel_width, 0.5 / a))
@@ -1489,7 +1477,7 @@ def _ic_parts(cfg, state, spec):
     if L.omega_pl == 0.0 and R.omega_pl == 0.0:
         return scale, _ZERO, _ZERO, _ZERO
     absorbing = _absorbing(L) or _absorbing(R)
-    rot = _rotated_vacuum(cfg, spec, core.roundtrip_rot_cavity)
+    rot = _rotated_vacuum(cfg, spec)
     if not absorbing and eff.variant != "vacuum" and (
             _undamped_dispersive(L) or _undamped_dispersive(R)):
         raise NonConvergenceError(
@@ -1627,13 +1615,14 @@ def _real_axis_bath(cfg, beta_left, beta_right, spec):
 
 
 def force_dissipationless(cfg, state, spec):
-    """State force for non-dispersive lossless slabs, by a separate route.
+    """State force for non-dispersive lossless slabs, by a separate excess.
 
-    Uses the unitarity-reduced bracket (transmitted-plus-reflected flux
-    equals one) and assembles the rotated round-trip factor from the direct
-    slab product rather than from the cavity coefficients.
-    Must agree with ``force_ic`` on the same configuration; keeping the two
-    routes separate is the regression check on both.
+    Shares the rotated zero-temperature total R with ``force_ic`` and
+    integrates the state excess with the unitarity-reduced bracket
+    (transmitted-plus-reflected flux equals one) instead of the full state
+    bracket.  Must agree with ``force_ic`` on the same configuration and a
+    non-vacuum state; the two brackets are the regression check on each
+    other.
     """
     L, R = cfg.left, cfg.right
     if not (L.static and R.static):
@@ -1645,7 +1634,7 @@ def force_dissipationless(cfg, state, spec):
         return 0.0, 0.0
     tl, tr = L.as_tuple(), R.as_tuple()
 
-    vac, evac = _rotated_vacuum(cfg, spec, core.roundtrip_rot_direct)
+    vac, evac = _rotated_vacuum(cfg, spec)
 
     def bracket(k):
         return core.nodiss_bracket(k, a, d, tl, tr)
@@ -1654,7 +1643,7 @@ def force_dissipationless(cfg, state, spec):
     return scale * (vac + exc), scale * (evac + eexc)
 
 
-def force_delta_squeezed(cfg, omega_center, spec):
+def force_delta_squeezed(cfg, omega_center):
     """Force density of the delta-band squeezed state at its center mode.
 
     The delta-band limit concentrates all excess weight on the single mode
@@ -1663,8 +1652,8 @@ def force_delta_squeezed(cfg, omega_center, spec):
     wavenumber rather than an integrated inverse-square-gap force.  The
     finite-band state at small width does not reduce to this value because
     its in-band weight grows faster than the window shrinks; the two
-    normalizations are intentionally different.  ``spec`` is accepted for
-    signature uniformity; the evaluation is pointwise.
+    normalizations are intentionally different.  The evaluation is
+    pointwise, so it takes no quadrature spec.
     """
     if not omega_center > 0.0:
         raise ValueError("omega_center must be positive")

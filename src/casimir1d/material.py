@@ -59,12 +59,6 @@ class Material:
         """Kernel-facing parameter tuple (omega0, omega_pl, gamma0, static)."""
         return (self.omega0, self.omega_pl, self.gamma0, self.static)
 
-    @property
-    def eps_static(self):
-        """Zero-frequency permittivity 1 + (omega_pl/omega0)^2."""
-        q = self.omega_pl / self.omega0
-        return 1.0 + q * q
-
 
 def _check_resonance(material, omega):
     if (not material.static and material.omega_pl > 0.0

@@ -118,14 +118,25 @@ def _panel(f, lo, hi):
     return value, err
 
 
-def _refine(heap, acc, err_sum, f, spec, n_panels, tol_of):
-    """Split worst panels until err_sum <= tol_of(acc) or budget runs out.
+def _refine(heap, acc, err_sum, f, spec, n_panels, trunc=0.0):
+    """Split the worst panels until err_sum meets the tolerance
+    max(abs_tol, rel_tol |acc|) -> (value, err_sum + trunc).
 
-    Returns (acc, err_sum, n_panels, converged).
+    ``trunc`` is an error the panels do not hold (a truncated tail); it
+    joins the result but not the stopping test.
+
+    Raises
+    ------
+    NonConvergenceError
+        If the heap empties or max_panels is reached first; carries the
+        partial value and error.
     """
-    while err_sum > tol_of(acc):
+    while err_sum > max(spec.abs_tol, spec.rel_tol * abs(acc)):
         if not heap or n_panels >= spec.max_panels:
-            return acc, err_sum, n_panels, False
+            raise NonConvergenceError(
+                "tolerance not reached after %d panels (err %.3e)"
+                % (n_panels, err_sum + trunc),
+                partial=acc, error=err_sum + trunc, panels=n_panels)
         neg_err, lo, hi, val, perr = heapq.heappop(heap)
         if perr <= 0.0 or hi - lo <= 16.0 * _EPS * max(abs(lo), 1.0):
             # nothing left to gain by splitting this panel
@@ -138,7 +149,7 @@ def _refine(heap, acc, err_sum, f, spec, n_panels, tol_of):
         n_panels += 1
         heapq.heappush(heap, (-e1, lo, mid, v1, e1))
         heapq.heappush(heap, (-e2, mid, hi, v2, e2))
-    return acc, err_sum, n_panels, True
+    return acc, err_sum + trunc
 
 
 def integrate_semiinfinite(f, spec, lower=0.0):
@@ -148,7 +159,7 @@ def integrate_semiinfinite(f, spec, lower=0.0):
     panel contributions fall below _TAIL_THRESHOLD * |accumulated| (with an
     abs_tol floor so the identically-zero integrand terminates), estimates
     the discarded tail from the last panels, then refines the worst panels
-    adaptively until the combined error estimate meets the tolerances.
+    until their error meets the tolerances; the tail joins the estimate.
 
     Raises
     ------
@@ -187,20 +198,8 @@ def integrate_semiinfinite(f, spec, lower=0.0):
         x += w
         if small_run >= 3 and n_panels >= min_march:
             break
-    trunc = last3[0] + last3[1] + last3[2]
-
-    def tol_of(a):
-        return max(spec.abs_tol, spec.rel_tol * abs(a))
-
-    acc, err_sum, n_panels, ok = _refine(
-        heap, acc, err_sum, f, spec, n_panels, tol_of)
-    total_err = err_sum + trunc
-    if not ok and err_sum > tol_of(acc):
-        raise NonConvergenceError(
-            "tolerance not reached after %d panels (err %.3e)"
-            % (n_panels, total_err),
-            partial=acc, error=total_err, panels=n_panels)
-    return acc, total_err
+    return _refine(heap, acc, err_sum, f, spec, n_panels,
+                   last3[0] + last3[1] + last3[2])
 
 
 def integrate_interval(f, lo, hi, spec, breakpoints=()):
@@ -238,18 +237,7 @@ def integrate_interval(f, lo, hi, spec, breakpoints=()):
                 raise NonConvergenceError(
                     "interval layout exceeds max_panels",
                     partial=acc, error=err_sum, panels=n_panels)
-
-    def tol_of(a):
-        return max(spec.abs_tol, spec.rel_tol * abs(a))
-
-    acc, err_sum, n_panels, ok = _refine(
-        heap, acc, err_sum, f, spec, n_panels, tol_of)
-    if not ok and err_sum > tol_of(acc):
-        raise NonConvergenceError(
-            "tolerance not reached after %d panels (err %.3e)"
-            % (n_panels, err_sum),
-            partial=acc, error=err_sum, panels=n_panels)
-    return acc, err_sum
+    return _refine(heap, acc, err_sum, f, spec, n_panels)
 
 
 def matsubara_sum(g, beta, spec):

@@ -105,9 +105,8 @@ class ScatteringSet:
     """
 
     __slots__ = ("cfg", "omega", "at", "nL", "nR", "rnL", "rnR", "FL", "FR",
-                 "emL", "emR", "rL", "tL", "rR", "tR", "tauL", "tauR",
-                 "gapf", "delta", "rho", "T", "Rgt", "Cgt", "Dgt", "Clt",
-                 "Dlt", "_mirror")
+                 "rL", "tL", "rR", "tR", "tauL", "tauR", "gapf", "delta",
+                 "rho", "T", "Rgt", "Cgt", "Dgt", "Clt", "Dlt", "_mirror")
 
     def __init__(self, cfg, omega):
         a, d = cfg.gap, cfg.width
@@ -119,8 +118,8 @@ class ScatteringSet:
         nR = refractive_index(cfg.right, w)
         pL = core.slab_parts(w, nL, d)
         pR = core.slab_parts(w, nR, d)
-        rnL, _, FL, rL, tL, tauL, tl2L, _, _, emL, _, _ = pL
-        rnR, _, FR, rR, tR, tauR, _, _, _, emR, _, _ = pR
+        rnL, _, FL, rL, tL, tauL, tl2L, _, _, _, _, _ = pL
+        rnR, _, FR, rR, tR, tauR, _, _, _, _, _, _ = pR
         gapf = core.gap_phase(w, a)
         _, delta = core.cavity_delta(rL, rR, gapf)
         rho = rL + rR * tl2L * gapf / delta
@@ -142,8 +141,6 @@ class ScatteringSet:
                 vals[key] = v.conjugate()
         for key, v in vals.items():
             object.__setattr__(self, key, v)
-        object.__setattr__(self, "emL", emL)
-        object.__setattr__(self, "emR", emR)
         object.__setattr__(self, "_mirror", None)
 
     # -- anchored internals -------------------------------------------------

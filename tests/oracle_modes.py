@@ -8,7 +8,7 @@ against closed-form half-space limits instead.
 
 Also holds ``halfspace_bath_integrand``, the ungrouped half-space bath
 integrand, the reference for the opaque-slab limit of the bath integrand and
-for the grouping of ``halfspace_combined_integrand``.
+for the grouping of ``halfspace_combined_integrands``.
 """
 
 import numpy as np

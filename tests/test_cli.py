@@ -237,6 +237,23 @@ def test_force_rejects_the_delta_state_and_points_to_limits(tmp_path,
     assert row["flags"] == "" and math.isfinite(float(row["value"]))
 
 
+@pytest.mark.parametrize("sweep", ["", "\n[sweep]\nomega0_list = 2.0 3.0\n"])
+def test_limits_reports_the_delta_state_at_its_own_center(tmp_path, sweep):
+    # the state's omega_center gets its row once, whether or not the sweep
+    # list names it too
+    body = STATIC_BODY.replace(
+        "[quadrature]", "[state]\nvariant = squeezed_delta\n"
+        "omega_center = 3.0\n\n[quadrature]") + sweep
+    cfg = write(tmp_path, body)
+    out = tmp_path / "limits.csv"
+    assert main(["limits", "--config", cfg, "--out", str(out),
+                 "--reproducible"]) == EXIT_OK
+    hits = [r for r in read_rows(out)[1] if r["limit"] == "delta_squeezed@3"]
+    assert len(hits) == 1 and hits[0]["flags"] == ""
+    assert float(hits[0]["value"]) == forces.force_delta_squeezed(
+        load_run_config(cfg).cavity, 3.0)
+
+
 @pytest.mark.parametrize("line", [
     "omega0_list = -5.0", "omega0_list = 0", "omega0_list = 3.0 0",
     "omega0_list = nan", "sigma_grid = nan"])

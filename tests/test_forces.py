@@ -79,14 +79,14 @@ def test_delta_state_routes():
     with pytest.raises(DeltaStateWeightError):
         force_ic(FIG_CFG, FieldState.squeezed_delta(5.0), SPEC6)
     with pytest.raises(ValueError):
-        force_delta_squeezed(FIG_CFG, 0.0, SPEC6)
+        force_delta_squeezed(FIG_CFG, 0.0)
     with pytest.raises(ValueError):
-        force_delta_squeezed(FIG_CFG, -2.0, SPEC6)
+        force_delta_squeezed(FIG_CFG, -2.0)
     assert force_delta_squeezed(CavityConfig(1.0, 0.7, VACM, VACM),
-                                5.0, SPEC6) == 0.0
-    assert force_delta_squeezed(FIG_CFG, 5.0, SPEC6) == pytest.approx(
+                                5.0) == 0.0
+    assert force_delta_squeezed(FIG_CFG, 5.0) == pytest.approx(
         4.721274941952149, rel=1e-12)
-    assert force_delta_squeezed(CFG, 2.0, SPEC6) == pytest.approx(
+    assert force_delta_squeezed(CFG, 2.0) == pytest.approx(
         0.426274413721317, rel=1e-12)
 
 
@@ -98,7 +98,7 @@ def test_delta_matches_narrow_band_mean():
     sigma = 0.05
     (exc, _), = band_excess_curve(CFG, omega, [sigma], SPEC6)
     mean = exc / ((math.cosh(2.0 / sigma) - 1.0) * sigma)
-    assert mean == pytest.approx(force_delta_squeezed(CFG, omega, SPEC6),
+    assert mean == pytest.approx(force_delta_squeezed(CFG, omega),
                                  rel=3e-3)
 
 
@@ -1294,3 +1294,21 @@ def test_bath_excess_matches_hot_minus_cold():
     hot = core.bath_integrand(k, a, d, tl, tr, 5.0, 5.0)
     assert hot == core.bath_integrand(k, a, d, tl, tr, math.inf, math.inf)
     assert excess(k, 5.0, 5.0) != 0.0
+
+
+@pytest.mark.parametrize("cfg, beta_state, baths, spec", [
+    (FIG_CFG, 76.3302, (76.3302, 76.3302), SPEC6),
+    (NONEQ_CFG, 5.0, (3.0, 8.0), NONEQ_SPEC)], ids=["fig", "mild"])
+def test_total_keeps_only_the_rounding_of_z(monkeypatch, cfg, beta_state,
+                                           baths, spec):
+    # Z enters the state part with a minus sign and the bath part with a
+    # plus sign, so a shift of Z by 1e-9 |Z| moves the total by no more than
+    # the rounding allowance that err_total carries for it
+    state = FieldState.thermal(beta_state)
+    base = force_total(cfg, state, *baths, spec).total
+    z, ez = forces._vacuum_bath(cfg, spec)
+    for shift in (1e-9, -1e-9):
+        moved = (z + shift * abs(z), ez)
+        monkeypatch.setattr(forces, "_vacuum_bath", lambda c, s: moved)
+        total = force_total(cfg, state, *baths, spec).total
+        assert abs(total - base) <= forces._CANCEL_ROUNDING * abs(z)
