@@ -22,9 +22,10 @@ that is a bare string).  ``size(tree)`` gives the same count on its own.
 Each side's ``outputs`` hold the repr of what the program computes, so a
 change meant to keep every number can show that it did: ``force_total``
 on the four workload configurations at seed 0, the docs sigma ladder
-(``band_excess_curve``), the ``sweep-sigma --reproducible`` CSV of the docs
-INI and the ``verify`` rows.  ``outputs(tree)`` gives them on their own; the
-entry lists the names whose repr differs between the sides.
+(``band_excess_curve``), the ``sweep-sigma --reproducible`` and
+``limits --reproducible`` CSVs of the docs INI and the ``verify`` rows.
+``outputs(tree)`` gives them on their own; the entry lists the names whose
+repr differs between the sides.
 """
 
 import argparse
@@ -131,12 +132,14 @@ out = {
     "verify": cli._verify_checks(),
 }
 with tempfile.TemporaryDirectory() as tmp:
-    path = os.path.join(tmp, "sweep.csv")
-    with contextlib.redirect_stdout(io.StringIO()):
-        cli.main(["sweep-sigma", "--config", W.SWEEP_INI, "--out", path,
-                  "--reproducible"])
-    with open(path, encoding="utf-8") as fh:
-        out["sweep_csv"] = fh.read()
+    for name, command in (("sweep_csv", "sweep-sigma"),
+                          ("limits_csv", "limits")):
+        path = os.path.join(tmp, name)
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main([command, "--config", W.SWEEP_INI, "--out", path,
+                      "--reproducible"])
+        with open(path, encoding="utf-8") as fh:
+            out[name] = fh.read()
 print(json.dumps({k: repr(v) for k, v in out.items()}))
 """
 

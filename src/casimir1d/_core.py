@@ -109,7 +109,9 @@ def refractive_at(s, omega0, omega_pl, gamma0, static):
 
 def slab_fixed(omega, n, d):
     """Shift-free parts of one slab: ``(rn, rn^2, q, q^2, |q|^2, em, em1,
-    th0)`` with q = 4n/(1+n)^2 and th0 = 2 omega Re(n) d."""
+    th0)`` with q = 4n/(1+n)^2 and th0 = 2 omega Re(n) d, or 0 for an
+    absorbing slab of infinite width (a half-space), where em = 0 leaves
+    the phase no weight."""
     rn = (1.0 - n) / (1.0 + n)
     x = 2.0 * omega * n.imag * d
     if x > 1400.0:
@@ -120,7 +122,7 @@ def slab_fixed(omega, n, d):
         em1 = -expm1(-x)
     q = 4.0 * n / ((1.0 + n) * (1.0 + n))
     return rn, rn * rn, q, q * q, abs(q) ** 2, em, em1, \
-        2.0 * omega * n.real * d
+        2.0 * omega * n.real * d if d < inf else 0.0
 
 
 def slab_offset(fixed, shift):
@@ -342,65 +344,3 @@ def nodiss_bracket(omega, a, d, matL, matR):
     _, delta = cavity_delta(rL, rR, gap)
     d2 = abs(delta) ** 2
     return 2.0 - (t2aL * (1.0 + abs(rR) ** 2) + t2aR * (1.0 + abs(rL) ** 2)) / d2
-
-
-# ---------------------------------------------------------------------------
-# Half-space (thick slab) integrands.
-# ---------------------------------------------------------------------------
-
-def _surface_refl(omega, mat):
-    s = -1j * omega
-    n = refractive_at(s, mat[0], mat[1], mat[2], mat[3])
-    return (1.0 - n) / (1.0 + n)
-
-
-def halfspace_combined_integrands(k, a, matL, matR, betaL, betaR, beta_phi,
-                                  offsets):
-    """Summed (state + bath) half-space integrand at k, stable at large k,
-    for each ``(sL, sR, sG)`` of ``offsets``, as a list.
-
-    Algebraically equal to k coth(beta_phi k/2)(1+|rnL|^2) plus the bath
-    integrand, but grouped so the large-k cancellation is explicit:
-    4 k coth_phi [|w|^2 - Re w]/|Delta|^2 plus exponentially small
-    coth-difference terms.  Half-spaces have no slab phase: only sG acts,
-    and the surface reflections and occupations are shared across the
-    offsets.
-    """
-    rnL = _surface_refl(k, matL)
-    rnR = _surface_refl(k, matR)
-    pL = abs(rnL) ** 2
-    pR = abs(rnR) ** 2
-    cphi = coth_half(beta_phi, k)
-    c = 4.0 * k * cphi
-    dL = coth_half(betaL, k) - cphi
-    dR = coth_half(betaR, k) - cphi
-    out = []
-    for _, _, sG in offsets:
-        w, delta = cavity_delta(rnL, rnR, gap_phase(k, a, sG))
-        d2 = abs(delta) ** 2
-        out.append(c * (abs(w) ** 2 - w.real) / d2
-                   + _halfspace_mismatch(k, pL, pR, d2, dL, dR))
-    return out
-
-
-def _halfspace_mismatch(k, pL, pR, d2, dL, dR):
-    """Coth-difference terms of the half-space integrand: the baths' excess
-    dL, dR over the field-state weight coth(beta_phi k/2)."""
-    out = 0.0
-    if dL != 0.0:
-        out += k * dL * (1.0 - pL) * (1.0 - (1.0 + pR) / d2)
-    if dR != 0.0:
-        out -= k * dR * (1.0 - pR) * (1.0 + pL) / d2
-    return out
-
-
-def halfspace_mismatch_integrand(k, a, matL, matR, betaL, betaR, beta_phi):
-    """Bath-mismatch group of halfspace_combined_integrands: its terms with
-    coth(beta k/2) - coth(beta_phi k/2), which decay exponentially."""
-    rnL = _surface_refl(k, matL)
-    rnR = _surface_refl(k, matR)
-    _, delta = cavity_delta(rnL, rnR, gap_phase(k, a))
-    cphi = coth_half(beta_phi, k)
-    return _halfspace_mismatch(k, abs(rnL) ** 2, abs(rnR) ** 2,
-                               abs(delta) ** 2, coth_half(betaL, k) - cphi,
-                               coth_half(betaR, k) - cphi)

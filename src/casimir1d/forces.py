@@ -24,15 +24,18 @@ exp(-2 kappa gap) (Antezza, Pitaevskii, Stringari and Svetovoy, PRA 77,
 so Z cancels from the total in value and only its rounding remains there.
 Z is the one real-axis oscillatory integral per cavity and spec; it is
 memoized per process.  Lossless pairs have no bath (Z = 0), so their state
-force is R alone.
+force is R alone.  Half-spaces are slabs of infinite width, whose bare
+state and bath integrals both diverge; their grouped force is R plus the
+thermal excesses, with no real-axis oscillatory integral
+(``halfspace_forces``).
 
-The real-axis oscillatory integrals (Z, the half-space limits, and the
-two-integral route kept as an independent check) oscillate under three
-linear phases (one per slab thickness and one for the gap round trip) on
-top of slowly decaying absorption envelopes.  Each is evaluated in two
-stages: adaptive quadrature up to a switch point K, then quadrature of the
-phase-averaged integrand on t = (K/k)^2 in (0, 1] less the signed edge
-terms S(K) of the oscillation it drops.  S sums, over every harmonic j of
+The real-axis oscillatory integrals (Z and the two-integral route kept as
+an independent check) oscillate under three linear phases (one per slab
+thickness and one for the gap round trip) on top of slowly decaying
+absorption envelopes.  Each is evaluated in two stages: adaptive
+quadrature up to a switch point K, then quadrature of the phase-averaged
+integrand on t = (K/k)^2 in (0, 1] less the signed edge terms S(K) of the
+oscillation it drops.  S sums, over every harmonic j of
 the phase grid that the average drops, three integrations by parts of
 h_j e^{i j . phi} at rate j . phi', with derivatives from a seven-point
 stencil (Iserles and Norsett's asymptotic method); harmonics too slow for
@@ -298,9 +301,8 @@ def _diagonal(offsets):
 
 # Offset slots (sL, sR, sG) of each oscillation phase, outermost first, for
 # ``naxes`` phases: two different slabs have three phases; identical slabs
-# two, whose one slab phase shifts both slab slots (the diagonal sL = sR); a
-# cavity without slab phases (half-spaces) only the gap phase.
-_SLOTS = {1: ((2,),), 2: ((2,), (0, 1)), 3: ((0,), (1,), (2,))}
+# two, whose one slab phase shifts both slab slots (the diagonal sL = sR).
+_SLOTS = {2: ((2,), (0, 1)), 3: ((0,), (1,), (2,))}
 
 
 def _even(n):
@@ -325,7 +327,7 @@ def _phase_grid(naxes):
     return _grid(_SLOTS[naxes], (_SHIFTS,) * naxes)
 
 
-_PHASE_GRIDS = {n: _phase_grid(n) for n in (1, 2, 3)}
+_PHASE_GRIDS = {n: _phase_grid(n) for n in _SLOTS}
 
 
 def _phase_average(shifted, k, naxes):
@@ -363,8 +365,7 @@ def _surface(mat, d, k, n=None):
     """``(n, rn, E0)`` of a slab of ``mat`` and width d at real k: its
     refractive index n (computed when not given), its surface reflection
     rn = (1 - n) / (1 + n) and its internal transmission
-    E0 = e^{-2 k Im(n) d}, 0 past the exponent 700 and for a half-space
-    (d = inf)."""
+    E0 = e^{-2 k Im(n) d}, 0 past the exponent 700."""
     if n is None:
         n = _index(mat, k)
     x = 2.0 * k * n.imag * d
@@ -473,10 +474,9 @@ def _response_top(cfg):
 def _phase_axes(cfg):
     """``(slots, mat)`` of each oscillation phase of the cavity ``cfg``, as
     in ``_SLOTS``: its offset slots and its slab, None for the gap phase.
-    Half-spaces (infinite width) have only the gap phase, identical slabs
-    one common slab phase besides, different slabs one each."""
-    naxes = (1 if not math.isfinite(cfg.width)
-             else 2 if cfg.left == cfg.right else 3)
+    Identical slabs have one common slab phase besides the gap phase,
+    different slabs one each."""
+    naxes = 2 if cfg.left == cfg.right else 3
     mats = {(2,): None, (0, 1): cfg.left, (0,): cfg.left, (1,): cfg.right}
     return tuple((slots, mats[slots]) for slots in _SLOTS[naxes])
 
@@ -500,13 +500,13 @@ def _decay_ratios(cfg, axes, k):
     """Closed-form ratio of successive harmonics of each phase of ``axes``
     at k.
 
-    With rn the surface reflection and E0 = e^{-2 k Im(n) d} of a slab (0
-    for a half-space), its reflection reaches at most
-    rbar = |rn| (1 + E0) / (1 - |rn|^2 E0) over its slab phase, and the
-    cavity denominator 1 - rL rR e^{2ika} makes the gap harmonics fall like
-    rbarL rbarR.  The slab phase of identical slabs falls like their pole
-    radius (``_pole_radius``); that of one of two different slabs like
-    E0 |rn| (|rn| + rbar') / (1 - |rn| rbar'), rbar' the other slab's.
+    With rn the surface reflection and E0 = e^{-2 k Im(n) d} of a slab, its
+    reflection reaches at most rbar = |rn| (1 + E0) / (1 - |rn|^2 E0) over
+    its slab phase, and the cavity denominator 1 - rL rR e^{2ika} makes the
+    gap harmonics fall like rbarL rbarR.  The slab phase of identical slabs
+    falls like their pole radius (``_pole_radius``); that of one of two
+    different slabs like E0 |rn| (|rn| + rbar') / (1 - |rn| rbar'), rbar'
+    the other slab's.
     """
     surf = []
     for mat in (cfg.left, cfg.right):
@@ -988,10 +988,10 @@ def _oscillatory_integral(shifted, spec, breakpoints, cfg):
     breakpoints : tuple
         Sorted material response features, passed to the direct quadrature.
     cfg : CavityConfig
-        The cavity (of infinite width for half-spaces, whose only phase is
-        the gap phase).  It sets the first switch point candidate, the
-        phases the tail averages, the decay ratios of their harmonics and,
-        for identical absorbing slabs, the dense and shallow bands.
+        The cavity, of finite width.  It sets the first switch point
+        candidate, the phases the tail averages, the decay ratios of their
+        harmonics and, for identical absorbing slabs, the dense and shallow
+        bands.
 
     Returns
     -------
@@ -1017,9 +1017,8 @@ def _oscillatory_integral(shifted, spec, breakpoints, cfg):
 
     k0 = _first_switch(spec, cfg)
     axes = _phase_axes(cfg)
-    bands, shallow, kinds = (), (), {}
-    if len(axes) > 1:
-        bands, shallow = _bands(cfg, k0, kinds)
+    kinds = {}
+    bands, shallow = _bands(cfg, k0, kinds)
     # each dense band's bound and mean, built once for both passes
     bounds = [_band_bounds(shifted, cfg, lo, hi) for lo, hi in bands]
 
@@ -1048,7 +1047,7 @@ def _oscillatory_integral(shifted, spec, breakpoints, cfg):
     # points the k0 scan did not), join the dense bands there, and each
     # band adds the bound on the slab oscillation it drops plus its means'
     # allowance.
-    if len(axes) > 1 and K > k0:
+    if K > k0:
         shallow = _bands(cfg, K, kinds)[1]
     bands += shallow
     bounds += [_band_bounds(shifted, cfg, lo, hi) for lo, hi in shallow]
@@ -1502,20 +1501,32 @@ def _bath_parts(cfg, beta_left, beta_right, spec):
     L, R = cfg.left, cfg.right
     if not (_absorbing(L) or _absorbing(R)):
         return _ZERO, _ZERO
-    zt = _vacuum_bath(cfg, spec)
-    a, d = cfg.gap, cfg.width
-    tl, tr = L.as_tuple(), R.as_tuple()
+    return _vacuum_bath(cfg, spec), _bath_excess(cfg, beta_left, beta_right,
+                                                 spec)
 
-    # one kernel pass weighted by the occupation excesses coth(beta k/2) - 1,
-    # which fall below 1e-52 past beta k = 120 on both baths
+
+def _bath_excess(cfg, beta_left, beta_right, spec, beta_phi=math.inf):
+    """Excess of the bath integral with the baths at (beta_left,
+    beta_right) over its value with both at beta_phi (zero temperature by
+    default), as ``(value, err)``.
+
+    The integrand is linear in the occupations, so the excess is one kernel
+    pass weighted by the differences of the occupation excesses
+    coth(beta k/2) - 1, which fall below 1e-52 past beta k = 120.
+    """
+    a, d = cfg.gap, cfg.width
+    tl, tr = cfg.left.as_tuple(), cfg.right.as_tuple()
+
     def g(k):
+        ref = core.occupation_excess(beta_phi, k)
         return core.bath_weighted(
-            k, a, d, tl, tr, core.occupation_excess(beta_left, k),
-            core.occupation_excess(beta_right, k), _RAW)[0]
+            k, a, d, tl, tr, core.occupation_excess(beta_left, k) - ref,
+            core.occupation_excess(beta_right, k) - ref, _RAW)[0]
 
     _endpoint_check(g)
-    return zt, integrate_interval(g, 0.0, 120.0 / min(beta_left, beta_right),
-                                  spec, breakpoints=_breakpoints(L, R))
+    return integrate_interval(
+        g, 0.0, 120.0 / min(beta_left, beta_right, beta_phi), spec,
+        breakpoints=_breakpoints(cfg.left, cfg.right))
 
 
 def force_ic(cfg, state, spec):
@@ -1731,45 +1742,42 @@ def halfspace_forces(matL, matR, a, beta_left, beta_right, beta_phi, spec):
         integral diverges the same way with the opposite sign.  Only the
         grouped combination decays.  The finite split reported here keeps
         each convergent grouping with its driving temperature: ``f_ic`` is
-        the field-state group (the combined integrand with every
-        temperature at ``beta_phi``, where the divergent free-field parts
-        cancel inside the integrand) and ``f_b`` is the bath-mismatch
-        group (the coth-difference terms, which decay exponentially, so
-        they are integrated over a finite interval).  At
+        the field-state group, the force with every temperature at
+        ``beta_phi``, and ``f_b`` is the bath-mismatch group, the excess
+        of the bath integral at the bath temperatures over its value at
+        ``beta_phi``.  The half-spaces are slabs of infinite width, so
+        ``f_ic`` is the rotated zero-temperature total R plus the thermal
+        state excess and the bath excess at ``beta_phi``; every excess
+        decays exponentially and is integrated over a finite interval.  At
         equal temperatures ``f_b`` is exactly zero and ``f_ic`` alone is
         the equilibrium force.
     """
+    (f_ic, _), (f_b, _) = _halfspace_parts(matL, matR, a, beta_left,
+                                           beta_right, beta_phi, spec)
+    return f_ic, f_b
+
+
+def _halfspace_parts(matL, matR, a, beta_left, beta_right, beta_phi, spec):
+    """The field-state and bath-mismatch groups of ``halfspace_forces``,
+    each a ``(value, err)`` pair."""
     for m, side in ((matL, "left"), (matR, "right")):
         if not _absorbing(m):
             raise NonConvergenceError(
                 "half-space %s material does not absorb; the free-field "
                 "pressure term is uncompensated and the state integral "
                 "diverges" % side, partial=None, error=math.inf, panels=0)
-    cfg = CavityConfig(a, math.inf, matL, matR)
     for b in (beta_left, beta_right, beta_phi):
         if not b > 0.0:
             raise ValueError("inverse temperatures must be positive")
-    tl, tr = matL.as_tuple(), matR.as_tuple()
-    bks = _breakpoints(matL, matR)
-
-    def f(k, offsets):
-        return core.halfspace_combined_integrands(k, a, tl, tr, beta_phi,
-                                                  beta_phi, beta_phi, offsets)
-
-    f_ic, _ = _oscillatory_integral(f, spec, bks, cfg)
-    if beta_left == beta_phi and beta_right == beta_phi:
-        return f_ic, 0.0
-
-    # coth differences are below 1e-52 past beta k = 120 for every beta
-    def g(k):
-        return core.halfspace_mismatch_integrand(k, a, tl, tr, beta_left,
-                                                 beta_right, beta_phi)
-
-    _endpoint_check(g)
-    f_b, _ = integrate_interval(g, 0.0,
-                                120.0 / min(beta_left, beta_right, beta_phi),
-                                spec, breakpoints=bks)
-    return f_ic, f_b
+    cfg = CavityConfig(a, math.inf, matL, matR)
+    r, er = _rotated_vacuum(cfg, spec)
+    x, ex = _thermal_excess(_bracket(cfg), beta_phi, spec,
+                            _breakpoints(matL, matR))
+    y, ey = _bath_excess(cfg, beta_phi, beta_phi, spec)
+    state = (r + x + y, er + ex + ey)
+    if beta_left == beta_right == beta_phi:
+        return state, _ZERO
+    return state, _bath_excess(cfg, beta_left, beta_right, spec, beta_phi)
 
 
 def band_excess_curve(cfg, omega_center, sigmas, spec):

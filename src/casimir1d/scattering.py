@@ -5,10 +5,9 @@ Geometry (all lengths in units of the gap): slabs of thickness d occupy
 vacuum.  The Laplace variable is s = -i*omega on the real frequency axis.
 
 Internally every in-slab exponential is paired so its real exponent is
-non-positive (anchored amplitudes); the textbook coefficients that reference
-the global origin (Agt/Bgt/Egt/Fgt) are exposed as derived properties and may
-overflow for strongly opaque slabs — the mode and Green evaluations never go
-through them.
+non-positive (anchored amplitudes), so the mode and Green evaluations stay
+finite for strongly opaque slabs; the textbook in-slab coefficients that
+reference the global origin, which may overflow there, are not formed.
 """
 
 import cmath
@@ -97,9 +96,9 @@ class ScatteringSet:
     """All scattering amplitudes of the two-slab cavity at one frequency.
 
     Fields: rL, tL, rR, tR (single slab), Rgt, T (cavity), Cgt, Dgt,
-    Clt, Dlt (gap amplitudes of the two modes), Agt, Bgt, Egt, Fgt (in-slab
-    amplitudes of the left-incident mode, derived properties), at (the
-    Laplace variable s = -i omega).
+    Clt, Dlt (gap amplitudes of the two modes), at (the Laplace variable
+    s = -i omega).  Inside the slabs the modes use anchored amplitudes
+    (``mode_eval``, ``mode_deriv``).
 
     Construct through cavity_coefficients().
     """
@@ -181,40 +180,6 @@ class ScatteringSet:
         s = self.at
         return (self.tauL * self._qR * cmath.exp(s * self.cfg.width)
                 / (self.FR * self.delta))
-
-    # -- textbook in-slab coefficients (may overflow for opaque slabs) ------
-
-    @property
-    def Agt(self):
-        s = self.at
-        h = self.cfg.gap / 2.0 + self.cfg.width
-        return self._prefL * cmath.exp(s * (1.0 - self.nL) * h) * self._P_red
-
-    @property
-    def Bgt(self):
-        s = self.at
-        a, d = self.cfg.gap, self.cfg.width
-        h = a / 2.0 + d
-        # e^{s(1+nL)h} (rho - r_nL) with the round-trip factor absorbed into
-        # the exponent: rho - r_nL = E_L * Q_red
-        expo = s * (h + self.nL * (a / 2.0 - d))
-        return self._prefL * self._Q_red * cmath.exp(expo)
-
-    @property
-    def Egt(self):
-        s = self.at
-        a = self.cfg.gap
-        # prefR e^{s(nR-1)h} T with the slab part of T folded analytically
-        return (self._prefR * self._qR * cmath.exp(s * (self.nR - 1.0)
-                                                   * (a / 2.0))
-                * self.tauL / (self.FR * self.delta))
-
-    @property
-    def Fgt(self):
-        s = self.at
-        h = self.cfg.gap / 2.0 + self.cfg.width
-        return (-self.rnR * self._prefR
-                * cmath.exp(-s * (self.nR + 1.0) * h) * self.T)
 
     def mirror(self):
         """ScatteringSet of the reflected geometry at the same frequency."""

@@ -6,14 +6,15 @@ assembly.  Only suitable for mild opacity (|s n d| small enough that the
 matching matrix stays well conditioned); the opaque regime is cross-checked
 against closed-form half-space limits instead.
 
-Also holds ``halfspace_bath_integrand``, the ungrouped half-space bath
-integrand, the reference for the opaque-slab limit of the bath integrand and
-for the grouping of ``halfspace_combined_integrands``.
+Also holds ``halfspace_bath_integrand``, the printed half-space bath
+integrand, the reference for the opaque and infinitely wide limits of the
+bath integrand.
 """
 
 import numpy as np
 
-from casimir1d._core import _surface_refl, cavity_delta, coth_half, gap_phase
+from casimir1d._core import (cavity_delta, coth_half, gap_phase,
+                             refractive_at)
 
 
 def solve_greater(omega, a, d, nL, nR):
@@ -117,6 +118,12 @@ def bracket_greater_lesser(omega, a, d, nL, nR):
     return (1.0 + abs(g["R"]) ** 2 + abs(g["T"]) ** 2
             - abs(g["C"]) ** 2 - abs(g["D"]) ** 2
             - abs(l["C"]) ** 2 - abs(l["D"]) ** 2)
+
+
+def _surface_refl(omega, mat):
+    """Surface reflection (1 - n) / (1 + n) of material tuple ``mat``."""
+    n = refractive_at(-1j * omega, *mat)
+    return (1.0 - n) / (1.0 + n)
 
 
 def halfspace_bath_integrand(omega, a, matL, matR, betaL, betaR, sG=0.0):

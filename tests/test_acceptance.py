@@ -109,16 +109,20 @@ def test_criterion_2_bath_vanishes_without_dissipation():
 def test_criterion_3_dual_pipeline_dissipationless():
     t0 = time.time()
     worst = 0.0
+    # both routes share R; the thermal state compares their excesses, the
+    # full state bracket against the unitarity-reduced one
     for a in (0.5, 1.0, 2.0):
         for eps in (1.5, 2.0, 4.0):
             cfg = CavityConfig(a, 0.8, _static(eps), _static(eps))
-            f_rot, _ = force_dissipationless(cfg, FieldState.vacuum(), SPEC9)
-            f_cav, _ = force_ic(cfg, FieldState.vacuum(), SPEC9)
-            worst = max(worst, abs(f_cav - f_rot) / abs(f_rot))
+            for state in (FieldState.vacuum(), FieldState.thermal(4.0)):
+                f_rot, _ = force_dissipationless(cfg, state, SPEC9)
+                f_cav, _ = force_ic(cfg, state, SPEC9)
+                worst = max(worst, abs(f_cav - f_rot) / abs(f_rot))
     dt = time.time() - t0
     msg = _line(3, worst <= 1e-9,
                 "max relative route disagreement %.3e over 3x3 (a, eps) "
-                "grid (limit 1e-9) in %.1f s" % (worst, dt))
+                "grid, vacuum and beta = 4 (limit 1e-9) in %.1f s"
+                % (worst, dt))
     assert dt < 30.0, msg
     assert worst <= 1e-9, msg
 

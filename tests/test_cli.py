@@ -412,6 +412,21 @@ def test_limits_rows(tmp_path):
     assert math.isnan(float(byname["halfspace_equal_temps"]["value"]))
 
 
+def test_limits_reports_the_halfspace_error(tmp_path):
+    # the half-space row's error is its field-state group's estimate, not
+    # the bath-mismatch group, which is zero at equal temperatures
+    out = tmp_path / "limits.csv"
+    assert main(["limits", "--config", write(tmp_path, MILD_BODY),
+                 "--out", str(out), "--reproducible"]) == EXIT_OK
+    rows = {r["limit"]: r for r in read_rows(out)[1]}
+    row, ref = rows["halfspace_equal_temps"], rows["lifshitz_halfspace"]
+    assert row["flags"] == ""
+    err = float(row["err"])
+    assert 0.0 < err < math.inf
+    assert abs(float(row["value"]) - float(ref["value"])) <= err + float(
+        ref["err"])
+
+
 def test_verify_passes(tmp_path, capsys):
     out = tmp_path / "verify.csv"
     assert main(["verify", "--out", str(out), "--reproducible"]) == EXIT_OK

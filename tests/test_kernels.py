@@ -77,26 +77,43 @@ def test_ic_bracket_vacuum_is_zero():
         assert pure.bath_integrand(om, 1.0, 2.0, VAC, VAC, 2.0, 3.0) == 0.0
 
 
+# offset triples (sL, sR, sG): a slab of infinite width has no slab phase,
+# so only the gap offsets act
+_GAP_OFFSETS = [(0.3, 1.1, 0.0), (0.0, 0.0, 0.7), (2.0, 0.5, 4.1)]
+
+
 def test_ic_bracket_opaque_limit():
     # d -> infinity: only the front-face reflection survives,
-    # bracket -> 1 + |r_n|^2 of the left slab
+    # bracket -> 1 + |r_n|^2 of the left slab; at d = inf exactly that
     for om in (0.8, 3.0, 9.0, 10.0, 15.0):
         nL = _n(FIG, om)
         rn = (1.0 - nL) / (1.0 + nL)
         dbig = 30.0 / (om * min(nL.imag, _n(MILD_R, om).imag))
         val = pure.ic_bracket(om, 1.0, dbig, FIG, MILD_R)
         assert val == pytest.approx(1.0 + abs(rn) ** 2, rel=1e-10)
+        for v in pure.ic_brackets(om, 1.0, math.inf, FIG, MILD_R,
+                                  _GAP_OFFSETS):
+            assert v == pytest.approx(1.0 + abs(rn) ** 2, rel=1e-14)
 
 
 def test_bath_integrand_opaque_matches_halfspace():
-    # thick slabs reduce to the printed half-space integrand, including
-    # asymmetric materials and temperatures
+    # thick slabs and slabs of infinite width reduce to the printed
+    # half-space integrand, including asymmetric materials and temperatures
     a = 1.0
     for om in (0.5, 2.0, 6.0, 9.5, 11.0, 20.0):
         dbig = 60.0 / (om * min(_n(FIG, om).imag, _n(MILD_R, om).imag))
         full = pure.bath_integrand(om, a, dbig, FIG, MILD_R, 2.0, 7.0)
         half = halfspace_bath_integrand(om, a, FIG, MILD_R, 2.0, 7.0)
         assert full == pytest.approx(half, rel=1e-8)
+        occ = (pure.coth_half(2.0, om), pure.coth_half(7.0, om))
+        for got in (
+                pure.bath_integrands(om, a, math.inf, FIG, MILD_R, 2.0, 7.0,
+                                     _GAP_OFFSETS),
+                pure.bath_weighted(om, a, math.inf, FIG, MILD_R, *occ,
+                                   _GAP_OFFSETS)):
+            for v, (_, _, sg) in zip(got, _GAP_OFFSETS):
+                assert v == pytest.approx(halfspace_bath_integrand(
+                    om, a, FIG, MILD_R, 2.0, 7.0, sg), rel=1e-10)
 
 
 def test_bath_integrand_static_is_zero():
@@ -143,20 +160,6 @@ def test_nodiss_bracket_matches_full():
         full = pure.ic_bracket(om, 1.0, 0.7, STATIC, st2)
         red = pure.nodiss_bracket(om, 1.0, 0.7, STATIC, st2)
         assert full == pytest.approx(red, rel=1e-9, abs=1e-11)
-
-
-def test_halfspace_combined_grouping():
-    # grouped form == naive pointwise sum at moderate k
-    rng = random.Random(41)
-    for _ in range(50):
-        k = rng.uniform(0.1, 40.0)
-        bL, bR, bphi = 2.0, 7.0, 3.0
-        naive = (k * pure.coth_half(bphi, k)
-                 * (1.0 + abs(pure._surface_refl(k, FIG)) ** 2)
-                 + halfspace_bath_integrand(k, 1.0, FIG, MILD_R, bL, bR))
-        grouped, = pure.halfspace_combined_integrands(
-            k, 1.0, FIG, MILD_R, bL, bR, bphi, ((0.0, 0.0, 0.0),))
-        assert grouped == pytest.approx(naive, rel=1e-9, abs=1e-10)
 
 
 def test_phase_shift_periodicity():
@@ -233,11 +236,6 @@ def test_offset_kernels_equal_the_scalar_kernels(left, right, d, ks):
                     k, a, d, left, right, bl, br, offsets) == \
                     [pure.bath_integrand(k, a, d, left, right, bl, br, *o)
                      for o in offsets]
-            assert pure.halfspace_combined_integrands(
-                k, a, left, right, 2.0, 7.0, 3.0, offsets) == \
-                [pure.halfspace_combined_integrands(k, a, left, right, 2.0,
-                                                    7.0, 3.0, (o,))[0]
-                 for o in offsets]
 
 
 def test_offset_kernels_raise_at_a_cavity_pole():
@@ -245,7 +243,8 @@ def test_offset_kernels_raise_at_a_cavity_pole():
     # closes the round-trip phase puts the cavity on its pole
     from casimir1d.errors import CavityResonanceError
     mat, k, a, d = (10.0, 10.0, 1e-20, False), 12.0, 1.0, 100.0
-    r = pure._surface_refl(k, mat)
+    n = pure.refractive_at(-1j * k, *mat)
+    r = (1.0 - n) / (1.0 + n)
     pole = -cmath.phase(r * r * pure.gap_phase(k, a))
     offsets = [(0.0, 0.0, 0.0), (0.0, 0.0, pole)]
     calls = (
@@ -253,11 +252,7 @@ def test_offset_kernels_raise_at_a_cavity_pole():
         lambda: pure.ic_brackets(k, a, d, mat, mat, offsets),
         lambda: pure.bath_integrand(k, a, d, mat, mat, 2.0, 3.0, 0.0, 0.0,
                                     pole),
-        lambda: pure.bath_integrands(k, a, d, mat, mat, 2.0, 3.0, offsets),
-        lambda: pure.halfspace_combined_integrands(k, a, mat, mat, 2.0, 3.0,
-                                                   4.0, offsets[1:]),
-        lambda: pure.halfspace_combined_integrands(k, a, mat, mat, 2.0, 3.0,
-                                                   4.0, offsets))
+        lambda: pure.bath_integrands(k, a, d, mat, mat, 2.0, 3.0, offsets))
     for call in calls:
         with pytest.raises(CavityResonanceError):
             call()
