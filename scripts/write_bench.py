@@ -26,6 +26,12 @@ on the four workload configurations at seed 0, the docs sigma ladder
 ``limits --reproducible`` CSVs of the docs INI and the ``verify`` rows.
 ``outputs(tree)`` gives them on their own; the entry lists the names whose
 repr differs between the sides.
+Each side's ``points`` count the kernel points of the zero-temperature
+bath integral Z on each workload's cavity, by wrapping
+``core.bath_weighted``: every offset point, the one-offset (raw) calls, and
+the raw calls within 0.1 of a bound gap mode (``forces._gap_modes``), the
+layer ``perfbench/tracing.py`` does not see.  ``points(tree)`` gives them
+on their own.
 """
 
 import argparse
@@ -144,14 +150,63 @@ print(json.dumps({k: repr(v) for k, v in out.items()}))
 """
 
 
-def outputs(tree):
-    """``{name: repr}`` of the program's outputs in ``tree`` (see the
-    module docstring)."""
+# Run like _OUTPUTS; prints Z's kernel points per workload cavity as JSON.
+_POINTS = r"""
+import json, sys
+sys.path.insert(0, "perfbench")
+import workloads as W
+from casimir1d import cli, forces
+from casimir1d.kernels import core
+
+rc = cli.load_run_config(W.SWEEP_INI, need_sweep=True)
+calls = []
+kernel = core.bath_weighted
+
+
+def counting(k, *args):
+    calls.append((k, len(args[-1])))
+    return kernel(k, *args)
+
+
+core.bath_weighted = counting
+out = {}
+for name, cfg, spec in (("fig_300k", W.FIG_CFG, W.FIG_SPEC),
+                        ("noneq_mild", W.NONEQ_CFG, W.NONEQ_SPEC),
+                        ("weak_damping", W.WEAK_CFG, W.WEAK_SPEC),
+                        ("sweep_docs", rc.cavity, rc.spec)):
+    modes = [km for km, _, _, _ in forces._gap_modes(cfg)]
+    del calls[:]
+    forces._vacuum_bath.cache_clear()
+    forces._vacuum_bath(cfg, spec)
+    raw = [k for k, n in calls if n == 1]
+    out[name] = {"points": sum(n for _, n in calls), "raw": len(raw),
+                 "raw_near_modes": sum(any(abs(k - km) <= 0.1
+                                           for km in modes) for k in raw)}
+print(json.dumps(out))
+"""
+
+
+def _run(tree, script):
+    """The JSON object ``script`` prints last, run in ``tree`` with its
+    src on the path."""
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
-    proc = subprocess.run([sys.executable, "-c", _OUTPUTS], cwd=tree,
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tree,
                           capture_output=True, text=True, env=env,
                           check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def points(tree):
+    """``{workload: {"points", "raw", "raw_near_modes"}}``: Z's kernel
+    points on each workload's cavity in ``tree`` (see the module
+    docstring)."""
+    return _run(tree, _POINTS)
+
+
+def outputs(tree):
+    """``{name: repr}`` of the program's outputs in ``tree`` (see the
+    module docstring)."""
+    return _run(tree, _OUTPUTS)
 
 
 def _summary(values):
@@ -199,6 +254,7 @@ def measure(parent):
                            if out["parent"][k] != out["change"].get(k))
     out["match"] = not out["differ"]
     entry["outputs"] = out
+    entry["points"] = {side: points(trees[side]) for side in SIDES}
     return entry
 
 

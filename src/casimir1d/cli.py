@@ -23,6 +23,7 @@ import argparse
 import configparser
 import csv
 import math
+import os
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -121,24 +122,21 @@ def _material(cp, section):
 
 
 def _beta(cp, section, base, gap_meters):
+    kelvin = base.replace("beta", "temperature") + "_kelvin"
     has_nat = cp.has_option(section, base)
-    has_kel = cp.has_option(section, base.replace("beta", "temperature")
-                            + "_kelvin")
+    has_kel = cp.has_option(section, kelvin)
     if has_nat and has_kel:
         raise ConfigError("[%s]: give either %s or its _kelvin form, not "
                           "both" % (section, base))
     if has_nat:
         return _get(cp, section, base)
     if has_kel:
-        key = base.replace("beta", "temperature") + "_kelvin"
-        return beta_from_kelvin(_get(cp, section, key), gap_meters)
+        return beta_from_kelvin(_get(cp, section, kelvin), gap_meters)
     raise ConfigError("missing required key [%s] %s (or its _kelvin form)"
                       % (section, base))
 
 
 def _state(cp, gap_meters):
-    if not cp.has_section("state"):
-        return FieldState.vacuum()
     variant = _get(cp, "state", "variant", str, "vacuum")
     try:
         if variant == "vacuum":
@@ -188,22 +186,16 @@ def load_run_config(path, need_sweep=False):
     beta_left = _beta(cp, "baths", "beta_left", gap_meters)
     beta_right = _beta(cp, "baths", "beta_right", gap_meters)
 
-    kwargs = {}
-    if cp.has_section("quadrature"):
-        for key, cast in (("rel_tol", float), ("abs_tol", float),
-                          ("panel_width", float), ("max_panels", int)):
-            if cp.has_option("quadrature", key):
-                kwargs[key] = _get(cp, "quadrature", key, cast)
+    kwargs = {key: _get(cp, "quadrature", key, cast) for key, cast in (
+        ("rel_tol", float), ("abs_tol", float), ("panel_width", float),
+        ("max_panels", int)) if cp.has_option("quadrature", key)}
     try:
         spec = QuadratureSpec(**kwargs)
     except ValueError as exc:
         raise ConfigError("bad [quadrature]: %s" % exc)
 
-    sigma_grid = ()
-    omega0_list = ()
-    if cp.has_section("sweep"):
-        sigma_grid = _get(cp, "sweep", "sigma_grid", _floats, ())
-        omega0_list = _get(cp, "sweep", "omega0_list", _floats, ())
+    sigma_grid = _get(cp, "sweep", "sigma_grid", _floats, ())
+    omega0_list = _get(cp, "sweep", "omega0_list", _floats, ())
     if need_sweep:
         if not sigma_grid:
             raise ConfigError("missing required key [sweep] sigma_grid")
@@ -339,11 +331,8 @@ def cmd_sweep_sigma(rc, out, reproducible):
         if out:
             path = out
             if len(rc.omega0_list) > 1:
-                stem, dot, ext = out.rpartition(".")
-                if dot:
-                    path = "%s_omega%g.%s" % (stem, omega0, ext)
-                else:
-                    path = "%s_omega%g" % (out, omega0)
+                root, ext = os.path.splitext(out)
+                path = "%s_omega%g%s" % (root, omega0, ext)
             _write_csv(path, _SWEEP_COLUMNS, rows, reproducible)
     return EXIT_OK
 
@@ -380,6 +369,10 @@ def cmd_limits(rc, out, reproducible):
     for omega0 in centers:
         add("delta_squeezed@%g" % omega0,
             lambda w=omega0: (forces.force_delta_squeezed(cav, w), 0.0))
+    # each bound gap mode that Z subtracts as a pole term: its area, which
+    # the slabs' damping does not set (criterion 2), at zero temperature
+    for km, area, err in forces._bound_modes(cav, spec):
+        add("bound_mode@%g" % km, lambda v=(area, err): v, math.inf)
     for row in rows:
         print("%-28s beta=%-10s value=%-24s err=%-12s %s"
               % (row[1], _fmt(row[2]), _fmt(row[3]), _fmt(row[4]), row[5]))
@@ -434,7 +427,8 @@ def _verify_checks():
     checks.append(("real_axis_dual_pipeline",
                    abs(osc_vac - f_vac) / abs(f_vac), 1e-6))
     osc_ic, _ = forces._real_axis_ic(cfg, FieldState.thermal(beta), spec)
-    osc_b, _ = forces._real_axis_bath(cfg, 3.0, 8.0, spec)
+    osc_b, _ = forces._real_axis(cfg, spec,
+                                 forces._bath_integrand(cfg, 3.0, 8.0))
     noneq = forces.force_total(cfg, FieldState.thermal(beta), 3.0, 8.0, spec)
     checks.append(("nonequilibrium_dual_pipeline",
                    abs(osc_ic + osc_b - noneq.total) / abs(noneq.total),

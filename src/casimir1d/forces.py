@@ -77,10 +77,13 @@ structure they would otherwise chase blindly:
   ``band_excess_curve`` use both; their windows end inside the clear comb,
   so each adds the signed edge terms of the dropped oscillation there;
 * bound gap modes: inside each absorbing slab's stop band the cavity
-  denominator |1 - rL rR e^{2ika}| dips at the bound modes.  Modes far
-  narrower than a panel are located by a scan and golden-section search and
-  pinned as breakpoints at k_m and k_m +- 10^j times their width, so the
-  spikes are integrated no matter where refinement puts its nodes.
+  denominator D(k) = 1 - rL rR e^{2ika} dips at the bound modes, each a
+  complex zero k_p = k_m - i w that Newton's method finds from a scan
+  minimum of |D|.  A mode far narrower than a panel is a Lorentzian spike
+  that refinement would chase; the passes subtract its pole term
+  Re[A / (k - k_p)], fitted to the integrand at k_m and k_m + w, over a
+  window of 1e4 w on each side, and add back the term's exact integral
+  there, so the smooth remainder is all they integrate.
 
 Across both kinds of band one bound on the dropped slab oscillation joins
 the error estimate: each slab harmonic h_j e^{i j phi} is integrated by
@@ -188,13 +191,16 @@ _FD_STEP = 2e-3
 _STENCIL_NODES = (tuple(range(-3, 4)), tuple(range(7)))
 # Bisection steps placing a band edge between two scan points.
 _EDGE_STEPS = 40
-# Bound gap modes narrower than this fraction of the panel width are pinned
-# as breakpoints, together with neighbours at 10^j mode widths.
+# Bound gap modes narrower than this fraction of the panel width are
+# subtracted as pole terms over a window of _POLE_WINDOW half widths on each
+# side, or half the distance to the stop band's nearer edge where that is
+# smaller (see ``_pole_terms``).
 _MODE_NARROW = 1e-3
-_MODE_DECADES = 5
-# Least number of scan points bracketing the modes of one stop band.
+_POLE_WINDOW = 1e4
+# Least number of scan points bracketing the modes of one stop band, and
+# the most Newton steps from a scan minimum to the mode's complex zero.
 _MODE_SCAN = 64
-_GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
+_NEWTON_STEPS = 30
 # Past the switch point K the tail integrates the phase average and
 # subtracts the signed edge terms of the harmonics at K.  K is the first
 # point of the ladder k0 _LADDER^i whose predicted edge-term error fits the
@@ -354,6 +360,24 @@ def _harmonics(shifted, comb, k, n, index=None):
     c = _dft(shifted(k, _diagonal(_even(n))), (n,))
     phi = _slab_phase(comb.left, comb.width, k, index)
     return [c[j, ] * cmath.exp(-1j * j * phi) for j in range(n // 2)]
+
+
+def _args(cfg):
+    """``(a, d, left, right)``: the gap, the width and the two slabs'
+    material tuples of the cavity ``cfg``, as the kernels take them."""
+    return cfg.gap, cfg.width, cfg.left.as_tuple(), cfg.right.as_tuple()
+
+
+def _rotated(cfg, c):
+    """``g(xi)`` = c xi w / (1 - w) of the cavity ``cfg`` at imaginary
+    frequency xi, with w the real rotated round-trip factor
+    rL rR e^{-2 xi gap}."""
+    a, d, tl, tr = _args(cfg)
+
+    def g(xi):
+        w = core.roundtrip_rot_direct(xi, a, d, tl, tr)
+        return c * xi * w / (1.0 - w)
+    return g
 
 
 def _index(mat, k):
@@ -973,7 +997,7 @@ def _banded(raw, means, tol):
     return f
 
 
-def _oscillatory_integral(shifted, spec, breakpoints, cfg):
+def _oscillatory_integral(shifted, spec, breakpoints, cfg, poles=()):
     """Integrate a decaying oscillatory force integrand over [0, inf).
 
     Parameters
@@ -992,6 +1016,12 @@ def _oscillatory_integral(shifted, spec, breakpoints, cfg):
         candidate, the phases the tail averages, the decay ratios of their
         harmonics and, for identical absorbing slabs, the dense and shallow
         bands.
+    poles : sequence
+        ``(k_p, lo, hi)`` of each bound gap mode to subtract as a pole term
+        over its window [lo, hi], whose ends join the breakpoints (see
+        ``_pole_window``).  The passes integrate the remainder plus the
+        term's exact integral spread across the window, so every relative
+        test sees the whole integral, not the remainder alone.
 
     Returns
     -------
@@ -1002,8 +1032,9 @@ def _oscillatory_integral(shifted, spec, breakpoints, cfg):
         S(K) of the oscillation dropped past the switch point K (the
         variation of their last order along the ladder past K, their
         stencil error, the harmonics past the grid and the slow harmonics
-        left out of them), and the tail's quadrature error and
-        evaluation-noise allowance.
+        left out of them), the tail's quadrature error and
+        evaluation-noise allowance, and the rounding of each pole term's
+        subtraction.
 
     The coarse pass over [0, k0] that fixes the budget and the direct pass
     over [0, K] share one store of raw values keyed on k, and the band
@@ -1012,8 +1043,12 @@ def _oscillatory_integral(shifted, spec, breakpoints, cfg):
     live only as long as this call.
     """
     @functools.lru_cache(maxsize=None)
-    def raw(k):
+    def plain(k):
         return shifted(k, _RAW)[0]
+
+    windows = [_pole_window(plain, *p) for p in poles]
+    breakpoints += tuple(x for lo, hi, _, _ in windows for x in (lo, hi))
+    raw = _banded(plain, [w[:3] for w in windows], None)
 
     k0 = _first_switch(spec, cfg)
     axes = _phase_axes(cfg)
@@ -1046,7 +1081,7 @@ def _oscillatory_integral(shifted, spec, breakpoints, cfg):
     # bands, found again up to K where it passed k0 (classifying only the
     # points the k0 scan did not), join the dense bands there, and each
     # band adds the bound on the slab oscillation it drops plus its means'
-    # allowance.
+    # allowance; each pole window adds the rounding of its subtraction.
     if K > k0:
         shallow = _bands(cfg, K, kinds)[1]
     bands += shallow
@@ -1056,7 +1091,7 @@ def _oscillatory_integral(shifted, spec, breakpoints, cfg):
     tol = _mean_tol(direct.abs_tol, bands)
     val, err = integrate_interval(
         banded(tol), 0.0, K, direct, breakpoints=breakpoints + sum(bands, ()))
-    err += e_K
+    err += e_K + sum(w[3] for w in windows)
     for (lo, hi), (dropped, _, _, _) in zip(bands, bounds):
         err += dropped + tol * (hi - lo)
 
@@ -1102,15 +1137,8 @@ def _rotated_vacuum(cfg, spec):
     vanishes.  For lossless pairs there is no bath and this is the vacuum
     state force itself.
     """
-    a, d = cfg.gap, cfg.width
-    tl, tr = cfg.left.as_tuple(), cfg.right.as_tuple()
-
-    def g(kappa):
-        w = core.roundtrip_rot_direct(kappa, a, d, tl, tr)
-        return 4.0 * kappa * w / (1.0 - w)
-
-    s = replace(spec, panel_width=min(spec.panel_width, 0.5 / a))
-    return integrate_semiinfinite(g, s)
+    s = replace(spec, panel_width=min(spec.panel_width, 0.5 / cfg.gap))
+    return integrate_semiinfinite(_rotated(cfg, 4.0), s)
 
 
 def _slab_phase(mat, d, k, n=None):
@@ -1222,86 +1250,126 @@ def _bands(cfg, k_end, kinds=None):
 
 
 def _slab_refl(k, mat, d):
-    """Reflection r of one slab of material tuple ``mat`` at real k."""
-    n = core.refractive_at(-1j * k, mat[0], mat[1], mat[2], mat[3])
-    return core.slab_offset(core.slab_fixed(k, n, d), 0.0)[3]
+    """Reflection rn (1 - E) / (1 - rn^2 E) of one slab of material tuple
+    ``mat`` at complex k, with E = e^{2 i k n d} and n = sqrt(eps) on the
+    branch continuous with the real axis (Im n >= 0)."""
+    n = cmath.sqrt(core.permittivity_at(-1j * k, *mat))
+    n = -n if n.imag < 0.0 else n
+    rn = (1.0 - n) / (1.0 + n)
+    e = cmath.exp(2j * k * n * d)
+    return rn * (1.0 - e) / (1.0 - rn * rn * e)
 
 
 def _gap_modes(cfg):
     """Bound gap modes in the stop bands of the absorbing dispersive slabs.
 
     In a stop band [omega0, sqrt(omega0^2 + omega_pl^2)] the slabs reflect
-    almost totally, and the cavity denominator |1 - rL rR e^{2ika}| dips
-    towards zero at each bound mode.  A scan of the slow phase brackets each
-    local minimum and golden-section search refines it.  Returns sorted
-    ``(k_m, w, lo, hi)``: the mode, its width w = |delta| / |delta'| and
-    the stop band [lo, hi] holding it.
+    almost totally, and the cavity denominator D(k) = 1 - rL rR e^{2ika}
+    dips towards zero at each bound mode.  A scan of the slow phase
+    brackets each local minimum of |D| on the real axis, and Newton's
+    method from it finds the complex zero k_m - i w of D, a pole of the
+    force integrands.  The zero is taken when it lies below the real axis
+    within a scan step of its minimum, which is the scan point nearest to
+    it; two minima lie two steps apart at least, so no zero is taken twice.
+    A minimum from which Newton's method does not converge within
+    ``_NEWTON_STEPS`` steps holds no mode.  Returns sorted
+    ``(k_m, w, lo, hi)``: each zero, its half width w and the stop band
+    [lo, hi] holding it.
     """
-    a, d = cfg.gap, cfg.width
-    tl, tr = cfg.left.as_tuple(), cfg.right.as_tuple()
+    a, d, tl, tr = _args(cfg)
 
     def delta(k):
         return 1.0 - _slab_refl(k, tl, d) * _slab_refl(k, tr, d) \
-            * core.gap_phase(k, a)
+            * cmath.exp(2j * k * a)
 
     modes = []
-    mats = (cfg.left,) if cfg.left == cfg.right else (cfg.left, cfg.right)
-    for mat in mats:
+    # each stop band once: identical slabs share theirs
+    for mat in dict.fromkeys((cfg.left, cfg.right)):
         if not (_absorbing(mat) and mat.omega0 > 0.0):
             continue
-        lo = mat.omega0
-        hi = math.sqrt(lo * lo + mat.omega_pl * mat.omega_pl)
+        lo, hi = mat.omega0, math.hypot(mat.omega0, mat.omega_pl)
         m = max(_MODE_SCAN, int(math.ceil(16.0 * (hi - lo) * a / math.pi)))
         ks = [lo + (hi - lo) * (i + 0.5) / m for i in range(m)]
         ds = [abs(delta(k)) for k in ks]
         for i in range(1, m - 1):
             if not ds[i] < min(ds[i - 1], ds[i + 1]):
                 continue
-            x0, x1 = ks[i - 1], ks[i + 1]
-            u = x1 - _GOLDEN * (x1 - x0)
-            v = x0 + _GOLDEN * (x1 - x0)
-            du, dv = abs(delta(u)), abs(delta(v))
-            while x1 - x0 > 1e-12 * x1:
-                if du < dv:
-                    x1, v, dv = v, u, du
-                    u = x1 - _GOLDEN * (x1 - x0)
-                    du = abs(delta(u))
+            k = complex(ks[i])
+            try:
+                for _ in range(_NEWTON_STEPS):
+                    h = 1e-6 * abs(k)
+                    step = 2.0 * h * delta(k) / (delta(k + h) - delta(k - h))
+                    k -= step
+                    if abs(step) <= 1e-14 * abs(k):
+                        break
                 else:
-                    x0, u, du = u, v, dv
-                    v = x0 + _GOLDEN * (x1 - x0)
-                    dv = abs(delta(v))
-            km = 0.5 * (x0 + x1)
-            h = 1e-8 * km
-            slope = abs(delta(km + h) - delta(km - h)) / (2.0 * h)
-            modes.append((km, abs(delta(km)) / slope, lo, hi))
+                    continue
+            except ArithmeticError:
+                # a step into the lower half-plane far enough to overflow
+                # the slab exponential, or a flat difference: no mode here
+                continue
+            if abs(k.real - ks[i]) < (hi - lo) / m and k.imag < 0.0:
+                modes.append((k.real, -k.imag, lo, hi))
     return sorted(modes)
 
 
-def _mode_points(cfg, panel_width):
-    """Breakpoints at the bound gap modes narrower than the panel width.
-
-    A mode of width w far below the panel width is a spike that adaptive
-    refinement would find only by chance; k_m and k_m +- 10^j w
-    (j = 0 .. 4), inside the stop band, make it a panel edge.
-    """
-    pts = []
+def _pole_terms(cfg, panel_width):
+    """``(k_p, lo, hi)``: the complex zero k_p = k_m - i w of each bound
+    gap mode of the cavity ``cfg`` narrower than ``_MODE_NARROW`` panel
+    widths (w below it), and the window [lo, hi] over which Z subtracts its
+    pole term, ``_POLE_WINDOW`` w or half the distance to the stop band's
+    nearer edge on each side of k_m."""
+    terms = []
     for km, w, lo, hi in _gap_modes(cfg):
-        if w >= _MODE_NARROW * panel_width:
-            continue
-        pts.append(km)
-        for j in range(_MODE_DECADES):
-            for x in (km - 10.0 ** j * w, km + 10.0 ** j * w):
-                if lo < x < hi:
-                    pts.append(x)
-    return tuple(pts)
+        if w < _MODE_NARROW * panel_width:
+            half = min(_POLE_WINDOW * w, 0.5 * min(km - lo, hi - km))
+            terms.append((complex(km, -w), km - half, km + half))
+    return terms
+
+
+def _pole_window(f, kp, lo, hi):
+    """``(lo, hi, g, rounding)``: the integrand ``g(k, tol)`` that the
+    passes take in place of ``f(k)`` inside the window [lo, hi] of the pole
+    k_p, as ``_banded`` takes a band's mean (tol unused), and the rounding
+    of the subtraction there.
+
+    g is f less the pole term Re[A / (k - k_p)] plus the term's exact
+    integral over the window, Re[A (Log(hi - k_p) - Log(lo - k_p))],
+    spread evenly across it: k - k_p stays in the upper half-plane, so the
+    logarithm is continuous.  With k_p = k_m - i w, A is fitted to f at
+    k_m, where the term is Im A / w, and at k_m + w, where it is
+    (Re A + Im A) / (2 w).  The rounding is a few ulps of the integral of
+    |A / (k - k_p)| over the window, which is symmetric about k_m.
+    """
+    km, w = kp.real, -kp.imag
+    im = w * f(km)
+    amp = complex(2.0 * w * f(km + w) - im, im)
+    mean = (amp * (cmath.log(hi - kp) - cmath.log(lo - kp))).real / (hi - lo)
+    return (lo, hi, lambda k, _: f(k) + (mean - (amp / (k - kp)).real),
+            _CANCEL_ROUNDING * 2.0 * abs(amp) * math.asinh((hi - km) / w))
+
+
+def _bound_modes(cfg, spec):
+    """``(k_m, area, err)`` of each bound gap mode whose pole term Z
+    subtracts: the area pi Im A = pi w f(k_m) under the term fitted to Z's
+    integrand f (see ``_pole_window``), and its change when Im A is fitted
+    as w (f(k_m - w) + f(k_m + w)) instead, which measures the remainder
+    under the spike."""
+    f = _bath_integrand(cfg, math.inf, math.inf)
+    out = []
+    for kp, _, _ in _pole_terms(cfg, spec.panel_width):
+        km, w = kp.real, -kp.imag
+        below, at, above = (w * f(k, _RAW)[0] for k in (km - w, km, km + w))
+        out.append((km, math.pi * at, math.pi * abs(below + above - at)))
+    return out
 
 
 def _real_axis(cfg, spec, f):
     """``_oscillatory_integral`` of the cavity integrand ``f(k, offsets)``
-    with the narrow bound gap modes added to the breakpoints."""
-    bks = _breakpoints(cfg.left, cfg.right) + _mode_points(cfg,
-                                                           spec.panel_width)
-    return _oscillatory_integral(f, spec, tuple(sorted(bks)), cfg)
+    with each narrow bound gap mode subtracted as a pole term over its
+    window."""
+    return _oscillatory_integral(f, spec, _breakpoints(cfg.left, cfg.right),
+                                 cfg, _pole_terms(cfg, spec.panel_width))
 
 
 def _thermal_excess(bracket, beta, spec, breakpoints):
@@ -1383,8 +1451,7 @@ def _vacuum_bath(cfg, spec):
 def _bath_integrand(cfg, beta_left, beta_right):
     """Bath integrand ``f(k, offsets)`` of a cavity at the given inverse
     bath temperatures (both infinite for zero temperature)."""
-    a, d = cfg.gap, cfg.width
-    tl, tr = cfg.left.as_tuple(), cfg.right.as_tuple()
+    a, d, tl, tr = _args(cfg)
 
     def f(k, offsets):
         return core.bath_integrands(k, a, d, tl, tr, beta_left, beta_right,
@@ -1394,8 +1461,7 @@ def _bath_integrand(cfg, beta_left, beta_right):
 
 def _bracket(cfg):
     """State bracket ``bracket(k)`` of a cavity, without phase offsets."""
-    a, d = cfg.gap, cfg.width
-    tl, tr = cfg.left.as_tuple(), cfg.right.as_tuple()
+    a, d, tl, tr = _args(cfg)
 
     def bracket(k):
         return core.ic_bracket(k, a, d, tl, tr)
@@ -1405,8 +1471,7 @@ def _bracket(cfg):
 def _state_integrand(cfg):
     """Vacuum-weight state integrand ``f(k, offsets)``, k times the state
     bracket, of a cavity."""
-    a, d = cfg.gap, cfg.width
-    tl, tr = cfg.left.as_tuple(), cfg.right.as_tuple()
+    a, d, tl, tr = _args(cfg)
 
     def f(k, offsets):
         return [k * b for b in core.ic_brackets(k, a, d, tl, tr, offsets)]
@@ -1464,6 +1529,15 @@ def _tail_dual(cfg, f, k1, spec):
     return abs(v_avg + dv - v_raw), e_avg + de + e_raw
 
 
+def _finite(cfg):
+    """Refuse a cavity of infinite width: the bare state and bath integrals
+    of half-spaces diverge, and only ``halfspace_forces`` groups them."""
+    if cfg.width == math.inf:
+        raise NonConvergenceError(
+            "slabs of infinite width (half-spaces) have divergent bare state "
+            "and bath integrals; use halfspace_forces", error=math.inf)
+
+
 def _ic_parts(cfg, state, spec):
     """The state force as ``scale * (R - Z + X)``.
 
@@ -1471,6 +1545,7 @@ def _ic_parts(cfg, state, spec):
     the zero-temperature bath integral (zero for lossless pairs) and X the
     state excess over the vacuum weight, each a ``(value, err)`` pair.
     """
+    _finite(cfg)
     scale, eff = _effective_state(state)
     L, R = cfg.left, cfg.right
     if L.omega_pl == 0.0 and R.omega_pl == 0.0:
@@ -1496,10 +1571,10 @@ def _bath_parts(cfg, beta_left, beta_right, spec):
     zero-temperature value, both ``(value, err)`` pairs and both zero when
     neither slab absorbs.
     """
+    _finite(cfg)
     if not (beta_left > 0.0 and beta_right > 0.0):
         raise ValueError("bath inverse temperatures must be positive")
-    L, R = cfg.left, cfg.right
-    if not (_absorbing(L) or _absorbing(R)):
+    if not (_absorbing(cfg.left) or _absorbing(cfg.right)):
         return _ZERO, _ZERO
     return _vacuum_bath(cfg, spec), _bath_excess(cfg, beta_left, beta_right,
                                                  spec)
@@ -1514,8 +1589,7 @@ def _bath_excess(cfg, beta_left, beta_right, spec, beta_phi=math.inf):
     pass weighted by the differences of the occupation excesses
     coth(beta k/2) - 1, which fall below 1e-52 past beta k = 120.
     """
-    a, d = cfg.gap, cfg.width
-    tl, tr = cfg.left.as_tuple(), cfg.right.as_tuple()
+    a, d, tl, tr = _args(cfg)
 
     def g(k):
         ref = core.occupation_excess(beta_phi, k)
@@ -1607,22 +1681,16 @@ def _real_axis_ic(cfg, state, spec):
     integrated directly on the real axis.
 
     Shares no rotation and no zero-temperature bath integral with
-    ``force_ic``.  With ``_real_axis_bath`` it is the two-integral route
-    whose parts nearly cancel in the total, so it is slow and loses
-    accuracy there; both are kept as independent checks of ``force_ic``
-    and ``force_total``.
+    ``force_ic``.  With ``_real_axis`` of the bath integrand it is the
+    two-integral route whose parts nearly cancel in the total, so it is
+    slow and loses accuracy there; both are kept as independent checks of
+    ``force_ic`` and ``force_total``.
     """
     scale, eff = _effective_state(state)
     v, ev = _real_axis(cfg, spec, _state_integrand(cfg))
     x, ex = _state_excess(_bracket(cfg), eff, spec,
                           _breakpoints(cfg.left, cfg.right))
     return scale * (v + x), scale * (ev + ex)
-
-
-def _real_axis_bath(cfg, beta_left, beta_right, spec):
-    """Bath force integrated directly on the real axis at the given
-    temperatures (see ``_real_axis_ic``)."""
-    return _real_axis(cfg, spec, _bath_integrand(cfg, beta_left, beta_right))
 
 
 def force_dissipationless(cfg, state, spec):
@@ -1640,17 +1708,12 @@ def force_dissipationless(cfg, state, spec):
         raise ValueError(
             "dissipationless route requires static non-dispersive slabs")
     scale, eff = _effective_state(state)
-    a, d = cfg.gap, cfg.width
     if L.omega_pl == 0.0 and R.omega_pl == 0.0:
         return 0.0, 0.0
-    tl, tr = L.as_tuple(), R.as_tuple()
-
+    a, d, tl, tr = _args(cfg)
     vac, evac = _rotated_vacuum(cfg, spec)
-
-    def bracket(k):
-        return core.nodiss_bracket(k, a, d, tl, tr)
-
-    exc, eexc = _state_excess(bracket, eff, spec, ())
+    exc, eexc = _state_excess(lambda k: core.nodiss_bracket(k, a, d, tl, tr),
+                              eff, spec, ())
     return scale * (vac + exc), scale * (evac + eexc)
 
 
@@ -1705,14 +1768,7 @@ def equilibrium_matsubara(cfg, beta, spec):
         raise ValueError("beta must be positive")
     if cfg.left.omega_pl == 0.0 and cfg.right.omega_pl == 0.0:
         return 0.0, 0.0
-    a, d = cfg.gap, cfg.width
-    tl, tr = cfg.left.as_tuple(), cfg.right.as_tuple()
-
-    def g(xi):
-        w = core.roundtrip_rot_direct(xi, a, d, tl, tr)
-        return xi * w / (1.0 - w)
-
-    s, err = matsubara_sum(g, beta, spec)
+    s, err = matsubara_sum(_rotated(cfg, 1.0), beta, spec)
     pref = 8.0 * math.pi / beta
     return pref * s, pref * err
 

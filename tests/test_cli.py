@@ -393,6 +393,14 @@ def test_sweep_sigma_one_csv_per_band_center(tmp_path):
     for suffix in ("sweep_omega3.csv", "sweep_omega4.csv"):
         header, rows = read_rows(tmp_path / suffix)
         assert len(rows) == 1 and rows[0]["flags"] == ""
+    # the centre goes before the file's own extension, not before a dot
+    # in a directory name
+    (tmp_path / "run.d").mkdir()
+    assert main(["sweep-sigma", "--config", write(tmp_path, body),
+                 "--out", str(tmp_path / "run.d" / "sweep"),
+                 "--reproducible"]) == EXIT_OK
+    assert sorted(p.name for p in (tmp_path / "run.d").iterdir()) == [
+        "sweep_omega3", "sweep_omega4"]
 
 
 def test_limits_rows(tmp_path):
@@ -425,6 +433,52 @@ def test_limits_reports_the_halfspace_error(tmp_path):
     assert 0.0 < err < math.inf
     assert abs(float(row["value"]) - float(ref["value"])) <= err + float(
         ref["err"])
+
+
+WEAK_BODY = """
+[cavity]
+gap = 1.0
+width = 100.0
+
+[left]
+omega0 = 10.0
+omega_pl = 10.0
+gamma0 = 1e-6
+
+[right]
+omega0 = 10.0
+omega_pl = 10.0
+gamma0 = 1e-6
+
+[baths]
+beta_left = 5.0
+beta_right = 5.0
+
+[quadrature]
+rel_tol = 3e-4
+abs_tol = 1e-8
+"""
+
+
+def test_limits_reports_the_bound_gap_modes(tmp_path):
+    # the weakly damped pair's two bound gap modes, subtracted from Z as
+    # pole terms, each report their area; the wide modes of the mild pair
+    # are not subtracted and add no row
+    out = tmp_path / "limits.csv"
+    assert main(["limits", "--config", write(tmp_path, WEAK_BODY),
+                 "--out", str(out), "--reproducible"]) == EXIT_OK
+    rows = [r for r in read_rows(out)[1] if r["limit"].startswith("bound")]
+    assert [r["limit"] for r in rows] == ["bound_mode@11.4053",
+                                          "bound_mode@13.4624"]
+    for row, ref in zip(rows, (-47.858, -50.062)):
+        assert row["beta"] == "inf" and row["flags"] == ""
+        assert float(row["value"]) == pytest.approx(ref, abs=1e-3)
+        assert 0.0 < float(row["err"]) < 1e-5
+    out = tmp_path / "mild.csv"
+    assert main(["limits", "--config", write(tmp_path, MILD_BODY, "m.ini"),
+                 "--out", str(out), "--reproducible"]) == EXIT_OK
+    assert not any(r["limit"].startswith("bound")
+                   for r in read_rows(out)[1])
 
 
 def test_verify_passes(tmp_path, capsys):

@@ -29,7 +29,8 @@ from casimir1d.forces import (
 )
 from casimir1d.kernels import core
 from casimir1d.material import Material
-from casimir1d.quadrature import QuadratureSpec, integrate_semiinfinite
+from casimir1d.quadrature import (QuadratureSpec, integrate_interval,
+                                  integrate_semiinfinite)
 from casimir1d.scattering import CavityConfig
 from casimir1d.states import FieldState, coth_half
 
@@ -324,6 +325,20 @@ def test_equilibrium_sum_on_half_spaces_is_the_lifshitz_sum():
         0.02534697694167194, rel=1e-12)
 
 
+@pytest.mark.parametrize("slab", [FIG, Material(10.0, 10.0, 0.0)],
+                         ids=["absorbing", "lossless"])
+def test_entry_points_refuse_infinite_width(slab):
+    # bare half-space integrals diverge, so each entry point refuses
+    # infinite width and names the grouped route
+    cfg = CavityConfig(1.0, math.inf, slab, slab)
+    th = FieldState.thermal(5.0)
+    for call in (lambda: force_ic(cfg, th, SPEC6),
+                 lambda: force_bath(cfg, 5.0, 5.0, SPEC6),
+                 lambda: force_total(cfg, th, 5.0, 5.0, SPEC6)):
+        with pytest.raises(NonConvergenceError, match="halfspace_forces"):
+            call()
+
+
 def test_halfspace_equal_temperatures_match_lifshitz(monkeypatch):
     # the half-spaces are slabs of infinite width: R plus the thermal
     # excesses, with no real-axis oscillatory integral, is the pole sum
@@ -524,11 +539,100 @@ def test_bound_gap_modes_located():
     for km, w, lo, hi in modes:
         assert 1e-7 < w < 3e-7
         assert (lo, hi) == (10.0, pytest.approx(10.0 * math.sqrt(2.0)))
-    pts = forces._mode_points(WEAK_CFG, WEAK_SPEC.panel_width)
-    assert len(pts) == 2 * (1 + 2 * 5)
-    # wider modes than a thousandth of a panel keep today's layout
-    assert forces._mode_points(FIG_CFG, WEAK_SPEC.panel_width) == ()
-    assert forces._mode_points(CFG, WEAK_SPEC.panel_width) == ()
+    poles = forces._pole_terms(WEAK_CFG, WEAK_SPEC.panel_width)
+    assert [kp for kp, _, _ in poles] == [
+        complex(km, -w) for km, w, _, _ in modes]
+    for kp, lo, hi in poles:
+        assert hi - kp.real == pytest.approx(kp.real - lo)
+        assert hi - lo == pytest.approx(2.0 * forces._POLE_WINDOW * -kp.imag)
+    # modes wider than a thousandth of a panel are not subtracted
+    assert forces._pole_terms(FIG_CFG, WEAK_SPEC.panel_width) == []
+    assert forces._pole_terms(CFG, WEAK_SPEC.panel_width) == []
+
+
+def test_bound_gap_pole_is_a_zero_of_the_denominator():
+    # Newton's method from the scan minima lands on the complex zero of
+    # D = 1 - rL rR e^{2ika} to rounding; its half width matches |D| / |D'|
+    # at the minimum of |D| on the real axis
+    tl = WEAK.as_tuple()
+    for (km, w, _, _), old in zip(forces._gap_modes(WEAK_CFG),
+                                  (1.6608e-7, 2.0408e-7)):
+        kp = complex(km, -w)
+        d = 1.0 - forces._slab_refl(kp, tl, 100.0) ** 2 * cmath.exp(2j * kp)
+        assert abs(d) <= 1e-14
+        assert w == pytest.approx(old, rel=1e-3)
+
+
+def test_gap_mode_search_survives_divergent_steps():
+    # from some scan minima of thin or strongly damped slabs Newton's method
+    # steps far enough below the real axis to overflow the slab exponential
+    # or stalls; those minima hold no mode, and the search goes on
+    for a, d, slab in ((0.3, 0.1, Material(1.0, 5.0, 1.0)),
+                       (3.0, 0.1, Material(5.0, 1.0, 0.1)),
+                       (0.3, 100.0, Material(5.0, 1.0, 3.0))):
+        for km, w, lo, hi in forces._gap_modes(CavityConfig(a, d, slab,
+                                                            slab)):
+            assert lo < km < hi and w > 0.0
+
+
+def test_pole_term_window_integral_is_exact():
+    # the exact integral of the fitted term over its window, spread across
+    # the window, matches adaptive quadrature of the term there
+    spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-12, panel_width=1e-4)
+    bath = forces._bath_integrand(WEAK_CFG, math.inf, math.inf)
+
+    def raw(k):
+        return bath(k, forces._RAW)[0]
+
+    for kp, lo, hi in forces._pole_terms(WEAK_CFG, WEAK_SPEC.panel_width):
+        # A from the integrand at k_m and k_m + w, with k_p = k_m - i w
+        km, w = kp.real, -kp.imag
+        amp = complex(2.0 * w * raw(km + w) - w * raw(km), w * raw(km))
+        _, _, g, rounding = forces._pole_window(raw, kp, lo, hi)
+        term, _ = integrate_interval(lambda k: (amp / (k - kp)).real, lo, hi,
+                                     spec, breakpoints=(kp.real,))
+        # g is the integrand less the term plus the exact part's mean
+        mean = g(km, None) - raw(km) + (amp / (km - kp)).real
+        exact = mean * (hi - lo)
+        assert exact == pytest.approx(term, abs=2e-6)
+        # on the window k_m +- W the dispersive part integrates to zero and
+        # the Lorentzian part to 2 Im A atan(W / w)
+        assert exact == pytest.approx(
+            2.0 * amp.imag * math.atan(0.5 * (hi - lo) / w), rel=1e-12)
+        assert 0.0 < rounding < 1e-12
+
+
+def test_weak_bath_integral_skips_the_mode_spikes(monkeypatch):
+    # the pole terms take the spikes, so refinement does not crowd the
+    # modes: under a hundred raw calls fall within 0.1 of either
+    near = []
+    kernel = core.bath_integrands
+
+    def counting(k, *args):
+        if len(args[-1]) == 1 and (11.3 <= k <= 11.5 or 13.4 <= k <= 13.5):
+            near.append(k)
+        return kernel(k, *args)
+
+    monkeypatch.setattr(core, "bath_integrands", counting)
+    forces._vacuum_bath.cache_clear()
+    try:
+        forces._vacuum_bath(WEAK_CFG, WEAK_SPEC)
+    finally:
+        forces._vacuum_bath.cache_clear()
+    assert 0 < len(near) < 100
+
+
+@pytest.mark.parametrize("gamma0", [1e-7, 1e-6, 1e-5])
+def test_bound_mode_areas_do_not_depend_on_damping(gamma0):
+    # pi Im A: the bath feeds each mode through an absorption ~gamma
+    # against a denominator ~gamma^2
+    slab = Material(10.0, 10.0, gamma0)
+    modes = forces._bound_modes(CavityConfig(1.0, 100.0, slab, slab),
+                                WEAK_SPEC)
+    assert [round(km, 4) for km, _, _ in modes] == [11.4053, 13.4624]
+    for (_, area, err), ref in zip(modes, (-47.8579237, -50.0622959)):
+        assert area == pytest.approx(ref, rel=1e-6)
+        assert 0.0 < err < 1e-6 * abs(area)
 
 
 def test_weak_pair_bath_integral_matches_direct_route():
@@ -544,10 +648,14 @@ def test_bound_mode_area_survives_smaller_damping():
     spec = QuadratureSpec(rel_tol=1e-3, abs_tol=1e-8)
     weaker = Material(10.0, 10.0, 1e-8)
     z6, _ = forces._vacuum_bath(WEAK_CFG, spec)
-    z8, _ = forces._vacuum_bath(CavityConfig(1.0, 100.0, weaker, weaker),
-                                spec)
+    z8, e8 = forces._vacuum_bath(CavityConfig(1.0, 100.0, weaker, weaker),
+                                 spec)
     assert z6 < -90.0
     assert z8 == pytest.approx(z6, rel=1e-2)
+    # reference: -97.93326 +- 9.34e-2 by adaptive refinement through
+    # breakpoints at k_m and k_m +- 10^j w; with the pole terms Z agrees
+    # within both estimates, and its own is the tighter
+    assert abs(z8 - (-97.93326)) <= e8 + 9.34e-2 and e8 < 9.34e-2
 
 
 def test_dense_band_dual_route():
