@@ -32,6 +32,12 @@ bath integral Z on each workload's cavity, by wrapping
 the raw calls within 0.1 of a bound gap mode (``forces._gap_modes``), the
 layer ``perfbench/tracing.py`` does not see.  ``points(tree)`` gives them
 on their own.
+Each side's ``imports`` hold the per-module import self-time in
+microseconds, the median of ``python3 -X importtime`` over 9 fresh
+interpreters under ``PYTHONDONTWRITEBYTECODE=1``, of the imports a
+``perfbench/sample.py`` setup sample makes: its own, ``casimir1d``,
+``speed`` and ``workloads``.  They split ``setup_s`` by module.
+``imports(tree)`` gives them on their own.
 """
 
 import argparse
@@ -40,6 +46,7 @@ import io
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -53,6 +60,7 @@ SECONDS = 10
 TIER1 = [sys.executable, "-m", "pytest", "-q",
          "--continue-on-collection-errors", "-p", "no:cacheprovider"]
 SIDES = ("parent", "change")
+IMPORT_RUNS = 9
 # tokens that do not make a line a code line
 _LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
            tokenize.DEDENT, tokenize.ENDMARKER}
@@ -119,6 +127,10 @@ sys.path.insert(0, "perfbench")
 import workloads as W
 from casimir1d import cli, forces
 from casimir1d.states import FieldState
+try:
+    from casimir1d.oracles import verify_checks
+except ImportError:  # checkouts from before the oracle module
+    verify_checks = cli._verify_checks
 
 b = W.BETA_300K
 rc = cli.load_run_config(W.SWEEP_INI, need_sweep=True)
@@ -135,7 +147,7 @@ out = {
     "docs_ladder": [forces.band_excess_curve(rc.cavity, w, rc.sigma_grid,
                                              rc.spec)
                     for w in rc.omega0_list],
-    "verify": cli._verify_checks(),
+    "verify": verify_checks(),
 }
 with tempfile.TemporaryDirectory() as tmp:
     for name, command in (("sweep_csv", "sweep-sigma"),
@@ -209,6 +221,32 @@ def outputs(tree):
     return _run(tree, _OUTPUTS)
 
 
+# The imports of a perfbench/sample.py setup sample, run in a checkout's
+# root.
+_SETUP_IMPORTS = ("import json, os, resource, shutil, sys, tempfile, time; "
+                  "sys.path[:0] = ['src', 'perfbench']; "
+                  "import casimir1d, speed, workloads")
+_IMPORTTIME = re.compile(r"import time:\s+(\d+) \|\s+\d+ \|\s*(\S+)")
+
+
+def imports(tree, runs=IMPORT_RUNS):
+    """``{"total_us", "modules": {module: self_us}}``: medians over ``runs``
+    fresh interpreters of the setup imports' summed and per-module self
+    time (see the module docstring)."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    samples = []
+    for _ in range(runs):
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-c", _SETUP_IMPORTS],
+            cwd=tree, capture_output=True, text=True, env=env, check=True)
+        samples.append({m: int(us) for us, m in
+                        _IMPORTTIME.findall(proc.stderr)})
+    names = sorted(set().union(*samples))
+    return {"total_us": statistics.median(sum(s.values()) for s in samples),
+            "modules": {m: statistics.median(s.get(m, 0) for s in samples)
+                        for m in names}}
+
+
 def _summary(values):
     """Median and quartiles (the quartiles need two or more values)."""
     out = {"median": statistics.median(values), "n": len(values)}
@@ -255,6 +293,7 @@ def measure(parent):
     out["match"] = not out["differ"]
     entry["outputs"] = out
     entry["points"] = {side: points(trees[side]) for side in SIDES}
+    entry["imports"] = {side: imports(trees[side]) for side in SIDES}
     return entry
 
 

@@ -25,10 +25,9 @@ import csv
 import math
 import os
 import sys
-from dataclasses import dataclass
-from datetime import datetime, timezone
 
 from . import forces
+from ._value import Frozen
 from .errors import NaNIntegrandError, NonConvergenceError
 from .material import Material
 from .quadrature import QuadratureSpec
@@ -62,18 +61,16 @@ class ConfigError(ValueError):
     """Raised for malformed or incomplete run configuration."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Frozen):
     """Parsed run configuration for the experiment drivers."""
 
-    cavity: CavityConfig
-    state: FieldState
-    beta_left: float
-    beta_right: float
-    spec: QuadratureSpec
-    sigma_grid: tuple
-    omega0_list: tuple
-    gap_meters: float
+    __slots__ = ("cavity", "state", "beta_left", "beta_right", "spec",
+                 "sigma_grid", "omega0_list", "gap_meters")
+
+    def __init__(self, cavity, state, beta_left, beta_right, spec, sigma_grid,
+                 omega0_list, gap_meters):
+        self._assign(cavity, state, beta_left, beta_right, spec, sigma_grid,
+                     omega0_list, gap_meters)
 
 
 def beta_from_kelvin(t_kelvin, gap_meters):
@@ -227,6 +224,7 @@ def _fmt(value):
 def _write_csv(path, columns, rows, reproducible):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         if not reproducible:
+            from datetime import datetime, timezone
             fh.write("# written %s\n"
                      % datetime.now(timezone.utc).isoformat())
         writer = csv.writer(fh, lineterminator="\n")
@@ -381,134 +379,13 @@ def cmd_limits(rc, out, reproducible):
     return EXIT_OK
 
 
-def _verify_checks():
-    """Canned invariant suite: (name, measured, threshold) triples."""
-    # the stress oracle loads only for the checks that use it
-    from .stress import pressure_difference
-    mild_l = Material(3.0, 2.0, 0.5)
-    mild_r = Material(2.5, 1.5, 1.0)
-    stat_l = Material(10.0, 10.0, model="static_nd")
-    stat_r = Material(4.0, 3.0, model="static_nd")
-    spec = QuadratureSpec(rel_tol=1e-8, abs_tol=1e-12)
-    checks = []
-
-    cfg_nd = CavityConfig(1.0, 0.7, stat_l, stat_r)
-    fb = forces.force_bath(cfg_nd, 9.0, 9.0, spec)
-    dev_ic_nd, dev_b_nd = pressure_difference(
-        cfg_nd, (9.0, 9.0), FieldState.thermal(4.0), (0.31, 1.72, 6.13))
-    checks.append(("bath_dissipationless_zero",
-                   max(abs(fb[0]), abs(fb[1]), dev_b_nd), 0.0))
-    checks.append(("stress_oracle_dissipationless_ic", dev_ic_nd, 1e-8))
-
-    # both routes share R; the thermal excess integrates the full state
-    # bracket in force_ic and the unitarity-reduced one in
-    # force_dissipationless
-    th = FieldState.thermal(4.0)
-    f_red, _ = forces.force_dissipationless(cfg_nd, th, spec)
-    f_full, _ = forces.force_ic(cfg_nd, th, spec)
-    checks.append(("ic_dual_route_dissipationless",
-                   abs(f_full - f_red) / abs(f_red), 1e-8))
-
-    # gap 0.5 keeps the state/bath cancellation amplification of the
-    # real-axis route near 7e2, so the 1e-6 agreements with it are honestly
-    # reachable at rel_tol 1e-8
-    cfg = CavityConfig(0.5, 0.4, mild_l, mild_r)
-    beta = 5.0
-    f_ic, _ = forces.force_ic(cfg, FieldState.thermal(beta), spec)
-    f_b, _ = forces.force_bath(cfg, beta, beta, spec)
-    canary, _ = forces.equilibrium_matsubara(cfg, beta, spec)
-    checks.append(("equilibrium_dual_pipeline",
-                   abs(f_ic + f_b - canary) / abs(canary), 1e-6))
-
-    # the two-integral real-axis route shares no rotation and no
-    # zero-temperature bath integral with force_ic and force_total
-    osc_vac, _ = forces._real_axis_ic(cfg, FieldState.vacuum(), spec)
-    f_vac, _ = forces.force_ic(cfg, FieldState.vacuum(), spec)
-    checks.append(("real_axis_dual_pipeline",
-                   abs(osc_vac - f_vac) / abs(f_vac), 1e-6))
-    osc_ic, _ = forces._real_axis_ic(cfg, FieldState.thermal(beta), spec)
-    osc_b, _ = forces._real_axis(cfg, spec,
-                                 forces._bath_integrand(cfg, 3.0, 8.0))
-    noneq = forces.force_total(cfg, FieldState.thermal(beta), 3.0, 8.0, spec)
-    checks.append(("nonequilibrium_dual_pipeline",
-                   abs(osc_ic + osc_b - noneq.total) / abs(noneq.total),
-                   1e-6))
-
-    dev_ic, dev_b = pressure_difference(
-        CavityConfig(1.0, 0.4, mild_l, mild_r), (3.7, 5.2),
-        FieldState.thermal(4.1),
-        (0.21, 0.72, 1.31, 2.10, 3.33, 5.27, 8.10, 12.9))
-    checks.append(("stress_oracle_ic", dev_ic, 1e-8))
-    checks.append(("stress_oracle_bath", dev_b, 1e-8))
-
-    hs_ic, _hs_b = forces.halfspace_forces(mild_l, mild_r, 1.0, 10.0, 10.0,
-                                           10.0, spec)
-    lif, _ = forces.lifshitz_matsubara(mild_l, mild_r, 1.0, 10.0, spec)
-    checks.append(("lifshitz_dual_pipeline",
-                   abs(hs_ic - lif) / abs(lif), 1e-6))
-
-    # the slab-phase mean plus its bound against raw quadrature on
-    # half-slab-period panels inside the dense band of the weakly damped
-    # pair, in units of the combined error estimate
-    weak = Material(10.0, 10.0, 1e-6)
-    cfg_weak = CavityConfig(1.0, 100.0, weak, weak)
-    dev, est = forces._band_dual(
-        cfg_weak, forces._bath_integrand(cfg_weak, math.inf, math.inf),
-        9.4, 9.6, QuadratureSpec(rel_tol=1e-6, abs_tol=1e-9))
-    checks.append(("dense_band_dual_pipeline", dev / est, 1.0))
-
-    # the slab-phase mean plus its bound against raw quadrature on
-    # half-slab-period panels, in the shallow bands of the docs cavity, for
-    # the bath and the state integrands: above the stop band from the high
-    # band's opaque lower edge and inside it, below it over the whole low
-    # band and from k -> 0 into its clear comb; the worst ratio to the
-    # combined estimate
-    fig = Material(10.0, 10.0, 0.1)
-    cfg_fig = CavityConfig(1.0, 100.0, fig, fig)
-    spec_fig = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-10)
-    (low_lo, low_hi), (start, _) = forces._bands(cfg_fig, 30.0)[1]
-    worst = 0.0
-    for f in (forces._bath_integrand(cfg_fig, math.inf, math.inf),
-              forces._state_integrand(cfg_fig)):
-        for lo, hi in ((start, 30.0), (25.3, 27.9), (low_lo, low_hi),
-                       (low_lo, 3.0)):
-            dev, est = forces._band_dual(cfg_fig, f, lo, hi, spec_fig)
-            worst = max(worst, dev / est)
-    checks.append(("shallow_band_dual_pipeline", worst, 1.0))
-
-    # the slab-phase mean plus the signed edge terms S(x1) - S(x0) against
-    # raw quadrature on half-slab-period panels, for the state integrand on
-    # windows that end inside the clear comb of either shallow band, as the
-    # sigma ladder's windows do; the worst ratio to the combined estimate
-    low, high = forces._bands(cfg_fig, 55.0)[1]
-    worst = 0.0
-    for band, window in ((low, (4.875, 5.125)), (low, (2.0, 3.0)),
-                         (low, (0.0, 3.0)), (high, (30.0, 55.0))):
-        dev, est = forces._band_dual(cfg_fig, forces._state_integrand(cfg_fig),
-                                     *band, spec_fig, window=window)
-        worst = max(worst, dev / est)
-    checks.append(("ladder_edge_dual_pipeline", worst, 1.0))
-
-    # the phase average plus the signed edge terms S(k1) - S(K) against raw
-    # quadrature on half-slab-period panels, from the switch point K to the
-    # one the retired probe march reached (106.5 on the docs cavity, 213.2
-    # on the mild pair), for the bath and the state integrands; the worst
-    # ratio to the combined estimate
-    worst = 0.0
-    for cav, k1, sp in ((cfg_fig, 106.5, spec_fig), (cfg, 213.2, spec)):
-        for f in (forces._bath_integrand(cav, math.inf, math.inf),
-                  forces._state_integrand(cav)):
-            dev, est = forces._tail_dual(cav, f, k1, sp)
-            worst = max(worst, dev / est)
-    checks.append(("tail_edge_dual_pipeline", worst, 1.0))
-    return checks
-
-
 def cmd_verify(out, reproducible):
     """Run the canned invariant suite; exit 4 if anything fails."""
     rows = []
     failed = False
-    for name, measured, threshold in _verify_checks():
+    # the oracles, and the stress module they use, load only here
+    from .oracles import verify_checks
+    for name, measured, threshold in verify_checks():
         ok = measured <= threshold
         failed = failed or not ok
         status = "PASS" if ok else "FAIL"

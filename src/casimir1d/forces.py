@@ -117,8 +117,8 @@ import functools
 import math
 import operator
 import sys
-from dataclasses import dataclass, replace
 
+from ._value import Frozen
 from .errors import (DeltaStateWeightError, NaNIntegrandError,
                      NonConvergenceError)
 from .kernels import core
@@ -235,8 +235,7 @@ _CANCEL_ROUNDING = 4.0 * sys.float_info.epsilon
 _ZERO = (0.0, 0.0)
 
 
-@dataclass(frozen=True)
-class ForceBreakdown:
+class ForceBreakdown(Frozen):
     """State part, bath part, their exact sum, and their error estimates.
 
     ``total`` is always ``ic + bath`` by construction.  ``err_ic`` and
@@ -246,12 +245,10 @@ class ForceBreakdown:
     caller's: the breakdown holds only the six numbers.
     """
 
-    ic: float
-    bath: float
-    total: float
-    err_ic: float
-    err_bath: float
-    err_total: float
+    __slots__ = ("ic", "bath", "total", "err_ic", "err_bath", "err_total")
+
+    def __init__(self, ic, bath, total, err_ic, err_bath, err_total):
+        self._assign(ic, bath, total, err_ic, err_bath, err_total)
 
 
 def _absorbing(mat):
@@ -480,7 +477,7 @@ def _first_switch(spec, cfg):
 
 def _coarse(spec):
     """The cheap pass that fixes the absolute error budget."""
-    return replace(spec, rel_tol=1e-2, abs_tol=max(spec.abs_tol, 1e-8),
+    return spec.replace(rel_tol=1e-2, abs_tol=max(spec.abs_tol, 1e-8),
                    max_panels=max(2000, spec.max_panels // 10))
 
 
@@ -1086,7 +1083,7 @@ def _oscillatory_integral(shifted, spec, breakpoints, cfg, poles=()):
         shallow = _bands(cfg, K, kinds)[1]
     bands += shallow
     bounds += [_band_bounds(shifted, cfg, lo, hi) for lo, hi in shallow]
-    direct = replace(spec, abs_tol=max(spec.abs_tol, 0.25 * budget,
+    direct = spec.replace(abs_tol=max(spec.abs_tol, 0.25 * budget,
                                        0.5 * _NOISE_EPS * K * K))
     tol = _mean_tol(direct.abs_tol, bands)
     val, err = integrate_interval(
@@ -1098,8 +1095,8 @@ def _oscillatory_integral(shifted, spec, breakpoints, cfg, poles=()):
     # Phase-averaged tail less the signed edge terms at K; a failure
     # carries the integral below K
     try:
-        v, e = _averaged_tail(averaged, K, replace(
-            spec, abs_tol=max(spec.abs_tol, 0.25 * budget)))
+        v, e = _averaged_tail(averaged, K, spec.replace(
+            abs_tol=max(spec.abs_tol, 0.25 * budget)))
     except NonConvergenceError as exc:
         raise NonConvergenceError(
             "averaged tail past K = %.6g: %s" % (K, exc), partial=val,
@@ -1122,8 +1119,8 @@ def _averaged_tail(averaged, K, spec):
         deep = max(deep, k)
         return averaged(k) * K / (2.0 * t * math.sqrt(t))
 
-    v, e = integrate_interval(mapped, 0.0, 1.0, replace(
-        spec, panel_width=1.0, max_panels=_MAX_TAIL_PANELS))
+    v, e = integrate_interval(mapped, 0.0, 1.0, spec.replace(
+        panel_width=1.0, max_panels=_MAX_TAIL_PANELS))
     return v, e + 0.5 * _NOISE_EPS * (deep * deep - K * K)
 
 
@@ -1137,7 +1134,7 @@ def _rotated_vacuum(cfg, spec):
     vanishes.  For lossless pairs there is no bath and this is the vacuum
     state force itself.
     """
-    s = replace(spec, panel_width=min(spec.panel_width, 0.5 / cfg.gap))
+    s = spec.replace(panel_width=min(spec.panel_width, 0.5 / cfg.gap))
     return integrate_semiinfinite(_rotated(cfg, 4.0), s)
 
 
@@ -1478,57 +1475,6 @@ def _state_integrand(cfg):
     return f
 
 
-def _band_dual(cfg, f, lo, hi, spec, window=None):
-    """Integral of ``f(k, offsets)`` over [lo, hi], inside a dense or
-    shallow band of identical slabs, by the slab-phase mean with its bound
-    and by raw quadrature on panels of half a slab period.  Given a
-    ``window`` (x0, x1) inside the band [lo, hi], the integral runs over the
-    window and the mean route adds the signed edge terms S(x1) - S(x0), as
-    ``band_excess_curve`` does, in place of the bound.
-
-    Returns ``(deviation, estimate)``: the two routes' difference and the
-    sum of their error estimates, the mean's including its bound (or the
-    edge terms' error) and its convergence allowance.  An independent check
-    of the band route, its mean as production sizes it, and its bound.
-    """
-    tol = _mean_tol(spec.abs_tol, ((lo, hi),))
-    bound, mean, _, edges = _band_bounds(f, cfg, lo, hi)
-    x0, x1 = window or (lo, hi)
-    v_mean, e_mean = integrate_interval(lambda k: mean(k, tol), x0, x1, spec)
-    dv, de = edges(x0, x1) if window else (0.0, bound)
-    e_mean += de + tol * (x1 - x0)
-    fine = replace(spec, panel_width=_half_period(cfg, x0))
-    v_raw, e_raw = integrate_interval(lambda k: f(k, _RAW)[0], x0, x1, fine)
-    return abs(v_mean + dv - v_raw), e_mean + e_raw
-
-
-def _tail_dual(cfg, f, k1, spec):
-    """Integral of ``f(k, offsets)`` over [K, k1], K the switch point of
-    its real-axis integral (for a cavity without dense bands), by the phase
-    average plus the signed edge terms S(k1) - S(K) and by raw quadrature on
-    panels of half the shortest slab period.
-
-    Returns ``(deviation, estimate)``: the two routes' difference and the
-    sum of their error estimates, the first's including the edge terms'
-    (both ends' and their last order's variation between them).  An
-    independent check of the tail past the switch point.
-    """
-    axes = _phase_axes(cfg)
-    edges = _above_edges(f, cfg, axes)
-    K = _switch(f, spec, cfg, axes, edges, lambda k: f(k, _RAW)[0],
-                _breakpoints(cfg.left, cfg.right))[0]
-    dv, de, _ = edges(K, k1)
-    v_avg, e_avg = integrate_interval(
-        lambda k: _phase_average(f, k, len(axes)), K, k1,
-        replace(spec, panel_width=k1 - K))
-    fine = replace(spec, panel_width=min(
-        [spec.panel_width] + [math.pi / _slab_rate(m, cfg.width, K)
-                              for m in (cfg.left, cfg.right)]),
-        max_panels=10 * spec.max_panels)
-    v_raw, e_raw = integrate_interval(lambda k: f(k, _RAW)[0], K, k1, fine)
-    return abs(v_avg + dv - v_raw), e_avg + de + e_raw
-
-
 def _finite(cfg):
     """Refuse a cavity of infinite width: the bare state and bath integrals
     of half-spaces diverge, and only ``halfspace_forces`` groups them."""
@@ -1674,23 +1620,6 @@ def force_total(cfg, state, beta_left, beta_right, spec):
                  + _CANCEL_ROUNDING * scale * abs(zb))
     return ForceBreakdown(f_ic, f_b, f_ic + f_b, scale * (er + ez + ex),
                           ezb + ey, err_total)
-
-
-def _real_axis_ic(cfg, state, spec):
-    """State force of an absorbing pair with its vacuum-weight part
-    integrated directly on the real axis.
-
-    Shares no rotation and no zero-temperature bath integral with
-    ``force_ic``.  With ``_real_axis`` of the bath integrand it is the
-    two-integral route whose parts nearly cancel in the total, so it is
-    slow and loses accuracy there; both are kept as independent checks of
-    ``force_ic`` and ``force_total``.
-    """
-    scale, eff = _effective_state(state)
-    v, ev = _real_axis(cfg, spec, _state_integrand(cfg))
-    x, ex = _state_excess(_bracket(cfg), eff, spec,
-                          _breakpoints(cfg.left, cfg.right))
-    return scale * (v + x), scale * (ev + ex)
 
 
 def force_dissipationless(cfg, state, spec):
@@ -1907,7 +1836,7 @@ def band_excess_curve(cfg, omega_center, sigmas, spec):
             x0 = max(lo, K)
             va, ea = integrate_interval(
                 lambda k: _phase_average(f, k, len(axes)), x0, hi,
-                replace(spec, panel_width=hi - x0))
+                spec.replace(panel_width=hi - x0))
             v, e = v + va, e + ea
         return v, e
 

@@ -9,16 +9,14 @@ at s = -i omega.  The ``static_nd`` model freezes eps at its zero-frequency
 value 1 + (omega_pl/omega0)^2 with no absorption at any frequency.
 """
 
-from dataclasses import dataclass
-
+from ._value import Frozen
 from .errors import ResonanceSingularityError
 from .kernels import core
 
 _MODELS = ("drude_lorentz", "static_nd")
 
 
-@dataclass(frozen=True)
-class Material:
+class Material(Frozen):
     """Single-resonance slab material.
 
     Parameters
@@ -33,12 +31,12 @@ class Material:
         "drude_lorentz" (default) or "static_nd".
     """
 
-    omega0: float
-    omega_pl: float
-    gamma0: float = 0.0
-    model: str = "drude_lorentz"
+    __slots__ = ("omega0", "omega_pl", "gamma0", "model")
 
-    def __post_init__(self):
+    def __init__(self, omega0, omega_pl, gamma0=0.0, model="drude_lorentz"):
+        self._assign(omega0, omega_pl, gamma0, model)
+
+    def _check(self):
         if self.model not in _MODELS:
             raise ValueError("unknown material model %r (expected one of %s)"
                              % (self.model, ", ".join(_MODELS)))

@@ -11,8 +11,8 @@ order; identical inputs give bit-identical results.
 
 import heapq
 import math
-from dataclasses import dataclass
 
+from ._value import Frozen
 from .errors import NaNIntegrandError, NonConvergenceError
 
 # 15-point Kronrod nodes/weights with the embedded 7-point Gauss rule
@@ -50,8 +50,7 @@ _EPS = 2.220446049250313e-16
 _TAIL_THRESHOLD = 1e-12
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
+class QuadratureSpec(Frozen):
     """Tolerances and panel layout of the adaptive integrator.
 
     ``panel_width`` is in inverse-gap units: choose pi/(2*a) so the gap
@@ -59,12 +58,13 @@ class QuadratureSpec:
     value assumes a = 1).
     """
 
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-12
-    panel_width: float = math.pi / 2.0
-    max_panels: int = 100000
+    __slots__ = ("rel_tol", "abs_tol", "panel_width", "max_panels")
 
-    def __post_init__(self):
+    def __init__(self, rel_tol=1e-9, abs_tol=1e-12, panel_width=math.pi / 2.0,
+                 max_panels=100000):
+        self._assign(rel_tol, abs_tol, panel_width, max_panels)
+
+    def _check(self):
         if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
             raise ValueError("tolerances must be positive")
         if not self.panel_width > 0.0:

@@ -11,8 +11,8 @@ reference the global origin, which may overflow there, are not formed.
 """
 
 import cmath
-from dataclasses import dataclass
 
+from ._value import Frozen
 from .errors import RegionUnsupportedError
 from .kernels import core
 from .material import Material, refractive_index
@@ -27,16 +27,15 @@ PHI_GREATER = "phi_greater"
 PHI_LESS = "phi_less"
 
 
-@dataclass(frozen=True)
-class CavityConfig:
+class CavityConfig(Frozen):
     """Two slabs of common width facing each other across a vacuum gap."""
 
-    gap: float
-    width: float
-    left: Material
-    right: Material
+    __slots__ = ("gap", "width", "left", "right")
 
-    def __post_init__(self):
+    def __init__(self, gap, width, left, right):
+        self._assign(gap, width, left, right)
+
+    def _check(self):
         if not self.gap > 0.0:
             raise ValueError("gap must be positive")
         if not self.width > 0.0:
@@ -229,14 +228,15 @@ class ScatteringSet:
         return self.T * cmath.exp(-s * x)
 
 
-@dataclass(frozen=True)
-class ModeFunction:
+class ModeFunction(Frozen):
     """One of the two scattering modes, tied to a coefficient set."""
 
-    kind: str
-    coefficients: ScatteringSet
+    __slots__ = ("kind", "coefficients")
 
-    def __post_init__(self):
+    def __init__(self, kind, coefficients):
+        self._assign(kind, coefficients)
+
+    def _check(self):
         if self.kind not in (PHI_GREATER, PHI_LESS):
             raise ValueError("kind must be phi_greater or phi_less")
 

@@ -9,17 +9,16 @@ dedicated force path instead.
 """
 
 import math
-from dataclasses import dataclass
 
 from ._core import coth_half
+from ._value import Frozen
 from .errors import DeltaStateWeightError
 
 _VARIANTS = ("vacuum", "thermal", "squeezed_band", "squeezed_delta",
              "squeezed_const")
 
 
-@dataclass(frozen=True)
-class FieldState:
+class FieldState(Frozen):
     """One of: vacuum, thermal(beta), squeezed_band(sigma, omega_center),
     squeezed_delta(omega_center), squeezed_const(xi).
 
@@ -28,13 +27,13 @@ class FieldState:
     Use the classmethod constructors rather than filling fields by hand.
     """
 
-    variant: str
-    beta: float = 0.0
-    sigma: float = 0.0
-    omega_center: float = 0.0
-    xi: float = 0.0
+    __slots__ = ("variant", "beta", "sigma", "omega_center", "xi")
 
-    def __post_init__(self):
+    def __init__(self, variant, beta=0.0, sigma=0.0, omega_center=0.0,
+                 xi=0.0):
+        self._assign(variant, beta, sigma, omega_center, xi)
+
+    def _check(self):
         if self.variant not in _VARIANTS:
             raise ValueError("unknown state variant %r" % (self.variant,))
         if self.variant == "thermal" and not self.beta > 0.0:

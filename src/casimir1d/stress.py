@@ -21,8 +21,8 @@ positive toward +x) ride on the same bracket evaluator.
 """
 
 import math
-from dataclasses import dataclass
 
+from ._value import Frozen
 from .errors import RegionUnsupportedError
 from .kernels import core
 from .material import fd_weight
@@ -44,16 +44,17 @@ _SUPPORTED = (EXT_LEFT, GAP, EXT_RIGHT)
 _COMPONENTS = ("xx", "tt", "tx")
 
 
-@dataclass(frozen=True)
-class RegionPoint:
+class RegionPoint(Frozen):
     """Evaluation point with its region label.
 
     The label must agree with the cavity layout; the integrand functions
     validate it against classify_region and reject points inside a slab.
     """
 
-    x: float
-    region: str
+    __slots__ = ("x", "region")
+
+    def __init__(self, x, region):
+        self._assign(x, region)
 
     @classmethod
     def locate(cls, cfg, x):

@@ -274,15 +274,29 @@ def test_sweep_rejects_grid_values_that_are_not_positive(
     assert key in capsys.readouterr().err
 
 
-def test_import_leaves_the_stress_oracle_unloaded():
+def _loaded_after_import(modules):
+    """Which of ``modules`` a fresh interpreter holds after
+    ``import casimir1d, casimir1d.cli``."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     code = ("import sys, casimir1d, casimir1d.cli; "
-            "print('casimir1d.stress' in sys.modules)")
+            "print(' '.join(m for m in %r if m in sys.modules))" % (modules,))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    return out.split()
+
+
+def test_import_leaves_the_stress_oracle_unloaded():
+    assert _loaded_after_import(("casimir1d.stress",)) == []
+
+
+def test_import_path_is_lean():
+    # the value classes need neither dataclasses (which loads inspect) nor
+    # the oracles; datetime stamps only the non-reproducible CSV header
+    heavy = ("dataclasses", "inspect", "datetime", "casimir1d.stress",
+             "casimir1d.oracles")
+    assert _loaded_after_import(heavy) == []
 
 
 def test_sweep_sigma_rows_and_cell_isolation(tmp_path):

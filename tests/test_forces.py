@@ -6,11 +6,11 @@ import json
 import math
 import os
 import random
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError
 
 import pytest
 
-from casimir1d import forces
+from casimir1d import forces, oracles
 from casimir1d.errors import (
     DeltaStateWeightError,
     NonConvergenceError,
@@ -137,7 +137,7 @@ def test_vacuum_memo_keys_on_cavity_and_spec():
     force_ic(CFG, vac, SPEC6)
     force_bath(CFG, 5.0, 5.0, SPEC6)
     force_ic(CFG.mirrored(), vac, SPEC6)
-    force_ic(CFG, vac, replace(SPEC6, rel_tol=1e-7))
+    force_ic(CFG, vac, SPEC6.replace(rel_tol=1e-7))
     info = forces._vacuum_bath.cache_info()
     assert (info.misses, info.hits) == (3, 1)
 
@@ -146,7 +146,7 @@ def test_refusals_are_not_memoized():
     # 40 panels of width 0.5 cannot reach the zero-temperature bath
     # integral's switch point; the refusal is raised afresh on every call
     # and leaves nothing behind
-    tiny = replace(SPEC6, max_panels=40, panel_width=0.5)
+    tiny = SPEC6.replace(max_panels=40, panel_width=0.5)
     for _ in range(2):
         with pytest.raises(NonConvergenceError, match="max_panels"):
             force_bath(CFG, 5.0, 5.0, tiny)
@@ -161,7 +161,7 @@ def test_vacuum_memo_is_bounded():
     assert maxsize is not None
     fast = QuadratureSpec(rel_tol=1e-3, abs_tol=1e-8)
     for i in range(maxsize + 3):
-        force_bath(CFG, 5.0, 5.0, replace(fast, abs_tol=1e-8 * (1.0 + i)))
+        force_bath(CFG, 5.0, 5.0, fast.replace(abs_tol=1e-8 * (1.0 + i)))
     assert forces._vacuum_bath.cache_info().currsize == maxsize
 
 
@@ -213,7 +213,7 @@ def test_persistent_reflection_is_detected():
     # amplitude decays only like 1/k: tight budgets are refused, not
     # truncated
     with pytest.raises(NonConvergenceError, match="persistent reflection"):
-        forces._real_axis_ic(MIX_CFG, FieldState.vacuum(), SPEC6)
+        oracles.real_axis_ic(MIX_CFG, FieldState.vacuum(), SPEC6)
 
 
 def test_band_weight_overflow_names_sigma():
@@ -389,7 +389,7 @@ def halfspace_ic_unregularized(matL, a, beta_phi, spec):
 
 
 def test_halfspace_bare_state_integral_diverges():
-    spec = replace(SPEC6, max_panels=500)
+    spec = SPEC6.replace(max_panels=500)
     with pytest.raises(NonConvergenceError) as exc:
         halfspace_ic_unregularized(FIG, 1.0, 76.3302, spec)
     assert exc.value.partial is not None
@@ -661,14 +661,14 @@ def test_bound_mode_area_survives_smaller_damping():
 def test_dense_band_dual_route():
     spec = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-9)
     bath = forces._bath_integrand(WEAK_CFG, math.inf, math.inf)
-    dev, est = forces._band_dual(WEAK_CFG, bath, 9.4, 9.5, spec)
+    dev, est = oracles.band_dual(WEAK_CFG, bath, 9.4, 9.5, spec)
     assert dev <= est
     # the whole upper dense band, whose comb is at its deepest (0.9) on the
     # lower edge, for the bath and the state integrands
     lo, hi = forces._bands(WEAK_CFG, 1.3 * 10.0 * math.sqrt(2.0))[0][1]
     assert forces._comb(WEAK_CFG, lo)[1] == pytest.approx(0.9)
     for f in (bath, forces._state_integrand(WEAK_CFG)):
-        dev, est = forces._band_dual(WEAK_CFG, f, lo, hi, spec)
+        dev, est = oracles.band_dual(WEAK_CFG, f, lo, hi, spec)
         assert dev <= est
 
 
@@ -731,7 +731,7 @@ def test_low_shallow_band_dual_route():
     for f in (forces._bath_integrand(FIG_CFG, math.inf, math.inf),
               forces._state_integrand(FIG_CFG)):
         for x1 in (hi, 3.0):
-            dev, est = forces._band_dual(FIG_CFG, f, lo, x1, SPEC6)
+            dev, est = oracles.band_dual(FIG_CFG, f, lo, x1, SPEC6)
             assert dev <= est
 
 
@@ -800,7 +800,7 @@ def test_shallow_bound_counts_both_signs_of_each_harmonic():
     # shallow_band_dual_pipeline)
     f = forces._state_integrand(FIG_CFG)
     lo = forces._bands(FIG_CFG, 30.0)[1][-1][0]
-    dev, _ = forces._band_dual(FIG_CFG, f, lo, 30.0, SPEC6)
+    dev, _ = oracles.band_dual(FIG_CFG, f, lo, 30.0, SPEC6)
     bound = forces._band_bounds(f, FIG_CFG, lo, 30.0)[0]
     assert dev > 0.5 * bound
 
