@@ -31,7 +31,9 @@ bath integral Z on each workload's cavity, by wrapping
 ``core.bath_weighted``: every offset point, the one-offset (raw) calls, and
 the raw calls within 0.1 of a bound gap mode (``forces._gap_modes``), the
 layer ``perfbench/tracing.py`` does not see.  ``points(tree)`` gives them
-on their own.
+on their own.  Next to them, ``docs_ladder`` counts the docs sigma ladder's
+``core.ic_brackets`` calls and points and records its switch points K (one
+per ``omega0_list`` entry), a layer the tracer does not see either.
 Each side's ``imports`` hold the per-module import self-time in
 microseconds, the median of ``python3 -X importtime`` over 9 fresh
 interpreters under ``PYTHONDONTWRITEBYTECODE=1``, of the imports a
@@ -126,11 +128,8 @@ import contextlib, io, json, os, sys, tempfile
 sys.path.insert(0, "perfbench")
 import workloads as W
 from casimir1d import cli, forces
+from casimir1d.oracles import verify_checks
 from casimir1d.states import FieldState
-try:
-    from casimir1d.oracles import verify_checks
-except ImportError:  # checkouts from before the oracle module
-    verify_checks = cli._verify_checks
 
 b = W.BETA_300K
 rc = cli.load_run_config(W.SWEEP_INI, need_sweep=True)
@@ -162,7 +161,8 @@ print(json.dumps({k: repr(v) for k, v in out.items()}))
 """
 
 
-# Run like _OUTPUTS; prints Z's kernel points per workload cavity as JSON.
+# Run like _OUTPUTS; prints Z's kernel points per workload cavity and the
+# docs ladder's as JSON.
 _POINTS = r"""
 import json, sys
 sys.path.insert(0, "perfbench")
@@ -172,15 +172,18 @@ from casimir1d.kernels import core
 
 rc = cli.load_run_config(W.SWEEP_INI, need_sweep=True)
 calls = []
-kernel = core.bath_weighted
 
 
-def counting(k, *args):
-    calls.append((k, len(args[-1])))
-    return kernel(k, *args)
+def counting(name):
+    kernel = getattr(core, name)
+
+    def wrapped(k, *args):
+        calls.append((k, len(args[-1])))
+        return kernel(k, *args)
+    setattr(core, name, wrapped)
 
 
-core.bath_weighted = counting
+counting("bath_weighted")
 out = {}
 for name, cfg, spec in (("fig_300k", W.FIG_CFG, W.FIG_SPEC),
                         ("noneq_mild", W.NONEQ_CFG, W.NONEQ_SPEC),
@@ -194,6 +197,23 @@ for name, cfg, spec in (("fig_300k", W.FIG_CFG, W.FIG_SPEC),
     out[name] = {"points": sum(n for _, n in calls), "raw": len(raw),
                  "raw_near_modes": sum(any(abs(k - km) <= 0.1
                                            for km in modes) for k in raw)}
+switch = forces._switch
+ks = []
+
+
+def recording(*args):
+    got = switch(*args)
+    ks.append(got[0])
+    return got
+
+
+forces._switch = recording
+counting("ic_brackets")
+del calls[:]
+for w in rc.omega0_list:
+    forces.band_excess_curve(rc.cavity, w, rc.sigma_grid, rc.spec)
+out["docs_ladder"] = {"calls": len(calls),
+                      "points": sum(n for _, n in calls), "K": ks}
 print(json.dumps(out))
 """
 
@@ -210,8 +230,8 @@ def _run(tree, script):
 
 def points(tree):
     """``{workload: {"points", "raw", "raw_near_modes"}}``: Z's kernel
-    points on each workload's cavity in ``tree`` (see the module
-    docstring)."""
+    points on each workload's cavity in ``tree``, and ``{"docs_ladder":
+    {"calls", "points", "K"}}`` (see the module docstring)."""
     return _run(tree, _POINTS)
 
 

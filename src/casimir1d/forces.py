@@ -39,15 +39,15 @@ oscillation it drops.  S sums, over every harmonic j of
 the phase grid that the average drops, three integrations by parts of
 h_j e^{i j . phi} at rate j . phi', with derivatives from a seven-point
 stencil (Iserles and Norsett's asymptotic method); harmonics too slow for
-it are left out of S and bounded in the error.  K follows from
-closed-form decay ratios of the harmonics, the slab pole radius and the
-gap round trip |rL rR|: the harmonics sampled at the first candidate k0,
-past the slabs' response features, are scaled by them along a ladder
-until the predicted error of S fits the tail's share of the budget, and S
-is measured at K.  The error of S (its stencil error, the variation of its
-last order along the ladder past K, the harmonics past the grid and the
-slow ones), the tail's quadrature error and its evaluation noise are
-folded into the returned estimate.
+it are left out of S and bounded in the error.  K is the first point of
+a ladder from the first candidate k0, past the slabs' response features,
+where the measured error of S fits the tail's share of the budget.  The
+walk starts where closed-form decay ratios of the harmonics (the slab pole
+radius and the gap round trip |rL rR|), scaling the harmonics sampled at
+k0, predict that it fits.  The error of S (its stencil error, the
+variation of its last order along the ladder past K, the harmonics past
+the grid and the slow ones), the tail's quadrature error and its
+evaluation noise are folded into the returned estimate.
 Below K two adaptive passes run: a coarse one over [0, k0] that fixes the
 absolute error budget, then the direct one over [0, K] to that budget.
 They share most of their panels, so within one integral every raw value
@@ -165,12 +165,8 @@ _MEAN_NOISE = 8.0
 # A shallow band's comb is shallower (|rn^2 E| < _SHARP_MIN) while the slab
 # is not opaque (e^{-2 k Im(n) d} >= _CLEAR_MIN).  One scan finds both kinds
 # (see ``_bands``); a shallow run is used only when the slab is opaque just
-# past each of its edges inside the scan and when it spans _SHALLOW_PANELS
-# half slab periods, the panels raw quadrature needs there: the raw cost
-# grows with the slab periods, while the mean and its bound cost a few
-# panels and gap periods, about as much as four slab periods raw.
+# past each of its edges inside the scan.
 _CLEAR_MIN = 1e-6
-_SHALLOW_PANELS = 8
 # The band bound samples the slab harmonics at _HARM_GRID points per gap
 # period pi/a.  Each point takes the harmonics until their pole radius rho
 # raised to the j falls to _HARM_DROP, from at most _HARM_OFFSETS diagonal
@@ -203,10 +199,11 @@ _MODE_SCAN = 64
 _NEWTON_STEPS = 30
 # Past the switch point K the tail integrates the phase average and
 # subtracts the signed edge terms of the harmonics at K.  K is the first
-# point of the ladder k0 _LADDER^i whose predicted edge-term error fits the
-# tail's share of the budget.  The variation of the edge terms' last order
-# is summed along the same ladder, up to where the harmonics whose last
-# order still rises hold at most _AXIS_DROP of it.  Harmonics whose
+# point of the ladder k0 _LADDER^i, from the one predicted in closed form,
+# whose measured edge-term error fits the tail's share of the budget.  The
+# variation of the edge terms' last order is summed along the same ladder,
+# up to where the harmonics whose last order still rises hold at most
+# _AXIS_DROP of it.  Harmonics whose
 # logarithmic slope exceeds _SLOW times their rate (the mild pair's
 # (-1, 1, 0) runs at 7e-4) are left out of the edge terms and bounded in
 # their error.  Each phase of the grid takes the samples whose last
@@ -273,8 +270,6 @@ def _breakpoints(matL, matR):
         if m.static or m.omega_pl == 0.0:
             continue
         w0 = m.omega0
-        if w0 <= 0.0:
-            continue
         pts.add(w0)
         widths = [0.05 * w0]
         g = m.gamma0
@@ -547,10 +542,11 @@ def _decay_ratios(cfg, axes, k):
     return out
 
 
-def _predicted(cfg, axes, k0, harm, share, k_max, first):
-    """The first point k0 _LADDER^i, i >= ``first``, up to ``k_max``
-    where the variation of the last order of the signed edge terms,
-    predicted from the harmonics ``harm`` ({j: h_j} at k0), fits ``share``.
+def _predicted(cfg, axes, k0, harm, share, k_max):
+    """The first point k0 _LADDER^i up to ``k_max`` where the variation of
+    the last order of the signed edge terms, predicted from the harmonics
+    ``harm`` ({j: h_j} at k0), fits ``share``; the first point past
+    ``k_max`` where none does.
 
     Harmonic j of modulus |h_j| at k0 is predicted to fall with the
     product of its phases' closed-form decay ratios rho_a (see
@@ -560,16 +556,15 @@ def _predicted(cfg, axes, k0, harm, share, k_max, first):
     parts, the variation 2 |h_j| g_j^2 / |w_j|^3 past k.  Harmonics at the
     rounding floor or whose ratios vanish at k0, and the slow ones
     (g_j > _SLOW |w_j|, which the edge terms leave out), are left to the
-    terms measured at K.  NonConvergenceError where no point fits.
+    terms measured at K.
     """
     floor = _MEAN_NOISE * _NOISE_EPS * k0
     r0 = _decay_ratios(cfg, axes, k0)
     live = [(j, abs(h)) for j, h in harm.items()
             if _leads(j) and abs(h) > floor
             and all(r0[a] > 0.0 for a, x in enumerate(j) if x)]
-    k = k0 * _LADDER ** first
-    r = _decay_ratios(cfg, axes, k)
-    while k <= max(k0, k_max):
+    k, r = k0, r0
+    while k <= k_max:
         k1 = k * _LADDER
         r1 = _decay_ratios(cfg, axes, k1)
         rates = _phases(cfg, axes, k)[1]
@@ -588,11 +583,7 @@ def _predicted(cfg, axes, k0, harm, share, k_max, first):
         if err <= share:
             return k
         k, r = k1, r1
-    raise NonConvergenceError(
-        "no switch point within the reach of max_panels (k <= %.3e): the "
-        "edge terms predicted from k = %.3e stay above %.3e"
-        % (max(k0, k_max), k0, share), partial=None, error=math.inf,
-        panels=0)
+    return k
 
 
 def _switch(f, spec, cfg, axes, edges, below=None, breakpoints=()):
@@ -610,14 +601,14 @@ def _switch(f, spec, cfg, axes, edges, below=None, breakpoints=()):
     the first order of each, 2 |h_j / w_j| with w_j = j . phi', doubled for
     its variation past k0 and raised by rho_a / (1 - rho_a) for the
     harmonics past the grid on each of its phases, fits the share in sum,
-    K = k0 and that sum is the error, with no edge terms.  Otherwise K is
-    predicted from the harmonics at k0 (``_predicted``, to half the share)
-    and the edge terms are measured there.  K stands when their error fits
-    the share and every harmonic whose first order exceeds the share decays
-    at least like 1/k; otherwise the next prediction starts from the
-    harmonics measured at K.  Where a slab reflects without absorbing, such
-    a harmonic falling slower than k^-_PERSISTENT has no absolutely
-    convergent tail and is refused.
+    K = k0 and that sum is the error, with no edge terms.  Otherwise the
+    harmonics at k0 predict a first point of the ladder k0 _LADDER^i
+    (``_predicted``, to half the share), and K is the first point from
+    there on whose measured edge terms have an error that fits the share.
+    NonConvergenceError where none does within the reach of max_panels
+    (half of its panels, or k0).  Where a slab reflects without absorbing,
+    a harmonic whose first order exceeds the share and that falls slower
+    than k^-_PERSISTENT has no absolutely convergent tail and is refused.
     """
     k0 = _first_switch(spec, cfg)
     c0 = 0.0
@@ -645,26 +636,27 @@ def _switch(f, spec, cfg, axes, edges, below=None, breakpoints=()):
         return k0, 0.0, first, budget
     mirror = any(m.omega_pl > 0.0 and not _absorbing(m)
                  for m in (cfg.left, cfg.right))
-    k, step = k0, 0
-    while True:
-        K = _predicted(cfg, axes, k, harm, 0.5 * share,
-                       0.5 * spec.max_panels * spec.panel_width, step)
+    k_max = max(k0, 0.5 * spec.max_panels * spec.panel_width)
+    K = _predicted(cfg, axes, k0, harm, 0.5 * share, k_max)
+    while K <= k_max:
         s, err, terms = edges(K)
-        settled = err <= share
         for h, dh, w, _ in terms.values():
-            if 2.0 * abs(h / w) <= share:
+            if not mirror or 2.0 * abs(h / w) <= share:
                 continue
             p = -K * (dh / h).real
-            if mirror and p < _PERSISTENT:
+            if p < _PERSISTENT:
                 raise NonConvergenceError(
                     "oscillation amplitude decays like 1/k (a persistent "
                     "reflection): at k = %.3e a harmonic of first order "
                     "%.3e falls like k^-%.2f" % (K, 2.0 * abs(h / w), p),
                     partial=None, error=2.0 * abs(h / w), panels=0)
-            settled = settled and p >= 1.0
-        if settled:
+        if err <= share:
             return K, s, err, budget
-        k, step, harm = K, 1, {j: t[0] for j, t in terms.items()}
+        K *= _LADDER
+    raise NonConvergenceError(
+        "no switch point within the reach of max_panels (k <= %.3e): the "
+        "edge terms from k = %.3e stay above %.3e" % (k_max, k0, share),
+        partial=None, error=math.inf, panels=0)
 
 
 def _axis_size(rho):
@@ -1195,8 +1187,8 @@ def _bands(cfg, k_end, kinds=None):
     slab is opaque just past each of its edges inside (0, k_end), of which
     it has at least one, so the dropped slab oscillation vanishes there (a
     run that abuts a dense band, where the comb is still deep, does not
-    qualify), and when it spans ``_SHALLOW_PANELS`` half slab periods.  A
-    band narrower than the scan step that ends before k_end is missed.
+    qualify).  A band narrower than the scan step that ends before k_end
+    is missed.
 
     ``kinds``, a dict from k to its kind, carries the points classified by
     an earlier scan of the same cavity: every scan uses the same grid and
@@ -1241,8 +1233,7 @@ def _bands(cfg, k_end, kinds=None):
     shallow = tuple(
         (lo, hi) for kind, lo, hi, past in runs
         if kind == 1 and past
-        and all(_comb(cfg, x)[0] < _CLEAR_MIN for x in past)
-        and hi - lo >= _SHALLOW_PANELS * _half_period(cfg, lo))
+        and all(_comb(cfg, x)[0] < _CLEAR_MIN for x in past))
     return dense, shallow
 
 
@@ -1775,12 +1766,13 @@ def band_excess_curve(cfg, omega_center, sigmas, spec):
     full ladder costs a single pass over the widest window.  Where a strip
     crosses a shallow band of identical absorbing slabs, on either side of
     the stop band, it integrates the slab-phase mean there; past the switch
-    point K of the state integrand (``_switch``, at the budget of its phase
-    average at k0) it integrates the mean over every phase.  Each window
-    adds, for its part of each band and its part past K, the signed edge
-    terms of the dropped oscillation at the part's two ends, and its error
-    carries their stencil error and the variation of their last order over
-    the part.
+    point K of the state integrand (``_switch``: the first point of its
+    ladder whose measured edge terms fit a quarter of the budget of its
+    phase average at k0) it integrates the mean over every phase.  Each
+    window adds, for its part of each band and its part past K, the signed
+    edge terms of the dropped oscillation at the part's two ends, and its
+    error carries their stencil error and the variation of their last order
+    over the part.
 
     Returns
     -------

@@ -672,7 +672,7 @@ def test_dense_band_dual_route():
         assert dev <= est
 
 
-def test_shallow_band_selected_from_observables(monkeypatch):
+def test_shallow_band_selected_from_observables():
     # fig: below the stop band the low band runs from k -> 0 to where the
     # slab turns opaque under the resonance (e^{-2 k Im(n) d} = 1e-6);
     # above it the high band starts where the slab stops being opaque and
@@ -687,14 +687,6 @@ def test_shallow_band_selected_from_observables(monkeypatch):
     assert forces._kind(FIG_CFG, 0.5 * (lo + hi)) == 1
     assert forces._kind(FIG_CFG, lo - 1e-3) == 0
     assert forces._comb(FIG_CFG, lo - 1e-3)[0] < forces._CLEAR_MIN
-    # each band must span _SHALLOW_PANELS of its own half slab periods; the
-    # low band is 4.6 panel widths long but spans about 660 of them
-    assert hi0 - lo0 < 5.0 * SPEC6.panel_width
-    n_low = (hi0 - lo0) / forces._half_period(FIG_CFG, lo0)
-    assert 600.0 < n_low < 700.0
-    monkeypatch.setattr(forces, "_SHALLOW_PANELS", 1.01 * n_low)
-    assert forces._bands(FIG_CFG, 106.5)[1] == ((lo, hi),)
-    monkeypatch.undo()
     # a low stretch cut short of its opaque edge, which then runs from 0 to
     # k_end with no edge inside the scan, is not a band
     assert forces._bands(FIG_CFG, 5.0) == ((), ())
@@ -968,6 +960,28 @@ def test_fig_switch_point_sits_below_50(monkeypatch):
         forces._vacuum_bath.cache_clear()
     (K,) = seen
     assert 1.3 * 10.0 * math.sqrt(2.0) < K < 50.0
+
+
+def test_docs_switch_point_is_the_first_rung_that_fits():
+    # the docs cavity's state integrand (the sigma ladder's): K is the first
+    # rung k0 2^(i/8) whose measured edge error fits the tail's share, here
+    # k0 2^(1/2) = 26.0, while its gap harmonic still rises towards k = 32
+    f = forces._state_integrand(FIG_CFG)
+    axes = forces._phase_axes(FIG_CFG)
+    edges = forces._above_edges(f, FIG_CFG, axes)
+    K, _, err, budget = forces._switch(f, SPEC6, FIG_CFG, axes, edges)
+    share = 0.25 * budget
+    assert K == pytest.approx(26.0, abs=1e-9)
+    assert err <= share
+    k = forces._first_switch(SPEC6, FIG_CFG)
+    assert K == pytest.approx(k * 2.0 ** 0.5)
+    while k < K:
+        assert edges(k)[1] > share
+        k *= forces._LADDER
+    assert k == K
+    # the phase average plus the edge terms from K on matches raw quadrature
+    dev, est = oracles.tail_dual(FIG_CFG, f, 106.5, SPEC6)
+    assert dev <= est
 
 
 @pytest.mark.parametrize("cfg, terms", [
