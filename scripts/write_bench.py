@@ -30,10 +30,11 @@ Each side's ``points`` count the kernel points of the zero-temperature
 bath integral Z on each workload's cavity, by wrapping
 ``core.bath_weighted``: every offset point, the one-offset (raw) calls, and
 the raw calls within 0.1 of a bound gap mode (``forces._gap_modes``), the
-layer ``perfbench/tracing.py`` does not see.  ``points(tree)`` gives them
-on their own.  Next to them, ``docs_ladder`` counts the docs sigma ladder's
-``core.ic_brackets`` calls and points and records its switch points K (one
-per ``omega0_list`` entry), a layer the tracer does not see either.
+layer ``perfbench/tracing.py`` does not see, and Z itself as (value, err).
+``points(tree)`` gives them on their own.  Next to them, ``docs_ladder``
+counts the docs sigma ladder's ``core.ic_brackets`` calls and points and
+records its switch points K (one per ``omega0_list`` entry), a layer the
+tracer does not see either.
 Each side's ``imports`` hold the per-module import self-time in
 microseconds, the median of ``python3 -X importtime`` over 9 fresh
 interpreters under ``PYTHONDONTWRITEBYTECODE=1``, of the imports a
@@ -161,8 +162,8 @@ print(json.dumps({k: repr(v) for k, v in out.items()}))
 """
 
 
-# Run like _OUTPUTS; prints Z's kernel points per workload cavity and the
-# docs ladder's as JSON.
+# Run like _OUTPUTS; prints Z's kernel points and Z per workload cavity and
+# the docs ladder's points as JSON.
 _POINTS = r"""
 import json, sys
 sys.path.insert(0, "perfbench")
@@ -192,11 +193,12 @@ for name, cfg, spec in (("fig_300k", W.FIG_CFG, W.FIG_SPEC),
     modes = [km for km, _, _, _ in forces._gap_modes(cfg)]
     del calls[:]
     forces._vacuum_bath.cache_clear()
-    forces._vacuum_bath(cfg, spec)
+    z = forces._vacuum_bath(cfg, spec)
     raw = [k for k, n in calls if n == 1]
     out[name] = {"points": sum(n for _, n in calls), "raw": len(raw),
                  "raw_near_modes": sum(any(abs(k - km) <= 0.1
-                                           for km in modes) for k in raw)}
+                                           for km in modes) for k in raw),
+                 "Z": list(z)}
 switch = forces._switch
 ks = []
 
@@ -229,9 +231,10 @@ def _run(tree, script):
 
 
 def points(tree):
-    """``{workload: {"points", "raw", "raw_near_modes"}}``: Z's kernel
-    points on each workload's cavity in ``tree``, and ``{"docs_ladder":
-    {"calls", "points", "K"}}`` (see the module docstring)."""
+    """``{workload: {"points", "raw", "raw_near_modes", "Z"}}``: Z's
+    kernel points and Z on each workload's cavity in ``tree``, and
+    ``{"docs_ladder": {"calls", "points", "K"}}`` (see the module
+    docstring)."""
     return _run(tree, _POINTS)
 
 

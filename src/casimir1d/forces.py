@@ -49,7 +49,11 @@ variation of its last order along the ladder past K, the harmonics past
 the grid and the slow ones), the tail's quadrature error and its
 evaluation noise are folded into the returned estimate.
 Below K two adaptive passes run: a coarse one over [0, k0] that fixes the
-absolute error budget, then the direct one over [0, K] to that budget.
+absolute error budget, then the direct one over [0, K] with an absolute
+tolerance of a quarter of that budget.  Like every adaptive pass it stops
+once its error meets the larger of its absolute tolerance and rel_tol
+times the modulus of its own running value; on the docs cavity the latter
+governs (2.2e-4 against 8.6e-5 for Z).
 They share most of their panels, so within one integral every raw value
 and every sized band mean (keyed on k and its offset count) is computed
 once, and the direct pass calls the kernel only at points the coarse pass
@@ -70,12 +74,10 @@ structure they would otherwise chase blindly:
   quadrature still resolves the gap phase, and the band edges are
   breakpoints.  The coarse pass takes the dense bands, the direct pass both
   kinds.  A shallow band is used only when the slab is opaque just past
-  each of its edges inside the scan, where the dropped oscillation
-  vanishes: on the docs cavity one below the stop band, from k -> 0 to
-  where the slab turns opaque under the resonance, and one above it, from
-  where the slab clears to the switch point.  The strips of
-  ``band_excess_curve`` use both; their windows end inside the clear comb,
-  so each adds the signed edge terms of the dropped oscillation there;
+  each of its edges inside the scan: on the docs cavity one below the stop
+  band, from k -> 0 to where the slab turns opaque under the resonance,
+  and one above it, from where the slab clears to the switch point.  The
+  strips of ``band_excess_curve`` use the shallow bands too;
 * bound gap modes: inside each absorbing slab's stop band the cavity
   denominator D(k) = 1 - rL rR e^{2ika} dips at the bound modes, each a
   complex zero k_p = k_m - i w that Newton's method finds from a scan
@@ -85,23 +87,27 @@ structure they would otherwise chase blindly:
   window of 1e4 w on each side, and add back the term's exact integral
   there, so the smooth remainder is all they integrate.
 
-Across both kinds of band one bound on the dropped slab oscillation joins
-the error estimate: each slab harmonic h_j e^{i j phi} is integrated by
-parts three times, leaving edge terms at orders 1/j, 1/j^2 and 1/j^3 plus
-the variation of the last, counted for both signs of j, from the harmonics
-sampled once on a grid across the band that resolves the gap phase.  The
-harmonics fall like rho^j, with rho the closed-form radius of the
-integrand's poles in e^{i phi}.  A grid point where rho is small (all of
-the shallow bands of the docs cavity) samples the harmonics until rho^j
-falls to 1e-12 and bounds the rest by a geometric tail; one where rho is
-large (every dense-band point) takes 32 samples and sums j <= 15.  In every
-band each mean takes, in one call, the offsets that hold its aliased
-harmonics to its tolerance, and both passes share one bound and mean per
-band.  The sigma ladder adds the signed edge terms instead, with
-derivatives by finite differences at each window end, and keeps only the
-variation of the last order, the stencil error and the tail in its error;
-past the switch point its windows take the mean over every phase and the
-edge terms of every harmonic, as the tail does.
+Every caller of a band (Z, the sigma ladder and the band oracle) adds, for
+each part [x0, x1] of the band it covers, the band's edge terms of the
+slab oscillation the mean drops, and one rule inside the band decides how
+each end is counted (``_band_bounds``).  Each slab harmonic h_j e^{i j phi}
+is integrated by parts three times, leaving edge terms at orders 1/j,
+1/j^2 and 1/j^3 plus the variation of the last, counted for both signs of
+j.  The harmonics are sampled once on a grid across the band that
+resolves the gap phase, which gives the variation between the ends and
+the absolute edge terms at the band's own ends.  They fall like rho^j,
+with rho the closed-form radius of the integrand's poles in e^{i phi}.  A
+grid point where rho is small (every shallow-band point of the docs
+cavity) samples the harmonics until rho^j falls to 1e-12 and bounds the
+rest by a geometric tail; one where rho is large (every dense-band point)
+takes 32 samples and sums j <= 15.  Where every grid point has a small
+rho, an end takes the signed edge terms, with derivatives from a stencil
+at the end, unless it is the band's own end and the absolute terms the
+grid holds there are no larger than the band's variation; a dense band
+takes the absolute terms at both of its ends.  In every band each mean
+takes, in one call, the offsets that hold its aliased harmonics to its
+tolerance.  Past the switch point the ladder's windows take the mean over
+every phase and the edge terms of every harmonic, as the tail does.
 
 Undamped slabs leave the real-axis tail undamped, so no classical improper
 integral exists there; only the rotated R and the absolutely convergent
@@ -167,13 +173,13 @@ _MEAN_NOISE = 8.0
 # (see ``_bands``); a shallow run is used only when the slab is opaque just
 # past each of its edges inside the scan.
 _CLEAR_MIN = 1e-6
-# The band bound samples the slab harmonics at _HARM_GRID points per gap
+# The band grid samples the slab harmonics at _HARM_GRID points per gap
 # period pi/a.  Each point takes the harmonics until their pole radius rho
 # raised to the j falls to _HARM_DROP, from at most _HARM_OFFSETS diagonal
 # samples, and each mean the offsets it needs (see ``_band_bounds``).  A
 # point with rho at most _RHO_MAX adds a geometric tail past its last
 # harmonic; one above it (every dense-band point, where rho^15 stays large)
-# has none.
+# has none, and its band counts the absolute edge terms at its ends.
 _HARM_OFFSETS = 32
 _HARM_GRID = 8
 _HARM_DROP = 1e-12
@@ -297,6 +303,16 @@ def _diagonal(offsets):
     return [(s, s, 0.0) for s in offsets]
 
 
+def _sampler(shifted):
+    """``sample(k, n)``: the integrand ``shifted`` at k on the diagonal of
+    n equidistant offsets, each (k, n) evaluated once for the life of the
+    returned function."""
+    @functools.lru_cache(maxsize=None)
+    def sample(k, n):
+        return shifted(k, _diagonal(_even(n)))
+    return sample
+
+
 # Offset slots (sL, sR, sG) of each oscillation phase, outermost first, for
 # ``naxes`` phases: two different slabs have three phases; identical slabs
 # two, whose one slab phase shifts both slab slots (the diagonal sL = sR).
@@ -339,8 +355,9 @@ def _phase_average(shifted, k, naxes):
     return sum(vals) / len(vals)
 
 
-def _harmonics(shifted, comb, k, n, index=None):
-    """Slab harmonics h_j(k), j = 0 .. n / 2 - 1, at k, from n samples.
+def _harmonics(sample, comb, k, n, index=None):
+    """Slab harmonics h_j(k), j = 0 .. n / 2 - 1, at k, from the n
+    diagonal samples ``sample(k, n)`` (see ``_sampler``).
 
     With phi the slab round-trip phase of the identical slabs of ``comb``,
     the integrand is the sum over j of h_j(k) e^{i j phi(k)}, where h_j
@@ -349,7 +366,7 @@ def _harmonics(shifted, comb, k, n, index=None):
     size is the pole radius to the power n / 2, is left out.  ``index`` is
     the slab's refractive index at k, when the caller has it.
     """
-    c = _dft(shifted(k, _diagonal(_even(n))), (n,))
+    c = _dft(sample(k, n), (n,))
     phi = _slab_phase(comb.left, comb.width, k, index)
     return [c[j, ] * cmath.exp(-1j * j * phi) for j in range(n // 2)]
 
@@ -406,7 +423,7 @@ def _pole_radius(cfg, k, n=None):
         abs(rn))
 
 
-def _sized_harmonics(shifted, comb, k, rho, index=None):
+def _sized_harmonics(sample, comb, k, rho, index=None):
     """``(h0, harmonics, C)`` at k, where the pole radius is ``rho``: the
     mean h_0, h_j for 1 <= j <= J, J the least with rho^J <= _HARM_DROP but
     at most _HARM_OFFSETS / 2 - 1, from 2J + 2 samples, and the amplitude
@@ -419,7 +436,7 @@ def _sized_harmonics(shifted, comb, k, rho, index=None):
     J = 1
     while J < _HARM_OFFSETS // 2 - 1 and rho ** J > _HARM_DROP:
         J += 1
-    h0, *harm = _harmonics(shifted, comb, k, 2 * J + 2, index)
+    h0, *harm = _harmonics(sample, comb, k, 2 * J + 2, index)
     floor = _MEAN_NOISE * _NOISE_EPS * k
     return h0, harm, max(abs(h) / (j * rho ** j)
                          for j, h in enumerate(harm, 1)
@@ -828,14 +845,12 @@ def _tail(c, rho, J):
 
 
 def _band_bounds(shifted, comb, lo, hi):
-    """The bound on the slab oscillation dropped by integrating the mean
-    over a dense or shallow band [lo, hi] of the identical slabs of
-    ``comb``, the mean itself, its size and the signed edge terms over parts
-    of the band: returns ``(bound, mean, size, edges)``, where ``bound`` is
-    a number for the whole band, ``mean(k, tol)`` is the slab-phase mean at
-    k inside the band, within ``tol``, ``size`` is the integral of its
-    modulus over the band by the trapezoid rule on the grid, and ``edges``
-    is described below.
+    """The slab-phase mean over a dense or shallow band [lo, hi] of the
+    identical slabs of ``comb``, its size, and the edge terms of the slab
+    oscillation the mean drops: returns ``(mean, size, edges)``, where
+    ``mean(k, tol)`` is the slab-phase mean at k inside the band, within
+    ``tol``, ``size`` is the integral of its modulus over the band by the
+    trapezoid rule on the grid, and ``edges(x0, x1)`` is described below.
 
     Three integrations by parts of each harmonic integral of h_j e^{i j phi}
     leave the edge terms of u = h_j / phi', u' / phi' and (u' / phi')' / phi'
@@ -843,39 +858,48 @@ def _band_bounds(shifted, comb, lo, hi):
     and Norsett, Proc. R. Soc. A 461, 1383 (2005)).  h_-j is the conjugate
     of h_j, so each |j| counts twice.  The harmonics are sampled once on a
     grid of ``_HARM_GRID`` points per gap period across the band, which
-    resolves their gap-phase variation: the bound takes the edge terms at
-    the band's ends and the variation over every grid step.
+    resolves their gap-phase variation; the grid gives the absolute edge
+    terms at the band's ends and the variation over every grid step.
 
     Each grid point takes its harmonics and their amplitude C from
     ``_sized_harmonics``.  Where its pole radius is at most ``_RHO_MAX``,
     the tail sum over j > J of 2 C j rho^j joins its edge terms and the
-    variation of its grid steps; above that J reaches its cap and the bound
+    variation of its grid steps; above that J reaches its cap and the grid
     sums j <= J only.  The mean at k takes the least number n of
     equidistant offsets whose aliased harmonics, at most
     2 C n rho^n / (1 - rho^n)^2 with C the larger amplitude of k's grid
-    step, fit tol / 2.  Each mean is kept, keyed on (k, n), for the life
-    of the closure: a pass that asks again at the same k and a tolerance
-    that sizes the same n (the direct pass at the coarse pass's nodes)
-    makes no kernel call.
+    step, fit tol / 2.  The grid, the stencils of ``edges`` and the means
+    draw on one store of diagonal samples keyed on (k, n) (``_sampler``)
+    for the life of the closure: a pass that asks again at the same k and
+    a tolerance that sizes the same n (the direct pass at the coarse pass's
+    nodes), or a stencil centred on a grid point, makes no kernel call.
 
-    A fourth function, ``edges(x0, x1)``, returns ``(S(x1) - S(x0),
-    err)``: the signed edge sum S(x) = sum over j != 0 and m < 3 of
+    ``edges(x0, x1)`` returns ``(value, err)``: what the raw integral over
+    [x0, x1] adds to the mean's, and its error.  Each end x takes one of
+    two counts.  The signed edge sum S(x) = sum over j != 0 and m < 3 of
     (-1)^m sigma_m(x) e^{i j phi(x)}, with sigma_0 = h_j / (i j phi') and
-    sigma_{m+1} = sigma_m' / (i j phi'), which the raw integral over
-    [x0, x1] adds to the mean's.  Its derivatives come from the harmonics
-    sampled on a stencil at x (see ``_FD_STEP``); err adds each end's
-    stencil error and its tail past the last harmonic to the variation of
-    the last order over [x0, x1]: inside one grid step the change of the
-    last order between x0 and x1, else its changes from x0 to the next grid
-    point and from the last grid point to x1 plus the whole steps between.
+    sigma_{m+1} = sigma_m' / (i j phi'), enters the value (S(x1) - S(x0)),
+    with its derivatives from the harmonics sampled on a stencil at x (see
+    ``_FD_STEP``) and its stencil error and tail past the last harmonic in
+    the error.  The absolute edge terms that the grid holds at the band's
+    own ends enter the error alone.  A band whose grid points all have
+    rho <= _RHO_MAX, where the harmonics have a tail model, takes S, except
+    at its own ends lo and hi where the absolute terms are no larger than
+    the grid's variation over the band, which the band charges anyway; a
+    band with a larger rho (a dense band) takes the absolute terms at both
+    of its ends.  The error adds the variation of the last order over
+    [x0, x1]: inside one grid step the change of the last order between x0
+    and x1, else its changes from x0 to the next grid point and from the
+    last grid point to x1 plus the whole steps between.
     """
+    sample = _sampler(shifted)
     m = max(2, int(math.ceil(_HARM_GRID * (hi - lo) * comb.gap / math.pi)))
     step = (hi - lo) / m
     ks = [lo + step * i for i in range(m)] + [hi]
     rates = [_slab_rate(comb.left, comb.width, k) for k in ks]
     ns = [_index(comb.left, k) for k in ks]
     rhos = [_pole_radius(comb, k, n) for k, n in zip(ks, ns)]
-    h0s, harm, amps = zip(*(_sized_harmonics(shifted, comb, k, rho, n)
+    h0s, harm, amps = zip(*(_sized_harmonics(sample, comb, k, rho, n)
                             for k, rho, n in zip(ks, rhos, ns)))
     size = step * (sum(map(abs, h0s)) - 0.5 * (abs(h0s[0]) + abs(h0s[-1])))
     tails = [_tail(c, rho, len(h)) for h, c, rho in zip(harm, amps, rhos)]
@@ -898,6 +922,11 @@ def _band_bounds(shifted, comb, lo, hi):
     variation = [0.0]
     for x in jumps:
         variation.append(variation[-1] + x)
+    # the band's own ends that take the absolute terms the grid holds there
+    dense = max(rhos) > _RHO_MAX
+    kept = {x: (0.0, e, last[i]) for x, e, i in ((lo, ends[0], 0),
+                                                 (hi, ends[1], m))
+            if dense or e <= variation[m]}
 
     def cell(x):
         """Grid steps (i, i') around x: i == i' on a grid point."""
@@ -907,10 +936,6 @@ def _band_bounds(shifted, comb, lo, hi):
             return i, i
         return int(t), int(t) + 1
 
-    @functools.lru_cache(maxsize=None)
-    def sized(k, n):
-        return sum(shifted(k, _diagonal(_even(n)))) / n
-
     def mean(k, tol):
         i, i1 = cell(k)
         c = max(amps[i], amps[i1])
@@ -918,17 +943,20 @@ def _band_bounds(shifted, comb, lo, hi):
         n = 1
         while 4.0 * c * n * rho ** n > tol * (1.0 - rho ** n) ** 2:
             n += 1
-        return sized(k, n)
+        return sum(sample(k, n)) / n
 
     @functools.lru_cache(maxsize=None)
-    def edge_sum(x):
-        """``(S(x), err, last)``: err is the stencil error plus the tail
-        past the last harmonic, last the last order of each harmonic."""
+    def end(x):
+        """``(value, err, last)`` of the end x: S(x) and its stencil error
+        plus the tail past the last harmonic, or the absolute terms kept
+        there, and the last order of each harmonic."""
+        if x in kept:
+            return kept[x]
         nodes = _STENCIL_NODES[x < 3.0 * _FD_STEP]
         ts = [x + _FD_STEP * z for z in nodes]
         ns = [_index(comb.left, t) for t in ts]
         rho = max(_pole_radius(comb, t, n) for t, n in zip(ts, ns))
-        _, hs, cs = zip(*(_sized_harmonics(shifted, comb, t, rho, n)
+        _, hs, cs = zip(*(_sized_harmonics(sample, comb, t, rho, n)
                           for t, n in zip(ts, ns)))
         at = nodes.index(0)
         s, err, terms = _edge_terms(
@@ -943,15 +971,15 @@ def _band_bounds(shifted, comb, lo, hi):
         """Within a grid step the variation is the chord of the last
         order between the window ends, else the chords to the grid points
         next inside plus the whole steps between them."""
-        (s0, e0, w0), (s1, e1, w1) = edge_sum(x0), edge_sum(x1)
+        (s0, e0, w0), (s1, e1, w1) = end(x0), end(x1)
         i0, i1 = cell(x0)[1], cell(x1)[0]
         if i0 > i1:
             var = _chord(w0, w1)
         else:
             var = (_chord(w0, last[i0]) + variation[i1] - variation[i0]
                    + _chord(last[i1], w1))
-        return s1 - s0, var + e0 + e1
-    return ends[0] + ends[1] + variation[m], mean, size, edges
+        return s1 - s0, e0 + e1 + var
+    return mean, size, edges
 
 
 def _chord(a, b):
@@ -1016,14 +1044,15 @@ def _oscillatory_integral(shifted, spec, breakpoints, cfg, poles=()):
     -------
     value, err : float
         The integral and a conservative error estimate combining the
-        quadrature errors, the bound on the slab oscillation dropped across
-        the dense and shallow bands, the error of the signed edge terms
-        S(K) of the oscillation dropped past the switch point K (the
-        variation of their last order along the ladder past K, their
-        stencil error, the harmonics past the grid and the slow harmonics
-        left out of them), the tail's quadrature error and
-        evaluation-noise allowance, and the rounding of each pole term's
-        subtraction.
+        quadrature errors, the error of the edge terms of the slab
+        oscillation dropped across the dense and shallow bands (each
+        band's ``edges(lo, hi)``, whose value joins the integral), the
+        error of the signed edge terms S(K) of the oscillation dropped
+        past the switch point K (the variation of their last order along
+        the ladder past K, their stencil error, the harmonics past the grid
+        and the slow harmonics left out of them), the tail's quadrature
+        error and evaluation-noise allowance, and the rounding of each pole
+        term's subtraction.
 
     The coarse pass over [0, k0] that fixes the budget and the direct pass
     over [0, K] share one store of raw values keyed on k, and the band
@@ -1043,15 +1072,15 @@ def _oscillatory_integral(shifted, spec, breakpoints, cfg, poles=()):
     axes = _phase_axes(cfg)
     kinds = {}
     bands, shallow = _bands(cfg, k0, kinds)
-    # each dense band's bound and mean, built once for both passes
-    bounds = [_band_bounds(shifted, cfg, lo, hi) for lo, hi in bands]
+    # each dense band's mean and edge terms, built once for both passes
+    built = [_band_bounds(shifted, cfg, lo, hi) for lo, hi in bands]
 
     def averaged(k):
         return _phase_average(shifted, k, len(axes))
 
     def banded(tol):
-        return _banded(raw, [(lo, hi, mean) for (lo, hi), (_, mean, _, _)
-                             in zip(bands, bounds)], tol)
+        return _banded(raw, [(lo, hi, mean) for (lo, hi), (mean, _, _)
+                             in zip(bands, built)], tol)
 
     _endpoint_check(raw)
 
@@ -1059,7 +1088,7 @@ def _oscillatory_integral(shifted, spec, breakpoints, cfg, poles=()):
     # the coarse pass below k0 that fixes the absolute error budget sizes
     # its means to its own target, rel_tol of the bands' size.
     coarse = _coarse(spec)
-    size = sum(s for _, _, s, _ in bounds)
+    size = sum(s for _, s, _ in built)
     K, s_K, e_K, budget = _switch(
         shifted, spec, cfg, axes, _above_edges(shifted, cfg, axes),
         banded(_mean_tol(max(coarse.abs_tol, coarse.rel_tol * size), bands)),
@@ -1069,20 +1098,23 @@ def _oscillatory_integral(shifted, spec, breakpoints, cfg, poles=()):
     # pass's raw values and means at the nodes they share; the shallow
     # bands, found again up to K where it passed k0 (classifying only the
     # points the k0 scan did not), join the dense bands there, and each
-    # band adds the bound on the slab oscillation it drops plus its means'
-    # allowance; each pole window adds the rounding of its subtraction.
+    # band adds the edge terms of the slab oscillation it drops plus its
+    # means' allowance; each pole window adds the rounding of its
+    # subtraction.
     if K > k0:
         shallow = _bands(cfg, K, kinds)[1]
     bands += shallow
-    bounds += [_band_bounds(shifted, cfg, lo, hi) for lo, hi in shallow]
+    built += [_band_bounds(shifted, cfg, lo, hi) for lo, hi in shallow]
     direct = spec.replace(abs_tol=max(spec.abs_tol, 0.25 * budget,
                                        0.5 * _NOISE_EPS * K * K))
     tol = _mean_tol(direct.abs_tol, bands)
     val, err = integrate_interval(
         banded(tol), 0.0, K, direct, breakpoints=breakpoints + sum(bands, ()))
     err += e_K + sum(w[3] for w in windows)
-    for (lo, hi), (dropped, _, _, _) in zip(bands, bounds):
-        err += dropped + tol * (hi - lo)
+    for (lo, hi), (_, _, edges) in zip(bands, built):
+        dv, de = edges(lo, hi)
+        val += dv
+        err += de + tol * (hi - lo)
 
     # Phase-averaged tail less the signed edge terms at K; a failure
     # carries the integral below K
@@ -1185,10 +1217,12 @@ def _bands(cfg, k_end, kinds=None):
     bisected once, and a run holding at the first or last point runs to 0
     or k_end.  Every dense run is a band.  A shallow run is one when the
     slab is opaque just past each of its edges inside (0, k_end), of which
-    it has at least one, so the dropped slab oscillation vanishes there (a
-    run that abuts a dense band, where the comb is still deep, does not
-    qualify).  A band narrower than the scan step that ends before k_end
-    is missed.
+    it has at least one (a run that abuts a dense band, where the comb is
+    still deep, does not qualify).  The edge terms of ``_band_bounds`` would
+    count a shallow run that ends anywhere, so this filter is kept for
+    cost: without it weak Z's shallow runs become bands and its kernel
+    points rise from 3,404 to 6,789.  A band narrower than the scan step
+    that ends before k_end is missed.
 
     ``kinds``, a dict from k to its kind, carries the points classified by
     an earlier scan of the same cavity: every scan uses the same grid and
@@ -1769,10 +1803,11 @@ def band_excess_curve(cfg, omega_center, sigmas, spec):
     point K of the state integrand (``_switch``: the first point of its
     ladder whose measured edge terms fit a quarter of the budget of its
     phase average at k0) it integrates the mean over every phase.  Each
-    window adds, for its part of each band and its part past K, the signed
-    edge terms of the dropped oscillation at the part's two ends, and its
-    error carries their stencil error and the variation of their last order
-    over the part.
+    window adds, for its part [x0, x1] of each band, the band's
+    ``edges(x0, x1)`` (see ``_band_bounds``), and for its part past K the
+    signed edge terms of the dropped oscillation at the part's two ends,
+    whose error carries their stencil error and the variation of their last
+    order over the part.
 
     Returns
     -------
@@ -1797,8 +1832,8 @@ def band_excess_curve(cfg, omega_center, sigmas, spec):
             pass
 
     # the shallow bands are found once, up to K; every strip that overlaps
-    # one integrates the mean there, and each window adds the signed edge
-    # terms at the ends of its own part of each band and past K
+    # one integrates the mean there, and each window adds the edge terms of
+    # its own part of each band and past K
     bands = _bands(cfg, K)[1] if windows else ()
     tol = _mean_tol(spec.abs_tol, bands)
     built = [_band_bounds(f, cfg, lo, hi) for lo, hi in bands]
@@ -1810,7 +1845,7 @@ def band_excess_curve(cfg, omega_center, sigmas, spec):
         """``(x0, x1, mean, edges)``: each band's part of [lo, hi], with
         the band's mean and signed edge terms, and the part past K."""
         out = [(max(b0, lo), min(b1, hi), mean, edges)
-               for (b0, b1), (_, mean, _, edges) in zip(bands, built)
+               for (b0, b1), (mean, _, edges) in zip(bands, built)
                if lo < b1 and b0 < hi]
         if hi > K:
             out.append((max(K, lo), hi, None, above))

@@ -27,23 +27,22 @@ def _raw(f):
 
 
 def band_dual(cfg, f, lo, hi, spec, window=None):
-    """Integral of ``f(k, offsets)`` over [lo, hi], inside a dense or
-    shallow band of identical slabs, by the slab-phase mean with its bound
-    and by raw quadrature on panels of half a slab period.  Given a
-    ``window`` (x0, x1) inside the band [lo, hi], the integral runs over the
-    window and the mean route adds the signed edge terms S(x1) - S(x0), as
-    ``band_excess_curve`` does, in place of the bound.
+    """Integral of ``f(k, offsets)`` over the window (x0, x1), [lo, hi] by
+    default, of a dense or shallow band [lo, hi] of identical slabs, by the
+    slab-phase mean plus the band's edge terms ``edges(x0, x1)``, as Z and
+    ``band_excess_curve`` take them, and by raw quadrature on panels of half
+    a slab period.
 
     Returns ``(deviation, estimate)``: the two routes' difference and the
-    sum of their error estimates, the mean's including its bound (or the
-    edge terms' error) and its convergence allowance.  An independent check
-    of the band route, its mean as production sizes it, and its bound.
+    sum of their error estimates, the mean's including the edge terms'
+    error and its convergence allowance.  An independent check of the band
+    route, its mean as production sizes it, and its edge terms.
     """
     tol = forces._mean_tol(spec.abs_tol, ((lo, hi),))
-    bound, mean, _, edges = forces._band_bounds(f, cfg, lo, hi)
+    mean, _, edges = forces._band_bounds(f, cfg, lo, hi)
     x0, x1 = window or (lo, hi)
     v_mean, e_mean = integrate_interval(lambda k: mean(k, tol), x0, x1, spec)
-    dv, de = edges(x0, x1) if window else (0.0, bound)
+    dv, de = edges(x0, x1)
     e_mean += de + tol * (x1 - x0)
     fine = spec.replace(panel_width=forces._half_period(cfg, x0))
     v_raw, e_raw = integrate_interval(_raw(f), x0, x1, fine)
@@ -158,9 +157,10 @@ def verify_checks():
     checks.append(("lifshitz_dual_pipeline",
                    abs(hs_ic - lif) / abs(lif), 1e-6))
 
-    # the slab-phase mean plus its bound against raw quadrature on
+    # the slab-phase mean plus its edge terms against raw quadrature on
     # half-slab-period panels inside the dense band of the weakly damped
-    # pair, in units of the combined error estimate
+    # pair, where the band counts the absolute terms at both of its ends,
+    # in units of the combined error estimate
     weak = Material(10.0, 10.0, 1e-6)
     cfg_weak = CavityConfig(1.0, 100.0, weak, weak)
     dev, est = band_dual(
@@ -168,12 +168,15 @@ def verify_checks():
         9.4, 9.6, QuadratureSpec(rel_tol=1e-6, abs_tol=1e-9))
     checks.append(("dense_band_dual_pipeline", dev / est, 1.0))
 
-    # the slab-phase mean plus its bound against raw quadrature on
+    # the slab-phase mean plus its edge terms against raw quadrature on
     # half-slab-period panels, in the shallow bands of the docs cavity, for
     # the bath and the state integrands: above the stop band from the high
     # band's opaque lower edge and inside it, below it over the whole low
-    # band and from k -> 0 into its clear comb; the worst ratio to the
-    # combined estimate
+    # band and from k -> 0 into its clear comb.  Each band's end takes the
+    # signed terms S, or the absolute terms its grid holds there where
+    # those are no larger than its variation (the opaque edges, and k -> 0
+    # for the bath integrand), as in Z; the worst ratio to the combined
+    # estimate
     fig = Material(10.0, 10.0, 0.1)
     cfg_fig = CavityConfig(1.0, 100.0, fig, fig)
     spec_fig = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-10)
@@ -187,10 +190,13 @@ def verify_checks():
             worst = max(worst, dev / est)
     checks.append(("shallow_band_dual_pipeline", worst, 1.0))
 
-    # the slab-phase mean plus the signed edge terms S(x1) - S(x0) against
-    # raw quadrature on half-slab-period panels, for the state integrand on
-    # windows that end inside the clear comb of either shallow band, as the
-    # sigma ladder's windows do; the worst ratio to the combined estimate
+    # the slab-phase mean plus the band's edge terms against raw
+    # quadrature on half-slab-period panels, for the state integrand on
+    # windows that end inside the clear comb of either shallow band, where
+    # they take the signed terms S(x1) - S(x0), as the sigma ladder's
+    # windows do (at k = 0 the state integrand's absolute terms exceed the
+    # band's variation, so it takes S there too); the worst ratio to the
+    # combined estimate
     low, high = forces._bands(cfg_fig, 55.0)[1]
     worst = 0.0
     for band, window in ((low, (4.875, 5.125)), (low, (2.0, 3.0)),

@@ -307,26 +307,6 @@ def _hat_left(sset, y):
         "left-side profile requested right of the gap")
 
 
-def _hat_right(sset, y):
-    """Right-side source profile for x in the gap (region of y >= gap)."""
-    s = sset.at
-    _, _, x3, x4 = sset.cfg.interfaces
-    d = sset.cfg.width
-    region = classify_region(sset.cfg, y)
-    if region == GAP:
-        return _gap_profile_right(sset, y)
-    if region == SLAB_RIGHT:
-        u = y - x3
-        pre = (sset._prefR * cmath.exp(-s * x4) * sset._qR
-               * cmath.exp(s * d) / sset.FR)
-        return pre * (cmath.exp(-s * sset.nR * u)
-                      - sset.rnR * cmath.exp(-s * sset.nR * (2.0 * d - u)))
-    if region == EXT_RIGHT:
-        return sset.tauR * cmath.exp(-s * y)
-    raise RegionUnsupportedError(
-        "right-side profile requested left of the gap")
-
-
 def green_function(cfg, x, xp, omega):
     """Frequency-domain Green function G(x, x'; s = -i omega).
 
@@ -338,7 +318,7 @@ def green_function(cfg, x, xp, omega):
     if region in (SLAB_LEFT, SLAB_RIGHT):
         raise RegionUnsupportedError(
             "Green function evaluation points inside a slab are unsupported")
-    if region == EXT_RIGHT:
+    if region == EXT_RIGHT or (region == GAP and xp > x):
         return green_function(cfg.mirrored(), -x, -xp, omega)
     sset = cavity_coefficients(cfg, omega)
     s = sset.at
@@ -348,9 +328,6 @@ def green_function(cfg, x, xp, omega):
             phi_here = cmath.exp(-s * x) + sset.Rgt * cmath.exp(s * x)
             return pref * cmath.exp(s * xp) * phi_here
         return pref * cmath.exp(s * x) * sset._greater(xp, False)
-    # x in the gap
-    if xp <= x:
-        return (pref * _hat_left(sset, xp) * _gap_profile_right(sset, x)
-                / sset.delta)
-    return (pref * _gap_profile_left(sset, x) * _hat_right(sset, xp)
+    # x in the gap, x' <= x
+    return (pref * _hat_left(sset, xp) * _gap_profile_right(sset, x)
             / sset.delta)

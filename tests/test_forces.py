@@ -465,7 +465,7 @@ def test_dense_bands_only_for_sharp_identical_slabs():
 def test_slab_mean_settles_geometrically():
     f = forces._bath_integrand(WEAK_CFG, math.inf, math.inf)
     bands = forces._bands(WEAK_CFG, 1.3 * 10.0 * math.sqrt(2.0))[0]
-    band_means = [(lo, hi, forces._band_bounds(f, WEAK_CFG, lo, hi)[1])
+    band_means = [(lo, hi, forces._band_bounds(f, WEAK_CFG, lo, hi)[0])
                   for lo, hi in bands]
     for k in (9.4, 9.8, 9.95, 9.99, 14.15, 14.5):
         # the sized mean of the dense band holding k
@@ -504,7 +504,7 @@ def test_diagonal_mean_for_identical_slabs():
     assert len(calls) == 1 and len(calls[0]) == 64
     # the harmonics take their diagonal offsets in one call
     calls.clear()
-    forces._harmonics(f, FIG_CFG, 1.0, forces._HARM_OFFSETS)
+    forces._harmonics(forces._sampler(f), FIG_CFG, 1.0, forces._HARM_OFFSETS)
     assert [len(c) for c in calls] == [forces._HARM_OFFSETS]
     assert all(sl == sr and sg == 0.0 for c in calls for sl, sr, sg in c)
     # the switch point reads the phase average and the harmonics at k0 from
@@ -727,17 +727,87 @@ def test_low_shallow_band_dual_route():
             assert dev <= est
 
 
-def test_real_axis_error_carries_both_shallow_band_bounds(monkeypatch):
-    # fig's Z integrates the mean over both shallow bands, and each band's
-    # dropped-oscillation bound joins the error
+def test_real_axis_integral_adds_each_band_edge_terms(monkeypatch):
+    # fig's Z integrates the mean over both shallow bands, [0, 7.30] and
+    # [16.56, K], and adds each band's edges(lo, hi), value and error, once
     bath = forces._bath_integrand(FIG_CFG, math.inf, math.inf)
     z, ez = forces._real_axis(FIG_CFG, SPEC6, bath)
-    bounds = forces._band_bounds
-    monkeypatch.setattr(forces, "_band_bounds", lambda *args: (
-        (1.0,) + bounds(*args)[1:]))
+    bounds, asked = forces._band_bounds, []
+
+    def moved(*args):
+        mean, size, edges = bounds(*args)
+
+        def plus_one(x0, x1):
+            asked.append((args[2:], (x0, x1)))
+            dv, de = edges(x0, x1)
+            return dv + 1.0, de + 1.0
+        return mean, size, plus_one
+
+    monkeypatch.setattr(forces, "_band_bounds", moved)
     z1, ez1 = forces._real_axis(FIG_CFG, SPEC6, bath)
-    assert z1 == z
-    assert ez1 - ez == pytest.approx(2.0, abs=1e-4)
+    assert len(asked) == 2
+    assert all(band == window for band, window in asked)
+    assert z1 - z == pytest.approx(2.0, abs=1e-9)
+    assert ez1 - ez == pytest.approx(2.0, abs=1e-9)
+
+
+def _signed_ends(f, lo, hi):
+    """The ends of the band [lo, hi] of fig at which ``edges(lo, hi)`` of
+    the integrand ``f`` takes the signed terms S: those it samples a
+    stencil around (the band's grid and stencil centres are shared)."""
+    seen = []
+
+    def rec(k, offsets):
+        seen.append(k)
+        return f(k, offsets)
+
+    edges = forces._band_bounds(rec, FIG_CFG, lo, hi)[2]
+    seen.clear()
+    edges(lo, hi)
+    reach = 7.0 * forces._FD_STEP
+    return {x for x in (lo, hi) if any(0.0 < abs(k - x) < reach
+                                         for k in seen)}
+
+
+def test_band_ends_take_the_signed_terms_past_the_grid_variation(
+        monkeypatch):
+    # a band end takes the signed terms S unless it is the band's own end
+    # and the absolute terms the grid holds there are no larger than the
+    # band's variation.  fig Z's bath integrand keeps the absolute terms at
+    # 0, 7.30 and 16.56 and takes S at its switch point K, where its
+    # absolute term (9.0e-5) exceeds the band's variation; the sigma
+    # ladder's state integrand takes S at k = 0, where its absolute term is
+    # 5.1e-6 against a variation of 3.3e-7
+    built, bounds = [], forces._band_bounds
+    monkeypatch.setattr(forces, "_band_bounds",
+                        lambda *args: built.append(args[2:]) or bounds(*args))
+    forces._vacuum_bath.cache_clear()
+    try:
+        forces._vacuum_bath(FIG_CFG, SPEC6)
+    finally:
+        forces._vacuum_bath.cache_clear()
+    (low, (start, K)) = built
+    assert low == (0.0, pytest.approx(7.303, abs=1e-3))
+    assert 16.5 < start < 16.7 and 40.0 < K < 40.2
+    bath, state = _both_integrands(FIG_CFG)
+    assert _signed_ends(bath, *low) == set()
+    assert _signed_ends(bath, start, K) == {K}
+    assert _signed_ends(state, *low) == {0.0}
+
+
+def test_fig_bath_integral_matches_the_rotated_route():
+    # Z = R - f_vac, with f_vac the docs cavity's vacuum state force in
+    # perfbench/reference.json (rel_tol 1e-12).  Z reads 9.9e-6 from it;
+    # with the absolute end term at K in place of S(K) it read 5.1e-5, and
+    # its estimate fell from 3.80e-4 to 2.90e-4
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                        "reference.json")
+    with open(path, encoding="utf-8") as fh:
+        f_vac = json.load(fh)["sweep_docs"]["f_vac"][0]
+    z, ez = forces._vacuum_bath(FIG_CFG, SPEC6)
+    r, _ = forces._rotated_vacuum(FIG_CFG, SPEC6)
+    assert abs(z - (r - f_vac)) <= 2e-5
+    assert ez <= 3.0e-4
 
 
 def test_band_excess_ladder_takes_the_low_band(monkeypatch):
@@ -785,16 +855,17 @@ def test_band_excess_ladder_is_honest_below_the_resonance():
         assert abs(exc - want) <= err
 
 
-def test_shallow_bound_counts_both_signs_of_each_harmonic():
-    # h_-j is the conjugate of h_j: half the bound (one sign of j) does not
-    # cover the state integrand's dropped oscillation from the band's start
-    # (that the full bound covers it is the verify check
-    # shallow_band_dual_pipeline)
-    f = forces._state_integrand(FIG_CFG)
-    lo = forces._bands(FIG_CFG, 30.0)[1][-1][0]
-    dev, _ = oracles.band_dual(FIG_CFG, f, lo, 30.0, SPEC6)
-    bound = forces._band_bounds(f, FIG_CFG, lo, 30.0)[0]
-    assert dev > 0.5 * bound
+def test_dense_band_terms_count_both_signs_of_each_harmonic():
+    # h_-j is the conjugate of h_j: half of a dense band's edge-term error
+    # (one sign of j) does not cover its dropped oscillation, for the bath
+    # and the state integrands on the window of dense_band_dual_pipeline
+    # (dev 0.64 and 0.66 of the whole error); that the whole error covers
+    # it is that verify check
+    spec = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-9)
+    for f in _both_integrands(WEAK_CFG):
+        dev, _ = oracles.band_dual(WEAK_CFG, f, 9.4, 9.6, spec)
+        assert dev > 0.5 * forces._band_bounds(f, WEAK_CFG, 9.4, 9.6)[2](
+            9.4, 9.6)[1]
 
 
 def _both_integrands(cfg):
@@ -811,7 +882,7 @@ def test_pole_radius_matches_the_measured_harmonic_decay(cfg, k, rho):
     # clear of rounding, for the bath and the state integrands
     assert forces._pole_radius(cfg, k) == pytest.approx(rho, abs=1e-4)
     for f in _both_integrands(cfg):
-        h = forces._harmonics(f, cfg, k, 256)[1:]
+        h = forces._harmonics(forces._sampler(f), cfg, k, 256)[1:]
         ratios = [math.sqrt(abs(h[j + 2] / h[j])) for j in range(60)
                   if abs(h[j + 2]) > 2e-12 * k]
         assert len(ratios) >= 8
@@ -831,10 +902,12 @@ def test_harmonic_amplitude_bounds_the_measured_harmonics():
             for i in range(m + 1):
                 k = lo + (hi - lo) * i / m
                 rho = forces._pole_radius(FIG_CFG, k)
-                _, harm, c = forces._sized_harmonics(f, FIG_CFG, k, rho)
+                _, harm, c = forces._sized_harmonics(forces._sampler(f),
+                                                     FIG_CFG, k, rho)
                 assert 2 * len(harm) + 2 <= forces._HARM_OFFSETS
                 floor = forces._MEAN_NOISE * forces._NOISE_EPS * k
-                ref = forces._harmonics(f, FIG_CFG, k, 128)[1:]
+                ref = forces._harmonics(forces._sampler(f), FIG_CFG, k,
+                                        128)[1:]
                 assert all(abs(h) <= c * j * rho ** j + 2.0 * floor
                            for j, h in enumerate(ref[:40], 1))
 
@@ -845,7 +918,7 @@ def test_sized_mean_is_within_half_its_tolerance():
     rng = random.Random(7)
     for f in _both_integrands(FIG_CFG):
         for lo, hi in forces._bands(FIG_CFG, 106.5)[1]:
-            mean = forces._band_bounds(f, FIG_CFG, lo, hi)[1]
+            mean = forces._band_bounds(f, FIG_CFG, lo, hi)[0]
             for tol in (2e-8, 1e-11):
                 for _ in range(30):
                     k = rng.uniform(lo, hi)
@@ -857,7 +930,7 @@ def test_sized_mean_is_within_half_its_tolerance():
     for f in _both_integrands(WEAK_CFG):
         for lo, hi in forces._bands(WEAK_CFG,
                                     1.3 * 10.0 * math.sqrt(2.0))[0]:
-            mean = forces._band_bounds(f, WEAK_CFG, lo, hi)[1]
+            mean = forces._band_bounds(f, WEAK_CFG, lo, hi)[0]
             for _ in range(15):
                 k = rng.uniform(lo, hi)
                 ref = sum(f(k, forces._diagonal(forces._even(4096)))) / 4096
@@ -879,7 +952,7 @@ def test_band_route_follows_the_pole_radius():
     f = forces._bath_integrand(FIG_CFG, math.inf, math.inf)
     for lo, hi in forces._bands(FIG_CFG, 106.5)[1]:
         calls.clear()
-        mean = forces._band_bounds(recording(f), FIG_CFG, lo, hi)[1]
+        mean = forces._band_bounds(recording(f), FIG_CFG, lo, hi)[0]
         assert max(calls) <= forces._HARM_OFFSETS
         assert min(calls) < forces._HARM_OFFSETS
         calls.clear()
@@ -896,7 +969,7 @@ def test_band_route_follows_the_pole_radius():
                 for i in range(65)]
         assert forces._RHO_MAX < min(rhos) and max(rhos) < 1.0
         calls.clear()
-        mean = forces._band_bounds(recording(f), WEAK_CFG, lo, hi)[1]
+        mean = forces._band_bounds(recording(f), WEAK_CFG, lo, hi)[0]
         assert set(calls) == {forces._HARM_OFFSETS}
         calls.clear()
         mean(0.5 * (lo + hi), 1e-9)
