@@ -31,6 +31,10 @@ bath integral Z on each workload's cavity, by wrapping
 ``core.bath_weighted``: every offset point, the one-offset (raw) calls, and
 the raw calls within 0.1 of a bound gap mode (``forces._gap_modes``), the
 layer ``perfbench/tracing.py`` does not see, and Z itself as (value, err).
+With Z memoized, ``excess_calls`` counts the kernel calls of the thermal
+state excess X (``core.ic_bracket``) and of the bath excess Y
+(``core.bath_weighted``) in the workload's ``force_total`` calls at seed 0
+(one, or two on ``noneq_mild``), which the tracer cannot attribute to them.
 ``points(tree)`` gives them on their own.  Next to them, ``docs_ladder``
 counts the docs sigma ladder's ``core.ic_brackets`` calls and points and
 records its switch points K (one per ``omega0_list`` entry), a layer the
@@ -162,17 +166,20 @@ print(json.dumps({k: repr(v) for k, v in out.items()}))
 """
 
 
-# Run like _OUTPUTS; prints Z's kernel points and Z per workload cavity and
-# the docs ladder's points as JSON.
+# Run like _OUTPUTS; prints Z's kernel points, Z and the excesses' kernel
+# calls per workload cavity and the docs ladder's points as JSON.
 _POINTS = r"""
-import json, sys
+import collections, json, sys
 sys.path.insert(0, "perfbench")
 import workloads as W
 from casimir1d import cli, forces
 from casimir1d.kernels import core
+from casimir1d.states import FieldState
 
 rc = cli.load_run_config(W.SWEEP_INI, need_sweep=True)
 calls = []
+parts = []
+excess_calls = collections.Counter()
 
 
 def counting(name):
@@ -184,12 +191,45 @@ def counting(name):
     setattr(core, name, wrapped)
 
 
+def attributed(name):
+    kernel = getattr(core, name)
+
+    def wrapped(*args):
+        if parts:
+            excess_calls[parts[-1]] += 1
+        return kernel(*args)
+    setattr(core, name, wrapped)
+
+
+def part(label, name):
+    fn = getattr(forces, name)
+
+    def wrapped(*args, **kw):
+        parts.append(label)
+        try:
+            return fn(*args, **kw)
+        finally:
+            parts.pop()
+    setattr(forces, name, wrapped)
+
+
 counting("bath_weighted")
+attributed("bath_weighted")
+attributed("ic_bracket")
+part("X", "_thermal_excess")
+part("Y", "_bath_excess")
+b = W.BETA_300K
 out = {}
-for name, cfg, spec in (("fig_300k", W.FIG_CFG, W.FIG_SPEC),
-                        ("noneq_mild", W.NONEQ_CFG, W.NONEQ_SPEC),
-                        ("weak_damping", W.WEAK_CFG, W.WEAK_SPEC),
-                        ("sweep_docs", rc.cavity, rc.spec)):
+for name, cfg, spec, runs in (
+        ("fig_300k", W.FIG_CFG, W.FIG_SPEC,
+         [(FieldState.thermal(b), b, b)]),
+        ("noneq_mild", W.NONEQ_CFG, W.NONEQ_SPEC,
+         [(FieldState.thermal(W.NONEQ_BETA_STATE), bl, br)
+          for bl, br in (W.NONEQ_BATHS, W.NONEQ_BATHS[::-1])]),
+        ("weak_damping", W.WEAK_CFG, W.WEAK_SPEC,
+         [(FieldState.thermal(b), b, b)]),
+        ("sweep_docs", rc.cavity, rc.spec,
+         [(rc.state, rc.beta_left, rc.beta_right)])):
     modes = [km for km, _, _, _ in forces._gap_modes(cfg)]
     del calls[:]
     forces._vacuum_bath.cache_clear()
@@ -199,6 +239,10 @@ for name, cfg, spec in (("fig_300k", W.FIG_CFG, W.FIG_SPEC),
                  "raw_near_modes": sum(any(abs(k - km) <= 0.1
                                            for km in modes) for k in raw),
                  "Z": list(z)}
+    excess_calls.clear()
+    for state, bl, br in runs:
+        forces.force_total(cfg, state, bl, br, spec)
+    out[name]["excess_calls"] = {p: excess_calls[p] for p in ("X", "Y")}
 switch = forces._switch
 ks = []
 
@@ -231,8 +275,9 @@ def _run(tree, script):
 
 
 def points(tree):
-    """``{workload: {"points", "raw", "raw_near_modes", "Z"}}``: Z's
-    kernel points and Z on each workload's cavity in ``tree``, and
+    """``{workload: {"points", "raw", "raw_near_modes", "Z",
+    "excess_calls"}}``: Z's kernel points, Z and the kernel calls of the
+    excesses X and Y on each workload's cavity in ``tree``, and
     ``{"docs_ladder": {"calls", "points", "K"}}`` (see the module
     docstring)."""
     return _run(tree, _POINTS)

@@ -235,6 +235,14 @@ _VACUUM_CACHE_SIZE = 32
 # cancels from the total: a few ulps of |Z|, since it enters and leaves
 # through a handful of additions of that magnitude.
 _CANCEL_ROUNDING = 4.0 * sys.float_info.epsilon
+# The thermal excesses integrate over [0, 120 / beta], where the excess
+# weight 2 / (e^{beta k} - 1) falls to 1e-52, but their integrands return
+# 0 without calling the kernel past beta k = _WEIGHT_CUT.  Past x = beta k
+# the k-weighted weight leaves the tail int_x^inf 2 t e^{-t} dt =
+# 2 (x + 1) e^{-x} (to rounding), of its whole int_0^inf 2 t / (e^t - 1) dt
+# = pi^2 / 3.  At x = 40 that share is 1.06e-16, below one unit roundoff
+# 2^-53 = 1.11e-16; at x = 39 it is 2.8e-16.
+_WEIGHT_CUT = 40.0
 _ZERO = (0.0, 0.0)
 
 
@@ -466,8 +474,7 @@ def _dft(vals, dims, lead=True):
     for j, tw in _roots(n):
         if lead and j < 0:
             continue
-        row = [sum(t * vals[i * m + r] for i, t in enumerate(tw)) / n
-               for r in range(m)]
+        row = [sum(map(operator.mul, tw, vals[r::m])) / n for r in range(m)]
         for rest, c in _dft(row, dims[1:], False).items():
             out[(j,) + rest] = c
     return out
@@ -1399,9 +1406,13 @@ def _thermal_excess(bracket, beta, spec, breakpoints):
 
     The excess weight coth(beta k / 2) - 1 = 2 / (e^{beta k} - 1) decays
     exponentially, so the integral lives on a finite interval regardless of
-    the material's absorption.
+    the material's absorption: the panels span [0, 120 / beta], where the
+    weight falls to 1e-52, and the integrand is 0 without a bracket call
+    past beta k = _WEIGHT_CUT, where the weight's tail is below rounding.
     """
     def g(k):
+        if beta * k > _WEIGHT_CUT:
+            return 0.0
         return k * core.occupation_excess(beta, k) * bracket(k)
 
     _endpoint_check(g)
@@ -1558,20 +1569,25 @@ def _bath_excess(cfg, beta_left, beta_right, spec, beta_phi=math.inf):
 
     The integrand is linear in the occupations, so the excess is one kernel
     pass weighted by the differences of the occupation excesses
-    coth(beta k/2) - 1, which fall below 1e-52 past beta k = 120.
+    coth(beta k/2) - 1.  With beta the smallest of the three, the panels
+    span [0, 120 / beta], where those fall to 1e-52, and the integrand is 0
+    without a kernel call past beta k = _WEIGHT_CUT, where the weights'
+    tail is below rounding.
     """
     a, d, tl, tr = _args(cfg)
+    beta = min(beta_left, beta_right, beta_phi)
 
     def g(k):
+        if beta * k > _WEIGHT_CUT:
+            return 0.0
         ref = core.occupation_excess(beta_phi, k)
         return core.bath_weighted(
             k, a, d, tl, tr, core.occupation_excess(beta_left, k) - ref,
             core.occupation_excess(beta_right, k) - ref, _RAW)[0]
 
     _endpoint_check(g)
-    return integrate_interval(
-        g, 0.0, 120.0 / min(beta_left, beta_right, beta_phi), spec,
-        breakpoints=_breakpoints(cfg.left, cfg.right))
+    return integrate_interval(g, 0.0, 120.0 / beta, spec,
+                              breakpoints=_breakpoints(cfg.left, cfg.right))
 
 
 def force_ic(cfg, state, spec):

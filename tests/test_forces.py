@@ -1410,8 +1410,10 @@ def test_failing_tail_names_its_stage():
 
 def test_bath_excess_takes_one_kernel_pass(monkeypatch):
     # the bath integrand is linear in the occupations, so the excess over
-    # its zero-temperature value is one weighted kernel call per node (and
-    # one for the endpoint check), with Z memoized
+    # its zero-temperature value is one weighted kernel call per node with
+    # beta k <= 40 (and one for the endpoint check), with Z memoized; past
+    # beta k = 40 the weights' tail is below rounding and the nodes of
+    # [0, 120 / beta] call no kernel
     forces._vacuum_bath(NONEQ_CFG, NONEQ_SPEC)
     calls, nodes = [], []
     weighted, interval = core.bath_weighted, forces.integrate_interval
@@ -1429,7 +1431,40 @@ def test_bath_excess_takes_one_kernel_pass(monkeypatch):
     monkeypatch.setattr(core, "bath_weighted", counting)
     monkeypatch.setattr(forces, "integrate_interval", tracing)
     forces._bath_parts(NONEQ_CFG, 3.0, 8.0, NONEQ_SPEC)
-    assert nodes and len(calls) == len(nodes) + 1
+    inside = [k for k in nodes if 3.0 * k <= 40.0]
+    assert inside and len(inside) < len(nodes)
+    assert len(calls) == len(inside) + 1
+    assert max(calls) <= 40.0 / 3.0
+
+
+@pytest.mark.parametrize("cfg, spec, beta, baths, same", [
+    (FIG_CFG, SPEC6, 76.3302, (76.3302, 76.3302), True),
+    (WEAK_CFG, WEAK_SPEC, 76.3302, (76.3302, 76.3302), True),
+    (NONEQ_CFG, NONEQ_SPEC, 5.0, (3.0, 8.0), True),
+    (WEAK_CFG, WEAK_SPEC, 5.0, (4.0, 12.0), False)],
+    ids=["fig", "weak", "mild", "weak_hot"])
+def test_excesses_skip_only_what_rounding_hides(monkeypatch, cfg, spec,
+                                                beta, baths, same):
+    # the state and bath excesses against the same integrands without the
+    # cut at beta k = _WEIGHT_CUT, on the same panels over [0, 120 / beta]:
+    # within their estimates everywhere, and forces bit-identical on the
+    # three workload cavities (on the hot weak pair resonances and bound
+    # gap modes lie between 40 / beta and 120 / beta)
+    def run():
+        x = forces._thermal_excess(forces._bracket(cfg), beta, spec,
+                                   forces._breakpoints(cfg.left, cfg.right))
+        y = forces._bath_excess(cfg, *baths, spec)
+        out = force_total(cfg, FieldState.thermal(beta), *baths, spec)
+        return x, y, out
+
+    x, y, out = run()
+    monkeypatch.setattr(forces, "_WEIGHT_CUT", math.inf)
+    x0, y0, out0 = run()
+    for (v, e), (v0, _) in ((x, x0), (y, y0)):
+        assert abs(v - v0) <= e
+    if same:
+        assert (out.ic, out.bath, out.total) == (out0.ic, out0.bath,
+                                                 out0.total)
 
 
 def test_bath_excess_matches_hot_minus_cold():
