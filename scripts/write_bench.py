@@ -31,7 +31,16 @@ bath integral Z on each workload's cavity, by wrapping
 ``core.bath_weighted``: every offset point, the one-offset (raw) calls, and
 the raw calls within 0.1 of a bound gap mode (``forces._gap_modes``), the
 layer ``perfbench/tracing.py`` does not see, and Z itself as (value, err).
-With Z memoized, ``excess_calls`` counts the kernel calls of the thermal
+``stages`` splits the offset points by the innermost stage of Z that made
+them: ``coarse`` (the pass over [0, k0] inside ``forces._switch``),
+``probe`` (the rest of ``_switch``: its phase grid at k0), ``edges`` (the
+signed edge terms past the switch point), ``band`` (band grids, means and
+edge terms), ``tail`` (the averaged tail) and ``direct`` (the direct pass
+and the pole fits); the tracer files this split under other stages.
+``K`` is Z's switch point and ``grids`` the offsets per phase of the
+probe at k0, of the edge terms' grid at K and of the tail average (empty
+on checkouts that size no grid).  Every memo is cleared before each
+cavity.  With Z memoized, ``excess_calls`` counts the kernel calls of the thermal
 state excess X (``core.ic_bracket``) and of the bath excess Y
 (``core.bath_weighted``) in the workload's ``force_total`` calls at seed 0
 (one, or two on ``noneq_mild``), which the tracer cannot attribute to them.
@@ -166,8 +175,9 @@ print(json.dumps({k: repr(v) for k, v in out.items()}))
 """
 
 
-# Run like _OUTPUTS; prints Z's kernel points, Z and the excesses' kernel
-# calls per workload cavity and the docs ladder's points as JSON.
+# Run like _OUTPUTS; prints Z's kernel points by stage and its grids at
+# the switch point, Z and the excesses' kernel calls per workload cavity and
+# the docs ladder's points as JSON.
 _POINTS = r"""
 import collections, json, sys
 sys.path.insert(0, "perfbench")
@@ -180,6 +190,13 @@ rc = cli.load_run_config(W.SWEEP_INI, need_sweep=True)
 calls = []
 parts = []
 excess_calls = collections.Counter()
+# Z's stage: the innermost of the wrapped functions it is inside
+stage = ["direct"]
+stages = collections.Counter()
+grids = []
+memos = [getattr(forces, m, None) for m in ("_vacuum_bath", "_rotated_vacuum",
+                                           "_cavity_excess")]
+memos = [m for m in memos if hasattr(m, "cache_clear")]
 
 
 def counting(name):
@@ -187,8 +204,22 @@ def counting(name):
 
     def wrapped(k, *args):
         calls.append((k, len(args[-1])))
+        stages[stage[-1]] += len(args[-1])
         return kernel(k, *args)
     setattr(core, name, wrapped)
+
+
+def staged(label, fn, inside=None):
+    def wrapped(*args, **kw):
+        enter = inside is None or stage[-1] == inside
+        if enter:
+            stage.append(label)
+        try:
+            return fn(*args, **kw)
+        finally:
+            if enter:
+                stage.pop()
+    return wrapped
 
 
 def attributed(name):
@@ -213,6 +244,44 @@ def part(label, name):
     setattr(forces, name, wrapped)
 
 
+def banded(*args):
+    stage.append("band")
+    try:
+        mean, size, edges = band_bounds(*args)
+    finally:
+        stage.pop()
+    return staged("band", mean), size, staged("band", edges)
+
+
+def gridded(shifted):
+    sample = grid_sampler(shifted)
+
+    def wrapped(k, dims):
+        grids.append((stage[-1], k, dims))
+        return sample(k, dims)
+    return wrapped
+
+
+switched = []
+switch = forces._switch
+
+
+def switching(*args):
+    got = switch(*args)
+    switched.append(got)
+    return got
+
+
+band_bounds = forces._band_bounds
+above_edges = forces._above_edges
+grid_sampler = forces._sampler
+forces._switch = staged("probe", switching)
+forces.integrate_interval = staged("coarse", forces.integrate_interval,
+                                   "probe")
+forces._averaged_tail = staged("tail", forces._averaged_tail)
+forces._above_edges = lambda *a: staged("edges", above_edges(*a))
+forces._band_bounds = banded
+forces._sampler = gridded
 counting("bath_weighted")
 attributed("bath_weighted")
 attributed("ic_bracket")
@@ -231,19 +300,27 @@ for name, cfg, spec, runs in (
         ("sweep_docs", rc.cavity, rc.spec,
          [(rc.state, rc.beta_left, rc.beta_right)])):
     modes = [km for km, _, _, _ in forces._gap_modes(cfg)]
-    del calls[:]
-    forces._vacuum_bath.cache_clear()
+    del calls[:], grids[:], switched[:]
+    stages.clear()
+    for memo in memos:
+        memo.cache_clear()
     z = forces._vacuum_bath(cfg, spec)
     raw = [k for k, n in calls if n == 1]
+    (got,) = switched
+    K = got[0]
     out[name] = {"points": sum(n for _, n in calls), "raw": len(raw),
                  "raw_near_modes": sum(any(abs(k - km) <= 0.1
                                            for km in modes) for k in raw),
-                 "Z": list(z)}
+                 "Z": list(z), "stages": dict(stages), "K": K,
+                 "grids": {
+                     "probe": [d for s, k, d in grids if s == "probe"][-1:],
+                     "edges": [d for s, k, d in grids
+                               if s == "edges" and k == K][-1:],
+                     "tail": list(got[5:])}}
     excess_calls.clear()
     for state, bl, br in runs:
         forces.force_total(cfg, state, bl, br, spec)
     out[name]["excess_calls"] = {p: excess_calls[p] for p in ("X", "Y")}
-switch = forces._switch
 ks = []
 
 
@@ -275,9 +352,10 @@ def _run(tree, script):
 
 
 def points(tree):
-    """``{workload: {"points", "raw", "raw_near_modes", "Z",
-    "excess_calls"}}``: Z's kernel points, Z and the kernel calls of the
-    excesses X and Y on each workload's cavity in ``tree``, and
+    """``{workload: {"points", "raw", "raw_near_modes", "Z", "stages", "K",
+    "grids", "excess_calls"}}``: Z's kernel points, by stage, its switch
+    point and grids, Z and the kernel calls of the excesses X and Y on each
+    workload's cavity in ``tree``, and
     ``{"docs_ladder": {"calls", "points", "K"}}`` (see the module
     docstring)."""
     return _run(tree, _POINTS)

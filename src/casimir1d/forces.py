@@ -22,12 +22,14 @@ exp(-2 kappa gap) (Antezza, Pitaevskii, Stringari and Svetovoy, PRA 77,
     force_bath = Z + bath excess,
 
 so Z cancels from the total in value and only its rounding remains there.
-Z is the one real-axis oscillatory integral per cavity and spec; it is
-memoized per process.  Lossless pairs have no bath (Z = 0), so their state
-force is R alone.  Half-spaces are slabs of infinite width, whose bare
-state and bath integrals both diverge; their grouped force is R plus the
-thermal excesses, with no real-axis oscillatory integral
-(``halfspace_forces``).
+Z is the one real-axis oscillatory integral per cavity and spec.  Z and R
+are memoized per process for each cavity and spec, and the state excess
+for each cavity, state and spec, so forces at several bath temperatures
+compute each once; a raised error is not memoized.  Lossless pairs have
+no bath (Z = 0), so their state force is R alone.  Half-spaces are slabs
+of infinite width, whose bare state and bath integrals both diverge; their
+grouped force is R plus the thermal excesses, with no real-axis
+oscillatory integral (``halfspace_forces``).
 
 The real-axis oscillatory integrals (Z and the two-integral route kept as
 an independent check) oscillate under three linear phases (one per slab
@@ -35,11 +37,25 @@ thickness and one for the gap round trip) on top of slowly decaying
 absorption envelopes.  Each is evaluated in two stages: adaptive
 quadrature up to a switch point K, then quadrature of the phase-averaged
 integrand on t = (K/k)^2 in (0, 1] less the signed edge terms S(K) of the
-oscillation it drops.  S sums, over every harmonic j of
-the phase grid that the average drops, three integrations by parts of
-h_j e^{i j . phi} at rate j . phi', with derivatives from a seven-point
-stencil (Iserles and Norsett's asymptotic method); harmonics too slow for
-it are left out of S and bounded in the error.  K is the first point of
+oscillation it drops.  S sums, over every harmonic j that the average
+drops, three integrations by parts of h_j e^{i j . phi} at rate j . phi',
+with derivatives from a seven-point stencil (Iserles and Norsett's
+asymptotic method); harmonics too slow for it are left out of S and
+bounded in the error.  One rule sizes every phase grid past the first
+candidate k0 (the probe there, the stencils of S and the tail average):
+each phase takes the fewest offsets whose left harmonics, bounded by its
+closed-form decay ratio rho_a and its measured first harmonics, hold at
+most a thousandth of the tail's share (``_axis_size``).  The tail average
+keeps the harmonics whose indices are multiples of its offset counts n_a,
+about rho_a^(n_a - 1) |h_1| each, integrated over the tail without
+cancellation; the probe and the stencils read 2 J + 1 offsets, and leave
+out harmonic J + 1, whose first order they hold to the same allowance.  On
+a slab phase the first gap order's harmonics keep their size up to the
+number of slab reflections on it (two on the common phase of identical
+slabs) before they fall.  S drops exactly the harmonics the tail grid does
+not keep.  On the mild pair, where every ratio past K is below 1e-5, the
+tail takes 2 offsets per phase and S 3; on the docs cavity the tail takes
+4 on each phase.  K is the first point of
 a ladder from the first candidate k0, past the slabs' response features,
 where the measured error of S fits the tail's share of the budget.  The
 walk starts where closed-form decay ratios of the harmonics (the slab pole
@@ -145,11 +161,6 @@ __all__ = [
     "lifshitz_matsubara",
 ]
 
-# Offsets per oscillation phase in the tail average.  Four equidistant
-# offsets cancel every Fourier harmonic of a phase up to third order; the
-# surviving fourth harmonic carries at least the fourth power of a slab
-# round-trip factor, far below the tail budget wherever the average is used.
-_SHIFTS = 4
 # The one offset triple (sL, sR, sG) of the unshifted integrand.
 _RAW = ((0.0, 0.0, 0.0),)
 # Slab bands of identical slabs (see ``_kind``): where the slab round-trip
@@ -212,11 +223,13 @@ _NEWTON_STEPS = 30
 # _AXIS_DROP of it.  Harmonics whose
 # logarithmic slope exceeds _SLOW times their rate (the mild pair's
 # (-1, 1, 0) runs at 7e-4) are left out of the edge terms and bounded in
-# their error.  Each phase of the grid takes the samples whose last
-# harmonic is _AXIS_DROP of its first.  Where a slab reflects without
-# absorbing, harmonics falling slower than k^-_PERSISTENT (like 1/k) have
-# no absolutely convergent tail and are refused.  The mapped averaged tail
-# takes at most _MAX_TAIL_PANELS panels.
+# their error.  Past k0 every phase grid (the k0 probe, the edge terms'
+# stencils and the tail average) gives each phase the fewest offsets whose
+# left harmonics hold at most _AXIS_DROP of the tail's share (see
+# ``_axis_size``).  Where a slab reflects without absorbing, harmonics
+# falling slower than k^-_PERSISTENT (like 1/k) have no absolutely
+# convergent tail and are refused.  The mapped averaged tail takes at most
+# _MAX_TAIL_PANELS panels.
 _LADDER = 2.0 ** 0.125
 _SLOW = 0.5
 _AXIS_DROP = 1e-3
@@ -227,9 +240,10 @@ _MAX_TAIL_PANELS = 240
 # passes must not chase structure below this floor, and the floor, summed
 # over the k the averaged tail samples, belongs in the reported error.
 _NOISE_EPS = 2e-16
-# Zero-temperature bath integrals memoized per process.  A sweep or a
-# nonequilibrium study needs one entry; the bound keeps a long-running
-# caller from growing.
+# Entries of each per-process memo: the zero-temperature bath integral Z
+# and the rotated total R per cavity and spec, the state excess X per
+# cavity, state and spec.  A sweep or a nonequilibrium study needs one or
+# two entries; the bound keeps a long-running caller from growing.
 _VACUUM_CACHE_SIZE = 32
 # Relative rounding allowance for the zero-temperature bath integral Z that
 # cancels from the total: a few ulps of |Z|, since it enters and leaves
@@ -305,26 +319,11 @@ def _endpoint_check(f, k_min=1e-8):
         raise NaNIntegrandError(k_min)
 
 
-def _diagonal(offsets):
-    """Offset triples with one common offset on both slab phases and none
-    on the gap phase."""
-    return [(s, s, 0.0) for s in offsets]
-
-
-def _sampler(shifted):
-    """``sample(k, n)``: the integrand ``shifted`` at k on the diagonal of
-    n equidistant offsets, each (k, n) evaluated once for the life of the
-    returned function."""
-    @functools.lru_cache(maxsize=None)
-    def sample(k, n):
-        return shifted(k, _diagonal(_even(n)))
-    return sample
-
-
 # Offset slots (sL, sR, sG) of each oscillation phase, outermost first, for
 # ``naxes`` phases: two different slabs have three phases; identical slabs
-# two, whose one slab phase shifts both slab slots (the diagonal sL = sR).
-_SLOTS = {2: ((2,), (0, 1)), 3: ((0,), (1,), (2,))}
+# two, whose one slab phase shifts both slab slots (the diagonal sL = sR);
+# the slab bands of identical slabs offset that diagonal alone.
+_SLOTS = {1: ((0, 1),), 2: ((2,), (0, 1)), 3: ((0,), (1,), (2,))}
 
 
 def _even(n):
@@ -332,40 +331,43 @@ def _even(n):
     return [2.0 * math.pi * i / n for i in range(n)]
 
 
-def _grid(slots, dims):
+@functools.lru_cache(maxsize=None)
+def _grid(dims):
     """Offset triples of the product grid of ``dims[a]`` equidistant
-    offsets on the offset slots ``slots[a]`` of each phase, first phase
-    outermost; every grid leads with the unshifted triple (0, 0, 0)."""
+    offsets on the offset slots of phase a (``_SLOTS[len(dims)]``), first
+    phase outermost; every grid leads with the unshifted triple (0, 0, 0)."""
     grid = [(0.0, 0.0, 0.0)]
-    for places, n in zip(slots, dims):
-        grid = [tuple(s if i in places else t[i] for i in range(3))
+    for places, n in zip(_SLOTS[len(dims)], dims):
+        left, right, gap = (i in places for i in range(3))
+        grid = [(s if left else t[0], s if right else t[1], s if gap else t[2])
                 for t in grid for s in _even(n)]
     return tuple(grid)
 
 
-def _phase_grid(naxes):
-    """Offset triples (sL, sR, sG) of the phase average over ``naxes``
-    phases (see ``_SLOTS``), ``_SHIFTS`` offsets per phase."""
-    return _grid(_SLOTS[naxes], (_SHIFTS,) * naxes)
-
-
-_PHASE_GRIDS = {n: _phase_grid(n) for n in _SLOTS}
-
-
-def _phase_average(shifted, k, naxes):
-    """Discrete mean of the integrand over offsets of its oscillation phases.
+def _phase_average(shifted, k, dims):
+    """Discrete mean of the integrand at k over the grid of ``dims``
+    offsets per oscillation phase (see ``_grid``).
 
     ``shifted(k, offsets)`` evaluates the integrand at k once per additive
-    offset triple (sL, sR, sG) on the left-slab, right-slab and gap phases;
-    ``naxes`` is as in ``_phase_grid``.
+    offset triple (sL, sR, sG) on the left-slab, right-slab and gap phases.
     """
-    vals = shifted(k, _PHASE_GRIDS[naxes])
+    vals = shifted(k, _grid(dims))
     return sum(vals) / len(vals)
+
+
+def _sampler(shifted):
+    """``sample(k, dims)``: the integrand ``shifted`` at k on the grid of
+    ``dims`` offsets per phase (see ``_grid``), each (k, dims) evaluated
+    once for the life of the returned function."""
+    @functools.lru_cache(maxsize=None)
+    def sample(k, dims):
+        return shifted(k, _grid(dims))
+    return sample
 
 
 def _harmonics(sample, comb, k, n, index=None):
     """Slab harmonics h_j(k), j = 0 .. n / 2 - 1, at k, from the n
-    diagonal samples ``sample(k, n)`` (see ``_sampler``).
+    diagonal samples ``sample(k, (n,))`` (see ``_sampler``).
 
     With phi the slab round-trip phase of the identical slabs of ``comb``,
     the integrand is the sum over j of h_j(k) e^{i j phi(k)}, where h_j
@@ -374,7 +376,7 @@ def _harmonics(sample, comb, k, n, index=None):
     size is the pole radius to the power n / 2, is left out.  ``index`` is
     the slab's refractive index at k, when the caller has it.
     """
-    c = _dft(sample(k, n), (n,))
+    c = _dft(sample(k, (n,)), (n,))
     phi = _slab_phase(comb.left, comb.width, k, index)
     return [c[j, ] * cmath.exp(-1j * j * phi) for j in range(n // 2)]
 
@@ -454,9 +456,10 @@ def _sized_harmonics(sample, comb, k, rho, index=None):
 @functools.lru_cache(maxsize=None)
 def _roots(n):
     """``(j, e^{-2 pi i j l / n} for l < n)`` for every |j| < n / 2."""
+    top = (n - 1) // 2
     return tuple((j, tuple(cmath.exp(-2j * math.pi * j * i / n)
                            for i in range(n)))
-                 for j in range(1 - n // 2, n // 2))
+                 for j in range(-top, top + 1))
 
 
 def _dft(vals, dims, lead=True):
@@ -610,29 +613,34 @@ def _predicted(cfg, axes, k0, harm, share, k_max):
     return k
 
 
-def _switch(f, spec, cfg, axes, edges, below=None, breakpoints=()):
-    """``(K, -S(K), err, budget)``: the switch point of the integrand
-    ``f(k, offsets)`` with phases ``axes``, minus the signed edge terms
-    there (``edges``, see ``_above_edges``) and their error, and the
-    absolute error budget, rel_tol times the scale max(|c0|, k0 |mean(k0)|,
-    abs_tol), mean the phase average and c0 the coarse pass of
+def _switch(f, spec, cfg, axes, below=None, breakpoints=()):
+    """``(K, -S(K), err, budget, edges, dims)``: the switch point of the
+    integrand ``f(k, offsets)`` with phases ``axes``, minus the signed edge
+    terms there and their error, the absolute error budget, rel_tol times
+    the scale max(|c0|, k0 |mean(k0)|, abs_tol), ``edges(x0, x1)`` past K
+    (see ``_above_edges``) and the tail grid ``dims`` whose average they
+    complete.  mean is the phase average and c0 the coarse pass of
     ``below(k)`` over [0, k0] with ``breakpoints`` (0 without ``below``).
     The tail's share is a quarter of the budget.  ``_oscillatory_integral``
     passes a ``below`` that keeps its raw values and band means, so its
     direct pass reuses every point of this coarse pass.
 
-    The phase average at k0 comes with the harmonics on its grid.  Where
-    the first order of each, 2 |h_j / w_j| with w_j = j . phi', doubled for
-    its variation past k0 and raised by rho_a / (1 - rho_a) for the
-    harmonics past the grid on each of its phases, fits the share in sum,
-    K = k0 and that sum is the error, with no edge terms.  Otherwise the
-    harmonics at k0 predict a first point of the ladder k0 _LADDER^i
-    (``_predicted``, to half the share), and K is the first point from
-    there on whose measured edge terms have an error that fits the share.
-    NonConvergenceError where none does within the reach of max_panels
-    (half of its panels, or k0).  Where a slab reflects without absorbing,
-    a harmonic whose first order exceeds the share and that falls slower
-    than k^-_PERSISTENT has no absolutely convergent tail and is refused.
+    The probe at k0 reads the phase average and the harmonics on the least
+    grid that reads every phase's head (see ``_axis_size``).  Where the
+    first order of each harmonic, 2 |h_j / w_j| with w_j = j . phi',
+    doubled for its variation past k0 and raised by rho_a / (1 - rho_a) for
+    the harmonics past the grid on each of its phases, fits the share in
+    sum there, the probe is read again on the grid ``_phase_dims`` sizes;
+    where the sum still fits, K = k0 and that sum is the error, with no
+    edge terms, and the tail grid is sized from the probe.  A sum above the
+    share only starts the ladder, so the least grid serves it.  Otherwise the harmonics at k0 predict a first point of
+    the ladder k0 _LADDER^i (``_predicted``, to half the share), and K is
+    the first point from there on whose measured edge terms have an error
+    that fits the share.  NonConvergenceError where none does within the
+    reach of max_panels (half of its panels, or k0).  Where a slab reflects
+    without absorbing, a harmonic whose first order exceeds the share and
+    that falls slower than k^-_PERSISTENT has no absolutely convergent tail
+    and is refused.
     """
     k0 = _first_switch(spec, cfg)
     c0 = 0.0
@@ -642,28 +650,41 @@ def _switch(f, spec, cfg, axes, edges, below=None, breakpoints=()):
                                     breakpoints=breakpoints)[0]
         except NonConvergenceError as exc:
             c0 = exc.partial if exc.partial is not None else 0.0
-    vals = f(k0, _PHASE_GRIDS[len(axes)])
-    scale = max(abs(c0), abs(sum(vals) / len(vals)) * k0, spec.abs_tol)
-    budget = max(spec.abs_tol, spec.rel_tol * scale)
-    share = 0.25 * budget
-    harm = _dft(vals, (_SHIFTS,) * len(axes))
-    rates = _phases(cfg, axes, k0)[1]
+    sample = _sampler(f)
     ratios = _decay_ratios(cfg, axes, k0)
-    first = 0.0
-    for j, h in harm.items():
-        if _leads(j):
-            w = abs(sum(map(operator.mul, j, rates)))
-            first += (4.0 * abs(h) / w if w > 0.0 else math.inf) * (
-                1.0 + sum(r / (1.0 - r) if r < 1.0 else math.inf
-                          for r, x in zip(ratios, j) if x))
+    rates = _phases(cfg, axes, k0)[1]
+
+    def probe(dims):
+        """The budget, the harmonics and their first orders on ``dims``."""
+        vals = sample(k0, dims)
+        scale = max(abs(c0), abs(sum(vals) / len(vals)) * k0, spec.abs_tol)
+        harm = _dft(vals, dims)
+        first = 0.0
+        for j, h in harm.items():
+            if _leads(j):
+                w = abs(sum(map(operator.mul, j, rates)))
+                first += (4.0 * abs(h) / w if w > 0.0 else math.inf) * (
+                    1.0 + sum(r / (1.0 - r) if r < 1.0 else math.inf
+                              for r, x in zip(ratios, j) if x))
+        return max(spec.abs_tol, spec.rel_tol * scale), harm, first
+
+    budget, harm, first = probe(tuple(2 * len(slots) + 1
+                                      for slots, _ in axes))
+    if first <= 0.25 * budget:
+        budget, harm, first = probe(_phase_dims(
+            sample, cfg, axes, k0, 0.25 * _AXIS_DROP * budget)[0])
+    share = 0.25 * budget
+    edges = _above_edges(sample, cfg, axes, share)
     if first <= share:
-        return k0, 0.0, first, budget
+        keep = _axis_size(ratios, harm, _AXIS_DROP * share, k0)
+        return (k0, 0.0, first, budget, functools.partial(edges, keep=keep),
+                keep)
     mirror = any(m.omega_pl > 0.0 and not _absorbing(m)
                  for m in (cfg.left, cfg.right))
     k_max = max(k0, 0.5 * spec.max_panels * spec.panel_width)
     K = _predicted(cfg, axes, k0, harm, 0.5 * share, k_max)
     while K <= k_max:
-        s, err, terms = edges(K)
+        s, err, terms, keep = edges(K)
         for h, dh, w, _ in terms.values():
             if not mirror or 2.0 * abs(h / w) <= share:
                 continue
@@ -675,7 +696,8 @@ def _switch(f, spec, cfg, axes, edges, below=None, breakpoints=()):
                     "%.3e falls like k^-%.2f" % (K, 2.0 * abs(h / w), p),
                     partial=None, error=2.0 * abs(h / w), panels=0)
         if err <= share:
-            return K, s, err, budget
+            return (K, s, err, budget, functools.partial(edges, keep=keep),
+                    keep)
         K *= _LADDER
     raise NonConvergenceError(
         "no switch point within the reach of max_panels (k <= %.3e): the "
@@ -683,14 +705,64 @@ def _switch(f, spec, cfg, axes, edges, below=None, breakpoints=()):
         partial=None, error=math.inf, panels=0)
 
 
-def _axis_size(rho):
-    """Samples of a phase whose harmonics fall like ``rho``: the least even
-    count, from _SHIFTS, whose last harmonic is _AXIS_DROP of the first,
-    but at most _HARM_OFFSETS."""
-    n = _SHIFTS
-    while n < _HARM_OFFSETS and rho ** (n // 2 - 1) > _AXIS_DROP:
-        n += 2
-    return n
+def _axis_size(ratios, harm, allow, x=0.0, rates=None, heads=None):
+    """Offsets of each phase a of the harmonics ``harm`` ({j: h_j}), which
+    fall like ``ratios[a]`` past their head: the fewest, at most
+    _HARM_OFFSETS, whose grid leaves no harmonic whose error exceeds
+    ``allow``, for the tail average past ``x`` or, with the phases'
+    ``rates`` and ``heads``, for a grid read for its harmonics.
+
+    The gap round trip enters the integrand as powers of rL rR e^{2ika},
+    and each reflection r = rn (1 - E) / (1 - rn^2 E) of a slab adds the
+    powers 0 and 1 of its E ~ e^{i phi}.  So the slab harmonics of the
+    first gap order hold a head of comparable size up to |j_a| = H_a, the
+    number of reflections on the phase (``heads``: 2 on the common phase of
+    identical slabs, else 1), before they fall like rho_a.  The amplitude
+    |h_H| of a phase bounds its harmonics at the head's end: the largest of
+    |h_j| rho_a^(H_a - |j_a|) over its head, 0 < |j_a| <= H_a (a mixed
+    harmonic, such as a slab's with the gap's, can exceed the phase's own,
+    and a head that ends low is taken to fall like rho_a from its largest).
+
+    n equidistant offsets fold harmonic m onto m - n.  The tail average
+    (H = 1) keeps harmonic n, at most rho^(n - 1) |h_1|, which one mapped
+    panel integrates without cancellation, about x / 2 times that; it takes
+    two offsets or more.  A grid read for its harmonics (the k0 probe and
+    the edge terms) takes n = 2 J + 1, which reads every |j_a| <= J, J >= H,
+    and leaves harmonic J + 1 out of the edge terms and folded onto -J, at
+    most rho^(J + 1 - H) |h_H|; its error is its first order, 2 |h| over
+    (J + 1) times the phase's rate.
+    """
+    out = []
+    for a, rho in enumerate(ratios):
+        head = heads[a] if heads else 1
+        amp = max([abs(h) * rho ** (head - abs(j[a]))
+                   for j, h in harm.items() if 0 < abs(j[a]) <= head],
+                  default=0.0)
+        n = 2 * head + 1 if heads else 2
+        while n < _HARM_OFFSETS - 1:
+            if heads:
+                m = n // 2 + 1
+                err = 2.0 * amp * rho ** (m - head) / (m * abs(rates[a]))
+            else:
+                err = 0.5 * x * amp * rho ** (n - 1)
+            if err <= allow:
+                break
+            n += 2 if heads else 1
+        out.append(n)
+    return tuple(out)
+
+
+def _phase_dims(sample, cfg, axes, x, allow):
+    """``(dims, ratios)``: the grid of the phases ``axes`` read for its
+    harmonics at x and the decay ratios there (``_decay_ratios``).  Each
+    phase takes ``_axis_size`` of its ratio and its head, read from
+    ``sample(x, dims)`` on the least grid that reads every head, so that
+    what it leaves holds at most ``allow``."""
+    ratios = _decay_ratios(cfg, axes, x)
+    heads = tuple(len(slots) for slots, _ in axes)
+    low = tuple(2 * h + 1 for h in heads)
+    return _axis_size(ratios, _dft(sample(x, low), low), allow,
+                      rates=_phases(cfg, axes, x)[1], heads=heads), ratios
 
 
 def _edge_terms(hs, rates, phases, nodes, step, floor, slow):
@@ -737,54 +809,62 @@ def _edge_terms(hs, rates, phases, nodes, step, floor, slow):
     return sums[0], abs(sums[0] - sums[1]), terms
 
 
-def _above_edges(shifted, cfg, axes):
-    """``edges(x0, x1=inf)``: ``(S(x1) - S(x0), err, terms)`` past the
-    switch point, S the signed edge terms (``_edge_terms``, ``terms`` at
-    x0) of the harmonics of the integrand that its phase average on the
-    grid of ``axes`` drops, and S(inf) = 0: the raw integral over [x0, x1]
-    is the average's plus S(x1) - S(x0).  The average on _SHIFTS offsets
-    per phase keeps the harmonics whose indices are all multiples of
-    _SHIFTS, so S leaves them out.
+def _above_edges(sample, cfg, axes, share):
+    """``edges(x0, x1=inf, keep=None)``: ``(S(x1) - S(x0), err, terms,
+    keep)`` past the switch point, S the signed edge terms (``_edge_terms``,
+    ``terms`` at x0) of the harmonics of the integrand that its phase
+    average on the tail grid ``keep`` (offsets per phase) drops, and
+    S(inf) = 0: the raw integral over [x0, x1] is the average's plus
+    S(x1) - S(x0).  The average keeps the harmonics whose every index j_a is
+    a multiple of keep[a], so S leaves exactly those out.  Without ``keep``
+    the tail grid is sized at x0 (``_axis_size``).  ``sample(k, dims)`` is
+    the integrand on a phase grid (``_sampler``); ``share`` is the
+    tail's share of the budget.
 
     At each end x the harmonics are sampled on a stencil of step
-    _FD_STEP x, over a grid whose phases take ``_axis_size`` samples of
-    their decay ratio at x.  The end's error adds to the stencil error, for
-    a slow harmonic, the lesser of its first order 2 |h / w| doubled for
-    its variation and, where it decays like k^-p with p > 1, the integral
+    _FD_STEP x, over the grid ``_phase_dims`` sizes at x to _AXIS_DROP of
+    the share.  The end's error adds to the stencil error, for a slow
+    harmonic, the lesser of its first order 2 |h / w| doubled for its
+    variation and, where it decays like k^-p with p > 1, the integral
     2 |h| x / (p - 1) of its modulus (the slope of a small harmonic reads
     its grid's aliasing, so it may look slow); and on each phase, the first
-    order of its outermost harmonics times rho / (1 - rho), for the
-    harmonics past the grid.  err adds the variation of the last order
-    sigma_2 over [x0, x1]: its chords, 2 |sigma_2(y') - sigma_2(y)| per
-    harmonic, along the ladder y = x0 _LADDER^i up to x1 or, sooner, up to
-    the first y where the harmonics whose |sigma_2| rose over the step
-    hold at most _AXIS_DROP of the sum of |sigma_2(y)|, with 2 |sigma_2(y)|
-    for the fall past it.
+    order of its outermost harmonics, |j_a| = (n_a - 1) // 2, times
+    rho / (1 - rho), for the harmonics past the grid.  err adds the
+    variation of the last order sigma_2 over [x0, x1]: its chords,
+    2 |sigma_2(y') - sigma_2(y)| per harmonic, along the ladder
+    y = x0 _LADDER^i up to x1 or, sooner, up to the first y where the
+    harmonics whose |sigma_2| rose over the step hold at most _AXIS_DROP of
+    the sum of |sigma_2(y)|, with 2 |sigma_2(y)| for the fall past it.
     """
-    slots = tuple(s for s, _ in axes)
+    nodes = _STENCIL_NODES[0]
 
     @functools.lru_cache(maxsize=None)
-    def edge_sum(x):
-        ratios = _decay_ratios(cfg, axes, x)
-        dims = tuple(map(_axis_size, ratios))
-        grid = _grid(slots, dims)
-        nodes = _STENCIL_NODES[0]
-        step = _FD_STEP * x
+    def measured(x):
+        """The harmonics on the stencil at x, their phases' rates, the
+        phases at x, the grid and the tail grid sized there."""
+        dims, ratios = _phase_dims(sample, cfg, axes, x, _AXIS_DROP * share)
         hs, rates = [], []
         for z in nodes:
-            t = x + step * z
+            t = x + _FD_STEP * x * z
             phases, rt = _phases(cfg, axes, t)
             hs.append({j: c * cmath.exp(-1j * sum(map(operator.mul, j,
                                                       phases)))
-                       for j, c in _dft(shifted(t, grid), dims).items()
+                       for j, c in _dft(sample(t, dims), dims).items()
                        if _leads(j)})
             rates.append(rt)
             if z == 0:
-                at, mid, rate = phases, hs[-1], rt
+                at, mid = phases, hs[-1]
+        return hs, rates, at, dims, ratios, _axis_size(
+            ratios, mid, _AXIS_DROP * share, x)
+
+    @functools.lru_cache(maxsize=None)
+    def edge_sum(x, keep):
+        hs, rates, at, dims, ratios, _ = measured(x)
         s, err, terms = _edge_terms(
-            [{j: h for j, h in g.items() if any(i % _SHIFTS for i in j)}
-             for g in hs], rates, at, nodes, step,
-            _MEAN_NOISE * _NOISE_EPS * x, _SLOW)
+            [{j: h for j, h in g.items()
+              if any(i % n for i, n in zip(j, keep))} for g in hs],
+            rates, at, nodes, _FD_STEP * x, _MEAN_NOISE * _NOISE_EPS * x,
+            _SLOW)
         for h, dh, w, s2 in terms.values():
             if s2 is None:
                 p = -x * (dh / h).real
@@ -793,6 +873,7 @@ def _above_edges(shifted, cfg, axes):
                            else math.inf)
         # the first orders of the outermost harmonics of each phase, those
         # the average keeps included, stand for the harmonics past the grid
+        mid, rate = hs[nodes.index(0)], rates[nodes.index(0)]
         firsts = {}
         for j, h in mid.items():
             w = sum(map(operator.mul, j, rate))
@@ -800,24 +881,28 @@ def _above_edges(shifted, cfg, axes):
                 firsts[j] = 2.0 * abs(h / w)
         for a, (n, rho) in enumerate(zip(dims, ratios)):
             outer = sum(v for j, v in firsts.items()
-                        if abs(j[a]) == n // 2 - 1)
+                        if abs(j[a]) == (n - 1) // 2)
             err += outer * rho / (1.0 - rho) if rho < 1.0 else math.inf
         return s, err, terms, {j: t[3] for j, t in terms.items()
                                if t[3] is not None}
 
-    def edges(x0, x1=math.inf):
-        s0, e0, terms, prev = edge_sum(x0)
-        s1, e1 = edge_sum(x1)[:2] if x1 < math.inf else (0.0, 0.0)
+    def edges(x0, x1=math.inf, keep=None):
+        if keep is None:
+            keep = measured(x0)[5]
+        s0, e0, terms, prev = edge_sum(x0, keep)
+        s1, e1 = edge_sum(x1, keep)[:2] if x1 < math.inf else (0.0, 0.0)
         y, var = x0 * _LADDER, 0.0
         while y < x1:
-            last = edge_sum(y)[3]
+            last = edge_sum(y, keep)[3]
             var += _chord(prev, last)
             if sum(abs(v) for j, v in last.items()
                    if abs(v) > abs(prev.get(j, 0.0))) <= _AXIS_DROP * sum(
                        map(abs, last.values())):
-                return s1 - s0, e0 + e1 + var + _chord(last, {}), terms
+                return (s1 - s0, e0 + e1 + var + _chord(last, {}), terms,
+                        keep)
             y, prev = y * _LADDER, last
-        return s1 - s0, e0 + e1 + var + _chord(prev, edge_sum(x1)[3]), terms
+        return (s1 - s0, e0 + e1 + var + _chord(prev, edge_sum(x1, keep)[3]),
+                terms, keep)
     return edges
 
 
@@ -876,7 +961,8 @@ def _band_bounds(shifted, comb, lo, hi):
     equidistant offsets whose aliased harmonics, at most
     2 C n rho^n / (1 - rho^n)^2 with C the larger amplitude of k's grid
     step, fit tol / 2.  The grid, the stencils of ``edges`` and the means
-    draw on one store of diagonal samples keyed on (k, n) (``_sampler``)
+    draw on one store of diagonal samples keyed on k and the offset count
+    n (``_sampler``)
     for the life of the closure: a pass that asks again at the same k and
     a tolerance that sizes the same n (the direct pass at the coarse pass's
     nodes), or a stencil centred on a grid point, makes no kernel call.
@@ -950,7 +1036,7 @@ def _band_bounds(shifted, comb, lo, hi):
         n = 1
         while 4.0 * c * n * rho ** n > tol * (1.0 - rho ** n) ** 2:
             n += 1
-        return sum(sample(k, n)) / n
+        return sum(sample(k, (n,))) / n
 
     @functools.lru_cache(maxsize=None)
     def end(x):
@@ -1082,9 +1168,6 @@ def _oscillatory_integral(shifted, spec, breakpoints, cfg, poles=()):
     # each dense band's mean and edge terms, built once for both passes
     built = [_band_bounds(shifted, cfg, lo, hi) for lo, hi in bands]
 
-    def averaged(k):
-        return _phase_average(shifted, k, len(axes))
-
     def banded(tol):
         return _banded(raw, [(lo, hi, mean) for (lo, hi), (mean, _, _)
                              in zip(bands, built)], tol)
@@ -1096,8 +1179,8 @@ def _oscillatory_integral(shifted, spec, breakpoints, cfg, poles=()):
     # its means to its own target, rel_tol of the bands' size.
     coarse = _coarse(spec)
     size = sum(s for _, s, _ in built)
-    K, s_K, e_K, budget = _switch(
-        shifted, spec, cfg, axes, _above_edges(shifted, cfg, axes),
+    K, s_K, e_K, budget, _, dims = _switch(
+        shifted, spec, cfg, axes,
         banded(_mean_tol(max(coarse.abs_tol, coarse.rel_tol * size), bands)),
         breakpoints + sum(bands, ()))
 
@@ -1126,8 +1209,9 @@ def _oscillatory_integral(shifted, spec, breakpoints, cfg, poles=()):
     # Phase-averaged tail less the signed edge terms at K; a failure
     # carries the integral below K
     try:
-        v, e = _averaged_tail(averaged, K, spec.replace(
-            abs_tol=max(spec.abs_tol, 0.25 * budget)))
+        v, e = _averaged_tail(lambda k: _phase_average(shifted, k, dims), K,
+                              spec.replace(abs_tol=max(spec.abs_tol,
+                                                       0.25 * budget)))
     except NonConvergenceError as exc:
         raise NonConvergenceError(
             "averaged tail past K = %.6g: %s" % (K, exc), partial=val,
@@ -1155,8 +1239,10 @@ def _averaged_tail(averaged, K, spec):
     return v, e + 0.5 * _NOISE_EPS * (deep * deep - K * K)
 
 
+@functools.lru_cache(maxsize=_VACUUM_CACHE_SIZE)
 def _rotated_vacuum(cfg, spec):
-    """Zero-temperature total force by rotation onto the imaginary axis.
+    """Zero-temperature total force by rotation onto the imaginary axis,
+    memoized per process like Z (``_vacuum_bath``).
 
     Equals 4 * integral over kappa of kappa * w / (1 - w) with w the real
     rotated round-trip factor rL rR e^{-2 kappa gap}; the integrand decays
@@ -1455,6 +1541,16 @@ def _state_excess(bracket, state, spec, breakpoints):
     return _ZERO
 
 
+@functools.lru_cache(maxsize=_VACUUM_CACHE_SIZE)
+def _cavity_excess(cfg, state, spec):
+    """State excess X of the cavity ``cfg`` over the vacuum weight, for a
+    state with a pointwise weight (see ``_effective_state``), memoized per
+    process like Z (``_vacuum_bath``): forces at one field state and
+    several bath temperatures compute it once."""
+    return _state_excess(_bracket(cfg), state, spec,
+                         _breakpoints(cfg.left, cfg.right))
+
+
 def _effective_state(state):
     """``(scale, state)``: constant squeezing is a pure rescaling of the
     vacuum; the delta-band state has no pointwise weight and is refused."""
@@ -1541,8 +1637,7 @@ def _ic_parts(cfg, state, spec):
             "real axis; the non-vacuum excess integral is singular",
             partial=scale * rot[0], error=None, panels=0)
     zt = _vacuum_bath(cfg, spec) if absorbing else _ZERO
-    exc = _state_excess(_bracket(cfg), eff, spec, _breakpoints(L, R))
-    return scale, rot, zt, exc
+    return scale, rot, zt, _cavity_excess(cfg, eff, spec)
 
 
 def _bath_parts(cfg, beta_left, beta_right, spec):
@@ -1595,9 +1690,10 @@ def force_ic(cfg, state, spec):
 
     Computed as R - Z + X: the rotated zero-temperature total R minus the
     zero-temperature bath integral Z, plus the state excess X over the
-    vacuum weight.  Z, the only oscillatory real-axis integral, is memoized
-    per process for each cavity and spec, so forces for several states and
-    bath temperatures of one cavity compute it once.
+    vacuum weight.  Z, the only oscillatory real-axis integral, and R are
+    memoized per process for each cavity and spec, and X for each cavity,
+    state and spec, so forces for several states and bath temperatures of
+    one cavity compute each once.
 
     Parameters
     ----------
@@ -1648,10 +1744,12 @@ def force_total(cfg, state, beta_left, beta_right, spec):
     -------
     ForceBreakdown
         ``total`` is ``ic + bath`` with no re-evaluation, so additivity is
-        exact by construction.  Z cancels from the total unless constant
-        squeezing rescales the state part, so ``err_total`` counts Z's
-        error only for the uncancelled fraction, plus a few ulps of |Z| of
-        rounding.
+        exact by construction.  R, Z and the state excess X come from the
+        per-process memos (see ``force_ic``), so calls that share the
+        cavity, the field state and the spec recompute only the bath
+        excess.  Z cancels from the total unless constant squeezing
+        rescales the state part, so ``err_total`` counts Z's error only for
+        the uncancelled fraction, plus a few ulps of |Z| of rounding.
     """
     scale, (r, er), (z, ez), (x, ex) = _ic_parts(cfg, state, spec)
     (zb, ezb), (y, ey) = _bath_parts(cfg, beta_left, beta_right, spec)
@@ -1837,11 +1935,11 @@ def band_excess_curve(cfg, omega_center, sigmas, spec):
                for sg in sigmas]
     top = max([hi for _, hi in windows] + [0.0])
     axes = _phase_axes(cfg)
-    above = _above_edges(f, cfg, axes)
     K = top
     if top > _first_switch(spec, cfg):
         try:
-            K = min(top, _switch(f, spec, cfg, axes, above)[0])
+            K, _, _, _, above, dims = _switch(f, spec, cfg, axes)
+            K = min(top, K)
         except NonConvergenceError:
             # no switch point (a slab reflecting without loss): the finite
             # windows stay on the raw integrand
@@ -1878,7 +1976,7 @@ def band_excess_curve(cfg, omega_center, sigmas, spec):
         if hi > K:
             x0 = max(lo, K)
             va, ea = integrate_interval(
-                lambda k: _phase_average(f, k, len(axes)), x0, hi,
+                lambda k: _phase_average(f, k, dims), x0, hi,
                 spec.replace(panel_width=hi - x0))
             v, e = v + va, e + ea
         return v, e

@@ -52,21 +52,21 @@ def band_dual(cfg, f, lo, hi, spec, window=None):
 def tail_dual(cfg, f, k1, spec):
     """Integral of ``f(k, offsets)`` over [K, k1], K the switch point of
     its real-axis integral (for a cavity without dense bands), by the phase
-    average plus the signed edge terms S(k1) - S(K) and by raw quadrature on
-    panels of half the shortest slab period.
+    average on the tail grid sized there plus the signed edge terms
+    S(k1) - S(K) of the harmonics it drops, and by raw quadrature on panels
+    of half the shortest slab period.
 
     Returns ``(deviation, estimate)``: the two routes' difference and the
     sum of their error estimates, the first's including the edge terms'
     (both ends' and their last order's variation between them).  An
     independent check of the tail past the switch point.
     """
-    axes = forces._phase_axes(cfg)
-    edges = forces._above_edges(f, cfg, axes)
-    K = forces._switch(f, spec, cfg, axes, edges, _raw(f),
-                       forces._breakpoints(cfg.left, cfg.right))[0]
-    dv, de, _ = edges(K, k1)
+    K, _, _, _, edges, dims = forces._switch(
+        f, spec, cfg, forces._phase_axes(cfg), _raw(f),
+        forces._breakpoints(cfg.left, cfg.right))
+    dv, de = edges(K, k1)[:2]
     v_avg, e_avg = integrate_interval(
-        lambda k: forces._phase_average(f, k, len(axes)), K, k1,
+        lambda k: forces._phase_average(f, k, dims), K, k1,
         spec.replace(panel_width=k1 - K))
     fine = spec.replace(panel_width=min(
         [spec.panel_width] + [math.pi / forces._slab_rate(m, cfg.width, K)

@@ -2,6 +2,7 @@
 
 import cmath
 import collections
+import itertools
 import json
 import math
 import os
@@ -163,6 +164,34 @@ def test_vacuum_memo_is_bounded():
     for i in range(maxsize + 3):
         force_bath(CFG, 5.0, 5.0, fast.replace(abs_tol=1e-8 * (1.0 + i)))
     assert forces._vacuum_bath.cache_info().currsize == maxsize
+
+
+def test_rotated_total_and_state_excess_are_memoized(monkeypatch):
+    # the mild pair's two force_total calls share the field state: the
+    # second computes only the bath excess, bit-identically, and a state
+    # excess that raises is refused afresh and not memoized
+    state = FieldState.thermal(5.0)
+    first = force_total(NONEQ_CFG, state, 3.0, 8.0, NONEQ_SPEC)
+    calls = collections.Counter()
+    for name in ("ic_bracket", "roundtrip_rot_direct"):
+        kernel = getattr(core, name)
+
+        def counted(*args, name=name, kernel=kernel):
+            calls[name] += 1
+            return kernel(*args)
+        monkeypatch.setattr(core, name, counted)
+    again = force_total(NONEQ_CFG, state, 3.0, 8.0, NONEQ_SPEC)
+    swapped = force_total(NONEQ_CFG, state, 8.0, 3.0, NONEQ_SPEC)
+    assert again == first
+    assert swapped.ic == first.ic and swapped.err_ic == first.err_ic
+    assert not calls
+    for memo in (forces._rotated_vacuum, forces._cavity_excess):
+        assert memo.cache_info().currsize == 1
+    narrow = FieldState.squeezed_band(0.001, 3.0)
+    for _ in range(2):
+        with pytest.raises(NonConvergenceError, match="sigma = 0.001"):
+            force_ic(NONEQ_CFG, narrow, NONEQ_SPEC)
+    assert forces._cavity_excess.cache_info().currsize == 1
 
 
 def test_static_dual_routes_agree():
@@ -487,20 +516,21 @@ def test_slab_mean_settles_geometrically():
 
 
 def test_diagonal_mean_for_identical_slabs():
-    # the two slab phases of identical slabs are one phase: the tail mean
-    # averages the diagonal with 16 offsets, not the 64-point torus, and
-    # every mean makes one integrand call per k
+    # the two slab phases of identical slabs are one phase: a (4, 4) tail
+    # grid averages the diagonal with 16 offsets, not the 64-point torus,
+    # and every mean makes one integrand call per k
     calls = []
 
     def f(k, offsets):
         calls.append(list(offsets))
         return [math.cos(sL - sR) + math.cos(sG) for sL, sR, sG in offsets]
 
-    assert forces._phase_average(f, 1.0, 2) == pytest.approx(1.0)
+    assert forces._phase_average(f, 1.0, (4, 4)) == pytest.approx(1.0)
     assert len(calls) == 1 and len(calls[0]) == 16
     assert all(sl == sr for sl, sr, _ in calls[0])
     calls.clear()
-    assert forces._phase_average(f, 1.0, 3) == pytest.approx(0.0, abs=1e-15)
+    assert forces._phase_average(f, 1.0, (4, 4, 4)) == pytest.approx(
+        0.0, abs=1e-15)
     assert len(calls) == 1 and len(calls[0]) == 64
     # the harmonics take their diagonal offsets in one call
     calls.clear()
@@ -508,11 +538,11 @@ def test_diagonal_mean_for_identical_slabs():
     assert [len(c) for c in calls] == [forces._HARM_OFFSETS]
     assert all(sl == sr and sg == 0.0 for c in calls for sl, sr, sg in c)
     # the switch point reads the phase average and the harmonics at k0 from
-    # one call on the average's grid, which leads with the unshifted triple
+    # one call on its grid, which leads with the unshifted triple
     calls.clear()
-    harm = forces._dft(f(1.0, forces._PHASE_GRIDS[2]), (forces._SHIFTS,) * 2)
+    harm = forces._dft(f(1.0, forces._grid((4, 4))), (4, 4))
     assert len(calls) == 1 and calls[0][0] == (0.0, 0.0, 0.0)
-    assert harm[0, 0] == pytest.approx(forces._phase_average(f, 1.0, 2))
+    assert harm[0, 0] == pytest.approx(forces._phase_average(f, 1.0, (4, 4)))
     assert harm[1, 0] == pytest.approx(0.5)
     assert abs(harm[0, 1]) == pytest.approx(0.0, abs=1e-15)
 
@@ -531,6 +561,27 @@ def test_diagonal_mean_for_identical_slabs():
         forces._real_axis(cfg, loose, rec)
         assert any(c != (0.0, 0.0) for c in calls)
         assert all(sl == sr for sl, sr in calls) == diagonal
+
+
+def test_dft_reads_odd_grids():
+    # a trigonometric polynomial with harmonics |j_a| <= 1 on each of three
+    # phases, sampled on the (3, 3, 3) grid: the DFT returns each leading
+    # harmonic to rounding (an odd count reads +-1, as an even one
+    # below 2 (n - 1) does)
+    rng = random.Random(3)
+    coef = {}
+    for j in itertools.product((-1, 0, 1), repeat=3):
+        if forces._leads(j):
+            coef[j] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    mean = 0.7
+    vals = [mean + sum(2.0 * (c * cmath.exp(1j * sum(
+        a * b for a, b in zip(j, off)))).real for j, c in coef.items())
+        for off in forces._grid((3, 3, 3))]
+    harm = forces._dft(vals, (3, 3, 3))
+    assert harm[0, 0, 0] == pytest.approx(mean, abs=1e-14)
+    for j, c in coef.items():
+        assert abs(harm[j] - c) <= 1e-14
+    assert all(abs(i) <= 1 for j in harm for i in j)
 
 
 def test_bound_gap_modes_located():
@@ -922,7 +973,7 @@ def test_sized_mean_is_within_half_its_tolerance():
             for tol in (2e-8, 1e-11):
                 for _ in range(30):
                     k = rng.uniform(lo, hi)
-                    ref = sum(f(k, forces._diagonal(forces._even(256))))
+                    ref = sum(f(k, forces._grid((256,))))
                     assert abs(mean(k, tol) - ref / 256) <= 0.5 * tol
     # in the weak pair's dense bands, where rho reaches 0.945, against the
     # mean of 4,096 offsets.  Below tol 1e-10 the state integrand's means
@@ -933,7 +984,7 @@ def test_sized_mean_is_within_half_its_tolerance():
             mean = forces._band_bounds(f, WEAK_CFG, lo, hi)[0]
             for _ in range(15):
                 k = rng.uniform(lo, hi)
-                ref = sum(f(k, forces._diagonal(forces._even(4096)))) / 4096
+                ref = sum(f(k, forces._grid((4096,)))) / 4096
                 for tol in (1e-7, 1e-9):
                     assert abs(mean(k, tol) - ref) <= 0.5 * tol
 
@@ -1041,9 +1092,10 @@ def test_docs_switch_point_is_the_first_rung_that_fits():
     # k0 2^(1/2) = 26.0, while its gap harmonic still rises towards k = 32
     f = forces._state_integrand(FIG_CFG)
     axes = forces._phase_axes(FIG_CFG)
-    edges = forces._above_edges(f, FIG_CFG, axes)
-    K, _, err, budget = forces._switch(f, SPEC6, FIG_CFG, axes, edges)
+    K, _, err, budget, _, _ = forces._switch(f, SPEC6, FIG_CFG, axes)
     share = 0.25 * budget
+    edges = forces._above_edges(forces._sampler(f), FIG_CFG, axes,
+                                share)
     assert K == pytest.approx(26.0, abs=1e-9)
     assert err <= share
     k = forces._first_switch(SPEC6, FIG_CFG)
@@ -1057,24 +1109,50 @@ def test_docs_switch_point_is_the_first_rung_that_fits():
     assert dev <= est
 
 
-@pytest.mark.parametrize("cfg, terms", [
+def test_edge_grid_reads_the_slab_head(monkeypatch):
+    # on the docs cavity's state integrand the harmonics of the first gap
+    # order span slab indices 0, 1 and 2 at comparable size (1.0e-3, 1.9e-3
+    # and 9.2e-4 at k = 105, where the slab ratio is 2.1e-3), since both
+    # slab reflections of the round trip turn with the one slab phase: the
+    # edge grid reads that head, so S(105) matches S on a (9, 13) grid
+    # within its error (a grid of 3 slab offsets misses it by 4.5e-6)
+    f = forces._state_integrand(FIG_CFG)
+    axes = forces._phase_axes(FIG_CFG)
+    _, _, _, budget, edges, keep = forces._switch(f, SPEC6, FIG_CFG, axes)
+    s, err = edges(105.0)[:2]
+    monkeypatch.setattr(forces, "_phase_dims",
+                        lambda *args: ((9, 13), forces._decay_ratios(
+                            FIG_CFG, axes, args[3])))
+    ref = forces._above_edges(forces._sampler(f), FIG_CFG, axes,
+                              0.25 * budget)(105.0, keep=keep)[0]
+    assert abs(s - ref) <= err < 1e-6
+
+
+@pytest.mark.parametrize("cfg, terms, tail", [
     (CavityConfig(1.0, 2.0, STATIC, STATIC),
-     {(1, 0): 0.3, (0, 1): 0.2, (1, -1): 0.1, (2, 1): 0.05}),
+     {(1, 0): 0.3, (0, 1): 0.2, (1, -1): 0.1, (2, 1): 0.05}, None),
     (CavityConfig(1.0, 2.0, STATIC, STATIC2),
-     {(1, 0, 0): 0.2, (0, 1, -1): 0.1, (1, -1, 1): 0.05, (0, 0, 2): 0.3}),
+     {(1, 0, 0): 0.2, (0, 1, -1): 0.1, (1, -1, 1): 0.05, (0, 0, 2): 0.3},
+     None),
     (CavityConfig(1.0, 2.0, STATIC3, STATIC3),
-     {(1, 0): 0.3, (0, 1): 0.2, (4, 0): 0.1, (0, 4): 0.1, (4, 1): 0.05})],
-    ids=["two-axis", "three-axis", "kept-by-the-average"])
-def test_edge_terms_match_the_dropped_harmonics(cfg, terms):
+     {(1, 0): 0.3, (0, 1): 0.2, (4, 0): 0.1, (0, 4): 0.1, (4, 1): 0.05},
+     (4, 4)),
+    (CavityConfig(1.0, 2.0, STATIC3, STATIC3),
+     {(1, 0): 0.3, (0, 1): 0.2, (2, 0): 0.1, (0, 2): 0.1, (2, 1): 0.05},
+     (2, 4))],
+    ids=["two-axis", "three-axis", "kept-by-the-average",
+         "kept-by-a-two-offset-average"])
+def test_edge_terms_match_the_dropped_harmonics(cfg, terms, tail):
     # a mean k^-3 plus harmonics c_j e^{-mu k} cos(j . (phi + s)) on the
     # phase grid (gap and common slab phase of identical slabs; both slab
     # phases and the gap phase of different ones), all linear in k for
     # static slabs: -S(x) is the integral over [x, inf) of the harmonics
     # the phase average drops, those with an index off the multiples of
-    # _SHIFTS, sum of c_j Re[e^{(i w_j - mu) x} / (mu - i w_j)],
-    # w_j = j . phi'.  STATIC3's phases fall like 0.39 (gap) and 0.29
-    # (slab), so the edge terms sample them past the fourth harmonic,
-    # which the average keeps.
+    # the tail grid keep, sum of c_j Re[e^{(i w_j - mu) x} / (mu - i w_j)],
+    # w_j = j . phi'.  The tail grid is the one the rule sizes at x, or one
+    # given for STATIC3, whose phases fall like 0.39 (gap) and 0.29 (slab):
+    # the edge terms sample them past the fourth harmonic, and a (4, 4)
+    # average keeps (4, 0) and (0, 4), a (2, 4) average (2, 0) alone.
     axes = forces._phase_axes(cfg)
     mu = 0.1
 
@@ -1091,14 +1169,15 @@ def test_edge_terms_match_the_dropped_harmonics(cfg, terms):
         return out
 
     rates = forces._phases(cfg, axes, 1.0)[1]
+    edges = forces._above_edges(forces._sampler(f), cfg, axes, 1e-6)
     for x in (20.0, 30.0):
+        s, err, _, keep = edges(x, keep=tail)
         dropped = 0.0
         for j, c in terms.items():
-            if any(i % forces._SHIFTS for i in j):
+            if any(i % n for i, n in zip(j, keep)):
                 w = sum(a * b for a, b in zip(j, rates))
                 dropped += c * (cmath.exp(complex(-mu, w) * x)
                                 / complex(mu, -w)).real
-        s, err, _ = forces._above_edges(f, cfg, axes)(x)
         assert abs(s - dropped) <= err
         assert err < 0.02 * abs(dropped)
 
@@ -1130,7 +1209,8 @@ def test_edge_terms_cover_a_rising_last_order():
     ks = [x + 0.05 * i for i in range(20000)]
     variation = c / w ** 3 * sum(abs(g2(k1) - g2(k0))
                                  for k0, k1 in zip(ks, ks[1:]))
-    s, err, _ = forces._above_edges(f, cfg, axes)(x)
+    s, err = forces._above_edges(forces._sampler(f), cfg, axes,
+                                 1e-6)(x)[:2]
     assert variation > 5.0 * c * abs(g2(x)) / w ** 3
     assert abs(s - dropped) <= err
     assert err >= 0.9 * variation
@@ -1266,12 +1346,33 @@ def test_bath_integral_evaluates_each_point_once(monkeypatch, cfg, spec):
         assert sum(len(offsets) for _, offsets in seen) <= 6500
 
 
+@pytest.mark.parametrize("cfg, spec, tail", [
+    (NONEQ_CFG, NONEQ_SPEC, (2, 2, 2)), (FIG_CFG, SPEC6, (4, 4))],
+    ids=["mild", "fig"])
+def test_tail_grid_follows_the_decay_ratios(monkeypatch, cfg, spec, tail):
+    # past the switch point the mild pair's ratios are below 1e-5, so its
+    # tail averages 2 offsets per phase (was 4); the docs cavity's gap
+    # phase, whose first harmonic is 1.2e-2 at a ratio of 6.5e-4, keeps 4
+    seen = []
+    switch = forces._switch
+
+    def recording(*args):
+        out = switch(*args)
+        seen.append(out[5])
+        return out
+
+    monkeypatch.setattr(forces, "_switch", recording)
+    forces._vacuum_bath(cfg, spec)
+    assert seen == [tail]
+
+
 def test_mild_bath_integral_offset_points(monkeypatch):
     # k0 = 4 gap periods rather than 1.3 (omega0 + 100 gamma0), the switch
-    # point near 50 rather than 213 and the mapped tail's 15 phase averages
-    # of 64 offsets hold mild's Z to at most 3,000 offset points (7,712
-    # with the probe march)
-    assert _offset_points(monkeypatch, NONEQ_CFG, NONEQ_SPEC) <= 3000
+    # point near 50 rather than 213 (7,712 points with the probe march),
+    # and phase grids sized by the decay ratios past k0 (2,701 points with
+    # 4 offsets on every phase): 2 offsets per phase in the tail's 15
+    # averages and 3 in the edge terms hold mild's Z to at most 1,620
+    assert _offset_points(monkeypatch, NONEQ_CFG, NONEQ_SPEC) <= 1620
 
 
 def _recorded_tail(monkeypatch, run):
@@ -1356,19 +1457,28 @@ def test_tail_noise_model_holds_where_the_tail_samples(monkeypatch):
     # the noise of the phase-averaged bath and state integrands, estimated
     # from fourth differences at step 1e-7 k (the stencil multiplies
     # independent errors of size s by sqrt(70) in the rms), stays within
-    # _NOISE_EPS * k up to the deepest k the mapped tail samples
-    for cfg, spec, naxes in ((FIG_CFG, SPEC6, 2),
-                             (NONEQ_CFG, NONEQ_SPEC, 3)):
+    # _NOISE_EPS * k up to the deepest k the mapped tail samples, on the
+    # tail grid Z takes
+    for cfg, spec in ((FIG_CFG, SPEC6), (NONEQ_CFG, NONEQ_SPEC)):
+        grids = set()
+        average = forces._phase_average
+
+        def recording(f, k, dims):
+            grids.add(dims)
+            return average(f, k, dims)
+
+        monkeypatch.setattr(forces, "_phase_average", recording)
         *_, ks = _recorded_tail(monkeypatch,
                                 lambda: forces._vacuum_bath(cfg, spec))
         monkeypatch.undo()
+        (dims,) = grids
         for f in _both_integrands(cfg):
             for k in (1e2, 1e3, max(ks)):
                 h = 1e-7 * k
                 d4 = []
                 for j in range(8):
                     x = k * (1.0 + 1e-5 * j)
-                    v = [forces._phase_average(f, x + i * h, naxes)
+                    v = [forces._phase_average(f, x + i * h, dims)
                          for i in range(-2, 3)]
                     d4.append(v[0] - 4.0 * v[1] + 6.0 * v[2] - 4.0 * v[3]
                               + v[4])
@@ -1459,6 +1569,8 @@ def test_excesses_skip_only_what_rounding_hides(monkeypatch, cfg, spec,
 
     x, y, out = run()
     monkeypatch.setattr(forces, "_WEIGHT_CUT", math.inf)
+    # a fresh state excess, or out0 would read the memo of the first run
+    forces._cavity_excess.cache_clear()
     x0, y0, out0 = run()
     for (v, e), (v0, _) in ((x, x0), (y, y0)):
         assert abs(v - v0) <= e
