@@ -27,10 +27,12 @@ on the four workload configurations at seed 0, the docs sigma ladder
 ``outputs(tree)`` gives them on their own; the entry lists the names whose
 repr differs between the sides.
 Each side's ``points`` count the kernel points of the zero-temperature
-bath integral Z on each workload's cavity, by wrapping
-``core.bath_weighted``: every offset point, the one-offset (raw) calls, and
-the raw calls within 0.1 of a bound gap mode (``forces._gap_modes``), the
-layer ``perfbench/tracing.py`` does not see, and Z itself as (value, err).
+bath integral Z on each workload's cavity, by wrapping Z's kernel
+(``core.vacuum_baths``, or ``core.bath_weighted`` on a checkout without
+it, so that the counts compare across the two): every offset point, the
+one-offset (raw) calls, and the raw calls within 0.1 of a bound gap mode
+(``forces._gap_modes``), the layer ``perfbench/tracing.py`` does not see,
+and Z itself as (value, err).
 ``stages`` splits the offset points by the innermost stage of Z that made
 them: ``coarse`` (the pass over [0, k0] inside ``forces._switch``),
 ``probe`` (the rest of ``_switch``: its phase grid at k0), ``edges`` (the
@@ -282,7 +284,8 @@ forces._averaged_tail = staged("tail", forces._averaged_tail)
 forces._above_edges = lambda *a: staged("edges", above_edges(*a))
 forces._band_bounds = banded
 forces._sampler = gridded
-counting("bath_weighted")
+# Z's kernel: the state-side one where the checkout has it
+counting("vacuum_baths" if hasattr(core, "vacuum_baths") else "bath_weighted")
 attributed("bath_weighted")
 attributed("ic_bracket")
 part("X", "_thermal_excess")

@@ -174,21 +174,21 @@ def _slab_pair(omega, d, matL, matR):
     return nL, nR, fL, slab_fixed(omega, nR, d)
 
 
-def _offset_parts(omega, a, fL, fR, offsets):
+def _offset_parts(omega, a, fL, fR, offsets, part=slab_offset):
     """Yield ``(left, right, gap)`` for each ``(sL, sR, sG)`` of
-    ``offsets``: the two slabs' ``slab_offset`` parts and the gap factor,
-    each computed once per distinct offset (one table for both slabs when
-    they are identical)."""
+    ``offsets``: the two slabs' ``part(fixed, shift)`` (``slab_offset`` by
+    default) and the gap factor, each computed once per distinct offset
+    (one table for both slabs when they are identical)."""
     left = {}
     right = left if fR is fL else {}
     gaps = {}
     for sL, sR, sG in offsets:
         pL = left.get(sL)
         if pL is None:
-            pL = left[sL] = slab_offset(fL, sL)
+            pL = left[sL] = part(fL, sL)
         pR = right.get(sR)
         if pR is None:
-            pR = right[sR] = slab_offset(fR, sR)
+            pR = right[sR] = part(fR, sR)
         gap = gaps.get(sG)
         if gap is None:
             gap = gaps[sG] = gap_phase(omega, a, sG)
@@ -299,6 +299,70 @@ def bath_integrand(omega, a, d, matL, matR, betaL, betaR,
     """
     return bath_integrands(omega, a, d, matL, matR, betaL, betaR,
                            ((sL, sR, sG),))[0]
+
+
+# ---------------------------------------------------------------------------
+# The zero-temperature bath integrand from the state side.
+#
+# At zero temperature the state and bath integrands add up pointwise to the
+# round-trip term: omega ic_bracket + bath_integrand(inf, inf) =
+# -4 Re[omega w / Delta], with w = rL rR e^{2 i omega a} and Delta = 1 - w.
+# So the bath integrand is -4 Re[omega w / Delta] - omega B, B the state
+# bracket.  ic_brackets assembles B as 1 + |rho|^2 + ..., whose O(1) terms
+# cancel to a remainder of order omega^-4 at large omega.  Here B is written
+# in absorption form instead: each slab has |r|^2 + |t|^2 + A = 1, and with
+# a = |rL|^2, b = |rR|^2 and tl2L the left slab's t^2,
+#
+#   |Delta|^2 B = |rL Delta + rR tl2L e^{2 i omega a}|^2 - 2 Re w + 4 a b
+#                 - a - b + 2 a A_R + 2 b A_L + A_L A_R,
+#
+# whose terms are all as small as the reflections (a lossless slab, whose
+# |r| stays O(1), keeps them O(1)).  With rn, E and F of slab_parts (E phase
+# shifted), e^- = |E|, e1 = 1 - e^- and N = 1 + n, one slab absorbs
+#
+#   A = ([16 Re(n)^2 e1 - 16 Im(n)^2 e^- + 4 Re(n) |1 - n|^2 e1 (1 + e^-)]
+#        / |N|^4 - 8 Im(n) Im(rn E) / |N|^2) / |F|^2,
+#
+# exactly 0 for a slab with real n; only Im(rn E) and F depend on the shift.
+# ---------------------------------------------------------------------------
+
+def _absorbing_fixed(n, fixed):
+    """``(fixed, A0, A1)``: one slab's ``slab_fixed`` parts with the
+    shift-free parts of its absorption, A |F|^2 = A0 - A1 Im(rn E)."""
+    em, em1 = fixed[5], fixed[6]
+    re, im = n.real, n.imag
+    p = (1.0 + re) ** 2 + im * im
+    m = (1.0 - re) ** 2 + im * im
+    return fixed, (16.0 * (re * re * em1 - im * im * em)
+                   + 4.0 * re * m * em1 * (1.0 + em)) / (p * p), 8.0 * im / p
+
+
+def _absorbing_offset(ext, shift):
+    """``(r, tl2, |r|^2, A)`` of one slab at ``shift`` from its
+    ``_absorbing_fixed`` parts: r and tl2 as ``slab_offset`` gives them, and
+    its absorption A."""
+    fixed, a0, a1 = ext
+    _, E, F, r, tl2, _, _ = slab_offset(fixed, shift)
+    return r, tl2, abs(r) ** 2, (a0 - a1 * (fixed[0] * E).imag) / abs(F) ** 2
+
+
+def vacuum_baths(omega, a, d, matL, matR, offsets):
+    """Zero-temperature bath integrand at omega for each ``(sL, sR, sG)``
+    of ``offsets``, as a list: ``bath_integrands(omega, ..., inf, inf,
+    offsets)`` in value, as -4 Re[omega w / Delta] - omega B with the state
+    bracket B in absorption form (see above)."""
+    nL, nR, fL, fR = _slab_pair(omega, d, matL, matR)
+    eL = _absorbing_fixed(nL, fL)
+    eR = eL if fR is fL else _absorbing_fixed(nR, fR)
+    out = []
+    for (rL, tl2L, aL, AL), (rR, _, aR, AR), gap in _offset_parts(
+            omega, a, eL, eR, offsets, _absorbing_offset):
+        w, delta = cavity_delta(rL, rR, gap)
+        # 4 Re[w / Delta] |Delta|^2 = 4 Re w - 4 a b, merged into |Delta|^2 B
+        out.append(-omega * (abs(rL * delta + rR * tl2L * gap) ** 2
+                             + 2.0 * w.real - aL - aR + AL * (2.0 * aR + AR)
+                             + 2.0 * aL * AR) / abs(delta) ** 2)
+    return out
 
 
 # ---------------------------------------------------------------------------

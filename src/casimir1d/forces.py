@@ -22,14 +22,21 @@ exp(-2 kappa gap) (Antezza, Pitaevskii, Stringari and Svetovoy, PRA 77,
     force_bath = Z + bath excess,
 
 so Z cancels from the total in value and only its rounding remains there.
-Z is the one real-axis oscillatory integral per cavity and spec.  Z and R
-are memoized per process for each cavity and spec, and the state excess
-for each cavity, state and spec, so forces at several bath temperatures
-compute each once; a raised error is not memoized.  Lossless pairs have
-no bath (Z = 0), so their state force is R alone.  Half-spaces are slabs
-of infinite width, whose bare state and bath integrals both diverge; their
-grouped force is R plus the thermal excesses, with no real-axis
-oscillatory integral (``halfspace_forces``).
+Z is the one real-axis oscillatory integral per cavity and spec.  Its
+integrand comes from the state side, as the round-trip term
+-4 Re[k w / (1 - w)] less k times the state bracket (``core.vacuum_baths``,
+at 0.5 to 0.85 times the bath kernel's cost per call).  There the bracket is
+written in absorption form, each slab's |r|^2 + |t|^2 + A = 1, so its O(1)
+terms cancel by algebra rather than in rounding and it stays accurate far
+past the switch point; the bath kernel at zero temperature is kept as its
+independent check (``oracles.bath_integrand``).  Z and R are memoized per
+process for each cavity and spec, and the state excess for each cavity,
+state and spec, so forces at several bath temperatures compute each once;
+a raised error is not memoized.  Lossless pairs have no bath (Z = 0), so
+their state force is R alone.  Half-spaces are slabs of infinite width,
+whose bare state and bath integrals both diverge; their grouped force is R
+plus the thermal excesses, with no real-axis oscillatory integral
+(``halfspace_forces``).
 
 The real-axis oscillatory integrals (Z and the two-integral route kept as
 an independent check) oscillate under three linear phases (one per slab
@@ -1470,7 +1477,7 @@ def _bound_modes(cfg, spec):
     integrand f (see ``_pole_window``), and its change when Im A is fitted
     as w (f(k_m - w) + f(k_m + w)) instead, which measures the remainder
     under the spike."""
-    f = _bath_integrand(cfg, math.inf, math.inf)
+    f = _zero_bath_integrand(cfg)
     out = []
     for kp, _, _ in _pole_terms(cfg, spec.panel_width):
         km, w = kp.real, -kp.imag
@@ -1574,17 +1581,17 @@ def _vacuum_bath(cfg, spec):
     one real-axis oscillatory integral per cavity.  A raised error is not
     memoized.
     """
-    return _real_axis(cfg, spec, _bath_integrand(cfg, math.inf, math.inf))
+    return _real_axis(cfg, spec, _zero_bath_integrand(cfg))
 
 
-def _bath_integrand(cfg, beta_left, beta_right):
-    """Bath integrand ``f(k, offsets)`` of a cavity at the given inverse
-    bath temperatures (both infinite for zero temperature)."""
+def _zero_bath_integrand(cfg):
+    """Zero-temperature bath integrand ``f(k, offsets)`` of a cavity, Z's
+    integrand: the round-trip term less k times the state bracket in
+    absorption form (``core.vacuum_baths``)."""
     a, d, tl, tr = _args(cfg)
 
     def f(k, offsets):
-        return core.bath_integrands(k, a, d, tl, tr, beta_left, beta_right,
-                                    offsets)
+        return core.vacuum_baths(k, a, d, tl, tr, offsets)
     return f
 
 
@@ -1690,10 +1697,12 @@ def force_ic(cfg, state, spec):
 
     Computed as R - Z + X: the rotated zero-temperature total R minus the
     zero-temperature bath integral Z, plus the state excess X over the
-    vacuum weight.  Z, the only oscillatory real-axis integral, and R are
-    memoized per process for each cavity and spec, and X for each cavity,
-    state and spec, so forces for several states and bath temperatures of
-    one cavity compute each once.
+    vacuum weight.  Z, the only oscillatory real-axis integral, integrates
+    the round-trip term less k times the state bracket in absorption form
+    (``core.vacuum_baths``), so R - Z is the state integral at the vacuum
+    weight.  Z and R are memoized per process for each cavity and spec,
+    and X for each cavity, state and spec, so forces for several states
+    and bath temperatures of one cavity compute each once.
 
     Parameters
     ----------
@@ -1718,7 +1727,10 @@ def force_bath(cfg, beta_left, beta_right, spec):
 
     Computed as Z + Y: the memoized zero-temperature bath integral plus the
     excess of the bath integrand at the given temperatures over its
-    zero-temperature value, which decays exponentially.
+    zero-temperature value, which decays exponentially.  Z's integrand is
+    the zero-temperature bath integrand taken from the state side, the
+    round-trip term less k times the state bracket (``core.vacuum_baths``);
+    the excess takes the bath kernel itself (``core.bath_weighted``).
 
     Parameters
     ----------

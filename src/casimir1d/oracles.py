@@ -14,11 +14,26 @@ commands never load this module or ``casimir1d.stress``.
 import math
 
 from . import forces
+from .kernels import core
 from .material import Material
 from .quadrature import QuadratureSpec, integrate_interval
 from .scattering import CavityConfig
 from .states import FieldState
 from .stress import pressure_difference
+
+
+def bath_integrand(cfg, beta_left, beta_right):
+    """Bath integrand ``f(k, offsets)`` of a cavity at the given inverse
+    bath temperatures, from the bath side (``core.bath_integrands``).  At
+    zero temperature it is the independent check of Z's integrand
+    (``forces._zero_bath_integrand``), which is assembled from the state
+    side."""
+    a, d, tl, tr = forces._args(cfg)
+
+    def f(k, offsets):
+        return core.bath_integrands(k, a, d, tl, tr, beta_left, beta_right,
+                                    offsets)
+    return f
 
 
 def _raw(f):
@@ -138,7 +153,7 @@ def verify_checks():
                    abs(osc_vac - f_vac) / abs(f_vac), 1e-6))
     osc_ic, _ = real_axis_ic(cfg, FieldState.thermal(beta), spec)
     osc_b, _ = forces._real_axis(cfg, spec,
-                                 forces._bath_integrand(cfg, 3.0, 8.0))
+                                 bath_integrand(cfg, 3.0, 8.0))
     noneq = forces.force_total(cfg, FieldState.thermal(beta), 3.0, 8.0, spec)
     checks.append(("nonequilibrium_dual_pipeline",
                    abs(osc_ic + osc_b - noneq.total) / abs(noneq.total),
@@ -164,7 +179,7 @@ def verify_checks():
     weak = Material(10.0, 10.0, 1e-6)
     cfg_weak = CavityConfig(1.0, 100.0, weak, weak)
     dev, est = band_dual(
-        cfg_weak, forces._bath_integrand(cfg_weak, math.inf, math.inf),
+        cfg_weak, forces._zero_bath_integrand(cfg_weak),
         9.4, 9.6, QuadratureSpec(rel_tol=1e-6, abs_tol=1e-9))
     checks.append(("dense_band_dual_pipeline", dev / est, 1.0))
 
@@ -182,7 +197,7 @@ def verify_checks():
     spec_fig = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-10)
     (low_lo, low_hi), (start, _) = forces._bands(cfg_fig, 30.0)[1]
     worst = 0.0
-    for f in (forces._bath_integrand(cfg_fig, math.inf, math.inf),
+    for f in (forces._zero_bath_integrand(cfg_fig),
               forces._state_integrand(cfg_fig)):
         for lo, hi in ((start, 30.0), (25.3, 27.9), (low_lo, low_hi),
                        (low_lo, 3.0)):
@@ -213,7 +228,7 @@ def verify_checks():
     # ratio to the combined estimate
     worst = 0.0
     for cav, k1, sp in ((cfg_fig, 106.5, spec_fig), (cfg, 213.2, spec)):
-        for f in (forces._bath_integrand(cav, math.inf, math.inf),
+        for f in (forces._zero_bath_integrand(cav),
                   forces._state_integrand(cav)):
             dev, est = tail_dual(cav, f, k1, sp)
             worst = max(worst, dev / est)

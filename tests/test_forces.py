@@ -492,7 +492,7 @@ def test_dense_bands_only_for_sharp_identical_slabs():
 
 
 def test_slab_mean_settles_geometrically():
-    f = forces._bath_integrand(WEAK_CFG, math.inf, math.inf)
+    f = forces._zero_bath_integrand(WEAK_CFG)
     bands = forces._bands(WEAK_CFG, 1.3 * 10.0 * math.sqrt(2.0))[0]
     band_means = [(lo, hi, forces._band_bounds(f, WEAK_CFG, lo, hi)[0])
                   for lo, hi in bands]
@@ -552,7 +552,7 @@ def test_diagonal_mean_for_identical_slabs():
     for cfg, diagonal in ((CavityConfig(1.0, 0.4, MILD_L, MILD_L), True),
                           (CFG, False)):
         calls = []
-        bath = forces._bath_integrand(cfg, math.inf, math.inf)
+        bath = forces._zero_bath_integrand(cfg)
 
         def rec(k, offsets, bath=bath, calls=calls):
             calls.extend((sL, sR) for sL, sR, _ in offsets)
@@ -630,7 +630,7 @@ def test_pole_term_window_integral_is_exact():
     # the exact integral of the fitted term over its window, spread across
     # the window, matches adaptive quadrature of the term there
     spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-12, panel_width=1e-4)
-    bath = forces._bath_integrand(WEAK_CFG, math.inf, math.inf)
+    bath = forces._zero_bath_integrand(WEAK_CFG)
 
     def raw(k):
         return bath(k, forces._RAW)[0]
@@ -657,14 +657,14 @@ def test_weak_bath_integral_skips_the_mode_spikes(monkeypatch):
     # the pole terms take the spikes, so refinement does not crowd the
     # modes: under a hundred raw calls fall within 0.1 of either
     near = []
-    kernel = core.bath_integrands
+    kernel = core.vacuum_baths
 
     def counting(k, *args):
         if len(args[-1]) == 1 and (11.3 <= k <= 11.5 or 13.4 <= k <= 13.5):
             near.append(k)
         return kernel(k, *args)
 
-    monkeypatch.setattr(core, "bath_integrands", counting)
+    monkeypatch.setattr(core, "vacuum_baths", counting)
     forces._vacuum_bath.cache_clear()
     try:
         forces._vacuum_bath(WEAK_CFG, WEAK_SPEC)
@@ -711,7 +711,7 @@ def test_bound_mode_area_survives_smaller_damping():
 
 def test_dense_band_dual_route():
     spec = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-9)
-    bath = forces._bath_integrand(WEAK_CFG, math.inf, math.inf)
+    bath = forces._zero_bath_integrand(WEAK_CFG)
     dev, est = oracles.band_dual(WEAK_CFG, bath, 9.4, 9.5, spec)
     assert dev <= est
     # the whole upper dense band, whose comb is at its deepest (0.9) on the
@@ -771,7 +771,7 @@ def test_low_shallow_band_dual_route():
     # the whole low band, from k -> 0 to its opaque edge, and the part of it
     # that ends inside the clear comb, for the bath and the state integrands
     lo, hi = forces._bands(FIG_CFG, 30.0)[1][0]
-    for f in (forces._bath_integrand(FIG_CFG, math.inf, math.inf),
+    for f in (forces._zero_bath_integrand(FIG_CFG),
               forces._state_integrand(FIG_CFG)):
         for x1 in (hi, 3.0):
             dev, est = oracles.band_dual(FIG_CFG, f, lo, x1, SPEC6)
@@ -781,7 +781,7 @@ def test_low_shallow_band_dual_route():
 def test_real_axis_integral_adds_each_band_edge_terms(monkeypatch):
     # fig's Z integrates the mean over both shallow bands, [0, 7.30] and
     # [16.56, K], and adds each band's edges(lo, hi), value and error, once
-    bath = forces._bath_integrand(FIG_CFG, math.inf, math.inf)
+    bath = forces._zero_bath_integrand(FIG_CFG)
     z, ez = forces._real_axis(FIG_CFG, SPEC6, bath)
     bounds, asked = forces._band_bounds, []
 
@@ -921,7 +921,7 @@ def test_dense_band_terms_count_both_signs_of_each_harmonic():
 
 def _both_integrands(cfg):
     """The bath and the state integrands of ``cfg``."""
-    return (forces._bath_integrand(cfg, math.inf, math.inf),
+    return (forces._zero_bath_integrand(cfg),
             forces._state_integrand(cfg))
 
 
@@ -1000,7 +1000,7 @@ def test_band_route_follows_the_pole_radius():
 
     # fig's shallow bands: at most 32 samples per grid point, and one call
     # per mean
-    f = forces._bath_integrand(FIG_CFG, math.inf, math.inf)
+    f = forces._zero_bath_integrand(FIG_CFG)
     for lo, hi in forces._bands(FIG_CFG, 106.5)[1]:
         calls.clear()
         mean = forces._band_bounds(recording(f), FIG_CFG, lo, hi)[0]
@@ -1012,7 +1012,7 @@ def test_band_route_follows_the_pole_radius():
         _assert_means_reused(mean, 0.5 * (lo + hi), 1e-10, calls)
     # the weak pair's dense bands have pole radii from 0.28 to 0.94, above
     # _RHO_MAX: 32 samples at every grid point, and one call per mean
-    f = forces._bath_integrand(WEAK_CFG, math.inf, math.inf)
+    f = forces._zero_bath_integrand(WEAK_CFG)
     bands = forces._bands(WEAK_CFG, 1.3 * 10.0 * math.sqrt(2.0))[0]
     assert len(bands) == 2
     for lo, hi in bands:
@@ -1043,13 +1043,13 @@ def _assert_means_reused(mean, k, tol, calls):
 def _offset_points(monkeypatch, cfg, spec):
     """Bath-integrand offset points of Z for ``cfg`` at ``spec``."""
     points = []
-    kernel = core.bath_integrands
+    kernel = core.vacuum_baths
 
     def counting(*args):
         points.append(len(args[-1]))
         return kernel(*args)
 
-    monkeypatch.setattr(core, "bath_integrands", counting)
+    monkeypatch.setattr(core, "vacuum_baths", counting)
     forces._vacuum_bath.cache_clear()
     try:
         forces._vacuum_bath(cfg, spec)
@@ -1223,7 +1223,7 @@ def test_weak_bath_integral_builds_each_dense_band_once(monkeypatch):
     # switch point k0 = K = 1.3 x sqrt(200), while fig Z, whose switch
     # point lies past k0, finds them again at K
     points, built, scans = [], [], []
-    kernel, bounds, bands = (core.bath_integrands, forces._band_bounds,
+    kernel, bounds, bands = (core.vacuum_baths, forces._band_bounds,
                              forces._bands)
 
     def counting(*args):
@@ -1238,7 +1238,7 @@ def test_weak_bath_integral_builds_each_dense_band_once(monkeypatch):
         scans.append(k_end)
         return bands(cfg, k_end, kinds)
 
-    monkeypatch.setattr(core, "bath_integrands", counting)
+    monkeypatch.setattr(core, "vacuum_baths", counting)
     monkeypatch.setattr(forces, "_band_bounds", building)
     monkeypatch.setattr(forces, "_bands", scanning)
     forces._vacuum_bath.cache_clear()
@@ -1329,13 +1329,13 @@ def test_bath_integral_evaluates_each_point_once(monkeypatch, cfg, spec):
     # a (k, offsets) pair; that holds weak Z, whose direct pass repeated
     # 2,620 of its 8,742 offset points, to at most 6,500
     seen = collections.Counter()
-    kernel = core.bath_integrands
+    kernel = core.vacuum_baths
 
     def counting(*args):
         seen[args[0], tuple(args[-1])] += 1
         return kernel(*args)
 
-    monkeypatch.setattr(core, "bath_integrands", counting)
+    monkeypatch.setattr(core, "vacuum_baths", counting)
     forces._vacuum_bath.cache_clear()
     try:
         forces._vacuum_bath(cfg, spec)
@@ -1373,6 +1373,31 @@ def test_mild_bath_integral_offset_points(monkeypatch):
     # 4 offsets on every phase): 2 offsets per phase in the tail's 15
     # averages and 3 in the edge terms hold mild's Z to at most 1,620
     assert _offset_points(monkeypatch, NONEQ_CFG, NONEQ_SPEC) <= 1620
+
+
+@pytest.mark.parametrize("cfg, spec, state, baths", [
+    (FIG_CFG, SPEC6, FieldState.thermal(76.3302), (76.3302, 76.3302)),
+    (NONEQ_CFG, NONEQ_SPEC, FieldState.thermal(5.0), (3.0, 8.0))],
+    ids=["fig", "mild"])
+def test_zero_temperature_bath_integral_cancels_from_the_total(
+        monkeypatch, cfg, spec, state, baths):
+    # Z enters the state part with a minus sign and the bath part with a
+    # plus sign, so moving the memoized Z by an ulp or by 1e-6 |Z| moves the
+    # total only by the rounding that err_total allows for it
+    z, ez = forces._vacuum_bath(cfg, spec)
+    out = force_total(cfg, state, *baths, spec)
+    for moved in (math.nextafter(z, math.inf), math.nextafter(z, -math.inf),
+                  z + 1e-6 * abs(z), z - 1e-6 * abs(z)):
+        monkeypatch.setattr(forces, "_vacuum_bath",
+                            lambda c, s, moved=moved: (moved, ez))
+        shifted = force_total(cfg, state, *baths, spec)
+        assert abs(shifted.total - out.total) <= \
+            forces._CANCEL_ROUNDING * abs(z)
+        if abs(moved - z) > 1e-7 * abs(z):
+            # each part moves with Z
+            assert shifted.bath - out.bath == pytest.approx(moved - z,
+                                                            rel=1e-6)
+            assert shifted.ic - out.ic == pytest.approx(z - moved, rel=1e-6)
 
 
 def _recorded_tail(monkeypatch, run):

@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import sys
 
 import pytest
 
@@ -252,7 +253,113 @@ def test_offset_kernels_raise_at_a_cavity_pole():
         lambda: pure.ic_brackets(k, a, d, mat, mat, offsets),
         lambda: pure.bath_integrand(k, a, d, mat, mat, 2.0, 3.0, 0.0, 0.0,
                                     pole),
-        lambda: pure.bath_integrands(k, a, d, mat, mat, 2.0, 3.0, offsets))
+        lambda: pure.bath_integrands(k, a, d, mat, mat, 2.0, 3.0, offsets),
+        lambda: pure.vacuum_baths(k, a, d, mat, mat, offsets))
     for call in calls:
         with pytest.raises(CavityResonanceError):
             call()
+
+
+# Z's integrand two ways: from the state side with the bracket in
+# absorption form (vacuum_baths) and from the bath side at zero temperature
+# (bath_integrands).  Each assembly sums terms that cancel, so each carries
+# a few ulps of the sum of its terms' moduli.
+_Z_PAIRS = {
+    "fig": (FIG, FIG, 1.0, 100.0),
+    "weak": (WEAK, WEAK, 1.0, 100.0),
+    "mild": (MILD_L, MILD_R, 0.5, 0.4),
+    "mix": (MILD_L, STATIC, 1.0, 0.4),
+}
+
+
+def _slab_terms(k, mat, d, shift):
+    """``(n, slab_fixed, slab_offset, A, R)`` of one slab, with A and R
+    the sums of the moduli of the terms of its absorption and of its
+    reflection rn (1 - E) / F in ``_core``."""
+    n = pure.refractive_at(-1j * k, *mat)
+    fixed = pure.slab_fixed(k, n, d)
+    part = pure.slab_offset(fixed, shift)
+    rn, em, em1 = fixed[0], fixed[5], fixed[6]
+    re, im, n2 = n.real, abs(n.imag), abs(1.0 + n) ** 2
+    A = ((16.0 * (re * re * em1 + im * im * em)
+          + 4.0 * re * abs(1.0 - n) ** 2 * em1 * (1.0 + em)) / (n2 * n2)
+         + 8.0 * im * abs(rn * part[1]) / n2) / abs(part[2]) ** 2
+    return n, fixed, part, A, abs(rn) * (1.0 + em) / abs(part[2])
+
+
+def _assembly_rounding(k, a, d, left, right, offset):
+    """Sum of the moduli of the terms that each of the two assemblies of
+    Z's integrand adds up at k and ``offset``."""
+    sL, sR, sG = offset
+    nL, (rnL, _, qL, _, _, emL, em1L, _), pL, AL, RL = _slab_terms(
+        k, left, d, sL)
+    nR, (rnR, _, _, _, _, _, em1R, _), pR, AR, RR = _slab_terms(
+        k, right, d, sR)
+    e2itL, _, FL, rL, tl2L, t2aL, gL = pL
+    e2itR, _, _, rR, _, t2aR, gR = pR
+    gap = pure.gap_phase(k, a, sG)
+    w = rL * rR * gap
+    delta = 1.0 - w
+    d2 = abs(delta) ** 2
+    aL, aR = abs(rL) ** 2, abs(rR) ** 2
+    bL, bR = RL * RL, RR * RR
+    state = k * (4.0 * abs(w) * abs(delta)
+                 + (RL * abs(delta) + RR * abs(tl2L)) ** 2 + 2.0 * RL * RR
+                 + bL + bR + 4.0 * bL * bR + 2.0 * bL * AR + 2.0 * bR * AL
+                 + AL * AR) / d2
+    rho = rL + tl2L * rR * gap / delta
+    P = 1.0 - rnL * rho
+    Qt = rnL * (rnL * rnL - 1.0) / FL + rR * gap * qL * qL / (FL * FL * delta)
+    near = (nL.real * (abs(P) ** 2 * em1L + abs(Qt) ** 2 * emL * em1L)
+            + 2.0 * nL.imag * emL * abs(P * Qt) * abs(1.0 - e2itL)
+            + (1.0 + aR) / d2 * (
+                nL.real * (gL + t2aL * abs(rnL) ** 2) * em1L
+                + 2.0 * nL.imag * t2aL * abs(rnL) * abs(e2itL - 1.0)))
+    far = nR.real * gR * em1R + t2aR * (
+        nR.real * abs(rnR) ** 2 * em1R
+        + 2.0 * nR.imag * abs(rnR) * abs(e2itR - 1.0))
+    bath = 0.25 * k * (abs(1.0 + nL) ** 2 / abs(nL) ** 2 * near
+                       + abs(1.0 + nR) ** 2 / abs(nR) ** 2
+                       * (1.0 + t2aL + aL) / d2 * far)
+    return state + bath
+
+
+@pytest.mark.parametrize("pair", sorted(_Z_PAIRS))
+def test_vacuum_baths_match_the_zero_temperature_bath_integrand(pair):
+    # from k = 1e-2 to 3e3, at the bound-mode centres k_m and k_m + w of
+    # the fig and weak pairs, on the phase grids Z samples: within 8 ulps
+    # of the two assemblies' terms (4.3 at most on these points)
+    left, right, a, d = _Z_PAIRS[pair]
+    ks = [10.0 ** (j / 10.0) for j in range(-20, 35)] + [3e3]
+    if left == right:
+        slab = Material(*left[:3])
+        for km, w, _, _ in forces._gap_modes(
+                scattering.CavityConfig(a, d, slab, slab)):
+            ks += [km, km + w]
+    for k in ks:
+        for dims in ((1,), (5,), (4, 4), (3, 3, 3)):
+            offsets = forces._grid(dims)
+            got = pure.vacuum_baths(k, a, d, left, right, offsets)
+            ref = pure.bath_integrands(k, a, d, left, right, math.inf,
+                                       math.inf, offsets)
+            for o, v, r in zip(offsets, got, ref):
+                assert abs(v - r) <= 8.0 * sys.float_info.epsilon \
+                    * _assembly_rounding(k, a, d, left, right, o)
+
+
+def test_vacuum_baths_hold_the_mild_pair_far_out():
+    # frozen mpmath samples of the cavity coefficients at 80 digits, where
+    # the bracket's O(1) terms cancel without loss, at k = 1e4 and 2e4,
+    # where ic_bracket rounds to 0: Z's integrand, and the state bracket B
+    # that it holds
+    a, d = 0.5, 0.4
+    for k, z, b in ((1e4, -7.2020418076292926e-13, 1.7383546570322059e-16),
+                    (2e4, -9.0013181393678333e-14,
+                     -4.4925841872737415e-17)):
+        v = pure.vacuum_baths(k, a, d, MILD_L, MILD_R, forces._RAW)[0]
+        assert v == pytest.approx(z, rel=1e-10)
+        rL = _slab_terms(k, MILD_L, d, 0.0)[2][3]
+        rR = _slab_terms(k, MILD_R, d, 0.0)[2][3]
+        w, delta = pure.cavity_delta(rL, rR, pure.gap_phase(k, a))
+        assert -(v + 4.0 * k * (w / delta).real) / k == pytest.approx(
+            b, rel=1e-8)
