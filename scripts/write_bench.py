@@ -56,6 +56,12 @@ interpreters under ``PYTHONDONTWRITEBYTECODE=1``, of the imports a
 ``perfbench/sample.py`` setup sample makes: its own, ``casimir1d``,
 ``speed`` and ``workloads``.  They split ``setup_s`` by module.
 ``imports(tree)`` gives them on their own.
+Each side's ``split`` divides the time of Z on each workload's cavity and of
+the docs sigma ladder between the ``core`` kernels and the bookkeeping
+around them: the total seconds, the seconds spent inside the kernels that
+the package calls, and the ``refractive_at`` calls made outside them, each
+the median over 9 fresh interpreters.  ``split(tree)`` gives them on their
+own.
 """
 
 import argparse
@@ -344,14 +350,101 @@ print(json.dumps(out))
 """
 
 
-def _run(tree, script):
-    """The JSON object ``script`` prints last, run in ``tree`` with its
-    src on the path."""
+# Run like _OUTPUTS with the arguments TARGET MODE; prints one JSON object.
+# TARGET is a workload, whose cavity's Z is computed, or docs_ladder; MODE
+# "total" times it unwrapped, "kernels" gives every package module that
+# binds core a copy of it whose public functions are timed, so the calls
+# core makes within itself stay unwrapped; refractive_at is counted and
+# left outside the kernels' seconds.
+_SPLIT = r"""
+import json, sys, time, types
+sys.path.insert(0, "perfbench")
+import workloads as W
+from casimir1d import cli, forces
+from casimir1d.kernels import core
+
+target, mode = sys.argv[1:3]
+rc = cli.load_run_config(W.SWEEP_INI, need_sweep=True)
+cavities = {"fig_300k": (W.FIG_CFG, W.FIG_SPEC),
+            "noneq_mild": (W.NONEQ_CFG, W.NONEQ_SPEC),
+            "weak_damping": (W.WEAK_CFG, W.WEAK_SPEC),
+            "sweep_docs": (rc.cavity, rc.spec)}
+inside, index = [0.0], [0]
+
+
+def timed(name, fn):
+    def wrapped(*args, **kw):
+        if name == "refractive_at":
+            index[0] += 1
+            return fn(*args, **kw)
+        start = time.perf_counter()
+        try:
+            return fn(*args, **kw)
+        finally:
+            inside[0] += time.perf_counter() - start
+    return wrapped
+
+
+if mode == "kernels":
+    copy = types.ModuleType(core.__name__)
+    copy.__dict__.update(vars(core))
+    for name, fn in vars(core).items():
+        if not name.startswith("_") and callable(fn) \
+                and getattr(fn, "__module__", None) == core.__name__ \
+                and not isinstance(fn, type):
+            setattr(copy, name, timed(name, fn))
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("casimir1d") \
+                and getattr(mod, "core", None) is core:
+            mod.core = copy
+start = time.perf_counter()
+if target == "docs_ladder":
+    for w in rc.omega0_list:
+        forces.band_excess_curve(rc.cavity, w, rc.sigma_grid, rc.spec)
+else:
+    forces._vacuum_bath(*cavities[target])
+total = time.perf_counter() - start
+print(json.dumps({"total_s": total, "kernel_s": inside[0],
+                  "index_calls": index[0]}))
+"""
+SPLIT_TARGETS = WORKLOADS + ("docs_ladder",)
+
+
+def _run(tree, script, *args):
+    """The JSON object ``script`` prints last, run with ``args`` in
+    ``tree`` with its src on the path."""
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
-    proc = subprocess.run([sys.executable, "-c", script], cwd=tree,
+    proc = subprocess.run([sys.executable, "-c", script, *args], cwd=tree,
                           capture_output=True, text=True, env=env,
                           check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def split(tree, runs=IMPORT_RUNS):
+    """``{target: {"total_s", "kernel_s", "index_calls"}}``: for Z on each
+    workload's cavity and for the docs sigma ladder in ``tree``, the
+    seconds it takes, the seconds spent inside the ``core`` kernels called
+    from outside ``core`` and the ``refractive_at`` calls made outside
+    them, each the median over ``runs`` fresh interpreters.  The total is
+    timed unwrapped; the kernels' seconds and the index calls come from
+    other interpreters that wrap every public function of ``core``, so
+    the wrappers' own cost stays out of the total.  ``refractive_at``
+    counts as bookkeeping, outside the kernels' seconds.  Each round runs
+    every target and mode once, so a burst of load on the host spreads
+    over all of them."""
+    got = {(target, mode): [] for target in SPLIT_TARGETS
+           for mode in ("total", "kernels")}
+    for _ in range(runs):
+        for (target, mode), out in got.items():
+            out.append(_run(tree, _SPLIT, target, mode))
+    return {target: {
+        "total_s": statistics.median(g["total_s"]
+                                     for g in got[target, "total"]),
+        "kernel_s": statistics.median(g["kernel_s"]
+                                      for g in got[target, "kernels"]),
+        "index_calls": statistics.median(g["index_calls"]
+                                         for g in got[target, "kernels"])}
+        for target in SPLIT_TARGETS}
 
 
 def points(tree):
@@ -443,6 +536,7 @@ def measure(parent):
     entry["outputs"] = out
     entry["points"] = {side: points(trees[side]) for side in SIDES}
     entry["imports"] = {side: imports(trees[side]) for side in SIDES}
+    entry["split"] = {side: split(trees[side]) for side in SIDES}
     return entry
 
 

@@ -74,8 +74,17 @@ def refractive_at(s, omega0, omega_pl, gamma0, static):
     a non-negative imaginary part, so the principal square root also carries
     Im(n) >= 0; for real negative permittivity (undamped stop band) it returns
     +i|n|.  Negative frequencies are handled by conjugation in the caller.
+
+    A damped or undamped oscillator's index is formed here in one step,
+    with the operations and the pole test of ``permittivity_at`` and
+    ``g2_transform``; the static and empty models, and the pole, where
+    ``g2_transform`` raises, go through them.
     """
-    return cmath.sqrt(permittivity_at(s, omega0, omega_pl, gamma0, static))
+    den = s * s + omega0 * omega0 + s * gamma0
+    if static or omega_pl == 0.0 or abs(den) <= 1e-12 * max(
+            abs(s) ** 2, omega0 * omega0, abs(s) * gamma0):
+        return cmath.sqrt(permittivity_at(s, omega0, omega_pl, gamma0, static))
+    return cmath.sqrt(1.0 + omega_pl * omega_pl * (1.0 / den))
 
 
 # ---------------------------------------------------------------------------
@@ -101,10 +110,16 @@ def refractive_at(s, omega0, omega_pl, gamma0, static):
 #
 # slab_parts is the composition of two helpers that the offset kernels call
 # separately: slab_fixed holds what does not depend on the shift (rn, q and
-# their squares, em, em1 and the unshifted phase), once per frequency, and
-# slab_offset the shifted parts (e2it, E, F, r, tl2, t2a, g), once per
-# distinct shift.  The transmissions t and tau need two complex
-# exponentials that no force integrand reads, so only slab_parts forms them.
+# their squares, em, em1 and the unshifted phase), once per frequency from
+# the index that _slab_pair takes from refractive_at (one call per slab),
+# and slab_offset the shifted parts (e2it, E, F, r, tl2, t2a, g), once per
+# distinct shift.  ic_brackets and bath_weighted build one table of
+# slab_offset parts per slab and one of gap factors (_tables) and look each
+# offset triple up there; vacuum_baths builds its tables from
+# _absorbing_offset, which forms only E, F, r and tl2 as slab_offset does,
+# plus the slab's absorption, and not the |t|^2 and g that Z does not read.
+# The transmissions t and tau need two complex exponentials that no force
+# integrand reads, so only slab_parts forms them.
 # ---------------------------------------------------------------------------
 
 def slab_fixed(omega, n, d):
@@ -114,12 +129,7 @@ def slab_fixed(omega, n, d):
     the phase no weight."""
     rn = (1.0 - n) / (1.0 + n)
     x = 2.0 * omega * n.imag * d
-    if x > 1400.0:
-        em = 0.0
-        em1 = 1.0
-    else:
-        em = exp(-x)
-        em1 = -expm1(-x)
+    em, em1 = (0.0, 1.0) if x > 1400.0 else (exp(-x), -expm1(-x))
     q = 4.0 * n / ((1.0 + n) * (1.0 + n))
     return rn, rn * rn, q, q * q, abs(q) ** 2, em, em1, \
         2.0 * omega * n.real * d if d < inf else 0.0
@@ -129,8 +139,7 @@ def slab_offset(fixed, shift):
     """Parts of one slab at internal phase offset ``shift``, from its
     ``slab_fixed`` parts: ``(e2it, E, F, r, tl2, t2a, g)``."""
     rn, rn2, _, q2, aq2, em, _, th0 = fixed
-    th = th0 + shift
-    e2it = complex(cos(th), sin(th))
+    e2it = complex(cos(th0 + shift), sin(th0 + shift))
     E = em * e2it
     F = 1.0 - rn2 * E
     g = aq2 / abs(F) ** 2
@@ -174,42 +183,39 @@ def _slab_pair(omega, d, matL, matR):
     return nL, nR, fL, slab_fixed(omega, nR, d)
 
 
-def _offset_parts(omega, a, fL, fR, offsets, part=slab_offset):
-    """Yield ``(left, right, gap)`` for each ``(sL, sR, sG)`` of
-    ``offsets``: the two slabs' ``part(fixed, shift)`` (``slab_offset`` by
-    default) and the gap factor, each computed once per distinct offset
-    (one table for both slabs when they are identical)."""
-    left = {}
+def _tables(omega, a, fL, fR, offsets, part=slab_offset):
+    """``(left, right, gaps)``: maps from each distinct left-slab,
+    right-slab and gap offset ``(sL, sR, sG)`` of ``offsets`` to the
+    slab's ``part(fixed, shift)`` (``slab_offset`` by default) and to the
+    gap factor (one map for both slabs when they are identical)."""
+    left, gaps = {}, {}
     right = left if fR is fL else {}
-    gaps = {}
     for sL, sR, sG in offsets:
-        pL = left.get(sL)
-        if pL is None:
-            pL = left[sL] = part(fL, sL)
-        pR = right.get(sR)
-        if pR is None:
-            pR = right[sR] = part(fR, sR)
-        gap = gaps.get(sG)
-        if gap is None:
-            gap = gaps[sG] = gap_phase(omega, a, sG)
-        yield pL, pR, gap
+        if sL not in left:
+            left[sL] = part(fL, sL)
+        if sR not in right:
+            right[sR] = part(fR, sR)
+        if sG not in gaps:
+            gaps[sG] = gap_phase(omega, a, sG)
+    return left, right, gaps
 
 
 def ic_brackets(omega, a, d, matL, matR, offsets):
     """``ic_bracket`` at omega for each ``(sL, sR, sG)`` of ``offsets``, as
     a list; the slab and gap work is shared across the offsets."""
     _, _, fL, fR = _slab_pair(omega, d, matL, matR)
+    left, right, gaps = _tables(omega, a, fL, fR, offsets)
     out = []
-    for pL, pR, gap in _offset_parts(omega, a, fL, fR, offsets):
-        rL, tl2L, t2aL = pL[3], pL[4], pL[5]
-        rR, t2aR = pR[3], pR[5]
+    for sL, sR, sG in offsets:
+        _, _, _, rL, tl2L, t2aL, _ = left[sL]
+        _, _, _, rR, _, t2aR, _ = right[sR]
+        gap = gaps[sG]
         _, delta = cavity_delta(rL, rR, gap)
         d2 = abs(delta) ** 2
         rho = rL + rR * tl2L * gap / delta
-        aL2 = abs(rL) ** 2
-        aR2 = abs(rR) ** 2
         out.append(1.0 + abs(rho) ** 2 + t2aL * t2aR / d2
-                   - (t2aL * (1.0 + aR2) + t2aR * (1.0 + aL2)) / d2)
+                   - (t2aL * (1.0 + abs(rR) ** 2)
+                      + t2aR * (1.0 + abs(rL) ** 2)) / d2)
     return out
 
 
@@ -259,10 +265,12 @@ def bath_weighted(omega, a, d, matL, matR, occL, occR, offsets):
         cL = 0.25 * omega * (abs(1.0 + nL) ** 2 / abs(nL) ** 2) * occL
     if wR != 0.0:
         cR = 0.25 * omega * (abs(1.0 + nR) ** 2 / abs(nR) ** 2) * occR
+    left, right, gaps = _tables(omega, a, fL, fR, offsets)
     out = []
-    for pL, pR, gap in _offset_parts(omega, a, fL, fR, offsets):
-        e2itL, _, FL, rL, tl2L, t2aL, gL = pL
-        e2itR, _, _, rR, _, t2aR, gR = pR
+    for sL, sR, sG in offsets:
+        e2itL, _, FL, rL, tl2L, t2aL, gL = left[sL]
+        e2itR, _, _, rR, _, t2aR, gR = right[sR]
+        gap = gaps[sG]
         _, delta = cavity_delta(rL, rR, gap)
         d2 = abs(delta) ** 2
         feedL = rR * gap * qL * qL / (FL * FL * delta)
@@ -339,11 +347,14 @@ def _absorbing_fixed(n, fixed):
 
 def _absorbing_offset(ext, shift):
     """``(r, tl2, |r|^2, A)`` of one slab at ``shift`` from its
-    ``_absorbing_fixed`` parts: r and tl2 as ``slab_offset`` gives them, and
-    its absorption A."""
-    fixed, a0, a1 = ext
-    _, E, F, r, tl2, _, _ = slab_offset(fixed, shift)
-    return r, tl2, abs(r) ** 2, (a0 - a1 * (fixed[0] * E).imag) / abs(F) ** 2
+    ``_absorbing_fixed`` parts: r and tl2 as ``slab_offset`` forms them
+    (without the |t|^2 and g that Z does not read), and its absorption A."""
+    (rn, rn2, _, q2, _, em, _, th0), a0, a1 = ext
+    E = em * complex(cos(th0 + shift), sin(th0 + shift))
+    F = 1.0 - rn2 * E
+    r = rn * (1.0 - E) / F
+    A = (a0 - a1 * (rn * E).imag) / abs(F) ** 2
+    return r, q2 * E / (F * F), abs(r) ** 2, A
 
 
 def vacuum_baths(omega, a, d, matL, matR, offsets):
@@ -354,9 +365,12 @@ def vacuum_baths(omega, a, d, matL, matR, offsets):
     nL, nR, fL, fR = _slab_pair(omega, d, matL, matR)
     eL = _absorbing_fixed(nL, fL)
     eR = eL if fR is fL else _absorbing_fixed(nR, fR)
+    left, right, gaps = _tables(omega, a, eL, eR, offsets, _absorbing_offset)
     out = []
-    for (rL, tl2L, aL, AL), (rR, _, aR, AR), gap in _offset_parts(
-            omega, a, eL, eR, offsets, _absorbing_offset):
+    for sL, sR, sG in offsets:
+        rL, tl2L, aL, AL = left[sL]
+        rR, _, aR, AR = right[sR]
+        gap = gaps[sG]
         w, delta = cavity_delta(rL, rR, gap)
         # 4 Re[w / Delta] |Delta|^2 = 4 Re w - 4 a b, merged into |Delta|^2 B
         out.append(-omega * (abs(rL * delta + rR * tl2L * gap) ** 2
@@ -399,12 +413,9 @@ def nodiss_bracket(omega, a, d, matL, matR):
 
     Valid (equal to ic_bracket) only for dissipationless slabs.
     """
-    s = -1j * omega
-    nL = refractive_at(s, matL[0], matL[1], matL[2], matL[3])
-    nR = refractive_at(s, matR[0], matR[1], matR[2], matR[3])
-    _, _, _, rL, _, t2aL, _ = slab_offset(slab_fixed(omega, nL, d), 0.0)
-    _, _, _, rR, _, t2aR, _ = slab_offset(slab_fixed(omega, nR, d), 0.0)
-    gap = gap_phase(omega, a)
-    _, delta = cavity_delta(rL, rR, gap)
+    _, _, fL, fR = _slab_pair(omega, d, matL, matR)
+    _, _, _, rL, _, t2aL, _ = slab_offset(fL, 0.0)
+    _, _, _, rR, _, t2aR, _ = slab_offset(fR, 0.0)
+    _, delta = cavity_delta(rL, rR, gap_phase(omega, a))
     d2 = abs(delta) ** 2
     return 2.0 - (t2aL * (1.0 + abs(rR) ** 2) + t2aR * (1.0 + abs(rL) ** 2)) / d2

@@ -25,11 +25,12 @@ so Z cancels from the total in value and only its rounding remains there.
 Z is the one real-axis oscillatory integral per cavity and spec.  Its
 integrand comes from the state side, as the round-trip term
 -4 Re[k w / (1 - w)] less k times the state bracket (``core.vacuum_baths``,
-at 0.5 to 0.85 times the bath kernel's cost per call).  There the bracket is
-written in absorption form, each slab's |r|^2 + |t|^2 + A = 1, so its O(1)
-terms cancel by algebra rather than in rounding and it stays accurate far
-past the switch point; the bath kernel at zero temperature is kept as its
-independent check (``oracles.bath_integrand``).  Z and R are memoized per
+at 0.64 to 0.89 times the bath kernel's cost over Z's own calls on the
+fig, weak and mild pairs).  There the bracket is written in absorption
+form, each slab's |r|^2 + |t|^2 + A = 1, so its O(1) terms cancel by
+algebra rather than in rounding and it stays accurate far past the switch
+point; the bath kernel at zero temperature is kept as its independent
+check (``oracles.bath_integrand``).  Z and R are memoized per
 process for each cavity and spec, and the state excess for each cavity,
 state and spec, so forces at several bath temperatures compute each once;
 a raised error is not memoized.  Lossless pairs have no bath (Z = 0), so
@@ -143,6 +144,7 @@ remains an independent check of ``force_ic`` at every non-vacuum state.
 
 import cmath
 import functools
+import itertools
 import math
 import operator
 import sys
@@ -333,11 +335,6 @@ def _endpoint_check(f, k_min=1e-8):
 _SLOTS = {1: ((0, 1),), 2: ((2,), (0, 1)), 3: ((0,), (1,), (2,))}
 
 
-def _even(n):
-    """n equidistant offsets from 0."""
-    return [2.0 * math.pi * i / n for i in range(n)]
-
-
 @functools.lru_cache(maxsize=None)
 def _grid(dims):
     """Offset triples of the product grid of ``dims[a]`` equidistant
@@ -346,8 +343,9 @@ def _grid(dims):
     grid = [(0.0, 0.0, 0.0)]
     for places, n in zip(_SLOTS[len(dims)], dims):
         left, right, gap = (i in places for i in range(3))
+        even = [2.0 * math.pi * i / n for i in range(n)]
         grid = [(s if left else t[0], s if right else t[1], s if gap else t[2])
-                for t in grid for s in _even(n)]
+                for t in grid for s in even]
     return tuple(grid)
 
 
@@ -384,7 +382,8 @@ def _harmonics(sample, comb, k, n, index=None):
     the slab's refractive index at k, when the caller has it.
     """
     c = _dft(sample(k, (n,)), (n,))
-    phi = _slab_phase(comb.left, comb.width, k, index)
+    index = _index(comb.left, k) if index is None else index
+    phi = 2.0 * k * index.real * comb.width
     return [c[j, ] * cmath.exp(-1j * j * phi) for j in range(n // 2)]
 
 
@@ -416,8 +415,7 @@ def _surface(mat, d, k, n=None):
     refractive index n (computed when not given), its surface reflection
     rn = (1 - n) / (1 + n) and its internal transmission
     E0 = e^{-2 k Im(n) d}, 0 past the exponent 700."""
-    if n is None:
-        n = _index(mat, k)
+    n = _index(mat, k) if n is None else n
     x = 2.0 * k * n.imag * d
     return n, (1.0 - n) / (1.0 + n), math.exp(-x) if x < 700.0 else 0.0
 
@@ -462,10 +460,12 @@ def _sized_harmonics(sample, comb, k, rho, index=None):
 
 @functools.lru_cache(maxsize=None)
 def _roots(n):
-    """``(j, e^{-2 pi i j l / n} for l < n)`` for every |j| < n / 2."""
+    """``(j, e^{-2 pi i j l / n} for l < n)`` for every |j| < n / 2, in
+    increasing j, each twiddle read at j l mod n from one ring of the n
+    roots e^{-2 pi i l / n}."""
+    ring = [cmath.exp(-2j * math.pi * l / n) for l in range(n)]
     top = (n - 1) // 2
-    return tuple((j, tuple(cmath.exp(-2j * math.pi * j * i / n)
-                           for i in range(n)))
+    return tuple((j, tuple(ring[j * l % n] for l in range(n)))
                  for j in range(-top, top + 1))
 
 
@@ -475,16 +475,17 @@ def _dft(vals, dims, lead=True):
     with |j_a| < dims[a] / 2 and, with ``lead``, j_0 >= 0, which keeps one
     of each pair +-j with j_0 != 0 (c_-j is the conjugate of c_j for a
     real integrand).  The integrand is the sum over j of c_j e^{i j . s} in
-    the offsets s."""
-    if not dims:
-        return {(): vals[0]}
+    the offsets s.  The first phase is summed over each column of the
+    rest, which are transformed in turn."""
     n = dims[0]
+    roots = _roots(n)[(n - 1) // 2:] if lead else _roots(n)
+    if len(dims) == 1:
+        return {(j,): sum(map(operator.mul, tw, vals)) / n for j, tw in roots}
     m = len(vals) // n
+    cols = [vals[r::m] for r in range(m)]
     out = {}
-    for j, tw in _roots(n):
-        if lead and j < 0:
-            continue
-        row = [sum(map(operator.mul, tw, vals[r::m])) / n for r in range(m)]
+    for j, tw in roots:
+        row = [sum(map(operator.mul, tw, col)) / n for col in cols]
         for rest, c in _dft(row, dims[1:], False).items():
             out[(j,) + rest] = c
     return out
@@ -541,8 +542,9 @@ def _phases(cfg, axes, k):
             phases.append(2.0 * cfg.gap * k)
             rates.append(2.0 * cfg.gap)
         else:
-            phases.append(_slab_phase(mat, cfg.width, k))
-            rates.append(_slab_rate(mat, cfg.width, k))
+            n = _index(mat, k)
+            phases.append(2.0 * k * n.real * cfg.width)
+            rates.append(_slab_rate(mat, cfg.width, k, n))
     return phases, rates
 
 
@@ -996,8 +998,8 @@ def _band_bounds(shifted, comb, lo, hi):
     m = max(2, int(math.ceil(_HARM_GRID * (hi - lo) * comb.gap / math.pi)))
     step = (hi - lo) / m
     ks = [lo + step * i for i in range(m)] + [hi]
-    rates = [_slab_rate(comb.left, comb.width, k) for k in ks]
     ns = [_index(comb.left, k) for k in ks]
+    rates = [_slab_rate(comb.left, comb.width, k, n) for k, n in zip(ks, ns)]
     rhos = [_pole_radius(comb, k, n) for k, n in zip(ks, ns)]
     h0s, harm, amps = zip(*(_sized_harmonics(sample, comb, k, rho, n)
                             for k, rho, n in zip(ks, rhos, ns)))
@@ -1019,9 +1021,7 @@ def _band_bounds(shifted, comb, lo, hi):
             last[i][j,] = w[i] / (1j * j) ** 3
         for i in range(m):
             jumps[i] += 2.0 * abs(w[i + 1] - w[i]) / j ** 3
-    variation = [0.0]
-    for x in jumps:
-        variation.append(variation[-1] + x)
+    variation = list(itertools.accumulate(jumps, initial=0.0))
     # the band's own ends that take the absolute terms the grid holds there
     dense = max(rhos) > _RHO_MAX
     kept = {x: (0.0, e, last[i]) for x, e, i in ((lo, ends[0], 0),
@@ -1061,8 +1061,9 @@ def _band_bounds(shifted, comb, lo, hi):
         at = nodes.index(0)
         s, err, terms = _edge_terms(
             [{(j,): h for j, h in enumerate(hj, 1)} for hj in hs],
-            [[_slab_rate(comb.left, comb.width, t)] for t in ts],
-            [_slab_phase(comb.left, comb.width, x, ns[at])], nodes,
+            [[_slab_rate(comb.left, comb.width, t, n)]
+             for t, n in zip(ts, ns)],
+            [2.0 * x * ns[at].real * comb.width], nodes,
             _FD_STEP, 0.0, math.inf)
         return s, err + _tail(cs[at], rho, len(hs[0])), {
             j: t[3] for j, t in terms.items()}
@@ -1262,27 +1263,28 @@ def _rotated_vacuum(cfg, spec):
     return integrate_semiinfinite(_rotated(cfg, 4.0), s)
 
 
-def _slab_phase(mat, d, k, n=None):
-    """Slab round-trip phase 2 k Re(n) d at real frequency k, from the
-    slab's refractive index n there (computed when not given)."""
-    if n is None:
-        n = _index(mat, k)
-    return 2.0 * k * n.real * d
-
-
-def _slab_rate(mat, d, k):
-    """Rate of the slab round-trip phase, d/dk of 2 k Re(n) d."""
-    h = 1e-6 * max(k, 1.0)
-    return (_slab_phase(mat, d, k + h) - _slab_phase(mat, d, k - h)) / (
-        2.0 * h)
+def _slab_rate(mat, d, k, n=None):
+    """Rate of the slab round-trip phase, d/dk of 2 k Re(n) d, from the
+    slab's refractive index n at k (computed when not given), in closed
+    form: 2 d (Re n + k Re n'), where eps = n^2 and
+    n' = eps' / (2 n) = omega_pl^2 (2 k + i gamma0)
+    / (2 n (omega0^2 - k^2 - i gamma0 k)^2); 2 d Re n for a static slab or
+    omega_pl = 0, whose eps does not vary."""
+    n = _index(mat, k) if n is None else n
+    w0, wp, g0, static = mat.as_tuple()
+    if static or wp == 0.0:
+        return 2.0 * d * n.real
+    den = w0 * w0 - k * k - 1j * g0 * k
+    dn = wp * wp * (2.0 * k + 1j * g0) / (2.0 * n * den * den)
+    return 2.0 * d * (n.real + k * dn.real)
 
 
 def _comb(cfg, k):
-    """``(clear, depth)`` of the slab comb at k: the slab's internal
-    transmission e^{-2 k Im(n) d} and its internal round trip
-    |rn^2 E| = |rn|^2 e^{-2 k Im(n) d}."""
-    _, rn, clear = _surface(cfg.left, cfg.width, k)
-    return clear, abs(rn) ** 2 * clear
+    """``(clear, depth, n)`` of the slab comb at k: the slab's internal
+    transmission e^{-2 k Im(n) d}, its internal round trip
+    |rn^2 E| = |rn|^2 e^{-2 k Im(n) d} and its refractive index n."""
+    n, rn, clear = _surface(cfg.left, cfg.width, k)
+    return clear, abs(rn) ** 2 * clear, n
 
 
 def _half_period(cfg, k):
@@ -1299,10 +1301,10 @@ def _kind(cfg, k):
     slab resonances sharp, neither opaque nor weakly reflecting; a shallow
     band's comb is shallower while the slab is not opaque.
     """
-    clear, depth = _comb(cfg, k)
+    clear, depth, n = _comb(cfg, k)
     if depth > _SHARP_MAX or (depth < _SHARP_MIN and clear < _CLEAR_MIN):
         return 0
-    if _slab_rate(cfg.left, cfg.width, k) < _DENSE_RATE * 2.0 * cfg.gap:
+    if _slab_rate(cfg.left, cfg.width, k, n) < _DENSE_RATE * 2.0 * cfg.gap:
         return 0
     return 2 if depth >= _SHARP_MIN else 1
 

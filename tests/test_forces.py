@@ -491,6 +491,51 @@ def test_dense_bands_only_for_sharp_identical_slabs():
         assert forces._kind(WEAK_CFG, hi + 1e-3) != 2
 
 
+def test_slab_rate_is_the_derivative_of_the_slab_phase():
+    # against a fine central difference of the phase 2 k Re(n) d, with
+    # step 1e-9 max(k, 1) and the five-point stencil: within gamma0 = 1e-6
+    # of the weak resonance the two-point one is itself 2.5e-4 off at
+    # k = 10, the five-point one 2e-7.  The former rate, a two-point
+    # difference of step 1e-6 max(k, 1), read -5.27e10 at k = 10 - 5e-6,
+    # where the rate is +1.963e11, and was 1.5% off at 10.0001
+    d = 100.0
+
+    def phase(mat, k):
+        return 2.0 * k * forces._index(mat, k).real * d
+
+    ks = (0.0, 0.3, 7.3, 14.2, 40.0, 1e3, 10.0 - 5e-6, 10.0, 10.0001, 9.99,
+          9.95)
+    for mat in (FIG, WEAK, MILD_L, MILD_R, STATIC, VACM):
+        for k in ks:
+            h = 1e-9 * max(k, 1.0)
+            fine = (8.0 * (phase(mat, k + h) - phase(mat, k - h))
+                    - phase(mat, k + 2.0 * h) + phase(mat, k - 2.0 * h)) / (
+                        12.0 * h)
+            near = not mat.static and abs(k - mat.omega0) <= 1e-4
+            assert forces._slab_rate(mat, d, k) == pytest.approx(
+                fine, rel=1e-4 if near else 1e-6)
+    # a static slab, or one of zero oscillator strength, has a fixed index
+    for mat, n in ((STATIC, math.sqrt(2.0)), (VACM, 1.0)):
+        assert forces._slab_rate(mat, d, 7.3) == pytest.approx(2.0 * d * n,
+                                                               rel=1e-15)
+
+
+def test_bands_keep_their_edges():
+    # the dense and shallow bands of the fig (docs) and weak cavities, as
+    # the band scan finds them with the closed-form slab rate
+    for cfg, k_end, want in (
+            (FIG_CFG, 106.5,
+             ((), ((0.0, 7.303316925017076), (16.564050929055593, 106.5)))),
+            (WEAK_CFG, 1.3 * 10.0 * math.sqrt(2.0),
+             (((9.356021603182356, 9.990539275102783),
+               (14.144220561670322, 14.5770557108945)), ()))):
+        got = forces._bands(cfg, k_end)
+        assert [len(kind) for kind in got] == [len(kind) for kind in want]
+        for kind, ref in zip(got, want):
+            for band, edges in zip(kind, ref):
+                assert band == pytest.approx(edges, abs=1e-12)
+
+
 def test_slab_mean_settles_geometrically():
     f = forces._zero_bath_integrand(WEAK_CFG)
     bands = forces._bands(WEAK_CFG, 1.3 * 10.0 * math.sqrt(2.0))[0]
@@ -582,6 +627,43 @@ def test_dft_reads_odd_grids():
     for j, c in coef.items():
         assert abs(harm[j] - c) <= 1e-14
     assert all(abs(i) <= 1 for j in harm for i in j)
+
+
+def test_dft_matches_a_direct_double_sum():
+    # every harmonic j (|j_a| < n_a / 2 and j_0 >= 0) of random samples on
+    # 1-D grids of 2 to 33 offsets
+    # and on product grids, against the sum over the grid of the samples
+    # times e^{-2 pi i sum_a j_a l_a / n_a}, within 1e-15 of sum |v|; and
+    # every twiddle of the one ring against e^{-2 pi i j l / n}, its angle
+    # reduced exactly to j l mod n (unreduced, the angle of j = -11, l = 17
+    # at n = 23 alone rounds by 1e-14)
+    rng = random.Random(11)
+    grids = [(n,) for n in range(2, 34)] + [(3, 5), (5, 5), (3, 3, 3)]
+    for dims in grids:
+        vals = [rng.uniform(-1.0, 1.0) for _ in range(math.prod(dims))]
+        points = list(itertools.product(*(range(n) for n in dims)))
+        tops = [(n - 1) // 2 for n in dims]
+        want = {}
+        for j in itertools.product(*(range(-t, t + 1) for t in tops)):
+            if j[0] < 0:
+                continue
+            want[j] = sum(v * cmath.exp(-2j * math.pi * sum(
+                a * b / n for a, b, n in zip(j, ls, dims)))
+                          for v, ls in zip(vals, points)) / len(vals)
+        got = forces._dft(vals, dims)
+        assert set(got) == set(want)
+        scale = sum(map(abs, vals))
+        for j, c in want.items():
+            assert abs(got[j] - c) <= 1e-15 * scale
+    for n in range(2, 34):
+        roots = forces._roots(n)
+        assert [j for j, _ in roots] == list(range(-((n - 1) // 2),
+                                                   (n - 1) // 2 + 1))
+        for j, tw in roots:
+            assert len(tw) == n
+            for l, t in enumerate(tw):
+                x = 2.0 * math.pi * (j * l % n) / n
+                assert abs(t - complex(math.cos(x), -math.sin(x))) <= 1e-14
 
 
 def test_bound_gap_modes_located():

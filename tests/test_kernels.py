@@ -363,3 +363,138 @@ def test_vacuum_baths_hold_the_mild_pair_far_out():
         w, delta = pure.cavity_delta(rL, rR, pure.gap_phase(k, a))
         assert -(v + 4.0 * k * (w / delta).real) / k == pytest.approx(
             b, rel=1e-8)
+
+
+# The offset kernels composed from their building blocks, one offset at a
+# time, with the kernels' own arithmetic: the per-frequency index and slab
+# parts, the per-offset slab parts and gap factor and the cavity
+# denominator, each from its public function.
+def _composed(k, a, d, left, right, offset):
+    sL, sR, sG = offset
+    nL = pure.refractive_at(-1j * k, *left)
+    nR = pure.refractive_at(-1j * k, *right)
+    fL, fR = pure.slab_fixed(k, nL, d), pure.slab_fixed(k, nR, d)
+    pL, pR = pure.slab_offset(fL, sL), pure.slab_offset(fR, sR)
+    gap = pure.gap_phase(k, a, sG)
+    w, delta = pure.cavity_delta(pL[3], pR[3], gap)
+    return nL, nR, fL, fR, pL, pR, gap, w, delta
+
+
+def _composed_bracket(k, a, d, left, right, offset):
+    _, _, _, _, pL, pR, gap, _, delta = _composed(k, a, d, left, right,
+                                                  offset)
+    rL, tl2L, t2aL = pL[3], pL[4], pL[5]
+    rR, t2aR = pR[3], pR[5]
+    d2 = abs(delta) ** 2
+    rho = rL + rR * tl2L * gap / delta
+    return (1.0 + abs(rho) ** 2 + t2aL * t2aR / d2
+            - (t2aL * (1.0 + abs(rR) ** 2) + t2aR * (1.0 + abs(rL) ** 2)) / d2)
+
+
+def _composed_bath(k, a, d, left, right, occL, occR, offset):
+    nL, nR, fL, fR, pL, pR, gap, _, delta = _composed(k, a, d, left, right,
+                                                      offset)
+    e2itL, _, FL, rL, tl2L, t2aL, gL = pL
+    e2itR, _, _, rR, _, t2aR, gR = pR
+    rnL, _, qL, _, _, emL, em1L, _ = fL
+    rnR, _, _, _, _, _, em1R, _ = fR
+    d2 = abs(delta) ** 2
+    v = 0.0
+    if 2.0 * nL.real * nL.imag != 0.0:
+        P = 1.0 - rnL * (rL + tl2L * rR * gap / delta)
+        Qt = rnL * (rnL * rnL - 1.0) / FL + rR * gap * qL * qL / (
+            FL * FL * delta)
+        near = nL.real * (abs(P) ** 2 * em1L + abs(Qt) ** 2 * emL * em1L)
+        if emL > 0.0:
+            near += 2.0 * nL.imag * emL * (P * Qt.conjugate()
+                                           * (1.0 - e2itL.conjugate())).imag
+        near -= ((1.0 + abs(rR) ** 2) / d2) * (
+            nL.real * (gL * em1L + t2aL * abs(rnL) ** 2 * em1L)
+            - 2.0 * nL.imag * t2aL * (rnL * (e2itL - 1.0)).imag)
+        v += 0.25 * k * (abs(1.0 + nL) ** 2 / abs(nL) ** 2) * occL * near
+    if 2.0 * nR.real * nR.imag != 0.0:
+        far = nR.real * gR * em1R + t2aR * (
+            nR.real * abs(rnR) ** 2 * em1R
+            - 2.0 * nR.imag * (rnR * (e2itR - 1.0)).imag)
+        v += 0.25 * k * (abs(1.0 + nR) ** 2 / abs(nR) ** 2) * occR * (
+            (t2aL - 1.0 - abs(rL) ** 2) / d2) * far
+    return v
+
+
+def _composed_absorption(n, fixed, part):
+    """A of one slab, (a0 - a1 Im(rn E)) / |F|^2 as ``_core`` forms it."""
+    em, em1 = fixed[5], fixed[6]
+    re, im = n.real, n.imag
+    p = (1.0 + re) ** 2 + im * im
+    m = (1.0 - re) ** 2 + im * im
+    a0 = (16.0 * (re * re * em1 - im * im * em)
+          + 4.0 * re * m * em1 * (1.0 + em)) / (p * p)
+    return (a0 - 8.0 * im / p * (fixed[0] * part[1]).imag) / abs(part[2]) ** 2
+
+
+def _composed_vacuum(k, a, d, left, right, offset):
+    nL, nR, fL, fR, pL, pR, gap, w, delta = _composed(k, a, d, left, right,
+                                                      offset)
+    rL, tl2L, rR = pL[3], pL[4], pR[3]
+    aL, aR = abs(rL) ** 2, abs(rR) ** 2
+    AL = _composed_absorption(nL, fL, pL)
+    AR = _composed_absorption(nR, fR, pR)
+    return -k * (abs(rL * delta + rR * tl2L * gap) ** 2 + 2.0 * w.real - aL
+                 - aR + AL * (2.0 * aR + AR) + 2.0 * aL * AR) / abs(delta) ** 2
+
+
+@pytest.mark.parametrize("pair", sorted(_Z_PAIRS))
+def test_lean_offset_kernels_equal_their_composition(pair):
+    # the kernels index their per-offset tables and form each index in one
+    # step; composed from refractive_at, slab_fixed, slab_offset, gap_phase
+    # and cavity_delta offset by offset they return the same bits, on the
+    # fig, weak, mild and lossy/static pairs and the grids Z samples
+    left, right, a, d = _Z_PAIRS[pair]
+    for k in (0.05, 0.7, 2.9, 7.3, 9.95, 10.0 + 1e-7, 11.405318, 16.6, 40.0,
+              210.0, 2900.0):
+        for dims in ((1,), (5,), (4, 4), (3, 3, 3)):
+            offsets = forces._grid(dims)
+            assert pure.ic_brackets(k, a, d, left, right, offsets) == [
+                _composed_bracket(k, a, d, left, right, o) for o in offsets]
+            for occL, occR in ((1.3, 0.7), (0.0, 2.0)):
+                assert pure.bath_weighted(
+                    k, a, d, left, right, occL, occR, offsets) == [
+                        _composed_bath(k, a, d, left, right, occL, occR, o)
+                        for o in offsets]
+            assert pure.vacuum_baths(k, a, d, left, right, offsets) == [
+                _composed_vacuum(k, a, d, left, right, o) for o in offsets]
+
+
+def test_lean_offset_kernels_raise_at_an_undamped_pole():
+    # the index formed in one step keeps refractive_at's pole test: at
+    # omega0 of an undamped slab and within its 1e-12 relative threshold, on
+    # either side, every kernel refuses
+    from casimir1d.errors import SingularEvaluationError
+    undamped = (10.0, 10.0, 0.0, False)
+    offsets = forces._grid((3, 3, 3))
+    for k in (10.0, 10.0 + 1e-12, 10.0 - 1e-12):
+        with pytest.raises(SingularEvaluationError):
+            pure.refractive_at(-1j * k, *undamped)
+        for left, right in ((undamped, undamped), (undamped, MILD_R),
+                            (MILD_R, undamped)):
+            for call in (
+                    lambda: pure.ic_brackets(k, 1.0, 0.4, left, right,
+                                             offsets),
+                    lambda: pure.bath_weighted(k, 1.0, 0.4, left, right,
+                                               1.0, 1.0, offsets),
+                    lambda: pure.vacuum_baths(k, 1.0, 0.4, left, right,
+                                              offsets),
+                    lambda: pure.nodiss_bracket(k, 1.0, 0.4, left, right)):
+                with pytest.raises(SingularEvaluationError):
+                    call()
+
+
+def test_refractive_at_is_the_root_of_the_permittivity():
+    # the index formed in one step is sqrt(permittivity_at) to the last bit
+    for mat in (FIG, WEAK, MILD_L, MILD_R, STATIC, VAC,
+                (10.0, 10.0, 0.0, False)):
+        for k in (1e-3, 0.7, 2.5, 3.0, 9.95, 10.0 + 1e-9, 14.142, 40.0,
+                  2900.0):
+            for s in (-1j * k, complex(0.3 * k, -k), complex(k, 0.0)):
+                assert pure.refractive_at(s, *mat) == cmath.sqrt(
+                    pure.permittivity_at(s, *mat))
