@@ -18,14 +18,16 @@ kept, and for ``wall_s`` the entry counts the pairs the change won.
 The entry also records each side's size: the physical and the code lines
 of every module of ``src/casimir1d`` and their totals, where code lines
 leave out blank lines, comment-only lines and docstrings (every statement
-that is a bare string).  ``size(tree)`` gives the same count on its own.
+that is a bare string), and ``code_change``, each module's change in code
+lines from the parent.  ``size(tree)`` gives the same count on its own.
 Each side's ``outputs`` hold the repr of what the program computes, so a
 change meant to keep every number can show that it did: ``force_total``
 on the four workload configurations at seed 0, the docs sigma ladder
 (``band_excess_curve``), the ``sweep-sigma --reproducible`` and
 ``limits --reproducible`` CSVs of the docs INI and the ``verify`` rows.
-``outputs(tree)`` gives them on their own; the entry lists the names whose
-repr differs between the sides.
+``outputs(tree)`` gives them on their own; the entry marks, for each name,
+whether its repr is ``identical`` on both sides, and lists those that
+differ.
 Each side's ``points`` count the kernel points of the zero-temperature
 bath integral Z on each workload's cavity, by wrapping Z's kernel
 (``core.vacuum_baths``, or ``core.bath_weighted`` on a checkout without
@@ -141,6 +143,22 @@ def size(tree):
     out["total"] = {k: sum(m[k] for m in out.values())
                     for k in ("physical", "code")}
     return out
+
+
+def size_change(parent, change):
+    """``{module: code lines of change - code lines of parent}`` for every
+    module of either ``size`` result and the total; a module one side
+    lacks counts 0 lines there."""
+    return {m: change.get(m, {}).get("code", 0)
+            - parent.get(m, {}).get("code", 0)
+            for m in sorted(set(parent) | set(change))}
+
+
+def identical(parent, change):
+    """``{name: True or False}``: whether each output of either side has
+    the same repr on both (see ``outputs``)."""
+    return {k: parent.get(k) == change.get(k)
+            for k in sorted(set(parent) | set(change))}
 
 
 # Run in a checkout's root with its src on the path; prints the outputs as
@@ -502,6 +520,8 @@ def measure(parent):
     trees = {"parent": os.path.abspath(parent), "change": ROOT}
     entry = {"workloads": {},
              "size": {side: size(trees[side]) for side in SIDES}}
+    entry["size"]["code_change"] = size_change(*(entry["size"][side]
+                                                 for side in SIDES))
     for w in WORKLOADS:
         runs = {side: [] for side in SIDES}
         for seed in SEEDS:
@@ -530,8 +550,9 @@ def measure(parent):
                                  "traced_seed0": traced, "runs": runs}
     entry["tier1"] = {side: _tier1(trees[side]) for side in SIDES}
     out = {side: outputs(trees[side]) for side in SIDES}
-    out["differ"] = sorted(k for k in out["parent"]
-                           if out["parent"][k] != out["change"].get(k))
+    out["identical"] = identical(out["parent"], out["change"])
+    out["differ"] = sorted(k for k, same in out["identical"].items()
+                           if not same)
     out["match"] = not out["differ"]
     entry["outputs"] = out
     entry["points"] = {side: points(trees[side]) for side in SIDES}

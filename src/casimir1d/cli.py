@@ -92,14 +92,17 @@ def _get(cp, section, key, cast=float, default=KeyError):
     raw = cp.get(section, key)
     try:
         return cast(raw)
-    except ValueError:
-        raise ConfigError("cannot parse [%s] %s = %r" % (section, key, raw))
+    except ValueError as exc:
+        raise ConfigError("cannot parse [%s] %s = %r: %s"
+                          % (section, key, raw, exc))
 
 
 def _floats(raw):
     vals = [float(t) for t in raw.replace(",", " ").split()]
     if not vals:
         raise ValueError("empty list")
+    if not all(map(math.isfinite, vals)):
+        raise ValueError("entries must be finite")
     return tuple(vals)
 
 
@@ -125,12 +128,15 @@ def _beta(cp, section, base, gap_meters):
     if has_nat and has_kel:
         raise ConfigError("[%s]: give either %s or its _kelvin form, not "
                           "both" % (section, base))
-    if has_nat:
-        return _get(cp, section, base)
-    if has_kel:
-        return beta_from_kelvin(_get(cp, section, kelvin), gap_meters)
-    raise ConfigError("missing required key [%s] %s (or its _kelvin form)"
-                      % (section, base))
+    if not (has_nat or has_kel):
+        raise ConfigError("missing required key [%s] %s (or its _kelvin "
+                          "form)" % (section, base))
+    beta = _get(cp, section, base) if has_nat else beta_from_kelvin(
+        _get(cp, section, kelvin), gap_meters)
+    if not beta > 0.0:
+        raise ConfigError("[%s] %s must be positive (inf for zero "
+                          "temperature), got %r" % (section, base, beta))
+    return beta
 
 
 def _state(cp, gap_meters):
@@ -168,6 +174,9 @@ def load_run_config(path, need_sweep=False):
     if not cp.has_section("cavity"):
         raise ConfigError("missing required section [cavity]")
     gap_meters = _get(cp, "cavity", "gap_meters", float, None)
+    if gap_meters is not None and not 0.0 < gap_meters < math.inf:
+        raise ConfigError("[cavity] gap_meters must be positive and finite, "
+                          "got %r" % gap_meters)
     try:
         cavity = CavityConfig(
             gap=_get(cp, "cavity", "gap"),

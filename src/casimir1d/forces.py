@@ -49,15 +49,16 @@ oscillation it drops.  S sums, over every harmonic j that the average
 drops, three integrations by parts of h_j e^{i j . phi} at rate j . phi',
 with derivatives from a seven-point stencil (Iserles and Norsett's
 asymptotic method); harmonics too slow for it are left out of S and
-bounded in the error.  One rule sizes every phase grid past the first
-candidate k0 (the probe there, the stencils of S and the tail average):
+bounded in the error.  The probe at the first candidate k0 reads one grid,
+the least that reads the head of every phase's harmonics.  One rule sizes
+every other phase grid past k0 (the stencils of S and the tail average):
 each phase takes the fewest offsets whose left harmonics, bounded by its
 closed-form decay ratio rho_a and its measured first harmonics, hold at
 most a thousandth of the tail's share (``_axis_size``).  The tail average
 keeps the harmonics whose indices are multiples of its offset counts n_a,
 about rho_a^(n_a - 1) |h_1| each, integrated over the tail without
-cancellation; the probe and the stencils read 2 J + 1 offsets, and leave
-out harmonic J + 1, whose first order they hold to the same allowance.  On
+cancellation; the stencils read 2 J + 1 offsets, and leave out harmonic
+J + 1, whose first order they hold to the same allowance.  On
 a slab phase the first gap order's harmonics keep their size up to the
 number of slab reflections on it (two on the common phase of identical
 slabs) before they fall.  S drops exactly the harmonics the tail grid does
@@ -229,12 +230,11 @@ _NEWTON_STEPS = 30
 # whose measured edge-term error fits the tail's share of the budget.  The
 # variation of the edge terms' last order is summed along the same ladder,
 # up to where the harmonics whose last order still rises hold at most
-# _AXIS_DROP of it.  Harmonics whose
-# logarithmic slope exceeds _SLOW times their rate (the mild pair's
-# (-1, 1, 0) runs at 7e-4) are left out of the edge terms and bounded in
-# their error.  Past k0 every phase grid (the k0 probe, the edge terms'
-# stencils and the tail average) gives each phase the fewest offsets whose
-# left harmonics hold at most _AXIS_DROP of the tail's share (see
+# _AXIS_DROP of it.  Harmonics whose logarithmic slope exceeds _SLOW times
+# their rate (the mild pair's (-1, 1, 0) runs at 7e-4) are left out of the
+# edge terms and bounded in their error.  Past k0 the edge terms' stencils
+# and the tail average give each phase the fewest offsets whose left
+# harmonics hold at most _AXIS_DROP of the tail's share (see
 # ``_axis_size``).  Where a slab reflects without absorbing, harmonics
 # falling slower than k^-_PERSISTENT (like 1/k) have no absolutely
 # convergent tail and are refused.  The mapped averaged tail takes at most
@@ -589,16 +589,13 @@ def _predicted(cfg, axes, k0, harm, share, k_max):
     ``_decay_ratios``) to the power |j_a|, its logarithmic slope g_j being
     the sum of |j_a| d ln rho_a / dk between neighbouring ladder points.  A
     harmonic of rate w_j = j . phi' leaves, after three integrations by
-    parts, the variation 2 |h_j| g_j^2 / |w_j|^3 past k.  Harmonics at the
-    rounding floor or whose ratios vanish at k0, and the slow ones
-    (g_j > _SLOW |w_j|, which the edge terms leave out), are left to the
-    terms measured at K.
+    parts, the variation 2 |h_j| g_j^2 / |w_j|^3 past k.  Harmonics whose
+    ratios vanish at k0, and the slow ones (g_j > _SLOW |w_j|, which the
+    edge terms leave out), are left to the terms measured at K.
     """
-    floor = _MEAN_NOISE * _NOISE_EPS * k0
     r0 = _decay_ratios(cfg, axes, k0)
     live = [(j, abs(h)) for j, h in harm.items()
-            if _leads(j) and abs(h) > floor
-            and all(r0[a] > 0.0 for a, x in enumerate(j) if x)]
+            if _leads(j) and all(r0[a] > 0.0 for a, x in enumerate(j) if x)]
     k, r = k0, r0
     while k <= k_max:
         k1 = k * _LADDER
@@ -634,22 +631,20 @@ def _switch(f, spec, cfg, axes, below=None, breakpoints=()):
     passes a ``below`` that keeps its raw values and band means, so its
     direct pass reuses every point of this coarse pass.
 
-    The probe at k0 reads the phase average and the harmonics on the least
-    grid that reads every phase's head (see ``_axis_size``).  Where the
-    first order of each harmonic, 2 |h_j / w_j| with w_j = j . phi',
+    The probe at k0 reads the phase average and the harmonics once, on the
+    least grid that reads every phase's head (see ``_axis_size``).  Where
+    the first order of each harmonic, 2 |h_j / w_j| with w_j = j . phi',
     doubled for its variation past k0 and raised by rho_a / (1 - rho_a) for
     the harmonics past the grid on each of its phases, fits the share in
-    sum there, the probe is read again on the grid ``_phase_dims`` sizes;
-    where the sum still fits, K = k0 and that sum is the error, with no
-    edge terms, and the tail grid is sized from the probe.  A sum above the
-    share only starts the ladder, so the least grid serves it.  Otherwise the harmonics at k0 predict a first point of
-    the ladder k0 _LADDER^i (``_predicted``, to half the share), and K is
-    the first point from there on whose measured edge terms have an error
-    that fits the share.  NonConvergenceError where none does within the
-    reach of max_panels (half of its panels, or k0).  Where a slab reflects
-    without absorbing, a harmonic whose first order exceeds the share and
-    that falls slower than k^-_PERSISTENT has no absolutely convergent tail
-    and is refused.
+    sum, K = k0 and that sum is the error, with no edge terms, and the tail
+    grid is sized from the probe.  Otherwise the harmonics at k0 predict a
+    first point of the ladder k0 _LADDER^i (``_predicted``, to half the
+    share), and K is the first point from there on whose measured edge
+    terms have an error that fits the share.  NonConvergenceError where
+    none does within the reach of max_panels (half of its panels, or k0).
+    Where a slab reflects without absorbing, a harmonic whose first order
+    exceeds the share and that falls slower than k^-_PERSISTENT has no
+    absolutely convergent tail and is refused.
     """
     k0 = _first_switch(spec, cfg)
     c0 = 0.0
@@ -662,26 +657,18 @@ def _switch(f, spec, cfg, axes, below=None, breakpoints=()):
     sample = _sampler(f)
     ratios = _decay_ratios(cfg, axes, k0)
     rates = _phases(cfg, axes, k0)[1]
-
-    def probe(dims):
-        """The budget, the harmonics and their first orders on ``dims``."""
-        vals = sample(k0, dims)
-        scale = max(abs(c0), abs(sum(vals) / len(vals)) * k0, spec.abs_tol)
-        harm = _dft(vals, dims)
-        first = 0.0
-        for j, h in harm.items():
-            if _leads(j):
-                w = abs(sum(map(operator.mul, j, rates)))
-                first += (4.0 * abs(h) / w if w > 0.0 else math.inf) * (
-                    1.0 + sum(r / (1.0 - r) if r < 1.0 else math.inf
-                              for r, x in zip(ratios, j) if x))
-        return max(spec.abs_tol, spec.rel_tol * scale), harm, first
-
-    budget, harm, first = probe(tuple(2 * len(slots) + 1
-                                      for slots, _ in axes))
-    if first <= 0.25 * budget:
-        budget, harm, first = probe(_phase_dims(
-            sample, cfg, axes, k0, 0.25 * _AXIS_DROP * budget)[0])
+    dims = tuple(2 * len(slots) + 1 for slots, _ in axes)
+    vals = sample(k0, dims)
+    scale = max(abs(c0), abs(sum(vals) / len(vals)) * k0, spec.abs_tol)
+    budget = max(spec.abs_tol, spec.rel_tol * scale)
+    harm = _dft(vals, dims)
+    first = 0.0
+    for j, h in harm.items():
+        if _leads(j):
+            w = abs(sum(map(operator.mul, j, rates)))
+            first += (4.0 * abs(h) / w if w > 0.0 else math.inf) * (
+                1.0 + sum(r / (1.0 - r) if r < 1.0 else math.inf
+                          for r, x in zip(ratios, j) if x))
     share = 0.25 * budget
     edges = _above_edges(sample, cfg, axes, share)
     if first <= share:
@@ -735,8 +722,8 @@ def _axis_size(ratios, harm, allow, x=0.0, rates=None, heads=None):
     n equidistant offsets fold harmonic m onto m - n.  The tail average
     (H = 1) keeps harmonic n, at most rho^(n - 1) |h_1|, which one mapped
     panel integrates without cancellation, about x / 2 times that; it takes
-    two offsets or more.  A grid read for its harmonics (the k0 probe and
-    the edge terms) takes n = 2 J + 1, which reads every |j_a| <= J, J >= H,
+    two offsets or more.  A grid read for its harmonics (the edge terms'
+    stencils) takes n = 2 J + 1, which reads every |j_a| <= J, J >= H,
     and leaves harmonic J + 1 out of the edge terms and folded onto -J, at
     most rho^(J + 1 - H) |h_H|; its error is its first order, 2 |h| over
     (J + 1) times the phase's rate.
@@ -1172,7 +1159,7 @@ def _oscillatory_integral(shifted, spec, breakpoints, cfg, poles=()):
     k0 = _first_switch(spec, cfg)
     axes = _phase_axes(cfg)
     kinds = {}
-    bands, shallow = _bands(cfg, k0, kinds)
+    bands = _bands(cfg, k0, kinds)[0]
     # each dense band's mean and edge terms, built once for both passes
     built = [_band_bounds(shifted, cfg, lo, hi) for lo, hi in bands]
 
@@ -1194,13 +1181,11 @@ def _oscillatory_integral(shifted, spec, breakpoints, cfg, poles=()):
 
     # Direct adaptive pass below the switch point, reusing the coarse
     # pass's raw values and means at the nodes they share; the shallow
-    # bands, found again up to K where it passed k0 (classifying only the
-    # points the k0 scan did not), join the dense bands there, and each
-    # band adds the edge terms of the slab oscillation it drops plus its
-    # means' allowance; each pole window adds the rounding of its
-    # subtraction.
-    if K > k0:
-        shallow = _bands(cfg, K, kinds)[1]
+    # bands, found again up to K (classifying only the points the k0 scan
+    # did not), join the dense bands there, and each band adds the edge
+    # terms of the slab oscillation it drops plus its means' allowance; each
+    # pole window adds the rounding of its subtraction.
+    shallow = _bands(cfg, K, kinds)[1]
     bands += shallow
     built += [_band_bounds(shifted, cfg, lo, hi) for lo, hi in shallow]
     direct = spec.replace(abs_tol=max(spec.abs_tol, 0.25 * budget,
@@ -1279,29 +1264,19 @@ def _slab_rate(mat, d, k, n=None):
     return 2.0 * d * (n.real + k * dn.real)
 
 
-def _comb(cfg, k):
-    """``(clear, depth, n)`` of the slab comb at k: the slab's internal
-    transmission e^{-2 k Im(n) d}, its internal round trip
-    |rn^2 E| = |rn|^2 e^{-2 k Im(n) d} and its refractive index n."""
-    n, rn, clear = _surface(cfg.left, cfg.width, k)
-    return clear, abs(rn) ** 2 * clear, n
-
-
-def _half_period(cfg, k):
-    """Half a slab period, pi over the slab rate, at k."""
-    return math.pi / _slab_rate(cfg.left, cfg.width, k)
-
-
 def _kind(cfg, k):
     """Band kind of the identical slabs of ``cfg`` at k: 2 in a dense band,
     1 in a shallow band, 0 elsewhere.
 
     Both kinds need the slab phase to run ``_DENSE_RATE`` times faster than
-    the gap phase.  A dense band's internal round trip |rn^2 E| makes the
-    slab resonances sharp, neither opaque nor weakly reflecting; a shallow
-    band's comb is shallower while the slab is not opaque.
+    the gap phase.  A dense band's internal round trip
+    |rn^2 E| = |rn|^2 e^{-2 k Im(n) d} makes the slab resonances sharp,
+    neither opaque nor weakly reflecting; a shallow band's comb is
+    shallower while the slab is not opaque (its internal transmission
+    e^{-2 k Im(n) d} is ``clear``).
     """
-    clear, depth, n = _comb(cfg, k)
+    n, rn, clear = _surface(cfg.left, cfg.width, k)
+    depth = abs(rn) ** 2 * clear
     if depth > _SHARP_MAX or (depth < _SHARP_MIN and clear < _CLEAR_MIN):
         return 0
     if _slab_rate(cfg.left, cfg.width, k, n) < _DENSE_RATE * 2.0 * cfg.gap:
@@ -1369,7 +1344,8 @@ def _bands(cfg, k_end, kinds=None):
     shallow = tuple(
         (lo, hi) for kind, lo, hi, past in runs
         if kind == 1 and past
-        and all(_comb(cfg, x)[0] < _CLEAR_MIN for x in past))
+        and all(_surface(cfg.left, cfg.width, x)[2] < _CLEAR_MIN
+                for x in past))
     return dense, shallow
 
 
@@ -1496,23 +1472,29 @@ def _real_axis(cfg, spec, f):
                                  cfg, _pole_terms(cfg, spec.panel_width))
 
 
-def _thermal_excess(bracket, beta, spec, breakpoints):
-    """State force excess of a thermal weight over the vacuum weight.
+def _thermal_window(g, beta, spec, breakpoints):
+    """Integral of ``g(k)``, weighted by thermal occupation excesses of
+    inverse temperature beta or more, and its error.
 
     The excess weight coth(beta k / 2) - 1 = 2 / (e^{beta k} - 1) decays
     exponentially, so the integral lives on a finite interval regardless of
     the material's absorption: the panels span [0, 120 / beta], where the
-    weight falls to 1e-52, and the integrand is 0 without a bracket call
-    past beta k = _WEIGHT_CUT, where the weight's tail is below rounding.
+    weight falls to 1e-52, and the integrand is 0 without a call to g past
+    beta k = _WEIGHT_CUT, where the weight's tail is below rounding.
     """
-    def g(k):
-        if beta * k > _WEIGHT_CUT:
-            return 0.0
-        return k * core.occupation_excess(beta, k) * bracket(k)
+    def cut(k):
+        return 0.0 if beta * k > _WEIGHT_CUT else g(k)
 
-    _endpoint_check(g)
-    return integrate_interval(g, 0.0, 120.0 / beta, spec,
+    _endpoint_check(cut)
+    return integrate_interval(cut, 0.0, 120.0 / beta, spec,
                               breakpoints=breakpoints)
+
+
+def _thermal_excess(bracket, beta, spec, breakpoints):
+    """State force excess of a thermal weight over the vacuum weight."""
+    return _thermal_window(
+        lambda k: k * core.occupation_excess(beta, k) * bracket(k), beta,
+        spec, breakpoints)
 
 
 def _band_excess(bracket, state, spec, breakpoints):
@@ -1673,25 +1655,19 @@ def _bath_excess(cfg, beta_left, beta_right, spec, beta_phi=math.inf):
 
     The integrand is linear in the occupations, so the excess is one kernel
     pass weighted by the differences of the occupation excesses
-    coth(beta k/2) - 1.  With beta the smallest of the three, the panels
-    span [0, 120 / beta], where those fall to 1e-52, and the integrand is 0
-    without a kernel call past beta k = _WEIGHT_CUT, where the weights'
-    tail is below rounding.
+    coth(beta k/2) - 1, over the thermal window (``_thermal_window``) of
+    beta, the smallest of the three.
     """
     a, d, tl, tr = _args(cfg)
-    beta = min(beta_left, beta_right, beta_phi)
 
     def g(k):
-        if beta * k > _WEIGHT_CUT:
-            return 0.0
         ref = core.occupation_excess(beta_phi, k)
         return core.bath_weighted(
             k, a, d, tl, tr, core.occupation_excess(beta_left, k) - ref,
             core.occupation_excess(beta_right, k) - ref, _RAW)[0]
 
-    _endpoint_check(g)
-    return integrate_interval(g, 0.0, 120.0 / beta, spec,
-                              breakpoints=_breakpoints(cfg.left, cfg.right))
+    return _thermal_window(g, min(beta_left, beta_right, beta_phi), spec,
+                           _breakpoints(cfg.left, cfg.right))
 
 
 def force_ic(cfg, state, spec):

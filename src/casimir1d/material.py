@@ -9,6 +9,8 @@ at s = -i omega.  The ``static_nd`` model freezes eps at its zero-frequency
 value 1 + (omega_pl/omega0)^2 with no absorption at any frequency.
 """
 
+import math
+
 from ._value import Frozen
 from .errors import ResonanceSingularityError
 from .kernels import core
@@ -22,11 +24,11 @@ class Material(Frozen):
     Parameters
     ----------
     omega0 : float
-        Resonance frequency, > 0.
+        Resonance frequency, > 0 and finite.
     omega_pl : float
-        Coupling (plasma-like) frequency, >= 0; 0 gives vacuum.
+        Coupling (plasma-like) frequency, >= 0 and finite; 0 gives vacuum.
     gamma0 : float
-        Damping rate, >= 0.
+        Damping rate, >= 0 and finite.
     model : str
         "drude_lorentz" (default) or "static_nd".
     """
@@ -40,14 +42,13 @@ class Material(Frozen):
         if self.model not in _MODELS:
             raise ValueError("unknown material model %r (expected one of %s)"
                              % (self.model, ", ".join(_MODELS)))
-        if not self.omega0 > 0.0:
-            raise ValueError("omega0 must be positive, got %r" % self.omega0)
-        if self.omega_pl < 0.0:
-            raise ValueError("omega_pl must be non-negative, got %r"
-                             % self.omega_pl)
-        if self.gamma0 < 0.0:
-            raise ValueError("gamma0 must be non-negative, got %r"
-                             % self.gamma0)
+        if not 0.0 < self.omega0 < math.inf:
+            raise ValueError("omega0 must be positive and finite, got %r"
+                             % self.omega0)
+        for name in ("omega_pl", "gamma0"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError("%s must be non-negative and finite, got %r"
+                                 % (name, getattr(self, name)))
 
     @property
     def static(self):

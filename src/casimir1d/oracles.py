@@ -59,7 +59,8 @@ def band_dual(cfg, f, lo, hi, spec, window=None):
     v_mean, e_mean = integrate_interval(lambda k: mean(k, tol), x0, x1, spec)
     dv, de = edges(x0, x1)
     e_mean += de + tol * (x1 - x0)
-    fine = spec.replace(panel_width=forces._half_period(cfg, x0))
+    fine = spec.replace(
+        panel_width=math.pi / forces._slab_rate(cfg.left, cfg.width, x0))
     v_raw, e_raw = integrate_interval(_raw(f), x0, x1, fine)
     return abs(v_mean + dv - v_raw), e_mean + e_raw
 

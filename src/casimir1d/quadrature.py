@@ -65,10 +65,10 @@ class QuadratureSpec(Frozen):
         self._assign(rel_tol, abs_tol, panel_width, max_panels)
 
     def _check(self):
-        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
-            raise ValueError("tolerances must be positive")
-        if not self.panel_width > 0.0:
-            raise ValueError("panel_width must be positive")
+        for name in ("rel_tol", "abs_tol", "panel_width"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError("%s must be positive and finite, got %r"
+                                 % (name, getattr(self, name)))
         if self.max_panels < 1:
             raise ValueError("max_panels must be at least 1")
 

@@ -11,6 +11,7 @@ reference the global origin, which may overflow there, are not formed.
 """
 
 import cmath
+import math
 
 from ._value import Frozen
 from .errors import RegionUnsupportedError
@@ -28,7 +29,11 @@ PHI_LESS = "phi_less"
 
 
 class CavityConfig(Frozen):
-    """Two slabs of common width facing each other across a vacuum gap."""
+    """Two slabs of common width facing each other across a vacuum gap.
+
+    The gap is positive and finite; the width is positive, and infinite
+    for half-spaces.
+    """
 
     __slots__ = ("gap", "width", "left", "right")
 
@@ -36,8 +41,9 @@ class CavityConfig(Frozen):
         self._assign(gap, width, left, right)
 
     def _check(self):
-        if not self.gap > 0.0:
-            raise ValueError("gap must be positive")
+        if not 0.0 < self.gap < math.inf:
+            raise ValueError("gap must be positive and finite, got %r"
+                             % self.gap)
         if not self.width > 0.0:
             raise ValueError("width must be positive")
         if not isinstance(self.left, Material) or not isinstance(

@@ -24,6 +24,7 @@ class FieldState(Frozen):
 
     beta is the inverse field temperature; sigma and omega_center are
     frequencies in inverse-gap units; xi is a constant squeezing magnitude.
+    sigma, omega_center and xi are finite.
     Use the classmethod constructors rather than filling fields by hand.
     """
 
@@ -36,6 +37,10 @@ class FieldState(Frozen):
     def _check(self):
         if self.variant not in _VARIANTS:
             raise ValueError("unknown state variant %r" % (self.variant,))
+        for name in ("sigma", "omega_center", "xi"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError("%s must be finite, got %r"
+                                 % (name, getattr(self, name)))
         if self.variant == "thermal" and not self.beta > 0.0:
             raise ValueError("thermal state needs beta > 0")
         if self.variant == "squeezed_band":

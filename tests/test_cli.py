@@ -256,7 +256,8 @@ def test_limits_reports_the_delta_state_at_its_own_center(tmp_path, sweep):
 
 @pytest.mark.parametrize("line", [
     "omega0_list = -5.0", "omega0_list = 0", "omega0_list = 3.0 0",
-    "omega0_list = nan", "sigma_grid = nan"])
+    "omega0_list = nan", "sigma_grid = nan", "sigma_grid = 0.5, inf",
+    "omega0_list = inf"])
 def test_sweep_rejects_grid_values_that_are_not_positive(
         tmp_path, monkeypatch, capsys, line):
     # refused while parsing, before the three cavity-wide integrals run
@@ -272,6 +273,41 @@ def test_sweep_rejects_grid_values_that_are_not_positive(
         load_run_config(cfg, need_sweep=True)
     assert main(["sweep-sigma", "--config", cfg]) == EXIT_CONFIG
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, edits", [
+    ("beta_left", {"beta_left = 5.0": "beta_left = -1"}),
+    ("beta_left", {"beta_left = 5.0": "beta_left = nan"}),
+    ("gap_meters", {"width = 0.4": "width = 0.4\ngap_meters = nan",
+                    "beta_left = 5.0": "temperature_left_kelvin = 300"}),
+    ("panel_width", {"abs_tol = 1e-10": "abs_tol = 1e-10\npanel_width = inf"}),
+    ("rel_tol", {"rel_tol = 1e-6": "rel_tol = inf"}),
+    ("gamma0", {"gamma0 = 0.5": "gamma0 = nan"})],
+    ids=["beta_negative", "beta_nan", "gap_meters_nan", "panel_width_inf",
+         "rel_tol_inf", "gamma0_nan"])
+def test_force_rejects_values_that_are_not_finite_or_positive(
+        tmp_path, monkeypatch, capsys, key, edits):
+    # refused while parsing, with the configuration exit code and the key
+    # named, before any force integral runs
+    def unexpected(*args):
+        raise AssertionError("a force integral ran")
+
+    monkeypatch.setattr(forces, "force_total", unexpected)
+    body = MILD_BODY
+    for old, new in edits.items():
+        assert old in body
+        body = body.replace(old, new, 1)
+    cfg = write(tmp_path, body)
+    with pytest.raises(ConfigError):
+        load_run_config(cfg)
+    assert main(["force", "--config", cfg]) == EXIT_CONFIG
+    assert key in capsys.readouterr().err
+
+
+def test_bath_at_zero_temperature_is_accepted(tmp_path):
+    # an infinite inverse temperature is a zero-temperature bath
+    body = MILD_BODY.replace("beta_left = 5.0", "beta_left = inf")
+    assert load_run_config(write(tmp_path, body)).beta_left == math.inf
 
 
 def _loaded_after_import(modules):

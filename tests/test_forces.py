@@ -683,6 +683,32 @@ def test_bound_gap_modes_located():
     assert forces._pole_terms(CFG, WEAK_SPEC.panel_width) == []
 
 
+def test_pole_windows_stay_inside_the_stop_band():
+    # at gamma0 = 1e-3 the weak pair's 13.462 mode is 2.04e-4 wide, so
+    # 1e4 half widths would reach past the stop band's top sqrt(200); its
+    # window is half the distance to that edge instead
+    slab = Material(10.0, 10.0, 1e-3)
+    poles = forces._pole_terms(CavityConfig(1.0, 100.0, slab, slab),
+                               WEAK_SPEC.panel_width)
+    kp, lo, hi = poles[-1]
+    assert kp.real == pytest.approx(13.462, abs=1e-3)
+    assert -kp.imag * forces._POLE_WINDOW == pytest.approx(2.04, abs=1e-2)
+    assert hi - kp.real == pytest.approx(0.340, abs=1e-3)
+    assert kp.real - lo == pytest.approx(0.340, abs=1e-3)
+    for kp, lo, hi in poles:
+        assert 10.0 < lo < kp.real < hi < 10.0 * math.sqrt(2.0)
+
+
+def test_first_switch_keeps_eight_panels_below_it():
+    # at gap 2 four gap periods end at 2 pi, and the mild slab's response
+    # top sqrt(13) sets 1.3 sqrt(13) = 4.69, so eight default panels of
+    # pi / 2 set the first candidate k0 = 4 pi
+    cfg = CavityConfig(2.0, 0.4, MILD_L, MILD_L)
+    spec = QuadratureSpec()
+    assert 1.3 * forces._response_top(cfg) < 4.0 * math.pi / cfg.gap
+    assert forces._first_switch(spec, cfg) == pytest.approx(4.0 * math.pi)
+
+
 def test_bound_gap_pole_is_a_zero_of_the_denominator():
     # Newton's method from the scan minima lands on the complex zero of
     # D = 1 - rL rR e^{2ika} to rounding; its half width matches |D| / |D'|
@@ -799,10 +825,16 @@ def test_dense_band_dual_route():
     # the whole upper dense band, whose comb is at its deepest (0.9) on the
     # lower edge, for the bath and the state integrands
     lo, hi = forces._bands(WEAK_CFG, 1.3 * 10.0 * math.sqrt(2.0))[0][1]
-    assert forces._comb(WEAK_CFG, lo)[1] == pytest.approx(0.9)
+    _, rn, clear = forces._surface(WEAK_CFG.left, WEAK_CFG.width, lo)
+    assert abs(rn) ** 2 * clear == pytest.approx(0.9)
     for f in (bath, forces._state_integrand(WEAK_CFG)):
         dev, est = oracles.band_dual(WEAK_CFG, f, lo, hi, spec)
         assert dev <= est
+
+
+def _clear(cfg, k):
+    """The slab's internal transmission e^{-2 k Im(n) d} at k."""
+    return forces._surface(cfg.left, cfg.width, k)[2]
 
 
 def test_shallow_band_selected_from_observables():
@@ -815,11 +847,11 @@ def test_shallow_band_selected_from_observables():
     assert lo0 == 0.0 and hi0 == pytest.approx(7.303, abs=1e-3)
     assert forces._kind(FIG_CFG, 0.5 * hi0) == 1
     assert forces._kind(FIG_CFG, hi0 + 1e-3) == 0
-    assert forces._comb(FIG_CFG, hi0 + 1e-3)[0] < forces._CLEAR_MIN
+    assert _clear(FIG_CFG, hi0 + 1e-3) < forces._CLEAR_MIN
     assert 16.5 < lo < 16.7 and hi == 106.5
     assert forces._kind(FIG_CFG, 0.5 * (lo + hi)) == 1
     assert forces._kind(FIG_CFG, lo - 1e-3) == 0
-    assert forces._comb(FIG_CFG, lo - 1e-3)[0] < forces._CLEAR_MIN
+    assert _clear(FIG_CFG, lo - 1e-3) < forces._CLEAR_MIN
     # a low stretch cut short of its opaque edge, which then runs from 0 to
     # k_end with no edge inside the scan, is not a band
     assert forces._bands(FIG_CFG, 5.0) == ((), ())
@@ -828,7 +860,8 @@ def test_shallow_band_selected_from_observables():
     # at k_end, the last point, so its start is bisected from the point
     # before it
     for periods in (9, 12):
-        k_end = lo + periods * forces._half_period(FIG_CFG, lo)
+        k_end = lo + periods * math.pi / forces._slab_rate(
+            FIG_CFG.left, FIG_CFG.width, lo)
         assert k_end - lo < math.pi / (16.0 * FIG_CFG.gap)
         assert forces._bands(FIG_CFG, k_end)[1][-1] == (
             pytest.approx(lo, abs=1e-9), k_end)
@@ -842,7 +875,7 @@ def test_shallow_band_selected_from_observables():
         assert start == pytest.approx(9.356, abs=1e-3)
         assert forces._kind(WEAK_CFG, 0.5 * start) == 1
         assert forces._kind(WEAK_CFG, start - 1e-3) == 1
-        assert forces._comb(WEAK_CFG, start - 1e-3)[0] >= forces._CLEAR_MIN
+        assert _clear(WEAK_CFG, start - 1e-3) >= forces._CLEAR_MIN
     # mild pairs: different slabs, or identical slabs whose phase is slow
     for cfg in (CFG, CavityConfig(0.5, 0.4, MILD_L, MILD_R),
                 CavityConfig(1.0, 0.4, MILD_L, MILD_L)):
@@ -1301,9 +1334,10 @@ def test_edge_terms_cover_a_rising_last_order():
 def test_weak_bath_integral_builds_each_dense_band_once(monkeypatch):
     # both passes integrate the sized means of one bound per dense band,
     # the coarse pass at its own target, holding weak Z to at most 10,000
-    # bath-integrand offset points; the bands are found once, at the
-    # switch point k0 = K = 1.3 x sqrt(200), while fig Z, whose switch
-    # point lies past k0, finds them again at K
+    # bath-integrand offset points; the bands are found at the first
+    # candidate k0 = 1.3 x sqrt(200) for the coarse pass and again at the
+    # switch point, for weak Z K = k0 itself, where the scan classifies no
+    # point anew; fig Z's switch point lies past k0
     points, built, scans = [], [], []
     kernel, bounds, bands = (core.vacuum_baths, forces._band_bounds,
                              forces._bands)
@@ -1328,7 +1362,7 @@ def test_weak_bath_integral_builds_each_dense_band_once(monkeypatch):
         forces._vacuum_bath(WEAK_CFG, WEAK_SPEC)
         assert sum(points) <= 10000
         k0 = 1.3 * 10.0 * math.sqrt(2.0)
-        assert scans == [pytest.approx(k0)]
+        assert scans == [pytest.approx(k0)] * 2
         assert built == list(bands(WEAK_CFG, k0)[0])
         scans.clear()
         forces._vacuum_bath(FIG_CFG, SPEC6)
@@ -1429,23 +1463,31 @@ def test_bath_integral_evaluates_each_point_once(monkeypatch, cfg, spec):
 
 
 @pytest.mark.parametrize("cfg, spec, tail", [
-    (NONEQ_CFG, NONEQ_SPEC, (2, 2, 2)), (FIG_CFG, SPEC6, (4, 4))],
-    ids=["mild", "fig"])
+    (NONEQ_CFG, NONEQ_SPEC, (2, 2, 2)), (FIG_CFG, SPEC6, (4, 4)),
+    (WEAK_CFG, WEAK_SPEC, (3, 4))],
+    ids=["mild", "fig", "weak"])
 def test_tail_grid_follows_the_decay_ratios(monkeypatch, cfg, spec, tail):
     # past the switch point the mild pair's ratios are below 1e-5, so its
     # tail averages 2 offsets per phase (was 4); the docs cavity's gap
-    # phase, whose first harmonic is 1.2e-2 at a ratio of 6.5e-4, keeps 4
+    # phase, whose first harmonic is 1.2e-2 at a ratio of 6.5e-4, keeps 4;
+    # the weak pair's first orders fit the share on the probe's one grid at
+    # k0 = 1.3 x sqrt(200), so it switches there with no edge terms
     seen = []
     switch = forces._switch
 
     def recording(*args):
         out = switch(*args)
-        seen.append(out[5])
+        seen.append(out)
         return out
 
     monkeypatch.setattr(forces, "_switch", recording)
     forces._vacuum_bath(cfg, spec)
-    assert seen == [tail]
+    assert [out[5] for out in seen] == [tail]
+    if cfg is WEAK_CFG:
+        K, s_K = seen[0][:2]
+        assert K == forces._first_switch(spec, cfg) == pytest.approx(
+            18.385, abs=1e-3)
+        assert s_K == 0.0
 
 
 def test_mild_bath_integral_offset_points(monkeypatch):

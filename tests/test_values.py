@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import math
 import pickle
 
 import pytest
@@ -83,6 +84,28 @@ def test_values_survive_pickle_and_copy(value, bad):
         assert restored.coefficients.Rgt == value.coefficients.Rgt
         restored = restored.replace(coefficients=value.coefficients)
     assert restored == value and hash(restored) == hash(value)
+
+
+NON_FINITE = [
+    (MAT, "omega0", math.inf), (MAT, "omega_pl", math.inf),
+    (MAT, "gamma0", math.nan), (SPEC, "rel_tol", math.inf),
+    (SPEC, "abs_tol", math.nan), (SPEC, "panel_width", math.inf),
+    (CAV, "gap", math.inf), (CAV, "gap", math.nan),
+    (FieldState.squeezed_band(0.5, 3.0), "sigma", math.inf),
+    (FieldState.squeezed_band(0.5, 3.0), "omega_center", math.nan),
+    (FieldState.squeezed_const(0.5), "xi", math.inf)]
+
+
+@pytest.mark.parametrize("value, field, bad", NON_FINITE, ids=[
+    "%s-%s-%r" % (type(v).__name__, f, b) for v, f, b in NON_FINITE])
+def test_values_refuse_fields_that_are_not_finite(value, field, bad):
+    with pytest.raises(ValueError, match=field):
+        value.replace(**{field: bad})
+
+
+def test_half_spaces_and_zero_temperature_stay_allowed():
+    assert CAV.replace(width=math.inf).width == math.inf
+    assert FieldState.thermal(math.inf).beta == math.inf
 
 
 def test_values_of_different_classes_differ():
