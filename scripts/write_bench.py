@@ -46,8 +46,9 @@ probe at k0, of the edge terms' grid at K and of the tail average (empty
 on checkouts that size no grid).  Every memo is cleared before each
 cavity.  With Z memoized, ``excess_calls`` counts the kernel calls of the thermal
 state excess X (``core.ic_bracket``) and of the bath excess Y
-(``core.bath_weighted``) in the workload's ``force_total`` calls at seed 0
-(one, or two on ``noneq_mild``), which the tracer cannot attribute to them.
+(``core.bath_factors``, or ``core.bath_weighted`` on a checkout without it)
+in the workload's ``force_total`` calls at seed 0 (one, or two on
+``noneq_mild``), which the tracer cannot attribute to them.
 ``points(tree)`` gives them on their own.  Next to them, ``docs_ladder``
 counts the docs sigma ladder's ``core.ic_brackets`` calls and points and
 records its switch points K (one per ``omega0_list`` entry), a layer the
@@ -58,8 +59,9 @@ interpreters under ``PYTHONDONTWRITEBYTECODE=1``, of the imports a
 ``perfbench/sample.py`` setup sample makes: its own, ``casimir1d``,
 ``speed`` and ``workloads``.  They split ``setup_s`` by module.
 ``imports(tree)`` gives them on their own.
-Each side's ``split`` divides the time of Z on each workload's cavity and of
-the docs sigma ladder between the ``core`` kernels and the bookkeeping
+Each side's ``split`` divides the time of Z on each workload's cavity, of
+the docs sigma ladder and of ``noneq_mild``'s two bath excesses Y (target
+``noneq_mild_Y``) between the ``core`` kernels and the bookkeeping
 around them: the total seconds, the seconds spent inside the kernels that
 the package calls, and the ``refractive_at`` calls made outside them, each
 the median over 9 fresh interpreters.  ``split(tree)`` gives them on their
@@ -221,7 +223,7 @@ stage = ["direct"]
 stages = collections.Counter()
 grids = []
 memos = [getattr(forces, m, None) for m in ("_vacuum_bath", "_rotated_vacuum",
-                                           "_cavity_excess")]
+                                           "_cavity_excess", "_bath_factors")]
 memos = [m for m in memos if hasattr(m, "cache_clear")]
 
 
@@ -310,7 +312,9 @@ forces._band_bounds = banded
 forces._sampler = gridded
 # Z's kernel: the state-side one where the checkout has it
 counting("vacuum_baths" if hasattr(core, "vacuum_baths") else "bath_weighted")
-attributed("bath_weighted")
+# Y's kernel: the weight-free one where the checkout has it
+attributed("bath_factors" if hasattr(core, "bath_factors")
+           else "bath_weighted")
 attributed("ic_bracket")
 part("X", "_thermal_excess")
 part("Y", "_bath_excess")
@@ -369,7 +373,8 @@ print(json.dumps(out))
 
 
 # Run like _OUTPUTS with the arguments TARGET MODE; prints one JSON object.
-# TARGET is a workload, whose cavity's Z is computed, or docs_ladder; MODE
+# TARGET is a workload, whose cavity's Z is computed, docs_ladder, or
+# noneq_mild_Y, the two bath excesses of noneq_mild's force_total calls; MODE
 # "total" times it unwrapped, "kernels" gives every package module that
 # binds core a copy of it whose public functions are timed, so the calls
 # core makes within itself stay unwrapped; refractive_at is counted and
@@ -419,13 +424,16 @@ start = time.perf_counter()
 if target == "docs_ladder":
     for w in rc.omega0_list:
         forces.band_excess_curve(rc.cavity, w, rc.sigma_grid, rc.spec)
+elif target == "noneq_mild_Y":
+    for bl, br in (W.NONEQ_BATHS, W.NONEQ_BATHS[::-1]):
+        forces._bath_excess(W.NONEQ_CFG, bl, br, W.NONEQ_SPEC)
 else:
     forces._vacuum_bath(*cavities[target])
 total = time.perf_counter() - start
 print(json.dumps({"total_s": total, "kernel_s": inside[0],
                   "index_calls": index[0]}))
 """
-SPLIT_TARGETS = WORKLOADS + ("docs_ladder",)
+SPLIT_TARGETS = WORKLOADS + ("docs_ladder", "noneq_mild_Y")
 
 
 def _run(tree, script, *args):
@@ -440,7 +448,8 @@ def _run(tree, script, *args):
 
 def split(tree, runs=IMPORT_RUNS):
     """``{target: {"total_s", "kernel_s", "index_calls"}}``: for Z on each
-    workload's cavity and for the docs sigma ladder in ``tree``, the
+    workload's cavity, for the docs sigma ladder and for ``noneq_mild``'s
+    two bath excesses in ``tree``, the
     seconds it takes, the seconds spent inside the ``core`` kernels called
     from outside ``core`` and the ``refractive_at`` calls made outside
     them, each the median over ``runs`` fresh interpreters.  The total is

@@ -113,13 +113,19 @@ def refractive_at(s, omega0, omega_pl, gamma0, static):
 # their squares, em, em1 and the unshifted phase), once per frequency from
 # the index that _slab_pair takes from refractive_at (one call per slab),
 # and slab_offset the shifted parts (e2it, E, F, r, tl2, t2a, g), once per
-# distinct shift.  ic_brackets and bath_weighted build one table of
+# distinct shift.  ic_brackets and bath_factors build one table of
 # slab_offset parts per slab and one of gap factors (_tables) and look each
 # offset triple up there; vacuum_baths builds its tables from
 # _absorbing_offset, which forms only E, F, r and tl2 as slab_offset does,
 # plus the slab's absorption, and not the |t|^2 and g that Z does not read.
 # The transmissions t and tau need two complex exponentials that no force
 # integrand reads, so only slab_parts forms them.
+#
+# bath_weighted is the composition of bath_factors, the parts of each
+# offset that do not depend on the occupation weights, and bath_weigh,
+# which multiplies each weight into its slab's prefactor before the near or
+# far term; the bath excess keeps the factors of each k and weighs them
+# afresh at every temperature.
 # ---------------------------------------------------------------------------
 
 def slab_fixed(omega, n, d):
@@ -251,20 +257,31 @@ def bath_integrands(omega, a, d, matL, matR, betaL, betaR, offsets):
 def bath_weighted(omega, a, d, matL, matR, occL, occR, offsets):
     """``bath_integrands`` with the occupation weights ``occL`` and
     ``occR`` in place of coth(beta omega/2); the integrand is linear in
-    them."""
+    them, so this is ``bath_weigh`` of ``bath_factors``."""
+    return bath_weigh(bath_factors(omega, a, d, matL, matR, offsets),
+                      occL, occR)
+
+
+def bath_factors(omega, a, d, matL, matR, offsets):
+    """The weight-free parts of ``bath_weighted`` at omega: ``(cL, cR,
+    terms)``, cL and cR the slabs' prefactors 0.25 omega |1 + n|^2/|n|^2
+    and, for each ``(sL, sR, sG)`` of ``offsets``, ``(near, m, far)``: the
+    left slab's near term, mL/|Delta|^2 and the right slab's far term.  A
+    slab that does not absorb has None for its prefactor and its terms."""
     nL, nR, fL, fR = _slab_pair(omega, d, matL, matR)
     wL = 2.0 * nL.real * nL.imag
     wR = 2.0 * nR.real * nR.imag
+    cL = cR = None
     if wL == 0.0 and wR == 0.0:
-        return [0.0] * len(offsets)
+        return cL, cR, [(None, None, None)] * len(offsets)
     rnL, _, qL, _, _, emL, em1L, _ = fL
     rnR, _, _, _, _, _, em1R, _ = fR
     renL, imnL = nL.real, nL.imag
     renR, imnR = nR.real, nR.imag
     if wL != 0.0:
-        cL = 0.25 * omega * (abs(1.0 + nL) ** 2 / abs(nL) ** 2) * occL
+        cL = 0.25 * omega * (abs(1.0 + nL) ** 2 / abs(nL) ** 2)
     if wR != 0.0:
-        cR = 0.25 * omega * (abs(1.0 + nR) ** 2 / abs(nR) ** 2) * occR
+        cR = 0.25 * omega * (abs(1.0 + nR) ** 2 / abs(nR) ** 2)
     left, right, gaps = _tables(omega, a, fL, fR, offsets)
     out = []
     for sL, sR, sG in offsets:
@@ -275,7 +292,7 @@ def bath_weighted(omega, a, d, matL, matR, occL, occR, offsets):
         d2 = abs(delta) ** 2
         feedL = rR * gap * qL * qL / (FL * FL * delta)
         rho = rL + tl2L * rR * gap / delta
-        v = 0.0
+        near = m = far = None
         if wL != 0.0:
             P = 1.0 - rnL * rho
             Qt = rnL * (rnL * rnL - 1.0) / FL + feedL
@@ -286,13 +303,31 @@ def bath_weighted(omega, a, d, matL, matR, occL, occR, offsets):
             near -= ((1.0 + abs(rR) ** 2) / d2) * (
                 renL * (gL * em1L + t2aL * abs(rnL) ** 2 * em1L)
                 - 2.0 * imnL * t2aL * (rnL * (e2itL - 1.0)).imag)
-            v += cL * near
         if wR != 0.0:
-            mL = t2aL - 1.0 - abs(rL) ** 2
+            m = (t2aL - 1.0 - abs(rL) ** 2) / d2
             far = renR * gR * em1R + t2aR * (
                 renR * abs(rnR) ** 2 * em1R
                 - 2.0 * imnR * (rnR * (e2itR - 1.0)).imag)
-            v += cR * (mL / d2) * far
+        out.append((near, m, far))
+    return cL, cR, out
+
+
+def bath_weigh(factors, occL, occR):
+    """``bath_weighted``'s values from its ``bath_factors`` and the
+    occupation weights, each weight multiplying its slab's prefactor before
+    the near or far term, in the order that form takes."""
+    cL, cR, terms = factors
+    if cL is not None:
+        cL *= occL
+    if cR is not None:
+        cR *= occR
+    out = []
+    for near, m, far in terms:
+        v = 0.0
+        if near is not None:
+            v += cL * near
+        if far is not None:
+            v += cR * m * far
         out.append(v)
     return out
 

@@ -33,11 +33,13 @@ point; the bath kernel at zero temperature is kept as its independent
 check (``oracles.bath_integrand``).  Z and R are memoized per
 process for each cavity and spec, and the state excess for each cavity,
 state and spec, so forces at several bath temperatures compute each once;
-a raised error is not memoized.  Lossless pairs have no bath (Z = 0), so
-their state force is R alone.  Half-spaces are slabs of infinite width,
-whose bare state and bath integrals both diverge; their grouped force is R
-plus the thermal excesses, with no real-axis oscillatory integral
-(``halfspace_forces``).
+the bath excess weighs the bath kernel's weight-free parts, memoized per
+cavity and k, so it calls the kernel only at k that no earlier bath
+excess on the cavity sampled.  A raised error is not memoized.  Lossless
+pairs have no bath (Z = 0), so their state force is R alone.  Half-spaces
+are slabs of infinite width, whose bare state and bath integrals both
+diverge; their grouped force is R plus the thermal excesses, with no
+real-axis oscillatory integral (``halfspace_forces``).
 
 The real-axis oscillatory integrals (Z and the two-integral route kept as
 an independent check) oscillate under three linear phases (one per slab
@@ -251,8 +253,10 @@ _MAX_TAIL_PANELS = 240
 _NOISE_EPS = 2e-16
 # Entries of each per-process memo: the zero-temperature bath integral Z
 # and the rotated total R per cavity and spec, the state excess X per
-# cavity, state and spec.  A sweep or a nonequilibrium study needs one or
-# two entries; the bound keeps a long-running caller from growing.
+# cavity, state and spec, and the bath kernel's weight-free parts per
+# cavity (each holding one entry per k sampled).  A sweep or a
+# nonequilibrium study needs one or two entries; the bound keeps a
+# long-running caller from growing.
 _VACUUM_CACHE_SIZE = 32
 # Relative rounding allowance for the zero-temperature bath integral Z that
 # cancels from the total: a few ulps of |Z|, since it enters and leaves
@@ -1653,21 +1657,37 @@ def _bath_excess(cfg, beta_left, beta_right, spec, beta_phi=math.inf):
     beta_right) over its value with both at beta_phi (zero temperature by
     default), as ``(value, err)``.
 
-    The integrand is linear in the occupations, so the excess is one kernel
-    pass weighted by the differences of the occupation excesses
-    coth(beta k/2) - 1, over the thermal window (``_thermal_window``) of
-    beta, the smallest of the three.
+    The integrand is linear in the occupations, so the excess weighs the
+    kernel's weight-free parts (``_bath_factors``, one kernel call per k
+    not sampled before on the cavity) by the differences of the occupation
+    excesses coth(beta k/2) - 1, over the thermal window
+    (``_thermal_window``) of beta, the smallest of the three.
     """
-    a, d, tl, tr = _args(cfg)
+    factors = _bath_factors(cfg)
 
     def g(k):
         ref = core.occupation_excess(beta_phi, k)
-        return core.bath_weighted(
-            k, a, d, tl, tr, core.occupation_excess(beta_left, k) - ref,
-            core.occupation_excess(beta_right, k) - ref, _RAW)[0]
+        return core.bath_weigh(
+            factors(k), core.occupation_excess(beta_left, k) - ref,
+            core.occupation_excess(beta_right, k) - ref)[0]
 
     return _thermal_window(g, min(beta_left, beta_right, beta_phi), spec,
                            _breakpoints(cfg.left, cfg.right))
+
+
+@functools.lru_cache(maxsize=_VACUUM_CACHE_SIZE)
+def _bath_factors(cfg):
+    """The bath kernel's weight-free parts ``factors(k)`` on a cavity
+    (``core.bath_factors`` without offsets), memoized per process for each
+    cavity and k, so a bath excess at any temperatures calls the kernel
+    only at k that no earlier excess on the cavity sampled.  A raised error
+    is not memoized."""
+    a, d, tl, tr = _args(cfg)
+
+    @functools.lru_cache(maxsize=None)
+    def factors(k):
+        return core.bath_factors(k, a, d, tl, tr, _RAW)
+    return factors
 
 
 def force_ic(cfg, state, spec):
@@ -1708,7 +1728,8 @@ def force_bath(cfg, beta_left, beta_right, spec):
     zero-temperature value, which decays exponentially.  Z's integrand is
     the zero-temperature bath integrand taken from the state side, the
     round-trip term less k times the state bracket (``core.vacuum_baths``);
-    the excess takes the bath kernel itself (``core.bath_weighted``).
+    the excess weighs the bath kernel's weight-free parts
+    (``core.bath_factors``, memoized per cavity and k) by the occupations.
 
     Parameters
     ----------
@@ -1737,9 +1758,10 @@ def force_total(cfg, state, beta_left, beta_right, spec):
         exact by construction.  R, Z and the state excess X come from the
         per-process memos (see ``force_ic``), so calls that share the
         cavity, the field state and the spec recompute only the bath
-        excess.  Z cancels from the total unless constant squeezing
-        rescales the state part, so ``err_total`` counts Z's error only for
-        the uncancelled fraction, plus a few ulps of |Z| of rounding.
+        excess, from the memoized kernel parts (see ``force_bath``).  Z
+        cancels from the total unless constant squeezing rescales the state
+        part, so ``err_total`` counts Z's error only for the uncancelled
+        fraction, plus a few ulps of |Z| of rounding.
     """
     scale, (r, er), (z, ez), (x, ex) = _ic_parts(cfg, state, spec)
     (zb, ezb), (y, ey) = _bath_parts(cfg, beta_left, beta_right, spec)

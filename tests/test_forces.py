@@ -194,6 +194,70 @@ def test_rotated_total_and_state_excess_are_memoized(monkeypatch):
     assert forces._cavity_excess.cache_info().currsize == 1
 
 
+def _clear_memos():
+    for memo in (forces._vacuum_bath, forces._rotated_vacuum,
+                 forces._cavity_excess, forces._bath_factors):
+        memo.cache_clear()
+
+
+def test_bath_excesses_share_the_kernel_parts_of_a_cavity(monkeypatch):
+    # the mild pair at baths (3, 8) and then swapped: the bath kernel's
+    # weight-free parts are memoized per cavity and k, so a bath excess
+    # calls the kernel only at k that no earlier one sampled.  Both take
+    # the window of beta = 3, and the second samples no new k: 339 calls
+    # in all, against 648 with every memo cleared before each call.  Each
+    # total has the bits of a cold run
+    calls = []
+    factors = core.bath_factors
+
+    def counting(*args):
+        calls.append(args[0])
+        return factors(*args)
+
+    monkeypatch.setattr(core, "bath_factors", counting)
+    state = FieldState.thermal(5.0)
+    runs = ((3.0, 8.0), (8.0, 3.0))
+    cold = []
+    for baths in runs:
+        _clear_memos()
+        cold.append(force_total(NONEQ_CFG, state, *baths, NONEQ_SPEC))
+    assert len(calls) == 648
+    _clear_memos()
+    del calls[:]
+    warm = [force_total(NONEQ_CFG, state, *runs[0], NONEQ_SPEC)]
+    assert len(calls) == len(set(calls)) == 339
+    warm.append(force_total(NONEQ_CFG, state, *runs[1], NONEQ_SPEC))
+    assert len(calls) == 339
+    assert warm == cold
+    info = forces._bath_factors.cache_info()
+    assert (info.currsize, info.maxsize) == (1, forces._VACUUM_CACHE_SIZE)
+
+
+@pytest.mark.parametrize("baths, shared", [((80.0, 90.0), True),
+                                           ((60.0, 90.0), False)],
+                         ids=["colder_baths", "hotter_bath"])
+def test_halfspace_forces_keep_their_bits_with_the_memo(baths, shared):
+    # the field-state group takes a bath excess at beta_phi and the
+    # mismatch group one at the bath temperatures, both on one cavity.
+    # With the baths colder than the field both take the window of
+    # beta_phi, so the second reads all of the first's kernel parts; with
+    # a hotter bath its window and nodes differ.  Either way the forces
+    # have the bits of groups computed with empty memos
+    args = (FIG, FIG, 1.0) + baths + (76.3302, SPEC6)
+    cfg = CavityConfig(1.0, math.inf, FIG, FIG)
+    mismatch = forces._bath_excess(cfg, *baths, SPEC6, 76.3302)
+    _clear_memos()
+    got = halfspace_forces(*args)
+    info = forces._bath_factors(cfg).cache_info()
+    assert (info.hits == info.misses) is shared
+    assert got[1] == mismatch[0]
+    _clear_memos()
+    field = forces._halfspace_parts(FIG, FIG, 1.0, 76.3302, 76.3302,
+                                    76.3302, SPEC6)[0]
+    assert got[0] == field[0]
+    assert halfspace_forces(*args) == got
+
+
 def test_static_dual_routes_agree():
     for gap in (0.5, 2.0):
         for mat in (STATIC, STATIC2):
@@ -442,6 +506,30 @@ def test_band_excess_curve_preserves_input_order():
     rev = band_excess_curve(CFG, omega, [4.0, 0.5], SPEC6)
     assert fwd[0][0] == pytest.approx(rev[1][0], rel=1e-12)
     assert fwd[1][0] == pytest.approx(rev[0][0], rel=1e-12)
+
+
+def test_slab_means_stop_at_the_rounding_floor(monkeypatch):
+    # the docs ladder's shallow-band means: below abs_tol ~ 7e-11 their
+    # tolerance is _mean_tol's rounding floor, 8 _NOISE_EPS k at the
+    # bands' top (4.2e-14), so abs_tol 1e-12 and 1e-300 size the same
+    # offsets and give the same bits.  Without the floor the means at
+    # 1e-300 take up to 400 offsets, and 66,257 points for 9,266
+    points = []
+    kernel = core.ic_brackets
+
+    def counting(k, *args):
+        points.append(len(args[-1]))
+        return kernel(k, *args)
+
+    monkeypatch.setattr(core, "ic_brackets", counting)
+    runs = []
+    for abs_tol in (1e-12, 1e-300):
+        del points[:]
+        out = band_excess_curve(FIG_CFG, 5.0, DOCS_SIGMAS,
+                                SPEC6.replace(abs_tol=abs_tol))
+        runs.append((out, sum(points), max(points)))
+    assert runs[0] == runs[1]
+    assert runs[0][2] <= forces._HARM_OFFSETS
 
 
 def bracket_sign_scan(cfg, k_max=60.0, samples=4096):
@@ -1667,6 +1755,18 @@ def test_failing_tail_names_its_stage():
     assert exc.value.partial > 0.0
 
 
+def test_direct_pass_stops_at_the_evaluation_noise():
+    # at rel_tol 1e-14 the mild pair's Z switches at K = 478, where the
+    # quarter budget (4.5e-15) lies below the evaluation noise summed over
+    # [0, K]; the direct pass's absolute tolerance takes the floor
+    # 0.5 _NOISE_EPS K^2 (2.3e-11) instead and converges within 2,000
+    # panels.  Without the floor it chases rounding and runs out of panels
+    spec = QuadratureSpec(rel_tol=1e-14, abs_tol=1e-17, max_panels=2000)
+    v, e = force_bath(NONEQ_CFG, 3.0, 8.0, spec)
+    ref, ref_err = force_bath(NONEQ_CFG, 3.0, 8.0, NONEQ_SPEC)
+    assert abs(v - ref) <= e + ref_err
+
+
 def test_bath_excess_takes_one_kernel_pass(monkeypatch):
     # the bath integrand is linear in the occupations, so the excess over
     # its zero-temperature value is one weighted kernel call per node with
@@ -1675,11 +1775,11 @@ def test_bath_excess_takes_one_kernel_pass(monkeypatch):
     # [0, 120 / beta] call no kernel
     forces._vacuum_bath(NONEQ_CFG, NONEQ_SPEC)
     calls, nodes = [], []
-    weighted, interval = core.bath_weighted, forces.integrate_interval
+    factors, interval = core.bath_factors, forces.integrate_interval
 
     def counting(*args):
         calls.append(args[0])
-        return weighted(*args)
+        return factors(*args)
 
     def tracing(f, *args, **kw):
         def g(k):
@@ -1687,7 +1787,7 @@ def test_bath_excess_takes_one_kernel_pass(monkeypatch):
             return f(k)
         return interval(g, *args, **kw)
 
-    monkeypatch.setattr(core, "bath_weighted", counting)
+    monkeypatch.setattr(core, "bath_factors", counting)
     monkeypatch.setattr(forces, "integrate_interval", tracing)
     forces._bath_parts(NONEQ_CFG, 3.0, 8.0, NONEQ_SPEC)
     inside = [k for k in nodes if 3.0 * k <= 40.0]

@@ -448,7 +448,10 @@ def test_lean_offset_kernels_equal_their_composition(pair):
     # the kernels index their per-offset tables and form each index in one
     # step; composed from refractive_at, slab_fixed, slab_offset, gap_phase
     # and cavity_delta offset by offset they return the same bits, on the
-    # fig, weak, mild and lossy/static pairs and the grids Z samples
+    # fig, weak, mild and lossy/static pairs and the grids Z samples.  One
+    # set of weight-free bath_factors, weighed at positive, zero and
+    # negative weights (differences of occupation excesses), gives the bits
+    # of bath_weighted, and a lossless pair weighs to zeros
     left, right, a, d = _Z_PAIRS[pair]
     for k in (0.05, 0.7, 2.9, 7.3, 9.95, 10.0 + 1e-7, 11.405318, 16.6, 40.0,
               210.0, 2900.0):
@@ -456,11 +459,17 @@ def test_lean_offset_kernels_equal_their_composition(pair):
             offsets = forces._grid(dims)
             assert pure.ic_brackets(k, a, d, left, right, offsets) == [
                 _composed_bracket(k, a, d, left, right, o) for o in offsets]
-            for occL, occR in ((1.3, 0.7), (0.0, 2.0)):
-                assert pure.bath_weighted(
-                    k, a, d, left, right, occL, occR, offsets) == [
-                        _composed_bath(k, a, d, left, right, occL, occR, o)
-                        for o in offsets]
+            factors = pure.bath_factors(k, a, d, left, right, offsets)
+            for occL, occR in ((1.3, 0.7), (0.0, 2.0), (-0.4, 1.1),
+                               (2.5, -3.0), (-1e-9, -0.2)):
+                got = pure.bath_weighted(k, a, d, left, right, occL, occR,
+                                         offsets)
+                assert got == pure.bath_weigh(factors, occL, occR) == [
+                    _composed_bath(k, a, d, left, right, occL, occR, o)
+                    for o in offsets]
+            lossless = pure.bath_factors(k, a, d, STATIC, STATIC, offsets)
+            assert pure.bath_weigh(lossless, 1.3, -0.7) == [0.0] * len(
+                offsets)
             assert pure.vacuum_baths(k, a, d, left, right, offsets) == [
                 _composed_vacuum(k, a, d, left, right, o) for o in offsets]
 
