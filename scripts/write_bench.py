@@ -38,9 +38,11 @@ and Z itself as (value, err).
 ``stages`` splits the offset points by the innermost stage of Z that made
 them: ``coarse`` (the pass over [0, k0] inside ``forces._switch``),
 ``probe`` (the rest of ``_switch``: its phase grid at k0), ``edges`` (the
-signed edge terms past the switch point), ``band`` (band grids, means and
-edge terms), ``tail`` (the averaged tail) and ``direct`` (the direct pass
-and the pole fits); the tracer files this split under other stages.
+signed edge terms past the switch point), ``band_grid`` (each band's
+sample grid), ``band_means`` (its slab-phase means), ``band_ends`` (the
+stencils of its edge terms), ``tail`` (the averaged tail) and ``direct``
+(the direct pass and the pole fits); the tracer files this split under
+other stages.
 ``K`` is Z's switch point and ``grids`` the offsets per phase of the
 probe at k0, of the edge terms' grid at K and of the tail average (empty
 on checkouts that size no grid).  Every memo is cleared before each
@@ -57,15 +59,18 @@ Each side's ``imports`` hold the per-module import self-time in
 microseconds, the median of ``python3 -X importtime`` over 9 fresh
 interpreters under ``PYTHONDONTWRITEBYTECODE=1``, of the imports a
 ``perfbench/sample.py`` setup sample makes: its own, ``casimir1d``,
-``speed`` and ``workloads``.  They split ``setup_s`` by module.
-``imports(tree)`` gives them on their own.
+``speed`` and ``workloads``.  They split ``setup_s`` by module.  The two
+sides' interpreters alternate, and so does the side that starts each
+round, so slow drift of the host falls on both.
+``imports({"change": tree})`` gives one checkout's on their own.
 Each side's ``split`` divides the time of Z on each workload's cavity, of
 the docs sigma ladder and of ``noneq_mild``'s two bath excesses Y (target
-``noneq_mild_Y``) between the ``core`` kernels and the bookkeeping
-around them: the total seconds, the seconds spent inside the kernels that
-the package calls, and the ``refractive_at`` calls made outside them, each
-the median over 9 fresh interpreters.  ``split(tree)`` gives them on their
-own.
+``noneq_mild_Y``) between the integrand kernels of ``core`` (every public
+function that takes a cavity, ``a, d, matL, matR``, after its frequency)
+and the bookkeeping around them: the total seconds, the seconds spent
+inside the integrand kernels that the package calls, and the
+``refractive_at`` calls made outside them, each the median over 9 fresh
+interpreters.  ``split(tree)`` gives them on their own.
 """
 
 import argparse
@@ -273,12 +278,12 @@ def part(label, name):
 
 
 def banded(*args):
-    stage.append("band")
+    stage.append("band_grid")
     try:
         mean, size, edges = band_bounds(*args)
     finally:
         stage.pop()
-    return staged("band", mean), size, staged("band", edges)
+    return staged("band_means", mean), size, staged("band_ends", edges)
 
 
 def gridded(shifted):
@@ -376,11 +381,12 @@ print(json.dumps(out))
 # TARGET is a workload, whose cavity's Z is computed, docs_ladder, or
 # noneq_mild_Y, the two bath excesses of noneq_mild's force_total calls; MODE
 # "total" times it unwrapped, "kernels" gives every package module that
-# binds core a copy of it whose public functions are timed, so the calls
+# binds core a copy of it whose integrand kernels are timed, so the calls
 # core makes within itself stay unwrapped; refractive_at is counted and
-# left outside the kernels' seconds.
+# left outside the kernels' seconds, and the cheap helpers called per node
+# (occupation_excess, bath_weigh) are neither.
 _SPLIT = r"""
-import json, sys, time, types
+import inspect, json, sys, time, types
 sys.path.insert(0, "perfbench")
 import workloads as W
 from casimir1d import cli, forces
@@ -412,9 +418,12 @@ if mode == "kernels":
     copy = types.ModuleType(core.__name__)
     copy.__dict__.update(vars(core))
     for name, fn in vars(core).items():
-        if not name.startswith("_") and callable(fn) \
-                and getattr(fn, "__module__", None) == core.__name__ \
-                and not isinstance(fn, type):
+        if name.startswith("_") or not inspect.isfunction(fn) \
+                or fn.__module__ != core.__name__:
+            continue
+        cavity = list(inspect.signature(fn).parameters)[1:5] == [
+            "a", "d", "matL", "matR"]
+        if cavity or name == "refractive_at":
             setattr(copy, name, timed(name, fn))
     for mod in list(sys.modules.values()):
         if getattr(mod, "__name__", "").startswith("casimir1d") \
@@ -449,16 +458,15 @@ def _run(tree, script, *args):
 def split(tree, runs=IMPORT_RUNS):
     """``{target: {"total_s", "kernel_s", "index_calls"}}``: for Z on each
     workload's cavity, for the docs sigma ladder and for ``noneq_mild``'s
-    two bath excesses in ``tree``, the
-    seconds it takes, the seconds spent inside the ``core`` kernels called
-    from outside ``core`` and the ``refractive_at`` calls made outside
-    them, each the median over ``runs`` fresh interpreters.  The total is
-    timed unwrapped; the kernels' seconds and the index calls come from
-    other interpreters that wrap every public function of ``core``, so
-    the wrappers' own cost stays out of the total.  ``refractive_at``
-    counts as bookkeeping, outside the kernels' seconds.  Each round runs
-    every target and mode once, so a burst of load on the host spreads
-    over all of them."""
+    two bath excesses in ``tree``, the seconds it takes, the seconds spent
+    inside the integrand kernels of ``core`` called from outside ``core``
+    and the ``refractive_at`` calls made outside them, each the median
+    over ``runs`` fresh interpreters.  The total is timed unwrapped; the
+    kernels' seconds and the index calls come from other interpreters that
+    wrap the integrand kernels and ``refractive_at``, so the wrappers' own
+    cost stays out of the total.  ``refractive_at`` counts as bookkeeping,
+    outside the kernels' seconds.  Each round runs every target and mode
+    once, so a burst of load on the host spreads over all of them."""
     got = {(target, mode): [] for target in SPLIT_TARGETS
            for mode in ("total", "kernels")}
     for _ in range(runs):
@@ -498,22 +506,32 @@ _SETUP_IMPORTS = ("import json, os, resource, shutil, sys, tempfile, time; "
 _IMPORTTIME = re.compile(r"import time:\s+(\d+) \|\s+\d+ \|\s*(\S+)")
 
 
-def imports(tree, runs=IMPORT_RUNS):
-    """``{"total_us", "modules": {module: self_us}}``: medians over ``runs``
-    fresh interpreters of the setup imports' summed and per-module self
-    time (see the module docstring)."""
+def imports(trees, runs=IMPORT_RUNS):
+    """``{side: {"total_us", "modules": {module: self_us}}}`` for each
+    checkout of ``trees`` ({side: path}): medians over ``runs`` fresh
+    interpreters per side of the setup imports' summed and per-module self
+    time (see the module docstring).  Each round runs one interpreter per
+    side, the sides in turn and the first side alternating from round to
+    round."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-    samples = []
-    for _ in range(runs):
-        proc = subprocess.run(
-            [sys.executable, "-X", "importtime", "-c", _SETUP_IMPORTS],
-            cwd=tree, capture_output=True, text=True, env=env, check=True)
-        samples.append({m: int(us) for us, m in
-                        _IMPORTTIME.findall(proc.stderr)})
-    names = sorted(set().union(*samples))
-    return {"total_us": statistics.median(sum(s.values()) for s in samples),
-            "modules": {m: statistics.median(s.get(m, 0) for s in samples)
+    sides = list(trees)
+    samples = {side: [] for side in sides}
+    for i in range(runs):
+        for side in sides if i % 2 == 0 else sides[::-1]:
+            proc = subprocess.run(
+                [sys.executable, "-X", "importtime", "-c", _SETUP_IMPORTS],
+                cwd=trees[side], capture_output=True, text=True, env=env,
+                check=True)
+            samples[side].append({m: int(us) for us, m in
+                                  _IMPORTTIME.findall(proc.stderr)})
+    out = {}
+    for side, got in samples.items():
+        names = sorted(set().union(*got))
+        out[side] = {
+            "total_us": statistics.median(sum(s.values()) for s in got),
+            "modules": {m: statistics.median(s.get(m, 0) for s in got)
                         for m in names}}
+    return out
 
 
 def _summary(values):
@@ -565,7 +583,7 @@ def measure(parent):
     out["match"] = not out["differ"]
     entry["outputs"] = out
     entry["points"] = {side: points(trees[side]) for side in SIDES}
-    entry["imports"] = {side: imports(trees[side]) for side in SIDES}
+    entry["imports"] = imports(trees)
     entry["split"] = {side: split(trees[side]) for side in SIDES}
     return entry
 

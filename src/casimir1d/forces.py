@@ -122,19 +122,23 @@ is integrated by parts three times, leaving edge terms at orders 1/j,
 1/j^2 and 1/j^3 plus the variation of the last, counted for both signs of
 j.  The harmonics are sampled once on a grid across the band that
 resolves the gap phase, which gives the variation between the ends and
-the absolute edge terms at the band's own ends.  They fall like rho^j,
-with rho the closed-form radius of the integrand's poles in e^{i phi}.  A
-grid point where rho is small (every shallow-band point of the docs
-cavity) samples the harmonics until rho^j falls to 1e-12 and bounds the
-rest by a geometric tail; one where rho is large (every dense-band point)
-takes 32 samples and sums j <= 15.  Where every grid point has a small
-rho, an end takes the signed edge terms, with derivatives from a stencil
-at the end, unless it is the band's own end and the absolute terms the
-grid holds there are no larger than the band's variation; a dense band
-takes the absolute terms at both of its ends.  In every band each mean
-takes, in one call, the offsets that hold its aliased harmonics to its
-tolerance.  Past the switch point the ladder's windows take the mean over
-every phase and the edge terms of every harmonic, as the tail does.
+the absolute edge terms at the band's own ends.  On the diagonal of the
+identical slabs the integrand is rational in e^{i phi}, with the two zeros
+of the cavity denominator for poles (each slab's Airy sum of round trips),
+so six samples give its mean and every harmonic exactly: h_j is a sum of
+two geometric terms in j, falling like rho^j with rho the larger pole
+ratio (``_pole_form``).  Each grid point and stencil node takes those six
+samples and sums j up to where the closed-form remainder falls below
+rounding, at most 15, and charges the first order of the rest.  Where
+every grid point has rho <= 0.25, an end takes the signed edge terms,
+with derivatives from a stencil at the end, unless it is the band's own
+end and the absolute terms the grid holds there are no larger than the
+band's variation; a dense band takes the absolute terms at both of its
+ends.  In every band each mean takes, in one call, the fewest offsets, up
+to five, whose aliased harmonics fit its tolerance, or else the six
+samples' exact mean from the poles.  Past the switch point the ladder's
+windows take the mean over every phase and the edge terms of every
+harmonic, as the tail does.
 
 Undamped slabs leave the real-axis tail undamped, so no classical improper
 integral exists there; only the rotated R and the absolutely convergent
@@ -189,7 +193,7 @@ _SHARP_MAX = 0.9
 # comb differ only by rounding once their harmonics are gone (up to 2.1 units
 # on the docs cavity, where k times the state bracket cancels to 1e-4 of its
 # terms), so a tolerance below that buys offsets and no accuracy.  The same
-# floor keeps the rounding of the sampled harmonics out of their amplitude.
+# floor ends the harmonics a band point sums (see ``_band_points``).
 _MEAN_NOISE = 8.0
 # A shallow band's comb is shallower (|rn^2 E| < _SHARP_MIN) while the slab
 # is not opaque (e^{-2 k Im(n) d} >= _CLEAR_MIN).  One scan finds both kinds
@@ -197,15 +201,15 @@ _MEAN_NOISE = 8.0
 # past each of its edges inside the scan.
 _CLEAR_MIN = 1e-6
 # The band grid samples the slab harmonics at _HARM_GRID points per gap
-# period pi/a.  Each point takes the harmonics until their pole radius rho
-# raised to the j falls to _HARM_DROP, from at most _HARM_OFFSETS diagonal
-# samples, and each mean the offsets it needs (see ``_band_bounds``).  A
-# point with rho at most _RHO_MAX adds a geometric tail past its last
-# harmonic; one above it (every dense-band point, where rho^15 stays large)
-# has none, and its band counts the absolute edge terms at its ends.
-_HARM_OFFSETS = 32
+# period pi/a.  Each grid point and stencil node reads the slab-phase mean
+# and every harmonic from six diagonal samples and the two cavity poles
+# (``_pole_form``), and sums the harmonics up to the least order whose
+# closed-form remainder falls below the rounding floor, at most _HARM_TOP,
+# the most any phase grid reads.  A band whose grid holds a pole radius
+# above _RHO_MAX (every dense band) counts the absolute edge terms at both
+# of its ends.
 _HARM_GRID = 8
-_HARM_DROP = 1e-12
+_HARM_TOP = 15
 _RHO_MAX = 0.25
 # The signed edge sum takes the derivatives of the harmonics at a window end
 # x from seven samples _FD_STEP apart, centred on x, or starting at x where
@@ -235,12 +239,12 @@ _NEWTON_STEPS = 30
 # _AXIS_DROP of it.  Harmonics whose logarithmic slope exceeds _SLOW times
 # their rate (the mild pair's (-1, 1, 0) runs at 7e-4) are left out of the
 # edge terms and bounded in their error.  Past k0 the edge terms' stencils
-# and the tail average give each phase the fewest offsets whose left
-# harmonics hold at most _AXIS_DROP of the tail's share (see
-# ``_axis_size``).  Where a slab reflects without absorbing, harmonics
-# falling slower than k^-_PERSISTENT (like 1/k) have no absolutely
-# convergent tail and are refused.  The mapped averaged tail takes at most
-# _MAX_TAIL_PANELS panels.
+# and the tail average give each phase the fewest offsets, at most
+# 2 _HARM_TOP + 1, whose left harmonics hold at most _AXIS_DROP of the
+# tail's share (see ``_axis_size``).  Where a slab reflects without
+# absorbing, harmonics falling slower than k^-_PERSISTENT (like 1/k) have
+# no absolutely convergent tail and are refused.  The mapped averaged tail
+# takes at most _MAX_TAIL_PANELS panels.
 _LADDER = 2.0 ** 0.125
 _SLOW = 0.5
 _AXIS_DROP = 1e-3
@@ -374,23 +378,6 @@ def _sampler(shifted):
     return sample
 
 
-def _harmonics(sample, comb, k, n, index=None):
-    """Slab harmonics h_j(k), j = 0 .. n / 2 - 1, at k, from the n
-    diagonal samples ``sample(k, (n,))`` (see ``_sampler``).
-
-    With phi the slab round-trip phase of the identical slabs of ``comb``,
-    the integrand is the sum over j of h_j(k) e^{i j phi(k)}, where h_j
-    varies only with the gap phase; h_0 is the slab-phase mean.  The DFT of
-    the diagonal samples gives h_j e^{i j phi}; the Nyquist harmonic, whose
-    size is the pole radius to the power n / 2, is left out.  ``index`` is
-    the slab's refractive index at k, when the caller has it.
-    """
-    c = _dft(sample(k, (n,)), (n,))
-    index = _index(comb.left, k) if index is None else index
-    phi = 2.0 * k * index.real * comb.width
-    return [c[j, ] * cmath.exp(-1j * j * phi) for j in range(n // 2)]
-
-
 def _args(cfg):
     """``(a, d, left, right)``: the gap, the width and the two slabs'
     material tuples of the cavity ``cfg``, as the kernels take them."""
@@ -429,37 +416,89 @@ def _pole_radius(cfg, k, n=None):
     their refractive index n there (computed when not given).
 
     On the diagonal the integrand is rational in z = e^{i phi}.  With rn the
-    surface reflection, E0 = e^{-2 k Im(n) d} and u = e^{i k a}, the cavity
-    denominator factors as (F - rn u (1 - E))(F + rn u (1 - E)) with
-    E = E0 z and F = 1 - rn^2 E, and the integrands also divide by F.  Their
-    poles lie at |z| = 1 / rho_p with rho_p = E0 |rn| |rn -+ u| / |1 -+ rn u|
-    and E0 |rn|^2, so the harmonics fall like the largest, rho^j.
+    surface reflection, E0 = e^{-2 k Im(n) d} and v = e^{i k a}, the cavity
+    denominator factors as (F - rn v (1 - E))(F + rn v (1 - E)) with
+    E = E0 z and F = 1 - rn^2 E.  Its zeros lie at |z| = 1 / rho_p with
+    rho_p = E0 |rn| |rn -+ v| / |1 -+ rn v|, so the harmonics fall like the
+    larger, rho^j (see ``_pole_form``).  The integrands also divide by F,
+    but the pole of F has no residue, and its ratio E0 |rn|^2 is below
+    rho anyway: |rn - v|^2 + |rn + v|^2 = |1 - rn v|^2 + |1 + rn v|^2, so
+    one of the two ratios over E0 |rn| is at least 1 > |rn|.
     """
     _, rn, e0 = _surface(cfg.left, cfg.width, k, n)
-    u = cmath.exp(1j * k * cfg.gap)
-    return e0 * abs(rn) * max(
-        abs(rn - u) / abs(1.0 - rn * u), abs(rn + u) / abs(1.0 + rn * u),
-        abs(rn))
+    v = cmath.exp(1j * k * cfg.gap)
+    return e0 * abs(rn) * max(abs(rn - v) / abs(1.0 - rn * v),
+                              abs(rn + v) / abs(1.0 + rn * v))
 
 
-def _sized_harmonics(sample, comb, k, rho, index=None):
-    """``(h0, harmonics, C)`` at k, where the pole radius is ``rho``: the
-    mean h_0, h_j for 1 <= j <= J, J the least with rho^J <= _HARM_DROP but
-    at most _HARM_OFFSETS / 2 - 1, from 2J + 2 samples, and the amplitude
-    C = max |h_j| / (j rho^j) over h_1 and the harmonics above the rounding
-    floor.  ``index`` is as in ``_harmonics``.
+def _pole_form(sample, comb, k, n=None):
+    """``(h0, poles)`` at k: the slab-phase mean h_0 of the integrand of
+    the identical slabs of ``comb`` and, for each of the two cavity poles,
+    ``(a, y)`` such that the slab harmonic h_j (see ``_band_bounds``) is
+    the sum over the poles of a y^(j - 1) for every j >= 1, read from the
+    six diagonal samples ``sample(k, (6,))`` (see ``_sampler``).  ``n`` is
+    the slab's refractive index at k, when the caller has it.
 
-    The model |h_j| <= C j rho^j allows for a pair of near-coincident poles
-    of opposite residue, whose harmonics rise before they decay.
+    With x_p = e^{i phi} y_p and y_+- = E0 rn (rn -+ v) / (1 -+ rn v) (see
+    ``_pole_radius``), the integrand R(s) at the slab offset s times
+    Q(s) = prod_p |1 - e^{is} x_p|^2 is a trigonometric polynomial P of
+    degree 2, which six samples read exactly.  R = P / Q is then the sum
+    of its residue terms: for j >= 1 its coefficient c_j = h_j e^{i j phi}
+    is the sum of A_p x_p^j, with
+    A_p = P(1 / x_p) / [(1 - |x_p|^2) (1 - x_q / x_p) (1 - conj(x_q) x_p)],
+    q the other pole, and the six-sample average holds c_0 plus
+    2 Re sum A_p x_p^6 / (1 - x_p^6).  x^2 P(1 / x) is evaluated as a
+    polynomial in x, and A_p x_p in place of A_p, so that a small pole
+    ratio cannot overflow; h_j = A_p x_p^j e^{-i j phi} then gives
+    a = A_p x_p e^{-i phi}.  A slab with E0 = 0 has no slab harmonics:
+    both of its poles are (0, 0).
     """
+    n, rn, e0 = _surface(comb.left, comb.width, k, n)
+    vals = sample(k, (6,))
+    if e0 == 0.0:
+        return sum(vals) / 6.0, [(0j, 0j)] * 2
+    v = cmath.exp(1j * k * comb.gap)
+    turn = cmath.exp(2j * k * n.real * comb.width)
+    xs = [turn * e0 * rn * (rn - s * v) / (1.0 - s * rn * v) for s in (1, -1)]
+    # the twiddles of j = -1 are e^{is} at the six offsets s
+    ps = [r * abs((1.0 - z * xs[0]) * (1.0 - z * xs[1])) ** 2
+          for r, z in zip(vals, _roots(6)[1][1])]
+    # P's coefficients c_0, c_1 and c_2, in that order
+    p0, p1, p2 = _dft(ps, (6,)).values()
+    amps = [(p2 + x * (p1 + x * (p0 + x * (p1.conjugate()
+                                           + x * p2.conjugate()))))
+            / ((1.0 - abs(x) ** 2) * (x - q) * (1.0 - q.conjugate() * x))
+            for x, q in (xs, xs[::-1])]
+    h0 = sum(vals) / 6.0 - 2.0 * sum((a * x ** 5 / (1.0 - x ** 6)).real
+                                     for a, x in zip(amps, xs))
+    return h0, [(a / turn, x / turn) for a, x in zip(amps, xs)]
+
+
+def _band_points(form, comb, ks):
+    """``(ns, rates, h0s, poles, harm, tails)`` at the points ``ks`` of a
+    band of the identical slabs of ``comb``, with ``form(k, n)`` the pole
+    form at k (``_pole_form``): at each point the slab's refractive index
+    n, the rate phi' of its phase (``_slab_rate``), the slab-phase mean,
+    the poles of the slab harmonics, the harmonics {(j,): h_j} for j <= J,
+    and 2 rest / phi', the first order of the edge terms of the harmonics
+    past J, where rest is the closed-form bound on the sum over j > J of
+    |h_j| / j.  J is the least, at most _HARM_TOP, at which every point's
+    rest is at most the rounding floor _MEAN_NOISE * _NOISE_EPS * k."""
+    ns = [_index(comb.left, k) for k in ks]
+    h0s, poles = zip(*(form(k, n) for k, n in zip(ks, ns)))
+    mods = [[(abs(a), abs(y)) for a, y in p] for p in poles]
+
+    def rest(m, J):
+        return sum(a * y ** J / ((J + 1) * (1.0 - y)) for a, y in m)
     J = 1
-    while J < _HARM_OFFSETS // 2 - 1 and rho ** J > _HARM_DROP:
-        J += 1
-    h0, *harm = _harmonics(sample, comb, k, 2 * J + 2, index)
-    floor = _MEAN_NOISE * _NOISE_EPS * k
-    return h0, harm, max(abs(h) / (j * rho ** j)
-                         for j, h in enumerate(harm, 1)
-                         if j == 1 or abs(h) > floor)
+    for m, k in zip(mods, ks):
+        while J < _HARM_TOP and rest(m, J) > _MEAN_NOISE * _NOISE_EPS * k:
+            J += 1
+    harm = [{(j + 1,): a1 * y1 ** j + a2 * y2 ** j for j in range(J)}
+            for (a1, y1), (a2, y2) in poles]
+    rates = [_slab_rate(comb.left, comb.width, k, n) for k, n in zip(ks, ns)]
+    return ns, rates, h0s, poles, harm, [2.0 * rest(m, J) / r
+                                         for m, r in zip(mods, rates)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -708,7 +747,7 @@ def _switch(f, spec, cfg, axes, below=None, breakpoints=()):
 def _axis_size(ratios, harm, allow, x=0.0, rates=None, heads=None):
     """Offsets of each phase a of the harmonics ``harm`` ({j: h_j}), which
     fall like ``ratios[a]`` past their head: the fewest, at most
-    _HARM_OFFSETS, whose grid leaves no harmonic whose error exceeds
+    2 _HARM_TOP + 1, whose grid leaves no harmonic whose error exceeds
     ``allow``, for the tail average past ``x`` or, with the phases'
     ``rates`` and ``heads``, for a grid read for its harmonics.
 
@@ -739,7 +778,7 @@ def _axis_size(ratios, harm, allow, x=0.0, rates=None, heads=None):
                    for j, h in harm.items() if 0 < abs(j[a]) <= head],
                   default=0.0)
         n = 2 * head + 1 if heads else 2
-        while n < _HARM_OFFSETS - 1:
+        while n < 2 * _HARM_TOP + 1:
             if heads:
                 m = n // 2 + 1
                 err = 2.0 * amp * rho ** (m - head) / (m * abs(rates[a]))
@@ -928,14 +967,6 @@ def _stencil(nodes, m):
     return tuple(out)
 
 
-def _tail(c, rho, J):
-    """2 C times the sum over j > J of j rho^j where rho <= _RHO_MAX, else
-    0: the harmonics past the last sampled one."""
-    if rho > _RHO_MAX:
-        return 0.0
-    return 2.0 * c * rho ** (J + 1) * (J + 1 - J * rho) / (1.0 - rho) ** 2
-
-
 def _band_bounds(shifted, comb, lo, hi):
     """The slab-phase mean over a dense or shallow band [lo, hi] of the
     identical slabs of ``comb``, its size, and the edge terms of the slab
@@ -953,19 +984,20 @@ def _band_bounds(shifted, comb, lo, hi):
     resolves their gap-phase variation; the grid gives the absolute edge
     terms at the band's ends and the variation over every grid step.
 
-    Each grid point takes its harmonics and their amplitude C from
-    ``_sized_harmonics``.  Where its pole radius is at most ``_RHO_MAX``,
-    the tail sum over j > J of 2 C j rho^j joins its edge terms and the
-    variation of its grid steps; above that J reaches its cap and the grid
-    sums j <= J only.  The mean at k takes the least number n of
-    equidistant offsets whose aliased harmonics, at most
-    2 C n rho^n / (1 - rho^n)^2 with C the larger amplitude of k's grid
-    step, fit tol / 2.  The grid, the stencils of ``edges`` and the means
-    draw on one store of diagonal samples keyed on k and the offset count
-    n (``_sampler``)
-    for the life of the closure: a pass that asks again at the same k and
-    a tolerance that sizes the same n (the direct pass at the coarse pass's
-    nodes), or a stencil centred on a grid point, makes no kernel call.
+    Each grid point reads its mean and its harmonics from six samples and
+    the two cavity poles and sums j <= J (``_band_points``); the first
+    order of the rest, 2 rest / phi', joins its edge terms and the
+    variation of its grid steps.  The mean at k takes the least number
+    n <= 5 of equidistant offsets whose aliased harmonics, at most
+    2 sum_p |A_p| rho^n / (1 - rho^n) with rho the pole radius at k and
+    sum_p |A_p| rho_p the larger of k's grid step, fit tol / 2, and else
+    the six samples' mean from the poles (``_pole_form``).  The grid, the
+    stencils of ``edges`` and the means draw on one store of diagonal
+    samples keyed on k and the offset count n (``_sampler``) and one of
+    pole forms keyed on k, for the life of the closure: a pass that asks
+    again at the same k and a tolerance that sizes the same n (the direct
+    pass at the coarse pass's nodes), or a stencil centred on a grid point,
+    makes no kernel call and reads no pole form again.
 
     ``edges(x0, x1)`` returns ``(value, err)``: what the raw integral over
     [x0, x1] adds to the mean's, and its error.  Each end x takes one of
@@ -973,36 +1005,32 @@ def _band_bounds(shifted, comb, lo, hi):
     (-1)^m sigma_m(x) e^{i j phi(x)}, with sigma_0 = h_j / (i j phi') and
     sigma_{m+1} = sigma_m' / (i j phi'), enters the value (S(x1) - S(x0)),
     with its derivatives from the harmonics sampled on a stencil at x (see
-    ``_FD_STEP``) and its stencil error and tail past the last harmonic in
-    the error.  The absolute edge terms that the grid holds at the band's
-    own ends enter the error alone.  A band whose grid points all have
-    rho <= _RHO_MAX, where the harmonics have a tail model, takes S, except
-    at its own ends lo and hi where the absolute terms are no larger than
-    the grid's variation over the band, which the band charges anyway; a
-    band with a larger rho (a dense band) takes the absolute terms at both
-    of its ends.  The error adds the variation of the last order over
-    [x0, x1]: inside one grid step the change of the last order between x0
-    and x1, else its changes from x0 to the next grid point and from the
-    last grid point to x1 plus the whole steps between.
+    ``_FD_STEP``) and its stencil error and the first order of the
+    harmonics past the last in the error.  The absolute edge terms that
+    the grid holds at the band's own ends enter the error alone.  A band
+    whose grid points all have rho <= _RHO_MAX takes S, except at its own
+    ends lo and hi where the absolute terms are no larger than the grid's
+    variation over the band, which the band charges anyway; a band with a
+    larger rho (a dense band) takes the absolute terms at both of its
+    ends.  The error adds the variation of the last order over [x0, x1]:
+    inside one grid step the change of the last order between x0 and x1,
+    else its changes from x0 to the next grid point and from the last grid
+    point to x1 plus the whole steps between.
     """
     sample = _sampler(shifted)
+    form = functools.lru_cache(maxsize=None)(
+        functools.partial(_pole_form, sample, comb))
     m = max(2, int(math.ceil(_HARM_GRID * (hi - lo) * comb.gap / math.pi)))
     step = (hi - lo) / m
     ks = [lo + step * i for i in range(m)] + [hi]
-    ns = [_index(comb.left, k) for k in ks]
-    rates = [_slab_rate(comb.left, comb.width, k, n) for k, n in zip(ks, ns)]
-    rhos = [_pole_radius(comb, k, n) for k, n in zip(ks, ns)]
-    h0s, harm, amps = zip(*(_sized_harmonics(sample, comb, k, rho, n)
-                            for k, rho, n in zip(ks, rhos, ns)))
+    _, rates, h0s, poles, harm, tails = _band_points(form, comb, ks)
     size = step * (sum(map(abs, h0s)) - 0.5 * (abs(h0s[0]) + abs(h0s[-1])))
-    tails = [_tail(c, rho, len(h)) for h, c, rho in zip(harm, amps, rhos)]
     ends = [tails[0], tails[m]]
     jumps = [a + b for a, b in zip(tails, tails[1:])]
     # the last order sigma_2 = w / (i j)^3 of each harmonic at each point
     last = [{} for _ in ks]
-    for j in range(1, max(map(len, harm)) + 1):
-        u = [(h[j - 1] if j <= len(h) else 0.0) / r
-             for h, r in zip(harm, rates)]
+    for j in range(1, len(harm[0]) + 1):
+        u = [h[j, ] / r for h, r in zip(harm, rates)]
         v = [x / r for x, r in zip(_derivative(u, step), rates)]
         w = [x / r for x, r in zip(_derivative(v, step), rates)]
         for e, i in enumerate((0, m)):
@@ -1014,7 +1042,7 @@ def _band_bounds(shifted, comb, lo, hi):
             jumps[i] += 2.0 * abs(w[i + 1] - w[i]) / j ** 3
     variation = list(itertools.accumulate(jumps, initial=0.0))
     # the band's own ends that take the absolute terms the grid holds there
-    dense = max(rhos) > _RHO_MAX
+    dense = max(abs(y) for p in poles for _, y in p) > _RHO_MAX
     kept = {x: (0.0, e, last[i]) for x, e, i in ((lo, ends[0], 0),
                                                  (hi, ends[1], m))
             if dense or e <= variation[m]}
@@ -1023,41 +1051,31 @@ def _band_bounds(shifted, comb, lo, hi):
         """Grid steps (i, i') around x: i == i' on a grid point."""
         t = min(max((x - lo) / step, 0.0), float(m))
         i = int(round(t))
-        if abs(t - i) <= 1e-9:
-            return i, i
-        return int(t), int(t) + 1
+        return (i, i) if abs(t - i) <= 1e-9 else (int(t), int(t) + 1)
 
     def mean(k, tol):
-        i, i1 = cell(k)
-        c = max(amps[i], amps[i1])
-        rho = _pole_radius(comb, k)
-        n = 1
-        while 4.0 * c * n * rho ** n > tol * (1.0 - rho ** n) ** 2:
-            n += 1
-        return sum(sample(k, (n,))) / n
+        c = max(sum(abs(a) for a, _ in poles[i]) for i in cell(k))
+        index = _index(comb.left, k)
+        rho = _pole_radius(comb, k, index)
+        n = next((n for n in range(1, 6)
+                  if 4.0 * c * rho ** (n - 1) <= tol * (1.0 - rho ** n)), 0)
+        return sum(sample(k, (n,))) / n if n else form(k, index)[0]
 
     @functools.lru_cache(maxsize=None)
     def end(x):
         """``(value, err, last)`` of the end x: S(x) and its stencil error
-        plus the tail past the last harmonic, or the absolute terms kept
-        there, and the last order of each harmonic."""
+        plus the first order of the harmonics past the last, or the
+        absolute terms kept there, and the last order of each harmonic."""
         if x in kept:
             return kept[x]
         nodes = _STENCIL_NODES[x < 3.0 * _FD_STEP]
         ts = [x + _FD_STEP * z for z in nodes]
-        ns = [_index(comb.left, t) for t in ts]
-        rho = max(_pole_radius(comb, t, n) for t, n in zip(ts, ns))
-        _, hs, cs = zip(*(_sized_harmonics(sample, comb, t, rho, n)
-                          for t, n in zip(ts, ns)))
+        ns, rs, _, _, hs, tails = _band_points(form, comb, ts)
         at = nodes.index(0)
         s, err, terms = _edge_terms(
-            [{(j,): h for j, h in enumerate(hj, 1)} for hj in hs],
-            [[_slab_rate(comb.left, comb.width, t, n)]
-             for t, n in zip(ts, ns)],
-            [2.0 * x * ns[at].real * comb.width], nodes,
-            _FD_STEP, 0.0, math.inf)
-        return s, err + _tail(cs[at], rho, len(hs[0])), {
-            j: t[3] for j, t in terms.items()}
+            hs, [[r] for r in rs], [2.0 * x * ns[at].real * comb.width],
+            nodes, _FD_STEP, 0.0, math.inf)
+        return s, err + tails[at], {j: t[3] for j, t in terms.items()}
 
     def edges(x0, x1):
         """Within a grid step the variation is the chord of the last

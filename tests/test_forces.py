@@ -512,8 +512,9 @@ def test_slab_means_stop_at_the_rounding_floor(monkeypatch):
     # the docs ladder's shallow-band means: below abs_tol ~ 7e-11 their
     # tolerance is _mean_tol's rounding floor, 8 _NOISE_EPS k at the
     # bands' top (4.2e-14), so abs_tol 1e-12 and 1e-300 size the same
-    # offsets and give the same bits.  Without the floor the means at
-    # 1e-300 take up to 400 offsets, and 66,257 points for 9,266
+    # offsets and give the same bits.  Without the floor every mean at
+    # 1e-300 takes the six-sample pole form, and 6,578 points for 6,423.
+    # No call takes more than the (5, 5) grid past K
     points = []
     kernel = core.ic_brackets
 
@@ -529,7 +530,7 @@ def test_slab_means_stop_at_the_rounding_floor(monkeypatch):
                                 SPEC6.replace(abs_tol=abs_tol))
         runs.append((out, sum(points), max(points)))
     assert runs[0] == runs[1]
-    assert runs[0][2] <= forces._HARM_OFFSETS
+    assert runs[0][2] <= 25
 
 
 def bracket_sign_scan(cfg, k_max=60.0, samples=4096):
@@ -645,7 +646,9 @@ def test_slab_mean_settles_geometrically():
         assert all(d2 < d1 or d2 < floor
                    for d1, d2 in zip(diffs[:-1], diffs[1:]))
         assert diffs[-1] < 1e-9 * abs(ref)
-        assert mean(k, floor) == pytest.approx(ref, rel=1e-9)
+        # the pole form's mean, to the rounding its division amplifies
+        # (1.0e-12 at k = 14.15, where the mean is 4.2e-5)
+        assert mean(k, floor) == pytest.approx(ref, rel=1e-9, abs=1e-10)
 
 
 def test_diagonal_mean_for_identical_slabs():
@@ -665,10 +668,10 @@ def test_diagonal_mean_for_identical_slabs():
     assert forces._phase_average(f, 1.0, (4, 4, 4)) == pytest.approx(
         0.0, abs=1e-15)
     assert len(calls) == 1 and len(calls[0]) == 64
-    # the harmonics take their diagonal offsets in one call
+    # the slab harmonics take their six diagonal offsets in one call
     calls.clear()
-    forces._harmonics(forces._sampler(f), FIG_CFG, 1.0, forces._HARM_OFFSETS)
-    assert [len(c) for c in calls] == [forces._HARM_OFFSETS]
+    forces._pole_form(forces._sampler(f), FIG_CFG, 1.0)
+    assert [len(c) for c in calls] == [6]
     assert all(sl == sr and sg == 0.0 for c in calls for sl, sr, sg in c)
     # the switch point reads the phase average and the harmonics at k0 from
     # one call on its grid, which leads with the unshifted triple
@@ -1049,6 +1052,27 @@ def test_band_ends_take_the_signed_terms_past_the_grid_variation(
     assert _signed_ends(state, *low) == {0.0}
 
 
+def test_window_ends_snap_to_the_band_grid():
+    # a window end one ulp either side of a grid point of fig's low band
+    # lies on it up to rounding; it counts the grid steps on either side as
+    # the grid point itself does.  With an exact snap, the end one ulp
+    # above the grid point skips the next step's variation and the error
+    # of [x, hi] falls by 8.7%
+    f = forces._state_integrand(FIG_CFG)
+    (lo, hi), _ = forces._bands(FIG_CFG, 106.5)[1]
+    m = math.ceil(forces._HARM_GRID * (hi - lo) * FIG_CFG.gap / math.pi)
+    step = (hi - lo) / m
+    x = lo + step * 15
+    ends = (math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf))
+    assert len({(y - lo) / step for y in ends}) == 3
+    edges = forces._band_bounds(f, FIG_CFG, lo, hi)[2]
+    for window in (lambda y: (y, hi), lambda y: (lo, y)):
+        (dv, de), *rest = [edges(*window(y)) for y in ends]
+        for v, e in rest:
+            assert v == pytest.approx(dv, rel=1e-6)
+            assert e == pytest.approx(de, rel=1e-6)
+
+
 def test_fig_bath_integral_matches_the_rotated_route():
     # Z = R - f_vac, with f_vac the docs cavity's vacuum state force in
     # perfbench/reference.json (rel_tol 1e-12).  Z reads 9.9e-6 from it;
@@ -1136,7 +1160,8 @@ def test_pole_radius_matches_the_measured_harmonic_decay(cfg, k, rho):
     # clear of rounding, for the bath and the state integrands
     assert forces._pole_radius(cfg, k) == pytest.approx(rho, abs=1e-4)
     for f in _both_integrands(cfg):
-        h = forces._harmonics(forces._sampler(f), cfg, k, 256)[1:]
+        c = forces._dft(f(k, forces._grid((256,))), (256,))
+        h = [c[j, ] for j in range(1, 128)]
         ratios = [math.sqrt(abs(h[j + 2] / h[j])) for j in range(60)
                   if abs(h[j + 2]) > 2e-12 * k]
         assert len(ratios) >= 8
@@ -1146,24 +1171,59 @@ def test_pole_radius_matches_the_measured_harmonic_decay(cfg, k, rho):
 
 
 def test_harmonic_amplitude_bounds_the_measured_harmonics():
-    # on the grids of fig's band bounds, C j rho^j with C read from the
-    # sized 2J + 2 samples bounds every harmonic j <= 40 of a 128-sample DFT,
-    # up to the rounding floor
+    # on the grids of fig's band bounds, the sum over the two poles of
+    # |a_p| rho_p^(j - 1), read from six samples, bounds every harmonic
+    # j <= 40 of a 128-sample DFT, up to the rounding floor
     for f in _both_integrands(FIG_CFG):
         for lo, hi in forces._bands(FIG_CFG, 106.5)[1]:
             m = math.ceil(forces._HARM_GRID * (hi - lo) * FIG_CFG.gap
                           / math.pi)
             for i in range(m + 1):
                 k = lo + (hi - lo) * i / m
-                rho = forces._pole_radius(FIG_CFG, k)
-                _, harm, c = forces._sized_harmonics(forces._sampler(f),
-                                                     FIG_CFG, k, rho)
-                assert 2 * len(harm) + 2 <= forces._HARM_OFFSETS
+                poles = forces._pole_form(forces._sampler(f), FIG_CFG, k)[1]
+                assert len(poles) == 2
                 floor = forces._MEAN_NOISE * forces._NOISE_EPS * k
-                ref = forces._harmonics(forces._sampler(f), FIG_CFG, k,
-                                        128)[1:]
-                assert all(abs(h) <= c * j * rho ** j + 2.0 * floor
-                           for j, h in enumerate(ref[:40], 1))
+                ref = forces._dft(f(k, forces._grid((128,))), (128,))
+                assert all(abs(ref[j, ]) <= sum(abs(a) * abs(y) ** (j - 1)
+                                                for a, y in poles)
+                           + 2.0 * floor for j in range(1, 41))
+
+
+@pytest.mark.parametrize("cfg, k", [
+    (WEAK_CFG, 14.146), (WEAK_CFG, 14.155), (FIG_CFG, 3.0)],
+    ids=["weak-14.146", "weak-14.155", "fig-3"])
+def test_pole_form_matches_a_fine_dft(cfg, k):
+    # the mean and the harmonics h_1 .. h_20 from six samples and the two
+    # cavity poles, against a 4,096-sample DFT, for the bath and the state
+    # integrands; the weak points lie where rho >= 0.88 and the plain
+    # six-sample average is off by up to 1.1
+    if cfg is WEAK_CFG:
+        assert forces._pole_radius(cfg, k) >= 0.88
+    turn = cmath.exp(2j * k * forces._index(cfg.left, k).real * cfg.width)
+    ring = [cmath.exp(-2j * math.pi * i / 4096) for i in range(4096)]
+    for f in _both_integrands(cfg):
+        vals = f(k, forces._grid((4096,)))
+        c = [sum(v * ring[j * i % 4096] for i, v in enumerate(vals)) / 4096
+             for j in range(21)]
+        h0, poles = forces._pole_form(forces._sampler(f), cfg, k)
+        assert h0 == pytest.approx(c[0].real, abs=1e-10)
+        for j in range(1, 21):
+            h = sum(a * y ** (j - 1) for a, y in poles)
+            assert abs(h - c[j] / turn ** j) <= 1e-10
+
+
+def test_pole_radius_keeps_its_bits_without_the_slab_pole():
+    # the ratio E0 |rn|^2 of the slab pole never exceeds the larger gap
+    # pole's, so the two-term radius equals the three-term one bit for bit
+    for cfg, top in ((FIG_CFG, 40.0), (WEAK_CFG, 18.0)):
+        for i in range(1, 2001):
+            k = top * i / 2000
+            _, rn, e0 = forces._surface(cfg.left, cfg.width, k)
+            u = cmath.exp(1j * k * cfg.gap)
+            three = e0 * abs(rn) * max(abs(rn - u) / abs(1.0 - rn * u),
+                                       abs(rn + u) / abs(1.0 + rn * u),
+                                       abs(rn))
+            assert forces._pole_radius(cfg, k) == three
 
 
 def test_sized_mean_is_within_half_its_tolerance():
@@ -1201,20 +1261,22 @@ def test_band_route_follows_the_pole_radius():
             return f(k, offsets)
         return rec
 
-    # fig's shallow bands: at most 32 samples per grid point, and one call
-    # per mean
+    # fig's shallow bands: six samples per grid point, and one call of at
+    # most six per mean
     f = forces._zero_bath_integrand(FIG_CFG)
     for lo, hi in forces._bands(FIG_CFG, 106.5)[1]:
         calls.clear()
         mean = forces._band_bounds(recording(f), FIG_CFG, lo, hi)[0]
-        assert max(calls) <= forces._HARM_OFFSETS
-        assert min(calls) < forces._HARM_OFFSETS
+        assert set(calls) == {6}
         calls.clear()
         mean(0.5 * (lo + hi), 1e-10)
-        assert len(calls) == 1
-        _assert_means_reused(mean, 0.5 * (lo + hi), 1e-10, calls)
+        assert len(calls) == 1 and calls[0] <= 6
+        calls.clear()
+        mean(0.5 * (lo + hi) + 1e-3, 1e-3)
+        assert len(calls) == 1 and calls[0] < 6
+        _assert_means_reused(mean, 0.5 * (lo + hi) + 1e-3, 1e-3, calls)
     # the weak pair's dense bands have pole radii from 0.28 to 0.94, above
-    # _RHO_MAX: 32 samples at every grid point, and one call per mean
+    # _RHO_MAX: six samples at every grid point, and one call per mean
     f = forces._zero_bath_integrand(WEAK_CFG)
     bands = forces._bands(WEAK_CFG, 1.3 * 10.0 * math.sqrt(2.0))[0]
     assert len(bands) == 2
@@ -1224,11 +1286,14 @@ def test_band_route_follows_the_pole_radius():
         assert forces._RHO_MAX < min(rhos) and max(rhos) < 1.0
         calls.clear()
         mean = forces._band_bounds(recording(f), WEAK_CFG, lo, hi)[0]
-        assert set(calls) == {forces._HARM_OFFSETS}
+        assert set(calls) == {6}
         calls.clear()
-        mean(0.5 * (lo + hi), 1e-9)
-        assert len(calls) == 1
-        _assert_means_reused(mean, 0.5 * (lo + hi), 1e-9, calls)
+        mean(0.5 * (lo + hi) + 1e-3, 1e-9)
+        assert calls == [6]
+        calls.clear()
+        mean(0.5 * (lo + hi) + 2e-3, 1.0)
+        assert len(calls) == 1 and calls[0] < 6
+        _assert_means_reused(mean, 0.5 * (lo + hi) + 2e-3, 1.0, calls)
 
 
 def _assert_means_reused(mean, k, tol, calls):
@@ -1266,6 +1331,14 @@ def test_fig_bath_integral_offset_points(monkeypatch):
     # terms, and the one-panel mapped tail hold fig's Z to at most 5,000
     # bath-integrand offset points (10,909 with the probe march to 106.5)
     assert _offset_points(monkeypatch, FIG_CFG, SPEC6) <= 5000
+
+
+def test_weak_bath_integral_offset_points(monkeypatch):
+    # six samples per band grid point and stencil node and at most six per
+    # mean hold weak's Z, whose dense bands reach a pole radius of 0.94, to
+    # at most 2,000 offset points (1,098; 3,343 with means of up to 135
+    # offsets sized by a C j rho^j amplitude model)
+    assert _offset_points(monkeypatch, WEAK_CFG, WEAK_SPEC) <= 2000
 
 
 def test_fig_switch_point_sits_below_50(monkeypatch):
