@@ -136,9 +136,10 @@ end and the absolute terms the grid holds there are no larger than the
 band's variation; a dense band takes the absolute terms at both of its
 ends.  In every band each mean takes, in one call, the fewest offsets, up
 to five, whose aliased harmonics fit its tolerance, or else the six
-samples' exact mean from the poles.  Past the switch point the ladder's
-windows take the mean over every phase and the edge terms of every
-harmonic, as the tail does.
+samples' exact mean from the poles where the rounding that its division
+by the poles amplifies fits too, or else the plain mean of more offsets.
+Past the switch point the ladder's windows take the mean over every phase
+and the edge terms of every harmonic, as the tail does.
 
 Undamped slabs leave the real-axis tail undamped, so no classical improper
 integral exists there; only the rotated R and the absolutely convergent
@@ -432,12 +433,13 @@ def _pole_radius(cfg, k, n=None):
 
 
 def _pole_form(sample, comb, k, n=None):
-    """``(h0, poles)`` at k: the slab-phase mean h_0 of the integrand of
-    the identical slabs of ``comb`` and, for each of the two cavity poles,
+    """``(h0, poles, err)`` at k: the slab-phase mean h_0 of the integrand
+    of the identical slabs of ``comb``, for each of the two cavity poles
     ``(a, y)`` such that the slab harmonic h_j (see ``_band_bounds``) is
     the sum over the poles of a y^(j - 1) for every j >= 1, read from the
-    six diagonal samples ``sample(k, (6,))`` (see ``_sampler``).  ``n`` is
-    the slab's refractive index at k, when the caller has it.
+    six diagonal samples ``sample(k, (6,))`` (see ``_sampler``), and the
+    rounding h_0 carries.  ``n`` is the slab's refractive index at k, when
+    the caller has it.
 
     With x_p = e^{i phi} y_p and y_+- = E0 rn (rn -+ v) / (1 -+ rn v) (see
     ``_pole_radius``), the integrand R(s) at the slab offset s times
@@ -450,19 +452,28 @@ def _pole_form(sample, comb, k, n=None):
     2 Re sum A_p x_p^6 / (1 - x_p^6).  x^2 P(1 / x) is evaluated as a
     polynomial in x, and A_p x_p in place of A_p, so that a small pole
     ratio cannot overflow; h_j = A_p x_p^j e^{-i j phi} then gives
-    a = A_p x_p e^{-i phi}.  A slab with E0 = 0 has no slab harmonics:
-    both of its poles are (0, 0).
+    a = A_p x_p e^{-i phi}.
+
+    h_0 is linear in the samples, sum_l w_l R(s_l), so it carries at most
+    sum_l |w_l| times their noise: 1 for the plain average, more where the
+    division by Q amplifies it (a pole ratio near 1, or two poles close
+    together).  ``err`` is a bound on that gain from the pole ratios times
+    the larger of the evaluation noise _NOISE_EPS * k and the least noise
+    that explains the Nyquist term c_3 of P's samples, which is zero for
+    exact samples of R.  A slab with E0 = 0 has no slab harmonics: both of
+    its poles are (0, 0), and h_0 is the plain average, with ``err`` 0.
     """
     n, rn, e0 = _surface(comb.left, comb.width, k, n)
     vals = sample(k, (6,))
     if e0 == 0.0:
-        return sum(vals) / 6.0, [(0j, 0j)] * 2
+        return sum(vals) / 6.0, [(0j, 0j)] * 2, 0.0
     v = cmath.exp(1j * k * comb.gap)
     turn = cmath.exp(2j * k * n.real * comb.width)
     xs = [turn * e0 * rn * (rn - s * v) / (1.0 - s * rn * v) for s in (1, -1)]
     # the twiddles of j = -1 are e^{is} at the six offsets s
-    ps = [r * abs((1.0 - z * xs[0]) * (1.0 - z * xs[1])) ** 2
-          for r, z in zip(vals, _roots(6)[1][1])]
+    qs = [abs((1.0 - z * xs[0]) * (1.0 - z * xs[1])) ** 2
+          for z in _roots(6)[1][1]]
+    ps = [r * q for r, q in zip(vals, qs)]
     # P's coefficients c_0, c_1 and c_2, in that order
     p0, p1, p2 = _dft(ps, (6,)).values()
     amps = [(p2 + x * (p1 + x * (p0 + x * (p1.conjugate()
@@ -471,7 +482,19 @@ def _pole_form(sample, comb, k, n=None):
             for x, q in (xs, xs[::-1])]
     h0 = sum(vals) / 6.0 - 2.0 * sum((a * x ** 5 / (1.0 - x ** 6)).real
                                      for a, x in zip(amps, xs))
-    return h0, [(a / turn, x / turn) for a, x in zip(amps, xs)]
+    # h_0 = sum_l w_l R(s_l) with, at the offset s, w_l = (1 - 2 Re sum_p
+    # g_p Q(s) e^{-2is} sum_{m < 5} (x_p e^{is})^m) / 6 and g_p = x_p^5 /
+    # (d_p (1 - x_p^6)), d_p the divisor of A_p x_p above.  With r = |x|,
+    # |g_p| <= r_p^5 / ((1 - r_p^2) |x_p - x_q| |1 - conj(x_q) x_p|
+    # (1 - r_p^6)) and |Q(s) sum_m| <= (1 + r_p) (1 + r_q)^2 (1 + r_p^5),
+    # which bound sum_l |w_l|
+    r1, r2 = abs(xs[0]), abs(xs[1])
+    gain = 1.0 + 2.0 * (1.0 + r1) * (1.0 + r2) / (
+        abs(xs[0] - xs[1]) * abs(1.0 - xs[1].conjugate() * xs[0])) * sum(
+        r ** 5 * (1.0 + s) * (1.0 + r ** 5) / ((1.0 - r * r) * (1.0 - r ** 6))
+        for r, s in ((r1, r2), (r2, r1)))
+    noise = max(_NOISE_EPS * k, abs(sum(ps[::2]) - sum(ps[1::2])) / sum(qs))
+    return h0, [(a / turn, x / turn) for a, x in zip(amps, xs)], gain * noise
 
 
 def _band_points(form, comb, ks):
@@ -485,7 +508,7 @@ def _band_points(form, comb, ks):
     |h_j| / j.  J is the least, at most _HARM_TOP, at which every point's
     rest is at most the rounding floor _MEAN_NOISE * _NOISE_EPS * k."""
     ns = [_index(comb.left, k) for k in ks]
-    h0s, poles = zip(*(form(k, n) for k, n in zip(ks, ns)))
+    h0s, poles, _ = zip(*(form(k, n) for k, n in zip(ks, ns)))
     mods = [[(abs(a), abs(y)) for a, y in p] for p in poles]
 
     def rest(m, J):
@@ -991,13 +1014,15 @@ def _band_bounds(shifted, comb, lo, hi):
     n <= 5 of equidistant offsets whose aliased harmonics, at most
     2 sum_p |A_p| rho^n / (1 - rho^n) with rho the pole radius at k and
     sum_p |A_p| rho_p the larger of k's grid step, fit tol / 2, and else
-    the six samples' mean from the poles (``_pole_form``).  The grid, the
-    stencils of ``edges`` and the means draw on one store of diagonal
-    samples keyed on k and the offset count n (``_sampler``) and one of
-    pole forms keyed on k, for the life of the closure: a pass that asks
-    again at the same k and a tolerance that sizes the same n (the direct
-    pass at the coarse pass's nodes), or a stencil centred on a grid point,
-    makes no kernel call and reads no pole form again.
+    the six samples' mean from the poles (``_pole_form``) where its charged
+    rounding fits tol / 2 as well, and else the least n > 5 whose aliased
+    harmonics fit.  The grid, the stencils of ``edges`` and the means draw
+    on one store of diagonal samples keyed on k and the offset count n
+    (``_sampler``) and one of pole forms keyed on k, for the life of the
+    closure: a pass that asks again at the same k and a tolerance that
+    sizes the same n (the direct pass at the coarse pass's nodes), or a
+    stencil centred on a grid point, makes no kernel call and reads no pole
+    form again.
 
     ``edges(x0, x1)`` returns ``(value, err)``: what the raw integral over
     [x0, x1] adds to the mean's, and its error.  Each end x takes one of
@@ -1051,15 +1076,24 @@ def _band_bounds(shifted, comb, lo, hi):
         """Grid steps (i, i') around x: i == i' on a grid point."""
         t = min(max((x - lo) / step, 0.0), float(m))
         i = int(round(t))
-        return (i, i) if abs(t - i) <= 1e-9 else (int(t), int(t) + 1)
+        if abs(t - i) <= 1e-9:
+            return i, i
+        return int(t), int(t) + 1
 
     def mean(k, tol):
         c = max(sum(abs(a) for a, _ in poles[i]) for i in cell(k))
         index = _index(comb.left, k)
         rho = _pole_radius(comb, k, index)
-        n = next((n for n in range(1, 6)
-                  if 4.0 * c * rho ** (n - 1) <= tol * (1.0 - rho ** n)), 0)
-        return sum(sample(k, (n,))) / n if n else form(k, index)[0]
+
+        def fits(n):
+            return 4.0 * c * rho ** (n - 1) <= tol * (1.0 - rho ** n)
+        n = next((n for n in range(1, 6) if fits(n)), 6)
+        if n == 6:
+            h0, _, err = form(k, index)
+            if err <= 0.5 * tol:
+                return h0
+            n = next(n for n in itertools.count(6) if fits(n))
+        return sum(sample(k, (n,))) / n
 
     @functools.lru_cache(maxsize=None)
     def end(x):

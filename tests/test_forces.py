@@ -512,9 +512,10 @@ def test_slab_means_stop_at_the_rounding_floor(monkeypatch):
     # the docs ladder's shallow-band means: below abs_tol ~ 7e-11 their
     # tolerance is _mean_tol's rounding floor, 8 _NOISE_EPS k at the
     # bands' top (4.2e-14), so abs_tol 1e-12 and 1e-300 size the same
-    # offsets and give the same bits.  Without the floor every mean at
-    # 1e-300 takes the six-sample pole form, and 6,578 points for 6,423.
-    # No call takes more than the (5, 5) grid past K
+    # offsets and give the same bits.  Without the floor the means at
+    # 1e-300 fall below the pole form's rounding and take plain offsets,
+    # up to 397 in one call and 66,403 points for 6,423.  No call takes
+    # more than the (5, 5) grid past K
     points = []
     kernel = core.ic_brackets
 
@@ -646,9 +647,7 @@ def test_slab_mean_settles_geometrically():
         assert all(d2 < d1 or d2 < floor
                    for d1, d2 in zip(diffs[:-1], diffs[1:]))
         assert diffs[-1] < 1e-9 * abs(ref)
-        # the pole form's mean, to the rounding its division amplifies
-        # (1.0e-12 at k = 14.15, where the mean is 4.2e-5)
-        assert mean(k, floor) == pytest.approx(ref, rel=1e-9, abs=1e-10)
+        assert mean(k, floor) == pytest.approx(ref, rel=1e-9)
 
 
 def test_diagonal_mean_for_identical_slabs():
@@ -1205,11 +1204,54 @@ def test_pole_form_matches_a_fine_dft(cfg, k):
         vals = f(k, forces._grid((4096,)))
         c = [sum(v * ring[j * i % 4096] for i, v in enumerate(vals)) / 4096
              for j in range(21)]
-        h0, poles = forces._pole_form(forces._sampler(f), cfg, k)
+        h0, poles, _ = forces._pole_form(forces._sampler(f), cfg, k)
         assert h0 == pytest.approx(c[0].real, abs=1e-10)
         for j in range(1, 21):
             h = sum(a * y ** (j - 1) for a, y in poles)
             assert abs(h - c[j] / turn ** j) <= 1e-10
+
+
+def test_band_mean_leaves_the_pole_form_below_its_rounding():
+    # at weak k = 14.15 (rho = 0.906) the pole form bounds the gain of its
+    # division by Q on the six samples' rounding at 8,100: its mean is off
+    # by 1.0e-12 against a 4,096-offset mean, within its charge of 2.3e-11.
+    # At tol 1e-9 the mean is the pole form's; at tol 1e-12 it takes plain
+    # offsets sized by the aliasing bound, in one call, and meets tol / 2
+    f = forces._zero_bath_integrand(WEAK_CFG)
+    k = 14.15
+    (lo, hi), = [b for b in forces._bands(WEAK_CFG,
+                                          1.3 * 10.0 * math.sqrt(2.0))[0]
+                 if b[0] < k < b[1]]
+    calls = []
+
+    def rec(x, offsets):
+        calls.append(len(offsets))
+        return f(x, offsets)
+    mean = forces._band_bounds(rec, WEAK_CFG, lo, hi)[0]
+    ref = sum(f(k, forces._grid((4096,)))) / 4096
+    h0, _, err = forces._pole_form(forces._sampler(f), WEAK_CFG, k)
+    assert 0.5e-12 < abs(h0 - ref) <= err
+    calls.clear()
+    assert mean(k, 1e-9) == h0
+    assert calls == [6]
+    assert abs(mean(k, 1e-12) - ref) <= 0.5e-12
+    assert len(calls) == 2 and calls[1] > 6
+
+
+def test_pole_form_charges_what_its_nyquist_term_shows():
+    # an integrand off the two-pole form by 1e-9 cos(3 s), which the six
+    # samples see only in P's Nyquist term c_3: at weak k = 14.15 the pole
+    # form's mean is then off by 3.3e-7, which its charge covers; the
+    # evaluation noise alone would charge 2.3e-11
+    f = forces._zero_bath_integrand(WEAK_CFG)
+
+    def g(x, offsets):
+        return [v + 1e-9 * math.cos(3.0 * s[0])
+                for v, s in zip(f(x, offsets), offsets)]
+    k = 14.15
+    ref = sum(g(k, forces._grid((4096,)))) / 4096
+    h0, _, err = forces._pole_form(forces._sampler(g), WEAK_CFG, k)
+    assert 1e-7 < abs(h0 - ref) <= err
 
 
 def test_pole_radius_keeps_its_bits_without_the_slab_pole():
@@ -1271,10 +1313,7 @@ def test_band_route_follows_the_pole_radius():
         calls.clear()
         mean(0.5 * (lo + hi), 1e-10)
         assert len(calls) == 1 and calls[0] <= 6
-        calls.clear()
-        mean(0.5 * (lo + hi) + 1e-3, 1e-3)
-        assert len(calls) == 1 and calls[0] < 6
-        _assert_means_reused(mean, 0.5 * (lo + hi) + 1e-3, 1e-3, calls)
+        _assert_means_reused(mean, 0.5 * (lo + hi), 1e-10, calls)
     # the weak pair's dense bands have pole radii from 0.28 to 0.94, above
     # _RHO_MAX: six samples at every grid point, and one call per mean
     f = forces._zero_bath_integrand(WEAK_CFG)
@@ -1287,13 +1326,17 @@ def test_band_route_follows_the_pole_radius():
         calls.clear()
         mean = forces._band_bounds(recording(f), WEAK_CFG, lo, hi)[0]
         assert set(calls) == {6}
+        # off the grid, a mean takes the six-sample pole form; the same
+        # mean again and one at a tighter tolerance the pole form still
+        # meets make no kernel call, and one below its rounding takes more
+        # plain offsets in one call
+        k = 0.5 * (lo + hi) + 1e-3
         calls.clear()
-        mean(0.5 * (lo + hi) + 1e-3, 1e-9)
+        mean(k, 1e-9)
         assert calls == [6]
-        calls.clear()
-        mean(0.5 * (lo + hi) + 2e-3, 1.0)
-        assert len(calls) == 1 and calls[0] < 6
-        _assert_means_reused(mean, 0.5 * (lo + hi) + 2e-3, 1.0, calls)
+        mean(k, 1e-11)
+        assert calls == [6]
+        _assert_means_reused(mean, k, 1e-9, calls)
 
 
 def _assert_means_reused(mean, k, tol, calls):
