@@ -13,6 +13,10 @@ run the parent first and even seeds the change, so slow drift of the host
 does not favour one side.
 One traced run (``--trace 1``) per workload and checkout at seed 0 gives the
 per-layer counts, and the tier-1 pytest command runs once per checkout.
+Every interpreter started in a checkout, these and those below, keeps its
+bytecode in a fresh empty directory of that checkout's own
+(``PYTHONPYCACHEPREFIX``), so a ``__pycache__`` left in the tree by earlier
+runs is never read.
 Every metric is recorded as median and quartiles per side, every run is
 kept, and for ``wall_s`` the entry counts the pairs the change won.
 The entry also records each side's size: the physical and the code lines
@@ -46,11 +50,12 @@ other stages.
 ``K`` is Z's switch point and ``grids`` the offsets per phase of the
 probe at k0, of the edge terms' grid at K and of the tail average (empty
 on checkouts that size no grid).  Every memo is cleared before each
-cavity.  With Z memoized, ``excess_calls`` counts the kernel calls of the thermal
-state excess X (``core.ic_bracket``) and of the bath excess Y
-(``core.bath_factors``, or ``core.bath_weighted`` on a checkout without it)
-in the workload's ``force_total`` calls at seed 0 (one, or two on
-``noneq_mild``), which the tracer cannot attribute to them.
+cavity and before the docs ladder.  With Z memoized, ``excess_calls``
+counts the kernel calls of the thermal state excess X (``core.ic_bracket``)
+and of the bath excess Y (``core.bath_factors``, or ``core.bath_weighted``
+on a checkout without it) in the workload's ``force_total`` calls at seed
+0 (one, or two on ``noneq_mild``), which the tracer cannot attribute to
+them.
 ``points(tree)`` gives them on their own.  Next to them, ``docs_ladder``
 counts the docs sigma ladder's ``core.ic_brackets`` calls and points and
 records its switch points K (one per ``omega0_list`` entry), a layer the
@@ -70,19 +75,23 @@ function that takes a cavity, ``a, d, matL, matR``, after its frequency)
 and the bookkeeping around them: the total seconds, the seconds spent
 inside the integrand kernels that the package calls, and the
 ``refractive_at`` calls made outside them, each the median over 9 fresh
-interpreters.  ``split(tree)`` gives them on their own.
+interpreters, each target from cold memos.  ``split(tree)`` gives them
+on their own.
 """
 
 import argparse
 import ast
+import atexit
 import io
 import json
 import os
 import platform
 import re
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 import tokenize
 
@@ -99,19 +108,34 @@ _LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
            tokenize.DEDENT, tokenize.ENDMARKER}
 
 
+_PYCACHE = {}
+
+
+def _env(tree, **extra):
+    """The environment of every interpreter run in ``tree``, ``extra``
+    added: its bytecode cache in a fresh empty directory of its own for the
+    life of this process (``PYTHONPYCACHEPREFIX``), so that, as in the
+    benchmark's own runs from fresh checkouts, no run reads a
+    ``__pycache__`` that an earlier run left in the tree."""
+    if tree not in _PYCACHE:
+        _PYCACHE[tree] = tempfile.mkdtemp(prefix="pycache-")
+        atexit.register(shutil.rmtree, _PYCACHE[tree], True)
+    return dict(os.environ, PYTHONPYCACHEPREFIX=_PYCACHE[tree], **extra)
+
+
 def _bench(tree, workload, seed, trace):
     """The metrics JSON object ``perfbench/run.py`` prints last."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(SECONDS),
            "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
-                          check=True)
+                          env=_env(tree), check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 def _tier1(tree):
     """Wall seconds and summary line of the tier-1 pytest run in ``tree``."""
-    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    env = _env(tree, PYTHONPATH=os.path.join(tree, "src"))
     start = time.monotonic()
     proc = subprocess.run(TIER1, cwd=tree, capture_output=True, text=True,
                           env=env)
@@ -208,9 +232,21 @@ print(json.dumps({k: repr(v) for k, v in out.items()}))
 """
 
 
+# Defines cold(), which clears every per-process memo of forces that the
+# checkout has, so that what runs next starts as a fresh process would.
+_COLD = r"""
+def cold():
+    for name in ("_vacuum_bath", "_rotated_vacuum", "_cavity_excess",
+                 "_bath_factors", "_kinds"):
+        memo = getattr(forces, name, None)
+        if hasattr(memo, "cache_clear"):
+            memo.cache_clear()
+"""
+
+
 # Run like _OUTPUTS; prints Z's kernel points by stage and its grids at
 # the switch point, Z and the excesses' kernel calls per workload cavity and
-# the docs ladder's points as JSON.
+# the docs ladder's points as JSON, each measured from cold memos.
 _POINTS = r"""
 import collections, json, sys
 sys.path.insert(0, "perfbench")
@@ -218,6 +254,7 @@ import workloads as W
 from casimir1d import cli, forces
 from casimir1d.kernels import core
 from casimir1d.states import FieldState
+""" + _COLD + r"""
 
 rc = cli.load_run_config(W.SWEEP_INI, need_sweep=True)
 calls = []
@@ -227,9 +264,6 @@ excess_calls = collections.Counter()
 stage = ["direct"]
 stages = collections.Counter()
 grids = []
-memos = [getattr(forces, m, None) for m in ("_vacuum_bath", "_rotated_vacuum",
-                                           "_cavity_excess", "_bath_factors")]
-memos = [m for m in memos if hasattr(m, "cache_clear")]
 
 
 def counting(name):
@@ -338,8 +372,7 @@ for name, cfg, spec, runs in (
     modes = [km for km, _, _, _ in forces._gap_modes(cfg)]
     del calls[:], grids[:], switched[:]
     stages.clear()
-    for memo in memos:
-        memo.cache_clear()
+    cold()
     z = forces._vacuum_bath(cfg, spec)
     raw = [k for k, n in calls if n == 1]
     (got,) = switched
@@ -369,6 +402,7 @@ def recording(*args):
 forces._switch = recording
 counting("ic_brackets")
 del calls[:]
+cold()
 for w in rc.omega0_list:
     forces.band_excess_curve(rc.cavity, w, rc.sigma_grid, rc.spec)
 out["docs_ladder"] = {"calls": len(calls),
@@ -384,13 +418,15 @@ print(json.dumps(out))
 # binds core a copy of it whose integrand kernels are timed, so the calls
 # core makes within itself stay unwrapped; refractive_at is counted and
 # left outside the kernels' seconds, and the cheap helpers called per node
-# (occupation_excess, bath_weigh) are neither.
+# (occupation_excess, bath_weigh) are neither.  The target runs from cold
+# memos.
 _SPLIT = r"""
 import inspect, json, sys, time, types
 sys.path.insert(0, "perfbench")
 import workloads as W
 from casimir1d import cli, forces
 from casimir1d.kernels import core
+""" + _COLD + r"""
 
 target, mode = sys.argv[1:3]
 rc = cli.load_run_config(W.SWEEP_INI, need_sweep=True)
@@ -429,6 +465,7 @@ if mode == "kernels":
         if getattr(mod, "__name__", "").startswith("casimir1d") \
                 and getattr(mod, "core", None) is core:
             mod.core = copy
+cold()
 start = time.perf_counter()
 if target == "docs_ladder":
     for w in rc.omega0_list:
@@ -448,7 +485,7 @@ SPLIT_TARGETS = WORKLOADS + ("docs_ladder", "noneq_mild_Y")
 def _run(tree, script, *args):
     """The JSON object ``script`` prints last, run with ``args`` in
     ``tree`` with its src on the path."""
-    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    env = _env(tree, PYTHONPATH=os.path.join(tree, "src"))
     proc = subprocess.run([sys.executable, "-c", script, *args], cwd=tree,
                           capture_output=True, text=True, env=env,
                           check=True)
@@ -513,14 +550,14 @@ def imports(trees, runs=IMPORT_RUNS):
     time (see the module docstring).  Each round runs one interpreter per
     side, the sides in turn and the first side alternating from round to
     round."""
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     sides = list(trees)
     samples = {side: [] for side in sides}
     for i in range(runs):
         for side in sides if i % 2 == 0 else sides[::-1]:
             proc = subprocess.run(
                 [sys.executable, "-X", "importtime", "-c", _SETUP_IMPORTS],
-                cwd=trees[side], capture_output=True, text=True, env=env,
+                cwd=trees[side], capture_output=True, text=True,
+                env=_env(trees[side], PYTHONDONTWRITEBYTECODE="1"),
                 check=True)
             samples[side].append({m: int(us) for us, m in
                                   _IMPORTTIME.findall(proc.stderr)})

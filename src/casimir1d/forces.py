@@ -35,7 +35,10 @@ process for each cavity and spec, and the state excess for each cavity,
 state and spec, so forces at several bath temperatures compute each once;
 the bath excess weighs the bath kernel's weight-free parts, memoized per
 cavity and k, so it calls the kernel only at k that no earlier bath
-excess on the cavity sampled.  A raised error is not memoized.  Lossless
+excess on the cavity sampled; and the slab-band scans read the band kind
+of each k, memoized per cavity, so the sigma ladder's scan classifies only
+the points that Z's scan of the same cavity did not.  A raised error is
+not memoized.  Lossless
 pairs have no bath (Z = 0), so their state force is R alone.  Half-spaces
 are slabs of infinite width, whose bare state and bath integrals both
 diverge; their grouped force is R plus the thermal excesses, with no
@@ -127,9 +130,10 @@ identical slabs the integrand is rational in e^{i phi}, with the two zeros
 of the cavity denominator for poles (each slab's Airy sum of round trips),
 so six samples give its mean and every harmonic exactly: h_j is a sum of
 two geometric terms in j, falling like rho^j with rho the larger pole
-ratio (``_pole_form``).  Each grid point and stencil node takes those six
-samples and sums j up to where the closed-form remainder falls below
-rounding, at most 15, and charges the first order of the rest.  Where
+ratio (``_pole_form``, whose step past the samples reads P's three
+coefficients with fixed twiddles).  Each grid point and stencil node takes
+those six samples and sums j up to where the closed-form remainder falls
+below rounding, at most 15, and charges the first order of the rest.  Where
 every grid point has rho <= 0.25, an end takes the signed edge terms,
 with derivatives from a stencil at the end, unless it is the band's own
 end and the absolute terms the grid holds there are no larger than the
@@ -137,7 +141,8 @@ band's variation; a dense band takes the absolute terms at both of its
 ends.  In every band each mean takes, in one call, the fewest offsets, up
 to five, whose aliased harmonics fit its tolerance, or else the six
 samples' exact mean from the poles where the rounding that its division
-by the poles amplifies fits too, or else the plain mean of more offsets.
+by the poles amplifies fits too, or else the plain mean of more offsets;
+only a mean computes that rounding charge.
 Past the switch point the ladder's windows take the mean over every phase
 and the edge terms of every harmonic, as the tail does.
 
@@ -258,9 +263,9 @@ _MAX_TAIL_PANELS = 240
 _NOISE_EPS = 2e-16
 # Entries of each per-process memo: the zero-temperature bath integral Z
 # and the rotated total R per cavity and spec, the state excess X per
-# cavity, state and spec, and the bath kernel's weight-free parts per
-# cavity (each holding one entry per k sampled).  A sweep or a
-# nonequilibrium study needs one or two entries; the bound keeps a
+# cavity, state and spec, and the bath kernel's weight-free parts and the
+# band scans' kinds per cavity (each holding one entry per k sampled).  A
+# sweep or a nonequilibrium study needs one or two entries; the bound keeps a
 # long-running caller from growing.
 _VACUUM_CACHE_SIZE = 32
 # Relative rounding allowance for the zero-temperature bath integral Z that
@@ -412,6 +417,17 @@ def _surface(mat, d, k, n=None):
     return n, (1.0 - n) / (1.0 + n), math.exp(-x) if x < 700.0 else 0.0
 
 
+def _pole_parts(cfg, k, n=None):
+    """``(n, rn, E0, v, rho)`` at k of the identical slabs of ``cfg``: the
+    slab's refractive index n (computed when not given), its surface
+    reflection rn and internal transmission E0 (``_surface``), the gap
+    phasor v = e^{i k a} and the pole radius rho (``_pole_radius``)."""
+    n, rn, e0 = _surface(cfg.left, cfg.width, k, n)
+    v = cmath.exp(1j * k * cfg.gap)
+    return n, rn, e0, v, e0 * abs(rn) * max(abs(rn - v) / abs(1.0 - rn * v),
+                                            abs(rn + v) / abs(1.0 + rn * v))
+
+
 def _pole_radius(cfg, k, n=None):
     """Decay ratio rho of the slab harmonics of identical slabs at k, from
     their refractive index n there (computed when not given).
@@ -426,20 +442,18 @@ def _pole_radius(cfg, k, n=None):
     rho anyway: |rn - v|^2 + |rn + v|^2 = |1 - rn v|^2 + |1 + rn v|^2, so
     one of the two ratios over E0 |rn| is at least 1 > |rn|.
     """
-    _, rn, e0 = _surface(cfg.left, cfg.width, k, n)
-    v = cmath.exp(1j * k * cfg.gap)
-    return e0 * abs(rn) * max(abs(rn - v) / abs(1.0 - rn * v),
-                              abs(rn + v) / abs(1.0 + rn * v))
+    return _pole_parts(cfg, k, n)[4]
 
 
-def _pole_form(sample, comb, k, n=None):
-    """``(h0, poles, err)`` at k: the slab-phase mean h_0 of the integrand
-    of the identical slabs of ``comb``, for each of the two cavity poles
+def _pole_form(vals, width, k, parts, charge=False):
+    """``(h0, poles, err)`` at k: the slab-phase mean h_0 of an integrand of
+    identical slabs of width ``width``, for each of the two cavity poles
     ``(a, y)`` such that the slab harmonic h_j (see ``_band_bounds``) is
-    the sum over the poles of a y^(j - 1) for every j >= 1, read from the
-    six diagonal samples ``sample(k, (6,))`` (see ``_sampler``), and the
-    rounding h_0 carries.  ``n`` is the slab's refractive index at k, when
-    the caller has it.
+    the sum over the poles of a y^(j - 1) for every j >= 1, and, with
+    ``charge``, the rounding h0 carries (else 0), read from the six
+    diagonal samples ``vals`` at k (``sample(k, (6,))``, see ``_sampler``)
+    and the pole pair that the slab's index, surface and gap phasor at k
+    give (``parts``, see ``_pole_parts``).
 
     With x_p = e^{i phi} y_p and y_+- = E0 rn (rn -+ v) / (1 -+ rn v) (see
     ``_pole_radius``), the integrand R(s) at the slab offset s times
@@ -463,52 +477,54 @@ def _pole_form(sample, comb, k, n=None):
     exact samples of R.  A slab with E0 = 0 has no slab harmonics: both of
     its poles are (0, 0), and h_0 is the plain average, with ``err`` 0.
     """
-    n, rn, e0 = _surface(comb.left, comb.width, k, n)
-    vals = sample(k, (6,))
+    n, rn, e0, v, _ = parts
     if e0 == 0.0:
         return sum(vals) / 6.0, [(0j, 0j)] * 2, 0.0
-    v = cmath.exp(1j * k * comb.gap)
-    turn = cmath.exp(2j * k * n.real * comb.width)
+    turn = cmath.exp(2j * k * n.real * width)
     xs = [turn * e0 * rn * (rn - s * v) / (1.0 - s * rn * v) for s in (1, -1)]
-    # the twiddles of j = -1 are e^{is} at the six offsets s
-    qs = [abs((1.0 - z * xs[0]) * (1.0 - z * xs[1])) ** 2
-          for z in _roots(6)[1][1]]
-    ps = [r * q for r, q in zip(vals, qs)]
-    # P's coefficients c_0, c_1 and c_2, in that order
-    p0, p1, p2 = _dft(ps, (6,)).values()
+    x1, x2 = xs
+    qs = [abs((1.0 - z * x1) * (1.0 - z * x2)) ** 2 for z in _SPIN]
+    ps = list(map(operator.mul, vals, qs))
+    # P's coefficients c_0, c_1 and c_2, summed as ``_dft`` sums them
+    p0, p1, p2 = [sum(map(operator.mul, tw, ps)) / 6 for tw in _SIX]
     amps = [(p2 + x * (p1 + x * (p0 + x * (p1.conjugate()
                                            + x * p2.conjugate()))))
             / ((1.0 - abs(x) ** 2) * (x - q) * (1.0 - q.conjugate() * x))
-            for x, q in (xs, xs[::-1])]
+            for x, q in ((x1, x2), (x2, x1))]
     h0 = sum(vals) / 6.0 - 2.0 * sum((a * x ** 5 / (1.0 - x ** 6)).real
                                      for a, x in zip(amps, xs))
+    poles = [(a / turn, x / turn) for a, x in zip(amps, xs)]
+    if not charge:
+        return h0, poles, 0.0
     # h_0 = sum_l w_l R(s_l) with, at the offset s, w_l = (1 - 2 Re sum_p
     # g_p Q(s) e^{-2is} sum_{m < 5} (x_p e^{is})^m) / 6 and g_p = x_p^5 /
     # (d_p (1 - x_p^6)), d_p the divisor of A_p x_p above.  With r = |x|,
     # |g_p| <= r_p^5 / ((1 - r_p^2) |x_p - x_q| |1 - conj(x_q) x_p|
     # (1 - r_p^6)) and |Q(s) sum_m| <= (1 + r_p) (1 + r_q)^2 (1 + r_p^5),
     # which bound sum_l |w_l|
-    r1, r2 = abs(xs[0]), abs(xs[1])
+    r1, r2 = abs(x1), abs(x2)
     gain = 1.0 + 2.0 * (1.0 + r1) * (1.0 + r2) / (
-        abs(xs[0] - xs[1]) * abs(1.0 - xs[1].conjugate() * xs[0])) * sum(
+        abs(x1 - x2) * abs(1.0 - x2.conjugate() * x1)) * sum(
         r ** 5 * (1.0 + s) * (1.0 + r ** 5) / ((1.0 - r * r) * (1.0 - r ** 6))
         for r, s in ((r1, r2), (r2, r1)))
     noise = max(_NOISE_EPS * k, abs(sum(ps[::2]) - sum(ps[1::2])) / sum(qs))
-    return h0, [(a / turn, x / turn) for a, x in zip(amps, xs)], gain * noise
+    return h0, poles, gain * noise
 
 
 def _band_points(form, comb, ks):
     """``(ns, rates, h0s, poles, harm, tails)`` at the points ``ks`` of a
-    band of the identical slabs of ``comb``, with ``form(k, n)`` the pole
-    form at k (``_pole_form``): at each point the slab's refractive index
-    n, the rate phi' of its phase (``_slab_rate``), the slab-phase mean,
-    the poles of the slab harmonics, the harmonics {(j,): h_j} for j <= J,
-    and 2 rest / phi', the first order of the edge terms of the harmonics
-    past J, where rest is the closed-form bound on the sum over j > J of
-    |h_j| / j.  J is the least, at most _HARM_TOP, at which every point's
-    rest is at most the rounding floor _MEAN_NOISE * _NOISE_EPS * k."""
-    ns = [_index(comb.left, k) for k in ks]
-    h0s, poles, _ = zip(*(form(k, n) for k, n in zip(ks, ns)))
+    band of the identical slabs of ``comb``, with ``form(k, parts)`` the
+    uncharged pole form at k (``_pole_form``): at each point the slab's
+    refractive index n, the rate phi' of its phase (``_slab_rate``), the
+    slab-phase mean, the poles of the slab harmonics, the harmonics
+    {(j,): h_j} for j <= J, and 2 rest / phi', the first order of the edge
+    terms of the harmonics past J, where rest is the closed-form bound on
+    the sum over j > J of |h_j| / j.  J is the least, at most _HARM_TOP, at
+    which every point's rest is at most the rounding floor
+    _MEAN_NOISE * _NOISE_EPS * k."""
+    parts = [_pole_parts(comb, k) for k in ks]
+    ns = [p[0] for p in parts]
+    h0s, poles, _ = zip(*map(form, ks, parts))
     mods = [[(abs(a), abs(y)) for a, y in p] for p in poles]
 
     def rest(m, J):
@@ -533,6 +549,12 @@ def _roots(n):
     top = (n - 1) // 2
     return tuple((j, tuple(ring[j * l % n] for l in range(n)))
                  for j in range(-top, top + 1))
+
+
+# The twiddles of six samples that ``_pole_form`` reads: those of ``_dft``
+# for j = 0, 1 and 2, and e^{is} at the six offsets s (those of j = -1)
+_SIX = tuple(tw for _, tw in _roots(6)[2:])
+_SPIN = _roots(6)[1][1]
 
 
 def _dft(vals, dims, lead=True):
@@ -1016,13 +1038,17 @@ def _band_bounds(shifted, comb, lo, hi):
     sum_p |A_p| rho_p the larger of k's grid step, fit tol / 2, and else
     the six samples' mean from the poles (``_pole_form``) where its charged
     rounding fits tol / 2 as well, and else the least n > 5 whose aliased
-    harmonics fit.  The grid, the stencils of ``edges`` and the means draw
-    on one store of diagonal samples keyed on k and the offset count n
-    (``_sampler``) and one of pole forms keyed on k, for the life of the
-    closure: a pass that asks again at the same k and a tolerance that
-    sizes the same n (the direct pass at the coarse pass's nodes), or a
-    stencil centred on a grid point, makes no kernel call and reads no pole
-    form again.
+    harmonics fit; its amplitude bound comes from a list built once per
+    band, and the index, surface and gap phasor it computes for rho serve
+    its pole form too (``_pole_parts``).  Only the means' pole forms
+    compute the rounding charge; the grid's and the stencils' need none.
+    The grid, the stencils of ``edges`` and the means draw on one store of
+    diagonal samples keyed on k and the offset count n (``_sampler``) and
+    one of pole forms keyed on k and whether they are charged, for the life
+    of the closure: a pass that asks again at the same k and a tolerance
+    that sizes the same n (the direct pass at the coarse pass's nodes), or
+    a stencil centred on a grid point, makes no kernel call and reads no
+    pole form again.
 
     ``edges(x0, x1)`` returns ``(value, err)``: what the raw integral over
     [x0, x1] adds to the mean's, and its error.  Each end x takes one of
@@ -1043,8 +1069,10 @@ def _band_bounds(shifted, comb, lo, hi):
     point to x1 plus the whole steps between.
     """
     sample = _sampler(shifted)
-    form = functools.lru_cache(maxsize=None)(
-        functools.partial(_pole_form, sample, comb))
+
+    @functools.lru_cache(maxsize=None)
+    def form(k, parts, charge=False):
+        return _pole_form(sample(k, (6,)), comb.width, k, parts, charge)
     m = max(2, int(math.ceil(_HARM_GRID * (hi - lo) * comb.gap / math.pi)))
     step = (hi - lo) / m
     ks = [lo + step * i for i in range(m)] + [hi]
@@ -1066,6 +1094,7 @@ def _band_bounds(shifted, comb, lo, hi):
         for i in range(m):
             jumps[i] += 2.0 * abs(w[i + 1] - w[i]) / j ** 3
     variation = list(itertools.accumulate(jumps, initial=0.0))
+    amp = [sum(abs(a) for a, _ in p) for p in poles]
     # the band's own ends that take the absolute terms the grid holds there
     dense = max(abs(y) for p in poles for _, y in p) > _RHO_MAX
     kept = {x: (0.0, e, last[i]) for x, e, i in ((lo, ends[0], 0),
@@ -1081,15 +1110,15 @@ def _band_bounds(shifted, comb, lo, hi):
         return int(t), int(t) + 1
 
     def mean(k, tol):
-        c = max(sum(abs(a) for a, _ in poles[i]) for i in cell(k))
-        index = _index(comb.left, k)
-        rho = _pole_radius(comb, k, index)
+        c = max(amp[i] for i in cell(k))
+        parts = _pole_parts(comb, k)
+        rho = parts[4]
 
         def fits(n):
             return 4.0 * c * rho ** (n - 1) <= tol * (1.0 - rho ** n)
         n = next((n for n in range(1, 6) if fits(n)), 6)
         if n == 6:
-            h0, _, err = form(k, index)
+            h0, _, err = form(k, parts, True)
             if err <= 0.5 * tol:
                 return h0
             n = next(n for n in itertools.count(6) if fits(n))
@@ -1214,8 +1243,7 @@ def _oscillatory_integral(shifted, spec, breakpoints, cfg, poles=()):
 
     k0 = _first_switch(spec, cfg)
     axes = _phase_axes(cfg)
-    kinds = {}
-    bands = _bands(cfg, k0, kinds)[0]
+    bands = _bands(cfg, k0)[0]
     # each dense band's mean and edge terms, built once for both passes
     built = [_band_bounds(shifted, cfg, lo, hi) for lo, hi in bands]
 
@@ -1241,7 +1269,7 @@ def _oscillatory_integral(shifted, spec, breakpoints, cfg, poles=()):
     # did not), join the dense bands there, and each band adds the edge
     # terms of the slab oscillation it drops plus its means' allowance; each
     # pole window adds the rounding of its subtraction.
-    shallow = _bands(cfg, K, kinds)[1]
+    shallow = _bands(cfg, K)[1]
     bands += shallow
     built += [_band_bounds(shifted, cfg, lo, hi) for lo, hi in shallow]
     direct = spec.replace(abs_tol=max(spec.abs_tol, 0.25 * budget,
@@ -1340,7 +1368,14 @@ def _kind(cfg, k):
     return 2 if depth >= _SHARP_MIN else 1
 
 
-def _bands(cfg, k_end, kinds=None):
+@functools.lru_cache(maxsize=_VACUUM_CACHE_SIZE)
+def _kinds(cfg):
+    """``{k: kind}``: the band kind (``_kind``) of every k of the cavity
+    ``cfg`` that a scan of ``_bands`` has classified in this process."""
+    return {}
+
+
+def _bands(cfg, k_end):
     """``(dense, shallow)``: the dense and the shallow bands in (0, k_end]
     of identical absorbing slabs (both slab phases are then one phase),
     each sorted; empty otherwise.
@@ -1357,15 +1392,15 @@ def _bands(cfg, k_end, kinds=None):
     points rise from 3,404 to 6,789.  A band narrower than the scan step
     that ends before k_end is missed.
 
-    ``kinds``, a dict from k to its kind, carries the points classified by
-    an earlier scan of the same cavity: every scan uses the same grid and
-    bisects the same neighbours, so a scan to a larger k_end classifies
-    only the points it adds.
+    Every scan of a cavity uses the same grid and bisects the same
+    neighbours, and reads the points an earlier scan classified from one
+    memo per cavity (``_kinds``), so it classifies only the points it adds:
+    the direct pass's scan to K after the coarse pass's to k0, and the
+    sigma ladder's after Z's.
     """
     if cfg.left != cfg.right or not _absorbing(cfg.left):
         return (), ()
-    if kinds is None:
-        kinds = {}
+    kinds = _kinds(cfg)
 
     def kind(k):
         if k not in kinds:

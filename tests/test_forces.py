@@ -667,10 +667,10 @@ def test_diagonal_mean_for_identical_slabs():
     assert forces._phase_average(f, 1.0, (4, 4, 4)) == pytest.approx(
         0.0, abs=1e-15)
     assert len(calls) == 1 and len(calls[0]) == 64
-    # the slab harmonics take their six diagonal offsets in one call
+    # each point of a band grid takes its six diagonal offsets in one call
     calls.clear()
-    forces._pole_form(forces._sampler(f), FIG_CFG, 1.0)
-    assert [len(c) for c in calls] == [6]
+    forces._band_bounds(f, FIG_CFG, 1.0, 1.1)
+    assert [len(c) for c in calls] == [6] * 3
     assert all(sl == sr and sg == 0.0 for c in calls for sl, sr, sg in c)
     # the switch point reads the phase average and the harmonics at k0 from
     # one call on its grid, which leads with the unshifted triple
@@ -1169,6 +1169,13 @@ def test_pole_radius_matches_the_measured_harmonic_decay(cfg, k, rho):
         assert math.exp(mean_log) == pytest.approx(rho, rel=0.06)
 
 
+def _pole_form(f, cfg, k, charge=True):
+    """``forces._pole_form`` of the integrand ``f`` of the identical slabs
+    of ``cfg`` at k, on its six diagonal samples, charged by default."""
+    return forces._pole_form(f(k, forces._grid((6,))), cfg.width, k,
+                             forces._pole_parts(cfg, k), charge)
+
+
 def test_harmonic_amplitude_bounds_the_measured_harmonics():
     # on the grids of fig's band bounds, the sum over the two poles of
     # |a_p| rho_p^(j - 1), read from six samples, bounds every harmonic
@@ -1179,7 +1186,7 @@ def test_harmonic_amplitude_bounds_the_measured_harmonics():
                           / math.pi)
             for i in range(m + 1):
                 k = lo + (hi - lo) * i / m
-                poles = forces._pole_form(forces._sampler(f), FIG_CFG, k)[1]
+                poles = _pole_form(f, FIG_CFG, k)[1]
                 assert len(poles) == 2
                 floor = forces._MEAN_NOISE * forces._NOISE_EPS * k
                 ref = forces._dft(f(k, forces._grid((128,))), (128,))
@@ -1204,11 +1211,66 @@ def test_pole_form_matches_a_fine_dft(cfg, k):
         vals = f(k, forces._grid((4096,)))
         c = [sum(v * ring[j * i % 4096] for i, v in enumerate(vals)) / 4096
              for j in range(21)]
-        h0, poles, _ = forces._pole_form(forces._sampler(f), cfg, k)
+        h0, poles, _ = _pole_form(f, cfg, k)
         assert h0 == pytest.approx(c[0].real, abs=1e-10)
         for j in range(1, 21):
             h = sum(a * y ** (j - 1) for a, y in poles)
             assert abs(h - c[j] / turn ** j) <= 1e-10
+
+
+def _dft_pole_form(vals, cfg, k):
+    """The pole form's ``(h0, poles, err)`` from the six samples ``vals``
+    at k as ``_dft`` reads P's coefficients, with the cavity poles and the
+    charge computed from the cavity at every call: the formula that
+    ``forces._pole_form`` keeps bit for bit."""
+    n, rn, e0 = forces._surface(cfg.left, cfg.width, k)
+    if e0 == 0.0:
+        return sum(vals) / 6.0, [(0j, 0j)] * 2, 0.0
+    v = cmath.exp(1j * k * cfg.gap)
+    turn = cmath.exp(2j * k * n.real * cfg.width)
+    xs = [turn * e0 * rn * (rn - s * v) / (1.0 - s * rn * v) for s in (1, -1)]
+    qs = [abs((1.0 - z * xs[0]) * (1.0 - z * xs[1])) ** 2
+          for z in forces._roots(6)[1][1]]
+    ps = [r * q for r, q in zip(vals, qs)]
+    p0, p1, p2 = forces._dft(ps, (6,)).values()
+    amps = [(p2 + x * (p1 + x * (p0 + x * (p1.conjugate()
+                                           + x * p2.conjugate()))))
+            / ((1.0 - abs(x) ** 2) * (x - q) * (1.0 - q.conjugate() * x))
+            for x, q in (xs, xs[::-1])]
+    h0 = sum(vals) / 6.0 - 2.0 * sum((a * x ** 5 / (1.0 - x ** 6)).real
+                                     for a, x in zip(amps, xs))
+    r1, r2 = abs(xs[0]), abs(xs[1])
+    gain = 1.0 + 2.0 * (1.0 + r1) * (1.0 + r2) / (
+        abs(xs[0] - xs[1]) * abs(1.0 - xs[1].conjugate() * xs[0])) * sum(
+        r ** 5 * (1.0 + s) * (1.0 + r ** 5) / ((1.0 - r * r) * (1.0 - r ** 6))
+        for r, s in ((r1, r2), (r2, r1)))
+    noise = max(forces._NOISE_EPS * k,
+                abs(sum(ps[::2]) - sum(ps[1::2])) / sum(qs))
+    return h0, [(a / turn, x / turn) for a, x in zip(amps, xs)], gain * noise
+
+
+@pytest.mark.parametrize("cfg, band, t", [
+    (cfg, band, t) for cfg, band in ((FIG_CFG, 0), (WEAK_CFG, 1))
+    for t in (0.1, 0.5, 0.9)],
+    ids=["%s-%s" % (c, t) for c in ("fig", "weak") for t in (0.1, 0.5, 0.9)])
+def test_pole_form_keeps_the_bits_of_the_dft_route(cfg, band, t):
+    # at three points of fig's lower shallow band and of weak's upper dense
+    # band, the pole form's mean, poles and charge equal, bit for bit, what
+    # the DFT route gives on the same six samples; uncharged, its mean and
+    # poles are the same and its charge is 0
+    dense, shallow = forces._bands(cfg, 1.3 * 10.0 * math.sqrt(2.0))
+    lo, hi = (shallow if cfg is FIG_CFG else dense)[band]
+    k = lo + t * (hi - lo)
+    assert forces._pole_radius(cfg, k) > 0.0
+    for f in _both_integrands(cfg):
+        vals = f(k, forces._grid((6,)))
+        want = _dft_pole_form(vals, cfg, k)
+        parts = forces._pole_parts(cfg, k)
+        # the shortest reprs of two floats agree only where their bits do
+        assert repr(forces._pole_form(vals, cfg.width, k, parts,
+                                      True)) == repr(want)
+        assert repr(forces._pole_form(vals, cfg.width, k, parts)) == repr(
+            (want[0], want[1], 0.0))
 
 
 def test_band_mean_leaves_the_pole_form_below_its_rounding():
@@ -1229,7 +1291,7 @@ def test_band_mean_leaves_the_pole_form_below_its_rounding():
         return f(x, offsets)
     mean = forces._band_bounds(rec, WEAK_CFG, lo, hi)[0]
     ref = sum(f(k, forces._grid((4096,)))) / 4096
-    h0, _, err = forces._pole_form(forces._sampler(f), WEAK_CFG, k)
+    h0, _, err = _pole_form(f, WEAK_CFG, k)
     assert 0.5e-12 < abs(h0 - ref) <= err
     calls.clear()
     assert mean(k, 1e-9) == h0
@@ -1250,7 +1312,7 @@ def test_pole_form_charges_what_its_nyquist_term_shows():
                 for v, s in zip(f(x, offsets), offsets)]
     k = 14.15
     ref = sum(g(k, forces._grid((4096,)))) / 4096
-    h0, _, err = forces._pole_form(forces._sampler(g), WEAK_CFG, k)
+    h0, _, err = _pole_form(g, WEAK_CFG, k)
     assert 1e-7 < abs(h0 - ref) <= err
 
 
@@ -1342,10 +1404,12 @@ def test_band_route_follows_the_pole_radius():
 def _assert_means_reused(mean, k, tol, calls):
     """After one call ``mean(k, tol)`` recorded in ``calls``: the same mean
     again costs no kernel call, and one at a tighter tolerance that sizes
-    more offsets costs exactly one."""
+    more offsets costs exactly one.  Tightening stops, failing, past
+    1e-30, so a mean that never sizes more offsets fails here."""
     mean(k, tol)
     assert len(calls) == 1
     while len(calls) == 1:
+        assert tol > 1e-30, "no tolerance down to 1e-30 sized more offsets"
         tol *= 0.1
         mean(k, tol)
     assert len(calls) == 2 and calls[1] > calls[0]
@@ -1535,6 +1599,33 @@ def test_edge_terms_cover_a_rising_last_order():
     assert err >= 0.9 * variation
 
 
+def test_edge_terms_bound_a_slow_harmonic_by_its_modulus():
+    # one harmonic k^-6 cos(phi_L - phi_R + sL - sR) of the mild pair's
+    # slabs, whose phase difference runs at w = 2.9e-4 at x = 50: it is
+    # slow, so S leaves it out, and it decays like k^-p with p = 6, so the
+    # integral of its modulus past x, 2 |h| x / (p - 1) = 6.4e-10, bounds
+    # it, 700 times below its first order 4 |h / w|
+    axes = forces._phase_axes(CFG)
+    x = 50.0
+
+    def f(k, offsets):
+        left, right = forces._phases(CFG, axes, k)[0][:2]
+        return [k ** -6 * math.cos(left - right + sl - sr)
+                for sl, sr, _ in offsets]
+
+    s, err, terms, keep = forces._above_edges(forces._sampler(f), CFG, axes,
+                                              1e-6)(x)
+    h, dh, w, s2 = terms[1, -1, 0]
+    assert s2 is None and keep[0] > 1 and s == 0.0
+    p = -x * (dh / h).real
+    assert p == pytest.approx(6.0, rel=1e-9)
+    bound = 2.0 * abs(h) * x / (p - 1.0)
+    assert bound < 2e-3 * abs(4.0 * h / w)
+    dropped = integrate_interval(lambda k: f(k, forces._RAW)[0], x, 2000.0,
+                                 SPEC9)[0]
+    assert abs(dropped) <= err <= 1.001 * bound
+
+
 def test_weak_bath_integral_builds_each_dense_band_once(monkeypatch):
     # both passes integrate the sized means of one bound per dense band,
     # the coarse pass at its own target, holding weak Z to at most 10,000
@@ -1554,9 +1645,9 @@ def test_weak_bath_integral_builds_each_dense_band_once(monkeypatch):
         built.append(args[2:])
         return bounds(*args)
 
-    def scanning(cfg, k_end, kinds):
+    def scanning(cfg, k_end):
         scans.append(k_end)
-        return bands(cfg, k_end, kinds)
+        return bands(cfg, k_end)
 
     monkeypatch.setattr(core, "vacuum_baths", counting)
     monkeypatch.setattr(forces, "_band_bounds", building)
@@ -1575,6 +1666,18 @@ def test_weak_bath_integral_builds_each_dense_band_once(monkeypatch):
         forces._vacuum_bath.cache_clear()
 
 
+def _cold_bands(cfg, k_end):
+    """``_bands(cfg, k_end)`` from a scan that classifies every point anew,
+    leaving the scan memo as it found it."""
+    kinds = dict(forces._kinds(cfg))
+    forces._kinds.cache_clear()
+    try:
+        return forces._bands(cfg, k_end)
+    finally:
+        forces._kinds.cache_clear()
+        forces._kinds(cfg).update(kinds)
+
+
 def test_fig_bath_integral_classifies_each_point_once(monkeypatch):
     # fig Z's switch point lies past k0, so it scans its bands again up
     # to K; that scan reuses the grid points and edges of the scan to k0,
@@ -1587,16 +1690,43 @@ def test_fig_bath_integral_classifies_each_point_once(monkeypatch):
 
     monkeypatch.setattr(forces, "_kind", classifying)
     forces._vacuum_bath.cache_clear()
+    forces._kinds.cache_clear()
     try:
         forces._vacuum_bath(FIG_CFG, SPEC6)
     finally:
         forces._vacuum_bath.cache_clear()
     assert seen and len(seen) == len(set(seen))
-    kinds = {}
+    forces._kinds.cache_clear()
     k0 = 1.3 * 10.0 * math.sqrt(2.0)
-    assert forces._bands(FIG_CFG, k0, kinds) == forces._bands(FIG_CFG, k0)
-    assert forces._bands(FIG_CFG, 106.5, kinds) == forces._bands(FIG_CFG,
-                                                                 106.5)
+    warm = forces._bands(FIG_CFG, k0)
+    assert warm == _cold_bands(FIG_CFG, k0)
+    assert forces._bands(FIG_CFG, 106.5) == _cold_bands(FIG_CFG, 106.5)
+
+
+def test_band_ladder_reuses_the_scan_of_the_bath_integral(monkeypatch):
+    # on the docs cavity the sigma ladder scans its shallow bands up to its
+    # own switch point after Z scanned up to Z's; it classifies only the
+    # point its scan end adds (213 before the scan memo) and finds the
+    # bands a cold scan finds
+    forces._vacuum_bath(FIG_CFG, SPEC6)
+    kind, seen, scans = forces._kind, [], []
+    bands = forces._bands
+
+    def classifying(cfg, k):
+        seen.append(k)
+        return kind(cfg, k)
+
+    def scanning(cfg, k_end):
+        got = bands(cfg, k_end)
+        scans.append((k_end, got))
+        return got
+
+    monkeypatch.setattr(forces, "_kind", classifying)
+    monkeypatch.setattr(forces, "_bands", scanning)
+    band_excess_curve(FIG_CFG, 5.0, DOCS_SIGMAS, SPEC6)
+    (k_end, got), = scans
+    assert seen == [k_end]
+    assert got == _cold_bands(FIG_CFG, k_end)
 
 
 @pytest.mark.parametrize("gamma0, width", [(1e-3, 40.0), (1e-4, 100.0)])
