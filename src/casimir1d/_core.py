@@ -119,7 +119,10 @@ def refractive_at(s, omega0, omega_pl, gamma0, static):
 # _absorbing_offset, which forms only E, F, r and tl2 as slab_offset does,
 # plus the slab's absorption, and not the |t|^2 and g that Z does not read.
 # The transmissions t and tau need two complex exponentials that no force
-# integrand reads, so only slab_parts forms them.
+# integrand reads, so only slab_parts forms them.  The one-triple forms
+# below (vacuum_bath_of, ic_bracket_of, bath_factors_of) compose the same
+# index, slab_fixed and slab_offset parts for one triple inside one body,
+# without the tables.
 #
 # bath_weighted is the composition of bath_factors, the parts of each
 # offset that do not depend on the occupation weights, and bath_weigh,
@@ -243,7 +246,7 @@ def ic_bracket(omega, a, d, matL, matR, sL=0.0, sR=0.0, sG=0.0):
         Phase offsets of the two internal slab phases and of the gap
         round-trip phase (used only by tail averaging).
     """
-    return ic_brackets(omega, a, d, matL, matR, ((sL, sR, sG),))[0]
+    return ic_bracket_of(a, d, matL, matR)(omega, sL, sR, sG)
 
 
 def bath_integrands(omega, a, d, matL, matR, betaL, betaR, offsets):
@@ -412,6 +415,251 @@ def vacuum_baths(omega, a, d, matL, matR, offsets):
                              + 2.0 * w.real - aL - aR + AL * (2.0 * aR + AR)
                              + 2.0 * aL * AR) / abs(delta) ** 2)
     return out
+
+
+# ---------------------------------------------------------------------------
+# One-triple forms: the integrands at the unshifted triple (0, 0, 0), which
+# the force routines evaluate one frequency at a time.
+#
+# vacuum_bath_of, ic_bracket_of and bath_factors_of bind a cavity once and
+# return its integrand at one frequency as one function body: both indices
+# as refractive_at forms them, the unshifted slab parts of slab_fixed and
+# slab_offset (or _absorbing_offset), the gap phase, the cavity denominator
+# and the integrand, with the arithmetic of the offset kernels in their
+# order, so each returns their bits at that triple (ic_bracket_of also at
+# any offsets).  No table and no list is built, and the material tuples are
+# unpacked and compared once per cavity.  A static or empty slab and a slab
+# of infinite width bind the offset kernel instead, and at an oscillator
+# pole or a cavity denominator below DELTA_FLOOR a point is handed to it,
+# so it raises there.
+# ---------------------------------------------------------------------------
+
+def _one_step(mat):
+    """Whether ``refractive_at`` forms the index of ``mat`` in one step (a
+    dispersive oscillator of nonzero strength)."""
+    return not mat[3] and mat[1] != 0.0
+
+
+def vacuum_bath_of(a, d, matL, matR):
+    """Z's integrand ``f(omega)`` of the cavity: ``vacuum_baths(omega, a,
+    d, matL, matR, ((0, 0, 0),))[0]`` to the bit, as one body (see
+    above)."""
+    def offset(omega):
+        return vacuum_baths(omega, a, d, matL, matR, ((0.0, 0.0, 0.0),))[0]
+
+    if not (_one_step(matL) and _one_step(matR) and d < inf):
+        return offset
+    w2L, p2L, g0L = matL[0] * matL[0], matL[1] * matL[1], matL[2]
+    w2R, p2R, g0R = matR[0] * matR[0], matR[1] * matR[1], matR[2]
+    same = matR == matL
+
+    def f(omega):
+        s = -1j * omega
+        ss, sm = s * s, abs(s)
+        den = ss + w2L + s * g0L
+        if abs(den) <= 1e-12 * max(sm ** 2, w2L, sm * g0L):
+            return offset(omega)
+        n = cmath.sqrt(1.0 + p2L * (1.0 / den))
+        re, im = n.real, n.imag
+        rn = (1.0 - n) / (1.0 + n)
+        x = 2.0 * omega * im * d
+        em, em1 = (0.0, 1.0) if x > 1400.0 else (exp(-x), -expm1(-x))
+        q = 4.0 * n / ((1.0 + n) * (1.0 + n))
+        th = 2.0 * omega * re * d
+        E = em * complex(cos(th), sin(th))
+        F = 1.0 - rn * rn * E
+        rL = rn * (1.0 - E) / F
+        tl2L = q * q * E / (F * F)
+        aL = abs(rL) ** 2
+        p = (1.0 + re) ** 2 + im * im
+        AL = ((16.0 * (re * re * em1 - im * im * em)
+               + 4.0 * re * ((1.0 - re) ** 2 + im * im) * em1 * (1.0 + em))
+              / (p * p) - 8.0 * im / p * (rn * E).imag) / abs(F) ** 2
+        if same:
+            rR, aR, AR = rL, aL, AL
+        else:
+            den = ss + w2R + s * g0R
+            if abs(den) <= 1e-12 * max(sm ** 2, w2R, sm * g0R):
+                return offset(omega)
+            n = cmath.sqrt(1.0 + p2R * (1.0 / den))
+            re, im = n.real, n.imag
+            rn = (1.0 - n) / (1.0 + n)
+            x = 2.0 * omega * im * d
+            em, em1 = (0.0, 1.0) if x > 1400.0 else (exp(-x), -expm1(-x))
+            th = 2.0 * omega * re * d
+            E = em * complex(cos(th), sin(th))
+            F = 1.0 - rn * rn * E
+            rR = rn * (1.0 - E) / F
+            aR = abs(rR) ** 2
+            p = (1.0 + re) ** 2 + im * im
+            AR = ((16.0 * (re * re * em1 - im * im * em)
+                   + 4.0 * re * ((1.0 - re) ** 2 + im * im) * em1
+                   * (1.0 + em))
+                  / (p * p) - 8.0 * im / p * (rn * E).imag) / abs(F) ** 2
+        th = 2.0 * omega * a
+        gap = complex(cos(th), sin(th))
+        w = rL * rR * gap
+        delta = 1.0 - w
+        if abs(delta) < DELTA_FLOOR:
+            return offset(omega)
+        return -omega * (abs(rL * delta + rR * tl2L * gap) ** 2
+                         + 2.0 * w.real - aL - aR + AL * (2.0 * aR + AR)
+                         + 2.0 * aL * AR) / abs(delta) ** 2
+    return f
+
+
+def ic_bracket_of(a, d, matL, matR):
+    """The state bracket ``bracket(omega, sL=0, sR=0, sG=0)`` of the
+    cavity: ``ic_brackets(omega, a, d, matL, matR, ((sL, sR, sG),))[0]``
+    to the bit, as one body (see above)."""
+    def offset(omega, sL=0.0, sR=0.0, sG=0.0):
+        return ic_brackets(omega, a, d, matL, matR, ((sL, sR, sG),))[0]
+
+    if not (_one_step(matL) and _one_step(matR) and d < inf):
+        return offset
+    w2L, p2L, g0L = matL[0] * matL[0], matL[1] * matL[1], matL[2]
+    w2R, p2R, g0R = matR[0] * matR[0], matR[1] * matR[1], matR[2]
+    same = matR == matL
+
+    def bracket(omega, sL=0.0, sR=0.0, sG=0.0):
+        s = -1j * omega
+        ss, sm = s * s, abs(s)
+        den = ss + w2L + s * g0L
+        if abs(den) <= 1e-12 * max(sm ** 2, w2L, sm * g0L):
+            return offset(omega, sL, sR, sG)
+        n = cmath.sqrt(1.0 + p2L * (1.0 / den))
+        rn = (1.0 - n) / (1.0 + n)
+        x = 2.0 * omega * n.imag * d
+        em = 0.0 if x > 1400.0 else exp(-x)
+        q = 4.0 * n / ((1.0 + n) * (1.0 + n))
+        aq2 = abs(q) ** 2
+        th = 2.0 * omega * n.real * d
+        E = em * complex(cos(th + sL), sin(th + sL))
+        F = 1.0 - rn * rn * E
+        rL = rn * (1.0 - E) / F
+        tl2L = q * q * E / (F * F)
+        t2aL = aq2 / abs(F) ** 2 * em
+        if same and sR == sL:
+            rR, t2aR = rL, t2aL
+        else:
+            if not same:
+                den = ss + w2R + s * g0R
+                if abs(den) <= 1e-12 * max(sm ** 2, w2R, sm * g0R):
+                    return offset(omega, sL, sR, sG)
+                n = cmath.sqrt(1.0 + p2R * (1.0 / den))
+                rn = (1.0 - n) / (1.0 + n)
+                x = 2.0 * omega * n.imag * d
+                em = 0.0 if x > 1400.0 else exp(-x)
+                q = 4.0 * n / ((1.0 + n) * (1.0 + n))
+                aq2 = abs(q) ** 2
+                th = 2.0 * omega * n.real * d
+            E = em * complex(cos(th + sR), sin(th + sR))
+            F = 1.0 - rn * rn * E
+            rR = rn * (1.0 - E) / F
+            t2aR = aq2 / abs(F) ** 2 * em
+        th = 2.0 * omega * a + sG
+        gap = complex(cos(th), sin(th))
+        delta = 1.0 - rL * rR * gap
+        if abs(delta) < DELTA_FLOOR:
+            return offset(omega, sL, sR, sG)
+        d2 = abs(delta) ** 2
+        rho = rL + rR * tl2L * gap / delta
+        return (1.0 + abs(rho) ** 2 + t2aL * t2aR / d2
+                - (t2aL * (1.0 + abs(rR) ** 2) + t2aR * (1.0 + abs(rL) ** 2))
+                / d2)
+    return bracket
+
+
+def bath_factors_of(a, d, matL, matR):
+    """The bath kernel's weight-free parts ``factors(omega)`` of the
+    cavity: ``bath_factors(omega, a, d, matL, matR, ((0, 0, 0),))`` to the
+    bit, as one body (see above)."""
+    def offset(omega):
+        return bath_factors(omega, a, d, matL, matR, ((0.0, 0.0, 0.0),))
+
+    if not (_one_step(matL) and _one_step(matR) and d < inf):
+        return offset
+    w2L, p2L, g0L = matL[0] * matL[0], matL[1] * matL[1], matL[2]
+    w2R, p2R, g0R = matR[0] * matR[0], matR[1] * matR[1], matR[2]
+    same = matR == matL
+
+    def factors(omega):
+        s = -1j * omega
+        ss, sm = s * s, abs(s)
+        den = ss + w2L + s * g0L
+        if abs(den) <= 1e-12 * max(sm ** 2, w2L, sm * g0L):
+            return offset(omega)
+        nL = cmath.sqrt(1.0 + p2L * (1.0 / den))
+        if same:
+            nR = nL
+        else:
+            den = ss + w2R + s * g0R
+            if abs(den) <= 1e-12 * max(sm ** 2, w2R, sm * g0R):
+                return offset(omega)
+            nR = cmath.sqrt(1.0 + p2R * (1.0 / den))
+        renL, imnL = nL.real, nL.imag
+        renR, imnR = nR.real, nR.imag
+        wL = 2.0 * renL * imnL
+        wR = 2.0 * renR * imnR
+        cL = cR = None
+        if wL == 0.0 and wR == 0.0:
+            return cL, cR, [(None, None, None)]
+        rnL = (1.0 - nL) / (1.0 + nL)
+        x = 2.0 * omega * imnL * d
+        emL, em1L = (0.0, 1.0) if x > 1400.0 else (exp(-x), -expm1(-x))
+        qL = 4.0 * nL / ((1.0 + nL) * (1.0 + nL))
+        th = 2.0 * omega * renL * d
+        e2itL = complex(cos(th), sin(th))
+        E = emL * e2itL
+        FL = 1.0 - rnL * rnL * E
+        gL = abs(qL) ** 2 / abs(FL) ** 2
+        rL = rnL * (1.0 - E) / FL
+        tl2L = qL * qL * E / (FL * FL)
+        t2aL = gL * emL
+        if same:
+            rnR, em1R, e2itR, rR, t2aR, gR = rnL, em1L, e2itL, rL, t2aL, gL
+        else:
+            rnR = (1.0 - nR) / (1.0 + nR)
+            x = 2.0 * omega * imnR * d
+            emR, em1R = (0.0, 1.0) if x > 1400.0 else (exp(-x), -expm1(-x))
+            qR = 4.0 * nR / ((1.0 + nR) * (1.0 + nR))
+            th = 2.0 * omega * renR * d
+            e2itR = complex(cos(th), sin(th))
+            E = emR * e2itR
+            F = 1.0 - rnR * rnR * E
+            gR = abs(qR) ** 2 / abs(F) ** 2
+            rR = rnR * (1.0 - E) / F
+            t2aR = gR * emR
+        if wL != 0.0:
+            cL = 0.25 * omega * (abs(1.0 + nL) ** 2 / abs(nL) ** 2)
+        if wR != 0.0:
+            cR = 0.25 * omega * (abs(1.0 + nR) ** 2 / abs(nR) ** 2)
+        th = 2.0 * omega * a
+        gap = complex(cos(th), sin(th))
+        delta = 1.0 - rL * rR * gap
+        if abs(delta) < DELTA_FLOOR:
+            return offset(omega)
+        d2 = abs(delta) ** 2
+        feedL = rR * gap * qL * qL / (FL * FL * delta)
+        rho = rL + tl2L * rR * gap / delta
+        near = m = far = None
+        if wL != 0.0:
+            P = 1.0 - rnL * rho
+            Qt = rnL * (rnL * rnL - 1.0) / FL + feedL
+            near = renL * (abs(P) ** 2 * em1L + abs(Qt) ** 2 * emL * em1L)
+            if emL > 0.0:
+                near += 2.0 * imnL * emL * (P * Qt.conjugate()
+                                            * (1.0 - e2itL.conjugate())).imag
+            near -= ((1.0 + abs(rR) ** 2) / d2) * (
+                renL * (gL * em1L + t2aL * abs(rnL) ** 2 * em1L)
+                - 2.0 * imnL * t2aL * (rnL * (e2itL - 1.0)).imag)
+        if wR != 0.0:
+            m = (t2aL - 1.0 - abs(rL) ** 2) / d2
+            far = renR * gR * em1R + t2aR * (
+                renR * abs(rnR) ** 2 * em1R
+                - 2.0 * imnR * (rnR * (e2itR - 1.0)).imag)
+        return cL, cR, [(near, m, far)]
+    return factors
 
 
 # ---------------------------------------------------------------------------

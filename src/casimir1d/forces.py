@@ -24,13 +24,18 @@ exp(-2 kappa gap) (Antezza, Pitaevskii, Stringari and Svetovoy, PRA 77,
 so Z cancels from the total in value and only its rounding remains there.
 Z is the one real-axis oscillatory integral per cavity and spec.  Its
 integrand comes from the state side, as the round-trip term
--4 Re[k w / (1 - w)] less k times the state bracket (``core.vacuum_baths``,
-at 0.64 to 0.89 times the bath kernel's cost over Z's own calls on the
-fig, weak and mild pairs).  There the bracket is written in absorption
-form, each slab's |r|^2 + |t|^2 + A = 1, so its O(1) terms cancel by
-algebra rather than in rounding and it stays accurate far past the switch
-point; the bath kernel at zero temperature is kept as its independent
-check (``oracles.bath_integrand``).  Z and R are memoized per
+-4 Re[k w / (1 - w)] less k times the state bracket (``core.vacuum_baths``
+on phase grids, ``core.vacuum_bath_of`` at single points).  There the
+bracket is written in absorption form, each slab's |r|^2 + |t|^2 + A = 1,
+so its O(1) terms cancel by algebra rather than in rounding and it stays
+accurate far past the switch point; the bath kernel at zero temperature
+is kept as its independent check (``oracles.bath_integrand``).  Most
+kernel calls of Z, of the two excesses and of the sigma ladder's raw
+strips are single points, each one kernel body with the cavity bound once
+per integral (``core.vacuum_bath_of``, ``core.ic_bracket_of``,
+``core.bath_factors_of``): on the fig and mild pairs Z's point costs about
+3.1 and 5.1 microseconds against 4.6 and 7.9 through the offset kernel at
+one triple, on a loaded 2-vCPU host.  Z and R are memoized per
 process for each cavity and spec, and the state excess for each cavity,
 state and spec, so forces at several bath temperatures compute each once;
 the bath excess weighs the bath kernel's weight-free parts, memoized per
@@ -84,10 +89,11 @@ tolerance of a quarter of that budget.  Like every adaptive pass it stops
 once its error meets the larger of its absolute tolerance and rel_tol
 times the modulus of its own running value; on the docs cavity the latter
 governs (2.2e-4 against 8.6e-5 for Z).
-They share most of their panels, so within one integral every raw value
-and every sized band mean (keyed on k and its offset count) is computed
-once, and the direct pass calls the kernel only at points the coarse pass
-did not sample.
+They share most of their panels (k0 is a breakpoint of the direct pass
+unless a band holds it, so its panels below k0 are the coarse pass's), so
+within one integral every raw value and every sized band mean (keyed on k
+and its offset count) is computed once, and the direct pass calls the
+kernel only at points the coarse pass did not sample.
 Two identical slabs share one slab phase, so their phase average runs over
 the diagonal of common slab offsets times the gap offsets.
 
@@ -183,8 +189,6 @@ __all__ = [
     "lifshitz_matsubara",
 ]
 
-# The one offset triple (sL, sR, sG) of the unshifted integrand.
-_RAW = ((0.0, 0.0, 0.0),)
 # Slab bands of identical slabs (see ``_kind``): where the slab round-trip
 # phase runs at least _DENSE_RATE times faster than the gap phase, the passes
 # below the switch point integrate the mean over the common slab phase
@@ -1187,16 +1191,19 @@ def _banded(raw, means, tol):
     return f
 
 
-def _oscillatory_integral(shifted, spec, breakpoints, cfg, poles=()):
+def _oscillatory_integral(point, shifted, spec, breakpoints, cfg, poles=()):
     """Integrate a decaying oscillatory force integrand over [0, inf).
 
     Parameters
     ----------
+    point : callable
+        ``point(k)``, the integrand at k: ``shifted(k, offsets)`` in value
+        at the one unshifted triple (0, 0, 0), from one kernel body that
+        builds no offset tables.
     shifted : callable
         ``shifted(k, offsets)`` evaluates the integrand at k once per
         additive offset triple (sL, sR, sG) on the left-slab, right-slab
-        and gap phases, as a list; the integrand itself is the one-triple
-        call ``shifted(k, _RAW)[0]``.
+        and gap phases, as a list.
     spec : QuadratureSpec
         Tolerances; ``rel_tol`` is interpreted against the integral scale.
     breakpoints : tuple
@@ -1233,10 +1240,7 @@ def _oscillatory_integral(shifted, spec, breakpoints, cfg, poles=()):
     kernel only at points the coarse pass did not sample.  Both stores
     live only as long as this call.
     """
-    @functools.lru_cache(maxsize=None)
-    def plain(k):
-        return shifted(k, _RAW)[0]
-
+    plain = functools.lru_cache(maxsize=None)(point)
     windows = [_pole_window(plain, *p) for p in poles]
     breakpoints += tuple(x for lo, hi, _, _ in windows for x in (lo, hi))
     raw = _banded(plain, [w[:3] for w in windows], None)
@@ -1264,17 +1268,21 @@ def _oscillatory_integral(shifted, spec, breakpoints, cfg, poles=()):
         breakpoints + sum(bands, ()))
 
     # Direct adaptive pass below the switch point, reusing the coarse
-    # pass's raw values and means at the nodes they share; the shallow
-    # bands, found again up to K (classifying only the points the k0 scan
-    # did not), join the dense bands there, and each band adds the edge
-    # terms of the slab oscillation it drops plus its means' allowance; each
-    # pole window adds the rounding of its subtraction.
+    # pass's raw values and means at the nodes they share; k0, where the
+    # coarse pass ended its last panel, is a breakpoint unless a band holds
+    # it, so those panels recur; the shallow bands, found again up to K
+    # (classifying only the points the k0 scan did not), join the dense
+    # bands there, and each band adds the edge terms of the slab
+    # oscillation it drops plus its means' allowance; each pole window adds
+    # the rounding of its subtraction.
     shallow = _bands(cfg, K)[1]
     bands += shallow
     built += [_band_bounds(shifted, cfg, lo, hi) for lo, hi in shallow]
     direct = spec.replace(abs_tol=max(spec.abs_tol, 0.25 * budget,
                                        0.5 * _NOISE_EPS * K * K))
     tol = _mean_tol(direct.abs_tol, bands)
+    if not any(lo < k0 < hi for lo, hi in bands):
+        breakpoints += (k0,)
     val, err = integrate_interval(
         banded(tol), 0.0, K, direct, breakpoints=breakpoints + sum(bands, ()))
     err += e_K + sum(w[3] for w in windows)
@@ -1546,21 +1554,22 @@ def _bound_modes(cfg, spec):
     integrand f (see ``_pole_window``), and its change when Im A is fitted
     as w (f(k_m - w) + f(k_m + w)) instead, which measures the remainder
     under the spike."""
-    f = _zero_bath_integrand(cfg)
+    f = core.vacuum_bath_of(*_args(cfg))
     out = []
     for kp, _, _ in _pole_terms(cfg, spec.panel_width):
         km, w = kp.real, -kp.imag
-        below, at, above = (w * f(k, _RAW)[0] for k in (km - w, km, km + w))
+        below, at, above = (w * f(k) for k in (km - w, km, km + w))
         out.append((km, math.pi * at, math.pi * abs(below + above - at)))
     return out
 
 
-def _real_axis(cfg, spec, f):
-    """``_oscillatory_integral`` of the cavity integrand ``f(k, offsets)``
-    with each narrow bound gap mode subtracted as a pole term over its
-    window."""
-    return _oscillatory_integral(f, spec, _breakpoints(cfg.left, cfg.right),
-                                 cfg, _pole_terms(cfg, spec.panel_width))
+def _real_axis(cfg, spec, point, shifted):
+    """``_oscillatory_integral`` of the cavity integrand ``point(k)``, with
+    its offset form ``shifted(k, offsets)``, and each narrow bound gap mode
+    subtracted as a pole term over its window."""
+    return _oscillatory_integral(point, shifted, spec,
+                                 _breakpoints(cfg.left, cfg.right), cfg,
+                                 _pole_terms(cfg, spec.panel_width))
 
 
 def _thermal_window(g, beta, spec, breakpoints):
@@ -1656,7 +1665,8 @@ def _vacuum_bath(cfg, spec):
     one real-axis oscillatory integral per cavity.  A raised error is not
     memoized.
     """
-    return _real_axis(cfg, spec, _zero_bath_integrand(cfg))
+    return _real_axis(cfg, spec, core.vacuum_bath_of(*_args(cfg)),
+                      _zero_bath_integrand(cfg))
 
 
 def _zero_bath_integrand(cfg):
@@ -1672,11 +1682,7 @@ def _zero_bath_integrand(cfg):
 
 def _bracket(cfg):
     """State bracket ``bracket(k)`` of a cavity, without phase offsets."""
-    a, d, tl, tr = _args(cfg)
-
-    def bracket(k):
-        return core.ic_bracket(k, a, d, tl, tr)
-    return bracket
+    return core.ic_bracket_of(*_args(cfg))
 
 
 def _state_integrand(cfg):
@@ -1765,16 +1771,12 @@ def _bath_excess(cfg, beta_left, beta_right, spec, beta_phi=math.inf):
 @functools.lru_cache(maxsize=_VACUUM_CACHE_SIZE)
 def _bath_factors(cfg):
     """The bath kernel's weight-free parts ``factors(k)`` on a cavity
-    (``core.bath_factors`` without offsets), memoized per process for each
-    cavity and k, so a bath excess at any temperatures calls the kernel
-    only at k that no earlier excess on the cavity sampled.  A raised error
-    is not memoized."""
-    a, d, tl, tr = _args(cfg)
-
-    @functools.lru_cache(maxsize=None)
-    def factors(k):
-        return core.bath_factors(k, a, d, tl, tr, _RAW)
-    return factors
+    (``core.bath_factors_of``, ``core.bath_factors`` at the unshifted
+    triple), memoized per process for each cavity and k, so a bath excess
+    at any temperatures calls the kernel only at k that no earlier excess
+    on the cavity sampled.  A raised error is not memoized."""
+    return functools.lru_cache(maxsize=None)(
+        core.bath_factors_of(*_args(cfg)))
 
 
 def force_ic(cfg, state, spec):
@@ -2050,9 +2052,10 @@ def band_excess_curve(cfg, omega_center, sigmas, spec):
     bands = _bands(cfg, K)[1] if windows else ()
     tol = _mean_tol(spec.abs_tol, bands)
     built = [_band_bounds(f, cfg, lo, hi) for lo, hi in bands]
+    bracket = _bracket(cfg)
 
     def g(k):
-        return f(k, _RAW)[0]
+        return k * bracket(k)
 
     def parts(lo, hi):
         """``(x0, x1, mean, edges)``: each band's part of [lo, hi], with

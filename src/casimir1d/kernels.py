@@ -1,6 +1,13 @@
 """The scalar kernel module ``core`` (``casimir1d._core``): the one binding
 through which the force, material, scattering and stress routines look up
-every kernel, so wrapping one of its attributes reaches every caller."""
+every kernel, so wrapping one of its attributes reaches every caller.
+
+The offset kernels (``vacuum_baths``, ``ic_brackets``, ``bath_factors``)
+are looked up at each call.  The one-triple forms (``vacuum_bath_of``,
+``ic_bracket_of``, ``bath_factors_of``) are looked up once per integral,
+where they bind the cavity and return its integrand at one frequency, so
+a wrapper that wraps the function they return reaches every single point
+of an integral begun after it is installed."""
 
 from . import _core as core
 

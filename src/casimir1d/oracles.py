@@ -38,7 +38,7 @@ def bath_integrand(cfg, beta_left, beta_right):
 
 def _raw(f):
     """The integrand ``f(k, offsets)`` at the one unshifted offset."""
-    return lambda k: f(k, forces._RAW)[0]
+    return lambda k: f(k, ((0.0, 0.0, 0.0),))[0]
 
 
 def band_dual(cfg, f, lo, hi, spec, window=None):
@@ -103,8 +103,10 @@ def real_axis_ic(cfg, state, spec):
     ``force_ic`` and ``force_total``.
     """
     scale, eff = forces._effective_state(state)
-    v, ev = forces._real_axis(cfg, spec, forces._state_integrand(cfg))
-    x, ex = forces._state_excess(forces._bracket(cfg), eff, spec,
+    bracket = forces._bracket(cfg)
+    v, ev = forces._real_axis(cfg, spec, lambda k: k * bracket(k),
+                              forces._state_integrand(cfg))
+    x, ex = forces._state_excess(bracket, eff, spec,
                                  forces._breakpoints(cfg.left, cfg.right))
     return scale * (v + x), scale * (ev + ex)
 
@@ -153,8 +155,8 @@ def verify_checks():
     checks.append(("real_axis_dual_pipeline",
                    abs(osc_vac - f_vac) / abs(f_vac), 1e-6))
     osc_ic, _ = real_axis_ic(cfg, FieldState.thermal(beta), spec)
-    osc_b, _ = forces._real_axis(cfg, spec,
-                                 bath_integrand(cfg, 3.0, 8.0))
+    hot = bath_integrand(cfg, 3.0, 8.0)
+    osc_b, _ = forces._real_axis(cfg, spec, _raw(hot), hot)
     noneq = forces.force_total(cfg, FieldState.thermal(beta), 3.0, 8.0, spec)
     checks.append(("nonequilibrium_dual_pipeline",
                    abs(osc_ic + osc_b - noneq.total) / abs(noneq.total),

@@ -54,6 +54,37 @@ SPEC9 = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-13)
 # The sigma grid of the docs sweep (docs/reproduce_sweep.md)
 DOCS_SIGMAS = [0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 5.0, 10.0, 20.0, 50.0,
                100.0, 200.0, 400.0, 700.0]
+_RAW = ((0.0, 0.0, 0.0),)
+
+
+def _count_points(monkeypatch, name, record):
+    """Wrap the one-triple form ``core.<name>`` (``vacuum_bath_of``,
+    ``ic_bracket_of`` or ``bath_factors_of``) so that each point that a
+    cavity bound through it evaluates first calls ``record(k)``."""
+    bind = getattr(core, name)
+
+    def binding(*cavity):
+        point = bind(*cavity)
+
+        def counted(k, *shifts):
+            record(k)
+            return point(k, *shifts)
+        return counted
+    monkeypatch.setattr(core, name, binding)
+
+
+def _count_z_points(monkeypatch, record):
+    """Wrap Z's kernels, the offset kernel ``core.vacuum_baths`` and its
+    one-triple form ``core.vacuum_bath_of``, so that each of their calls
+    first calls ``record(k, offsets)``, with the one triple (0, 0, 0) for a
+    single point."""
+    kernel = core.vacuum_baths
+
+    def counting(k, *args):
+        record(k, args[-1])
+        return kernel(k, *args)
+    monkeypatch.setattr(core, "vacuum_baths", counting)
+    _count_points(monkeypatch, "vacuum_bath_of", lambda k: record(k, _RAW))
 
 
 def test_breakdown_is_frozen_and_additive():
@@ -173,13 +204,14 @@ def test_rotated_total_and_state_excess_are_memoized(monkeypatch):
     state = FieldState.thermal(5.0)
     first = force_total(NONEQ_CFG, state, 3.0, 8.0, NONEQ_SPEC)
     calls = collections.Counter()
-    for name in ("ic_bracket", "roundtrip_rot_direct"):
-        kernel = getattr(core, name)
+    kernel = core.roundtrip_rot_direct
 
-        def counted(*args, name=name, kernel=kernel):
-            calls[name] += 1
-            return kernel(*args)
-        monkeypatch.setattr(core, name, counted)
+    def counted(*args):
+        calls["roundtrip_rot_direct"] += 1
+        return kernel(*args)
+    monkeypatch.setattr(core, "roundtrip_rot_direct", counted)
+    _count_points(monkeypatch, "ic_bracket_of",
+                  lambda k: calls.update(["ic_bracket_of"]))
     again = force_total(NONEQ_CFG, state, 3.0, 8.0, NONEQ_SPEC)
     swapped = force_total(NONEQ_CFG, state, 8.0, 3.0, NONEQ_SPEC)
     assert again == first
@@ -208,13 +240,7 @@ def test_bath_excesses_share_the_kernel_parts_of_a_cavity(monkeypatch):
     # in all, against 648 with every memo cleared before each call.  Each
     # total has the bits of a cold run
     calls = []
-    factors = core.bath_factors
-
-    def counting(*args):
-        calls.append(args[0])
-        return factors(*args)
-
-    monkeypatch.setattr(core, "bath_factors", counting)
+    _count_points(monkeypatch, "bath_factors_of", calls.append)
     state = FieldState.thermal(5.0)
     runs = ((3.0, 8.0), (8.0, 3.0))
     cold = []
@@ -524,6 +550,7 @@ def test_slab_means_stop_at_the_rounding_floor(monkeypatch):
         return kernel(k, *args)
 
     monkeypatch.setattr(core, "ic_brackets", counting)
+    _count_points(monkeypatch, "ic_bracket_of", lambda k: points.append(1))
     runs = []
     for abs_tol in (1e-12, 1e-300):
         del points[:]
@@ -693,7 +720,7 @@ def test_diagonal_mean_for_identical_slabs():
             calls.extend((sL, sR) for sL, sR, _ in offsets)
             return bath(k, offsets)
 
-        forces._real_axis(cfg, loose, rec)
+        forces._real_axis(cfg, loose, oracles._raw(bath), rec)
         assert any(c != (0.0, 0.0) for c in calls)
         assert all(sl == sr for sl, sr in calls) == diagonal
 
@@ -828,11 +855,7 @@ def test_pole_term_window_integral_is_exact():
     # the exact integral of the fitted term over its window, spread across
     # the window, matches adaptive quadrature of the term there
     spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-12, panel_width=1e-4)
-    bath = forces._zero_bath_integrand(WEAK_CFG)
-
-    def raw(k):
-        return bath(k, forces._RAW)[0]
-
+    raw = core.vacuum_bath_of(*forces._args(WEAK_CFG))
     for kp, lo, hi in forces._pole_terms(WEAK_CFG, WEAK_SPEC.panel_width):
         # A from the integrand at k_m and k_m + w, with k_p = k_m - i w
         km, w = kp.real, -kp.imag
@@ -855,14 +878,12 @@ def test_weak_bath_integral_skips_the_mode_spikes(monkeypatch):
     # the pole terms take the spikes, so refinement does not crowd the
     # modes: under a hundred raw calls fall within 0.1 of either
     near = []
-    kernel = core.vacuum_baths
 
-    def counting(k, *args):
-        if len(args[-1]) == 1 and (11.3 <= k <= 11.5 or 13.4 <= k <= 13.5):
+    def counting(k, offsets):
+        if len(offsets) == 1 and (11.3 <= k <= 11.5 or 13.4 <= k <= 13.5):
             near.append(k)
-        return kernel(k, *args)
 
-    monkeypatch.setattr(core, "vacuum_baths", counting)
+    _count_z_points(monkeypatch, counting)
     forces._vacuum_bath.cache_clear()
     try:
         forces._vacuum_bath(WEAK_CFG, WEAK_SPEC)
@@ -987,7 +1008,7 @@ def test_real_axis_integral_adds_each_band_edge_terms(monkeypatch):
     # fig's Z integrates the mean over both shallow bands, [0, 7.30] and
     # [16.56, K], and adds each band's edges(lo, hi), value and error, once
     bath = forces._zero_bath_integrand(FIG_CFG)
-    z, ez = forces._real_axis(FIG_CFG, SPEC6, bath)
+    z, ez = forces._real_axis(FIG_CFG, SPEC6, oracles._raw(bath), bath)
     bounds, asked = forces._band_bounds, []
 
     def moved(*args):
@@ -1000,7 +1021,7 @@ def test_real_axis_integral_adds_each_band_edge_terms(monkeypatch):
         return mean, size, plus_one
 
     monkeypatch.setattr(forces, "_band_bounds", moved)
-    z1, ez1 = forces._real_axis(FIG_CFG, SPEC6, bath)
+    z1, ez1 = forces._real_axis(FIG_CFG, SPEC6, oracles._raw(bath), bath)
     assert len(asked) == 2
     assert all(band == window for band, window in asked)
     assert z1 - z == pytest.approx(2.0, abs=1e-9)
@@ -1416,15 +1437,11 @@ def _assert_means_reused(mean, k, tol, calls):
 
 
 def _offset_points(monkeypatch, cfg, spec):
-    """Bath-integrand offset points of Z for ``cfg`` at ``spec``."""
+    """Bath-integrand offset points of Z for ``cfg`` at ``spec``, single
+    points included."""
     points = []
-    kernel = core.vacuum_baths
-
-    def counting(*args):
-        points.append(len(args[-1]))
-        return kernel(*args)
-
-    monkeypatch.setattr(core, "vacuum_baths", counting)
+    _count_z_points(monkeypatch, lambda k, offsets: points.append(
+        len(offsets)))
     forces._vacuum_bath.cache_clear()
     try:
         forces._vacuum_bath(cfg, spec)
@@ -1621,7 +1638,7 @@ def test_edge_terms_bound_a_slow_harmonic_by_its_modulus():
     assert p == pytest.approx(6.0, rel=1e-9)
     bound = 2.0 * abs(h) * x / (p - 1.0)
     assert bound < 2e-3 * abs(4.0 * h / w)
-    dropped = integrate_interval(lambda k: f(k, forces._RAW)[0], x, 2000.0,
+    dropped = integrate_interval(oracles._raw(f), x, 2000.0,
                                  SPEC9)[0]
     assert abs(dropped) <= err <= 1.001 * bound
 
@@ -1634,12 +1651,7 @@ def test_weak_bath_integral_builds_each_dense_band_once(monkeypatch):
     # switch point, for weak Z K = k0 itself, where the scan classifies no
     # point anew; fig Z's switch point lies past k0
     points, built, scans = [], [], []
-    kernel, bounds, bands = (core.vacuum_baths, forces._band_bounds,
-                             forces._bands)
-
-    def counting(*args):
-        points.append(len(args[-1]))
-        return kernel(*args)
+    bounds, bands = forces._band_bounds, forces._bands
 
     def building(*args):
         built.append(args[2:])
@@ -1649,7 +1661,8 @@ def test_weak_bath_integral_builds_each_dense_band_once(monkeypatch):
         scans.append(k_end)
         return bands(cfg, k_end)
 
-    monkeypatch.setattr(core, "vacuum_baths", counting)
+    _count_z_points(monkeypatch, lambda k, offsets: points.append(
+        len(offsets)))
     monkeypatch.setattr(forces, "_band_bounds", building)
     monkeypatch.setattr(forces, "_bands", scanning)
     forces._vacuum_bath.cache_clear()
@@ -1779,13 +1792,11 @@ def test_bath_integral_evaluates_each_point_once(monkeypatch, cfg, spec):
     # a (k, offsets) pair; that holds weak Z, whose direct pass repeated
     # 2,620 of its 8,742 offset points, to at most 6,500
     seen = collections.Counter()
-    kernel = core.vacuum_baths
 
-    def counting(*args):
-        seen[args[0], tuple(args[-1])] += 1
-        return kernel(*args)
+    def counting(k, offsets):
+        seen[k, tuple(offsets)] += 1
 
-    monkeypatch.setattr(core, "vacuum_baths", counting)
+    _count_z_points(monkeypatch, counting)
     forces._vacuum_bath.cache_clear()
     try:
         forces._vacuum_bath(cfg, spec)
@@ -1831,6 +1842,30 @@ def test_mild_bath_integral_offset_points(monkeypatch):
     # 4 offsets on every phase): 2 offsets per phase in the tail's 15
     # averages and 3 in the edge terms hold mild's Z to at most 1,620
     assert _offset_points(monkeypatch, NONEQ_CFG, NONEQ_SPEC) <= 1620
+
+
+def test_direct_pass_reuses_every_coarse_node(monkeypatch):
+    # the coarse pass over [0, k0] ends its last panel at k0, which no band
+    # of the mild pair holds, so k0 is a breakpoint of the direct pass over
+    # [0, K] too: its panels there are the coarse pass's and it reuses all
+    # 375 of its nodes (135 were left unused with K closing the last panel)
+    passes = []
+    interval = forces.integrate_interval
+
+    def tracing(f, *args, **kw):
+        nodes = set()
+        passes.append(nodes)
+
+        def g(k):
+            nodes.add(k)
+            return f(k)
+        return interval(g, *args, **kw)
+
+    monkeypatch.setattr(forces, "integrate_interval", tracing)
+    forces._vacuum_bath(NONEQ_CFG, NONEQ_SPEC)
+    coarse, direct = passes[:2]
+    assert len(coarse) == 375
+    assert coarse <= direct
 
 
 @pytest.mark.parametrize("cfg, spec, state, baths", [
@@ -1916,8 +1951,8 @@ _TAILS = {
                   False),
     "weak-bath": (lambda: forces._vacuum_bath(WEAK_CFG, WEAK_SPEC), 1e6,
                   False),
-    "fig-state": (lambda: forces._real_axis(
-        FIG_CFG, SPEC6, forces._state_integrand(FIG_CFG)), 2e4, True),
+    "fig-state": (lambda: oracles.real_axis_ic(FIG_CFG, FieldState.vacuum(),
+                                               SPEC6), 2e4, True),
 }
 
 
@@ -1995,7 +2030,7 @@ def test_failing_tail_names_its_stage():
 
     with pytest.raises(NonConvergenceError,
                        match="averaged tail past K = ") as exc:
-        forces._oscillatory_integral(slow, SPEC6, (),
+        forces._oscillatory_integral(oracles._raw(slow), slow, SPEC6, (),
                                      CavityConfig(1.0, 0.5, VACM, VACM))
     assert exc.value.panels <= forces._MAX_TAIL_PANELS
     assert exc.value.partial > 0.0
@@ -2021,11 +2056,7 @@ def test_bath_excess_takes_one_kernel_pass(monkeypatch):
     # [0, 120 / beta] call no kernel
     forces._vacuum_bath(NONEQ_CFG, NONEQ_SPEC)
     calls, nodes = [], []
-    factors, interval = core.bath_factors, forces.integrate_interval
-
-    def counting(*args):
-        calls.append(args[0])
-        return factors(*args)
+    interval = forces.integrate_interval
 
     def tracing(f, *args, **kw):
         def g(k):
@@ -2033,7 +2064,7 @@ def test_bath_excess_takes_one_kernel_pass(monkeypatch):
             return f(k)
         return interval(g, *args, **kw)
 
-    monkeypatch.setattr(core, "bath_factors", counting)
+    _count_points(monkeypatch, "bath_factors_of", calls.append)
     monkeypatch.setattr(forces, "integrate_interval", tracing)
     forces._bath_parts(NONEQ_CFG, 3.0, 8.0, NONEQ_SPEC)
     inside = [k for k in nodes if 3.0 * k <= 40.0]
@@ -2080,12 +2111,11 @@ def test_bath_excess_matches_hot_minus_cold():
     # where coth(beta k / 2) rounds to 1 and the difference to zero
     a, d = NONEQ_CFG.gap, NONEQ_CFG.width
     tl, tr = MILD_L.as_tuple(), MILD_R.as_tuple()
+    factors = core.bath_factors_of(a, d, tl, tr)
 
     def excess(k, bl, br):
-        return core.bath_weighted(k, a, d, tl, tr,
-                                  core.occupation_excess(bl, k),
-                                  core.occupation_excess(br, k),
-                                  forces._RAW)[0]
+        return core.bath_weigh(factors(k), core.occupation_excess(bl, k),
+                               core.occupation_excess(br, k))[0]
 
     for bl, br in ((3.0, 8.0), (8.0, 3.0), (5.0, 5.0)):
         for k in (0.01, 0.3, 1.0, 1.7, 2.9, 3.6):

@@ -356,7 +356,7 @@ def test_vacuum_baths_hold_the_mild_pair_far_out():
     for k, z, b in ((1e4, -7.2020418076292926e-13, 1.7383546570322059e-16),
                     (2e4, -9.0013181393678333e-14,
                      -4.4925841872737415e-17)):
-        v = pure.vacuum_baths(k, a, d, MILD_L, MILD_R, forces._RAW)[0]
+        v = pure.vacuum_bath_of(a, d, MILD_L, MILD_R)(k)
         assert v == pytest.approx(z, rel=1e-10)
         rL = _slab_terms(k, MILD_L, d, 0.0)[2][3]
         rR = _slab_terms(k, MILD_R, d, 0.0)[2][3]
@@ -496,6 +496,78 @@ def test_lean_offset_kernels_raise_at_an_undamped_pole():
                     lambda: pure.nodiss_bracket(k, 1.0, 0.4, left, right)):
                 with pytest.raises(SingularEvaluationError):
                     call()
+
+
+# The one-triple forms against the offset kernels: identical (fig, weak),
+# different (mild, and fig with mild in fig's opaque stop band), static,
+# empty and lossless pairs, and a half-space pair
+UNDAMPED = (10.0, 10.0, 0.0, False)
+_ONE_TRIPLE_PAIRS = {
+    "fig": (FIG, FIG, 1.0, 100.0),
+    "weak": (WEAK, WEAK, 1.0, 100.0),
+    "mild": (MILD_L, MILD_R, 0.5, 0.4),
+    "fig_mild": (FIG, MILD_R, 1.0, 100.0),
+    "static": (MILD_L, STATIC, 1.0, 0.4),
+    "empty": (VAC, MILD_R, 1.0, 0.4),
+    "lossless": (UNDAMPED, UNDAMPED, 1.0, 0.7),
+    "lossless_mild": (MILD_L, UNDAMPED, 1.0, 0.7),
+    "halfspace": (MILD_L, MILD_R, 1.0, math.inf),
+}
+_DENSE_K = [0.0137 * i + 0.0011 for i in range(1, 3001)] + [210.0, 2900.0]
+_SHIFTS = ((0.0, 0.0, 0.0), (0.3, 0.3, 0.0), (0.3, 1.1, 2.0), (0.0, 0.0, 4.5))
+
+
+@pytest.mark.parametrize("pair", sorted(_ONE_TRIPLE_PAIRS))
+def test_one_triple_forms_keep_the_bits_of_the_offset_kernels(pair):
+    # each one-triple form, bound to the cavity once, returns the offset
+    # kernel's value at the unshifted triple to the last bit over dense k
+    # (past the opaque cut 2 k Im(n) d > 1400 on fig), and ic_bracket at
+    # any offsets that of ic_brackets
+    left, right, a, d = _ONE_TRIPLE_PAIRS[pair]
+    raw = ((0.0, 0.0, 0.0),)
+    z = pure.vacuum_bath_of(a, d, left, right)
+    b = pure.ic_bracket_of(a, d, left, right)
+    y = pure.bath_factors_of(a, d, left, right)
+    for k in _DENSE_K:
+        assert z(k) == pure.vacuum_baths(k, a, d, left, right, raw)[0]
+        assert b(k) == pure.ic_brackets(k, a, d, left, right, raw)[0]
+        assert y(k) == pure.bath_factors(k, a, d, left, right, raw)
+    for k in _DENSE_K[::50]:
+        for o in _SHIFTS:
+            assert pure.ic_bracket(k, a, d, left, right, *o) == \
+                pure.ic_brackets(k, a, d, left, right, (o,))[0]
+
+
+def test_one_triple_forms_raise_where_the_offset_kernels_do():
+    # at the oscillator pole of an undamped slab, on either side, every
+    # form raises the offset kernels' error, and so do Z's and the state
+    # bracket's at a bound mode of the undamped pair, where the gap closes
+    # the round trip of its totally reflecting stop band (|1 - rL rR
+    # e^{2ika}| below DELTA_FLOOR); neither slab absorbs there, so the bath
+    # factors are those of no bath, as bath_factors returns them
+    from casimir1d.errors import CavityResonanceError, SingularEvaluationError
+    forms = (pure.vacuum_bath_of, pure.ic_bracket_of, pure.bath_factors_of)
+    for k in (10.0, 10.0 + 1e-12, 10.0 - 1e-12):
+        for left, right in ((UNDAMPED, UNDAMPED), (UNDAMPED, MILD_R),
+                            (MILD_R, UNDAMPED)):
+            for form in forms:
+                with pytest.raises(SingularEvaluationError):
+                    form(1.0, 0.4, left, right)(k)
+    k, d = 12.0, 100.0
+    r = pure.slab_parts(k, pure.refractive_at(-1j * k, *UNDAMPED), d)[3]
+    a = (2.0 * math.pi - cmath.phase(r * r)) / (2.0 * k)
+    assert abs(1.0 - r * r * pure.gap_phase(k, a)) < pure.DELTA_FLOOR
+    raw = ((0.0, 0.0, 0.0),)
+    for call in (lambda: pure.vacuum_baths(k, a, d, UNDAMPED, UNDAMPED, raw),
+                 lambda: pure.ic_brackets(k, a, d, UNDAMPED, UNDAMPED, raw)):
+        with pytest.raises(CavityResonanceError):
+            call()
+    for form in forms[:2]:
+        with pytest.raises(CavityResonanceError):
+            form(a, d, UNDAMPED, UNDAMPED)(k)
+    assert pure.bath_factors_of(a, d, UNDAMPED, UNDAMPED)(k) == \
+        pure.bath_factors(k, a, d, UNDAMPED, UNDAMPED, raw) == \
+        (None, None, [(None, None, None)])
 
 
 def test_refractive_at_is_the_root_of_the_permittivity():
