@@ -13,6 +13,11 @@ run the parent first and even seeds the change, so slow drift of the host
 does not favour one side.
 One traced run (``--trace 1``) per workload and checkout at seed 0 gives the
 per-layer counts, and the tier-1 pytest command runs once per checkout.
+The tracer counts the calls of ``core.ic_bracket`` and
+``core.bath_integrand`` only; on a checkout whose force routines take the
+one-triple forms (``core.ic_bracket_of`` and the like), its
+``kernels.ic_bracket.calls`` and ``kernels.evals_k_*`` read 0, and the
+state excess's points are in ``excess_calls`` below instead.
 Every interpreter started in a checkout, these and those below, keeps its
 bytecode in a fresh empty directory of that checkout's own
 (``PYTHONPYCACHEPREFIX``), so a ``__pycache__`` left in the tree by earlier
@@ -40,9 +45,8 @@ has it, its one-triple form ``core.vacuum_bath_of``, whose single points
 count as one-offset calls: every offset point, the one-offset (raw)
 calls, and the raw calls within 0.1 of a bound gap mode
 (``forces._gap_modes``), the layer ``perfbench/tracing.py`` does not see,
-and Z itself as (value, err).  A one-triple form hands a point to its
-offset kernel only at an oscillator pole or a cavity resonance, where it
-raises, so no point is counted twice.
+and Z itself as (value, err).  A one-triple form never calls its offset
+kernel, so no point is counted twice.
 ``stages`` splits the offset points by the innermost stage of Z that made
 them: ``coarse`` (the pass over [0, k0] inside ``forces._switch``),
 ``probe`` (the rest of ``_switch``: its phase grid at k0), ``edges`` (the
@@ -64,8 +68,8 @@ tracer cannot attribute to them.
 ``points(tree)`` gives them on their own.  Next to them, ``docs_ladder``
 counts the docs sigma ladder's ``core.ic_brackets`` calls and points,
 with the single points of ``core.ic_bracket_of`` where the checkout has
-it, and records its switch points K (one per ``omega0_list`` entry), a layer the
-tracer does not see either.
+it, and records its switch points K (one per ``omega0_list`` entry), a
+layer the tracer does not see either.
 Each side's ``imports`` hold the per-module import self-time in
 microseconds, the median of ``python3 -X importtime`` over 9 fresh
 interpreters under ``PYTHONDONTWRITEBYTECODE=1``, of the imports a
@@ -81,20 +85,8 @@ function that takes a cavity, ``a, d, matL, matR``, after its frequency,
 and the points of the one-triple forms, which take the cavity alone) and
 the bookkeeping around them: the total seconds, the seconds spent inside
 the integrand kernels that the package calls, and the ``refractive_at``
-calls made outside them.  Each target runs in one interpreter per mode,
-once as a warm-up and then 7 times, each from cold memos, and each figure
-is the median of those 7.  The two sides' interpreters for each target
-run back to back.  ``split({"change": tree})`` gives one checkout's on
-their own.
-``kernel_us`` holds, per side, the microseconds per point of each
-integrand on the fig, weak and mild pairs: Z's, the state bracket X's and
-the bath factors Y's, over 400 k in (0, 60], each single point through
-the call the force routines make (the one-triple forms where the checkout
-has them, else the offset kernels at the one unshifted triple and
-``core.ic_bracket``), and each offset point of a six-offset diagonal
-grid.  Each figure is the least of 7 timings in each of 5 interpreters per
-side, which alternate with the other side's: on a loaded host the least
-timing is the one closest to the kernel's own cost.
+calls made outside them, each the median over 9 fresh interpreters, each
+target from cold memos.  ``split(tree)`` gives them on their own.
 """
 
 import argparse
@@ -466,27 +458,26 @@ print(json.dumps(out))
 """
 
 
-# Run like _OUTPUTS with the arguments TARGET MODE REPEATS; prints one JSON
-# object.  TARGET is a workload, whose cavity's Z is computed, docs_ladder,
-# or noneq_mild_Y, the two bath excesses of noneq_mild's force_total calls;
-# MODE "total" times it unwrapped, "kernels" gives every package module that
+# Run like _OUTPUTS with the arguments TARGET MODE; prints one JSON object.
+# TARGET is a workload, whose cavity's Z is computed, docs_ladder, or
+# noneq_mild_Y, the two bath excesses of noneq_mild's force_total calls; MODE
+# "total" times it unwrapped, "kernels" gives every package module that
 # binds core a copy of it whose integrand kernels are timed, so the calls
 # core makes within itself stay unwrapped: each kernel that takes the cavity
 # after its frequency, and each point of the one-triple forms, which take
 # the cavity alone and return its integrand at one frequency.
 # refractive_at is counted and left outside the kernels' seconds, and the
 # cheap helpers called per node (occupation_excess, bath_weigh) are neither.
-# The target runs once from cold memos as a warm-up, then REPEATS times,
-# each from cold memos; each figure is the median of those repeats.
+# The target runs from cold memos.
 _SPLIT = r"""
-import inspect, json, statistics, sys, time, types
+import inspect, json, sys, time, types
 sys.path.insert(0, "perfbench")
 import workloads as W
 from casimir1d import cli, forces
 from casimir1d.kernels import core
 """ + _COLD + r"""
 
-target, mode, repeats = sys.argv[1], sys.argv[2], int(sys.argv[3])
+target, mode = sys.argv[1:3]
 rc = cli.load_run_config(W.SWEEP_INI, need_sweep=True)
 cavities = {"fig_300k": (W.FIG_CFG, W.FIG_SPEC),
             "noneq_mild": (W.NONEQ_CFG, W.NONEQ_SPEC),
@@ -531,34 +522,21 @@ if mode == "kernels":
         if getattr(mod, "__name__", "").startswith("casimir1d") \
                 and getattr(mod, "core", None) is core:
             mod.core = copy
-
-
-def run():
-    if target == "docs_ladder":
-        for w in rc.omega0_list:
-            forces.band_excess_curve(rc.cavity, w, rc.sigma_grid, rc.spec)
-    elif target == "noneq_mild_Y":
-        for bl, br in (W.NONEQ_BATHS, W.NONEQ_BATHS[::-1]):
-            forces._bath_excess(W.NONEQ_CFG, bl, br, W.NONEQ_SPEC)
-    else:
-        forces._vacuum_bath(*cavities[target])
-
-
 cold()
-run()
-got = []
-for _ in range(repeats):
-    cold()
-    inside[0], index[0] = 0.0, 0
-    start = time.perf_counter()
-    run()
-    got.append((time.perf_counter() - start, inside[0], index[0]))
-print(json.dumps({key: statistics.median(g[i] for g in got)
-                  for i, key in enumerate(("total_s", "kernel_s",
-                                           "index_calls"))}))
+start = time.perf_counter()
+if target == "docs_ladder":
+    for w in rc.omega0_list:
+        forces.band_excess_curve(rc.cavity, w, rc.sigma_grid, rc.spec)
+elif target == "noneq_mild_Y":
+    for bl, br in (W.NONEQ_BATHS, W.NONEQ_BATHS[::-1]):
+        forces._bath_excess(W.NONEQ_CFG, bl, br, W.NONEQ_SPEC)
+else:
+    forces._vacuum_bath(*cavities[target])
+total = time.perf_counter() - start
+print(json.dumps({"total_s": total, "kernel_s": inside[0],
+                  "index_calls": index[0]}))
 """
 SPLIT_TARGETS = WORKLOADS + ("docs_ladder", "noneq_mild_Y")
-SPLIT_REPEATS = 7
 
 
 def _run(tree, script, *args):
@@ -571,99 +549,31 @@ def _run(tree, script, *args):
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def split(trees, repeats=SPLIT_REPEATS):
-    """``{side: {target: {"total_s", "kernel_s", "index_calls"}}}`` for
-    each checkout of ``trees`` ({side: path}): for Z on each workload's
-    cavity, for the docs sigma ladder and for ``noneq_mild``'s two bath
-    excesses, the seconds it takes, the seconds spent inside the integrand
-    kernels of ``core`` called from outside ``core`` and the
-    ``refractive_at`` calls made outside them.  Each target runs in one
-    interpreter per mode and side: once as a warm-up, then ``repeats``
-    times, each from cold memos, and each figure is the median of those
-    repeats, so first-call costs stay out of it.  The sides' interpreters
-    for one target and mode run back to back, the first side alternating,
-    so slow drift of the host falls on both.  The total is timed
-    unwrapped; the kernels' seconds and the index calls come from another
-    interpreter that wraps the integrand kernels and ``refractive_at``, so
-    the wrappers' own cost stays out of the total.  ``refractive_at``
-    counts as bookkeeping, outside the kernels' seconds."""
-    sides = list(trees)
-    out = {side: {} for side in sides}
-    for i, target in enumerate(SPLIT_TARGETS):
-        for mode in ("total", "kernels"):
-            for side in sides if i % 2 == 0 else sides[::-1]:
-                got = _run(trees[side], _SPLIT, target, mode, str(repeats))
-                if mode == "total":
-                    out[side][target] = {"total_s": got["total_s"]}
-                else:
-                    out[side][target].update(kernel_s=got["kernel_s"],
-                                             index_calls=got["index_calls"])
-    return out
-
-
-# Run like _OUTPUTS; prints the microseconds per point of each integrand on
-# the fig, weak and mild pairs (see the module docstring) as one JSON object.
-_KERNEL_US = r"""
-import json, math, sys, time
-from casimir1d.kernels import core
-
-pairs = {"fig": ((10.0, 10.0, 0.1, False),) * 2 + (1.0, 100.0),
-         "weak": ((10.0, 10.0, 1e-6, False),) * 2 + (1.0, 100.0),
-         "mild": ((3.0, 2.0, 0.5, False), (2.5, 1.5, 1.0, False), 0.5, 0.4)}
-ks = [0.15 * i + 0.0071 for i in range(400)]
-raw = ((0.0, 0.0, 0.0),)
-diagonal = tuple((2.0 * math.pi * i / 6, 2.0 * math.pi * i / 6, 0.0)
-                 for i in range(6))
-
-
-def least(f, per):
-    best = math.inf
-    for _ in range(7):
-        start = time.perf_counter()
-        for k in ks:
-            f(k)
-        best = min(best, time.perf_counter() - start)
-    return 1e6 * best / (len(ks) * per)
-
-
-out = {}
-for name, (L, R, a, d) in pairs.items():
-    if hasattr(core, "vacuum_bath_of"):
-        z = core.vacuum_bath_of(a, d, L, R)
-        x = core.ic_bracket_of(a, d, L, R)
-        y = core.bath_factors_of(a, d, L, R)
-    else:
-        z = lambda k: core.vacuum_baths(k, a, d, L, R, raw)[0]
-        x = lambda k: core.ic_bracket(k, a, d, L, R)
-        y = lambda k: core.bath_factors(k, a, d, L, R, raw)
-    out[name] = {
-        "Z": least(z, 1), "X": least(x, 1), "Y": least(y, 1),
-        "Z_offset": least(lambda k: core.vacuum_baths(k, a, d, L, R,
-                                                      diagonal), 6),
-        "X_offset": least(lambda k: core.ic_brackets(k, a, d, L, R,
-                                                     diagonal), 6),
-        "Y_offset": least(lambda k: core.bath_factors(k, a, d, L, R,
-                                                      diagonal), 6)}
-print(json.dumps(out))
-"""
-KERNEL_US_RUNS = 5
-
-
-def kernel_us(trees, runs=KERNEL_US_RUNS):
-    """``{side: {pair: {integrand: us}}}`` for each checkout of ``trees``
-    ({side: path}): the microseconds per single point and per offset point
-    of Z's, X's and Y's integrands (see the module docstring), the least
-    over ``runs`` interpreters per side, which alternate as in
-    ``imports``."""
-    sides = list(trees)
-    got = {side: [] for side in sides}
-    for i in range(runs):
-        for side in sides if i % 2 == 0 else sides[::-1]:
-            got[side].append(_run(trees[side], _KERNEL_US))
-    return {side: {pair: {key: min(g[pair][key] for g in runs)
-                          for key in runs[0][pair]}
-                   for pair in runs[0]}
-            for side, runs in got.items()}
+def split(tree, runs=IMPORT_RUNS):
+    """``{target: {"total_s", "kernel_s", "index_calls"}}``: for Z on each
+    workload's cavity, for the docs sigma ladder and for ``noneq_mild``'s
+    two bath excesses in ``tree``, the seconds it takes, the seconds spent
+    inside the integrand kernels of ``core`` called from outside ``core``
+    and the ``refractive_at`` calls made outside them, each the median
+    over ``runs`` fresh interpreters.  The total is timed unwrapped; the
+    kernels' seconds and the index calls come from other interpreters that
+    wrap the integrand kernels and ``refractive_at``, so the wrappers' own
+    cost stays out of the total.  ``refractive_at`` counts as bookkeeping,
+    outside the kernels' seconds.  Each round runs every target and mode
+    once, so a burst of load on the host spreads over all of them."""
+    got = {(target, mode): [] for target in SPLIT_TARGETS
+           for mode in ("total", "kernels")}
+    for _ in range(runs):
+        for (target, mode), out in got.items():
+            out.append(_run(tree, _SPLIT, target, mode))
+    return {target: {
+        "total_s": statistics.median(g["total_s"]
+                                     for g in got[target, "total"]),
+        "kernel_s": statistics.median(g["kernel_s"]
+                                      for g in got[target, "kernels"]),
+        "index_calls": statistics.median(g["index_calls"]
+                                         for g in got[target, "kernels"])}
+        for target in SPLIT_TARGETS}
 
 
 def points(tree):
@@ -768,8 +678,7 @@ def measure(parent):
     entry["outputs"] = out
     entry["points"] = {side: points(trees[side]) for side in SIDES}
     entry["imports"] = imports(trees)
-    entry["split"] = split(trees)
-    entry["kernel_us"] = kernel_us(trees)
+    entry["split"] = {side: split(trees[side]) for side in SIDES}
     return entry
 
 

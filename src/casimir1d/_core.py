@@ -120,9 +120,9 @@ def refractive_at(s, omega0, omega_pl, gamma0, static):
 # plus the slab's absorption, and not the |t|^2 and g that Z does not read.
 # The transmissions t and tau need two complex exponentials that no force
 # integrand reads, so only slab_parts forms them.  The one-triple forms
-# below (vacuum_bath_of, ic_bracket_of, bath_factors_of) compose the same
-# index, slab_fixed and slab_offset parts for one triple inside one body,
-# without the tables.
+# below (vacuum_bath_of, ic_bracket_of, bath_factors_of) form the same
+# index, slab_fixed and slab_offset parts for one triple, one call per
+# slab, without the tables.
 #
 # bath_weighted is the composition of bath_factors, the parts of each
 # offset that do not depend on the occupation weights, and bath_weigh,
@@ -272,47 +272,58 @@ def bath_factors(omega, a, d, matL, matR, offsets):
     left slab's near term, mL/|Delta|^2 and the right slab's far term.  A
     slab that does not absorb has None for its prefactor and its terms."""
     nL, nR, fL, fR = _slab_pair(omega, d, matL, matR)
-    wL = 2.0 * nL.real * nL.imag
-    wR = 2.0 * nR.real * nR.imag
-    cL = cR = None
-    if wL == 0.0 and wR == 0.0:
+    cL, cR = _bath_prefactors(omega, nL, nR)
+    if cL is None and cR is None:
         return cL, cR, [(None, None, None)] * len(offsets)
+    left, right, gaps = _tables(omega, a, fL, fR, offsets)
+    return cL, cR, [_bath_terms(nL, nR, fL, fR, left[sL], right[sR],
+                                gaps[sG], cL is not None, cR is not None)
+                    for sL, sR, sG in offsets]
+
+
+def _bath_prefactors(omega, nL, nR):
+    """``(cL, cR)``: each slab's prefactor 0.25 omega |1 + n|^2/|n|^2, or
+    None for a slab that does not absorb (2 Re(n) Im(n) = 0)."""
+    cL = cR = None
+    if 2.0 * nL.real * nL.imag != 0.0:
+        cL = 0.25 * omega * (abs(1.0 + nL) ** 2 / abs(nL) ** 2)
+    if 2.0 * nR.real * nR.imag != 0.0:
+        cR = 0.25 * omega * (abs(1.0 + nR) ** 2 / abs(nR) ** 2)
+    return cL, cR
+
+
+def _bath_terms(nL, nR, fL, fR, left, right, gap, absorbsL, absorbsR):
+    """``(near, m, far)`` of one offset triple, from the slabs' indices,
+    their ``slab_fixed`` parts, their ``slab_offset`` parts at the triple's
+    slab offsets and its gap factor; the near term is None unless the left
+    slab absorbs, m and far unless the right one does."""
     rnL, _, qL, _, _, emL, em1L, _ = fL
     rnR, _, _, _, _, _, em1R, _ = fR
-    renL, imnL = nL.real, nL.imag
-    renR, imnR = nR.real, nR.imag
-    if wL != 0.0:
-        cL = 0.25 * omega * (abs(1.0 + nL) ** 2 / abs(nL) ** 2)
-    if wR != 0.0:
-        cR = 0.25 * omega * (abs(1.0 + nR) ** 2 / abs(nR) ** 2)
-    left, right, gaps = _tables(omega, a, fL, fR, offsets)
-    out = []
-    for sL, sR, sG in offsets:
-        e2itL, _, FL, rL, tl2L, t2aL, gL = left[sL]
-        e2itR, _, _, rR, _, t2aR, gR = right[sR]
-        gap = gaps[sG]
-        _, delta = cavity_delta(rL, rR, gap)
-        d2 = abs(delta) ** 2
-        feedL = rR * gap * qL * qL / (FL * FL * delta)
-        rho = rL + tl2L * rR * gap / delta
-        near = m = far = None
-        if wL != 0.0:
-            P = 1.0 - rnL * rho
-            Qt = rnL * (rnL * rnL - 1.0) / FL + feedL
-            near = renL * (abs(P) ** 2 * em1L + abs(Qt) ** 2 * emL * em1L)
-            if emL > 0.0:
-                near += 2.0 * imnL * emL * (P * Qt.conjugate()
-                                            * (1.0 - e2itL.conjugate())).imag
-            near -= ((1.0 + abs(rR) ** 2) / d2) * (
-                renL * (gL * em1L + t2aL * abs(rnL) ** 2 * em1L)
-                - 2.0 * imnL * t2aL * (rnL * (e2itL - 1.0)).imag)
-        if wR != 0.0:
-            m = (t2aL - 1.0 - abs(rL) ** 2) / d2
-            far = renR * gR * em1R + t2aR * (
-                renR * abs(rnR) ** 2 * em1R
-                - 2.0 * imnR * (rnR * (e2itR - 1.0)).imag)
-        out.append((near, m, far))
-    return cL, cR, out
+    e2itL, _, FL, rL, tl2L, t2aL, gL = left
+    e2itR, _, _, rR, _, t2aR, gR = right
+    _, delta = cavity_delta(rL, rR, gap)
+    d2 = abs(delta) ** 2
+    feedL = rR * gap * qL * qL / (FL * FL * delta)
+    rho = rL + tl2L * rR * gap / delta
+    near = m = far = None
+    if absorbsL:
+        renL, imnL = nL.real, nL.imag
+        P = 1.0 - rnL * rho
+        Qt = rnL * (rnL * rnL - 1.0) / FL + feedL
+        near = renL * (abs(P) ** 2 * em1L + abs(Qt) ** 2 * emL * em1L)
+        if emL > 0.0:
+            near += 2.0 * imnL * emL * (P * Qt.conjugate()
+                                        * (1.0 - e2itL.conjugate())).imag
+        near -= ((1.0 + abs(rR) ** 2) / d2) * (
+            renL * (gL * em1L + t2aL * abs(rnL) ** 2 * em1L)
+            - 2.0 * imnL * t2aL * (rnL * (e2itL - 1.0)).imag)
+    if absorbsR:
+        renR, imnR = nR.real, nR.imag
+        m = (t2aL - 1.0 - abs(rL) ** 2) / d2
+        far = renR * gR * em1R + t2aR * (
+            renR * abs(rnR) ** 2 * em1R
+            - 2.0 * imnR * (rnR * (e2itR - 1.0)).imag)
+    return near, m, far
 
 
 def bath_weigh(factors, occL, occR):
@@ -422,146 +433,106 @@ def vacuum_baths(omega, a, d, matL, matR, offsets):
 # the force routines evaluate one frequency at a time.
 #
 # vacuum_bath_of, ic_bracket_of and bath_factors_of bind a cavity once and
-# return its integrand at one frequency as one function body: both indices
-# as refractive_at forms them, the unshifted slab parts of slab_fixed and
-# slab_offset (or _absorbing_offset), the gap phase, the cavity denominator
-# and the integrand, with the arithmetic of the offset kernels in their
-# order, so each returns their bits at that triple (ic_bracket_of also at
-# any offsets).  No table and no list is built, and the material tuples are
-# unpacked and compared once per cavity.  A static or empty slab and a slab
-# of infinite width bind the offset kernel instead, and at an oscillator
-# pole or a cavity denominator below DELTA_FLOOR a point is handed to it,
-# so it raises there.
+# return its integrand at one frequency: both indices from the slabs'
+# _index_of, each slab's unshifted parts from one call (_absorbing_slab for
+# Z, _bracket_slab for the state bracket, slab_fixed and slab_offset for
+# the bath factors), the gap phase, cavity_delta and the integrand, with
+# the arithmetic of the offset kernels in their order, so each returns
+# their bits at that triple (ic_bracket_of also at any offsets) and raises
+# their errors.  No table and no list of offsets is built, and the
+# material tuples are unpacked and compared once per cavity.
 # ---------------------------------------------------------------------------
 
-def _one_step(mat):
-    """Whether ``refractive_at`` forms the index of ``mat`` in one step (a
-    dispersive oscillator of nonzero strength)."""
-    return not mat[3] and mat[1] != 0.0
+def _index_of(mat):
+    """``index(s)``: ``refractive_at(s, *mat)`` to the bit, with the
+    oscillator's constants bound once; the static and empty models and the
+    pole, where it raises, go through ``refractive_at``."""
+    omega0, omega_pl, gamma0, static = mat
+    if static or omega_pl == 0.0:
+        return lambda s: refractive_at(s, *mat)
+    w2, p2 = omega0 * omega0, omega_pl * omega_pl
+
+    def index(s):
+        den = s * s + w2 + s * gamma0
+        if abs(den) <= 1e-12 * max(abs(s) ** 2, w2, abs(s) * gamma0):
+            return refractive_at(s, *mat)
+        return cmath.sqrt(1.0 + p2 * (1.0 / den))
+    return index
+
+
+def _absorbing_slab(omega, n, d):
+    """``_absorbing_offset`` of one slab at shift 0, ``(r, tl2, |r|^2,
+    A)``, from its index in one step, with the operations of
+    ``slab_fixed``, ``_absorbing_fixed`` and ``_absorbing_offset``."""
+    re, im = n.real, n.imag
+    rn = (1.0 - n) / (1.0 + n)
+    x = 2.0 * omega * im * d
+    em, em1 = (0.0, 1.0) if x > 1400.0 else (exp(-x), -expm1(-x))
+    q = 4.0 * n / ((1.0 + n) * (1.0 + n))
+    th = 2.0 * omega * re * d if d < inf else 0.0
+    E = em * complex(cos(th), sin(th))
+    F = 1.0 - rn * rn * E
+    r = rn * (1.0 - E) / F
+    p = (1.0 + re) ** 2 + im * im
+    A = ((16.0 * (re * re * em1 - im * im * em)
+          + 4.0 * re * ((1.0 - re) ** 2 + im * im) * em1 * (1.0 + em))
+         / (p * p) - 8.0 * im / p * (rn * E).imag) / abs(F) ** 2
+    return r, q * q * E / (F * F), abs(r) ** 2, A
 
 
 def vacuum_bath_of(a, d, matL, matR):
     """Z's integrand ``f(omega)`` of the cavity: ``vacuum_baths(omega, a,
-    d, matL, matR, ((0, 0, 0),))[0]`` to the bit, as one body (see
-    above)."""
-    def offset(omega):
-        return vacuum_baths(omega, a, d, matL, matR, ((0.0, 0.0, 0.0),))[0]
-
-    if not (_one_step(matL) and _one_step(matR) and d < inf):
-        return offset
-    w2L, p2L, g0L = matL[0] * matL[0], matL[1] * matL[1], matL[2]
-    w2R, p2R, g0R = matR[0] * matR[0], matR[1] * matR[1], matR[2]
+    d, matL, matR, ((0, 0, 0),))[0]`` to the bit (see above)."""
     same = matR == matL
+    indexL, indexR = _index_of(matL), _index_of(matR)
 
     def f(omega):
         s = -1j * omega
-        ss, sm = s * s, abs(s)
-        den = ss + w2L + s * g0L
-        if abs(den) <= 1e-12 * max(sm ** 2, w2L, sm * g0L):
-            return offset(omega)
-        n = cmath.sqrt(1.0 + p2L * (1.0 / den))
-        re, im = n.real, n.imag
-        rn = (1.0 - n) / (1.0 + n)
-        x = 2.0 * omega * im * d
-        em, em1 = (0.0, 1.0) if x > 1400.0 else (exp(-x), -expm1(-x))
-        q = 4.0 * n / ((1.0 + n) * (1.0 + n))
-        th = 2.0 * omega * re * d
-        E = em * complex(cos(th), sin(th))
-        F = 1.0 - rn * rn * E
-        rL = rn * (1.0 - E) / F
-        tl2L = q * q * E / (F * F)
-        aL = abs(rL) ** 2
-        p = (1.0 + re) ** 2 + im * im
-        AL = ((16.0 * (re * re * em1 - im * im * em)
-               + 4.0 * re * ((1.0 - re) ** 2 + im * im) * em1 * (1.0 + em))
-              / (p * p) - 8.0 * im / p * (rn * E).imag) / abs(F) ** 2
+        rL, tl2L, aL, AL = _absorbing_slab(omega, indexL(s), d)
         if same:
             rR, aR, AR = rL, aL, AL
         else:
-            den = ss + w2R + s * g0R
-            if abs(den) <= 1e-12 * max(sm ** 2, w2R, sm * g0R):
-                return offset(omega)
-            n = cmath.sqrt(1.0 + p2R * (1.0 / den))
-            re, im = n.real, n.imag
-            rn = (1.0 - n) / (1.0 + n)
-            x = 2.0 * omega * im * d
-            em, em1 = (0.0, 1.0) if x > 1400.0 else (exp(-x), -expm1(-x))
-            th = 2.0 * omega * re * d
-            E = em * complex(cos(th), sin(th))
-            F = 1.0 - rn * rn * E
-            rR = rn * (1.0 - E) / F
-            aR = abs(rR) ** 2
-            p = (1.0 + re) ** 2 + im * im
-            AR = ((16.0 * (re * re * em1 - im * im * em)
-                   + 4.0 * re * ((1.0 - re) ** 2 + im * im) * em1
-                   * (1.0 + em))
-                  / (p * p) - 8.0 * im / p * (rn * E).imag) / abs(F) ** 2
-        th = 2.0 * omega * a
-        gap = complex(cos(th), sin(th))
-        w = rL * rR * gap
-        delta = 1.0 - w
-        if abs(delta) < DELTA_FLOOR:
-            return offset(omega)
+            rR, _, aR, AR = _absorbing_slab(omega, indexR(s), d)
+        gap = gap_phase(omega, a)
+        w, delta = cavity_delta(rL, rR, gap)
         return -omega * (abs(rL * delta + rR * tl2L * gap) ** 2
                          + 2.0 * w.real - aL - aR + AL * (2.0 * aR + AR)
                          + 2.0 * aL * AR) / abs(delta) ** 2
     return f
 
 
+def _bracket_slab(omega, n, d, shift):
+    """``(r, tl2, t2a)`` of one slab at ``shift`` from its index in one
+    step, with the operations of ``slab_fixed`` and ``slab_offset``."""
+    rn = (1.0 - n) / (1.0 + n)
+    x = 2.0 * omega * n.imag * d
+    em = 0.0 if x > 1400.0 else exp(-x)
+    q = 4.0 * n / ((1.0 + n) * (1.0 + n))
+    th = (2.0 * omega * n.real * d if d < inf else 0.0) + shift
+    E = em * complex(cos(th), sin(th))
+    F = 1.0 - rn * rn * E
+    return (rn * (1.0 - E) / F, q * q * E / (F * F),
+            abs(q) ** 2 / abs(F) ** 2 * em)
+
+
 def ic_bracket_of(a, d, matL, matR):
     """The state bracket ``bracket(omega, sL=0, sR=0, sG=0)`` of the
     cavity: ``ic_brackets(omega, a, d, matL, matR, ((sL, sR, sG),))[0]``
-    to the bit, as one body (see above)."""
-    def offset(omega, sL=0.0, sR=0.0, sG=0.0):
-        return ic_brackets(omega, a, d, matL, matR, ((sL, sR, sG),))[0]
-
-    if not (_one_step(matL) and _one_step(matR) and d < inf):
-        return offset
-    w2L, p2L, g0L = matL[0] * matL[0], matL[1] * matL[1], matL[2]
-    w2R, p2R, g0R = matR[0] * matR[0], matR[1] * matR[1], matR[2]
+    to the bit (see above)."""
     same = matR == matL
+    indexL, indexR = _index_of(matL), _index_of(matR)
 
     def bracket(omega, sL=0.0, sR=0.0, sG=0.0):
         s = -1j * omega
-        ss, sm = s * s, abs(s)
-        den = ss + w2L + s * g0L
-        if abs(den) <= 1e-12 * max(sm ** 2, w2L, sm * g0L):
-            return offset(omega, sL, sR, sG)
-        n = cmath.sqrt(1.0 + p2L * (1.0 / den))
-        rn = (1.0 - n) / (1.0 + n)
-        x = 2.0 * omega * n.imag * d
-        em = 0.0 if x > 1400.0 else exp(-x)
-        q = 4.0 * n / ((1.0 + n) * (1.0 + n))
-        aq2 = abs(q) ** 2
-        th = 2.0 * omega * n.real * d
-        E = em * complex(cos(th + sL), sin(th + sL))
-        F = 1.0 - rn * rn * E
-        rL = rn * (1.0 - E) / F
-        tl2L = q * q * E / (F * F)
-        t2aL = aq2 / abs(F) ** 2 * em
+        nL = indexL(s)
+        rL, tl2L, t2aL = _bracket_slab(omega, nL, d, sL)
         if same and sR == sL:
             rR, t2aR = rL, t2aL
         else:
-            if not same:
-                den = ss + w2R + s * g0R
-                if abs(den) <= 1e-12 * max(sm ** 2, w2R, sm * g0R):
-                    return offset(omega, sL, sR, sG)
-                n = cmath.sqrt(1.0 + p2R * (1.0 / den))
-                rn = (1.0 - n) / (1.0 + n)
-                x = 2.0 * omega * n.imag * d
-                em = 0.0 if x > 1400.0 else exp(-x)
-                q = 4.0 * n / ((1.0 + n) * (1.0 + n))
-                aq2 = abs(q) ** 2
-                th = 2.0 * omega * n.real * d
-            E = em * complex(cos(th + sR), sin(th + sR))
-            F = 1.0 - rn * rn * E
-            rR = rn * (1.0 - E) / F
-            t2aR = aq2 / abs(F) ** 2 * em
-        th = 2.0 * omega * a + sG
-        gap = complex(cos(th), sin(th))
-        delta = 1.0 - rL * rR * gap
-        if abs(delta) < DELTA_FLOOR:
-            return offset(omega, sL, sR, sG)
+            rR, _, t2aR = _bracket_slab(omega, nL if same else indexR(s), d,
+                                        sR)
+        gap = gap_phase(omega, a, sG)
+        _, delta = cavity_delta(rL, rR, gap)
         d2 = abs(delta) ** 2
         rho = rL + rR * tl2L * gap / delta
         return (1.0 + abs(rho) ** 2 + t2aL * t2aR / d2
@@ -573,92 +544,27 @@ def ic_bracket_of(a, d, matL, matR):
 def bath_factors_of(a, d, matL, matR):
     """The bath kernel's weight-free parts ``factors(omega)`` of the
     cavity: ``bath_factors(omega, a, d, matL, matR, ((0, 0, 0),))`` to the
-    bit, as one body (see above)."""
-    def offset(omega):
-        return bath_factors(omega, a, d, matL, matR, ((0.0, 0.0, 0.0),))
-
-    if not (_one_step(matL) and _one_step(matR) and d < inf):
-        return offset
-    w2L, p2L, g0L = matL[0] * matL[0], matL[1] * matL[1], matL[2]
-    w2R, p2R, g0R = matR[0] * matR[0], matR[1] * matR[1], matR[2]
+    bit (see above)."""
     same = matR == matL
+    indexL, indexR = _index_of(matL), _index_of(matR)
 
     def factors(omega):
         s = -1j * omega
-        ss, sm = s * s, abs(s)
-        den = ss + w2L + s * g0L
-        if abs(den) <= 1e-12 * max(sm ** 2, w2L, sm * g0L):
-            return offset(omega)
-        nL = cmath.sqrt(1.0 + p2L * (1.0 / den))
-        if same:
-            nR = nL
-        else:
-            den = ss + w2R + s * g0R
-            if abs(den) <= 1e-12 * max(sm ** 2, w2R, sm * g0R):
-                return offset(omega)
-            nR = cmath.sqrt(1.0 + p2R * (1.0 / den))
-        renL, imnL = nL.real, nL.imag
-        renR, imnR = nR.real, nR.imag
-        wL = 2.0 * renL * imnL
-        wR = 2.0 * renR * imnR
-        cL = cR = None
-        if wL == 0.0 and wR == 0.0:
+        nL = indexL(s)
+        nR = nL if same else indexR(s)
+        cL, cR = _bath_prefactors(omega, nL, nR)
+        if cL is None and cR is None:
             return cL, cR, [(None, None, None)]
-        rnL = (1.0 - nL) / (1.0 + nL)
-        x = 2.0 * omega * imnL * d
-        emL, em1L = (0.0, 1.0) if x > 1400.0 else (exp(-x), -expm1(-x))
-        qL = 4.0 * nL / ((1.0 + nL) * (1.0 + nL))
-        th = 2.0 * omega * renL * d
-        e2itL = complex(cos(th), sin(th))
-        E = emL * e2itL
-        FL = 1.0 - rnL * rnL * E
-        gL = abs(qL) ** 2 / abs(FL) ** 2
-        rL = rnL * (1.0 - E) / FL
-        tl2L = qL * qL * E / (FL * FL)
-        t2aL = gL * emL
+        fL = slab_fixed(omega, nL, d)
+        left = slab_offset(fL, 0.0)
         if same:
-            rnR, em1R, e2itR, rR, t2aR, gR = rnL, em1L, e2itL, rL, t2aL, gL
+            fR, right = fL, left
         else:
-            rnR = (1.0 - nR) / (1.0 + nR)
-            x = 2.0 * omega * imnR * d
-            emR, em1R = (0.0, 1.0) if x > 1400.0 else (exp(-x), -expm1(-x))
-            qR = 4.0 * nR / ((1.0 + nR) * (1.0 + nR))
-            th = 2.0 * omega * renR * d
-            e2itR = complex(cos(th), sin(th))
-            E = emR * e2itR
-            F = 1.0 - rnR * rnR * E
-            gR = abs(qR) ** 2 / abs(F) ** 2
-            rR = rnR * (1.0 - E) / F
-            t2aR = gR * emR
-        if wL != 0.0:
-            cL = 0.25 * omega * (abs(1.0 + nL) ** 2 / abs(nL) ** 2)
-        if wR != 0.0:
-            cR = 0.25 * omega * (abs(1.0 + nR) ** 2 / abs(nR) ** 2)
-        th = 2.0 * omega * a
-        gap = complex(cos(th), sin(th))
-        delta = 1.0 - rL * rR * gap
-        if abs(delta) < DELTA_FLOOR:
-            return offset(omega)
-        d2 = abs(delta) ** 2
-        feedL = rR * gap * qL * qL / (FL * FL * delta)
-        rho = rL + tl2L * rR * gap / delta
-        near = m = far = None
-        if wL != 0.0:
-            P = 1.0 - rnL * rho
-            Qt = rnL * (rnL * rnL - 1.0) / FL + feedL
-            near = renL * (abs(P) ** 2 * em1L + abs(Qt) ** 2 * emL * em1L)
-            if emL > 0.0:
-                near += 2.0 * imnL * emL * (P * Qt.conjugate()
-                                            * (1.0 - e2itL.conjugate())).imag
-            near -= ((1.0 + abs(rR) ** 2) / d2) * (
-                renL * (gL * em1L + t2aL * abs(rnL) ** 2 * em1L)
-                - 2.0 * imnL * t2aL * (rnL * (e2itL - 1.0)).imag)
-        if wR != 0.0:
-            m = (t2aL - 1.0 - abs(rL) ** 2) / d2
-            far = renR * gR * em1R + t2aR * (
-                renR * abs(rnR) ** 2 * em1R
-                - 2.0 * imnR * (rnR * (e2itR - 1.0)).imag)
-        return cL, cR, [(near, m, far)]
+            fR = slab_fixed(omega, nR, d)
+            right = slab_offset(fR, 0.0)
+        return cL, cR, [_bath_terms(nL, nR, fL, fR, left, right,
+                                    gap_phase(omega, a), cL is not None,
+                                    cR is not None)]
     return factors
 
 

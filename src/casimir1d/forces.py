@@ -31,11 +31,10 @@ so its O(1) terms cancel by algebra rather than in rounding and it stays
 accurate far past the switch point; the bath kernel at zero temperature
 is kept as its independent check (``oracles.bath_integrand``).  Most
 kernel calls of Z, of the two excesses and of the sigma ladder's raw
-strips are single points, each one kernel body with the cavity bound once
-per integral (``core.vacuum_bath_of``, ``core.ic_bracket_of``,
-``core.bath_factors_of``): on the fig and mild pairs Z's point costs about
-3.1 and 5.1 microseconds against 4.6 and 7.9 through the offset kernel at
-one triple, on a loaded 2-vCPU host.  Z and R are memoized per
+strips are single points, each through a one-triple form that binds the
+cavity once per integral and builds no offset tables
+(``core.vacuum_bath_of``, ``core.ic_bracket_of``,
+``core.bath_factors_of``).  Z and R are memoized per
 process for each cavity and spec, and the state excess for each cavity,
 state and spec, so forces at several bath temperatures compute each once;
 the bath excess weighs the bath kernel's weight-free parts, memoized per
@@ -1198,8 +1197,8 @@ def _oscillatory_integral(point, shifted, spec, breakpoints, cfg, poles=()):
     ----------
     point : callable
         ``point(k)``, the integrand at k: ``shifted(k, offsets)`` in value
-        at the one unshifted triple (0, 0, 0), from one kernel body that
-        builds no offset tables.
+        at the one unshifted triple (0, 0, 0), from a one-triple form
+        that builds no offset tables.
     shifted : callable
         ``shifted(k, offsets)`` evaluates the integrand at k once per
         additive offset triple (sL, sR, sG) on the left-slab, right-slab

@@ -350,14 +350,16 @@ def test_vacuum_baths_match_the_zero_temperature_bath_integrand(pair):
 def test_vacuum_baths_hold_the_mild_pair_far_out():
     # frozen mpmath samples of the cavity coefficients at 80 digits, where
     # the bracket's O(1) terms cancel without loss, at k = 1e4 and 2e4,
-    # where ic_bracket rounds to 0: Z's integrand, and the state bracket B
-    # that it holds
+    # where ic_bracket rounds to 0: Z's integrand, from the offset kernel
+    # and from the one-triple form, and the state bracket B that it holds
     a, d = 0.5, 0.4
     for k, z, b in ((1e4, -7.2020418076292926e-13, 1.7383546570322059e-16),
                     (2e4, -9.0013181393678333e-14,
                      -4.4925841872737415e-17)):
-        v = pure.vacuum_bath_of(a, d, MILD_L, MILD_R)(k)
+        v = pure.vacuum_baths(k, a, d, MILD_L, MILD_R, ((0.0, 0.0, 0.0),))[0]
         assert v == pytest.approx(z, rel=1e-10)
+        assert pure.vacuum_bath_of(a, d, MILD_L, MILD_R)(k) == \
+            pytest.approx(z, rel=1e-10)
         rL = _slab_terms(k, MILD_L, d, 0.0)[2][3]
         rR = _slab_terms(k, MILD_R, d, 0.0)[2][3]
         w, delta = pure.cavity_delta(rL, rR, pure.gap_phase(k, a))
@@ -513,7 +515,8 @@ _ONE_TRIPLE_PAIRS = {
     "lossless_mild": (MILD_L, UNDAMPED, 1.0, 0.7),
     "halfspace": (MILD_L, MILD_R, 1.0, math.inf),
 }
-_DENSE_K = [0.0137 * i + 0.0011 for i in range(1, 3001)] + [210.0, 2900.0]
+_DENSE_K = [0.0137 * i + 0.0011 for i in range(1, 3001)] + [210.0, 2900.0,
+                                                              1e4, 2e4]
 _SHIFTS = ((0.0, 0.0, 0.0), (0.3, 0.3, 0.0), (0.3, 1.1, 2.0), (0.0, 0.0, 4.5))
 
 
