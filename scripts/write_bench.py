@@ -14,10 +14,10 @@ does not favour one side.
 One traced run (``--trace 1``) per workload and checkout at seed 0 gives the
 per-layer counts, and the tier-1 pytest command runs once per checkout.
 The tracer counts the calls of ``core.ic_bracket`` and
-``core.bath_integrand`` only; on a checkout whose force routines take the
-one-triple forms (``core.ic_bracket_of`` and the like), its
-``kernels.ic_bracket.calls`` and ``kernels.evals_k_*`` read 0, and the
-state excess's points are in ``excess_calls`` below instead.
+``core.bath_integrand`` only; the force routines take the one-triple forms
+(``core.ic_bracket_of`` and the like), so its ``kernels.ic_bracket.calls``
+and ``kernels.evals_k_*`` read 0, and the state excess's points are in
+``excess_calls`` below instead.
 Every interpreter started in a checkout, these and those below, keeps its
 bytecode in a fresh empty directory of that checkout's own
 (``PYTHONPYCACHEPREFIX``), so a ``__pycache__`` left in the tree by earlier
@@ -38,12 +38,10 @@ on the four workload configurations at seed 0, the docs sigma ladder
 whether its repr is ``identical`` on both sides, and lists those that
 differ.
 Each side's ``points`` count the kernel points of the zero-temperature
-bath integral Z on each workload's cavity, by wrapping Z's kernel
-(``core.vacuum_baths``, or ``core.bath_weighted`` on a checkout without
-it, so that the counts compare across the two) and, where the checkout
-has it, its one-triple form ``core.vacuum_bath_of``, whose single points
-count as one-offset calls: every offset point, the one-offset (raw)
-calls, and the raw calls within 0.1 of a bound gap mode
+bath integral Z on each workload's cavity, by wrapping Z's offset kernel
+``core.vacuum_baths`` and its one-triple form ``core.vacuum_bath_of``,
+whose single points count as one-offset calls: every offset point, the
+one-offset (raw) calls, and the raw calls within 0.1 of a bound gap mode
 (``forces._gap_modes``), the layer ``perfbench/tracing.py`` does not see,
 and Z itself as (value, err).  A one-triple form never calls its offset
 kernel, so no point is counted twice.
@@ -60,16 +58,15 @@ probe at k0, of the edge terms' grid at K and of the tail average (empty
 on checkouts that size no grid).  Every memo is cleared before each
 cavity and before the docs ladder.  With Z memoized, ``excess_calls``
 counts the kernel calls of the thermal state excess X (the points of
-``core.ic_bracket_of``, or ``core.ic_bracket`` on a checkout without it)
-and of the bath excess Y (the points of ``core.bath_factors_of``, else
-``core.bath_factors``, else ``core.bath_weighted``) in the workload's
-``force_total`` calls at seed 0 (one, or two on ``noneq_mild``), which the
-tracer cannot attribute to them.
+``core.ic_bracket_of``) and of the bath excess Y (the points of
+``core.bath_factors_of``) in the workload's ``force_total`` calls at seed
+0 (one, or two on ``noneq_mild``), which the tracer cannot attribute to
+them.
 ``points(tree)`` gives them on their own.  Next to them, ``docs_ladder``
 counts the docs sigma ladder's ``core.ic_brackets`` calls and points,
-with the single points of ``core.ic_bracket_of`` where the checkout has
-it, and records its switch points K (one per ``omega0_list`` entry), a
-layer the tracer does not see either.
+with the single points of ``core.ic_bracket_of``, and records its switch
+points K (one per ``omega0_list`` entry), a layer the tracer does not see
+either.
 Each side's ``imports`` hold the per-module import self-time in
 microseconds, the median of ``python3 -X importtime`` over 9 fresh
 interpreters under ``PYTHONDONTWRITEBYTECODE=1``, of the imports a
@@ -319,16 +316,6 @@ def staged(label, fn, inside=None):
     return wrapped
 
 
-def attributed(name):
-    kernel = getattr(core, name)
-
-    def wrapped(*args):
-        if parts:
-            excess_calls[parts[-1]] += 1
-        return kernel(*args)
-    setattr(core, name, wrapped)
-
-
 def excess_point(k):
     if parts:
         excess_calls[parts[-1]] += 1
@@ -384,22 +371,12 @@ forces._averaged_tail = staged("tail", forces._averaged_tail)
 forces._above_edges = lambda *a: staged("edges", above_edges(*a))
 forces._band_bounds = banded
 forces._sampler = gridded
-# Z's kernel: the state-side one where the checkout has it, and its single
-# points through the one-triple form where the checkout has one
-counting("vacuum_baths" if hasattr(core, "vacuum_baths") else "bath_weighted")
-if hasattr(core, "vacuum_bath_of"):
-    one_triple("vacuum_bath_of", point)
-# Y's kernel: the one-triple form, else the weight-free one, else the
-# weighted one; X's: the one-triple form, else ic_bracket
-if hasattr(core, "bath_factors_of"):
-    one_triple("bath_factors_of", excess_point)
-else:
-    attributed("bath_factors" if hasattr(core, "bath_factors")
-               else "bath_weighted")
-if hasattr(core, "ic_bracket_of"):
-    one_triple("ic_bracket_of", excess_point)
-else:
-    attributed("ic_bracket")
+# Z's kernel, with its single points through the one-triple form; Y's and
+# X's kernels, the one-triple forms
+counting("vacuum_baths")
+one_triple("vacuum_bath_of", point)
+one_triple("bath_factors_of", excess_point)
+one_triple("ic_bracket_of", excess_point)
 part("X", "_thermal_excess")
 part("Y", "_bath_excess")
 b = W.BETA_300K
@@ -446,8 +423,7 @@ def recording(*args):
 
 forces._switch = recording
 counting("ic_brackets")
-if hasattr(core, "ic_bracket_of"):
-    one_triple("ic_bracket_of", point)
+one_triple("ic_bracket_of", point)
 del calls[:]
 cold()
 for w in rc.omega0_list:

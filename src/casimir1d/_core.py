@@ -113,22 +113,21 @@ def refractive_at(s, omega0, omega_pl, gamma0, static):
 # their squares, em, em1 and the unshifted phase), once per frequency from
 # the index that _slab_pair takes from refractive_at (one call per slab),
 # and slab_offset the shifted parts (e2it, E, F, r, tl2, t2a, g), once per
-# distinct shift.  ic_brackets and bath_factors build one table of
-# slab_offset parts per slab and one of gap factors (_tables) and look each
-# offset triple up there; vacuum_baths builds its tables from
-# _absorbing_offset, which forms only E, F, r and tl2 as slab_offset does,
-# plus the slab's absorption, and not the |t|^2 and g that Z does not read.
-# The transmissions t and tau need two complex exponentials that no force
-# integrand reads, so only slab_parts forms them.  The one-triple forms
-# below (vacuum_bath_of, ic_bracket_of, bath_factors_of) form the same
-# index, slab_fixed and slab_offset parts for one triple, one call per
-# slab, without the tables.
+# distinct shift.  ic_brackets builds one table of slab_offset parts per
+# slab and one of gap factors (_tables) and looks each offset triple up
+# there; vacuum_baths builds its tables from _absorbing_offset, which forms
+# only E, F, r and tl2 as slab_offset does, plus the slab's absorption, and
+# not the |t|^2 and g that Z does not read.  The transmissions t and tau
+# need two complex exponentials that no force integrand reads, so only
+# slab_parts forms them.  The one-triple forms below (vacuum_bath_of,
+# ic_bracket_of, bath_factors_of) form the same index, slab_fixed and
+# slab_offset parts for one triple, one call per slab, without the tables.
 #
-# bath_weighted is the composition of bath_factors, the parts of each
-# offset that do not depend on the occupation weights, and bath_weigh,
-# which multiplies each weight into its slab's prefactor before the near or
-# far term; the bath excess keeps the factors of each k and weighs them
-# afresh at every temperature.
+# The bath kernel has one form, bath_factors_of: the parts of one triple
+# that do not depend on the occupation weights, which bath_weigh weighs,
+# multiplying each weight into its slab's prefactor before the near or far
+# term.  The bath excess keeps the factors of each k and weighs them afresh
+# at every temperature; bath_integrand weighs them at coth(beta omega/2).
 # ---------------------------------------------------------------------------
 
 def slab_fixed(omega, n, d):
@@ -249,38 +248,6 @@ def ic_bracket(omega, a, d, matL, matR, sL=0.0, sR=0.0, sG=0.0):
     return ic_bracket_of(a, d, matL, matR)(omega, sL, sR, sG)
 
 
-def bath_integrands(omega, a, d, matL, matR, betaL, betaR, offsets):
-    """``bath_integrand`` at omega for each ``(sL, sR, sG)`` of
-    ``offsets``, as a list; the slab and gap work is shared across the
-    offsets."""
-    return bath_weighted(omega, a, d, matL, matR, coth_half(betaL, omega),
-                         coth_half(betaR, omega), offsets)
-
-
-def bath_weighted(omega, a, d, matL, matR, occL, occR, offsets):
-    """``bath_integrands`` with the occupation weights ``occL`` and
-    ``occR`` in place of coth(beta omega/2); the integrand is linear in
-    them, so this is ``bath_weigh`` of ``bath_factors``."""
-    return bath_weigh(bath_factors(omega, a, d, matL, matR, offsets),
-                      occL, occR)
-
-
-def bath_factors(omega, a, d, matL, matR, offsets):
-    """The weight-free parts of ``bath_weighted`` at omega: ``(cL, cR,
-    terms)``, cL and cR the slabs' prefactors 0.25 omega |1 + n|^2/|n|^2
-    and, for each ``(sL, sR, sG)`` of ``offsets``, ``(near, m, far)``: the
-    left slab's near term, mL/|Delta|^2 and the right slab's far term.  A
-    slab that does not absorb has None for its prefactor and its terms."""
-    nL, nR, fL, fR = _slab_pair(omega, d, matL, matR)
-    cL, cR = _bath_prefactors(omega, nL, nR)
-    if cL is None and cR is None:
-        return cL, cR, [(None, None, None)] * len(offsets)
-    left, right, gaps = _tables(omega, a, fL, fR, offsets)
-    return cL, cR, [_bath_terms(nL, nR, fL, fR, left[sL], right[sR],
-                                gaps[sG], cL is not None, cR is not None)
-                    for sL, sR, sG in offsets]
-
-
 def _bath_prefactors(omega, nL, nR):
     """``(cL, cR)``: each slab's prefactor 0.25 omega |1 + n|^2/|n|^2, or
     None for a slab that does not absorb (2 Re(n) Im(n) = 0)."""
@@ -327,23 +294,16 @@ def _bath_terms(nL, nR, fL, fR, left, right, gap, absorbsL, absorbsR):
 
 
 def bath_weigh(factors, occL, occR):
-    """``bath_weighted``'s values from its ``bath_factors`` and the
-    occupation weights, each weight multiplying its slab's prefactor before
-    the near or far term, in the order that form takes."""
-    cL, cR, terms = factors
-    if cL is not None:
-        cL *= occL
-    if cR is not None:
-        cR *= occR
-    out = []
-    for near, m, far in terms:
-        v = 0.0
-        if near is not None:
-            v += cL * near
-        if far is not None:
-            v += cR * m * far
-        out.append(v)
-    return out
+    """The bath integrand from one triple's ``bath_factors_of`` parts and
+    the occupation weights, each weight multiplying its slab's prefactor
+    before the near or far term."""
+    cL, cR, (near, m, far) = factors
+    v = 0.0
+    if near is not None:
+        v += cL * occL * near
+    if far is not None:
+        v += cR * occR * m * far
+    return v
 
 
 def bath_integrand(omega, a, d, matL, matR, betaL, betaR,
@@ -354,8 +314,8 @@ def bath_integrand(omega, a, d, matL, matR, betaL, betaR,
     per-slab inverse temperatures betaL/betaR; both slab source integrals are
     folded in analytically.  Vanishes identically when neither slab absorbs.
     """
-    return bath_integrands(omega, a, d, matL, matR, betaL, betaR,
-                           ((sL, sR, sG),))[0]
+    return bath_weigh(bath_factors_of(a, d, matL, matR)(omega, sL, sR, sG),
+                      coth_half(betaL, omega), coth_half(betaR, omega))
 
 
 # ---------------------------------------------------------------------------
@@ -408,8 +368,8 @@ def _absorbing_offset(ext, shift):
 
 def vacuum_baths(omega, a, d, matL, matR, offsets):
     """Zero-temperature bath integrand at omega for each ``(sL, sR, sG)``
-    of ``offsets``, as a list: ``bath_integrands(omega, ..., inf, inf,
-    offsets)`` in value, as -4 Re[omega w / Delta] - omega B with the state
+    of ``offsets``, as a list: ``bath_integrand(omega, ..., inf, inf, sL,
+    sR, sG)`` in value, as -4 Re[omega w / Delta] - omega B with the state
     bracket B in absorption form (see above)."""
     nL, nR, fL, fR = _slab_pair(omega, d, matL, matR)
     eL = _absorbing_fixed(nL, fL)
@@ -429,18 +389,21 @@ def vacuum_baths(omega, a, d, matL, matR, offsets):
 
 
 # ---------------------------------------------------------------------------
-# One-triple forms: the integrands at the unshifted triple (0, 0, 0), which
-# the force routines evaluate one frequency at a time.
+# One-triple forms: the integrands at one offset triple, unshifted unless
+# offsets are given, which the force routines evaluate one frequency at a
+# time.
 #
 # vacuum_bath_of, ic_bracket_of and bath_factors_of bind a cavity once and
 # return its integrand at one frequency: both indices from the slabs'
-# _index_of, each slab's unshifted parts from one call (_absorbing_slab for
-# Z, _bracket_slab for the state bracket, slab_fixed and slab_offset for
-# the bath factors), the gap phase, cavity_delta and the integrand, with
-# the arithmetic of the offset kernels in their order, so each returns
-# their bits at that triple (ic_bracket_of also at any offsets) and raises
-# their errors.  No table and no list of offsets is built, and the
-# material tuples are unpacked and compared once per cavity.
+# _index_of, each slab's parts from one call (_absorbing_slab for Z,
+# _bracket_slab for the state bracket, slab_fixed and slab_offset for the
+# bath factors), the gap phase, cavity_delta and the integrand.  Z's and
+# the state bracket's forms take the arithmetic of their offset kernels in
+# its order, so each returns their bits at that triple (ic_bracket_of also
+# at any offsets) and raises their errors; bath_factors_of is the bath
+# kernel's only form and takes offsets as ic_bracket_of does.  No table
+# and no list of offsets is built, and the material tuples are unpacked
+# and compared once per cavity.
 # ---------------------------------------------------------------------------
 
 def _index_of(mat):
@@ -542,29 +505,29 @@ def ic_bracket_of(a, d, matL, matR):
 
 
 def bath_factors_of(a, d, matL, matR):
-    """The bath kernel's weight-free parts ``factors(omega)`` of the
-    cavity: ``bath_factors(omega, a, d, matL, matR, ((0, 0, 0),))`` to the
-    bit (see above)."""
+    """The bath kernel's weight-free parts ``factors(omega, sL=0, sR=0,
+    sG=0)`` of the cavity at one offset triple: ``(cL, cR, (near, m,
+    far))``, cL and cR the slabs' prefactors 0.25 omega |1 + n|^2/|n|^2,
+    near the left slab's near term, m = mL/|Delta|^2 and far the right
+    slab's far term, which ``bath_weigh`` weighs by the occupations.  A
+    slab that does not absorb has None for its prefactor and its terms."""
     same = matR == matL
     indexL, indexR = _index_of(matL), _index_of(matR)
 
-    def factors(omega):
+    def factors(omega, sL=0.0, sR=0.0, sG=0.0):
         s = -1j * omega
         nL = indexL(s)
         nR = nL if same else indexR(s)
         cL, cR = _bath_prefactors(omega, nL, nR)
         if cL is None and cR is None:
-            return cL, cR, [(None, None, None)]
+            return cL, cR, (None, None, None)
         fL = slab_fixed(omega, nL, d)
-        left = slab_offset(fL, 0.0)
-        if same:
-            fR, right = fL, left
-        else:
-            fR = slab_fixed(omega, nR, d)
-            right = slab_offset(fR, 0.0)
-        return cL, cR, [_bath_terms(nL, nR, fL, fR, left, right,
-                                    gap_phase(omega, a), cL is not None,
-                                    cR is not None)]
+        fR = fL if same else slab_fixed(omega, nR, d)
+        left = slab_offset(fL, sL)
+        right = left if same and sR == sL else slab_offset(fR, sR)
+        return cL, cR, _bath_terms(nL, nR, fL, fR, left, right,
+                                   gap_phase(omega, a, sG), cL is not None,
+                                   cR is not None)
     return factors
 
 

@@ -424,16 +424,8 @@ def _pole_parts(cfg, k, n=None):
     """``(n, rn, E0, v, rho)`` at k of the identical slabs of ``cfg``: the
     slab's refractive index n (computed when not given), its surface
     reflection rn and internal transmission E0 (``_surface``), the gap
-    phasor v = e^{i k a} and the pole radius rho (``_pole_radius``)."""
-    n, rn, e0 = _surface(cfg.left, cfg.width, k, n)
-    v = cmath.exp(1j * k * cfg.gap)
-    return n, rn, e0, v, e0 * abs(rn) * max(abs(rn - v) / abs(1.0 - rn * v),
-                                            abs(rn + v) / abs(1.0 + rn * v))
-
-
-def _pole_radius(cfg, k, n=None):
-    """Decay ratio rho of the slab harmonics of identical slabs at k, from
-    their refractive index n there (computed when not given).
+    phasor v = e^{i k a} and the pole radius rho, the decay ratio of the
+    slab harmonics.
 
     On the diagonal the integrand is rational in z = e^{i phi}.  With rn the
     surface reflection, E0 = e^{-2 k Im(n) d} and v = e^{i k a}, the cavity
@@ -445,7 +437,10 @@ def _pole_radius(cfg, k, n=None):
     rho anyway: |rn - v|^2 + |rn + v|^2 = |1 - rn v|^2 + |1 + rn v|^2, so
     one of the two ratios over E0 |rn| is at least 1 > |rn|.
     """
-    return _pole_parts(cfg, k, n)[4]
+    n, rn, e0 = _surface(cfg.left, cfg.width, k, n)
+    v = cmath.exp(1j * k * cfg.gap)
+    return n, rn, e0, v, e0 * abs(rn) * max(abs(rn - v) / abs(1.0 - rn * v),
+                                            abs(rn + v) / abs(1.0 + rn * v))
 
 
 def _pole_form(vals, width, k, parts, charge=False):
@@ -459,7 +454,7 @@ def _pole_form(vals, width, k, parts, charge=False):
     give (``parts``, see ``_pole_parts``).
 
     With x_p = e^{i phi} y_p and y_+- = E0 rn (rn -+ v) / (1 -+ rn v) (see
-    ``_pole_radius``), the integrand R(s) at the slab offset s times
+    ``_pole_parts``), the integrand R(s) at the slab offset s times
     Q(s) = prod_p |1 - e^{is} x_p|^2 is a trigonometric polynomial P of
     degree 2, which six samples read exactly.  R = P / Q is then the sum
     of its residue terms: for j >= 1 its coefficient c_j = h_j e^{i j phi}
@@ -647,7 +642,7 @@ def _decay_ratios(cfg, axes, k):
     reflection reaches at most rbar = |rn| (1 + E0) / (1 - |rn|^2 E0) over
     its slab phase, and the cavity denominator 1 - rL rR e^{2ika} makes the
     gap harmonics fall like rbarL rbarR.  The slab phase of identical slabs
-    falls like their pole radius (``_pole_radius``); that of one of two
+    falls like their pole radius (``_pole_parts``); that of one of two
     different slabs like E0 |rn| (|rn| + rbar') / (1 - |rn| rbar'), rbar'
     the other slab's.
     """
@@ -661,7 +656,7 @@ def _decay_ratios(cfg, axes, k):
         if slots == (2,):
             out.append(surf[0][3] * surf[1][3])
         elif slots == (0, 1):
-            out.append(_pole_radius(cfg, k, surf[0][0]))
+            out.append(_pole_parts(cfg, k, surf[0][0])[4])
         else:
             _, rn, e0, _ = surf[slots[0]]
             other = surf[1 - slots[0]][3]
@@ -1761,7 +1756,7 @@ def _bath_excess(cfg, beta_left, beta_right, spec, beta_phi=math.inf):
         ref = core.occupation_excess(beta_phi, k)
         return core.bath_weigh(
             factors(k), core.occupation_excess(beta_left, k) - ref,
-            core.occupation_excess(beta_right, k) - ref)[0]
+            core.occupation_excess(beta_right, k) - ref)
 
     return _thermal_window(g, min(beta_left, beta_right, beta_phi), spec,
                            _breakpoints(cfg.left, cfg.right))
@@ -1770,10 +1765,10 @@ def _bath_excess(cfg, beta_left, beta_right, spec, beta_phi=math.inf):
 @functools.lru_cache(maxsize=_VACUUM_CACHE_SIZE)
 def _bath_factors(cfg):
     """The bath kernel's weight-free parts ``factors(k)`` on a cavity
-    (``core.bath_factors_of``, ``core.bath_factors`` at the unshifted
-    triple), memoized per process for each cavity and k, so a bath excess
-    at any temperatures calls the kernel only at k that no earlier excess
-    on the cavity sampled.  A raised error is not memoized."""
+    (``core.bath_factors_of`` at the unshifted triple), memoized per
+    process for each cavity and k, so a bath excess at any temperatures
+    calls the kernel only at k that no earlier excess on the cavity
+    sampled.  A raised error is not memoized."""
     return functools.lru_cache(maxsize=None)(
         core.bath_factors_of(*_args(cfg)))
 
@@ -1817,7 +1812,8 @@ def force_bath(cfg, beta_left, beta_right, spec):
     the zero-temperature bath integrand taken from the state side, the
     round-trip term less k times the state bracket (``core.vacuum_baths``);
     the excess weighs the bath kernel's weight-free parts
-    (``core.bath_factors``, memoized per cavity and k) by the occupations.
+    (``core.bath_factors_of``, memoized per cavity and k) by the
+    occupations.
 
     Parameters
     ----------

@@ -24,15 +24,17 @@ from .stress import pressure_difference
 
 def bath_integrand(cfg, beta_left, beta_right):
     """Bath integrand ``f(k, offsets)`` of a cavity at the given inverse
-    bath temperatures, from the bath side (``core.bath_integrands``).  At
-    zero temperature it is the independent check of Z's integrand
-    (``forces._zero_bath_integrand``), which is assembled from the state
-    side."""
-    a, d, tl, tr = forces._args(cfg)
+    bath temperatures, from the bath side: the bath kernel's parts
+    (``core.bath_factors_of``, bound to the cavity once) at each offset
+    triple, weighed at coth(beta k/2).  At zero temperature it is the
+    independent check of Z's integrand (``forces._zero_bath_integrand``),
+    which is assembled from the state side."""
+    factors = core.bath_factors_of(*forces._args(cfg))
 
     def f(k, offsets):
-        return core.bath_integrands(k, a, d, tl, tr, beta_left, beta_right,
-                                    offsets)
+        occL = core.coth_half(beta_left, k)
+        occR = core.coth_half(beta_right, k)
+        return [core.bath_weigh(factors(k, *o), occL, occR) for o in offsets]
     return f
 
 

@@ -1178,7 +1178,7 @@ def _both_integrands(cfg):
 def test_pole_radius_matches_the_measured_harmonic_decay(cfg, k, rho):
     # sqrt|h_{j+2} / h_j| from 256 diagonal samples, over the harmonics
     # clear of rounding, for the bath and the state integrands
-    assert forces._pole_radius(cfg, k) == pytest.approx(rho, abs=1e-4)
+    assert forces._pole_parts(cfg, k)[4] == pytest.approx(rho, abs=1e-4)
     for f in _both_integrands(cfg):
         c = forces._dft(f(k, forces._grid((256,))), (256,))
         h = [c[j, ] for j in range(1, 128)]
@@ -1225,7 +1225,7 @@ def test_pole_form_matches_a_fine_dft(cfg, k):
     # integrands; the weak points lie where rho >= 0.88 and the plain
     # six-sample average is off by up to 1.1
     if cfg is WEAK_CFG:
-        assert forces._pole_radius(cfg, k) >= 0.88
+        assert forces._pole_parts(cfg, k)[4] >= 0.88
     turn = cmath.exp(2j * k * forces._index(cfg.left, k).real * cfg.width)
     ring = [cmath.exp(-2j * math.pi * i / 4096) for i in range(4096)]
     for f in _both_integrands(cfg):
@@ -1282,7 +1282,7 @@ def test_pole_form_keeps_the_bits_of_the_dft_route(cfg, band, t):
     dense, shallow = forces._bands(cfg, 1.3 * 10.0 * math.sqrt(2.0))
     lo, hi = (shallow if cfg is FIG_CFG else dense)[band]
     k = lo + t * (hi - lo)
-    assert forces._pole_radius(cfg, k) > 0.0
+    assert forces._pole_parts(cfg, k)[4] > 0.0
     for f in _both_integrands(cfg):
         vals = f(k, forces._grid((6,)))
         want = _dft_pole_form(vals, cfg, k)
@@ -1348,7 +1348,7 @@ def test_pole_radius_keeps_its_bits_without_the_slab_pole():
             three = e0 * abs(rn) * max(abs(rn - u) / abs(1.0 - rn * u),
                                        abs(rn + u) / abs(1.0 + rn * u),
                                        abs(rn))
-            assert forces._pole_radius(cfg, k) == three
+            assert forces._pole_parts(cfg, k)[4] == three
 
 
 def test_sized_mean_is_within_half_its_tolerance():
@@ -1403,7 +1403,7 @@ def test_band_route_follows_the_pole_radius():
     bands = forces._bands(WEAK_CFG, 1.3 * 10.0 * math.sqrt(2.0))[0]
     assert len(bands) == 2
     for lo, hi in bands:
-        rhos = [forces._pole_radius(WEAK_CFG, lo + (hi - lo) * i / 64)
+        rhos = [forces._pole_parts(WEAK_CFG, lo + (hi - lo) * i / 64)[4]
                 for i in range(65)]
         assert forces._RHO_MAX < min(rhos) and max(rhos) < 1.0
         calls.clear()
@@ -1757,8 +1757,8 @@ def test_low_shallow_band_ends_where_the_slab_turns_opaque(gamma0, width):
     assert abs(out.total - ref) <= out.err_ic + out.err_bath
     lo, hi = forces._bands(cfg, 1.3 * 10.0 * math.sqrt(2.0))[1][0]
     assert lo == 0.0 and hi < 10.0
-    assert forces._pole_radius(cfg, lo) > 0.0
-    assert forces._pole_radius(cfg, hi) > 0.0
+    assert forces._pole_parts(cfg, lo)[4] > 0.0
+    assert forces._pole_parts(cfg, hi)[4] > 0.0
     if gamma0 == 1e-3:
         assert hi == pytest.approx(9.8999, abs=1e-4)
 
@@ -2115,7 +2115,7 @@ def test_bath_excess_matches_hot_minus_cold():
 
     def excess(k, bl, br):
         return core.bath_weigh(factors(k), core.occupation_excess(bl, k),
-                               core.occupation_excess(br, k))[0]
+                               core.occupation_excess(br, k))
 
     for bl, br in ((3.0, 8.0), (8.0, 3.0), (5.0, 5.0)):
         for k in (0.01, 0.3, 1.0, 1.7, 2.9, 3.6):

@@ -107,14 +107,13 @@ def test_bath_integrand_opaque_matches_halfspace():
         half = halfspace_bath_integrand(om, a, FIG, MILD_R, 2.0, 7.0)
         assert full == pytest.approx(half, rel=1e-8)
         occ = (pure.coth_half(2.0, om), pure.coth_half(7.0, om))
-        for got in (
-                pure.bath_integrands(om, a, math.inf, FIG, MILD_R, 2.0, 7.0,
-                                     _GAP_OFFSETS),
-                pure.bath_weighted(om, a, math.inf, FIG, MILD_R, *occ,
-                                   _GAP_OFFSETS)):
-            for v, (_, _, sg) in zip(got, _GAP_OFFSETS):
+        factors = pure.bath_factors_of(a, math.inf, FIG, MILD_R)
+        for o in _GAP_OFFSETS:
+            for v in (pure.bath_integrand(om, a, math.inf, FIG, MILD_R, 2.0,
+                                          7.0, *o),
+                      pure.bath_weigh(factors(om, *o), *occ)):
                 assert v == pytest.approx(halfspace_bath_integrand(
-                    om, a, FIG, MILD_R, 2.0, 7.0, sg), rel=1e-10)
+                    om, a, FIG, MILD_R, 2.0, 7.0, o[2]), rel=1e-10)
 
 
 def test_bath_integrand_static_is_zero():
@@ -221,8 +220,9 @@ _OFFSET_LISTS = (
 
 @pytest.mark.parametrize("left,right,d,ks", _OFFSET_CASES)
 def test_offset_kernels_equal_the_scalar_kernels(left, right, d, ks):
-    # every offset entry point shares its slab and gap work across the
-    # offsets, with the scalar kernels' arithmetic: equal to the last bit
+    # the offset kernel shares its slab and gap work across the offsets,
+    # with the scalar kernel's arithmetic: equal to the last bit; the scalar
+    # bath integrand at each offset is its composition at coth(beta k/2)
     a = 1.0
     if left == FIG and right == MILD_R:
         for k in ks:
@@ -233,9 +233,10 @@ def test_offset_kernels_equal_the_scalar_kernels(left, right, d, ks):
             assert pure.ic_brackets(k, a, d, left, right, offsets) == \
                 [pure.ic_bracket(k, a, d, left, right, *o) for o in offsets]
             for bl, br in ((2.0, 7.0), (math.inf, math.inf)):
-                assert pure.bath_integrands(
-                    k, a, d, left, right, bl, br, offsets) == \
-                    [pure.bath_integrand(k, a, d, left, right, bl, br, *o)
+                occL, occR = pure.coth_half(bl, k), pure.coth_half(br, k)
+                assert [pure.bath_integrand(k, a, d, left, right, bl, br, *o)
+                        for o in offsets] == \
+                    [_composed_bath(k, a, d, left, right, occL, occR, o)
                      for o in offsets]
 
 
@@ -253,7 +254,7 @@ def test_offset_kernels_raise_at_a_cavity_pole():
         lambda: pure.ic_brackets(k, a, d, mat, mat, offsets),
         lambda: pure.bath_integrand(k, a, d, mat, mat, 2.0, 3.0, 0.0, 0.0,
                                     pole),
-        lambda: pure.bath_integrands(k, a, d, mat, mat, 2.0, 3.0, offsets),
+        lambda: pure.bath_factors_of(a, d, mat, mat)(k, 0.0, 0.0, pole),
         lambda: pure.vacuum_baths(k, a, d, mat, mat, offsets))
     for call in calls:
         with pytest.raises(CavityResonanceError):
@@ -262,7 +263,7 @@ def test_offset_kernels_raise_at_a_cavity_pole():
 
 # Z's integrand two ways: from the state side with the bracket in
 # absorption form (vacuum_baths) and from the bath side at zero temperature
-# (bath_integrands).  Each assembly sums terms that cancel, so each carries
+# (bath_integrand).  Each assembly sums terms that cancel, so each carries
 # a few ulps of the sum of its terms' moduli.
 _Z_PAIRS = {
     "fig": (FIG, FIG, 1.0, 100.0),
@@ -340,8 +341,8 @@ def test_vacuum_baths_match_the_zero_temperature_bath_integrand(pair):
         for dims in ((1,), (5,), (4, 4), (3, 3, 3)):
             offsets = forces._grid(dims)
             got = pure.vacuum_baths(k, a, d, left, right, offsets)
-            ref = pure.bath_integrands(k, a, d, left, right, math.inf,
-                                       math.inf, offsets)
+            ref = [pure.bath_integrand(k, a, d, left, right, math.inf,
+                                       math.inf, *o) for o in offsets]
             for o, v, r in zip(offsets, got, ref):
                 assert abs(v - r) <= 8.0 * sys.float_info.epsilon \
                     * _assembly_rounding(k, a, d, left, right, o)
@@ -367,10 +368,15 @@ def test_vacuum_baths_hold_the_mild_pair_far_out():
             b, rel=1e-8)
 
 
-# The offset kernels composed from their building blocks, one offset at a
-# time, with the kernels' own arithmetic: the per-frequency index and slab
-# parts, the per-offset slab parts and gap factor and the cavity
-# denominator, each from its public function.
+# The offset kernels and the bath kernel composed from their building
+# blocks, one offset at a time, with the kernels' own arithmetic: the
+# per-frequency index and slab parts, the per-offset slab parts and gap
+# factor and the cavity denominator, each from its public function.
+_LEAN_K = (0.05, 0.7, 2.9, 7.3, 9.95, 10.0 + 1e-7, 11.405318, 16.6, 40.0,
+           210.0, 2900.0)
+_Z_GRIDS = ((1,), (5,), (4, 4), (3, 3, 3))
+
+
 def _composed(k, a, d, left, right, offset):
     sL, sR, sG = offset
     nL = pure.refractive_at(-1j * k, *left)
@@ -450,30 +456,38 @@ def test_lean_offset_kernels_equal_their_composition(pair):
     # the kernels index their per-offset tables and form each index in one
     # step; composed from refractive_at, slab_fixed, slab_offset, gap_phase
     # and cavity_delta offset by offset they return the same bits, on the
-    # fig, weak, mild and lossy/static pairs and the grids Z samples.  One
-    # set of weight-free bath_factors, weighed at positive, zero and
-    # negative weights (differences of occupation excesses), gives the bits
-    # of bath_weighted, and a lossless pair weighs to zeros
+    # fig, weak, mild and lossy/static pairs and the grids Z samples
     left, right, a, d = _Z_PAIRS[pair]
-    for k in (0.05, 0.7, 2.9, 7.3, 9.95, 10.0 + 1e-7, 11.405318, 16.6, 40.0,
-              210.0, 2900.0):
-        for dims in ((1,), (5,), (4, 4), (3, 3, 3)):
+    for k in _LEAN_K:
+        for dims in _Z_GRIDS:
             offsets = forces._grid(dims)
             assert pure.ic_brackets(k, a, d, left, right, offsets) == [
                 _composed_bracket(k, a, d, left, right, o) for o in offsets]
-            factors = pure.bath_factors(k, a, d, left, right, offsets)
-            for occL, occR in ((1.3, 0.7), (0.0, 2.0), (-0.4, 1.1),
-                               (2.5, -3.0), (-1e-9, -0.2)):
-                got = pure.bath_weighted(k, a, d, left, right, occL, occR,
-                                         offsets)
-                assert got == pure.bath_weigh(factors, occL, occR) == [
-                    _composed_bath(k, a, d, left, right, occL, occR, o)
-                    for o in offsets]
-            lossless = pure.bath_factors(k, a, d, STATIC, STATIC, offsets)
-            assert pure.bath_weigh(lossless, 1.3, -0.7) == [0.0] * len(
-                offsets)
             assert pure.vacuum_baths(k, a, d, left, right, offsets) == [
                 _composed_vacuum(k, a, d, left, right, o) for o in offsets]
+
+
+@pytest.mark.parametrize("pair", sorted(_Z_PAIRS))
+def test_bound_bath_form_weighs_to_its_composition(pair):
+    # the bath kernel bound to the cavity once, at each offset triple of the
+    # grids Z samples: its weight-free parts, weighed at positive, zero and
+    # negative weights (differences of occupation excesses), give the bits
+    # of the kernel composed offset by offset, and a lossless pair weighs
+    # to zeros
+    left, right, a, d = _Z_PAIRS[pair]
+    factors = pure.bath_factors_of(a, d, left, right)
+    lossless = pure.bath_factors_of(a, d, STATIC, STATIC)
+    for k in _LEAN_K:
+        for dims in _Z_GRIDS:
+            offsets = forces._grid(dims)
+            for occL, occR in ((1.3, 0.7), (0.0, 2.0), (-0.4, 1.1),
+                               (2.5, -3.0), (-1e-9, -0.2)):
+                assert [pure.bath_weigh(factors(k, *o), occL, occR)
+                        for o in offsets] == [
+                    _composed_bath(k, a, d, left, right, occL, occR, o)
+                    for o in offsets]
+            assert [pure.bath_weigh(lossless(k, *o), 1.3, -0.7)
+                    for o in offsets] == [0.0] * len(offsets)
 
 
 def test_lean_offset_kernels_raise_at_an_undamped_pole():
@@ -491,8 +505,8 @@ def test_lean_offset_kernels_raise_at_an_undamped_pole():
             for call in (
                     lambda: pure.ic_brackets(k, 1.0, 0.4, left, right,
                                              offsets),
-                    lambda: pure.bath_weighted(k, 1.0, 0.4, left, right,
-                                               1.0, 1.0, offsets),
+                    lambda: [pure.bath_factors_of(1.0, 0.4, left, right)(
+                        k, *o) for o in offsets],
                     lambda: pure.vacuum_baths(k, 1.0, 0.4, left, right,
                                               offsets),
                     lambda: pure.nodiss_bracket(k, 1.0, 0.4, left, right)):
@@ -500,9 +514,10 @@ def test_lean_offset_kernels_raise_at_an_undamped_pole():
                     call()
 
 
-# The one-triple forms against the offset kernels: identical (fig, weak),
-# different (mild, and fig with mild in fig's opaque stop band), static,
-# empty and lossless pairs, and a half-space pair
+# The one-triple forms against the offset kernels, and the bath kernel's
+# against its composition: identical (fig, weak), different (mild, and fig
+# with mild in fig's opaque stop band), static, empty and lossless pairs,
+# and a half-space pair
 UNDAMPED = (10.0, 10.0, 0.0, False)
 _ONE_TRIPLE_PAIRS = {
     "fig": (FIG, FIG, 1.0, 100.0),
@@ -524,8 +539,9 @@ _SHIFTS = ((0.0, 0.0, 0.0), (0.3, 0.3, 0.0), (0.3, 1.1, 2.0), (0.0, 0.0, 4.5))
 def test_one_triple_forms_keep_the_bits_of_the_offset_kernels(pair):
     # each one-triple form, bound to the cavity once, returns the offset
     # kernel's value at the unshifted triple to the last bit over dense k
-    # (past the opaque cut 2 k Im(n) d > 1400 on fig), and ic_bracket at
-    # any offsets that of ic_brackets
+    # (past the opaque cut 2 k Im(n) d > 1400 on fig), the bath factors
+    # weigh to the composed bath kernel's, and ic_bracket at any offsets
+    # returns the value of ic_brackets
     left, right, a, d = _ONE_TRIPLE_PAIRS[pair]
     raw = ((0.0, 0.0, 0.0),)
     z = pure.vacuum_bath_of(a, d, left, right)
@@ -534,7 +550,8 @@ def test_one_triple_forms_keep_the_bits_of_the_offset_kernels(pair):
     for k in _DENSE_K:
         assert z(k) == pure.vacuum_baths(k, a, d, left, right, raw)[0]
         assert b(k) == pure.ic_brackets(k, a, d, left, right, raw)[0]
-        assert y(k) == pure.bath_factors(k, a, d, left, right, raw)
+        assert pure.bath_weigh(y(k), 1.3, 0.7) == _composed_bath(
+            k, a, d, left, right, 1.3, 0.7, raw[0])
     for k in _DENSE_K[::50]:
         for o in _SHIFTS:
             assert pure.ic_bracket(k, a, d, left, right, *o) == \
@@ -547,7 +564,7 @@ def test_one_triple_forms_raise_where_the_offset_kernels_do():
     # bracket's at a bound mode of the undamped pair, where the gap closes
     # the round trip of its totally reflecting stop band (|1 - rL rR
     # e^{2ika}| below DELTA_FLOOR); neither slab absorbs there, so the bath
-    # factors are those of no bath, as bath_factors returns them
+    # factors are those of no bath
     from casimir1d.errors import CavityResonanceError, SingularEvaluationError
     forms = (pure.vacuum_bath_of, pure.ic_bracket_of, pure.bath_factors_of)
     for k in (10.0, 10.0 + 1e-12, 10.0 - 1e-12):
@@ -569,8 +586,7 @@ def test_one_triple_forms_raise_where_the_offset_kernels_do():
         with pytest.raises(CavityResonanceError):
             form(a, d, UNDAMPED, UNDAMPED)(k)
     assert pure.bath_factors_of(a, d, UNDAMPED, UNDAMPED)(k) == \
-        pure.bath_factors(k, a, d, UNDAMPED, UNDAMPED, raw) == \
-        (None, None, [(None, None, None)])
+        (None, None, (None, None, None))
 
 
 def test_refractive_at_is_the_root_of_the_permittivity():
