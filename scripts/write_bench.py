@@ -18,10 +18,11 @@ The tracer counts the calls of ``core.ic_bracket`` and
 (``core.ic_bracket_of`` and the like), so its ``kernels.ic_bracket.calls``
 and ``kernels.evals_k_*`` read 0, and the state excess's points are in
 ``excess_calls`` below instead.
-Every interpreter started in a checkout, these and those below, keeps its
-bytecode in a fresh empty directory of that checkout's own
-(``PYTHONPYCACHEPREFIX``), so a ``__pycache__`` left in the tree by earlier
-runs is never read.
+Every ``__pycache__`` directory of both checkouts is removed once before
+the runs, and every interpreter started in a checkout, these and those
+below, runs under ``PYTHONDONTWRITEBYTECODE=1``, so each compiles the
+package as a run of the benchmark in a fresh checkout does, and reads the
+standard library's bytecode as it does.
 Every metric is recorded as median and quartiles per side, every run is
 kept, and for ``wall_s`` the entry counts the pairs the change won.
 The entry also records each side's size: the physical and the code lines
@@ -62,11 +63,25 @@ counts the kernel calls of the thermal state excess X (the points of
 ``core.bath_factors_of``) in the workload's ``force_total`` calls at seed
 0 (one, or two on ``noneq_mild``), which the tracer cannot attribute to
 them.
-``points(tree)`` gives them on their own.  Next to them, ``docs_ladder``
-counts the docs sigma ladder's ``core.ic_brackets`` calls and points,
-with the single points of ``core.ic_bracket_of``, and records its switch
-points K (one per ``omega0_list`` entry), a layer the tracer does not see
-either.
+Next to them, ``docs_ladder`` counts the docs sigma ladder's
+``core.ic_brackets`` calls and points, with the single points of
+``core.ic_bracket_of``, and records its switch points K (one per
+``omega0_list`` entry), a layer the tracer does not see either.
+``timing`` divides the time of Z on each workload's cavity, of the docs
+sigma ladder and of ``noneq_mild``'s two bath excesses Y (target
+``noneq_mild_Y``) between the integrand kernels of ``core`` and the
+bookkeeping around them: ``total_s``, the seconds of the target;
+``offset_s``, those inside the kernels that take the cavity after the
+frequency (the offset kernels ``core.vacuum_baths`` and
+``core.ic_brackets`` on these targets); ``point_s``, those inside the
+single points of the one-triple forms, which take the cavity alone; and
+``index_calls``, the ``refractive_at`` calls made outside both.  Only
+the package's calls into ``core`` are wrapped, not those ``core`` makes
+within itself.  The seconds are medians over 9 runs of the target from
+cold memos in the one interpreter that also counts the points above, so
+they include the counting wrappers' cost and are read as shares; every
+count, ``index_calls`` too, is that of the first run.
+``points(tree)`` gives them all on their own.
 Each side's ``imports`` hold the per-module import self-time in
 microseconds, the median of ``python3 -X importtime`` over 9 fresh
 interpreters under ``PYTHONDONTWRITEBYTECODE=1``, of the imports a
@@ -75,20 +90,10 @@ interpreters under ``PYTHONDONTWRITEBYTECODE=1``, of the imports a
 sides' interpreters alternate, and so does the side that starts each
 round, so slow drift of the host falls on both.
 ``imports({"change": tree})`` gives one checkout's on their own.
-Each side's ``split`` divides the time of Z on each workload's cavity, of
-the docs sigma ladder and of ``noneq_mild``'s two bath excesses Y (target
-``noneq_mild_Y``) between the integrand kernels of ``core`` (every public
-function that takes a cavity, ``a, d, matL, matR``, after its frequency,
-and the points of the one-triple forms, which take the cavity alone) and
-the bookkeeping around them: the total seconds, the seconds spent inside
-the integrand kernels that the package calls, and the ``refractive_at``
-calls made outside them, each the median over 9 fresh interpreters, each
-target from cold memos.  ``split(tree)`` gives them on their own.
 """
 
 import argparse
 import ast
-import atexit
 import io
 import json
 import os
@@ -98,7 +103,6 @@ import shutil
 import statistics
 import subprocess
 import sys
-import tempfile
 import time
 import tokenize
 
@@ -115,19 +119,19 @@ _LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
            tokenize.DEDENT, tokenize.ENDMARKER}
 
 
-_PYCACHE = {}
+def _env(**extra):
+    """The environment of every interpreter run in a checkout, ``extra``
+    added: it writes no bytecode, so a checkout cleared by
+    ``drop_bytecode`` stays as fresh as the benchmark's own."""
+    return dict(os.environ, PYTHONDONTWRITEBYTECODE="1", **extra)
 
 
-def _env(tree, **extra):
-    """The environment of every interpreter run in ``tree``, ``extra``
-    added: its bytecode cache in a fresh empty directory of its own for the
-    life of this process (``PYTHONPYCACHEPREFIX``), so that, as in the
-    benchmark's own runs from fresh checkouts, no run reads a
-    ``__pycache__`` that an earlier run left in the tree."""
-    if tree not in _PYCACHE:
-        _PYCACHE[tree] = tempfile.mkdtemp(prefix="pycache-")
-        atexit.register(shutil.rmtree, _PYCACHE[tree], True)
-    return dict(os.environ, PYTHONPYCACHEPREFIX=_PYCACHE[tree], **extra)
+def drop_bytecode(tree):
+    """Remove every ``__pycache__`` directory under ``tree``."""
+    for top, dirs, _ in os.walk(tree):
+        if "__pycache__" in dirs:
+            dirs.remove("__pycache__")
+            shutil.rmtree(os.path.join(top, "__pycache__"))
 
 
 def _bench(tree, workload, seed, trace):
@@ -136,13 +140,13 @@ def _bench(tree, workload, seed, trace):
            "--seed", str(seed), "--seconds", str(SECONDS),
            "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
-                          env=_env(tree), check=True)
+                          env=_env(), check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 def _tier1(tree):
     """Wall seconds and summary line of the tier-1 pytest run in ``tree``."""
-    env = _env(tree, PYTHONPATH=os.path.join(tree, "src"))
+    env = _env(PYTHONPATH=os.path.join(tree, "src"))
     start = time.monotonic()
     proc = subprocess.run(TIER1, cwd=tree, capture_output=True, text=True,
                           env=env)
@@ -239,46 +243,99 @@ print(json.dumps({k: repr(v) for k, v in out.items()}))
 """
 
 
-# Defines cold(), which clears every per-process memo of forces that the
-# checkout has, so that what runs next starts as a fresh process would.
-_COLD = r"""
-def cold():
-    for name in ("_vacuum_bath", "_rotated_vacuum", "_cavity_excess",
-                 "_bath_factors", "_kinds"):
-        memo = getattr(forces, name, None)
-        if hasattr(memo, "cache_clear"):
-            memo.cache_clear()
-"""
-
-
-# Run like _OUTPUTS; prints Z's kernel points by stage and its grids at
-# the switch point, Z and the excesses' kernel calls per workload cavity and
-# the docs ladder's points as JSON, each measured from cold memos.
+# Run like _OUTPUTS with the argument RUNS; prints Z's kernel points by
+# stage and its grids at the switch point, Z and the excesses' kernel calls
+# per workload cavity, the docs ladder's points and each target's timing as
+# JSON, each measured from cold memos.
 _POINTS = r"""
-import collections, json, sys
+import inspect, json, statistics, sys, time, types
 sys.path.insert(0, "perfbench")
 import workloads as W
 from casimir1d import cli, forces
 from casimir1d.kernels import core
 from casimir1d.states import FieldState
-""" + _COLD + r"""
 
+runs = int(sys.argv[1])
 rc = cli.load_run_config(W.SWEEP_INI, need_sweep=True)
-calls = []
-parts = []
-excess_calls = collections.Counter()
-# Z's stage: the innermost of the wrapped functions it is inside
+# (k, offsets, Z's stage) per kernel call, (stage, k, dims) per phase grid,
+# the switch points' results and the excess (X or Y) of each excess point
+calls, grids, switched, excess = tallies = [], [], [], []
+# Z's stage, or the excess: the innermost of the wrapped functions it is in
 stage = ["direct"]
-stages = collections.Counter()
-grids = []
+spent = {}
+timing = {}
+
+
+# clears every per-process memo of forces, so that what runs next starts as
+# a fresh process would
+def cold():
+    for name in ("_vacuum_bath", "_rotated_vacuum", "_cavity_excess",
+                 "_bath_factors", "_kinds"):
+        getattr(forces, name).cache_clear()
+
+
+def clocked(field, fn):
+    def wrapped(*args, **kw):
+        start = time.perf_counter()
+        try:
+            return fn(*args, **kw)
+        finally:
+            spent[field] += time.perf_counter() - start
+    return wrapped
+
+
+def indexed(*args):
+    spent["index_calls"] += 1
+    return refractive_at(*args)
+
+
+# every package module that binds core gets a copy of it whose integrand
+# kernels are timed and whose refractive_at is counted, so the calls core
+# makes within itself stay unwrapped
+refractive_at = core.refractive_at
+copy = types.ModuleType(core.__name__)
+copy.__dict__.update(vars(core), refractive_at=indexed)
+for name, fn in vars(core).items():
+    if inspect.isfunction(fn) and not name.startswith("_"):
+        params = list(inspect.signature(fn).parameters)
+        if params == ["a", "d", "matL", "matR"]:
+            setattr(copy, name, lambda *cavity, bind=fn: clocked(
+                "point_s", bind(*cavity)))
+        elif params[1:5] == ["a", "d", "matL", "matR"]:
+            setattr(copy, name, clocked("offset_s", fn))
+for mod in list(sys.modules.values()):
+    if getattr(mod, "__name__", "").startswith("casimir1d") \
+            and getattr(mod, "core", None) is core:
+        mod.core = copy
+core = copy
+
+
+def timed(target, fn):
+    # fn() from cold memos, runs times: its first value, with the tallies
+    # of the first run, and the medians of the runs' seconds
+    got, first = [], []
+    for tally in tallies:
+        del tally[:]
+    for _ in range(runs):
+        cold()
+        spent.update(offset_s=0.0, point_s=0.0, index_calls=0)
+        start = time.perf_counter()
+        value = fn()
+        got.append(dict(spent, total_s=time.perf_counter() - start))
+        first = first or [value] + [len(tally) for tally in tallies]
+    for tally, n in zip(tallies, first[1:]):
+        del tally[n:]
+    timing[target] = dict(got[0], **{
+        f: statistics.median(g[f] for g in got)
+        for f in ("total_s", "offset_s", "point_s")})
+    return first[0]
 
 
 def counting(name):
     kernel = getattr(core, name)
 
     def wrapped(k, *args):
-        calls.append((k, len(args[-1])))
-        stages[stage[-1]] += len(args[-1])
+        calls.append((k, len(args[-1]), stage[-1]))
         return kernel(k, *args)
     setattr(core, name, wrapped)
 
@@ -299,8 +356,12 @@ def one_triple(name, record):
 
 
 def point(k):
-    calls.append((k, 1))
-    stages[stage[-1]] += 1
+    calls.append((k, 1, stage[-1]))
+
+
+def excess_point(k):
+    if stage[-1] in ("X", "Y"):
+        excess.append(stage[-1])
 
 
 def staged(label, fn, inside=None):
@@ -314,23 +375,6 @@ def staged(label, fn, inside=None):
             if enter:
                 stage.pop()
     return wrapped
-
-
-def excess_point(k):
-    if parts:
-        excess_calls[parts[-1]] += 1
-
-
-def part(label, name):
-    fn = getattr(forces, name)
-
-    def wrapped(*args, **kw):
-        parts.append(label)
-        try:
-            return fn(*args, **kw)
-        finally:
-            parts.pop()
-    setattr(forces, name, wrapped)
 
 
 def banded(*args):
@@ -351,16 +395,13 @@ def gridded(shifted):
     return wrapped
 
 
-switched = []
-switch = forces._switch
-
-
 def switching(*args):
     got = switch(*args)
     switched.append(got)
     return got
 
 
+switch = forces._switch
 band_bounds = forces._band_bounds
 above_edges = forces._above_edges
 grid_sampler = forces._sampler
@@ -371,17 +412,17 @@ forces._averaged_tail = staged("tail", forces._averaged_tail)
 forces._above_edges = lambda *a: staged("edges", above_edges(*a))
 forces._band_bounds = banded
 forces._sampler = gridded
+forces._thermal_excess = staged("X", forces._thermal_excess)
+forces._bath_excess = staged("Y", forces._bath_excess)
 # Z's kernel, with its single points through the one-triple form; Y's and
 # X's kernels, the one-triple forms
 counting("vacuum_baths")
 one_triple("vacuum_bath_of", point)
 one_triple("bath_factors_of", excess_point)
 one_triple("ic_bracket_of", excess_point)
-part("X", "_thermal_excess")
-part("Y", "_bath_excess")
 b = W.BETA_300K
 out = {}
-for name, cfg, spec, runs in (
+for name, cfg, spec, forced in (
         ("fig_300k", W.FIG_CFG, W.FIG_SPEC,
          [(FieldState.thermal(b), b, b)]),
         ("noneq_mild", W.NONEQ_CFG, W.NONEQ_SPEC,
@@ -392,174 +433,61 @@ for name, cfg, spec, runs in (
         ("sweep_docs", rc.cavity, rc.spec,
          [(rc.state, rc.beta_left, rc.beta_right)])):
     modes = [km for km, _, _, _ in forces._gap_modes(cfg)]
-    del calls[:], grids[:], switched[:]
-    stages.clear()
-    cold()
-    z = forces._vacuum_bath(cfg, spec)
-    raw = [k for k, n in calls if n == 1]
+    z = timed(name, lambda: forces._vacuum_bath(cfg, spec))
+    raw = [k for k, n, _ in calls if n == 1]
     (got,) = switched
     K = got[0]
-    out[name] = {"points": sum(n for _, n in calls), "raw": len(raw),
+    out[name] = {"points": sum(n for _, n, _ in calls), "raw": len(raw),
                  "raw_near_modes": sum(any(abs(k - km) <= 0.1
                                            for km in modes) for k in raw),
-                 "Z": list(z), "stages": dict(stages), "K": K,
+                 "Z": list(z), "K": K,
+                 "stages": {s: sum(n for _, n, t in calls if t == s)
+                            for s in {t for _, _, t in calls}},
                  "grids": {
                      "probe": [d for s, k, d in grids if s == "probe"][-1:],
                      "edges": [d for s, k, d in grids
                                if s == "edges" and k == K][-1:],
                      "tail": list(got[5:])}}
-    excess_calls.clear()
-    for state, bl, br in runs:
+    del excess[:]
+    for state, bl, br in forced:
         forces.force_total(cfg, state, bl, br, spec)
-    out[name]["excess_calls"] = {p: excess_calls[p] for p in ("X", "Y")}
-ks = []
-
-
-def recording(*args):
-    got = switch(*args)
-    ks.append(got[0])
-    return got
-
-
-forces._switch = recording
+    out[name]["excess_calls"] = {p: excess.count(p) for p in ("X", "Y")}
+timed("noneq_mild_Y", lambda: [
+    forces._bath_excess(W.NONEQ_CFG, bl, br, W.NONEQ_SPEC)
+    for bl, br in (W.NONEQ_BATHS, W.NONEQ_BATHS[::-1])])
 counting("ic_brackets")
 one_triple("ic_bracket_of", point)
-del calls[:]
-cold()
-for w in rc.omega0_list:
+timed("docs_ladder", lambda: [
     forces.band_excess_curve(rc.cavity, w, rc.sigma_grid, rc.spec)
+    for w in rc.omega0_list])
 out["docs_ladder"] = {"calls": len(calls),
-                      "points": sum(n for _, n in calls), "K": ks}
+                      "points": sum(n for _, n, _ in calls),
+                      "K": [got[0] for got in switched]}
+out["timing"] = timing
 print(json.dumps(out))
 """
-
-
-# Run like _OUTPUTS with the arguments TARGET MODE; prints one JSON object.
-# TARGET is a workload, whose cavity's Z is computed, docs_ladder, or
-# noneq_mild_Y, the two bath excesses of noneq_mild's force_total calls; MODE
-# "total" times it unwrapped, "kernels" gives every package module that
-# binds core a copy of it whose integrand kernels are timed, so the calls
-# core makes within itself stay unwrapped: each kernel that takes the cavity
-# after its frequency, and each point of the one-triple forms, which take
-# the cavity alone and return its integrand at one frequency.
-# refractive_at is counted and left outside the kernels' seconds, and the
-# cheap helpers called per node (occupation_excess, bath_weigh) are neither.
-# The target runs from cold memos.
-_SPLIT = r"""
-import inspect, json, sys, time, types
-sys.path.insert(0, "perfbench")
-import workloads as W
-from casimir1d import cli, forces
-from casimir1d.kernels import core
-""" + _COLD + r"""
-
-target, mode = sys.argv[1:3]
-rc = cli.load_run_config(W.SWEEP_INI, need_sweep=True)
-cavities = {"fig_300k": (W.FIG_CFG, W.FIG_SPEC),
-            "noneq_mild": (W.NONEQ_CFG, W.NONEQ_SPEC),
-            "weak_damping": (W.WEAK_CFG, W.WEAK_SPEC),
-            "sweep_docs": (rc.cavity, rc.spec)}
-inside, index = [0.0], [0]
-CAVITY = ["a", "d", "matL", "matR"]
-
-
-def timed(name, fn):
-    def wrapped(*args, **kw):
-        if name == "refractive_at":
-            index[0] += 1
-            return fn(*args, **kw)
-        start = time.perf_counter()
-        try:
-            return fn(*args, **kw)
-        finally:
-            inside[0] += time.perf_counter() - start
-    return wrapped
-
-
-def bound(name, bind):
-    def binding(*cavity):
-        return timed(name, bind(*cavity))
-    return binding
-
-
-if mode == "kernels":
-    copy = types.ModuleType(core.__name__)
-    copy.__dict__.update(vars(core))
-    for name, fn in vars(core).items():
-        if name.startswith("_") or not inspect.isfunction(fn) \
-                or fn.__module__ != core.__name__:
-            continue
-        params = list(inspect.signature(fn).parameters)
-        if params == CAVITY:
-            setattr(copy, name, bound(name, fn))
-        elif params[1:5] == CAVITY or name == "refractive_at":
-            setattr(copy, name, timed(name, fn))
-    for mod in list(sys.modules.values()):
-        if getattr(mod, "__name__", "").startswith("casimir1d") \
-                and getattr(mod, "core", None) is core:
-            mod.core = copy
-cold()
-start = time.perf_counter()
-if target == "docs_ladder":
-    for w in rc.omega0_list:
-        forces.band_excess_curve(rc.cavity, w, rc.sigma_grid, rc.spec)
-elif target == "noneq_mild_Y":
-    for bl, br in (W.NONEQ_BATHS, W.NONEQ_BATHS[::-1]):
-        forces._bath_excess(W.NONEQ_CFG, bl, br, W.NONEQ_SPEC)
-else:
-    forces._vacuum_bath(*cavities[target])
-total = time.perf_counter() - start
-print(json.dumps({"total_s": total, "kernel_s": inside[0],
-                  "index_calls": index[0]}))
-"""
-SPLIT_TARGETS = WORKLOADS + ("docs_ladder", "noneq_mild_Y")
 
 
 def _run(tree, script, *args):
     """The JSON object ``script`` prints last, run with ``args`` in
     ``tree`` with its src on the path."""
-    env = _env(tree, PYTHONPATH=os.path.join(tree, "src"))
+    env = _env(PYTHONPATH=os.path.join(tree, "src"))
     proc = subprocess.run([sys.executable, "-c", script, *args], cwd=tree,
                           capture_output=True, text=True, env=env,
                           check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def split(tree, runs=IMPORT_RUNS):
-    """``{target: {"total_s", "kernel_s", "index_calls"}}``: for Z on each
-    workload's cavity, for the docs sigma ladder and for ``noneq_mild``'s
-    two bath excesses in ``tree``, the seconds it takes, the seconds spent
-    inside the integrand kernels of ``core`` called from outside ``core``
-    and the ``refractive_at`` calls made outside them, each the median
-    over ``runs`` fresh interpreters.  The total is timed unwrapped; the
-    kernels' seconds and the index calls come from other interpreters that
-    wrap the integrand kernels and ``refractive_at``, so the wrappers' own
-    cost stays out of the total.  ``refractive_at`` counts as bookkeeping,
-    outside the kernels' seconds.  Each round runs every target and mode
-    once, so a burst of load on the host spreads over all of them."""
-    got = {(target, mode): [] for target in SPLIT_TARGETS
-           for mode in ("total", "kernels")}
-    for _ in range(runs):
-        for (target, mode), out in got.items():
-            out.append(_run(tree, _SPLIT, target, mode))
-    return {target: {
-        "total_s": statistics.median(g["total_s"]
-                                     for g in got[target, "total"]),
-        "kernel_s": statistics.median(g["kernel_s"]
-                                      for g in got[target, "kernels"]),
-        "index_calls": statistics.median(g["index_calls"]
-                                         for g in got[target, "kernels"])}
-        for target in SPLIT_TARGETS}
-
-
-def points(tree):
+def points(tree, runs=IMPORT_RUNS):
     """``{workload: {"points", "raw", "raw_near_modes", "Z", "stages", "K",
     "grids", "excess_calls"}}``: Z's kernel points, by stage, its switch
     point and grids, Z and the kernel calls of the excesses X and Y on each
-    workload's cavity in ``tree``, and
-    ``{"docs_ladder": {"calls", "points", "K"}}`` (see the module
-    docstring)."""
-    return _run(tree, _POINTS)
+    workload's cavity in ``tree``,
+    ``{"docs_ladder": {"calls", "points", "K"}}`` and
+    ``{"timing": {target: {"total_s", "offset_s", "point_s",
+    "index_calls"}}}``, its seconds the medians over ``runs`` runs (see the
+    module docstring)."""
+    return _run(tree, _POINTS, str(runs))
 
 
 def outputs(tree):
@@ -590,7 +518,7 @@ def imports(trees, runs=IMPORT_RUNS):
             proc = subprocess.run(
                 [sys.executable, "-X", "importtime", "-c", _SETUP_IMPORTS],
                 cwd=trees[side], capture_output=True, text=True,
-                env=_env(trees[side], PYTHONDONTWRITEBYTECODE="1"),
+                env=_env(),
                 check=True)
             samples[side].append({m: int(us) for us, m in
                                   _IMPORTTIME.findall(proc.stderr)})
@@ -615,6 +543,8 @@ def _summary(values):
 
 def measure(parent):
     trees = {"parent": os.path.abspath(parent), "change": ROOT}
+    for tree in trees.values():
+        drop_bytecode(tree)
     entry = {"workloads": {},
              "size": {side: size(trees[side]) for side in SIDES}}
     entry["size"]["code_change"] = size_change(*(entry["size"][side]
@@ -654,7 +584,6 @@ def measure(parent):
     entry["outputs"] = out
     entry["points"] = {side: points(trees[side]) for side in SIDES}
     entry["imports"] = imports(trees)
-    entry["split"] = {side: split(trees[side]) for side in SIDES}
     return entry
 
 

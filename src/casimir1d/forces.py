@@ -481,10 +481,11 @@ def _pole_form(vals, width, k, parts, charge=False):
     turn = cmath.exp(2j * k * n.real * width)
     xs = [turn * e0 * rn * (rn - s * v) / (1.0 - s * rn * v) for s in (1, -1)]
     x1, x2 = xs
-    qs = [abs((1.0 - z * x1) * (1.0 - z * x2)) ** 2 for z in _SPIN]
+    # e^{is} at the six offsets s: the twiddles of j = -1
+    qs = [abs((1.0 - z * x1) * (1.0 - z * x2)) ** 2 for z in _roots(6)[1][1]]
     ps = list(map(operator.mul, vals, qs))
-    # P's coefficients c_0, c_1 and c_2, summed as ``_dft`` sums them
-    p0, p1, p2 = [sum(map(operator.mul, tw, ps)) / 6 for tw in _SIX]
+    # P's coefficients c_0, c_1 and c_2
+    p0, p1, p2 = _dft(ps, (6,)).values()
     amps = [(p2 + x * (p1 + x * (p0 + x * (p1.conjugate()
                                            + x * p2.conjugate()))))
             / ((1.0 - abs(x) ** 2) * (x - q) * (1.0 - q.conjugate() * x))
@@ -547,12 +548,6 @@ def _roots(n):
     top = (n - 1) // 2
     return tuple((j, tuple(ring[j * l % n] for l in range(n)))
                  for j in range(-top, top + 1))
-
-
-# The twiddles of six samples that ``_pole_form`` reads: those of ``_dft``
-# for j = 0, 1 and 2, and e^{is} at the six offsets s (those of j = -1)
-_SIX = tuple(tw for _, tw in _roots(6)[2:])
-_SPIN = _roots(6)[1][1]
 
 
 def _dft(vals, dims, lead=True):
@@ -1185,7 +1180,7 @@ def _banded(raw, means, tol):
     return f
 
 
-def _oscillatory_integral(point, shifted, spec, breakpoints, cfg, poles=()):
+def _oscillatory_integral(point, shifted, spec, cfg):
     """Integrate a decaying oscillatory force integrand over [0, inf).
 
     Parameters
@@ -1200,19 +1195,17 @@ def _oscillatory_integral(point, shifted, spec, breakpoints, cfg, poles=()):
         and gap phases, as a list.
     spec : QuadratureSpec
         Tolerances; ``rel_tol`` is interpreted against the integral scale.
-    breakpoints : tuple
-        Sorted material response features, passed to the direct quadrature.
     cfg : CavityConfig
-        The cavity, of finite width.  It sets the first switch point
-        candidate, the phases the tail averages, the decay ratios of their
-        harmonics and, for identical absorbing slabs, the dense and shallow
-        bands.
-    poles : sequence
-        ``(k_p, lo, hi)`` of each bound gap mode to subtract as a pole term
-        over its window [lo, hi], whose ends join the breakpoints (see
-        ``_pole_window``).  The passes integrate the remainder plus the
-        term's exact integral spread across the window, so every relative
-        test sees the whole integral, not the remainder alone.
+        The cavity, of finite width.  It sets the breakpoints of the direct
+        quadrature (its slabs' response features, ``_breakpoints``), the
+        first switch point candidate, the phases the tail averages, the
+        decay ratios of their harmonics and, for identical absorbing slabs,
+        the dense and shallow bands.  Each of its narrow bound gap modes
+        (``_pole_terms``) is subtracted as a pole term over its window
+        [lo, hi], whose ends join the breakpoints (see ``_pole_window``).
+        The passes integrate the remainder plus the term's exact integral
+        spread across the window, so every relative test sees the whole
+        integral, not the remainder alone.
 
     Returns
     -------
@@ -1235,8 +1228,10 @@ def _oscillatory_integral(point, shifted, spec, breakpoints, cfg, poles=()):
     live only as long as this call.
     """
     plain = functools.lru_cache(maxsize=None)(point)
-    windows = [_pole_window(plain, *p) for p in poles]
-    breakpoints += tuple(x for lo, hi, _, _ in windows for x in (lo, hi))
+    windows = [_pole_window(plain, *p)
+               for p in _pole_terms(cfg, spec.panel_width)]
+    breakpoints = _breakpoints(cfg.left, cfg.right) + tuple(
+        x for lo, hi, _, _ in windows for x in (lo, hi))
     raw = _banded(plain, [w[:3] for w in windows], None)
 
     k0 = _first_switch(spec, cfg)
@@ -1557,15 +1552,6 @@ def _bound_modes(cfg, spec):
     return out
 
 
-def _real_axis(cfg, spec, point, shifted):
-    """``_oscillatory_integral`` of the cavity integrand ``point(k)``, with
-    its offset form ``shifted(k, offsets)``, and each narrow bound gap mode
-    subtracted as a pole term over its window."""
-    return _oscillatory_integral(point, shifted, spec,
-                                 _breakpoints(cfg.left, cfg.right), cfg,
-                                 _pole_terms(cfg, spec.panel_width))
-
-
 def _thermal_window(g, beta, spec, breakpoints):
     """Integral of ``g(k)``, weighted by thermal occupation excesses of
     inverse temperature beta or more, and its error.
@@ -1659,8 +1645,8 @@ def _vacuum_bath(cfg, spec):
     one real-axis oscillatory integral per cavity.  A raised error is not
     memoized.
     """
-    return _real_axis(cfg, spec, core.vacuum_bath_of(*_args(cfg)),
-                      _zero_bath_integrand(cfg))
+    return _oscillatory_integral(core.vacuum_bath_of(*_args(cfg)),
+                                 _zero_bath_integrand(cfg), spec, cfg)
 
 
 def _zero_bath_integrand(cfg):

@@ -99,15 +99,16 @@ def real_axis_ic(cfg, state, spec):
     integrated directly on the real axis.
 
     Shares no rotation and no zero-temperature bath integral with
-    ``force_ic``.  With ``forces._real_axis`` of the bath integrand it is the
-    two-integral route whose parts nearly cancel in the total, so it is
-    slow and loses accuracy there; both are kept as independent checks of
-    ``force_ic`` and ``force_total``.
+    ``force_ic``.  With ``forces._oscillatory_integral`` of the bath
+    integrand it is the two-integral route whose parts nearly cancel in the
+    total, so it is slow and loses accuracy there; both are kept as
+    independent checks of ``force_ic`` and ``force_total``.
     """
     scale, eff = forces._effective_state(state)
     bracket = forces._bracket(cfg)
-    v, ev = forces._real_axis(cfg, spec, lambda k: k * bracket(k),
-                              forces._state_integrand(cfg))
+    v, ev = forces._oscillatory_integral(lambda k: k * bracket(k),
+                                         forces._state_integrand(cfg), spec,
+                                         cfg)
     x, ex = forces._state_excess(bracket, eff, spec,
                                  forces._breakpoints(cfg.left, cfg.right))
     return scale * (v + x), scale * (ev + ex)
@@ -158,7 +159,7 @@ def verify_checks():
                    abs(osc_vac - f_vac) / abs(f_vac), 1e-6))
     osc_ic, _ = real_axis_ic(cfg, FieldState.thermal(beta), spec)
     hot = bath_integrand(cfg, 3.0, 8.0)
-    osc_b, _ = forces._real_axis(cfg, spec, _raw(hot), hot)
+    osc_b, _ = forces._oscillatory_integral(_raw(hot), hot, spec, cfg)
     noneq = forces.force_total(cfg, FieldState.thermal(beta), 3.0, 8.0, spec)
     checks.append(("nonequilibrium_dual_pipeline",
                    abs(osc_ic + osc_b - noneq.total) / abs(noneq.total),

@@ -720,7 +720,7 @@ def test_diagonal_mean_for_identical_slabs():
             calls.extend((sL, sR) for sL, sR, _ in offsets)
             return bath(k, offsets)
 
-        forces._real_axis(cfg, loose, oracles._raw(bath), rec)
+        forces._oscillatory_integral(oracles._raw(bath), rec, loose, cfg)
         assert any(c != (0.0, 0.0) for c in calls)
         assert all(sl == sr for sl, sr in calls) == diagonal
 
@@ -1008,7 +1008,8 @@ def test_real_axis_integral_adds_each_band_edge_terms(monkeypatch):
     # fig's Z integrates the mean over both shallow bands, [0, 7.30] and
     # [16.56, K], and adds each band's edges(lo, hi), value and error, once
     bath = forces._zero_bath_integrand(FIG_CFG)
-    z, ez = forces._real_axis(FIG_CFG, SPEC6, oracles._raw(bath), bath)
+    z, ez = forces._oscillatory_integral(oracles._raw(bath), bath, SPEC6,
+                                          FIG_CFG)
     bounds, asked = forces._band_bounds, []
 
     def moved(*args):
@@ -1021,7 +1022,8 @@ def test_real_axis_integral_adds_each_band_edge_terms(monkeypatch):
         return mean, size, plus_one
 
     monkeypatch.setattr(forces, "_band_bounds", moved)
-    z1, ez1 = forces._real_axis(FIG_CFG, SPEC6, oracles._raw(bath), bath)
+    z1, ez1 = forces._oscillatory_integral(oracles._raw(bath), bath, SPEC6,
+                                          FIG_CFG)
     assert len(asked) == 2
     assert all(band == window for band, window in asked)
     assert z1 - z == pytest.approx(2.0, abs=1e-9)
@@ -2030,7 +2032,7 @@ def test_failing_tail_names_its_stage():
 
     with pytest.raises(NonConvergenceError,
                        match="averaged tail past K = ") as exc:
-        forces._oscillatory_integral(oracles._raw(slow), slow, SPEC6, (),
+        forces._oscillatory_integral(oracles._raw(slow), slow, SPEC6,
                                      CavityConfig(1.0, 0.5, VACM, VACM))
     assert exc.value.panels <= forces._MAX_TAIL_PANELS
     assert exc.value.partial > 0.0
