@@ -93,7 +93,7 @@ def refractive_at(s, omega0, omega_pl, gamma0, static):
 # slab_parts returns, for one slab of index n and thickness d at frequency
 # omega (s = -i*omega):
 #   rn    surface reflection (1-n)/(1+n)
-#   E     internal round-trip factor exp(-2 s n d), optionally phase shifted
+#   E     internal round-trip factor exp(-2 s n d)
 #   F     1 - rn^2 E
 #   r     slab reflection  rn (1-E)/F
 #   t     slab transmission 4n/(1+n)^2 exp(-s n d)/F
@@ -103,25 +103,25 @@ def refractive_at(s, omega0, omega_pl, gamma0, static):
 #   g     |t|^2 e^{2 omega Im n d} = 16|n|^2/(|1+n|^4 |F|^2)
 #   em    e^- = exp(-2 omega Im(n) d)      (|E|)
 #   em1   1 - e^-, computed via expm1 for small exponents
-#   e2it  E/|E| = exp(2 i omega Re(n) d + i shift), unit modulus
-# The optional ``shift`` rotates the internal slab phase; it is used by the
-# phase averages of the force integrands (tail means, slab-phase means and
-# band bounds) and must default to zero.
+#   e2it  E/|E| = exp(2 i omega Re(n) d), unit modulus
 #
-# slab_parts is the composition of two helpers that the offset kernels call
-# separately: slab_fixed holds what does not depend on the shift (rn, q and
-# their squares, em, em1 and the unshifted phase), once per frequency from
-# the index that _slab_pair takes from refractive_at (one call per slab),
-# and slab_offset the shifted parts (e2it, E, F, r, tl2, t2a, g), once per
-# distinct shift.  ic_brackets builds one table of slab_offset parts per
-# slab and one of gap factors (_tables) and looks each offset triple up
-# there; vacuum_baths builds its tables from _absorbing_offset, which forms
-# only E, F, r and tl2 as slab_offset does, plus the slab's absorption, and
-# not the |t|^2 and g that Z does not read.  The transmissions t and tau
-# need two complex exponentials that no force integrand reads, so only
-# slab_parts forms them.  The one-triple forms below (vacuum_bath_of,
-# ic_bracket_of, bath_factors_of) form the same index, slab_fixed and
-# slab_offset parts for one triple, one call per slab, without the tables.
+# slab_parts is the composition, at shift 0, of two helpers that the offset
+# kernels call separately: slab_fixed holds what does not depend on a
+# rotation ``shift`` of the internal slab phase (rn, q and their squares,
+# em, em1 and the unshifted phase), once per frequency from the index that
+# _slab_pair takes from refractive_at (one call per slab), and slab_offset
+# the shifted parts (e2it, E, F, r, tl2, t2a, g), once per distinct shift.
+# The phase averages of the force integrands (tail means, slab-phase means
+# and band bounds) take their shifts there: ic_brackets builds one table of
+# slab_offset parts per slab and one of gap factors (_tables) and looks
+# each offset triple up there; vacuum_baths builds its tables from
+# _absorbing_offset, which forms only E, F, r and tl2 as slab_offset does,
+# plus the slab's absorption, and not the |t|^2 and g that Z does not read.
+# The transmissions t and tau need two complex exponentials that no force
+# integrand reads, so only slab_parts forms them.  The one-triple forms
+# below (vacuum_bath_of, ic_bracket_of, bath_factors_of) form the same
+# index, slab_fixed and slab_offset parts for one triple, one call per
+# slab, without the tables.
 #
 # The bath kernel has one form, bath_factors_of: the parts of one triple
 # that do not depend on the occupation weights, which bath_weigh weighs,
@@ -154,10 +154,10 @@ def slab_offset(fixed, shift):
     return e2it, E, F, rn * (1.0 - E) / F, q2 * E / (F * F), g * em, g
 
 
-def slab_parts(omega, n, d, shift=0.0):
+def slab_parts(omega, n, d):
     fixed = slab_fixed(omega, n, d)
     rn, _, q, _, _, em, em1, _ = fixed
-    e2it, E, F, r, tl2, t2a, g = slab_offset(fixed, shift)
+    e2it, E, F, r, tl2, t2a, g = slab_offset(fixed, 0.0)
     t = q * cmath.exp(1j * omega * d * n) / F
     tau = q * cmath.exp(-1j * omega * d * (1.0 - n)) / F
     return rn, E, F, r, t, tau, tl2, t2a, g, em, em1, e2it
@@ -243,7 +243,8 @@ def ic_bracket(omega, a, d, matL, matR, sL=0.0, sR=0.0, sG=0.0):
         Gap width and slab thickness.
     sL, sR, sG : float
         Phase offsets of the two internal slab phases and of the gap
-        round-trip phase (used only by tail averaging).
+        round-trip phase.  The tests check the offset kernel
+        ``ic_brackets``, which the phase averages call, against them.
     """
     return ic_bracket_of(a, d, matL, matR)(omega, sL, sR, sG)
 

@@ -338,11 +338,11 @@ def _breakpoints(matL, matR):
     return tuple(sorted(pts))
 
 
-def _endpoint_check(f, k_min=1e-8):
+def _endpoint_check(f):
     """Evaluate the integrand just above k = 0 and reject non-finite values."""
-    v = f(k_min)
-    if not math.isfinite(v):
-        raise NaNIntegrandError(k_min)
+    k = 1e-8
+    if not math.isfinite(f(k)):
+        raise NaNIntegrandError(k)
 
 
 # Offset slots (sL, sR, sG) of each oscillation phase, outermost first, for
@@ -761,8 +761,10 @@ def _switch(f, spec, cfg, axes, below=None, breakpoints=()):
     k_max = max(k0, 0.5 * spec.max_panels * spec.panel_width)
     K = _predicted(cfg, axes, k0, harm, 0.5 * share, k_max)
     while K <= k_max:
-        s, err, terms, keep = edges(K)
-        for h, dh, w, _ in terms.values():
+        # the terms at K alone (edges(K, K)) decide persistence, before the
+        # variation walk past K, which a harmonic that does not fall drags
+        # along the whole ladder
+        for h, dh, w, _ in edges(K, K)[2].values():
             if not mirror or 2.0 * abs(h / w) <= share:
                 continue
             p = -K * (dh / h).real
@@ -772,6 +774,7 @@ def _switch(f, spec, cfg, axes, below=None, breakpoints=()):
                     "reflection): at k = %.3e a harmonic of first order "
                     "%.3e falls like k^-%.2f" % (K, 2.0 * abs(h / w), p),
                     partial=None, error=2.0 * abs(h / w), panels=0)
+        s, err, _, keep = edges(K)
         if err <= share:
             return (K, s, err, budget, functools.partial(edges, keep=keep),
                     keep)
@@ -1578,10 +1581,11 @@ def _thermal_excess(bracket, beta, spec, breakpoints):
 
 
 def _band_excess(bracket, state, spec, breakpoints):
-    """State force excess of a band-squeezed weight over the vacuum weight."""
+    """State force excess of a band-squeezed weight over the vacuum weight,
+    by raw quadrature over the whole window: the route of
+    ``force_dissipationless``'s bracket and the tests' reference for the
+    ladder (``band_excess_curve``), from which ``force_ic`` takes it."""
     lo, hi = band_edges(state)
-    if hi <= lo:
-        return 0.0, 0.0
     fac = _band_factor(state.sigma)
 
     def g(k):
@@ -1617,7 +1621,11 @@ def _cavity_excess(cfg, state, spec):
     """State excess X of the cavity ``cfg`` over the vacuum weight, for a
     state with a pointwise weight (see ``_effective_state``), memoized per
     process like Z (``_vacuum_bath``): forces at one field state and
-    several bath temperatures compute it once."""
+    several bath temperatures compute it once.  A band state's excess is
+    the one-width ladder of ``band_excess_curve``."""
+    if state.variant == "squeezed_band":
+        return band_excess_curve(cfg, state.omega_center, (state.sigma,),
+                                 spec)[0]
     return _state_excess(_bracket(cfg), state, spec,
                          _breakpoints(cfg.left, cfg.right))
 
@@ -1769,7 +1777,9 @@ def force_ic(cfg, state, spec):
     (``core.vacuum_baths``), so R - Z is the state integral at the vacuum
     weight.  Z and R are memoized per process for each cavity and spec,
     and X for each cavity, state and spec, so forces for several states
-    and bath temperatures of one cavity compute each once.
+    and bath temperatures of one cavity compute each once.  A band state's
+    X is the ladder of ``band_excess_curve`` at its one width, as in
+    ``sweep-sigma``.
 
     Parameters
     ----------

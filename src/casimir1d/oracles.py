@@ -109,8 +109,7 @@ def real_axis_ic(cfg, state, spec):
     v, ev = forces._oscillatory_integral(lambda k: k * bracket(k),
                                          forces._state_integrand(cfg), spec,
                                          cfg)
-    x, ex = forces._state_excess(bracket, eff, spec,
-                                 forces._breakpoints(cfg.left, cfg.right))
+    x, ex = forces._cavity_excess(cfg, eff, spec)
     return scale * (v + x), scale * (ev + ex)
 
 

@@ -199,6 +199,30 @@ def test_force_band_weight_overflow_exit_code(tmp_path, capsys):
     assert "sigma = 0.001" in capsys.readouterr().err
 
 
+def test_force_constant_squeezing_scales_the_vacuum_state_force(tmp_path):
+    # constant squeezing at xi = 0.3 weighs the vacuum state force by
+    # cosh(2 xi), bit for bit; the bath part does not see the field state
+    rows = {}
+    for name, state in (("vacuum", "variant = vacuum"),
+                        ("squeezed", "variant = squeezed_const\nxi = 0.3")):
+        out = tmp_path / (name + ".csv")
+        body = MILD_BODY.replace("variant = thermal\nbeta = 5.0", state)
+        assert main(["force", "--config", write(tmp_path, body, name + ".ini"),
+                     "--out", str(out), "--reproducible"]) == EXIT_OK
+        rows[name] = read_rows(out)[1][0]
+    assert rows["squeezed"]["state"] == "squeezed_const"
+    assert rows["squeezed"]["state_xi"] == "0.3"
+    assert float(rows["squeezed"]["f_ic"]) == math.cosh(0.6) * float(
+        rows["vacuum"]["f_ic"])
+    assert rows["squeezed"]["f_b"] == rows["vacuum"]["f_b"]
+
+
+def test_force_unknown_state_variant(tmp_path, capsys):
+    body = MILD_BODY.replace("variant = thermal", "variant = squeezed_wide")
+    assert main(["force", "--config", write(tmp_path, body)]) == EXIT_CONFIG
+    assert "unknown state variant 'squeezed_wide'" in capsys.readouterr().err
+
+
 def test_sweep_requires_thermal_state_and_grid(tmp_path):
     assert main(["sweep-sigma", "--config",
                  write(tmp_path, MILD_BODY)]) == EXIT_CONFIG
@@ -355,6 +379,22 @@ def test_sweep_sigma_rows_and_cell_isolation(tmp_path):
         # here; with no bath the two ratios must coincide exactly
         assert math.isfinite(float(row["ratio_ic"]))
         assert row["ratio_ic"] == row["ratio_total"]
+
+
+def test_sweep_sigma_flags_every_cell_of_an_all_vacuum_pair(tmp_path):
+    # without material every force and band excess is zero, so each ratio
+    # divides zero by zero: every cell reports NaN with the flag
+    body = SWEEP_BODY.replace("omega_pl = 10.0", "omega_pl = 0.0") \
+                     .replace("omega_pl = 3.0", "omega_pl = 0.0") \
+                     .replace("sigma_grid = 0.001 0.5 1.0",
+                              "sigma_grid = 0.5 1.0")
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep-sigma", "--config", write(tmp_path, body),
+                 "--out", str(out), "--reproducible"]) == EXIT_OK
+    _, rows = read_rows(out)
+    assert [r["flags"] for r in rows] == ["ZeroDivisionError"] * 2
+    assert all(math.isnan(float(r["ratio_ic"]))
+               and math.isnan(float(r["ratio_total"])) for r in rows)
 
 
 def test_sweep_sigma_reproducible_reruns(tmp_path):

@@ -14,6 +14,7 @@ import pytest
 from casimir1d import forces, oracles
 from casimir1d.errors import (
     DeltaStateWeightError,
+    NaNIntegrandError,
     NonConvergenceError,
 )
 from casimir1d.forces import (
@@ -488,6 +489,22 @@ def test_halfspace_requires_absorbing_media():
         halfspace_forces(STATIC, STATIC, 1.0, 10.0, 10.0, 10.0, SPEC6)
 
 
+def test_inverse_temperatures_must_be_positive():
+    with pytest.raises(ValueError, match="beta must be positive"):
+        equilibrium_matsubara(CFG, 0.0, SPEC6)
+    assert equilibrium_matsubara(CavityConfig(1.0, 0.7, VACM, VACM), 5.0,
+                                 SPEC6) == (0.0, 0.0)
+    with pytest.raises(ValueError, match="inverse temperatures"):
+        halfspace_forces(FIG, FIG, 1.0, 10.0, 0.0, 10.0, SPEC6)
+
+
+def test_thermal_window_refuses_a_non_finite_start():
+    # the integrand is checked just above k = 0 before any panel is laid
+    with pytest.raises(NaNIntegrandError) as exc:
+        forces._thermal_window(lambda k: math.nan, 1.0, SPEC6, ())
+    assert exc.value.abscissa == 1e-8
+
+
 def halfspace_ic_unregularized(matL, a, beta_phi, spec):
     """Unsubtracted half-space state integral.
 
@@ -516,12 +533,17 @@ def test_halfspace_bare_state_integral_diverges():
 
 
 def test_band_excess_curve_matches_direct_difference():
+    # the ladder against raw quadrature of k times the bracket over the
+    # whole window (forces._state_excess), which shares no band mean, no
+    # phase average and no edge term with it
     omega = 3.0
     f_vac, e_vac = force_ic(CFG, FieldState.vacuum(), SPEC6)
     curve = band_excess_curve(CFG, omega, [0.5, 4.0], SPEC6)
     for (exc, e_exc), sigma in zip(curve, (0.5, 4.0)):
-        f_sq, e_sq = force_ic(
-            CFG, FieldState.squeezed_band(sigma, omega), SPEC6)
+        x, e_x = forces._state_excess(
+            forces._bracket(CFG), FieldState.squeezed_band(sigma, omega),
+            SPEC6, forces._breakpoints(CFG.left, CFG.right))
+        f_sq, e_sq = f_vac + x, e_vac + e_x
         assert abs((f_vac + exc) - f_sq) <= max(
             5e-9, 3.0 * (e_vac + e_exc + e_sq))
 
@@ -941,6 +963,60 @@ def test_dense_band_dual_route():
     for f in (bath, forces._state_integrand(WEAK_CFG)):
         dev, est = oracles.band_dual(WEAK_CFG, f, lo, hi, spec)
         assert dev <= est
+
+
+def test_band_edges_within_one_grid_step():
+    # a ladder window inside one grid step of fig's high shallow band,
+    # where the edge terms' variation is the chord of the last order
+    # between the window's ends; against raw quadrature on half-slab-period
+    # panels
+    lo, hi = forces._bands(FIG_CFG, 55.0)[1][1]
+    m = math.ceil(forces._HARM_GRID * (hi - lo) * FIG_CFG.gap / math.pi)
+    step = (hi - lo) / m
+    dev, est = oracles.band_dual(
+        FIG_CFG, forces._state_integrand(FIG_CFG), lo, hi, SPEC6,
+        window=(lo + 3.2 * step, lo + 3.7 * step))
+    assert dev <= est
+
+
+def test_tail_edges_within_the_first_ladder_step():
+    # edges(K, x1) with x1 = 1.05 K, short of the first ladder step
+    # K 2^(1/8): the variation is the chord of the last order between K and
+    # x1.  Fig Z against raw quadrature on half-slab-period panels
+    f = forces._zero_bath_integrand(FIG_CFG)
+    K = forces._switch(f, SPEC6, FIG_CFG, forces._phase_axes(FIG_CFG))[0]
+    assert 1.05 < forces._LADDER
+    dev, est = oracles.tail_dual(FIG_CFG, f, 1.05 * K, SPEC6)
+    assert dev <= est
+
+
+def test_band_ladder_without_a_switch_point_stays_raw(monkeypatch):
+    # identical lossless static slabs reflect persistently, so the state
+    # integrand has no switch point and the ladder's window, which reaches
+    # past k0, stays on the raw integrand there; it matches raw quadrature
+    # over the whole window within both estimates.  The refusal reads the
+    # probe at k0 and the edge terms' stencil at K = k0 alone: the
+    # variation walk past K, 840 grids, would come to nothing
+    cfg = CavityConfig(1.0, 0.7, STATIC, STATIC)
+    spec = QuadratureSpec(rel_tol=1e-8, abs_tol=1e-12)
+    grids = []
+    kernel = core.ic_brackets
+
+    def counted(k, *args):
+        grids.append(k)
+        return kernel(k, *args)
+    monkeypatch.setattr(core, "ic_brackets", counted)
+    with pytest.raises(NonConvergenceError, match="persistent reflection"):
+        forces._switch(forces._state_integrand(cfg), spec, cfg,
+                       forces._phase_axes(cfg))
+    assert len(grids) == 1 + len(forces._STENCIL_NODES[0])
+    assert 5.0 + 30.0 > forces._first_switch(spec, cfg)
+    (x, ex), = band_excess_curve(cfg, 5.0, [60.0], spec)
+    raw, eraw = forces._state_excess(
+        forces._bracket(cfg), FieldState.squeezed_band(60.0, 5.0), spec,
+        forces._breakpoints(cfg.left, cfg.right))
+    assert abs(x - raw) <= ex + eraw
+    assert x == pytest.approx(-2.4470379673824616e-4, abs=ex)
 
 
 def _clear(cfg, k):
@@ -1783,6 +1859,20 @@ def test_band_excess_strips_are_honest_in_the_shallow_band(sigmas):
 
 NONEQ_CFG = CavityConfig(0.5, 0.4, MILD_L, MILD_R)
 NONEQ_SPEC = QuadratureSpec(rel_tol=1e-8, abs_tol=1e-12)
+
+
+@pytest.mark.parametrize("cfg, omega, spec", [
+    (FIG_CFG, 5.0, SPEC6), (NONEQ_CFG, 3.0, NONEQ_SPEC)],
+    ids=["docs", "mild"])
+def test_force_ic_takes_the_band_excess_from_the_ladder(cfg, omega, spec):
+    # one route for the band excess: force_ic of a band state is the
+    # vacuum force plus the sweep-sigma ladder's excess at its one width,
+    # bit for bit in value and error
+    vacuum = force_ic(cfg, FieldState.vacuum(), spec)
+    for sigma in (0.5, 20.0, 200.0):
+        (x, ex), = band_excess_curve(cfg, omega, [sigma], spec)
+        assert force_ic(cfg, FieldState.squeezed_band(sigma, omega),
+                        spec) == (vacuum[0] + x, vacuum[1] + ex)
 
 
 @pytest.mark.parametrize("cfg, spec", [

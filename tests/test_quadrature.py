@@ -98,6 +98,29 @@ def test_interval_empty():
     assert integrate_interval(lambda k: 1.0, 2.0, 2.0, SPEC) == (0.0, 0.0)
 
 
+def test_interval_layout_beyond_max_panels_raises():
+    # 100 panels of width 1 on [0, 100] against max_panels = 10: the layout
+    # stops at the 11th panel and carries the sum of the panels it laid
+    spec = QuadratureSpec(panel_width=1.0, max_panels=10)
+    with pytest.raises(NonConvergenceError,
+                       match="layout exceeds max_panels") as exc:
+        integrate_interval(lambda k: 1.0, 0.0, 100.0, spec)
+    assert exc.value.partial == 11.0
+    assert exc.value.panels == 11
+
+
+@pytest.mark.parametrize("bad, node", [(lambda k: k > 0.9, 0.99573),
+                                       (lambda k: k < 0.1, 0.00427)],
+                         ids=["upper", "lower"])
+def test_interval_nan_off_the_panel_centre_reports_its_node(bad, node):
+    # one panel on [0, 1], finite at its centre: its outermost Kronrod
+    # nodes, 0.5 -+ 0.5 * 0.99146, are the first to return NaN
+    with pytest.raises(NaNIntegrandError) as exc:
+        integrate_interval(lambda k: math.nan if bad(k) else 1.0, 0.0, 1.0,
+                           SPEC)
+    assert exc.value.abscissa == pytest.approx(node, abs=1e-5)
+
+
 def test_interval_oscillatory():
     # sin integrates to 1 - cos(20) over [0, 20]
     val, err = integrate_interval(math.sin, 0.0, 20.0, SPEC)

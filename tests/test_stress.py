@@ -245,6 +245,27 @@ def test_component_tx_heat_flow():
     assert left < 0.0 < right
 
 
+def test_component_tx_state_flux():
+    # the state part's energy flux at thermal beta = 2 and k = 2.2.  The gap
+    # is vacuum, so the flux is the same at every point of it; between
+    # identical slabs it is zero, and their two exteriors carry equal
+    # fluxes toward the cavity, whose slabs absorb the field
+    st = FieldState.thermal(2.0)
+    flux = [txx_ic_integrand(CavityConfig(1.0, 0.7, MILD_L, MILD_R), st,
+                             RegionPoint(x, "gap"), 2.2, component="tx")
+            for x in (0.0, 0.3)]
+    assert flux[0] == pytest.approx(0.76049432629172, rel=1e-12)
+    assert flux[1] == pytest.approx(flux[0], rel=1e-12)
+    sym = CavityConfig(1.0, 0.7, MILD_L, MILD_L)
+    assert abs(txx_ic_integrand(sym, st, RegionPoint(0.0, "gap"), 2.2,
+                                component="tx")) <= 1e-15
+    left = txx_ic_integrand(sym, st, EXT_PT, 2.2, component="tx")
+    right = txx_ic_integrand(sym, st, RegionPoint(1.27, "exterior_right"),
+                             2.2, component="tx")
+    assert left == pytest.approx(0.8564809400, rel=1e-10)
+    assert right == pytest.approx(-left, rel=1e-12)
+
+
 def test_pressure_difference_report():
     # long-slab parameters at omega = 1/a
     dev_ic, dev_bath = pressure_difference(

@@ -73,3 +73,18 @@ def test_drop_bytecode_removes_every_pycache(tmp_path):
     assert not list(tmp_path.rglob("__pycache__"))
     assert (tmp_path / "pkg" / "m.py").read_text() == "X = 1\n"
     assert (tmp_path / "pkg" / "sub").is_dir()
+
+
+def test_points_runs_on_this_checkout():
+    # one cold run of the points script, which wraps forces' stage
+    # functions and memos by name: a rename there fails here, not in the
+    # next benchmark entry
+    got = wb.points(wb.ROOT, runs=1)
+    assert set(got) == set(wb.WORKLOADS) | {"docs_ladder", "timing"}
+    for name in wb.WORKLOADS:
+        assert got[name]["points"] > 0 and got[name]["K"] > 0.0
+        assert sum(got[name]["stages"].values()) == got[name]["points"]
+        assert got[name]["excess_calls"]["X"] > 0
+    assert got["docs_ladder"]["calls"] > 0
+    assert got["docs_ladder"]["points"] > 0
+    assert all(t["total_s"] > 0.0 for t in got["timing"].values())
