@@ -7,10 +7,11 @@ Usage (from the repository root):
     python3 scripts/write_bench.py --parent DIR --out BENCH_6.json
 
 DIR is a checkout of the parent commit (``git archive`` or ``git clone``).
-For each of the four workloads and seeds 1-10, ``perfbench/run.py
---workload W --seed N --seconds 10`` runs once in each checkout; odd seeds
-run the parent first and even seeds the change, so slow drift of the host
-does not favour one side.
+For each of the four workloads, ``perfbench/run.py --workload W --seed 0
+--seconds 10`` runs ten times in each checkout, in pairs whose first side
+alternates (the parent first in the first pair), so slow drift of the host
+does not favour one side, and then one more pair at seed 1, a seed other
+than the pinned parameters of seed 0, kept apart as ``held_out``.
 One traced run (``--trace 1``) per workload and checkout at seed 0 gives the
 per-layer counts, and the tier-1 pytest command runs once per checkout.
 The tracer counts the calls of ``core.ic_bracket`` and
@@ -23,8 +24,9 @@ the runs, and every interpreter started in a checkout, these and those
 below, runs under ``PYTHONDONTWRITEBYTECODE=1``, so each compiles the
 package as a run of the benchmark in a fresh checkout does, and reads the
 standard library's bytecode as it does.
-Every metric is recorded as median and quartiles per side, every run is
-kept, and for ``wall_s`` the entry counts the pairs the change won.
+Every metric is recorded as median and quartiles per side over the ten
+seed-0 pairs, every run is kept, and for ``wall_s`` the entry counts the
+pairs the change won, and whether it won the held-out pair.
 The entry also records each side's size: the physical and the code lines
 of every module of ``src/casimir1d`` and their totals, where code lines
 leave out blank lines, comment-only lines and docstrings (every statement
@@ -40,8 +42,10 @@ whether its repr is ``identical`` on both sides, and lists those that
 differ.
 Each side's ``points`` count the kernel points of the zero-temperature
 bath integral Z on each workload's cavity, by wrapping Z's offset kernel
-``core.vacuum_baths`` and its one-triple form ``core.vacuum_bath_of``,
-whose single points count as one-offset calls: every offset point, the
+``core.vacuum_baths``, its diagonal loop ``core.diagonal_vacuum_baths``
+(where the checkout has it; n offsets count n points) and its one-triple
+form ``core.vacuum_bath_of``, whose single points count as one-offset
+calls: every offset point, the
 one-offset (raw) calls, and the raw calls within 0.1 of a bound gap mode
 (``forces._gap_modes``), the layer ``perfbench/tracing.py`` does not see,
 and Z itself as (value, err).  A one-triple form never calls its offset
@@ -64,8 +68,9 @@ counts the kernel calls of the thermal state excess X (the points of
 0 (one, or two on ``noneq_mild``), which the tracer cannot attribute to
 them.
 Next to them, ``docs_ladder`` counts the docs sigma ladder's
-``core.ic_brackets`` calls and points, with the single points of
-``core.ic_bracket_of``, and records its switch points K (one per
+``core.ic_brackets`` and ``core.diagonal_ic_brackets`` calls and points,
+with the single points of ``core.ic_bracket_of``, and records its switch
+points K (one per
 ``omega0_list`` entry), a layer the tracer does not see either.
 ``timing`` divides the time of Z on each workload's cavity, of the docs
 sigma ladder and of ``noneq_mild``'s two bath excesses Y (target
@@ -73,9 +78,20 @@ sigma ladder and of ``noneq_mild``'s two bath excesses Y (target
 bookkeeping around them: ``total_s``, the seconds of the target;
 ``offset_s``, those inside the kernels that take the cavity after the
 frequency (the offset kernels ``core.vacuum_baths`` and
-``core.ic_brackets`` on these targets); ``point_s``, those inside the
-single points of the one-triple forms, which take the cavity alone; and
-``index_calls``, the ``refractive_at`` calls made outside both.  Only
+``core.ic_brackets`` and their diagonal loops on these targets);
+``point_s``, those inside the single points of the one-triple forms, which
+take the cavity alone; and ``index_calls``, the ``refractive_at`` calls
+made outside both.  The docs ladder's ``total_s`` is also split by stage,
+each stage's seconds those outside the others: ``switch_s``
+(``forces._switch``, its edge terms at K included), ``strips_s`` (the
+strips' quadrature, with their means and the phase average past K),
+``band_grids_s`` (each band's sample grid, ``forces._band_bounds``),
+``band_ends_s`` (the bands' edge terms at the window ends) and
+``past_K_edges_s`` (the windows' signed edge terms past K); the rest is
+the band scan and the ladder's own bookkeeping.  There ``means`` counts
+the band means asked and ``charged_pole_forms`` the pole forms that
+charge their rounding, one per mean that five offsets or fewer do not
+hold and that no earlier mean at its k computed.  Only
 the package's calls into ``core`` are wrapped, not those ``core`` makes
 within itself.  The seconds are medians over 9 runs of the target from
 cold memos in the one interpreter that also counts the points above, so
@@ -108,7 +124,8 @@ import tokenize
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("fig_300k", "noneq_mild", "weak_damping", "sweep_docs")
-SEEDS = tuple(range(1, 11))
+SEEDS = (0,) * 10
+HELD_OUT = 1
 SECONDS = 10
 TIER1 = [sys.executable, "-m", "pytest", "-q",
          "--continue-on-collection-errors", "-p", "no:cacheprovider"]
@@ -245,8 +262,8 @@ print(json.dumps({k: repr(v) for k, v in out.items()}))
 
 # Run like _OUTPUTS with the argument RUNS; prints Z's kernel points by
 # stage and its grids at the switch point, Z and the excesses' kernel calls
-# per workload cavity, the docs ladder's points and each target's timing as
-# JSON, each measured from cold memos.
+# per workload cavity, the docs ladder's points and each target's timing,
+# the ladder's split by stage, as JSON, each measured from cold memos.
 _POINTS = r"""
 import inspect, json, statistics, sys, time, types
 sys.path.insert(0, "perfbench")
@@ -264,6 +281,12 @@ calls, grids, switched, excess = tallies = [], [], [], []
 stage = ["direct"]
 spent = {}
 timing = {}
+# the docs ladder's stages whose seconds timing splits out, and the one of
+# them each call is in (the outermost), once splitting is on
+SPLIT = ("switch_s", "strips_s", "band_grids_s", "band_ends_s",
+         "past_K_edges_s")
+split_in = []
+splitting = [False]
 
 
 # clears every per-process memo of forces, so that what runs next starts as
@@ -301,7 +324,8 @@ for name, fn in vars(core).items():
         if params == ["a", "d", "matL", "matR"]:
             setattr(copy, name, lambda *cavity, bind=fn: clocked(
                 "point_s", bind(*cavity)))
-        elif params[1:5] == ["a", "d", "matL", "matR"]:
+        elif params[1:5] == ["a", "d", "matL", "matR"] \
+                or params[1:4] == ["a", "d", "mat"]:
             setattr(copy, name, clocked("offset_s", fn))
 for mod in list(sys.modules.values()):
     if getattr(mod, "__name__", "").startswith("casimir1d") \
@@ -316,9 +340,14 @@ def timed(target, fn):
     got, first = [], []
     for tally in tallies:
         del tally[:]
+    fields = ("total_s", "offset_s", "point_s") + (
+        SPLIT if splitting[0] else ())
     for _ in range(runs):
         cold()
-        spent.update(offset_s=0.0, point_s=0.0, index_calls=0)
+        spent.clear()
+        spent.update(dict.fromkeys(fields[1:], 0.0), index_calls=0)
+        if splitting[0]:
+            spent.update(means=0, charged_pole_forms=0)
         start = time.perf_counter()
         value = fn()
         got.append(dict(spent, total_s=time.perf_counter() - start))
@@ -326,16 +355,47 @@ def timed(target, fn):
     for tally, n in zip(tallies, first[1:]):
         del tally[n:]
     timing[target] = dict(got[0], **{
-        f: statistics.median(g[f] for g in got)
-        for f in ("total_s", "offset_s", "point_s")})
+        f: statistics.median(g[f] for g in got) for f in fields})
     return first[0]
 
 
+# fn timed into spent[field] while splitting, unless the call is inside
+# another split stage, whose seconds then hold it
+def split(field, fn):
+    def wrapped(*args, **kw):
+        if not splitting[0] or split_in:
+            return fn(*args, **kw)
+        split_in.append(field)
+        start = time.perf_counter()
+        try:
+            return fn(*args, **kw)
+        finally:
+            spent[field] += time.perf_counter() - start
+            split_in.pop()
+    return wrapped
+
+
+# counts into spent[field], while splitting, the calls of fn whose
+# arguments ``counts`` accepts: the band means asked, and the pole forms
+# asked to charge their rounding (vals, width, k, parts, True)
+def tallied(field, fn, counts=lambda *args: True):
+    def wrapped(*args):
+        if splitting[0] and counts(*args):
+            spent[field] += 1
+        return fn(*args)
+    return wrapped
+
+
+# wraps the kernel core.<name>, where the checkout has it: an offset kernel
+# counts its offsets, a diagonal loop its n
 def counting(name):
-    kernel = getattr(core, name)
+    kernel = getattr(core, name, None)
+    if kernel is None:
+        return
 
     def wrapped(k, *args):
-        calls.append((k, len(args[-1]), stage[-1]))
+        n = args[-1]
+        calls.append((k, n if isinstance(n, int) else len(n), stage[-1]))
         return kernel(k, *args)
     setattr(core, name, wrapped)
 
@@ -380,10 +440,11 @@ def staged(label, fn, inside=None):
 def banded(*args):
     stage.append("band_grid")
     try:
-        mean, size, edges = band_bounds(*args)
+        mean, size, edges = split("band_grids_s", band_bounds)(*args)
     finally:
         stage.pop()
-    return staged("band_means", mean), size, staged("band_ends", edges)
+    return (tallied("means", staged("band_means", mean)), size,
+            split("band_ends_s", staged("band_ends", edges)))
 
 
 def gridded(shifted):
@@ -405,11 +466,14 @@ switch = forces._switch
 band_bounds = forces._band_bounds
 above_edges = forces._above_edges
 grid_sampler = forces._sampler
-forces._switch = staged("probe", switching)
-forces.integrate_interval = staged("coarse", forces.integrate_interval,
-                                   "probe")
+forces._switch = split("switch_s", staged("probe", switching))
+forces.integrate_interval = split("strips_s", staged(
+    "coarse", forces.integrate_interval, "probe"))
 forces._averaged_tail = staged("tail", forces._averaged_tail)
-forces._above_edges = lambda *a: staged("edges", above_edges(*a))
+forces._above_edges = lambda *a: split("past_K_edges_s",
+                                       staged("edges", above_edges(*a)))
+forces._pole_form = tallied("charged_pole_forms", forces._pole_form,
+                            lambda *args: args[4:] == (True,))
 forces._band_bounds = banded
 forces._sampler = gridded
 forces._thermal_excess = staged("X", forces._thermal_excess)
@@ -417,6 +481,7 @@ forces._bath_excess = staged("Y", forces._bath_excess)
 # Z's kernel, with its single points through the one-triple form; Y's and
 # X's kernels, the one-triple forms
 counting("vacuum_baths")
+counting("diagonal_vacuum_baths")
 one_triple("vacuum_bath_of", point)
 one_triple("bath_factors_of", excess_point)
 one_triple("ic_bracket_of", excess_point)
@@ -456,7 +521,9 @@ timed("noneq_mild_Y", lambda: [
     forces._bath_excess(W.NONEQ_CFG, bl, br, W.NONEQ_SPEC)
     for bl, br in (W.NONEQ_BATHS, W.NONEQ_BATHS[::-1])])
 counting("ic_brackets")
+counting("diagonal_ic_brackets")
 one_triple("ic_bracket_of", point)
+splitting[0] = True
 timed("docs_ladder", lambda: [
     forces.band_excess_curve(rc.cavity, w, rc.sigma_grid, rc.spec)
     for w in rc.omega0_list])
@@ -551,8 +618,8 @@ def measure(parent):
                                                  for side in SIDES))
     for w in WORKLOADS:
         runs = {side: [] for side in SIDES}
-        for seed in SEEDS:
-            order = SIDES if seed % 2 else SIDES[::-1]
+        for i, seed in enumerate(SEEDS + (HELD_OUT,)):
+            order = SIDES if i % 2 == 0 else SIDES[::-1]
             for side in order:
                 res = _bench(trees[side], w, seed, 0)
                 runs[side].append({"seed": seed, "correct": res["correct"],
@@ -563,6 +630,9 @@ def measure(parent):
                 print("%s seed %d %s wall_s %.4f"
                       % (w, seed, side, runs[side][-1]["metrics"]["wall_s"]),
                       flush=True)
+        held = {side: runs[side].pop() for side in SIDES}
+        held["wall_s_won"] = held["change"]["metrics"]["wall_s"] < \
+            held["parent"]["metrics"]["wall_s"]
         names = list(runs["change"][0]["metrics"])
         metrics = {m: {side: _summary([r["metrics"][m] for r in runs[side]])
                        for side in SIDES} for m in names}
@@ -574,7 +644,8 @@ def measure(parent):
         entry["workloads"][w] = {"metrics": metrics,
                                  "wall_s_pairs_won": won,
                                  "pairs": len(SEEDS),
-                                 "traced_seed0": traced, "runs": runs}
+                                 "traced_seed0": traced, "runs": runs,
+                                 "held_out": held}
     entry["tier1"] = {side: _tier1(trees[side]) for side in SIDES}
     out = {side: outputs(trees[side]) for side in SIDES}
     out["identical"] = identical(out["parent"], out["change"])
@@ -600,6 +671,7 @@ def main(argv=None):
         "command": "python3 perfbench/run.py --workload W --seed N "
                    "--seconds %d" % SECONDS,
         "seeds": list(SEEDS),
+        "held_out_seed": HELD_OUT,
         "units": "wall_s and setup_s in reference seconds "
                  "(perfbench/speed.py)",
     }

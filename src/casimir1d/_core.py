@@ -10,7 +10,7 @@ the gap is a, interfaces sit at +-a/2 and +-(a/2+d).
 """
 
 import cmath
-from math import cos, exp, expm1, inf, sin, sqrt
+from math import cos, exp, expm1, inf, pi, sin, sqrt
 
 from .errors import CavityResonanceError, SingularEvaluationError
 
@@ -117,6 +117,12 @@ def refractive_at(s, omega0, omega_pl, gamma0, static):
 # each offset triple up there; vacuum_baths builds its tables from
 # _absorbing_offset, which forms only E, F, r and tl2 as slab_offset does,
 # plus the slab's absorption, and not the |t|^2 and g that Z does not read.
+# The slab-phase means, band grids and band-end stencils of identical slabs
+# sample the diagonal grid of n common slab offsets 2 pi i / n with no gap
+# offset; there diagonal_ic_brackets and diagonal_vacuum_baths form one
+# slab's parts per offset in one loop, with the gap factor formed once and
+# no tables, in the offset kernels' operations and order, so they return
+# the offset kernels' bits and raise their errors.
 # The transmissions t and tau need two complex exponentials that no force
 # integrand reads, so only slab_parts forms them.  The one-triple forms
 # below (vacuum_bath_of, ic_bracket_of, bath_factors_of) form the same
@@ -224,6 +230,31 @@ def ic_brackets(omega, a, d, matL, matR, offsets):
         out.append(1.0 + abs(rho) ** 2 + t2aL * t2aR / d2
                    - (t2aL * (1.0 + abs(rR) ** 2)
                       + t2aR * (1.0 + abs(rL) ** 2)) / d2)
+    return out
+
+
+def diagonal_ic_brackets(omega, a, d, mat, n):
+    """``ic_brackets(omega, a, d, mat, mat, offsets)`` to the bit, with
+    ``offsets`` the diagonal grid of n common slab offsets s = 2 pi i / n
+    and no gap offset: one loop over s, with no tables."""
+    rn, rn2, _, q2, aq2, em, _, th0 = slab_fixed(
+        omega, refractive_at(-1j * omega, mat[0], mat[1], mat[2], mat[3]), d)
+    gap = gap_phase(omega, a)
+    out = []
+    for i in range(n):
+        th = th0 + 2.0 * pi * i / n
+        E = em * complex(cos(th), sin(th))
+        F = 1.0 - rn2 * E
+        r = rn * (1.0 - E) / F
+        t2a = aq2 / abs(F) ** 2 * em
+        delta = 1.0 - r * r * gap
+        if abs(delta) < DELTA_FLOOR:
+            cavity_delta(r, r, gap)
+        d2 = abs(delta) ** 2
+        rho = r + r * (q2 * E / (F * F)) * gap / delta
+        ar = 1.0 + abs(r) ** 2
+        out.append(1.0 + abs(rho) ** 2 + t2a * t2a / d2
+                   - (t2a * ar + t2a * ar) / d2)
     return out
 
 
@@ -386,6 +417,32 @@ def vacuum_baths(omega, a, d, matL, matR, offsets):
         out.append(-omega * (abs(rL * delta + rR * tl2L * gap) ** 2
                              + 2.0 * w.real - aL - aR + AL * (2.0 * aR + AR)
                              + 2.0 * aL * AR) / abs(delta) ** 2)
+    return out
+
+
+def diagonal_vacuum_baths(omega, a, d, mat, n):
+    """``vacuum_baths(omega, a, d, mat, mat, offsets)`` to the bit, with
+    ``offsets`` the diagonal grid of ``diagonal_ic_brackets``: one loop
+    over the common slab offset, with no tables."""
+    nn = refractive_at(-1j * omega, mat[0], mat[1], mat[2], mat[3])
+    (rn, rn2, _, q2, _, em, _, th0), a0, a1 = _absorbing_fixed(
+        nn, slab_fixed(omega, nn, d))
+    gap = gap_phase(omega, a)
+    out = []
+    for i in range(n):
+        th = th0 + 2.0 * pi * i / n
+        E = em * complex(cos(th), sin(th))
+        F = 1.0 - rn2 * E
+        r = rn * (1.0 - E) / F
+        A = (a0 - a1 * (rn * E).imag) / abs(F) ** 2
+        ar = abs(r) ** 2
+        w = r * r * gap
+        delta = 1.0 - w
+        if abs(delta) < DELTA_FLOOR:
+            cavity_delta(r, r, gap)
+        out.append(-omega * (abs(r * delta + r * (q2 * E / (F * F)) * gap)
+                             ** 2 + 2.0 * w.real - ar - ar + A * (2.0 * ar + A)
+                             + 2.0 * ar * A) / abs(delta) ** 2)
     return out
 
 

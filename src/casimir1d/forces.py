@@ -34,7 +34,11 @@ kernel calls of Z, of the two excesses and of the sigma ladder's raw
 strips are single points, each through a one-triple form that binds the
 cavity once per integral and builds no offset tables
 (``core.vacuum_bath_of``, ``core.ic_bracket_of``,
-``core.bath_factors_of``).  Z and R are memoized per
+``core.bath_factors_of``).  Every diagonal grid of identical slabs (the
+band means, the band grids and the band-end stencils) goes through one
+lean loop per kernel (``core.diagonal_vacuum_baths``,
+``core.diagonal_ic_brackets``), which returns the offset kernel's bits
+without its tables.  Z and R are memoized per
 process for each cavity and spec, and the state excess for each cavity,
 state and spec, so forces at several bath temperatures compute each once;
 the bath excess weighs the bath kernel's weight-free parts, memoized per
@@ -140,10 +144,16 @@ coefficients with fixed twiddles).  Each grid point and stencil node takes
 those six samples and sums j up to where the closed-form remainder falls
 below rounding, at most 15, and charges the first order of the rest.  Where
 every grid point has rho <= 0.25, an end takes the signed edge terms,
-with derivatives from a stencil at the end, unless it is the band's own
+with derivatives from a five-node stencil at the end, whose three inner
+nodes give its stencil error, unless it is the band's own
 end and the absolute terms the grid holds there are no larger than the
 band's variation; a dense band takes the absolute terms at both of its
-ends.  In every band each mean takes, in one call, the fewest offsets, up
+ends.  Each pass holds its means' integrated error to a hundredth of its
+own tolerance (``_mean_tol``): Z's passes over all their bands, and each
+strip of the sigma ladder over its own parts of the bands, its tolerance
+max(abs_tol, rel_tol times the means' modulus over those parts), spread
+over their width; the rounding floor at their top bounds it below.  In
+every band each mean takes, in one call, the fewest offsets, up
 to five, whose aliased harmonics fit its tolerance, or else the six
 samples' exact mean from the poles where the rounding that its division
 by the poles amplifies fits too, or else the plain mean of more offsets;
@@ -221,12 +231,17 @@ _HARM_GRID = 8
 _HARM_TOP = 15
 _RHO_MAX = 0.25
 # The signed edge sum takes the derivatives of the harmonics at a window end
-# x from seven samples _FD_STEP apart, centred on x, or starting at x where
-# x < 3 _FD_STEP (k = 0); the five inner (or first) samples give a
-# lower-order sum, whose difference from it is the sum's stencil error.
-# _STENCIL_NODES holds the central and the one-sided nodes, in that order.
+# x from samples _FD_STEP x apart past the switch point, seven of them
+# centred on x, and _FD_STEP apart at a band end, five of them centred on x,
+# or starting at x where x < 2 _FD_STEP (k = 0); the samples less the outer
+# two (or the last two) give a lower-order sum, whose difference from it is
+# the sum's stencil error.  _STENCIL_NODES and _BAND_END_NODES hold the
+# central and the one-sided nodes, in that order.  The ends past the switch
+# point keep seven nodes: their error at K, e_K, is 77% of Z's estimate on
+# the mild pair.
 _FD_STEP = 2e-3
 _STENCIL_NODES = (tuple(range(-3, 4)), tuple(range(7)))
+_BAND_END_NODES = (tuple(range(-2, 3)), tuple(range(5)))
 # Bisection steps placing a band edge between two scan points.
 _EDGE_STEPS = 40
 # Bound gap modes narrower than this fraction of the panel width are
@@ -380,9 +395,16 @@ def _phase_average(shifted, k, dims):
 def _sampler(shifted):
     """``sample(k, dims)``: the integrand ``shifted`` at k on the grid of
     ``dims`` offsets per phase (see ``_grid``), each (k, dims) evaluated
-    once for the life of the returned function."""
+    once for the life of the returned function.  A diagonal grid ``(n,)``
+    goes to ``shifted.diagonal(k, n)`` where the integrand has that lean
+    loop (identical slabs, see ``_state_integrand``), which returns the
+    same bits."""
+    diagonal = getattr(shifted, "diagonal", None)
+
     @functools.lru_cache(maxsize=None)
     def sample(k, dims):
+        if diagonal is not None and len(dims) == 1:
+            return diagonal(k, dims[0])
         return shifted(k, _grid(dims))
     return sample
 
@@ -770,9 +792,10 @@ def _switch(f, spec, cfg, axes, below=None, breakpoints=()):
             p = -K * (dh / h).real
             if p < _PERSISTENT:
                 raise NonConvergenceError(
-                    "oscillation amplitude decays like 1/k (a persistent "
-                    "reflection): at k = %.3e a harmonic of first order "
-                    "%.3e falls like k^-%.2f" % (K, 2.0 * abs(h / w), p),
+                    "oscillation amplitude falls slower than k^-%.1f (a "
+                    "persistent reflection): at k = %.3e a harmonic of "
+                    "first order %.3e goes like k^%.2f"
+                    % (_PERSISTENT, K, 2.0 * abs(h / w), 0.0 - p),
                     partial=None, error=2.0 * abs(h / w), panels=0)
         s, err, _, keep = edges(K)
         if err <= share:
@@ -856,14 +879,16 @@ def _edge_terms(hs, rates, phases, nodes, step, floor, slow):
     sigma_0 = h_j / (i w_j), w_j = j . phi' and
     sigma_{m+1} = sigma_m' / (i w_j), the derivatives by the stencil; err
     is its stencil error, the difference from the sum with the lower-order
-    stencil of the inner (or first) five nodes.  Harmonics at or below
-    ``floor`` are left out, and so are the slow ones, whose logarithmic
-    slope |h_j' / h_j| exceeds ``slow`` times |w_j|.  ``terms`` maps every
-    other j to (h_j, h_j', w_j, sigma_2) at x, sigma_2 None where slow.
+    stencil of the nodes less the outer two (or the last two).  Harmonics
+    at or below ``floor`` are left out, and so are the slow ones, whose
+    logarithmic slope |h_j' / h_j| exceeds ``slow`` times |w_j|.  ``terms``
+    maps every other j to (h_j, h_j', w_j, sigma_2) at x, sigma_2 None
+    where slow.
     """
-    at = nodes.index(0)
+    at, m = nodes.index(0), len(nodes)
     fits = []
-    for part in (slice(0, 7), slice(0, 5) if at == 0 else slice(1, 6)):
+    for part in (slice(0, m),
+                 slice(0, m - 2) if at == 0 else slice(1, m - 1)):
         fits.append((part, _stencil(nodes[part], 1), _stencil(nodes[part], 2)))
     sums = [0.0, 0.0]
     terms = {}
@@ -1013,8 +1038,9 @@ def _band_bounds(shifted, comb, lo, hi):
     identical slabs of ``comb``, its size, and the edge terms of the slab
     oscillation the mean drops: returns ``(mean, size, edges)``, where
     ``mean(k, tol)`` is the slab-phase mean at k inside the band, within
-    ``tol``, ``size`` is the integral of its modulus over the band by the
-    trapezoid rule on the grid, and ``edges(x0, x1)`` is described below.
+    ``tol``, ``size(x0, x1)`` is the integral of its modulus over the part
+    [x0, x1] of the band by the trapezoid rule on the grid (linear inside a
+    grid step), and ``edges(x0, x1)`` is described below.
 
     Three integrations by parts of each harmonic integral of h_j e^{i j phi}
     leave the edge terms of u = h_j / phi', u' / phi' and (u' / phi')' / phi'
@@ -1051,8 +1077,9 @@ def _band_bounds(shifted, comb, lo, hi):
     two counts.  The signed edge sum S(x) = sum over j != 0 and m < 3 of
     (-1)^m sigma_m(x) e^{i j phi(x)}, with sigma_0 = h_j / (i j phi') and
     sigma_{m+1} = sigma_m' / (i j phi'), enters the value (S(x1) - S(x0)),
-    with its derivatives from the harmonics sampled on a stencil at x (see
-    ``_FD_STEP``) and its stencil error and the first order of the
+    with its derivatives from the harmonics sampled on a five-node stencil
+    at x (see ``_FD_STEP``) and its stencil error, the difference from the
+    three-node sum, and the first order of the
     harmonics past the last in the error.  The absolute edge terms that
     the grid holds at the band's own ends enter the error alone.  A band
     whose grid points all have rho <= _RHO_MAX takes S, except at its own
@@ -1073,7 +1100,10 @@ def _band_bounds(shifted, comb, lo, hi):
     step = (hi - lo) / m
     ks = [lo + step * i for i in range(m)] + [hi]
     _, rates, h0s, poles, harm, tails = _band_points(form, comb, ks)
-    size = step * (sum(map(abs, h0s)) - 0.5 * (abs(h0s[0]) + abs(h0s[-1])))
+    # the trapezoid integral of |h0| from lo to each grid point
+    cum = list(itertools.accumulate(
+        (0.5 * step * (abs(a) + abs(b)) for a, b in zip(h0s, h0s[1:])),
+        initial=0.0))
     ends = [tails[0], tails[m]]
     jumps = [a + b for a, b in zip(tails, tails[1:])]
     # the last order sigma_2 = w / (i j)^3 of each harmonic at each point
@@ -1096,6 +1126,13 @@ def _band_bounds(shifted, comb, lo, hi):
     kept = {x: (0.0, e, last[i]) for x, e, i in ((lo, ends[0], 0),
                                                  (hi, ends[1], m))
             if dense or e <= variation[m]}
+
+    def size(x0, x1):
+        def at(x):
+            t = min(max((x - lo) / step, 0.0), float(m))
+            i = min(int(t), m - 1)
+            return cum[i] + (t - i) * (cum[i + 1] - cum[i])
+        return at(x1) - at(x0)
 
     def cell(x):
         """Grid steps (i, i') around x: i == i' on a grid point."""
@@ -1127,7 +1164,7 @@ def _band_bounds(shifted, comb, lo, hi):
         absolute terms kept there, and the last order of each harmonic."""
         if x in kept:
             return kept[x]
-        nodes = _STENCIL_NODES[x < 3.0 * _FD_STEP]
+        nodes = _BAND_END_NODES[x < 2.0 * _FD_STEP]
         ts = [x + _FD_STEP * z for z in nodes]
         ns, rs, _, _, hs, tails = _band_points(form, comb, ts)
         at = nodes.index(0)
@@ -1158,13 +1195,14 @@ def _chord(a, b):
                for j in set(a) | set(b))
 
 
-def _mean_tol(abs_tol, bands):
-    """Tolerance of the slab-phase means across ``bands``: their integrated
-    error held to a hundredth of ``abs_tol``, or the rounding floor at the
-    bands' top where that is larger; 0 without bands."""
+def _mean_tol(target, bands):
+    """Tolerance of the slab-phase means across ``bands`` (the bands, or
+    their parts, one pass integrates): their integrated error held to a
+    hundredth of the pass's tolerance ``target``, or the rounding floor at
+    the top of ``bands`` where that is larger; 0 without bands."""
     if not bands:
         return 0.0
-    return max(0.01 * abs_tol / sum(hi - lo for lo, hi in bands),
+    return max(0.01 * target / sum(hi - lo for lo, hi in bands),
                _MEAN_NOISE * _NOISE_EPS * max(hi for _, hi in bands))
 
 
@@ -1253,7 +1291,7 @@ def _oscillatory_integral(point, shifted, spec, cfg):
     # the coarse pass below k0 that fixes the absolute error budget sizes
     # its means to its own target, rel_tol of the bands' size.
     coarse = _coarse(spec)
-    size = sum(s for _, s, _ in built)
+    size = sum(s(lo, hi) for (lo, hi), (_, s, _) in zip(bands, built))
     K, s_K, e_K, budget, _, dims = _switch(
         shifted, spec, cfg, axes,
         banded(_mean_tol(max(coarse.abs_tol, coarse.rel_tol * size), bands)),
@@ -1665,6 +1703,8 @@ def _zero_bath_integrand(cfg):
 
     def f(k, offsets):
         return core.vacuum_baths(k, a, d, tl, tr, offsets)
+    if tl == tr:
+        f.diagonal = lambda k, n: core.diagonal_vacuum_baths(k, a, d, tl, n)
     return f
 
 
@@ -1675,11 +1715,17 @@ def _bracket(cfg):
 
 def _state_integrand(cfg):
     """Vacuum-weight state integrand ``f(k, offsets)``, k times the state
-    bracket, of a cavity."""
+    bracket, of a cavity.  For identical slabs ``f.diagonal(k, n)`` gives
+    its bits on the diagonal grid ``_grid((n,))`` from the lean loop
+    ``core.diagonal_ic_brackets``; ``_zero_bath_integrand`` does the same
+    for Z."""
     a, d, tl, tr = _args(cfg)
 
     def f(k, offsets):
         return [k * b for b in core.ic_brackets(k, a, d, tl, tr, offsets)]
+    if tl == tr:
+        f.diagonal = lambda k, n: [
+            k * b for b in core.diagonal_ic_brackets(k, a, d, tl, n)]
     return f
 
 
@@ -2003,9 +2049,16 @@ def band_excess_curve(cfg, omega_center, sigmas, spec):
     (cosh(2/sigma) - 1) times the window integral of k * [state bracket]
     over |k - omega_center| <= sigma/2.  The window integrals are nested,
     so they are assembled incrementally from non-overlapping strips and a
-    full ladder costs a single pass over the widest window.  Where a strip
-    crosses a shallow band of identical absorbing slabs, on either side of
-    the stop band, it integrates the slab-phase mean there; past the switch
+    full ladder costs a single pass over the widest window; a window no
+    wider than one panel (``spec.panel_width``) is one strip over the whole
+    window, one panel where the two strips past the narrower window would
+    take two.  Where a strip crosses a shallow band of identical absorbing
+    slabs, on either side of the stop band, it integrates the slab-phase
+    mean there, holding the means' integrated error to a hundredth of its
+    own tolerance, max(abs_tol, rel_tol times the band grid's integral of
+    the mean's modulus over its parts of the bands), spread over their
+    width, or to the rounding floor at their top (``_mean_tol``), and
+    charges that allowance in its error; past the switch
     point K of the state integrand (``_switch``: the first point of its
     ladder whose measured edge terms fit a quarter of the budget of its
     phase average at k0) it integrates the mean over every phase.  Each
@@ -2041,7 +2094,6 @@ def band_excess_curve(cfg, omega_center, sigmas, spec):
     # one integrates the mean there, and each window adds the edge terms of
     # its own part of each band and past K
     bands = _bands(cfg, K)[1] if windows else ()
-    tol = _mean_tol(spec.abs_tol, bands)
     built = [_band_bounds(f, cfg, lo, hi) for lo, hi in bands]
     bracket = _bracket(cfg)
 
@@ -2049,23 +2101,30 @@ def band_excess_curve(cfg, omega_center, sigmas, spec):
         return k * bracket(k)
 
     def parts(lo, hi):
-        """``(x0, x1, mean, edges)``: each band's part of [lo, hi], with
-        the band's mean and signed edge terms, and the part past K."""
-        out = [(max(b0, lo), min(b1, hi), mean, edges)
-               for (b0, b1), (mean, _, edges) in zip(bands, built)
+        """``(x0, x1, mean, size, edges)``: each band's part of [lo, hi],
+        with the band's mean, size and signed edge terms, and the part past
+        K (without a mean or a size)."""
+        out = [(max(b0, lo), min(b1, hi)) + bound
+               for (b0, b1), bound in zip(bands, built)
                if lo < b1 and b0 < hi]
         if hi > K:
-            out.append((max(K, lo), hi, None, above))
+            out.append((max(K, lo), hi, None, None, above))
         return out
 
     def strip(lo, hi):
         if hi <= lo:
             return 0.0, 0.0
-        own = [p[:3] for p in parts(lo, min(hi, K))]
-        v, e = integrate_interval(_banded(g, own, tol), lo, min(hi, K), spec,
+        own = parts(lo, min(hi, K))
+        # the means hold their integrated error to a hundredth of the
+        # strip's own tolerance, sized by the means' modulus over it
+        tol = _mean_tol(max(spec.abs_tol, spec.rel_tol * sum(
+            size(x0, x1) for x0, x1, _, size, _ in own)),
+            [p[:2] for p in own])
+        v, e = integrate_interval(_banded(g, [p[:3] for p in own], tol), lo,
+                                  min(hi, K), spec,
                                   breakpoints=bks + sum((p[:2] for p in own),
                                                         ()))
-        e += tol * sum(x1 - x0 for x0, x1, _ in own)
+        e += tol * sum(x1 - x0 for x0, x1, *_ in own)
         if hi > K:
             x0 = max(lo, K)
             va, ea = integrate_interval(
@@ -2080,13 +2139,18 @@ def band_excess_curve(cfg, omega_center, sigmas, spec):
     prev_lo = prev_hi = omega_center
     for i in order:
         lo, hi = windows[i]
-        v1, e1 = strip(lo, min(prev_lo, hi))
-        v2, e2 = strip(max(prev_hi, lo), hi)
-        acc += v1 + v2
-        eacc += e1 + e2
+        if hi - lo <= spec.panel_width:
+            # a window within one panel is one strip: one panel, where the
+            # two strips past the narrower window take two
+            acc, eacc = strip(lo, hi)
+        else:
+            v1, e1 = strip(lo, min(prev_lo, hi))
+            v2, e2 = strip(max(prev_hi, lo), hi)
+            acc += v1 + v2
+            eacc += e1 + e2
         prev_lo, prev_hi = lo, hi
         v, e = acc, eacc
-        for x0, x1, _, edges in parts(lo, hi):
+        for x0, x1, _, _, edges in parts(lo, hi):
             dv, de = edges(x0, x1)[:2]
             v, e = v + dv, e + de
         out[i] = (facs[i] * v, facs[i] * e)

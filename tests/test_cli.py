@@ -261,6 +261,44 @@ def test_force_rejects_the_delta_state_and_points_to_limits(tmp_path,
     assert row["flags"] == "" and math.isfinite(float(row["value"]))
 
 
+def _without(body, start, stop=None):
+    """``body`` less its lines from the first that starts with ``start`` up
+    to, not including, the first after it that starts with ``stop`` (the
+    one line without ``stop``)."""
+    lines = body.splitlines()
+    i = next(n for n, ln in enumerate(lines) if ln.startswith(start))
+    j = i + 1 if stop is None else next(
+        n for n, ln in enumerate(lines) if n > i and ln.startswith(stop))
+    return "\n".join(lines[:i] + lines[j:]) + "\n"
+
+
+@pytest.mark.parametrize("command, body, message", [
+    ("sweep-sigma", SWEEP_BODY.replace("sigma_grid = 0.001 0.5 1.0",
+                                       "sigma_grid ="),
+     "cannot parse [sweep] sigma_grid = '': empty list"),
+    ("force", _without(STATIC_BODY, "[cavity]", "[left]"),
+     "missing required section [cavity]"),
+    ("force", _without(STATIC_BODY, "[right]", "[baths]"),
+     "missing required section [right]"),
+    ("force", _without(STATIC_BODY, "[baths]", "[quadrature]"),
+     "missing required section [baths]"),
+    ("sweep-sigma", _without(SWEEP_BODY, "omega0_list"),
+     "missing required key [sweep] omega0_list"),
+    ("force", _without(STATIC_BODY, "beta_right"),
+     "missing required key [baths] beta_right (or its _kelvin form)"),
+    ("force", "gap = 1.0\n" + STATIC_BODY, "cannot parse config"),
+    ("force", STATIC_BODY.replace(
+        "[quadrature]", "[state]\nvariant = squeezed_band\nsigma = -1.0\n"
+        "omega_center = 3.0\n\n[quadrature]"),
+     "bad [state]: squeezed_band needs sigma > 0"),
+], ids=["empty_list", "no_cavity", "no_right", "no_baths", "no_omega0_list",
+        "no_beta_right", "unparsable", "bad_state"])
+def test_config_errors_exit_with_their_message(tmp_path, capsys, command,
+                                               body, message):
+    assert main([command, "--config", write(tmp_path, body)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("sweep", ["", "\n[sweep]\nomega0_list = 2.0 3.0\n"])
 def test_limits_reports_the_delta_state_at_its_own_center(tmp_path, sweep):
     # the state's omega_center gets its row once, whether or not the sweep

@@ -557,21 +557,25 @@ def test_band_excess_curve_preserves_input_order():
 
 
 def test_slab_means_stop_at_the_rounding_floor(monkeypatch):
-    # the docs ladder's shallow-band means: below abs_tol ~ 7e-11 their
-    # tolerance is _mean_tol's rounding floor, 8 _NOISE_EPS k at the
-    # bands' top (4.2e-14), so abs_tol 1e-12 and 1e-300 size the same
-    # offsets and give the same bits.  Without the floor the means at
-    # 1e-300 fall below the pole form's rounding and take plain offsets,
-    # up to 397 in one call and 66,403 points for 6,423.  No call takes
-    # more than the (5, 5) grid past K
+    # the docs ladder's shallow-band means: each strip holds them to a
+    # hundredth of its own tolerance, rel_tol times their modulus over it,
+    # or to _mean_tol's rounding floor, 8 _NOISE_EPS k at the strip's top,
+    # where that is larger; rel_tol sets every strip's here, so abs_tol
+    # 1e-12 and 1e-300 size the same offsets and give the same bits.  No
+    # call takes more than the (5, 5) grid past K
     points = []
-    kernel = core.ic_brackets
+    kernel, diagonal = core.ic_brackets, core.diagonal_ic_brackets
 
     def counting(k, *args):
         points.append(len(args[-1]))
         return kernel(k, *args)
 
+    def counting_diagonal(k, *args):
+        points.append(args[-1])
+        return diagonal(k, *args)
+
     monkeypatch.setattr(core, "ic_brackets", counting)
+    monkeypatch.setattr(core, "diagonal_ic_brackets", counting_diagonal)
     _count_points(monkeypatch, "ic_bracket_of", lambda k: points.append(1))
     runs = []
     for abs_tol in (1e-12, 1e-300):
@@ -581,6 +585,73 @@ def test_slab_means_stop_at_the_rounding_floor(monkeypatch):
         runs.append((out, sum(points), max(points)))
     assert runs[0] == runs[1]
     assert runs[0][2] <= 25
+
+
+def _ladder_strips(monkeypatch, sigmas):
+    """``[(lo, hi, value, tol, parts, means)]``: each strip of the docs
+    ladder at ``sigmas`` that holds a band part, with its value, its means'
+    tolerance, its band parts (x0, x1) and the number of means it took."""
+    strips, means = [], [0]
+    bounds, banded = forces._band_bounds, forces._banded
+    integrate = forces.integrate_interval
+
+    def counted_bounds(*args):
+        mean, size, edges = bounds(*args)
+
+        def counted(k, tol):
+            means[0] += 1
+            return mean(k, tol)
+        return counted, size, edges
+
+    def recorded(raw, parts, tol):
+        strips.append([tol, [p[:2] for p in parts]])
+        means[0] = 0
+        return banded(raw, parts, tol)
+
+    def integrated(f, lo, hi, spec, breakpoints=()):
+        v, e = integrate(f, lo, hi, spec, breakpoints)
+        if strips and len(strips[-1]) == 2:
+            strips[-1][:0] = [lo, hi, v]
+            strips[-1].append(means[0])
+        return v, e
+
+    monkeypatch.setattr(forces, "_band_bounds", counted_bounds)
+    monkeypatch.setattr(forces, "_banded", recorded)
+    monkeypatch.setattr(forces, "integrate_interval", integrated)
+    band_excess_curve(FIG_CFG, 5.0, sigmas, SPEC6)
+    return [tuple(s) for s in strips if s[4]]
+
+
+def test_ladder_strips_hold_their_means_to_a_hundredth_of_their_tolerance(
+        monkeypatch):
+    # each strip charges its means tol times the width of its band parts,
+    # a hundredth of rel_tol times their modulus over it from the band
+    # grid's trapezoid, which lies up to 3% above the quadrature of the
+    # strip's |integrand| (on [0, 2.5], where the mean rises from -0.02),
+    # and at least 0.75% of it
+    strips = _ladder_strips(monkeypatch, DOCS_SIGMAS)
+    assert len(strips) == 13
+    g = forces._state_integrand(FIG_CFG)
+    for lo, hi, _, tol, parts, _ in strips:
+        size = integrate_interval(lambda k: abs(g(k, _RAW)[0]), lo, hi,
+                                  SPEC6, breakpoints=sum(parts, ()))[0]
+        allowance = tol * sum(x1 - x0 for x0, x1 in parts)
+        assert allowance <= 0.0105 * max(SPEC6.abs_tol, SPEC6.rel_tol * size)
+        assert allowance >= 0.0075 * SPEC6.rel_tol * size
+
+
+def test_narrow_windows_take_one_strip(monkeypatch):
+    # a window no wider than one panel (pi / 2 here) is one strip over the
+    # whole window, one Gauss-Kronrod panel of 15 means, where the strips
+    # on either side of the narrower window would take two; the wider
+    # windows add their strips past the last narrow one
+    strips = _ladder_strips(monkeypatch, DOCS_SIGMAS)
+    narrow = [s for s in DOCS_SIGMAS if s <= 0.5 * math.pi]
+    assert narrow == [0.25, 0.5, 0.75, 1.0, 1.5]
+    assert [(lo, hi, n) for lo, hi, _, _, _, n in strips[:5]] == [
+        (5.0 - 0.5 * s, 5.0 + 0.5 * s, 15) for s in narrow]
+    assert [(lo, hi) for lo, hi, *_ in strips[5:7]] == [(4.0, 4.25),
+                                                        (5.75, 6.0)]
 
 
 def bracket_sign_scan(cfg, k_max=60.0, samples=4096):
@@ -1006,9 +1077,13 @@ def test_band_ladder_without_a_switch_point_stays_raw(monkeypatch):
         grids.append(k)
         return kernel(k, *args)
     monkeypatch.setattr(core, "ic_brackets", counted)
-    with pytest.raises(NonConvergenceError, match="persistent reflection"):
+    with pytest.raises(NonConvergenceError, match="persistent reflection") \
+            as refused:
         forces._switch(forces._state_integrand(cfg), spec, cfg,
                        forces._phase_axes(cfg))
+    # the harmonic grows like k: the exponent carries its own sign
+    assert str(refused.value).endswith("goes like k^1.00")
+    assert "k^-" not in str(refused.value).split(":")[1]
     assert len(grids) == 1 + len(forces._STENCIL_NODES[0])
     assert 5.0 + 30.0 > forces._first_switch(spec, cfg)
     (x, ex), = band_excess_curve(cfg, 5.0, [60.0], spec)

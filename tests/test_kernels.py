@@ -589,6 +589,54 @@ def test_one_triple_forms_raise_where_the_offset_kernels_do():
         (None, None, (None, None, None))
 
 
+# The diagonal loops against the offset kernels on the diagonal grids of
+# identical slabs: fig, weak, lossless, static and a half-space pair
+_DIAGONAL_SLABS = {
+    "fig": (FIG, 100.0),
+    "weak": (WEAK, 100.0),
+    "lossless": (UNDAMPED, 0.7),
+    "static": (STATIC, 0.7),
+    "halfspace": (MILD_L, math.inf),
+}
+
+
+@pytest.mark.parametrize("slab", sorted(_DIAGONAL_SLABS))
+def test_diagonal_loops_keep_the_bits_of_the_offset_kernels(slab):
+    # on _grid((n,)), the common slab offsets 2 pi i / n with no gap
+    # offset, for n = 1 to 31: the same list, bit for bit
+    mat, d = _DIAGONAL_SLABS[slab]
+    for n in range(1, 32):
+        offsets = forces._grid((n,))
+        for k in _DENSE_K[::29]:
+            assert pure.diagonal_ic_brackets(k, 1.0, d, mat, n) == \
+                pure.ic_brackets(k, 1.0, d, mat, mat, offsets)
+            assert pure.diagonal_vacuum_baths(k, 1.0, d, mat, n) == \
+                pure.vacuum_baths(k, 1.0, d, mat, mat, offsets)
+
+
+def test_diagonal_loops_raise_where_the_offset_kernels_do():
+    # at the oscillator pole of an undamped slab, on either side, and at a
+    # bound mode of the undamped pair (see the test above), for every n
+    from casimir1d.errors import CavityResonanceError, SingularEvaluationError
+    loops = (pure.diagonal_ic_brackets, pure.diagonal_vacuum_baths)
+    k, d = 12.0, 100.0
+    r = pure.slab_parts(k, pure.refractive_at(-1j * k, *UNDAMPED), d)[3]
+    a = (2.0 * math.pi - cmath.phase(r * r)) / (2.0 * k)
+    for n in (1, 2, 6):
+        offsets = forces._grid((n,))
+        for kernel, loop in zip((pure.ic_brackets, pure.vacuum_baths), loops):
+            for kp in (10.0, 10.0 + 1e-12, 10.0 - 1e-12):
+                for call in (lambda: kernel(kp, 1.0, 0.4, UNDAMPED, UNDAMPED,
+                                            offsets),
+                             lambda: loop(kp, 1.0, 0.4, UNDAMPED, n)):
+                    with pytest.raises(SingularEvaluationError):
+                        call()
+            for call in (lambda: kernel(k, a, d, UNDAMPED, UNDAMPED, offsets),
+                         lambda: loop(k, a, d, UNDAMPED, n)):
+                with pytest.raises(CavityResonanceError):
+                    call()
+
+
 def test_refractive_at_is_the_root_of_the_permittivity():
     # the index formed in one step is sqrt(permittivity_at) to the last bit
     for mat in (FIG, WEAK, MILD_L, MILD_R, STATIC, VAC,

@@ -88,3 +88,12 @@ def test_points_runs_on_this_checkout():
     assert got["docs_ladder"]["calls"] > 0
     assert got["docs_ladder"]["points"] > 0
     assert all(t["total_s"] > 0.0 for t in got["timing"].values())
+    # the ladder's stages split its seconds without counting any twice, and
+    # its charged pole forms are some of its means
+    ladder = got["timing"]["docs_ladder"]
+    stages = [ladder[f] for f in ("switch_s", "strips_s", "band_grids_s",
+                                  "band_ends_s", "past_K_edges_s")]
+    assert all(t > 0.0 for t in stages)
+    assert sum(stages) <= ladder["total_s"]
+    assert 0 < ladder["charged_pole_forms"] < ladder["means"]
+    assert "means" not in got["timing"]["fig_300k"]
