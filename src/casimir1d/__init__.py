@@ -24,12 +24,8 @@ from .forces import (
     band_excess_curve,
     equilibrium_matsubara,
     force_bath,
-    force_delta_squeezed,
-    force_dissipationless,
     force_ic,
     force_total,
-    halfspace_forces,
-    lifshitz_matsubara,
 )
 from .material import (
     Material,
@@ -43,20 +39,38 @@ from .quadrature import (
     integrate_semiinfinite,
     matsubara_sum,
 )
-from .scattering import (
-    CavityConfig,
-    ModeFunction,
-    ScatteringSet,
-    cavity_coefficients,
-    classify_region,
-    green_function,
-    mode_deriv,
-    mode_eval,
-    slab_coefficients,
-)
+from .scattering import CavityConfig
 from .states import FieldState, weight
 
 __version__ = "0.1.0"
+
+# The scattering modes and the limit routes serve the stress oracle, the
+# limits command and the tests; they load on first use, so an import that
+# computes forces does not compile them.
+_LAZY = {
+    "ModeFunction": "modes",
+    "ScatteringSet": "modes",
+    "cavity_coefficients": "modes",
+    "classify_region": "modes",
+    "green_function": "modes",
+    "mode_deriv": "modes",
+    "mode_eval": "modes",
+    "slab_coefficients": "modes",
+    "force_delta_squeezed": "limits",
+    "force_dissipationless": "limits",
+    "halfspace_forces": "limits",
+    "lifshitz_matsubara": "limits",
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError("module %r has no attribute %r"
+                             % (__name__, name))
+    from importlib import import_module
+    value = getattr(import_module("." + _LAZY[name], __name__), name)
+    globals()[name] = value
+    return value
 
 __all__ = [
     "CavityConfig",

@@ -346,6 +346,8 @@ def cmd_sweep_sigma(rc, out, reproducible):
 
 def cmd_limits(rc, out, reproducible):
     """Closed-form limit cases for the configured cavity."""
+    # the limit routes load only here
+    from . import limits
     cav, spec, beta = rc.cavity, rc.spec, rc.beta_left
     rows = []
 
@@ -360,25 +362,25 @@ def cmd_limits(rc, out, reproducible):
     add("equilibrium_matsubara",
         lambda: forces.equilibrium_matsubara(cav, beta, spec))
     add("lifshitz_halfspace",
-        lambda: forces.lifshitz_matsubara(cav.left, cav.right, cav.gap, beta,
+        lambda: limits.lifshitz_matsubara(cav.left, cav.right, cav.gap, beta,
                                           spec))
     # the field-state group with its own error; the bath-mismatch group is
     # exactly zero at equal temperatures
     add("halfspace_equal_temps",
-        lambda: forces._halfspace_parts(cav.left, cav.right, cav.gap, beta,
+        lambda: limits._halfspace_parts(cav.left, cav.right, cav.gap, beta,
                                         beta, beta, spec)[0])
     add("dissipationless",
-        lambda: forces.force_dissipationless(cav, rc.state, spec))
+        lambda: limits.force_dissipationless(cav, rc.state, spec))
     centers = list(rc.omega0_list)
     if rc.state.variant == "squeezed_delta" and \
             rc.state.omega_center not in centers:
         centers.append(rc.state.omega_center)
     for omega0 in centers:
         add("delta_squeezed@%g" % omega0,
-            lambda w=omega0: (forces.force_delta_squeezed(cav, w), 0.0))
+            lambda w=omega0: (limits.force_delta_squeezed(cav, w), 0.0))
     # each bound gap mode that Z subtracts as a pole term: its area, which
     # the slabs' damping does not set (criterion 2), at zero temperature
-    for km, area, err in forces._bound_modes(cav, spec):
+    for km, area, err in limits._bound_modes(cav, spec):
         add("bound_mode@%g" % km, lambda v=(area, err): v, math.inf)
     for row in rows:
         print("%-28s beta=%-10s value=%-24s err=%-12s %s"

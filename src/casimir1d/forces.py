@@ -50,7 +50,7 @@ not memoized.  Lossless
 pairs have no bath (Z = 0), so their state force is R alone.  Half-spaces
 are slabs of infinite width, whose bare state and bath integrals both
 diverge; their grouped force is R plus the thermal excesses, with no
-real-axis oscillatory integral (``halfspace_forces``).
+real-axis oscillatory integral (``limits.halfspace_forces``).
 
 The real-axis oscillatory integrals (Z and the two-integral route kept as
 an independent check) oscillate under three linear phases (one per slab
@@ -165,9 +165,12 @@ Undamped slabs leave the real-axis tail undamped, so no classical improper
 integral exists there; only the rotated R and the absolutely convergent
 excesses are used for them.  R has one route, the direct slab product on
 the imaginary axis, which ``equilibrium_matsubara`` samples too.  The
-dissipationless entry point shares it and integrates the state excess with
-the unitarity-reduced bracket instead of the full one, so its excess
-remains an independent check of ``force_ic`` at every non-vacuum state.
+dissipationless entry point (``limits.force_dissipationless``) shares it
+and integrates the state excess with the unitarity-reduced bracket instead
+of the full one, so its excess remains an independent check of
+``force_ic`` at every non-vacuum state.  The limit routes live in
+``casimir1d.limits``, so an import that computes forces does not compile
+them.
 """
 
 import cmath
@@ -182,7 +185,6 @@ from .errors import (DeltaStateWeightError, NaNIntegrandError,
                      NonConvergenceError)
 from .kernels import core
 from .quadrature import integrate_interval, integrate_semiinfinite, matsubara_sum
-from .scattering import CavityConfig
 from .states import FieldState, band_edges, weight
 
 __all__ = [
@@ -190,12 +192,8 @@ __all__ = [
     "band_excess_curve",
     "equilibrium_matsubara",
     "force_bath",
-    "force_delta_squeezed",
-    "force_dissipationless",
     "force_ic",
     "force_total",
-    "halfspace_forces",
-    "lifshitz_matsubara",
 ]
 
 # Slab bands of identical slabs (see ``_kind``): where the slab round-trip
@@ -1578,21 +1576,6 @@ def _pole_window(f, kp, lo, hi):
             _CANCEL_ROUNDING * 2.0 * abs(amp) * math.asinh((hi - km) / w))
 
 
-def _bound_modes(cfg, spec):
-    """``(k_m, area, err)`` of each bound gap mode whose pole term Z
-    subtracts: the area pi Im A = pi w f(k_m) under the term fitted to Z's
-    integrand f (see ``_pole_window``), and its change when Im A is fitted
-    as w (f(k_m - w) + f(k_m + w)) instead, which measures the remainder
-    under the spike."""
-    f = core.vacuum_bath_of(*_args(cfg))
-    out = []
-    for kp, _, _ in _pole_terms(cfg, spec.panel_width):
-        km, w = kp.real, -kp.imag
-        below, at, above = (w * f(k) for k in (km - w, km, km + w))
-        out.append((km, math.pi * at, math.pi * abs(below + above - at)))
-    return out
-
-
 def _thermal_window(g, beta, spec, breakpoints):
     """Integral of ``g(k)``, weighted by thermal occupation excesses of
     inverse temperature beta or more, and its error.
@@ -1621,7 +1604,7 @@ def _thermal_excess(bracket, beta, spec, breakpoints):
 def _band_excess(bracket, state, spec, breakpoints):
     """State force excess of a band-squeezed weight over the vacuum weight,
     by raw quadrature over the whole window: the route of
-    ``force_dissipationless``'s bracket and the tests' reference for the
+    ``limits.force_dissipationless``'s bracket and the tests' reference for the
     ladder (``band_excess_curve``), from which ``force_ic`` takes it."""
     lo, hi = band_edges(state)
     fac = _band_factor(state.sigma)
@@ -1731,7 +1714,8 @@ def _state_integrand(cfg):
 
 def _finite(cfg):
     """Refuse a cavity of infinite width: the bare state and bath integrals
-    of half-spaces diverge, and only ``halfspace_forces`` groups them."""
+    of half-spaces diverge, and only ``limits.halfspace_forces`` groups
+    them."""
     if cfg.width == math.inf:
         raise NonConvergenceError(
             "slabs of infinite width (half-spaces) have divergent bare state "
@@ -1832,7 +1816,7 @@ def force_ic(cfg, state, spec):
     cfg : CavityConfig
     state : FieldState
         Any variant except the delta-band limit, which has no pointwise
-        spectral weight (use ``force_delta_squeezed``).
+        spectral weight (use ``limits.force_delta_squeezed``).
     spec : QuadratureSpec
 
     Returns
@@ -1899,63 +1883,6 @@ def force_total(cfg, state, beta_left, beta_right, spec):
                           ezb + ey, err_total)
 
 
-def force_dissipationless(cfg, state, spec):
-    """State force for non-dispersive lossless slabs, by a separate excess.
-
-    Shares the rotated zero-temperature total R with ``force_ic`` and
-    integrates the state excess with the unitarity-reduced bracket
-    (transmitted-plus-reflected flux equals one) instead of the full state
-    bracket.  Must agree with ``force_ic`` on the same configuration and a
-    non-vacuum state; the two brackets are the regression check on each
-    other.
-    """
-    L, R = cfg.left, cfg.right
-    if not (L.static and R.static):
-        raise ValueError(
-            "dissipationless route requires static non-dispersive slabs")
-    scale, eff = _effective_state(state)
-    if L.omega_pl == 0.0 and R.omega_pl == 0.0:
-        return 0.0, 0.0
-    a, d, tl, tr = _args(cfg)
-    vac, evac = _rotated_vacuum(cfg, spec)
-    exc, eexc = _state_excess(lambda k: core.nodiss_bracket(k, a, d, tl, tr),
-                              eff, spec, ())
-    return scale * (vac + exc), scale * (evac + eexc)
-
-
-def force_delta_squeezed(cfg, omega_center):
-    """Force density of the delta-band squeezed state at its center mode.
-
-    The delta-band limit concentrates all excess weight on the single mode
-    ``omega_center``; what survives the normalization is the bare integrand
-    value k * [state bracket] at k = omega_center, a force per unit
-    wavenumber rather than an integrated inverse-square-gap force.  The
-    finite-band state at small width does not reduce to this value because
-    its in-band weight grows faster than the window shrinks; the two
-    normalizations are intentionally different.  The evaluation is
-    pointwise, so it takes no quadrature spec.
-    """
-    if not omega_center > 0.0:
-        raise ValueError("omega_center must be positive")
-    return omega_center * _bracket(cfg)(omega_center)
-
-
-def lifshitz_matsubara(matL, matR, a, beta, spec):
-    """Equilibrium half-space force as a rotated-axis pole sum: the
-    half-space case of ``equilibrium_matsubara``, whose slabs of infinite
-    width reflect like their surfaces, so w(xi) is the product of the two
-    surface reflections at imaginary frequency times exp(-2 xi a).
-    Cross-checked numerically by the half-space equal-temperature route
-    (``halfspace_forces``).
-
-    Returns
-    -------
-    value, err : float
-    """
-    return equilibrium_matsubara(CavityConfig(a, math.inf, matL, matR), beta,
-                                 spec)
-
-
 def equilibrium_matsubara(cfg, beta, spec):
     """Equal-temperature total force on the slabs as a pole sum.
 
@@ -1977,69 +1904,6 @@ def equilibrium_matsubara(cfg, beta, spec):
     s, err = matsubara_sum(_rotated(cfg, 1.0), beta, spec)
     pref = 8.0 * math.pi / beta
     return pref * s, pref * err
-
-
-def halfspace_forces(matL, matR, a, beta_left, beta_right, beta_phi, spec):
-    """Two-temperature force parts in the thick-slab (half-space) limit.
-
-    Parameters
-    ----------
-    matL, matR : Material
-        Both must absorb: without absorption on both sides the free-field
-        pressure term is uncompensated and the state integral diverges.
-    a : float
-        Gap between the two half-space faces.
-    beta_left, beta_right : float
-        Inverse bath temperatures.
-    beta_phi : float
-        Inverse field-state temperature.
-    spec : QuadratureSpec
-
-    Returns
-    -------
-    f_ic, f_b : float
-        Neither the bare state integral nor the bare bath integral exists
-        for half-spaces: the state pressure grows linearly in k, and an
-        infinitely thick body radiates at every frequency, so its emission
-        integral diverges the same way with the opposite sign.  Only the
-        grouped combination decays.  The finite split reported here keeps
-        each convergent grouping with its driving temperature: ``f_ic`` is
-        the field-state group, the force with every temperature at
-        ``beta_phi``, and ``f_b`` is the bath-mismatch group, the excess
-        of the bath integral at the bath temperatures over its value at
-        ``beta_phi``.  The half-spaces are slabs of infinite width, so
-        ``f_ic`` is the rotated zero-temperature total R plus the thermal
-        state excess and the bath excess at ``beta_phi``; every excess
-        decays exponentially and is integrated over a finite interval.  At
-        equal temperatures ``f_b`` is exactly zero and ``f_ic`` alone is
-        the equilibrium force.
-    """
-    (f_ic, _), (f_b, _) = _halfspace_parts(matL, matR, a, beta_left,
-                                           beta_right, beta_phi, spec)
-    return f_ic, f_b
-
-
-def _halfspace_parts(matL, matR, a, beta_left, beta_right, beta_phi, spec):
-    """The field-state and bath-mismatch groups of ``halfspace_forces``,
-    each a ``(value, err)`` pair."""
-    for m, side in ((matL, "left"), (matR, "right")):
-        if not _absorbing(m):
-            raise NonConvergenceError(
-                "half-space %s material does not absorb; the free-field "
-                "pressure term is uncompensated and the state integral "
-                "diverges" % side, partial=None, error=math.inf, panels=0)
-    for b in (beta_left, beta_right, beta_phi):
-        if not b > 0.0:
-            raise ValueError("inverse temperatures must be positive")
-    cfg = CavityConfig(a, math.inf, matL, matR)
-    r, er = _rotated_vacuum(cfg, spec)
-    x, ex = _thermal_excess(_bracket(cfg), beta_phi, spec,
-                            _breakpoints(matL, matR))
-    y, ey = _bath_excess(cfg, beta_phi, beta_phi, spec)
-    state = (r + x + y, er + ex + ey)
-    if beta_left == beta_right == beta_phi:
-        return state, _ZERO
-    return state, _bath_excess(cfg, beta_left, beta_right, spec, beta_phi)
 
 
 def band_excess_curve(cfg, omega_center, sigmas, spec):
@@ -2080,8 +1944,8 @@ def band_excess_curve(cfg, omega_center, sigmas, spec):
                for sg in sigmas]
     top = max([hi for _, hi in windows] + [0.0])
     axes = _phase_axes(cfg)
-    K = top
-    if top > _first_switch(spec, cfg):
+    K, k0 = top, _first_switch(spec, cfg)
+    if top > k0:
         try:
             K, _, _, _, above, dims = _switch(f, spec, cfg, axes)
             K = min(top, K)
@@ -2090,10 +1954,13 @@ def band_excess_curve(cfg, omega_center, sigmas, spec):
             # windows stay on the raw integrand
             pass
 
-    # the shallow bands are found once, up to K; every strip that overlaps
-    # one integrates the mean there, and each window adds the edge terms of
-    # its own part of each band and past K
-    bands = _bands(cfg, K)[1] if windows else ()
+    # the shallow bands are found once, up to K or k0, whichever is higher,
+    # so a band that holds the top of every window still ends inside the
+    # scan; only the bands some window overlaps are built.  Every strip that
+    # overlaps one integrates the mean there, and each window adds the edge
+    # terms of its own part of each band and past K
+    bands = [(b0, b1) for b0, b1 in _bands(cfg, max(K, k0))[1]
+             if any(lo < b1 and b0 < hi for lo, hi in windows)]
     built = [_band_bounds(f, cfg, lo, hi) for lo, hi in bands]
     bracket = _bracket(cfg)
 

@@ -1,5 +1,5 @@
 """The scalar kernel module ``core`` (``casimir1d._core``): the one binding
-through which the force, material, scattering and stress routines look up
+through which the force, limit, material, mode and stress routines look up
 every kernel, so wrapping one of its attributes reaches every caller.
 
 The offset kernels (``vacuum_baths``, ``ic_brackets``) and their diagonal

@@ -13,7 +13,7 @@ commands never load this module or ``casimir1d.stress``.
 
 import math
 
-from . import forces
+from . import forces, limits
 from .kernels import core
 from .material import Material
 from .quadrature import QuadratureSpec, integrate_interval
@@ -134,7 +134,7 @@ def verify_checks():
     # bracket in force_ic and the unitarity-reduced one in
     # force_dissipationless
     th = FieldState.thermal(4.0)
-    f_red, _ = forces.force_dissipationless(cfg_nd, th, spec)
+    f_red, _ = limits.force_dissipationless(cfg_nd, th, spec)
     f_full, _ = forces.force_ic(cfg_nd, th, spec)
     checks.append(("ic_dual_route_dissipationless",
                    abs(f_full - f_red) / abs(f_red), 1e-8))
@@ -171,9 +171,9 @@ def verify_checks():
     checks.append(("stress_oracle_ic", dev_ic, 1e-8))
     checks.append(("stress_oracle_bath", dev_b, 1e-8))
 
-    hs_ic, _hs_b = forces.halfspace_forces(mild_l, mild_r, 1.0, 10.0, 10.0,
+    hs_ic, _hs_b = limits.halfspace_forces(mild_l, mild_r, 1.0, 10.0, 10.0,
                                            10.0, spec)
-    lif, _ = forces.lifshitz_matsubara(mild_l, mild_r, 1.0, 10.0, spec)
+    lif, _ = limits.lifshitz_matsubara(mild_l, mild_r, 1.0, 10.0, spec)
     checks.append(("lifshitz_dual_pipeline",
                    abs(hs_ic - lif) / abs(lif), 1e-6))
 

@@ -26,7 +26,7 @@ from ._value import Frozen
 from .errors import RegionUnsupportedError
 from .kernels import core
 from .material import fd_weight
-from .scattering import (
+from .modes import (
     EXT_LEFT,
     EXT_RIGHT,
     GAP,

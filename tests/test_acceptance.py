@@ -23,20 +23,22 @@ import pytest
 from casimir1d.forces import (
     band_excess_curve,
     force_bath,
-    force_dissipationless,
     force_ic,
     force_total,
+)
+from casimir1d.limits import (
+    force_dissipationless,
     halfspace_forces,
     lifshitz_matsubara,
 )
 from casimir1d.material import Material
+from casimir1d.modes import cavity_coefficients, slab_coefficients
 from casimir1d.quadrature import (
     QuadratureSpec,
     integrate_semiinfinite,
     matsubara_sum,
 )
-from casimir1d.scattering import CavityConfig, cavity_coefficients, \
-    slab_coefficients
+from casimir1d.scattering import CavityConfig
 from casimir1d.states import FieldState
 
 FIG = Material(10.0, 10.0, 0.1)

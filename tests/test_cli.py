@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from casimir1d import forces
+from casimir1d import forces, limits
 from casimir1d.cli import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
@@ -312,7 +312,7 @@ def test_limits_reports_the_delta_state_at_its_own_center(tmp_path, sweep):
                  "--reproducible"]) == EXIT_OK
     hits = [r for r in read_rows(out)[1] if r["limit"] == "delta_squeezed@3"]
     assert len(hits) == 1 and hits[0]["flags"] == ""
-    assert float(hits[0]["value"]) == forces.force_delta_squeezed(
+    assert float(hits[0]["value"]) == limits.force_delta_squeezed(
         load_run_config(cfg).cavity, 3.0)
 
 

@@ -11,7 +11,7 @@ from dataclasses import FrozenInstanceError
 
 import pytest
 
-from casimir1d import forces, oracles
+from casimir1d import forces, limits, oracles
 from casimir1d.errors import (
     DeltaStateWeightError,
     NaNIntegrandError,
@@ -22,14 +22,16 @@ from casimir1d.forces import (
     band_excess_curve,
     equilibrium_matsubara,
     force_bath,
-    force_delta_squeezed,
-    force_dissipationless,
     force_ic,
     force_total,
+)
+from casimir1d.kernels import core
+from casimir1d.limits import (
+    force_delta_squeezed,
+    force_dissipationless,
     halfspace_forces,
     lifshitz_matsubara,
 )
-from casimir1d.kernels import core
 from casimir1d.material import Material
 from casimir1d.quadrature import (QuadratureSpec, integrate_interval,
                                   integrate_semiinfinite)
@@ -279,7 +281,7 @@ def test_halfspace_forces_keep_their_bits_with_the_memo(baths, shared):
     assert (info.hits == info.misses) is shared
     assert got[1] == mismatch[0]
     _clear_memos()
-    field = forces._halfspace_parts(FIG, FIG, 1.0, 76.3302, 76.3302,
+    field = limits._halfspace_parts(FIG, FIG, 1.0, 76.3302, 76.3302,
                                     76.3302, SPEC6)[0]
     assert got[0] == field[0]
     assert halfspace_forces(*args) == got
@@ -990,7 +992,7 @@ def test_bound_mode_areas_do_not_depend_on_damping(gamma0):
     # pi Im A: the bath feeds each mode through an absorption ~gamma
     # against a denominator ~gamma^2
     slab = Material(10.0, 10.0, gamma0)
-    modes = forces._bound_modes(CavityConfig(1.0, 100.0, slab, slab),
+    modes = limits._bound_modes(CavityConfig(1.0, 100.0, slab, slab),
                                 WEAK_SPEC)
     assert [round(km, 4) for km, _, _ in modes] == [11.4053, 13.4624]
     for (_, area, err), ref in zip(modes, (-47.8579237, -50.0622959)):
@@ -1284,6 +1286,41 @@ def test_band_excess_ladder_takes_the_low_band(monkeypatch):
     out = band_excess_curve(FIG_CFG, 5.0, DOCS_SIGMAS, SPEC6)
     assert raw == []
     assert out[0][1] < 5.7056e-5
+
+
+def _state_points(monkeypatch):
+    """A list that gathers one k per state-bracket point: each offset of
+    ``core.ic_brackets`` and ``core.diagonal_ic_brackets``, and each single
+    point of ``core.ic_bracket_of``."""
+    points = []
+    brackets, diagonal = core.ic_brackets, core.diagonal_ic_brackets
+
+    def counted(k, a, d, tl, tr, offsets):
+        points.extend([k] * len(offsets))
+        return brackets(k, a, d, tl, tr, offsets)
+
+    def counted_diagonal(k, a, d, tl, n):
+        points.extend([k] * n)
+        return diagonal(k, a, d, tl, n)
+    monkeypatch.setattr(core, "ic_brackets", counted)
+    monkeypatch.setattr(core, "diagonal_ic_brackets", counted_diagonal)
+    _count_points(monkeypatch, "ic_bracket_of", points.append)
+    return points
+
+
+def test_lone_window_below_k0_takes_the_band_it_ends_in(monkeypatch):
+    # the window [4, 6] ends below k0 = 18.38, inside the low shallow band
+    # [0, 7.303].  The band scan runs to k0, so the band's upper edge lies
+    # inside it and the window integrates the band's mean, with the bits it
+    # has beside sigma = 20, whose window reaches past the band.  Scanned
+    # only to the window's top, the band had no edge inside the scan, and
+    # the window took 3,630 raw points at +-4.12e-6 (raw quadrature at
+    # rel_tol 1e-11 reads 5.053797245976, 0.008 of the estimate below)
+    points = _state_points(monkeypatch)
+    lone = band_excess_curve(FIG_CFG, 5.0, [2.0], SPEC6)
+    assert len(points) == 329
+    assert lone == band_excess_curve(FIG_CFG, 5.0, [2.0, 20.0], SPEC6)[:1]
+    assert lone[0][1] < 6.6e-8
 
 
 def test_band_excess_ladder_is_honest_below_the_resonance():

@@ -8,7 +8,8 @@ import sys
 import pytest
 
 import casimir1d._core as pure
-from casimir1d import forces, kernels, material, scattering, stress
+from casimir1d import (forces, kernels, limits, material, modes, scattering,
+                       stress)
 from casimir1d.material import Material, refractive_index
 from oracle_modes import (bracket_greater_lesser, halfspace_bath_integrand,
                           solve_greater)
@@ -31,7 +32,7 @@ def test_every_module_reaches_the_kernels_through_one_hook_point():
     # tracing wraps the attributes of kernels.core; a module that bound its
     # kernels some other way would run them unwrapped and read zero calls
     assert kernels.core is pure
-    for mod in (forces, material, scattering, stress):
+    for mod in (forces, limits, material, modes, stress):
         assert mod.core is kernels.core
 
 

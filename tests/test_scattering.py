@@ -9,10 +9,9 @@ import pytest
 
 from casimir1d.errors import RegionUnsupportedError
 from casimir1d.material import Material, refractive_index
-from casimir1d.scattering import (
+from casimir1d.modes import (
     PHI_GREATER,
     PHI_LESS,
-    CavityConfig,
     ModeFunction,
     cavity_coefficients,
     classify_region,
@@ -21,6 +20,7 @@ from casimir1d.scattering import (
     mode_eval,
     slab_coefficients,
 )
+from casimir1d.scattering import CavityConfig
 from oracle_modes import eval_greater, solve_greater
 
 MILD_L = Material(3.0, 2.0, 0.5)
@@ -280,6 +280,11 @@ def test_green_region_guard():
         green_function(CFG, -0.7, 0.0, 1.0)  # x inside the left slab
     with pytest.raises(RegionUnsupportedError):
         green_function(CFG, 0.6, 0.0, 1.0)  # x inside the right slab
+    # x' = NaN fails every comparison with the interfaces, so with x in the
+    # gap the left-side source profile finds it right of the gap and
+    # refuses it rather than returning NaN
+    with pytest.raises(RegionUnsupportedError, match="right of the gap"):
+        green_function(CFG, 0.0, math.nan, 1.0)
     # x' inside a slab is fine
     g = green_function(CFG, 0.0, -0.7, 1.0)
     assert cmath.isfinite(g)

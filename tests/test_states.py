@@ -50,6 +50,9 @@ def test_validation():
         FieldState.squeezed_band(1.0, 0.0)
     with pytest.raises(ValueError):
         FieldState("chaotic")
+    for omega_center in (0.0, -5.0):
+        with pytest.raises(ValueError, match="squeezed_delta needs"):
+            FieldState.squeezed_delta(omega_center)
 
 
 def test_vacuum():

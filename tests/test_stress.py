@@ -9,7 +9,8 @@ import pytest
 from casimir1d.errors import RegionUnsupportedError
 from casimir1d.kernels import core
 from casimir1d.material import Material, fd_weight
-from casimir1d.scattering import CavityConfig, green_function
+from casimir1d.modes import green_function
+from casimir1d.scattering import CavityConfig
 from casimir1d.states import FieldState
 from casimir1d.stress import (
     RegionPoint,
@@ -48,6 +49,11 @@ def test_region_point_validation():
     with pytest.raises(ValueError):
         txx_ic_integrand(CFG, FieldState.vacuum(), EXT_PT, 1.0,
                          component="xy")
+    with pytest.raises(ValueError, match="unknown component 'xy'"):
+        txx_bath_integrand(CFG, (1.0, 1.0), EXT_PT, 1.0, component="xy")
+    for k in (0.0, -1.5, math.nan):
+        with pytest.raises(ValueError, match="k must be positive"):
+            txx_ic_integrand(CFG, FieldState.vacuum(), EXT_PT, k)
 
 
 def test_slab_mod_integral_brute():

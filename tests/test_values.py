@@ -11,8 +11,8 @@ from casimir1d.cli import RunConfig
 from casimir1d.forces import ForceBreakdown
 from casimir1d.material import Material
 from casimir1d.quadrature import QuadratureSpec
-from casimir1d.scattering import (CavityConfig, ModeFunction,
-                                  cavity_coefficients)
+from casimir1d.modes import ModeFunction, cavity_coefficients
+from casimir1d.scattering import CavityConfig
 from casimir1d.states import FieldState
 from casimir1d.stress import RegionPoint
 
