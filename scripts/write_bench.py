@@ -41,11 +41,11 @@ on the four workload configurations at seed 0, the docs sigma ladder
 whether its repr is ``identical`` on both sides, and lists those that
 differ.
 Each side's ``points`` count the kernel points of the zero-temperature
-bath integral Z on each workload's cavity, by wrapping Z's offset kernel
-``core.vacuum_baths``, its diagonal loop ``core.diagonal_vacuum_baths``
-(where the checkout has it; n offsets count n points) and its one-triple
-form ``core.vacuum_bath_of``, whose single points count as one-offset
-calls: every offset point, the
+bath integral Z on each workload's cavity, by wrapping Z's grid kernel
+``core.vacuum_baths`` (each offset a point), the diagonal loop
+``core.diagonal_vacuum_baths`` of checkouts that have one (n offsets
+count n points) and Z's one-triple form ``core.vacuum_bath_of``, whose
+single points count as one-offset calls: every offset point, the
 one-offset (raw) calls, and the raw calls within 0.1 of a bound gap mode
 (``forces._gap_modes``), the layer ``perfbench/tracing.py`` does not see,
 and Z itself as (value, err).  A one-triple form never calls its offset
@@ -68,8 +68,9 @@ counts the kernel calls of the thermal state excess X (the points of
 0 (one, or two on ``noneq_mild``), which the tracer cannot attribute to
 them.
 Next to them, ``docs_ladder`` counts the docs sigma ladder's
-``core.ic_brackets`` and ``core.diagonal_ic_brackets`` calls and points,
-with the single points of ``core.ic_bracket_of``, and records its switch
+``core.ic_brackets`` calls and points (and those of the diagonal loop
+``core.diagonal_ic_brackets`` where a checkout has one), with the single
+points of ``core.ic_bracket_of``, and records its switch
 points K (one per
 ``omega0_list`` entry), a layer the tracer does not see either.
 ``timing`` divides the time of Z on each workload's cavity, of the docs
@@ -77,8 +78,9 @@ sigma ladder and of ``noneq_mild``'s two bath excesses Y (target
 ``noneq_mild_Y``) between the integrand kernels of ``core`` and the
 bookkeeping around them: ``total_s``, the seconds of the target;
 ``offset_s``, those inside the kernels that take the cavity after the
-frequency (the offset kernels ``core.vacuum_baths`` and
-``core.ic_brackets`` and their diagonal loops on these targets);
+frequency (the grid kernels ``core.vacuum_baths`` and
+``core.ic_brackets``, and the diagonal loops of checkouts that have them,
+on these targets);
 ``point_s``, those inside the single points of the one-triple forms, which
 take the cavity alone; and ``index_calls``, the ``refractive_at`` calls
 made outside both.  The docs ladder's ``total_s`` is also split by stage,
@@ -386,7 +388,7 @@ def tallied(field, fn, counts=lambda *args: True):
     return wrapped
 
 
-# wraps the kernel core.<name>, where the checkout has it: an offset kernel
+# wraps the kernel core.<name>, where the checkout has it: a grid kernel
 # counts its offsets, a diagonal loop its n
 def counting(name):
     kernel = getattr(core, name, None)

@@ -10,6 +10,7 @@ the gap is a, interfaces sit at +-a/2 and +-(a/2+d).
 """
 
 import cmath
+import functools
 from math import cos, exp, expm1, inf, pi, sin, sqrt
 
 from .errors import CavityResonanceError, SingularEvaluationError
@@ -105,29 +106,24 @@ def refractive_at(s, omega0, omega_pl, gamma0, static):
 #   em1   1 - e^-, computed via expm1 for small exponents
 #   e2it  E/|E| = exp(2 i omega Re(n) d), unit modulus
 #
-# slab_parts is the composition, at shift 0, of two helpers that the offset
-# kernels call separately: slab_fixed holds what does not depend on a
-# rotation ``shift`` of the internal slab phase (rn, q and their squares,
-# em, em1 and the unshifted phase), once per frequency from the index that
-# _slab_pair takes from refractive_at (one call per slab), and slab_offset
-# the shifted parts (e2it, E, F, r, tl2, t2a, g), once per distinct shift.
-# The phase averages of the force integrands (tail means, slab-phase means
-# and band bounds) take their shifts there: ic_brackets builds one table of
-# slab_offset parts per slab and one of gap factors (_tables) and looks
-# each offset triple up there; vacuum_baths builds its tables from
-# _absorbing_offset, which forms only E, F, r and tl2 as slab_offset does,
-# plus the slab's absorption, and not the |t|^2 and g that Z does not read.
-# The slab-phase means, band grids and band-end stencils of identical slabs
-# sample the diagonal grid of n common slab offsets 2 pi i / n with no gap
-# offset; there diagonal_ic_brackets and diagonal_vacuum_baths form one
-# slab's parts per offset in one loop, with the gap factor formed once and
-# no tables, in the offset kernels' operations and order, so they return
-# the offset kernels' bits and raise their errors.
-# The transmissions t and tau need two complex exponentials that no force
-# integrand reads, so only slab_parts forms them.  The one-triple forms
-# below (vacuum_bath_of, ic_bracket_of, bath_factors_of) form the same
-# index, slab_fixed and slab_offset parts for one triple, one call per
-# slab, without the tables.
+# slab_parts is the composition, at shift 0, of two helpers: slab_fixed
+# holds what does not depend on a rotation ``shift`` of the internal slab
+# phase (rn, q and their squares, em, em1 and the unshifted phase), and
+# slab_offset the shifted parts (e2it, E, F, r, tl2, t2a, g).  The
+# transmissions t and tau need two complex exponentials that no force
+# integrand reads, so only slab_parts forms them.
+#
+# The phase averages of the force integrands (tail means, slab-phase means,
+# band grids and edge-term stencils) sample product grids of phase offsets
+# (``grid``), and each integrand has one grid kernel for them: ic_brackets
+# for the state bracket and vacuum_baths for Z's integrand (below).  A grid
+# kernel forms each slab's index once, then one list of slab parts per
+# offset slot in one loop (_bracket_parts, _absorbing_parts), with the
+# shift-free parts formed once before it, and one list of gap factors, and
+# combines them in the grid's order through its layout.  The one-triple
+# forms further below form the same parts for one triple, one call per
+# slab, with the same operations in the same order, so a grid kernel's
+# value at a triple is the one-triple form's to the bit.
 #
 # The bath kernel has one form, bath_factors_of: the parts of one triple
 # that do not depend on the occupation weights, which bath_weigh weighs,
@@ -185,76 +181,97 @@ def cavity_delta(rL, rR, gap):
     return w, delta
 
 
-def _slab_pair(omega, d, matL, matR):
-    """``(nL, nR, fixed_L, fixed_R)`` of the two slabs at omega; identical
-    slabs share the left slab's index and parts."""
+# Offset slots (sL, sR, sG) of each oscillation phase, outermost first, for
+# ``naxes`` phases: two different slabs have three phases; identical slabs
+# two, whose one slab phase shifts both slab slots (the diagonal sL = sR);
+# the slab bands of identical slabs offset that diagonal alone.
+SLOTS = {1: ((0, 1),), 2: ((2,), (0, 1)), 3: ((0,), (1,), (2,))}
+
+
+class _Grid(tuple):
+    """The offset triples of a product grid (see ``grid``) with their
+    ``layout``, ``(left, right, gaps, shared, index)``: the distinct
+    offsets of the left-slab, right-slab and gap slots, whether both slab
+    slots take one phase's offsets, and the indices of each triple's three
+    offsets in those."""
+
+
+@functools.lru_cache(maxsize=None)
+def grid(dims):
+    """Offset triples (sL, sR, sG) of the product grid of ``dims[a]``
+    equidistant offsets on the offset slots of phase a
+    (``SLOTS[len(dims)]``), first phase outermost, with their layout (see
+    ``_Grid``); every grid leads with the unshifted triple (0, 0, 0)."""
+    triples = [(0.0, 0.0, 0.0)]
+    for places, n in zip(SLOTS[len(dims)], dims):
+        left, right, gap = (i in places for i in range(3))
+        even = [2.0 * pi * i / n for i in range(n)]
+        triples = [(s if left else t[0], s if right else t[1],
+                    s if gap else t[2]) for t in triples for s in even]
+    out = _Grid(triples)
+    slots = [tuple(dict.fromkeys(t[i] for t in triples)) for i in range(3)]
+    where = [{s: i for i, s in enumerate(offs)} for offs in slots]
+    out.layout = (*slots, len(dims) < 3, tuple(
+        (where[0][sL], where[1][sR], where[2][sG]) for sL, sR, sG in triples))
+    return out
+
+
+def _grid_parts(omega, a, d, matL, matR, offsets, parts):
+    """``(left, right, gaps, index)`` of the grid ``offsets``: each slab's
+    ``parts(omega, n, d, shifts)`` at the distinct offsets of its slot,
+    from its index formed once (an identical right slab on the left slab's
+    phase takes the left slab's), the gap factors at the gap slot's
+    offsets, and each triple's indices into these three lists (see
+    ``_Grid``)."""
+    left, right, gaps, shared, index = offsets.layout
     s = -1j * omega
-    nL = refractive_at(s, matL[0], matL[1], matL[2], matL[3])
-    fL = slab_fixed(omega, nL, d)
-    if matR == matL:
-        return nL, nL, fL, fL
-    nR = refractive_at(s, matR[0], matR[1], matR[2], matR[3])
-    return nL, nR, fL, slab_fixed(omega, nR, d)
+    nL = refractive_at(s, *matL)
+    left = parts(omega, nL, d, left)
+    if matR == matL and shared:
+        right = left
+    else:
+        right = parts(omega, nL if matR == matL else refractive_at(s, *matR),
+                      d, right)
+    return left, right, [gap_phase(omega, a, sG) for sG in gaps], index
 
 
-def _tables(omega, a, fL, fR, offsets, part=slab_offset):
-    """``(left, right, gaps)``: maps from each distinct left-slab,
-    right-slab and gap offset ``(sL, sR, sG)`` of ``offsets`` to the
-    slab's ``part(fixed, shift)`` (``slab_offset`` by default) and to the
-    gap factor (one map for both slabs when they are identical)."""
-    left, gaps = {}, {}
-    right = left if fR is fL else {}
-    for sL, sR, sG in offsets:
-        if sL not in left:
-            left[sL] = part(fL, sL)
-        if sR not in right:
-            right[sR] = part(fR, sR)
-        if sG not in gaps:
-            gaps[sG] = gap_phase(omega, a, sG)
-    return left, right, gaps
+def _bracket_parts(omega, n, d, shifts):
+    """``[(r, tl2, t2a)]`` of one slab of index n at each of ``shifts``,
+    with the operations of ``slab_fixed`` and ``slab_offset``."""
+    rn = (1.0 - n) / (1.0 + n)
+    x = 2.0 * omega * n.imag * d
+    em = 0.0 if x > 1400.0 else exp(-x)
+    q = 4.0 * n / ((1.0 + n) * (1.0 + n))
+    rn2, q2, aq2 = rn * rn, q * q, abs(q) ** 2
+    th0 = 2.0 * omega * n.real * d if d < inf else 0.0
+    out = []
+    for shift in shifts:
+        E = em * complex(cos(th0 + shift), sin(th0 + shift))
+        F = 1.0 - rn2 * E
+        out.append((rn * (1.0 - E) / F, q2 * E / (F * F),
+                    aq2 / abs(F) ** 2 * em))
+    return out
 
 
 def ic_brackets(omega, a, d, matL, matR, offsets):
-    """``ic_bracket`` at omega for each ``(sL, sR, sG)`` of ``offsets``, as
-    a list; the slab and gap work is shared across the offsets."""
-    _, _, fL, fR = _slab_pair(omega, d, matL, matR)
-    left, right, gaps = _tables(omega, a, fL, fR, offsets)
+    """``ic_bracket`` at omega for each triple of the grid ``offsets``
+    (see ``grid``), as a list; the slab and gap work is shared across the
+    triples."""
+    left, right, gaps, index = _grid_parts(omega, a, d, matL, matR, offsets,
+                                           _bracket_parts)
     out = []
-    for sL, sR, sG in offsets:
-        _, _, _, rL, tl2L, t2aL, _ = left[sL]
-        _, _, _, rR, _, t2aR, _ = right[sR]
-        gap = gaps[sG]
-        _, delta = cavity_delta(rL, rR, gap)
+    for iL, iR, iG in index:
+        rL, tl2L, t2aL = left[iL]
+        rR, _, t2aR = right[iR]
+        gap = gaps[iG]
+        delta = 1.0 - rL * rR * gap
+        if abs(delta) < DELTA_FLOOR:
+            cavity_delta(rL, rR, gap)
         d2 = abs(delta) ** 2
         rho = rL + rR * tl2L * gap / delta
         out.append(1.0 + abs(rho) ** 2 + t2aL * t2aR / d2
                    - (t2aL * (1.0 + abs(rR) ** 2)
                       + t2aR * (1.0 + abs(rL) ** 2)) / d2)
-    return out
-
-
-def diagonal_ic_brackets(omega, a, d, mat, n):
-    """``ic_brackets(omega, a, d, mat, mat, offsets)`` to the bit, with
-    ``offsets`` the diagonal grid of n common slab offsets s = 2 pi i / n
-    and no gap offset: one loop over s, with no tables."""
-    rn, rn2, _, q2, aq2, em, _, th0 = slab_fixed(
-        omega, refractive_at(-1j * omega, mat[0], mat[1], mat[2], mat[3]), d)
-    gap = gap_phase(omega, a)
-    out = []
-    for i in range(n):
-        th = th0 + 2.0 * pi * i / n
-        E = em * complex(cos(th), sin(th))
-        F = 1.0 - rn2 * E
-        r = rn * (1.0 - E) / F
-        t2a = aq2 / abs(F) ** 2 * em
-        delta = 1.0 - r * r * gap
-        if abs(delta) < DELTA_FLOOR:
-            cavity_delta(r, r, gap)
-        d2 = abs(delta) ** 2
-        rho = r + r * (q2 * E / (F * F)) * gap / delta
-        ar = 1.0 + abs(r) ** 2
-        out.append(1.0 + abs(rho) ** 2 + t2a * t2a / d2
-                   - (t2a * ar + t2a * ar) / d2)
     return out
 
 
@@ -274,7 +291,7 @@ def ic_bracket(omega, a, d, matL, matR, sL=0.0, sR=0.0, sG=0.0):
         Gap width and slab thickness.
     sL, sR, sG : float
         Phase offsets of the two internal slab phases and of the gap
-        round-trip phase.  The tests check the offset kernel
+        round-trip phase.  The tests check the grid kernel
         ``ic_brackets``, which the phase averages call, against them.
     """
     return ic_bracket_of(a, d, matL, matR)(omega, sL, sR, sG)
@@ -375,74 +392,53 @@ def bath_integrand(omega, a, d, matL, matR, betaL, betaR,
 # exactly 0 for a slab with real n; only Im(rn E) and F depend on the shift.
 # ---------------------------------------------------------------------------
 
-def _absorbing_fixed(n, fixed):
-    """``(fixed, A0, A1)``: one slab's ``slab_fixed`` parts with the
-    shift-free parts of its absorption, A |F|^2 = A0 - A1 Im(rn E)."""
-    em, em1 = fixed[5], fixed[6]
+def _absorbing_parts(omega, n, d, shifts):
+    """``[(r, tl2, |r|^2, A)]`` of one slab of index n at each of
+    ``shifts``: r and tl2 with the operations of ``slab_fixed`` and
+    ``slab_offset`` (without the |t|^2 and g that Z does not read), and
+    its absorption A |F|^2 = A0 - A1 Im(rn E), A0 and A1 formed once."""
     re, im = n.real, n.imag
+    rn = (1.0 - n) / (1.0 + n)
+    x = 2.0 * omega * im * d
+    em, em1 = (0.0, 1.0) if x > 1400.0 else (exp(-x), -expm1(-x))
+    q = 4.0 * n / ((1.0 + n) * (1.0 + n))
+    rn2, q2 = rn * rn, q * q
+    th0 = 2.0 * omega * re * d if d < inf else 0.0
     p = (1.0 + re) ** 2 + im * im
-    m = (1.0 - re) ** 2 + im * im
-    return fixed, (16.0 * (re * re * em1 - im * im * em)
-                   + 4.0 * re * m * em1 * (1.0 + em)) / (p * p), 8.0 * im / p
-
-
-def _absorbing_offset(ext, shift):
-    """``(r, tl2, |r|^2, A)`` of one slab at ``shift`` from its
-    ``_absorbing_fixed`` parts: r and tl2 as ``slab_offset`` forms them
-    (without the |t|^2 and g that Z does not read), and its absorption A."""
-    (rn, rn2, _, q2, _, em, _, th0), a0, a1 = ext
-    E = em * complex(cos(th0 + shift), sin(th0 + shift))
-    F = 1.0 - rn2 * E
-    r = rn * (1.0 - E) / F
-    A = (a0 - a1 * (rn * E).imag) / abs(F) ** 2
-    return r, q2 * E / (F * F), abs(r) ** 2, A
+    a0 = (16.0 * (re * re * em1 - im * im * em)
+          + 4.0 * re * ((1.0 - re) ** 2 + im * im) * em1 * (1.0 + em)) \
+        / (p * p)
+    a1 = 8.0 * im / p
+    out = []
+    for shift in shifts:
+        E = em * complex(cos(th0 + shift), sin(th0 + shift))
+        F = 1.0 - rn2 * E
+        r = rn * (1.0 - E) / F
+        out.append((r, q2 * E / (F * F), abs(r) ** 2,
+                    (a0 - a1 * (rn * E).imag) / abs(F) ** 2))
+    return out
 
 
 def vacuum_baths(omega, a, d, matL, matR, offsets):
-    """Zero-temperature bath integrand at omega for each ``(sL, sR, sG)``
-    of ``offsets``, as a list: ``bath_integrand(omega, ..., inf, inf, sL,
-    sR, sG)`` in value, as -4 Re[omega w / Delta] - omega B with the state
-    bracket B in absorption form (see above)."""
-    nL, nR, fL, fR = _slab_pair(omega, d, matL, matR)
-    eL = _absorbing_fixed(nL, fL)
-    eR = eL if fR is fL else _absorbing_fixed(nR, fR)
-    left, right, gaps = _tables(omega, a, eL, eR, offsets, _absorbing_offset)
+    """Zero-temperature bath integrand at omega for each triple of the grid
+    ``offsets`` (see ``grid``), as a list: ``bath_integrand(omega, ...,
+    inf, inf, sL, sR, sG)`` in value, as -4 Re[omega w / Delta] - omega B
+    with the state bracket B in absorption form (see above)."""
+    left, right, gaps, index = _grid_parts(omega, a, d, matL, matR, offsets,
+                                           _absorbing_parts)
     out = []
-    for sL, sR, sG in offsets:
-        rL, tl2L, aL, AL = left[sL]
-        rR, _, aR, AR = right[sR]
-        gap = gaps[sG]
-        w, delta = cavity_delta(rL, rR, gap)
+    for iL, iR, iG in index:
+        rL, tl2L, aL, AL = left[iL]
+        rR, _, aR, AR = right[iR]
+        gap = gaps[iG]
+        w = rL * rR * gap
+        delta = 1.0 - w
+        if abs(delta) < DELTA_FLOOR:
+            cavity_delta(rL, rR, gap)
         # 4 Re[w / Delta] |Delta|^2 = 4 Re w - 4 a b, merged into |Delta|^2 B
         out.append(-omega * (abs(rL * delta + rR * tl2L * gap) ** 2
                              + 2.0 * w.real - aL - aR + AL * (2.0 * aR + AR)
                              + 2.0 * aL * AR) / abs(delta) ** 2)
-    return out
-
-
-def diagonal_vacuum_baths(omega, a, d, mat, n):
-    """``vacuum_baths(omega, a, d, mat, mat, offsets)`` to the bit, with
-    ``offsets`` the diagonal grid of ``diagonal_ic_brackets``: one loop
-    over the common slab offset, with no tables."""
-    nn = refractive_at(-1j * omega, mat[0], mat[1], mat[2], mat[3])
-    (rn, rn2, _, q2, _, em, _, th0), a0, a1 = _absorbing_fixed(
-        nn, slab_fixed(omega, nn, d))
-    gap = gap_phase(omega, a)
-    out = []
-    for i in range(n):
-        th = th0 + 2.0 * pi * i / n
-        E = em * complex(cos(th), sin(th))
-        F = 1.0 - rn2 * E
-        r = rn * (1.0 - E) / F
-        A = (a0 - a1 * (rn * E).imag) / abs(F) ** 2
-        ar = abs(r) ** 2
-        w = r * r * gap
-        delta = 1.0 - w
-        if abs(delta) < DELTA_FLOOR:
-            cavity_delta(r, r, gap)
-        out.append(-omega * (abs(r * delta + r * (q2 * E / (F * F)) * gap)
-                             ** 2 + 2.0 * w.real - ar - ar + A * (2.0 * ar + A)
-                             + 2.0 * ar * A) / abs(delta) ** 2)
     return out
 
 
@@ -456,12 +452,12 @@ def diagonal_vacuum_baths(omega, a, d, mat, n):
 # _index_of, each slab's parts from one call (_absorbing_slab for Z,
 # _bracket_slab for the state bracket, slab_fixed and slab_offset for the
 # bath factors), the gap phase, cavity_delta and the integrand.  Z's and
-# the state bracket's forms take the arithmetic of their offset kernels in
-# its order, so each returns their bits at that triple (ic_bracket_of also
-# at any offsets) and raises their errors; bath_factors_of is the bath
-# kernel's only form and takes offsets as ic_bracket_of does.  No table
-# and no list of offsets is built, and the material tuples are unpacked
-# and compared once per cavity.
+# the state bracket's forms take the arithmetic of their grid kernels in
+# its order, so each returns their bits at that triple and raises their
+# errors; ic_bracket_of also takes any offsets, and bath_factors_of, the
+# bath kernel's only form, takes them as ic_bracket_of does.  No list of
+# parts or offsets is built, and the material tuples are unpacked and
+# compared once per cavity.
 # ---------------------------------------------------------------------------
 
 def _index_of(mat):
@@ -482,9 +478,8 @@ def _index_of(mat):
 
 
 def _absorbing_slab(omega, n, d):
-    """``_absorbing_offset`` of one slab at shift 0, ``(r, tl2, |r|^2,
-    A)``, from its index in one step, with the operations of
-    ``slab_fixed``, ``_absorbing_fixed`` and ``_absorbing_offset``."""
+    """``_absorbing_parts`` of one slab at shift 0, ``(r, tl2, |r|^2,
+    A)``, from its index in one step, with the same operations."""
     re, im = n.real, n.imag
     rn = (1.0 - n) / (1.0 + n)
     x = 2.0 * omega * im * d
@@ -503,7 +498,7 @@ def _absorbing_slab(omega, n, d):
 
 def vacuum_bath_of(a, d, matL, matR):
     """Z's integrand ``f(omega)`` of the cavity: ``vacuum_baths(omega, a,
-    d, matL, matR, ((0, 0, 0),))[0]`` to the bit (see above)."""
+    d, matL, matR, grid((1,)))[0]`` to the bit (see above)."""
     same = matR == matL
     indexL, indexR = _index_of(matL), _index_of(matR)
 
@@ -538,8 +533,9 @@ def _bracket_slab(omega, n, d, shift):
 
 def ic_bracket_of(a, d, matL, matR):
     """The state bracket ``bracket(omega, sL=0, sR=0, sG=0)`` of the
-    cavity: ``ic_brackets(omega, a, d, matL, matR, ((sL, sR, sG),))[0]``
-    to the bit (see above)."""
+    cavity: at a triple (sL, sR, sG) of a grid, the value that
+    ``ic_brackets(omega, a, d, matL, matR, offsets)`` takes there, to the
+    bit (see above)."""
     same = matR == matL
     indexL, indexR = _index_of(matL), _index_of(matR)
 
@@ -623,9 +619,9 @@ def nodiss_bracket(omega, a, d, matL, matR):
 
     Valid (equal to ic_bracket) only for dissipationless slabs.
     """
-    _, _, fL, fR = _slab_pair(omega, d, matL, matR)
-    _, _, _, rL, _, t2aL, _ = slab_offset(fL, 0.0)
-    _, _, _, rR, _, t2aR, _ = slab_offset(fR, 0.0)
-    _, delta = cavity_delta(rL, rR, gap_phase(omega, a))
+    left, right, gaps, _ = _grid_parts(omega, a, d, matL, matR, grid((1,)),
+                                       _bracket_parts)
+    (rL, _, t2aL), (rR, _, t2aR) = left[0], right[0]
+    _, delta = cavity_delta(rL, rR, gaps[0])
     d2 = abs(delta) ** 2
     return 2.0 - (t2aL * (1.0 + abs(rR) ** 2) + t2aR * (1.0 + abs(rL) ** 2)) / d2

@@ -32,13 +32,14 @@ accurate far past the switch point; the bath kernel at zero temperature
 is kept as its independent check (``oracles.bath_integrand``).  Most
 kernel calls of Z, of the two excesses and of the sigma ladder's raw
 strips are single points, each through a one-triple form that binds the
-cavity once per integral and builds no offset tables
-(``core.vacuum_bath_of``, ``core.ic_bracket_of``,
-``core.bath_factors_of``).  Every diagonal grid of identical slabs (the
-band means, the band grids and the band-end stencils) goes through one
-lean loop per kernel (``core.diagonal_vacuum_baths``,
-``core.diagonal_ic_brackets``), which returns the offset kernel's bits
-without its tables.  Z and R are memoized per
+cavity once per integral (``core.vacuum_bath_of``, ``core.ic_bracket_of``,
+``core.bath_factors_of``).  Every phase average (the band means, the
+band grids, the edge-term stencils and the tail means) samples a product
+grid of offsets (``core.grid``), and each of the two grid integrands has
+one kernel for every such grid (``core.vacuum_baths``,
+``core.ic_brackets``), which forms each slab's parts once per offset of
+its phase and returns the one-triple form's bits at every triple.  Z and
+R are memoized per
 process for each cavity and spec, and the state excess for each cavity,
 state and spec, so forces at several bath temperatures compute each once;
 the bath excess weighs the bath kernel's weight-free parts, memoized per
@@ -358,52 +359,24 @@ def _endpoint_check(f):
         raise NaNIntegrandError(k)
 
 
-# Offset slots (sL, sR, sG) of each oscillation phase, outermost first, for
-# ``naxes`` phases: two different slabs have three phases; identical slabs
-# two, whose one slab phase shifts both slab slots (the diagonal sL = sR);
-# the slab bands of identical slabs offset that diagonal alone.
-_SLOTS = {1: ((0, 1),), 2: ((2,), (0, 1)), 3: ((0,), (1,), (2,))}
-
-
-@functools.lru_cache(maxsize=None)
-def _grid(dims):
-    """Offset triples of the product grid of ``dims[a]`` equidistant
-    offsets on the offset slots of phase a (``_SLOTS[len(dims)]``), first
-    phase outermost; every grid leads with the unshifted triple (0, 0, 0)."""
-    grid = [(0.0, 0.0, 0.0)]
-    for places, n in zip(_SLOTS[len(dims)], dims):
-        left, right, gap = (i in places for i in range(3))
-        even = [2.0 * math.pi * i / n for i in range(n)]
-        grid = [(s if left else t[0], s if right else t[1], s if gap else t[2])
-                for t in grid for s in even]
-    return tuple(grid)
-
-
 def _phase_average(shifted, k, dims):
     """Discrete mean of the integrand at k over the grid of ``dims``
-    offsets per oscillation phase (see ``_grid``).
+    offsets per oscillation phase (see ``core.grid``).
 
     ``shifted(k, offsets)`` evaluates the integrand at k once per additive
     offset triple (sL, sR, sG) on the left-slab, right-slab and gap phases.
     """
-    vals = shifted(k, _grid(dims))
+    vals = shifted(k, core.grid(dims))
     return sum(vals) / len(vals)
 
 
 def _sampler(shifted):
     """``sample(k, dims)``: the integrand ``shifted`` at k on the grid of
-    ``dims`` offsets per phase (see ``_grid``), each (k, dims) evaluated
-    once for the life of the returned function.  A diagonal grid ``(n,)``
-    goes to ``shifted.diagonal(k, n)`` where the integrand has that lean
-    loop (identical slabs, see ``_state_integrand``), which returns the
-    same bits."""
-    diagonal = getattr(shifted, "diagonal", None)
-
+    ``dims`` offsets per phase (see ``core.grid``), each (k, dims)
+    evaluated once for the life of the returned function."""
     @functools.lru_cache(maxsize=None)
     def sample(k, dims):
-        if diagonal is not None and len(dims) == 1:
-            return diagonal(k, dims[0])
-        return shifted(k, _grid(dims))
+        return shifted(k, core.grid(dims))
     return sample
 
 
@@ -572,7 +545,7 @@ def _roots(n):
 
 def _dft(vals, dims, lead=True):
     """``{j: c_j}``: the DFT coefficients of ``vals``, sampled on the
-    product grid of ``dims`` (see ``_grid``), for every index vector j
+    product grid of ``dims`` (see ``core.grid``), for every index vector j
     with |j_a| < dims[a] / 2 and, with ``lead``, j_0 >= 0, which keeps one
     of each pair +-j with j_0 != 0 (c_-j is the conjugate of c_j for a
     real integrand).  The integrand is the sum over j of c_j e^{i j . s} in
@@ -625,12 +598,12 @@ def _response_top(cfg):
 
 def _phase_axes(cfg):
     """``(slots, mat)`` of each oscillation phase of the cavity ``cfg``, as
-    in ``_SLOTS``: its offset slots and its slab, None for the gap phase.
-    Identical slabs have one common slab phase besides the gap phase,
-    different slabs one each."""
+    in ``core.SLOTS``: its offset slots and its slab, None for the gap
+    phase.  Identical slabs have one common slab phase besides the gap
+    phase, different slabs one each."""
     naxes = 2 if cfg.left == cfg.right else 3
     mats = {(2,): None, (0, 1): cfg.left, (0,): cfg.left, (1,): cfg.right}
-    return tuple((slots, mats[slots]) for slots in _SLOTS[naxes])
+    return tuple((slots, mats[slots]) for slots in core.SLOTS[naxes])
 
 
 def _phases(cfg, axes, k):
@@ -1226,12 +1199,12 @@ def _oscillatory_integral(point, shifted, spec, cfg):
     ----------
     point : callable
         ``point(k)``, the integrand at k: ``shifted(k, offsets)`` in value
-        at the one unshifted triple (0, 0, 0), from a one-triple form
-        that builds no offset tables.
+        at the one unshifted triple (0, 0, 0), from a one-triple form.
     shifted : callable
         ``shifted(k, offsets)`` evaluates the integrand at k once per
         additive offset triple (sL, sR, sG) on the left-slab, right-slab
-        and gap phases, as a list.
+        and gap phases of the grid ``offsets`` (``core.grid``), as a
+        list.
     spec : QuadratureSpec
         Tolerances; ``rel_tol`` is interpreted against the integral scale.
     cfg : CavityConfig
@@ -1679,15 +1652,14 @@ def _vacuum_bath(cfg, spec):
 
 
 def _zero_bath_integrand(cfg):
-    """Zero-temperature bath integrand ``f(k, offsets)`` of a cavity, Z's
-    integrand: the round-trip term less k times the state bracket in
-    absorption form (``core.vacuum_baths``)."""
+    """Zero-temperature bath integrand ``f(k, offsets)`` of a cavity on a
+    grid of offsets (``core.grid``), Z's integrand: the round-trip term
+    less k times the state bracket in absorption form, from Z's grid
+    kernel ``core.vacuum_baths``."""
     a, d, tl, tr = _args(cfg)
 
     def f(k, offsets):
         return core.vacuum_baths(k, a, d, tl, tr, offsets)
-    if tl == tr:
-        f.diagonal = lambda k, n: core.diagonal_vacuum_baths(k, a, d, tl, n)
     return f
 
 
@@ -1698,17 +1670,12 @@ def _bracket(cfg):
 
 def _state_integrand(cfg):
     """Vacuum-weight state integrand ``f(k, offsets)``, k times the state
-    bracket, of a cavity.  For identical slabs ``f.diagonal(k, n)`` gives
-    its bits on the diagonal grid ``_grid((n,))`` from the lean loop
-    ``core.diagonal_ic_brackets``; ``_zero_bath_integrand`` does the same
-    for Z."""
+    bracket, of a cavity on a grid of offsets (``core.grid``), from the
+    state bracket's grid kernel ``core.ic_brackets``."""
     a, d, tl, tr = _args(cfg)
 
     def f(k, offsets):
         return [k * b for b in core.ic_brackets(k, a, d, tl, tr, offsets)]
-    if tl == tr:
-        f.diagonal = lambda k, n: [
-            k * b for b in core.diagonal_ic_brackets(k, a, d, tl, n)]
     return f
 
 

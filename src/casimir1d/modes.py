@@ -16,6 +16,7 @@ stress-tensor oracle (``casimir1d.stress``) and the tests, and
 """
 
 import cmath
+import math
 
 from ._value import Frozen
 from .errors import RegionUnsupportedError
@@ -289,8 +290,13 @@ def green_function(cfg, x, xp, omega):
 
     x must lie in an exterior region or the gap (RegionUnsupportedError
     otherwise); x' may lie anywhere, including inside the slabs.  Symmetric
-    in (x, x') whenever both orderings are supported.
+    in (x, x') whenever both orderings are supported.  A non-finite x or x'
+    raises ValueError.
     """
+    for name, v in (("x", x), ("xp", xp)):
+        if not math.isfinite(v):
+            raise ValueError("green_function: %s must be finite, got %r"
+                             % (name, v))
     region = classify_region(cfg, x)
     if region in (SLAB_LEFT, SLAB_RIGHT):
         raise RegionUnsupportedError(

@@ -40,7 +40,7 @@ def bath_integrand(cfg, beta_left, beta_right):
 
 def _raw(f):
     """The integrand ``f(k, offsets)`` at the one unshifted offset."""
-    return lambda k: f(k, ((0.0, 0.0, 0.0),))[0]
+    return lambda k: f(k, core.grid((1,)))[0]
 
 
 def band_dual(cfg, f, lo, hi, spec, window=None):

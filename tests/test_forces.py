@@ -57,7 +57,7 @@ SPEC9 = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-13)
 # The sigma grid of the docs sweep (docs/reproduce_sweep.md)
 DOCS_SIGMAS = [0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 5.0, 10.0, 20.0, 50.0,
                100.0, 200.0, 400.0, 700.0]
-_RAW = ((0.0, 0.0, 0.0),)
+_RAW = core.grid((1,))
 
 
 def _count_points(monkeypatch, name, record):
@@ -77,7 +77,7 @@ def _count_points(monkeypatch, name, record):
 
 
 def _count_z_points(monkeypatch, record):
-    """Wrap Z's kernels, the offset kernel ``core.vacuum_baths`` and its
+    """Wrap Z's kernels, the grid kernel ``core.vacuum_baths`` and its
     one-triple form ``core.vacuum_bath_of``, so that each of their calls
     first calls ``record(k, offsets)``, with the one triple (0, 0, 0) for a
     single point."""
@@ -566,18 +566,13 @@ def test_slab_means_stop_at_the_rounding_floor(monkeypatch):
     # 1e-12 and 1e-300 size the same offsets and give the same bits.  No
     # call takes more than the (5, 5) grid past K
     points = []
-    kernel, diagonal = core.ic_brackets, core.diagonal_ic_brackets
+    kernel = core.ic_brackets
 
     def counting(k, *args):
         points.append(len(args[-1]))
         return kernel(k, *args)
 
-    def counting_diagonal(k, *args):
-        points.append(args[-1])
-        return diagonal(k, *args)
-
     monkeypatch.setattr(core, "ic_brackets", counting)
-    monkeypatch.setattr(core, "diagonal_ic_brackets", counting_diagonal)
     _count_points(monkeypatch, "ic_bracket_of", lambda k: points.append(1))
     runs = []
     for abs_tol in (1e-12, 1e-300):
@@ -758,9 +753,7 @@ def test_slab_mean_settles_geometrically():
         (mean,) = [m for lo, hi, m in band_means if lo < k < hi]
         means = []
         for n in (8, 16, 32, 64, 128, 256, 512):
-            means.append(sum(f(k, [(s, s, 0.0) for s in
-                                   (2.0 * math.pi * i / n
-                                    for i in range(n))])) / n)
+            means.append(sum(f(k, core.grid((n,)))) / n)
         ref = means[-1]
         floor = 1e-12 * abs(ref)
         # the mean for N against 2N: each doubling shrinks the change until
@@ -797,7 +790,7 @@ def test_diagonal_mean_for_identical_slabs():
     # the switch point reads the phase average and the harmonics at k0 from
     # one call on its grid, which leads with the unshifted triple
     calls.clear()
-    harm = forces._dft(f(1.0, forces._grid((4, 4))), (4, 4))
+    harm = forces._dft(f(1.0, core.grid((4, 4))), (4, 4))
     assert len(calls) == 1 and calls[0][0] == (0.0, 0.0, 0.0)
     assert harm[0, 0] == pytest.approx(forces._phase_average(f, 1.0, (4, 4)))
     assert harm[1, 0] == pytest.approx(0.5)
@@ -833,7 +826,7 @@ def test_dft_reads_odd_grids():
     mean = 0.7
     vals = [mean + sum(2.0 * (c * cmath.exp(1j * sum(
         a * b for a, b in zip(j, off)))).real for j, c in coef.items())
-        for off in forces._grid((3, 3, 3))]
+        for off in core.grid((3, 3, 3))]
     harm = forces._dft(vals, (3, 3, 3))
     assert harm[0, 0, 0] == pytest.approx(mean, abs=1e-14)
     for j, c in coef.items():
@@ -1290,20 +1283,15 @@ def test_band_excess_ladder_takes_the_low_band(monkeypatch):
 
 def _state_points(monkeypatch):
     """A list that gathers one k per state-bracket point: each offset of
-    ``core.ic_brackets`` and ``core.diagonal_ic_brackets``, and each single
-    point of ``core.ic_bracket_of``."""
+    the grid kernel ``core.ic_brackets`` and each single point of
+    ``core.ic_bracket_of``."""
     points = []
-    brackets, diagonal = core.ic_brackets, core.diagonal_ic_brackets
+    brackets = core.ic_brackets
 
     def counted(k, a, d, tl, tr, offsets):
         points.extend([k] * len(offsets))
         return brackets(k, a, d, tl, tr, offsets)
-
-    def counted_diagonal(k, a, d, tl, n):
-        points.extend([k] * n)
-        return diagonal(k, a, d, tl, n)
     monkeypatch.setattr(core, "ic_brackets", counted)
-    monkeypatch.setattr(core, "diagonal_ic_brackets", counted_diagonal)
     _count_points(monkeypatch, "ic_bracket_of", points.append)
     return points
 
@@ -1370,7 +1358,7 @@ def test_pole_radius_matches_the_measured_harmonic_decay(cfg, k, rho):
     # clear of rounding, for the bath and the state integrands
     assert forces._pole_parts(cfg, k)[4] == pytest.approx(rho, abs=1e-4)
     for f in _both_integrands(cfg):
-        c = forces._dft(f(k, forces._grid((256,))), (256,))
+        c = forces._dft(f(k, core.grid((256,))), (256,))
         h = [c[j, ] for j in range(1, 128)]
         ratios = [math.sqrt(abs(h[j + 2] / h[j])) for j in range(60)
                   if abs(h[j + 2]) > 2e-12 * k]
@@ -1383,7 +1371,7 @@ def test_pole_radius_matches_the_measured_harmonic_decay(cfg, k, rho):
 def _pole_form(f, cfg, k, charge=True):
     """``forces._pole_form`` of the integrand ``f`` of the identical slabs
     of ``cfg`` at k, on its six diagonal samples, charged by default."""
-    return forces._pole_form(f(k, forces._grid((6,))), cfg.width, k,
+    return forces._pole_form(f(k, core.grid((6,))), cfg.width, k,
                              forces._pole_parts(cfg, k), charge)
 
 
@@ -1400,7 +1388,7 @@ def test_harmonic_amplitude_bounds_the_measured_harmonics():
                 poles = _pole_form(f, FIG_CFG, k)[1]
                 assert len(poles) == 2
                 floor = forces._MEAN_NOISE * forces._NOISE_EPS * k
-                ref = forces._dft(f(k, forces._grid((128,))), (128,))
+                ref = forces._dft(f(k, core.grid((128,))), (128,))
                 assert all(abs(ref[j, ]) <= sum(abs(a) * abs(y) ** (j - 1)
                                                 for a, y in poles)
                            + 2.0 * floor for j in range(1, 41))
@@ -1419,7 +1407,7 @@ def test_pole_form_matches_a_fine_dft(cfg, k):
     turn = cmath.exp(2j * k * forces._index(cfg.left, k).real * cfg.width)
     ring = [cmath.exp(-2j * math.pi * i / 4096) for i in range(4096)]
     for f in _both_integrands(cfg):
-        vals = f(k, forces._grid((4096,)))
+        vals = f(k, core.grid((4096,)))
         c = [sum(v * ring[j * i % 4096] for i, v in enumerate(vals)) / 4096
              for j in range(21)]
         h0, poles, _ = _pole_form(f, cfg, k)
@@ -1474,7 +1462,7 @@ def test_pole_form_keeps_the_bits_of_the_dft_route(cfg, band, t):
     k = lo + t * (hi - lo)
     assert forces._pole_parts(cfg, k)[4] > 0.0
     for f in _both_integrands(cfg):
-        vals = f(k, forces._grid((6,)))
+        vals = f(k, core.grid((6,)))
         want = _dft_pole_form(vals, cfg, k)
         parts = forces._pole_parts(cfg, k)
         # the shortest reprs of two floats agree only where their bits do
@@ -1482,6 +1470,21 @@ def test_pole_form_keeps_the_bits_of_the_dft_route(cfg, band, t):
                                       True)) == repr(want)
         assert repr(forces._pole_form(vals, cfg.width, k, parts)) == repr(
             (want[0], want[1], 0.0))
+
+
+def test_pole_form_of_an_opaque_slab_is_the_plain_mean():
+    # at k = 12 in fig's stop band the slab is opaque, E0 = 0 (2 k Im(n) d
+    # is past the em = 0 cut): the slab phase has no harmonics, the six
+    # samples are one value, and the pole form returns their plain mean with
+    # no poles and no rounding charge
+    k = 12.0
+    parts = forces._pole_parts(FIG_CFG, k)
+    assert parts[2] == 0.0
+    for f in _both_integrands(FIG_CFG):
+        vals = f(k, core.grid((6,)))
+        assert vals == [vals[0]] * 6
+        assert forces._pole_form(vals, FIG_CFG.width, k, parts, True) == (
+            sum(vals) / 6.0, [(0j, 0j)] * 2, 0.0)
 
 
 def test_band_mean_leaves_the_pole_form_below_its_rounding():
@@ -1501,7 +1504,7 @@ def test_band_mean_leaves_the_pole_form_below_its_rounding():
         calls.append(len(offsets))
         return f(x, offsets)
     mean = forces._band_bounds(rec, WEAK_CFG, lo, hi)[0]
-    ref = sum(f(k, forces._grid((4096,)))) / 4096
+    ref = sum(f(k, core.grid((4096,)))) / 4096
     h0, _, err = _pole_form(f, WEAK_CFG, k)
     assert 0.5e-12 < abs(h0 - ref) <= err
     calls.clear()
@@ -1522,7 +1525,7 @@ def test_pole_form_charges_what_its_nyquist_term_shows():
         return [v + 1e-9 * math.cos(3.0 * s[0])
                 for v, s in zip(f(x, offsets), offsets)]
     k = 14.15
-    ref = sum(g(k, forces._grid((4096,)))) / 4096
+    ref = sum(g(k, core.grid((4096,)))) / 4096
     h0, _, err = _pole_form(g, WEAK_CFG, k)
     assert 1e-7 < abs(h0 - ref) <= err
 
@@ -1551,7 +1554,7 @@ def test_sized_mean_is_within_half_its_tolerance():
             for tol in (2e-8, 1e-11):
                 for _ in range(30):
                     k = rng.uniform(lo, hi)
-                    ref = sum(f(k, forces._grid((256,))))
+                    ref = sum(f(k, core.grid((256,))))
                     assert abs(mean(k, tol) - ref / 256) <= 0.5 * tol
     # in the weak pair's dense bands, where rho reaches 0.945, against the
     # mean of 4,096 offsets.  Below tol 1e-10 the state integrand's means
@@ -1562,7 +1565,7 @@ def test_sized_mean_is_within_half_its_tolerance():
             mean = forces._band_bounds(f, WEAK_CFG, lo, hi)[0]
             for _ in range(15):
                 k = rng.uniform(lo, hi)
-                ref = sum(f(k, forces._grid((4096,)))) / 4096
+                ref = sum(f(k, core.grid((4096,)))) / 4096
                 for tol in (1e-7, 1e-9):
                     assert abs(mean(k, tol) - ref) <= 0.5 * tol
 
@@ -1674,6 +1677,25 @@ def test_fig_switch_point_sits_below_50(monkeypatch):
         forces._vacuum_bath.cache_clear()
     (K,) = seen
     assert 1.3 * 10.0 * math.sqrt(2.0) < K < 50.0
+
+
+def test_switch_takes_the_partial_of_a_coarse_pass_that_gives_up():
+    # a below(k) that jumps between 0 and 1e3 every 1e-4 exhausts the
+    # coarse pass's 2,000 panels over [0, k0]; the switch takes the pass's
+    # partial value as c0, which sets the budget, rel_tol |c0|
+    spec = SPEC6.replace(max_panels=2000)
+    k0 = forces._first_switch(spec, CFG)
+
+    def below(k):
+        return 1e3 * (int(k * 1e4) % 2)
+    with pytest.raises(NonConvergenceError) as gave_up:
+        integrate_interval(below, 0.0, k0, forces._coarse(spec))
+    assert gave_up.value.panels == 2000
+    c0 = gave_up.value.partial
+    assert c0 > 1e3
+    budget = forces._switch(forces._zero_bath_integrand(CFG), spec, CFG,
+                            forces._phase_axes(CFG), below=below)[3]
+    assert budget == spec.rel_tol * c0
 
 
 def test_docs_switch_point_is_the_first_rung_that_fits():

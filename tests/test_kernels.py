@@ -1,6 +1,7 @@
 """Core scalar-kernel identities and the kernel hook point."""
 
 import cmath
+import itertools
 import math
 import random
 import sys
@@ -94,7 +95,7 @@ def test_ic_bracket_opaque_limit():
         val = pure.ic_bracket(om, 1.0, dbig, FIG, MILD_R)
         assert val == pytest.approx(1.0 + abs(rn) ** 2, rel=1e-10)
         for v in pure.ic_brackets(om, 1.0, math.inf, FIG, MILD_R,
-                                  _GAP_OFFSETS):
+                                  pure.grid((3, 3, 3))):
             assert v == pytest.approx(1.0 + abs(rn) ** 2, rel=1e-14)
 
 
@@ -209,19 +210,15 @@ _OFFSET_CASES = (
     (VAC, VAC, 2.0, (0.1, 7.3)),
     (FIG, MILD_R, 100.0, (11.0, 12.5, 13.0)),
 )
-_QUARTER = [0.5 * math.pi * i for i in range(4)]
-_OFFSET_LISTS = (
-    [(0.0, 0.0, 0.0)],
-    [(2.0 * math.pi * i / 32, 2.0 * math.pi * i / 32, 0.0)
-     for i in range(32)],
-    [(x, y, z) for x in _QUARTER for y in _QUARTER for z in _QUARTER],
-    [(0.0, 0.0, z) for z in _QUARTER],
-)
+# the unshifted triple, the diagonal of 32 common slab offsets, the
+# 4 x 4 x 4 torus and 4 gap offsets alone
+_OFFSET_LISTS = tuple(pure.grid(dims)
+                      for dims in ((1,), (32,), (4, 4, 4), (4, 1)))
 
 
 @pytest.mark.parametrize("left,right,d,ks", _OFFSET_CASES)
 def test_offset_kernels_equal_the_scalar_kernels(left, right, d, ks):
-    # the offset kernel shares its slab and gap work across the offsets,
+    # the grid kernel shares its slab and gap work across the offsets,
     # with the scalar kernel's arithmetic: equal to the last bit; the scalar
     # bath integrand at each offset is its composition at coth(beta k/2)
     a = 1.0
@@ -242,21 +239,23 @@ def test_offset_kernels_equal_the_scalar_kernels(left, right, d, ks):
 
 
 def test_offset_kernels_raise_at_a_cavity_pole():
-    # a nearly lossless stop band reflects totally; the gap offset that
-    # closes the round-trip phase puts the cavity on its pole
+    # a nearly lossless stop band reflects totally; the gap that closes the
+    # round-trip phase puts the cavity on its pole at offset 0, the leading
+    # triple of every grid
     from casimir1d.errors import CavityResonanceError
-    mat, k, a, d = (10.0, 10.0, 1e-20, False), 12.0, 1.0, 100.0
+    mat, k, d = (10.0, 10.0, 1e-20, False), 12.0, 100.0
     n = pure.refractive_at(-1j * k, *mat)
     r = (1.0 - n) / (1.0 + n)
-    pole = -cmath.phase(r * r * pure.gap_phase(k, a))
-    offsets = [(0.0, 0.0, 0.0), (0.0, 0.0, pole)]
-    calls = (
-        lambda: pure.ic_bracket(k, a, d, mat, mat, 0.0, 0.0, pole),
-        lambda: pure.ic_brackets(k, a, d, mat, mat, offsets),
-        lambda: pure.bath_integrand(k, a, d, mat, mat, 2.0, 3.0, 0.0, 0.0,
-                                    pole),
-        lambda: pure.bath_factors_of(a, d, mat, mat)(k, 0.0, 0.0, pole),
-        lambda: pure.vacuum_baths(k, a, d, mat, mat, offsets))
+    a = (2.0 * math.pi - cmath.phase(r * r)) / (2.0 * k)
+    assert abs(1.0 - r * r * pure.gap_phase(k, a)) < pure.DELTA_FLOOR
+    calls = [
+        lambda: pure.ic_bracket(k, a, d, mat, mat),
+        lambda: pure.bath_integrand(k, a, d, mat, mat, 2.0, 3.0),
+        lambda: pure.bath_factors_of(a, d, mat, mat)(k)]
+    for dims in ((1,), (2,), (6,), (2, 2), (2, 2, 2)):
+        offsets = pure.grid(dims)
+        calls += [lambda: pure.ic_brackets(k, a, d, mat, mat, offsets),
+                  lambda: pure.vacuum_baths(k, a, d, mat, mat, offsets)]
     for call in calls:
         with pytest.raises(CavityResonanceError):
             call()
@@ -340,7 +339,7 @@ def test_vacuum_baths_match_the_zero_temperature_bath_integrand(pair):
             ks += [km, km + w]
     for k in ks:
         for dims in ((1,), (5,), (4, 4), (3, 3, 3)):
-            offsets = forces._grid(dims)
+            offsets = pure.grid(dims)
             got = pure.vacuum_baths(k, a, d, left, right, offsets)
             ref = [pure.bath_integrand(k, a, d, left, right, math.inf,
                                        math.inf, *o) for o in offsets]
@@ -352,13 +351,13 @@ def test_vacuum_baths_match_the_zero_temperature_bath_integrand(pair):
 def test_vacuum_baths_hold_the_mild_pair_far_out():
     # frozen mpmath samples of the cavity coefficients at 80 digits, where
     # the bracket's O(1) terms cancel without loss, at k = 1e4 and 2e4,
-    # where ic_bracket rounds to 0: Z's integrand, from the offset kernel
+    # where ic_bracket rounds to 0: Z's integrand, from the grid kernel
     # and from the one-triple form, and the state bracket B that it holds
     a, d = 0.5, 0.4
     for k, z, b in ((1e4, -7.2020418076292926e-13, 1.7383546570322059e-16),
                     (2e4, -9.0013181393678333e-14,
                      -4.4925841872737415e-17)):
-        v = pure.vacuum_baths(k, a, d, MILD_L, MILD_R, ((0.0, 0.0, 0.0),))[0]
+        v = pure.vacuum_baths(k, a, d, MILD_L, MILD_R, pure.grid((1,)))[0]
         assert v == pytest.approx(z, rel=1e-10)
         assert pure.vacuum_bath_of(a, d, MILD_L, MILD_R)(k) == \
             pytest.approx(z, rel=1e-10)
@@ -369,7 +368,7 @@ def test_vacuum_baths_hold_the_mild_pair_far_out():
             b, rel=1e-8)
 
 
-# The offset kernels and the bath kernel composed from their building
+# The grid kernels and the bath kernel composed from their building
 # blocks, one offset at a time, with the kernels' own arithmetic: the
 # per-frequency index and slab parts, the per-offset slab parts and gap
 # factor and the cavity denominator, each from its public function.
@@ -454,14 +453,14 @@ def _composed_vacuum(k, a, d, left, right, offset):
 
 @pytest.mark.parametrize("pair", sorted(_Z_PAIRS))
 def test_lean_offset_kernels_equal_their_composition(pair):
-    # the kernels index their per-offset tables and form each index in one
-    # step; composed from refractive_at, slab_fixed, slab_offset, gap_phase
-    # and cavity_delta offset by offset they return the same bits, on the
-    # fig, weak, mild and lossy/static pairs and the grids Z samples
+    # the grid kernels form each slab's parts once per offset of its slot;
+    # composed from refractive_at, slab_fixed, slab_offset, gap_phase and
+    # cavity_delta offset by offset they return the same bits, on the fig,
+    # weak, mild and lossy/static pairs and the grids Z samples
     left, right, a, d = _Z_PAIRS[pair]
     for k in _LEAN_K:
         for dims in _Z_GRIDS:
-            offsets = forces._grid(dims)
+            offsets = pure.grid(dims)
             assert pure.ic_brackets(k, a, d, left, right, offsets) == [
                 _composed_bracket(k, a, d, left, right, o) for o in offsets]
             assert pure.vacuum_baths(k, a, d, left, right, offsets) == [
@@ -480,7 +479,7 @@ def test_bound_bath_form_weighs_to_its_composition(pair):
     lossless = pure.bath_factors_of(a, d, STATIC, STATIC)
     for k in _LEAN_K:
         for dims in _Z_GRIDS:
-            offsets = forces._grid(dims)
+            offsets = pure.grid(dims)
             for occL, occR in ((1.3, 0.7), (0.0, 2.0), (-0.4, 1.1),
                                (2.5, -3.0), (-1e-9, -0.2)):
                 assert [pure.bath_weigh(factors(k, *o), occL, occR)
@@ -494,15 +493,17 @@ def test_bound_bath_form_weighs_to_its_composition(pair):
 def test_lean_offset_kernels_raise_at_an_undamped_pole():
     # the index formed in one step keeps refractive_at's pole test: at
     # omega0 of an undamped slab and within its 1e-12 relative threshold, on
-    # either side, every kernel refuses
+    # either side, every kernel refuses, the grid kernels on three-phase and
+    # diagonal grids
     from casimir1d.errors import SingularEvaluationError
     undamped = (10.0, 10.0, 0.0, False)
-    offsets = forces._grid((3, 3, 3))
     for k in (10.0, 10.0 + 1e-12, 10.0 - 1e-12):
         with pytest.raises(SingularEvaluationError):
             pure.refractive_at(-1j * k, *undamped)
-        for left, right in ((undamped, undamped), (undamped, MILD_R),
-                            (MILD_R, undamped)):
+        for (left, right), dims in itertools.product(
+                ((undamped, undamped), (undamped, MILD_R),
+                 (MILD_R, undamped)), ((3, 3, 3), (1,), (6,))):
+            offsets = pure.grid(dims)
             for call in (
                     lambda: pure.ic_brackets(k, 1.0, 0.4, left, right,
                                              offsets),
@@ -515,7 +516,7 @@ def test_lean_offset_kernels_raise_at_an_undamped_pole():
                     call()
 
 
-# The one-triple forms against the offset kernels, and the bath kernel's
+# The one-triple forms against the grid kernels, and the bath kernel's
 # against its composition: identical (fig, weak), different (mild, and fig
 # with mild in fig's opaque stop band), static, empty and lossless pairs,
 # and a half-space pair
@@ -538,13 +539,13 @@ _SHIFTS = ((0.0, 0.0, 0.0), (0.3, 0.3, 0.0), (0.3, 1.1, 2.0), (0.0, 0.0, 4.5))
 
 @pytest.mark.parametrize("pair", sorted(_ONE_TRIPLE_PAIRS))
 def test_one_triple_forms_keep_the_bits_of_the_offset_kernels(pair):
-    # each one-triple form, bound to the cavity once, returns the offset
+    # each one-triple form, bound to the cavity once, returns the grid
     # kernel's value at the unshifted triple to the last bit over dense k
     # (past the opaque cut 2 k Im(n) d > 1400 on fig), the bath factors
     # weigh to the composed bath kernel's, and ic_bracket at any offsets
-    # returns the value of ic_brackets
+    # returns the value of the bracket composed offset by offset
     left, right, a, d = _ONE_TRIPLE_PAIRS[pair]
-    raw = ((0.0, 0.0, 0.0),)
+    raw = pure.grid((1,))
     z = pure.vacuum_bath_of(a, d, left, right)
     b = pure.ic_bracket_of(a, d, left, right)
     y = pure.bath_factors_of(a, d, left, right)
@@ -556,12 +557,12 @@ def test_one_triple_forms_keep_the_bits_of_the_offset_kernels(pair):
     for k in _DENSE_K[::50]:
         for o in _SHIFTS:
             assert pure.ic_bracket(k, a, d, left, right, *o) == \
-                pure.ic_brackets(k, a, d, left, right, (o,))[0]
+                _composed_bracket(k, a, d, left, right, o)
 
 
 def test_one_triple_forms_raise_where_the_offset_kernels_do():
     # at the oscillator pole of an undamped slab, on either side, every
-    # form raises the offset kernels' error, and so do Z's and the state
+    # form raises the grid kernels' error, and so do Z's and the state
     # bracket's at a bound mode of the undamped pair, where the gap closes
     # the round trip of its totally reflecting stop band (|1 - rL rR
     # e^{2ika}| below DELTA_FLOOR); neither slab absorbs there, so the bath
@@ -578,7 +579,7 @@ def test_one_triple_forms_raise_where_the_offset_kernels_do():
     r = pure.slab_parts(k, pure.refractive_at(-1j * k, *UNDAMPED), d)[3]
     a = (2.0 * math.pi - cmath.phase(r * r)) / (2.0 * k)
     assert abs(1.0 - r * r * pure.gap_phase(k, a)) < pure.DELTA_FLOOR
-    raw = ((0.0, 0.0, 0.0),)
+    raw = pure.grid((1,))
     for call in (lambda: pure.vacuum_baths(k, a, d, UNDAMPED, UNDAMPED, raw),
                  lambda: pure.ic_brackets(k, a, d, UNDAMPED, UNDAMPED, raw)):
         with pytest.raises(CavityResonanceError):
@@ -590,52 +591,49 @@ def test_one_triple_forms_raise_where_the_offset_kernels_do():
         (None, None, (None, None, None))
 
 
-# The diagonal loops against the offset kernels on the diagonal grids of
-# identical slabs: fig, weak, lossless, static and a half-space pair
-_DIAGONAL_SLABS = {
-    "fig": (FIG, 100.0),
-    "weak": (WEAK, 100.0),
-    "lossless": (UNDAMPED, 0.7),
-    "static": (STATIC, 0.7),
-    "halfspace": (MILD_L, math.inf),
+# The grid kernels against the one-triple forms on every grid shape the
+# four benchmark workloads ask for: the diagonals (2,) to (6,) and the
+# grids (4, 4), (3, 5), (5, 5) and (3, 4) of identical slabs, and the
+# grids (3, 3, 3) and (2, 2, 2) of different ones; on identical pairs
+# (fig, weak, lossless, static and a half-space pair) and on the mild pair
+_GRID_PAIRS = {
+    "fig": (FIG, FIG, 1.0, 100.0),
+    "weak": (WEAK, WEAK, 1.0, 100.0),
+    "lossless": (UNDAMPED, UNDAMPED, 1.0, 0.7),
+    "static": (STATIC, STATIC, 1.0, 0.7),
+    "halfspace": (MILD_L, MILD_L, 1.0, math.inf),
+    "mild": (MILD_L, MILD_R, 0.5, 0.4),
 }
+_TRAFFIC = ((2,), (3,), (4,), (5,), (6,), (4, 4), (3, 5), (5, 5), (3, 4),
+            (3, 3, 3), (2, 2, 2))
 
 
-@pytest.mark.parametrize("slab", sorted(_DIAGONAL_SLABS))
-def test_diagonal_loops_keep_the_bits_of_the_offset_kernels(slab):
-    # on _grid((n,)), the common slab offsets 2 pi i / n with no gap
-    # offset, for n = 1 to 31: the same list, bit for bit
-    mat, d = _DIAGONAL_SLABS[slab]
-    for n in range(1, 32):
-        offsets = forces._grid((n,))
+@pytest.mark.parametrize("pair", sorted(_GRID_PAIRS))
+def test_grid_kernels_keep_the_bits_of_the_one_triple_forms(pair):
+    # the state bracket's grid kernel returns ic_bracket_of at every triple
+    # and Z's returns vacuum_bath_of at the leading (0, 0, 0), bit for bit;
+    # Z's grid kernel holds the zero-temperature bath kernel within 8 ulps
+    # of the two assemblies' terms at every triple.  A lossless slab in its
+    # stop band (n = i kappa) has no slab phase to shift: there the bath
+    # side has no bath at any offset, while the state side's absorption of
+    # a shifted phase is not 0, so the two are compared at (0, 0, 0) alone
+    left, right, a, d = _GRID_PAIRS[pair]
+    bracket = pure.ic_bracket_of(a, d, left, right)
+    z = pure.vacuum_bath_of(a, d, left, right)
+    for dims in _TRAFFIC:
+        offsets = pure.grid(dims)
         for k in _DENSE_K[::29]:
-            assert pure.diagonal_ic_brackets(k, 1.0, d, mat, n) == \
-                pure.ic_brackets(k, 1.0, d, mat, mat, offsets)
-            assert pure.diagonal_vacuum_baths(k, 1.0, d, mat, n) == \
-                pure.vacuum_baths(k, 1.0, d, mat, mat, offsets)
-
-
-def test_diagonal_loops_raise_where_the_offset_kernels_do():
-    # at the oscillator pole of an undamped slab, on either side, and at a
-    # bound mode of the undamped pair (see the test above), for every n
-    from casimir1d.errors import CavityResonanceError, SingularEvaluationError
-    loops = (pure.diagonal_ic_brackets, pure.diagonal_vacuum_baths)
-    k, d = 12.0, 100.0
-    r = pure.slab_parts(k, pure.refractive_at(-1j * k, *UNDAMPED), d)[3]
-    a = (2.0 * math.pi - cmath.phase(r * r)) / (2.0 * k)
-    for n in (1, 2, 6):
-        offsets = forces._grid((n,))
-        for kernel, loop in zip((pure.ic_brackets, pure.vacuum_baths), loops):
-            for kp in (10.0, 10.0 + 1e-12, 10.0 - 1e-12):
-                for call in (lambda: kernel(kp, 1.0, 0.4, UNDAMPED, UNDAMPED,
-                                            offsets),
-                             lambda: loop(kp, 1.0, 0.4, UNDAMPED, n)):
-                    with pytest.raises(SingularEvaluationError):
-                        call()
-            for call in (lambda: kernel(k, a, d, UNDAMPED, UNDAMPED, offsets),
-                         lambda: loop(k, a, d, UNDAMPED, n)):
-                with pytest.raises(CavityResonanceError):
-                    call()
+            assert pure.ic_brackets(k, a, d, left, right, offsets) == [
+                bracket(k, *o) for o in offsets]
+            got = pure.vacuum_baths(k, a, d, left, right, offsets)
+            assert got[0] == z(k)
+            evanescent = any(pure.refractive_at(-1j * k, *m).real == 0.0
+                             for m in (left, right))
+            for o, v in zip(offsets[:1] if evanescent else offsets, got):
+                ref = pure.bath_integrand(k, a, d, left, right, math.inf,
+                                          math.inf, *o)
+                assert abs(v - ref) <= 8.0 * sys.float_info.epsilon \
+                    * _assembly_rounding(k, a, d, left, right, o)
 
 
 def test_refractive_at_is_the_root_of_the_permittivity():

@@ -280,11 +280,15 @@ def test_green_region_guard():
         green_function(CFG, -0.7, 0.0, 1.0)  # x inside the left slab
     with pytest.raises(RegionUnsupportedError):
         green_function(CFG, 0.6, 0.0, 1.0)  # x inside the right slab
-    # x' = NaN fails every comparison with the interfaces, so with x in the
-    # gap the left-side source profile finds it right of the gap and
-    # refuses it rather than returning NaN
-    with pytest.raises(RegionUnsupportedError, match="right of the gap"):
+    # a NaN point fails every comparison with the interfaces: refused up
+    # front by name, rather than recursing between the two exteriors (x) or
+    # being filed right of the gap (x')
+    with pytest.raises(ValueError, match="x must be finite, got nan"):
+        green_function(CFG, math.nan, 0.0, 1.0)
+    with pytest.raises(ValueError, match="xp must be finite, got nan"):
         green_function(CFG, 0.0, math.nan, 1.0)
+    with pytest.raises(ValueError, match="x must be finite, got -inf"):
+        green_function(CFG, -math.inf, 0.0, 1.0)
     # x' inside a slab is fine
     g = green_function(CFG, 0.0, -0.7, 1.0)
     assert cmath.isfinite(g)
