@@ -591,6 +591,25 @@ def test_one_triple_forms_raise_where_the_offset_kernels_do():
         (None, None, (None, None, None))
 
 
+def test_diagonal_loops_raise_where_the_offset_kernels_do():
+    # the diagonal grids (n,) go through the same grid kernels as every
+    # other grid, and refuse where the one-offset grid does: at the
+    # oscillator pole of an undamped slab, on either side, and at a bound
+    # mode of the undamped pair (see the test above), for every n
+    from casimir1d.errors import CavityResonanceError, SingularEvaluationError
+    k, d = 12.0, 100.0
+    r = pure.slab_parts(k, pure.refractive_at(-1j * k, *UNDAMPED), d)[3]
+    a = (2.0 * math.pi - cmath.phase(r * r)) / (2.0 * k)
+    for n in (1, 2, 3, 4, 5, 6):
+        for offsets in (pure.grid((1,)), pure.grid((n,))):
+            for kernel in (pure.ic_brackets, pure.vacuum_baths):
+                for kp in (10.0, 10.0 + 1e-12, 10.0 - 1e-12):
+                    with pytest.raises(SingularEvaluationError):
+                        kernel(kp, 1.0, 0.4, UNDAMPED, UNDAMPED, offsets)
+                with pytest.raises(CavityResonanceError):
+                    kernel(k, a, d, UNDAMPED, UNDAMPED, offsets)
+
+
 # The grid kernels against the one-triple forms on every grid shape the
 # four benchmark workloads ask for: the diagonals (2,) to (6,) and the
 # grids (4, 4), (3, 5), (5, 5) and (3, 4) of identical slabs, and the
