@@ -42,9 +42,8 @@ whether its repr is ``identical`` on both sides, and lists those that
 differ.
 Each side's ``points`` count the kernel points of the zero-temperature
 bath integral Z on each workload's cavity, by wrapping Z's grid kernel
-``core.vacuum_baths`` (each offset a point), the diagonal loop
-``core.diagonal_vacuum_baths`` of checkouts that have one (n offsets
-count n points) and Z's one-triple form ``core.vacuum_bath_of``, whose
+``core.vacuum_baths`` (each offset a point) and Z's one-triple form
+``core.vacuum_bath_of``, whose
 single points count as one-offset calls: every offset point, the
 one-offset (raw) calls, and the raw calls within 0.1 of a bound gap mode
 (``forces._gap_modes``), the layer ``perfbench/tracing.py`` does not see,
@@ -68,10 +67,8 @@ counts the kernel calls of the thermal state excess X (the points of
 0 (one, or two on ``noneq_mild``), which the tracer cannot attribute to
 them.
 Next to them, ``docs_ladder`` counts the docs sigma ladder's
-``core.ic_brackets`` calls and points (and those of the diagonal loop
-``core.diagonal_ic_brackets`` where a checkout has one), with the single
-points of ``core.ic_bracket_of``, and records its switch
-points K (one per
+``core.ic_brackets`` calls and points, with the single points of
+``core.ic_bracket_of``, and records its switch points K (one per
 ``omega0_list`` entry), a layer the tracer does not see either.
 ``timing`` divides the time of Z on each workload's cavity, of the docs
 sigma ladder and of ``noneq_mild``'s two bath excesses Y (target
@@ -79,8 +76,7 @@ sigma ladder and of ``noneq_mild``'s two bath excesses Y (target
 bookkeeping around them: ``total_s``, the seconds of the target;
 ``offset_s``, those inside the kernels that take the cavity after the
 frequency (the grid kernels ``core.vacuum_baths`` and
-``core.ic_brackets``, and the diagonal loops of checkouts that have them,
-on these targets);
+``core.ic_brackets`` on these targets);
 ``point_s``, those inside the single points of the one-triple forms, which
 take the cavity alone; and ``index_calls``, the ``refractive_at`` calls
 made outside both.  The docs ladder's ``total_s`` is also split by stage,
@@ -326,8 +322,7 @@ for name, fn in vars(core).items():
         if params == ["a", "d", "matL", "matR"]:
             setattr(copy, name, lambda *cavity, bind=fn: clocked(
                 "point_s", bind(*cavity)))
-        elif params[1:5] == ["a", "d", "matL", "matR"] \
-                or params[1:4] == ["a", "d", "mat"]:
+        elif params[1:5] == ["a", "d", "matL", "matR"]:
             setattr(copy, name, clocked("offset_s", fn))
 for mod in list(sys.modules.values()):
     if getattr(mod, "__name__", "").startswith("casimir1d") \
@@ -388,16 +383,12 @@ def tallied(field, fn, counts=lambda *args: True):
     return wrapped
 
 
-# wraps the kernel core.<name>, where the checkout has it: a grid kernel
-# counts its offsets, a diagonal loop its n
+# wraps the grid kernel core.<name>, so that each call counts its offsets
 def counting(name):
-    kernel = getattr(core, name, None)
-    if kernel is None:
-        return
+    kernel = getattr(core, name)
 
     def wrapped(k, *args):
-        n = args[-1]
-        calls.append((k, n if isinstance(n, int) else len(n), stage[-1]))
+        calls.append((k, len(args[-1]), stage[-1]))
         return kernel(k, *args)
     setattr(core, name, wrapped)
 
@@ -483,7 +474,6 @@ forces._bath_excess = staged("Y", forces._bath_excess)
 # Z's kernel, with its single points through the one-triple form; Y's and
 # X's kernels, the one-triple forms
 counting("vacuum_baths")
-counting("diagonal_vacuum_baths")
 one_triple("vacuum_bath_of", point)
 one_triple("bath_factors_of", excess_point)
 one_triple("ic_bracket_of", excess_point)
@@ -523,7 +513,6 @@ timed("noneq_mild_Y", lambda: [
     forces._bath_excess(W.NONEQ_CFG, bl, br, W.NONEQ_SPEC)
     for bl, br in (W.NONEQ_BATHS, W.NONEQ_BATHS[::-1])])
 counting("ic_brackets")
-counting("diagonal_ic_brackets")
 one_triple("ic_bracket_of", point)
 splitting[0] = True
 timed("docs_ladder", lambda: [

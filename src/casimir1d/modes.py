@@ -5,10 +5,14 @@ slabs of thickness d occupy [-a/2-d, -a/2] and [a/2, a/2+d], the gap is
 (-a/2, a/2), both exteriors are vacuum.  The Laplace variable is
 s = -i*omega on the real frequency axis.
 
-Internally every in-slab exponential is paired so its real exponent is
-non-positive (anchored amplitudes), so the mode and Green evaluations stay
-finite for strongly opaque slabs; the textbook in-slab coefficients that
-reference the global origin, which may overflow there, are not formed.
+Every region of a mode and of the Green function holds two
+counter-propagating waves, a e^{-qu} + b e^{qv}, which one evaluator
+(``_waves``) gives with its derivative: q = s and u = v = x in the vacuum
+regions, q = s n inside a slab.  There ``ScatteringSet.profile`` anchors
+both waves at the slab's faces, so that neither exponential exceeds 1 and
+the mode and Green evaluations stay finite for strongly opaque slabs; the
+textbook in-slab coefficients that reference the global origin, which may
+overflow there, are not formed.
 
 The force routes never evaluate a mode: this module serves the
 stress-tensor oracle (``casimir1d.stress``) and the tests, and
@@ -34,12 +38,14 @@ PHI_LESS = "phi_less"
 
 
 def classify_region(cfg, x):
-    """Region name at position x.
+    """Region name at position x; a non-finite x raises ValueError.
 
     Interface tie-breaks: the inner interfaces +-a/2 count as gap, the outer
     interfaces +-(a/2+d) count as exterior (continuity makes the choice
     immaterial for mode values).
     """
+    if not math.isfinite(x):
+        raise ValueError("classify_region: x must be finite, got %r" % (x,))
     x1, x2, x3, x4 = cfg.interfaces
     if x <= x1:
         return EXT_LEFT
@@ -69,13 +75,21 @@ def slab_coefficients(material, d, omega):
     return parts[3], parts[4]
 
 
+def _waves(a, b, q, u, v, deriv):
+    """a e^{-qu} + b e^{qv}, or with ``deriv`` its derivative in x, where
+    u and v both grow as x does."""
+    fwd = a * cmath.exp(-q * u)
+    bwd = b * cmath.exp(q * v)
+    return q * (bwd - fwd) if deriv else fwd + bwd
+
+
 class ScatteringSet:
     """All scattering amplitudes of the two-slab cavity at one frequency.
 
     Fields: rL, tL, rR, tR (single slab), Rgt, T (cavity), Cgt, Dgt,
     Clt, Dlt (gap amplitudes of the two modes), at (the Laplace variable
-    s = -i omega).  Inside the slabs the modes use anchored amplitudes
-    (``mode_eval``, ``mode_deriv``).
+    s = -i omega), and the slab parts nL, nR, rnL, rnR, FL, FR, tauL, tauR,
+    gapf, delta and rho that ``profile`` anchors the in-slab waves with.
 
     Construct through cavity_coefficients().
     """
@@ -119,45 +133,6 @@ class ScatteringSet:
             object.__setattr__(self, key, v)
         object.__setattr__(self, "_mirror", None)
 
-    # -- anchored internals -------------------------------------------------
-
-    @property
-    def _prefL(self):
-        return (self.nL + 1.0) / (2.0 * self.nL)
-
-    @property
-    def _prefR(self):
-        return (self.nR + 1.0) / (2.0 * self.nR)
-
-    @property
-    def _qL(self):
-        return 4.0 * self.nL / ((1.0 + self.nL) * (1.0 + self.nL))
-
-    @property
-    def _qR(self):
-        return 4.0 * self.nR / ((1.0 + self.nR) * (1.0 + self.nR))
-
-    @property
-    def _P_red(self):
-        """Anchored forward amplitude in the left slab, 1 - r_nL * rho."""
-        return 1.0 - self.rnL * self.rho
-
-    @property
-    def _Q_red(self):
-        """Anchored backward amplitude (rho - r_nL)/E_L, assembled without
-        dividing by the round-trip factor so it survives opaque slabs."""
-        rn = self.rnL
-        feed = (self.rR * self.gapf * self._qL * self._qL
-                / (self.FL * self.FL * self.delta))
-        return rn * (rn * rn - 1.0) / self.FL + feed
-
-    @property
-    def _TP_R(self):
-        """Anchored transmitted amplitude in the right slab, T e^{s nR d}."""
-        s = self.at
-        return (self.tauL * self._qR * cmath.exp(s * self.cfg.width)
-                / (self.FR * self.delta))
-
     def mirror(self):
         """ScatteringSet of the reflected geometry at the same frequency."""
         if self._mirror is None:
@@ -165,45 +140,60 @@ class ScatteringSet:
                                ScatteringSet(self.cfg.mirrored(), self.omega))
         return self._mirror
 
-    # -- piecewise mode evaluation (left-incident mode) ---------------------
+    def profile(self, side, source=False):
+        """Anchored profile ``(pre, a, b, n)`` of the slab on ``side``
+        ("L" or "R").
 
-    def _greater(self, x, deriv):
+        In that slab the left-incident mode, or with ``source`` the Green
+        function's source profile for a point in the gap, is
+        pre (a e^{-snu} + b e^{sn(u-2d)}) at depth u in (0, d), counted
+        from the face the waves enter by: the left face for the mode, the
+        gap face for a source profile.  In the right slab the two differ by
+        the factor tauL/delta alone.
+        """
         s = self.at
-        x1, x2, x3, x4 = self.cfg.interfaces
-        d = self.cfg.width
+        if side == "L":
+            n, rn, F = self.nL, self.rnL, self.FL
+        else:
+            n, rn, F = self.nR, self.rnR, self.FR
+        if side == "L" and not source:
+            q = 4.0 * n / ((1.0 + n) * (1.0 + n))
+            # (rho - rn)/E, assembled without dividing by the round trip E
+            # so that it survives opaque slabs
+            b = (rn * (rn * rn - 1.0) / F
+                 + self.rR * self.gapf * q * q / (F * F * self.delta))
+            x1 = self.cfg.interfaces[0]
+            pre = (n + 1.0) / (2.0 * n) * cmath.exp(-s * x1)
+            return pre, 1.0 - rn * self.rho, b, n
+        pre = 2.0 * cmath.exp(-0.5 * s * self.cfg.gap) / ((1.0 + n) * F)
+        if not source:
+            pre *= self.tauL / self.delta
+        return pre, 1.0, -rn, n
+
+    def _field(self, x, deriv=False, source=None):
+        """The left-incident mode at x (its derivative with ``deriv``), or
+        with ``source`` ("L" or "R") the Green function's source profile at
+        x that closes on that side of a point in the gap (x then lies on
+        that side of the gap's far face)."""
+        s = self.at
+        x1, x2, x3, _ = self.cfg.interfaces
         region = classify_region(self.cfg, x)
-        if region == EXT_LEFT:
-            if deriv:
-                return (-s * cmath.exp(-s * x)
-                        + s * self.Rgt * cmath.exp(s * x))
-            return cmath.exp(-s * x) + self.Rgt * cmath.exp(s * x)
-        if region == SLAB_LEFT:
-            u = x - x1
-            pre = self._prefL * cmath.exp(s * (-x1))
-            cfwd = self._P_red
-            cbwd = self._Q_red
-            efwd = cmath.exp(-s * self.nL * u)
-            ebwd = cmath.exp(s * self.nL * (u - 2.0 * d))
-            if deriv:
-                return pre * (-s * self.nL * cfwd * efwd
-                              + s * self.nL * cbwd * ebwd)
-            return pre * (cfwd * efwd + cbwd * ebwd)
-        if region == GAP:
-            if deriv:
-                return (-s * self.Cgt * cmath.exp(-s * x)
-                        + s * self.Dgt * cmath.exp(s * x))
-            return self.Cgt * cmath.exp(-s * x) + self.Dgt * cmath.exp(s * x)
-        if region == SLAB_RIGHT:
-            u = x - x3
-            pre = self._prefR * cmath.exp(-s * x4) * self._TP_R
-            efwd = cmath.exp(-s * self.nR * u)
-            ebwd = cmath.exp(s * self.nR * (u - 2.0 * d))
-            if deriv:
-                return pre * (-s * self.nR) * (efwd + self.rnR * ebwd)
-            return pre * (efwd - self.rnR * ebwd)
-        if deriv:
-            return -s * self.T * cmath.exp(-s * x)
-        return self.T * cmath.exp(-s * x)
+        if region in (SLAB_LEFT, SLAB_RIGHT):
+            left = region == SLAB_LEFT
+            pre, a, b, n = self.profile("L" if left else "R", bool(source))
+            u = (x2 - x if source else x - x1) if left else x - x3
+            return pre * _waves(a, b, s * n, u, u - 2.0 * self.cfg.width,
+                                deriv)
+        if source == "L":
+            a, b = ((0.0, self.tauL) if region == EXT_LEFT else
+                    (self.rL * cmath.exp(-s * self.cfg.gap), 1.0))
+        elif source == "R":
+            a, b = ((self.tauR, 0.0) if region == EXT_RIGHT else
+                    (1.0, self.rR * cmath.exp(-s * self.cfg.gap)))
+        else:
+            a, b = {EXT_LEFT: (1.0, self.Rgt), GAP: (self.Cgt, self.Dgt),
+                    EXT_RIGHT: (self.T, 0.0)}[region]
+        return _waves(a, b, s, x, x, deriv)
 
 
 class ModeFunction(Frozen):
@@ -232,57 +222,15 @@ def cavity_coefficients(cfg, omega):
 def mode_eval(mode, x):
     """Value of the mode at position x (any region)."""
     if mode.kind == PHI_GREATER:
-        return mode.coefficients._greater(x, False)
-    return mode.coefficients.mirror()._greater(-x, False)
+        return mode.coefficients._field(x)
+    return mode.coefficients.mirror()._field(-x)
 
 
 def mode_deriv(mode, x):
     """Spatial derivative of the mode at x."""
     if mode.kind == PHI_GREATER:
-        return mode.coefficients._greater(x, True)
-    return -mode.coefficients.mirror()._greater(-x, True)
-
-
-# ---------------------------------------------------------------------------
-# Green function (frequency domain), x restricted to exterior/gap regions.
-# ---------------------------------------------------------------------------
-
-def _gap_profile_right(sset, y):
-    """e^{-sy} + rR e^{s(y-a)}: rightward-closed gap profile."""
-    s = sset.at
-    a = sset.cfg.gap
-    return cmath.exp(-s * y) + sset.rR * cmath.exp(s * (y - a))
-
-
-def _gap_profile_left(sset, y):
-    """e^{sy} + rL e^{-s(y+a)}: leftward-closed gap profile."""
-    s = sset.at
-    a = sset.cfg.gap
-    return cmath.exp(s * y) + sset.rL * cmath.exp(-s * (y + a))
-
-
-def _hat_left(sset, y):
-    """Left-side source profile for x in the gap (region of y <= gap).
-
-    Continues the leftward-closed gap profile through the left slab and
-    into the left exterior, with all exponents anchored.
-    """
-    s = sset.at
-    x1, x2, _, _ = sset.cfg.interfaces
-    d = sset.cfg.width
-    region = classify_region(sset.cfg, y)
-    if region == GAP:
-        return _gap_profile_left(sset, y)
-    if region == SLAB_LEFT:
-        v = x2 - y  # distance from the gap-side face, in (0, d)
-        pre = (sset._prefL * cmath.exp(s * (x2 - d)) * sset._qL
-               * cmath.exp(s * d) / sset.FL)
-        return pre * (cmath.exp(-s * sset.nL * v)
-                      - sset.rnL * cmath.exp(-s * sset.nL * (2.0 * d - v)))
-    if region == EXT_LEFT:
-        return sset.tauL * cmath.exp(s * y)
-    raise RegionUnsupportedError(
-        "left-side profile requested right of the gap")
+        return mode.coefficients._field(x, True)
+    return -mode.coefficients.mirror()._field(-x, True)
 
 
 def green_function(cfg, x, xp, omega):
@@ -301,16 +249,12 @@ def green_function(cfg, x, xp, omega):
     if region in (SLAB_LEFT, SLAB_RIGHT):
         raise RegionUnsupportedError(
             "Green function evaluation points inside a slab are unsupported")
-    if region == EXT_RIGHT or (region == GAP and xp > x):
+    if region == EXT_RIGHT:
         return green_function(cfg.mirrored(), -x, -xp, omega)
     sset = cavity_coefficients(cfg, omega)
-    s = sset.at
-    pref = -1.0 / (2.0 * s)
+    pref = -1.0 / (2.0 * sset.at)
+    lo, hi = min(x, xp), max(x, xp)
     if region == EXT_LEFT:
-        if xp <= x:
-            phi_here = cmath.exp(-s * x) + sset.Rgt * cmath.exp(s * x)
-            return pref * cmath.exp(s * xp) * phi_here
-        return pref * cmath.exp(s * x) * sset._greater(xp, False)
-    # x in the gap, x' <= x
-    return (pref * _hat_left(sset, xp) * _gap_profile_right(sset, x)
+        return pref * cmath.exp(sset.at * lo) * sset._field(hi)
+    return (pref * sset._field(lo, source="L") * sset._field(hi, source="R")
             / sset.delta)

@@ -11,9 +11,14 @@ scattering amplitudes and the Green-function rows rather than from the
 pre-reduced kernel formulas.
 
 The slab source integrals (over the source coordinate inside each slab) are
-done in closed form by pairing exponentials; see slab_mod_integral.  Within
-a homogeneous vacuum region the xx integrands are position independent: the
-oscillatory cross terms of |d_x G|^2 and omega^2 |G|^2 cancel identically.
+done in closed form by pairing exponentials (slab_mod_integral), over the
+two anchored waves that ``ScatteringSet.profile`` gives in each slab: the
+left-incident mode for a point in the left exterior, the Green function's
+source profile for a point in the gap.  Only the set's public fields and
+that method are read.  Within a homogeneous vacuum region the xx integrands
+are position independent: the oscillatory cross terms of |d_x G|^2 and
+omega^2 |G|^2 cancel identically.  The bath integrand reads a point in the
+right exterior as its mirror image in the reflected cavity.
 
 Components: "xx" (pressure) is the primary output; "tt" (energy density,
 pointwise equal to "xx" for this conformal field) and "tx" (energy flux,
@@ -104,39 +109,31 @@ def slab_mod_integral(P, Q, n, d, omega):
 
 
 def _bath_terms(sset, region, component):
-    """[(side, x_profile_factor, source_integral)] rows for one region.
+    """[(side, x_profile_factor, source_integral)] rows for a point in the
+    left exterior or the gap.
 
     The x-profile factor is sum_j sigma_j |c_j|^2 over the two plane-wave
     coefficients of the Green function's x dependence (sigma = +1, +1 for
-    xx/tt; +1 for the rightward and -1 for the leftward wave for tx); the
-    source integral is the closed-form slab integral of the x'-profile
-    squared, including the region prefactors.
+    xx/tt; +1 for the rightward and -1 for the leftward wave for tx): e^{sx}
+    in the left exterior, and in the gap (e^{-sx} + rR e^{s(x-a)})/Delta
+    for a source left of x, (e^{sx} + rL e^{-s(x+a)})/Delta for one right of
+    it.  The source integral is the closed-form slab integral of the
+    squared x'-profile, the set's anchored profile of that slab.
     """
-    d = sset.cfg.width
-    w = abs(sset.omega)
-    if region == EXT_LEFT:
-        iL = abs(sset._prefL) ** 2 * slab_mod_integral(
-            sset._P_red, sset._Q_red, sset.nL, d, w)
-        iR = (abs(sset._prefR) ** 2 * abs(sset._TP_R) ** 2
-              * slab_mod_integral(1.0, -sset.rnR, sset.nR, d, w))
-        c = -1.0 if component == "tx" else 1.0
-        return [("L", c, iL), ("R", c, iR)]
-    if region == GAP:
-        delta2 = abs(sset.delta) ** 2
-        gL = abs(sset._qL / sset.FL) ** 2
-        gR = abs(sset._qR / sset.FR) ** 2
-        iL = abs(sset._prefL) ** 2 * gL * slab_mod_integral(
-            1.0, -sset.rnL, sset.nL, d, w)
-        iR = abs(sset._prefR) ** 2 * gR * slab_mod_integral(
-            1.0, -sset.rnR, sset.nR, d, w)
-        if component == "tx":
-            cL = (1.0 - abs(sset.rR) ** 2) / delta2
-            cR = (abs(sset.rL) ** 2 - 1.0) / delta2
-        else:
-            cL = (1.0 + abs(sset.rR) ** 2) / delta2
-            cR = (1.0 + abs(sset.rL) ** 2) / delta2
-        return [("L", cL, iL), ("R", cR, iR)]
-    raise RegionUnsupportedError("no bath rows for region %r" % region)
+    d, w = sset.cfg.width, abs(sset.omega)
+    sign = -1.0 if component == "tx" else 1.0
+    gap = region == GAP
+    if gap:
+        scale = abs(sset.delta) ** -2
+        moduli = ((1.0, abs(sset.rR) ** 2), (abs(sset.rL) ** 2, 1.0))
+    else:
+        scale, moduli = 1.0, ((0.0, 1.0), (0.0, 1.0))
+    rows = []
+    for side, (fwd, bwd) in zip("LR", moduli):
+        pre, a, b, n = sset.profile(side, gap)
+        rows.append((side, (fwd + sign * bwd) * scale,
+                     abs(pre) ** 2 * slab_mod_integral(a, b, n, d, w)))
+    return rows
 
 
 def txx_bath_integrand(cfg, temps, p, omega, component="xx"):

@@ -340,3 +340,36 @@ def test_green_opaque_no_overflow():
                     (0.2, -80.0), (0.0, 120.0)):
         v = green_function(cfg, x, xp, 10.0)
         assert cmath.isfinite(v)
+
+
+def test_non_finite_positions_are_refused_by_name():
+    # NaN fails every comparison with the interfaces and +-inf lies past
+    # them: each used to be filed as exterior_right, so the modes returned
+    # NaN without an error
+    ss = cavity_coefficients(CFG, 1.9)
+    for x in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="x must be finite, got %r" % x):
+            classify_region(CFG, x)
+        for kind in (PHI_GREATER, PHI_LESS):
+            with pytest.raises(ValueError, match="x must be finite"):
+                mode_eval(ModeFunction(kind, ss), x)
+            with pytest.raises(ValueError, match="x must be finite"):
+                mode_deriv(ModeFunction(kind, ss), x)
+
+
+@pytest.mark.parametrize("cfg", [CFG, CavityConfig(1.0, 100.0, FIG, FIG),
+                                 CavityConfig(1.0, 0.8, STATIC, STATIC2)],
+                         ids=["mild", "opaque", "static"])
+def test_green_conjugates_at_negative_frequency(cfg):
+    # G(x, x'; -omega) = conj G(x, x'; omega): x in both exteriors and the
+    # gap, x' in all five regions
+    x1, x2, x3, x4 = cfg.interfaces
+    xs = (x1 - 0.6, 0.13 * cfg.gap, x4 + 0.9)
+    xps = (x1 - 1.7, 0.3 * x1 + 0.7 * x2, -0.21 * cfg.gap,
+           0.6 * x3 + 0.4 * x4, x4 + 0.35)
+    for om in (0.8, 4.7, 10.0):
+        for x in xs:
+            for xp in xps:
+                g = green_function(cfg, x, xp, om)
+                gm = green_function(cfg, x, xp, -om)
+                assert gm == pytest.approx(g.conjugate(), rel=1e-15, abs=0.0)

@@ -304,3 +304,17 @@ def test_bath_mirror_consistency():
     ref = txx_bath_integrand(cfgm, (7.0, 2.0),
                              RegionPoint(-1.5, "exterior_left"), 2.4)
     assert val == ref
+
+
+def test_non_finite_points_are_refused_by_name():
+    # a NaN or infinite point used to be filed as exterior_right: the state
+    # integrand returned NaN and the bath integrand refused the mirrored
+    # label exterior_left
+    for x in (math.nan, math.inf, -math.inf):
+        p = RegionPoint(x, "exterior_right")
+        with pytest.raises(ValueError, match="x must be finite"):
+            txx_ic_integrand(CFG, FieldState.thermal(2.0), p, 1.3)
+        with pytest.raises(ValueError, match="x must be finite"):
+            txx_bath_integrand(CFG, (1.0, 2.0), p, 1.3)
+        with pytest.raises(ValueError, match="x must be finite"):
+            RegionPoint.locate(CFG, x)

@@ -3,6 +3,9 @@ BENCH entry's size, bit-identity and setup figures."""
 
 import importlib.util
 import os
+import re
+
+from casimir1d import _core
 
 _PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "scripts", "write_bench.py")
@@ -97,3 +100,12 @@ def test_points_runs_on_this_checkout():
     assert sum(stages) <= ladder["total_s"]
     assert 0 < ladder["charged_pole_forms"] < ladder["means"]
     assert "means" not in got["timing"]["fig_300k"]
+
+
+def test_points_wraps_only_kernels_that_core_has():
+    # counting() and one_triple() look their kernel up by name on the
+    # checkout's core, so a name core lacks would count nothing or fail
+    names = re.findall(r'\b(?:counting|one_triple)\("(\w+)"', wb._POINTS)
+    assert {"vacuum_baths", "ic_brackets", "vacuum_bath_of"} <= set(names)
+    missing = [n for n in names if not hasattr(_core, n)]
+    assert missing == []
